@@ -23,7 +23,6 @@ def main() -> None:
         "--metrics", nargs="+",
         default=[SweepMetric.BELL_AT_QUARTER_T.value, SweepMetric.QPT_AT_HALF_T.value],
     )
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--output", type=Path, default=Path("decoherence_scan.csv"))
     args = ap.parse_args()
 
@@ -37,7 +36,6 @@ def main() -> None:
             fixed_t1_us=args.fixed_t1_us,
             fixed_tphi_us=args.fixed_tphi_us,
             rate_MHz=args.rate_mhz,
-            threads=args.threads,
         )
         for row, m in enumerate(scan.m_values):
             for t1, fid in zip(scan.t1_values_us, scan.t1_scan[row]):

@@ -49,7 +49,8 @@ def main() -> None:
             t1=(args.t1_us or 1e6) * 1e-6,
             t_phi=(args.tphi_us or 1e6) * 1e-6,
         )
-        traj = evolve_lindblad(ham.matrix(physical=True), psi0, times, deco)
+        rho0 = np.outer(psi0, psi0.conj())
+        traj = evolve_lindblad(ham.matrix(physical=True), rho0, times, deco)
 
     target = chain_bell_target(args.sites)
     pops = traj.site_populations()

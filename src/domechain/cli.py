@@ -284,6 +284,9 @@ def _evolve_system(cfg: dict):
 
 def cmd_evolve(cfg: dict) -> Path:
     """Propagate |site 1> and write the population/fidelity trajectory."""
+    if "decoherence" in cfg and "rate_MHz" not in cfg:
+        # The default rate (J = 1 rad/s) is meaningless against microsecond T1/Tphi.
+        raise ConfigError("decoherence needs rate_MHz")
     system, H, period, n_sites, grid = _evolve_system(cfg)
     n_periods = cfg.get("n_periods", 1.0)
     if "points" in cfg:
@@ -402,9 +405,7 @@ def _sweep_decoherence(cfg: dict):
     for key in ("fixed_t1_us", "fixed_tphi_us", "rate_MHz"):
         if key in cfg:
             kwargs[key] = cfg[key]
-    scan = sweep_decoherence(
-        cfg["N"], metric, threads=cfg.get("threads", 1), **kwargs
-    )
+    scan = sweep_decoherence(cfg["N"], metric, **kwargs)
     rows = []
     for i, m in enumerate(scan.m_values):
         for j, t1 in enumerate(scan.t1_values_us):

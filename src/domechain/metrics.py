@@ -26,7 +26,7 @@ from .chain import TridiagonalHamiltonian
 from .dynamics import (
     ClosedPropagator,
     DecoherenceConfig,
-    _evolve_lindblad_stack,
+    _evolve_open_stack,
     site_state,
     vacuum_state,
 )
@@ -228,6 +228,24 @@ def _pauli_expectations(rho2: np.ndarray) -> tuple[float, float, float]:
     return ex, ey, ez
 
 
+def _tomography_matrix() -> np.ndarray:
+    """A[4j + beta, 4m + n] = Tr(sigma_beta E_m rho_j E_n) over the fiducials."""
+    inputs = [np.outer((a, b), np.conj((a, b))) for a, b in qpt_fiducials()]
+    A = np.zeros((16, 16), dtype=complex)
+    for j, rho_in in enumerate(inputs):
+        for beta in range(4):
+            for m in range(4):
+                for n in range(4):
+                    A[4 * j + beta, 4 * m + n] = np.trace(
+                        PAULIS[beta] @ PAULIS[m] @ rho_in @ PAULIS[n]
+                    )
+    return A
+
+
+# Depends only on the fiducials and the Pauli basis, so it is built once.
+_TOMOGRAPHY_MATRIX = _tomography_matrix()
+
+
 def process_matrix(output_rhos) -> ProcessMatrix:
     """Linear-inversion chi from the four fiducial output states.
 
@@ -240,20 +258,11 @@ def process_matrix(output_rhos) -> ProcessMatrix:
     output_rhos = [np.asarray(r, dtype=complex) for r in output_rhos]
     if len(output_rhos) != 4 or any(r.shape != (2, 2) for r in output_rhos):
         raise ValueError("expected four 2x2 channel outputs")
-    inputs = [np.outer((a, b), np.conj((a, b))) for a, b in qpt_fiducials()]
-    A = np.zeros((16, 16), dtype=complex)
+    A = _TOMOGRAPHY_MATRIX
     b = np.zeros(16, dtype=complex)
-    for j, (rho_in, rho_out) in enumerate(zip(inputs, output_rhos)):
+    for j, rho_out in enumerate(output_rhos):
         ex, ey, ez = _pauli_expectations(rho_out)
-        meas = (np.real(np.trace(rho_out)), ex, ey, ez)
-        for beta in range(4):
-            row = 4 * j + beta
-            b[row] = meas[beta]
-            for m in range(4):
-                for n in range(4):
-                    A[row, 4 * m + n] = np.trace(
-                        PAULIS[beta] @ PAULIS[m] @ rho_in @ PAULIS[n]
-                    )
+        b[4 * j : 4 * j + 4] = (np.real(np.trace(rho_out)), ex, ey, ez)
     x = np.linalg.solve(A, b)
     chi = x.reshape(4, 4)
     return ProcessMatrix(
@@ -270,8 +279,6 @@ def simulate_qpt(
     t_end: float | None = None,
     source: int = 1,
     target: int | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> tuple[ProcessMatrix, float]:
     """Tomograph the source-to-target transfer channel of a chain.
 
@@ -279,7 +286,7 @@ def simulate_qpt(
     superpositions, evolves to t_end (default: half the chain period,
     i.e. the transfer time), reduces to the target qubit, and inverts for
     chi.  Returns (ProcessMatrix, fidelity against the identity process).
-    Open evolution batches all four fiducials through one integration.
+    Open evolution sends all four fiducials through one stacked linear map.
     """
     N = ham.n
     if target is None:
@@ -299,9 +306,7 @@ def simulate_qpt(
         ]
     else:
         stack = np.stack([np.outer(psi, psi.conj()) for psi in fiducial_states])
-        finals = _evolve_lindblad_stack(
-            H, stack, np.array([0.0, t_end]), deco, rtol, atol
-        )[-1]
+        finals = _evolve_open_stack(H, stack, np.array([0.0, t_end]), deco)[-1]
     outputs = [reduce_to_sites(rho, (target,)) for rho in finals]
     pm = process_matrix(outputs)
     return pm, pm.fidelity()

@@ -324,9 +324,6 @@ def sweep_decoherence(
     fixed_tphi_us: float = 5.0,
     fixed_t1_us: float = 30.0,
     rate_MHz: float = 5.0,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    threads: int = 1,
 ) -> DecoherenceScan:
     """Open-system fidelity over the (T1, Tphi) grids for each m.
 
@@ -354,39 +351,21 @@ def sweep_decoherence(
         deco = DecoherenceConfig(t1=t1_us * 1e-6, t_phi=tphi_us * 1e-6)
         ham = hams[m]
         if metric is SweepMetric.QPT_AT_HALF_T:
-            _, fid = simulate_qpt(ham, deco, t_end=period / 2, rtol=rtol, atol=atol)
+            _, fid = simulate_qpt(ham, deco, t_end=period / 2)
             return fid
         psi0 = site_state(n_sites, 1)
         rho0 = np.outer(psi0, psi0.conj())
         traj = evolve_lindblad(
-            ham.matrix(physical=True),
-            rho0,
-            np.array([0.0, period / 4]),
-            deco,
-            rtol=rtol,
-            atol=atol,
+            ham.matrix(physical=True), rho0, np.array([0.0, period / 4]), deco
         )
         return state_fidelity(reduce_to_pair(traj.rhos[-1], 1, n_sites), ideals[m])
 
-    tasks = [("t1", i, j, m, t1, fixed_tphi_us)
-             for i, m in enumerate(m_values) for j, t1 in enumerate(t1_values_us)]
-    tasks += [("tphi", i, j, m, fixed_t1_us, tphi)
-              for i, m in enumerate(m_values) for j, tphi in enumerate(tphi_values_us)]
-
-    t1_scan = np.zeros((len(m_values), len(t1_values_us)))
-    tphi_scan = np.zeros((len(m_values), len(tphi_values_us)))
-
-    def solve(task) -> tuple:
-        kind, i, j, m, t1, tphi = task
-        return kind, i, j, point(m, t1, tphi)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, tasks))
-    else:
-        results = [solve(t) for t in tasks]
-    for kind, i, j, fid in results:
-        (t1_scan if kind == "t1" else tphi_scan)[i, j] = fid
+    t1_scan = np.array(
+        [[point(m, t1, fixed_tphi_us) for t1 in t1_values_us] for m in m_values]
+    ).reshape(len(m_values), len(t1_values_us))
+    tphi_scan = np.array(
+        [[point(m, fixed_t1_us, tphi) for tphi in tphi_values_us] for m in m_values]
+    ).reshape(len(m_values), len(tphi_values_us))
 
     return DecoherenceScan(
         metric=metric,

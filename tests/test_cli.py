@@ -134,6 +134,18 @@ def test_evolve_with_decoherence_matches_known_fidelity(outdir):
     assert float(by_t["0.25"][6]) == pytest.approx(0.971561972299, abs=1e-6)
 
 
+def test_evolve_decoherence_without_rate_is_refused(outdir, capsys):
+    # J would default to 1 rad/s against microsecond T1 and Tphi.
+    assert run([
+        "evolve", "--set", "N=5", "--set", "m=2",
+        "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5",
+    ]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "rate_MHz" in err["detail"]
+    assert not (outdir / "evolve.csv").exists()
+
+
 def test_sweep_coherent_csv_and_sidecar(outdir):
     args = [
         "sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t",
@@ -254,3 +266,16 @@ def test_evolve_rerun_is_byte_identical(outdir):
     assert run(args + ["--output", "e1.csv"]) == 0
     assert run(args + ["--output", "e2.csv"]) == 0
     assert (outdir / "e1.csv").read_bytes() == (outdir / "e2.csv").read_bytes()
+
+
+def test_open_system_reruns_are_byte_identical(outdir):
+    evolve = ["evolve", "--set", "N=5", "--set", "m=2", "--set", "points=11",
+              "--set", "rate_MHz=5", "--set", "decoherence.t1_us=30",
+              "--set", "decoherence.tphi_us=5"]
+    sweep = ["sweep", "--set", "kind=decoherence", "--set", "metric=qpt_at_half_t",
+             "--set", "N=3", "--set", "m_values=[2,102]",
+             "--set", "t1_us_values=[3,300]", "--set", "tphi_us_values=[0.5]"]
+    for argv in (evolve, sweep):
+        assert run(argv + ["--output", "r1.csv"]) == 0
+        assert run(argv + ["--output", "r2.csv"]) == 0
+        assert (outdir / "r1.csv").read_bytes() == (outdir / "r2.csv").read_bytes()

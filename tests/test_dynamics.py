@@ -2,7 +2,8 @@
 
 The open-system oracle builds the vectorized Liouvillian (row-major vec
 convention: vec(A X B) = (A kron B^T) vec(X)) and exponentiates it with
-scipy.linalg.expm.  It shares no code with the RK45 path in dynamics.
+scipy.linalg.expm.  It shares no code with the block-split propagator in
+dynamics.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from domechain.dynamics import (
+    DENSE_GENERATOR_MAX_SITES,
     ClosedPropagator,
     DecoherenceConfig,
     default_time_grid,
@@ -20,7 +22,7 @@ from domechain.dynamics import (
     site_state,
     vacuum_state,
 )
-from domechain.models import DomeParams, dome_hamiltonian
+from domechain.models import DomeParams, Grid2D, dome_hamiltonian, single_excitation_matrix
 
 
 def lindblad_superoperator(H_site: np.ndarray, deco: DecoherenceConfig) -> np.ndarray:
@@ -57,22 +59,38 @@ def expm_evolve(H_site, rho0, t, deco):
 
 
 def test_lindblad_matches_superoperator_exponential():
-    # Small-instance oracle, N <= 3, both channels on.
-    deco = DecoherenceConfig(t1=2.0, t_phi=3.0)
+    # Small instances in units of J, N <= 3, both channels on; N = 5 at the
+    # physical working point (5 MHz, T1 = 30 us, Tphi = 5 us) for the mild
+    # m = 2 and the stiff m = 102 chain; and a 3x7 grid (D = 21), which is
+    # above DENSE_GENERATOR_MAX_SITES and takes the expm_multiply branch.
     rng = np.random.default_rng(11)
+    cases = []
+    deco = DecoherenceConfig(t1=2.0, t_phi=3.0)
     for N in (1, 2, 3):
         if N == 1:
             H = np.array([[0.7]])
         else:
             H = dome_hamiltonian(DomeParams(N=N, m=2)).matrix()
+        cases.append((H, deco, np.array([0.0, 0.4, 1.1, 2.0])))
+    rate = 2 * np.pi * 5e6
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    for m in (2, 102):
+        ham = dome_hamiltonian(DomeParams(N=5, m=m, J=rate))
+        times = np.array([0.0, ham.period / 4, ham.period / 2])
+        cases.append((ham.matrix(physical=True), deco, times))
+    grid = Grid2D(3, 7, 2, 2, J=rate)
+    assert grid.rows * grid.cols > DENSE_GENERATOR_MAX_SITES
+    times = np.array([0.0, grid.period / 4, grid.period / 2])
+    cases.append((single_excitation_matrix(grid, physical=True), deco, times))
+    for H, deco, times in cases:
+        N = H.shape[0]
         c = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
         c /= np.linalg.norm(c)
         rho0 = np.outer(c, c.conj())
-        times = np.array([0.0, 0.4, 1.1, 2.0])
-        traj = evolve_lindblad(H, rho0, times, deco, rtol=1e-11, atol=1e-13)
+        traj = evolve_lindblad(H, rho0, times, deco)
         for k, t in enumerate(times):
             ref = expm_evolve(H, rho0, t, deco)
-            assert np.max(np.abs(traj.rhos[k] - ref)) < 1e-8
+            assert np.max(np.abs(traj.rhos[k] - ref)) < 1e-12
 
 
 def test_lindblad_single_site_closed_forms():
@@ -83,7 +101,7 @@ def test_lindblad_single_site_closed_forms():
     psi = (vacuum_state(1) + site_state(1, 1)) / np.sqrt(2)
     rho0 = np.outer(psi, psi.conj())
     times = np.linspace(0.0, 2.0, 9)
-    traj = evolve_lindblad(H, rho0, times, deco, rtol=1e-11, atol=1e-13)
+    traj = evolve_lindblad(H, rho0, times, deco)
     for k, t in enumerate(times):
         pop = 0.5 * np.exp(-t / t1)
         coh = 0.5 * np.exp(-t * (0.5 / t1 + 1.0 / tphi))
@@ -131,6 +149,8 @@ def test_lindblad_input_validation():
         evolve_lindblad(H, bad, np.array([0.0, 1.0]), deco)
     with pytest.raises(ValueError):
         evolve_lindblad(H, np.eye(3) / 3.0, np.array([0.5, 1.0]), deco)
+    with pytest.raises(ValueError):
+        evolve_lindblad(H, np.eye(3) / 3.0, np.array([0.0, 1.0, 0.5]), deco)
     with pytest.raises(ValueError):
         DecoherenceConfig(t1=-1.0)
 

@@ -27,6 +27,7 @@ from domechain.metrics import (
     w_fidelity,
 )
 from domechain.models import DomeParams, dome_hamiltonian, grid_2d, single_excitation_matrix
+from test_dynamics import expm_evolve
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -201,6 +202,24 @@ def test_qpt_open_system_matches_closed_at_long_coherence():
     _, fid_open = simulate_qpt(ham, deco)
     _, fid_closed = simulate_qpt(ham)
     assert abs(fid_open - fid_closed) < 1e-6
+
+
+def test_qpt_open_system_matches_dense_oracle():
+    # The transfer channel keeps the vacuum, so its identity-process
+    # fidelity is (1 + P + 2 Re c)/4 with P = rho_NN(T/2) from input |1>
+    # and c = 2 rho_N0(T/2) from input |+>, both from the dense oracle.
+    rate = 2 * np.pi * 5e6
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    for m in (2, 102):
+        ham = dome_hamiltonian(DomeParams(N=5, m=m, J=rate))
+        H = ham.matrix(physical=True)
+        t = ham.period / 2
+        one = site_state(5, 1)
+        plus = (vacuum_state(5) + one) / np.sqrt(2)
+        P = expm_evolve(H, np.outer(one, one.conj()), t, deco)[5, 5].real
+        c = 2 * expm_evolve(H, np.outer(plus, plus.conj()), t, deco)[5, 0]
+        _, fid = simulate_qpt(ham, deco)
+        assert abs(fid - (1 + P + 2 * c.real) / 4) < 1e-12
 
 
 def test_qpt_fidelity_against_explicit_ideal():
