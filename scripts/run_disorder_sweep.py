@@ -27,7 +27,6 @@ def main() -> None:
     ap.add_argument("--sigmas", type=float, nargs="+", default=[0.25, 0.5, 1.0])
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--seed", type=int, default=12345)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument(
         "--targets", nargs="+",
         default=[t.value for t in DisorderTarget],
@@ -53,7 +52,6 @@ def main() -> None:
                 cfg,
                 SweepMetric.BELL_AT_QUARTER_T,
                 sigmas=args.sigmas,
-                threads=args.threads,
             )
             results[m] = result
             for sigma, mean, std, n_ok in zip(

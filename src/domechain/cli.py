@@ -2,7 +2,7 @@
 
 Configs are JSON documents validated against strict schemas (unknown
 keys rejected); `--set path.key=value` applies dotted overrides before
-validation and `--seed/--threads/--format/--output` override the
+validation and `--seed/--format/--output` override the
 corresponding config fields.  All physical inputs carry units in their
 field names (rate_MHz is J/2pi; t1_us, tphi_us are microseconds) and are
 converted to angular frequency internally.
@@ -134,7 +134,6 @@ SWEEP_SCHEMA = {
         "fixed_t1_us": _POSITIVE,
         "fixed_tphi_us": _POSITIVE,
         "rate_MHz": _POSITIVE,
-        "threads": {"type": "integer", "minimum": 1},
         "output": {"type": "string"},
         "format": {"enum": ["csv", "json"]},
     },
@@ -163,6 +162,9 @@ SCHEMAS = {
     "sweep": SWEEP_SCHEMA,
     "cascade": CASCADE_SCHEMA,
 }
+
+# Compiled once; the suite checks each schema against its metaschema.
+_VALIDATORS = {k: jsonschema.validators.validator_for(s)(s) for k, s in SCHEMAS.items()}
 
 
 class ConfigError(ValueError):
@@ -358,7 +360,6 @@ def _sweep_coherent(cfg: dict):
         seed=cfg["seed"],
         samples=cfg.get("samples"),
     )
-    threads = cfg.get("threads", 1)
     m_values = cfg.get("m_values", [2, 102])
     rate = _rate_rad_per_s(cfg)
     rows = []
@@ -371,7 +372,7 @@ def _sweep_coherent(cfg: dict):
             if "N" not in cfg:
                 raise ConfigError("chain sweeps need N")
             system = DomeParams(N=cfg["N"], m=m, J=rate)
-        result = sweep_coherent(system, dcfg, metric, sigmas=sigmas, threads=threads)
+        result = sweep_coherent(system, dcfg, metric, sigmas=sigmas)
         for j in range(result.axis.size):
             rows.append(
                 [
@@ -527,7 +528,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--output", type=Path)
     args = parser.parse_args(argv)
@@ -545,16 +545,13 @@ def main(argv=None) -> int:
             _apply_set(cfg, assignment)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         if args.format is not None:
             cfg["format"] = args.format
         if args.output is not None:
             cfg["output"] = str(args.output)
-        try:
-            jsonschema.validate(cfg, SCHEMAS[args.command])
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(exc.message) from exc
+        error = jsonschema.exceptions.best_match(_VALIDATORS[args.command].iter_errors(cfg))
+        if error is not None:
+            raise ConfigError(error.message)
         path = COMMANDS[args.command](cfg)
     except (ConfigError, ValueError, TypeError) as exc:
         _error("validation", str(exc))

@@ -74,23 +74,31 @@ def reduce_to_sites(state, sites) -> np.ndarray:
     block, and the vacuum coherences into it are nonzero; coherences
     between the subset and excitations elsewhere trace to zero.
     """
-    rho = _as_density(state)
-    dim = rho.shape[0]
-    sites = tuple(int(s) for s in sites)
+    state = np.asarray(state, dtype=complex)
+    # Subset entries are read one by one: no (D+1)^2 outer product, no loop over all sites.
+    if state.ndim == 1:
+        amp = state.tolist()
+        entry = lambda a, b: amp[a] * amp[b].conjugate()
+        total = np.vdot(state, state)
+    elif state.ndim == 2 and state.shape[0] == state.shape[1]:
+        entry = state.item
+        total = sum(state.diagonal().tolist())
+    else:
+        raise ValueError("expected a state vector or a square density matrix")
+    sites = tuple(map(int, sites))
     k = len(sites)
     if len(set(sites)) != k:
         raise ValueError("subset sites must be distinct")
-    if any(not 1 <= s <= dim - 1 for s in sites):
+    if sites and not (1 <= min(sites) and max(sites) < state.shape[0]):
         raise ValueError("site index out of range")
     out = np.zeros((2**k, 2**k), dtype=complex)
     bit = [1 << (k - 1 - i) for i in range(k)]
-    inside = set(sites)
-    out[0, 0] = rho[0, 0] + sum(rho[n, n] for n in range(1, dim) if n not in inside)
+    out[0, 0] = total - sum(entry(s, s) for s in sites)
     for i, si in enumerate(sites):
-        out[0, bit[i]] = rho[0, si]
-        out[bit[i], 0] = rho[si, 0]
+        out[0, bit[i]] = entry(0, si)
+        out[bit[i], 0] = entry(si, 0)
         for j, sj in enumerate(sites):
-            out[bit[i], bit[j]] = rho[si, sj]
+            out[bit[i], bit[j]] = entry(si, sj)
     return out
 
 

@@ -115,19 +115,15 @@ class Grid2D:
 
     def frequency_table(self) -> np.ndarray:
         """rows x cols table of on-site frequencies in units of J."""
-        wx = self.row_chain().omegas
-        wy = self.column_chain().omegas
-        return wy[:, None] + wx[None, :]
+        return _grid_sites(self)[0].reshape(self.rows, self.cols)
 
     def x_bonds(self) -> np.ndarray:
         """rows x (cols-1) horizontal couplings in units of J."""
-        jx = self.row_chain().couplings
-        return np.tile(jx, (self.rows, 1))
+        return _grid_sites(self)[1][: self.rows * (self.cols - 1)].reshape(self.rows, -1)
 
     def y_bonds(self) -> np.ndarray:
         """(rows-1) x cols vertical couplings in units of J."""
-        jy = self.column_chain().couplings
-        return np.tile(jy[:, None], (1, self.cols))
+        return _grid_sites(self)[1][self.rows * (self.cols - 1) :].reshape(-1, self.cols)
 
     def corner_indices(self) -> list[int]:
         """Flat indices of corners in the order (1,1), (1,C), (R,1), (R,C)."""
@@ -139,6 +135,38 @@ def grid_2d(rows: int, cols: int, m_x: int, m_y: int, J: float = 1.0) -> Grid2D:
     return Grid2D(rows=rows, cols=cols, m_x=m_x, m_y=m_y, J=J)
 
 
+def _grid_sites(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major on-site frequencies and `_bond_pairs`-order couplings, units of J."""
+    row, col = grid.row_chain(), grid.column_chain()
+    freqs = (col.omegas[:, None] + row.omegas[None, :]).reshape(-1)
+    couplings = np.concatenate(
+        [np.tile(row.couplings, grid.rows), np.repeat(col.couplings, grid.cols)]
+    )
+    return freqs, couplings
+
+
+def _bond_pairs(rows: int, cols: int) -> np.ndarray:
+    """(B, 2) flat site indices of a grid's bonds: x bonds, then y bonds, row major.
+
+    A chain is the 1 x N grid.  Disorder draws follow the same order.
+    """
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    x = np.stack([idx[:, :-1].reshape(-1), idx[:, 1:].reshape(-1)], axis=-1)
+    y = np.stack([idx[:-1].reshape(-1), idx[1:].reshape(-1)], axis=-1)
+    return np.concatenate([x, y])
+
+
+def _site_matrix(freqs: np.ndarray, couplings: np.ndarray, bonds: np.ndarray) -> np.ndarray:
+    """Site matrices (..., D, D) from on-site values (..., D) and bond values (..., B)."""
+    D = freqs.shape[-1]
+    H = np.zeros(freqs.shape + (D,))
+    sites = np.arange(D)
+    H[..., sites, sites] = freqs
+    H[..., bonds[:, 0], bonds[:, 1]] = couplings
+    H[..., bonds[:, 1], bonds[:, 0]] = couplings
+    return H
+
+
 def single_excitation_matrix(
     freqs: np.ndarray | Grid2D,
     x_bonds: np.ndarray | None = None,
@@ -148,13 +176,12 @@ def single_excitation_matrix(
     """Dense single-excitation matrix of a grid, row-major site order.
 
     Accepts either a Grid2D or explicit per-site frequency and per-bond
-    coupling tables (which is what disorder perturbation produces).
+    coupling tables.
     """
     if isinstance(freqs, Grid2D):
         grid = freqs
-        table = grid.frequency_table()
-        xb = grid.x_bonds()
-        yb = grid.y_bonds()
+        R, C = grid.rows, grid.cols
+        site_freqs, couplings = _grid_sites(grid)
         scale = grid.J if physical else 1.0
     else:
         table = np.asarray(freqs, dtype=float)
@@ -162,23 +189,13 @@ def single_excitation_matrix(
             raise ValueError("explicit tables require x_bonds and y_bonds")
         xb = np.asarray(x_bonds, dtype=float)
         yb = np.asarray(y_bonds, dtype=float)
+        R, C = table.shape
+        if xb.shape != (R, C - 1) or yb.shape != (R - 1, C):
+            raise ValueError("bond tables do not match the grid shape")
+        site_freqs = table.reshape(-1)
+        couplings = np.concatenate([xb.reshape(-1), yb.reshape(-1)])
         scale = 1.0
-    R, C = table.shape
-    if xb.shape != (R, C - 1) or yb.shape != (R - 1, C):
-        raise ValueError("bond tables do not match the grid shape")
-    D = R * C
-    H = np.zeros((D, D))
-    idx = lambda r, c: r * C + c
-    for r in range(R):
-        for c in range(C):
-            H[idx(r, c), idx(r, c)] = table[r, c]
-            if c + 1 < C:
-                H[idx(r, c), idx(r, c + 1)] = xb[r, c]
-                H[idx(r, c + 1), idx(r, c)] = xb[r, c]
-            if r + 1 < R:
-                H[idx(r, c), idx(r + 1, c)] = yb[r, c]
-                H[idx(r + 1, c), idx(r, c)] = yb[r, c]
-    return H * scale
+    return _site_matrix(site_freqs, couplings, _bond_pairs(R, C)) * scale
 
 
 class PerturbativeBreakdownError(RuntimeError):

@@ -1,35 +1,38 @@
 """Seeded parameter disorder and Monte Carlo fidelity sweeps.
 
-Disorder draws are counter based: sample k uses a Philox generator keyed
-by (seed) with counter block k, so any partition of samples across
-workers reproduces the serial draw multiset exactly.  Within a sample the
-draw order is fixed: targeted site frequencies in ascending site order,
-then targeted couplings (x bonds before y bonds on grids).  Sigma is in
-units of J and perturbs the dimensionless chain entries additively.
+Sample k draws its unit normals once from a Philox generator keyed by
+(seed) with counter block k, in a fixed order: targeted site frequencies
+in ascending site order, then targeted couplings (x bonds before y bonds
+on grids).  Sigma, in units of J, scales them into additive shifts of the
+dimensionless entries, so the points of a sigma axis share one field.
 
-Sweep fidelities are measured against the noise-free evolved state
-reduced to the same qubits (coherent sweeps) or against the identity
-process (tomography metric), matching how the reference curves are
-normalized.
+Coherent sweeps diagonalize stacks of perturbed site matrices with one
+`eigh` call and contract to readout amplitudes a = <r|U(t)|site 1>.  The
+readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
+overlap with the noise-free reduction is (1 - p)(1 - p0) + |a0^dagger a|^2.
+The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
+whose process fidelity with the identity is |1 + u|^2 / 4.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
 from .dynamics import ClosedPropagator, DecoherenceConfig, evolve_lindblad, site_state
-from .metrics import (
-    reduce_to_corners,
-    reduce_to_pair,
-    simulate_qpt,
-    state_fidelity,
+from .metrics import reduce_to_pair, simulate_qpt, state_fidelity
+from .models import (
+    DomeParams,
+    Grid2D,
+    _bond_pairs,
+    _grid_sites,
+    _site_matrix,
+    dome_hamiltonian,
 )
-from .models import DomeParams, Grid2D, dome_hamiltonian, single_excitation_matrix
 
 __all__ = [
     "DisorderTarget",
@@ -48,6 +51,9 @@ __all__ = [
 # range; the working point pins J/2pi = 5 MHz so one period is 200 ns.
 T1_GRID_US = (3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
 TPHI_GRID_US = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
+
+# Site-matrix entries per stacked eigh call (8 MB of float64), whatever the sample count.
+MAX_CHUNK_ENTRIES = 1 << 20
 
 
 class DisorderTarget(Enum):
@@ -101,50 +107,55 @@ def _rng(cfg: DisorderConfig, draw_index: int) -> np.random.Generator:
     )
 
 
-def _perturb_chain(
-    ham: TridiagonalHamiltonian, cfg: DisorderConfig, draw_index: int
-) -> TridiagonalHamiltonian:
-    N = ham.n
-    if cfg.target is DisorderTarget.MIDDLE_FREQUENCIES:
-        freq_idx = np.arange(1, N - 1)
-    elif cfg.target is DisorderTarget.EDGE_FREQUENCIES:
-        freq_idx = np.array([0, N - 1])
-    elif cfg.target is DisorderTarget.ALL:
-        freq_idx = np.arange(N)
-    else:
-        freq_idx = np.arange(0)
-    n_coups = N - 1 if cfg.target in (DisorderTarget.COUPLINGS, DisorderTarget.ALL) else 0
-    rng = _rng(cfg, draw_index)
-    omegas = ham.omegas.copy()
-    couplings = ham.couplings.copy()
-    if freq_idx.size:
-        omegas[freq_idx] += rng.normal(0.0, cfg.sigma, freq_idx.size)
-    if n_coups:
-        couplings += rng.normal(0.0, cfg.sigma, n_coups)
-    return TridiagonalHamiltonian(omegas, couplings, ham.rate_J)
+@dataclass(frozen=True)
+class _SiteModel:
+    """A chain or grid as disorder sees it: noise-free site-matrix entries
+    `freqs` (D,) and `couplings` (B,) in units of J, the (B, 2) `bonds` in
+    draw order, the chain ends or grid corners `edges`, and J in rad/s.
+    """
 
+    freqs: np.ndarray
+    couplings: np.ndarray
+    bonds: np.ndarray
+    edges: np.ndarray
+    rate: float
 
-def _perturb_grid(grid: Grid2D, cfg: DisorderConfig, draw_index: int) -> np.ndarray:
-    freqs = grid.frequency_table().reshape(-1).copy()
-    xb = grid.x_bonds().copy()
-    yb = grid.y_bonds().copy()
-    corners = np.array(grid.corner_indices())
-    if cfg.target is DisorderTarget.MIDDLE_FREQUENCIES:
-        freq_idx = np.setdiff1d(np.arange(freqs.size), corners)
-    elif cfg.target is DisorderTarget.EDGE_FREQUENCIES:
-        freq_idx = corners
-    elif cfg.target is DisorderTarget.ALL:
-        freq_idx = np.arange(freqs.size)
-    else:
-        freq_idx = np.arange(0)
-    with_coups = cfg.target in (DisorderTarget.COUPLINGS, DisorderTarget.ALL)
-    rng = _rng(cfg, draw_index)
-    if freq_idx.size:
-        freqs[freq_idx] += rng.normal(0.0, cfg.sigma, freq_idx.size)
-    if with_coups:
-        xb += rng.normal(0.0, cfg.sigma, xb.shape)
-        yb += rng.normal(0.0, cfg.sigma, yb.shape)
-    return single_excitation_matrix(freqs.reshape(grid.rows, grid.cols), xb, yb)
+    @classmethod
+    def of(cls, system) -> _SiteModel:
+        if isinstance(system, TridiagonalHamiltonian):
+            return cls(system.omegas, system.couplings, _bond_pairs(1, system.n),
+                       np.array([0, system.n - 1]), system.rate_J)
+        if isinstance(system, Grid2D):
+            freqs, couplings = _grid_sites(system)
+            return cls(freqs, couplings, _bond_pairs(system.rows, system.cols),
+                       np.array(system.corner_indices()), system.J)
+        raise TypeError("system must be a TridiagonalHamiltonian or Grid2D")
+
+    def targeted(self, target: DisorderTarget) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the perturbed frequencies and couplings, in draw order."""
+        sites, bonds = np.arange(self.freqs.size), np.arange(self.couplings.size)
+        if target is DisorderTarget.MIDDLE_FREQUENCIES:
+            return np.setdiff1d(sites, self.edges), bonds[:0]
+        if target is DisorderTarget.EDGE_FREQUENCIES:
+            return self.edges, bonds[:0]
+        if target is DisorderTarget.COUPLINGS:
+            return sites[:0], bonds
+        return sites, bonds
+
+    def unit_draws(self, cfg: DisorderConfig, draw_indices) -> np.ndarray:
+        """(S, n) unit normals, row s from the generator of draw_indices[s]."""
+        n = sum(idx.size for idx in self.targeted(cfg.target))
+        rows = [_rng(cfg, k).standard_normal(n) for k in draw_indices]
+        return np.array(rows).reshape(len(rows), n)
+
+    def matrices(self, target: DisorderTarget, noise: np.ndarray) -> np.ndarray:
+        """(S, D, D) site matrices with the (S, n) noise rows added."""
+        sites, bonds = self.targeted(target)
+        freqs = np.repeat(self.freqs[None], len(noise), axis=0)
+        couplings = np.repeat(self.couplings[None], len(noise), axis=0)
+        freqs[:, sites] += noise[:, : sites.size]
+        couplings[:, bonds] += noise[:, sites.size :]
+        return _site_matrix(freqs, couplings, self.bonds)
 
 
 def perturb(system, cfg: DisorderConfig, draw_index: int):
@@ -153,14 +164,30 @@ def perturb(system, cfg: DisorderConfig, draw_index: int):
     Chains come back as a new TridiagonalHamiltonian; grids come back as
     the dense perturbed site matrix in units of J.  Deterministic in
     (seed, draw_index); untargeted entries are bit-identical to the input.
+    `sweep_coherent` builds the same matrices in batches.
     """
     if draw_index < 0:
         raise ValueError("draw_index must be non-negative")
+    model = _SiteModel.of(system)
+    H = model.matrices(cfg.target, cfg.sigma * model.unit_draws(cfg, [draw_index]))[0]
     if isinstance(system, TridiagonalHamiltonian):
-        return _perturb_chain(system, cfg, draw_index)
-    if isinstance(system, Grid2D):
-        return _perturb_grid(system, cfg, draw_index)
-    raise TypeError("system must be a TridiagonalHamiltonian or Grid2D")
+        return TridiagonalHamiltonian(H.diagonal().copy(), H.diagonal(1).copy(), system.rate_J)
+    return H
+
+
+def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndarray:
+    """(S, r) amplitudes <readout|exp(-iHt)|site 1> of a (S, D, D) stack.
+
+    A stack whose diagonalization fails is redone one matrix at a time,
+    and only the matrices that fail on their own get NaN amplitudes.
+    """
+    try:
+        w, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError:
+        if H.shape[0] == 1:
+            return np.full((1, readout.size), np.nan, dtype=complex)
+        return np.concatenate([_readout_amplitudes(h[None], t, readout) for h in H])
+    return np.einsum("srk,sk,sk->sr", V[:, readout, :], np.exp(-1j * w * t), V[:, 0, :])
 
 
 @dataclass(frozen=True)
@@ -180,42 +207,11 @@ class SweepResult:
         return self.std / np.sqrt(np.maximum(self.samples, 1))
 
 
-def _chain_sample_fidelity(
-    base: TridiagonalHamiltonian,
-    cfg: DisorderConfig,
-    metric: SweepMetric,
-    duration: float,
-    ideal,
-    k: int,
-) -> float:
-    ham = _perturb_chain(base, cfg, k)
-    if metric is SweepMetric.QPT_AT_HALF_T:
-        _, fid = simulate_qpt(ham, t_end=duration)
-        return fid
-    prop = ClosedPropagator(ham.matrix(physical=True))
-    psi = prop.apply(site_state(ham.n, 1), duration)
-    return state_fidelity(reduce_to_pair(psi, 1, ham.n), ideal)
-
-
-def _grid_sample_fidelity(
-    grid: Grid2D,
-    cfg: DisorderConfig,
-    duration: float,
-    ideal,
-    k: int,
-) -> float:
-    H = _perturb_grid(grid, cfg, k) * grid.J
-    prop = ClosedPropagator(H)
-    psi = prop.apply(site_state(grid.rows * grid.cols, 1), duration)
-    return state_fidelity(reduce_to_corners(psi, grid), ideal)
-
-
 def sweep_coherent(
     system,
     cfg: DisorderConfig,
     metric: SweepMetric,
     sigmas=None,
-    threads: int = 1,
 ) -> SweepResult:
     """Monte Carlo fidelity under static coherent disorder.
 
@@ -226,74 +222,54 @@ def sweep_coherent(
     the single cfg.sigma is used.  Per-sample failures are counted and
     excluded from the statistics rather than raised.
     """
+    qpt = metric is SweepMetric.QPT_AT_HALF_T
     if isinstance(system, Grid2D):
         if metric is not SweepMetric.W_AT_QUARTER_T:
             raise ValueError("grids support only the corner metric")
-        grid = system
-        duration = grid.period / 4
-        prop = ClosedPropagator(single_excitation_matrix(grid, physical=True))
-        psi = prop.apply(site_state(grid.rows * grid.cols, 1), duration)
-        ideal = reduce_to_corners(psi, grid)
-
-        def run(c: DisorderConfig, k: int) -> float:
-            return _grid_sample_fidelity(grid, c, duration, ideal, k)
-
+        model = _SiteModel.of(system)
     elif isinstance(system, DomeParams):
         if metric is SweepMetric.W_AT_QUARTER_T:
             raise ValueError("the corner metric requires a Grid2D")
-        base = dome_hamiltonian(system)
-        duration = base.period / (2 if metric is SweepMetric.QPT_AT_HALF_T else 4)
-        ideal = None
-        if metric is SweepMetric.BELL_AT_QUARTER_T:
-            prop = ClosedPropagator(base.matrix(physical=True))
-            psi = prop.apply(site_state(base.n, 1), duration)
-            ideal = reduce_to_pair(psi, 1, base.n)
-
-        def run(c: DisorderConfig, k: int) -> float:
-            return _chain_sample_fidelity(base, c, metric, duration, ideal, k)
-
+        model = _SiteModel.of(dome_hamiltonian(system))
     else:
         raise TypeError("system must be DomeParams or Grid2D")
+    readout = model.edges[-1:] if qpt else model.edges
+    duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
+
+    def amplitudes(H: np.ndarray) -> np.ndarray:
+        return _readout_amplitudes(H * model.rate, duration, readout)
+
+    if not qpt:
+        a0 = amplitudes(_site_matrix(model.freqs, model.couplings, model.bonds)[None])[0]
+        p0 = np.sum(np.abs(a0) ** 2)
 
     n_samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES[metric]
     axis = np.atleast_1d(
         np.asarray(sigmas if sigmas is not None else [cfg.sigma], dtype=float)
     )
-    fids = np.full((axis.size, n_samples), np.nan)
-    failures = np.zeros(axis.size, dtype=int)
-    for i, sigma in enumerate(axis):
-        point_cfg = DisorderConfig(
-            target=cfg.target, sigma=float(sigma), seed=cfg.seed, samples=n_samples
-        )
-
-        def one(k: int) -> float:
-            try:
-                return run(point_cfg, k)
-            except (np.linalg.LinAlgError, RuntimeError):
-                return np.nan
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                row = list(pool.map(one, range(n_samples)))
+    unit = model.unit_draws(cfg, range(n_samples))
+    fids = np.empty(axis.size * n_samples)
+    chunk = max(1, MAX_CHUNK_ENTRIES // model.freqs.size**2)
+    for start in range(0, fids.size, chunk):
+        rows = np.arange(start, min(start + chunk, fids.size))
+        noise = axis[rows // n_samples, None] * unit[rows % n_samples]
+        a = amplitudes(model.matrices(cfg.target, noise))
+        if qpt:
+            fids[rows] = np.abs(1.0 + a[:, 0]) ** 2 / 4.0
         else:
-            row = [one(k) for k in range(n_samples)]
-        fids[i] = row
-        failures[i] = int(np.sum(np.isnan(fids[i])))
+            # Summed column by column: numpy's row reductions take another
+            # path for a one-row chunk, which would make bits depend on chunking.
+            p = reduce(np.add, np.abs(a.T) ** 2)
+            overlap = reduce(np.add, a.T * a0.conj()[:, None])
+            fids[rows] = (1.0 - p) * (1.0 - p0) + np.abs(overlap) ** 2
+    fids = fids.reshape(axis.size, n_samples)
     ok = ~np.isnan(fids)
-    counts = ok.sum(axis=1)
     mean = np.array([np.mean(f[o]) if o.any() else np.nan for f, o in zip(fids, ok)])
     std = np.array(
         [np.std(f[o], ddof=1) if o.sum() > 1 else 0.0 for f, o in zip(fids, ok)]
     )
-    return SweepResult(
-        axis_name="sigma",
-        axis=axis,
-        mean=mean,
-        std=std,
-        samples=counts,
-        failures=failures,
-        fidelities=fids,
-    )
+    return SweepResult(axis_name="sigma", axis=axis, mean=mean, std=std,
+                       samples=ok.sum(axis=1), failures=(~ok).sum(axis=1), fidelities=fids)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
-from domechain.cli import SWEEP_HEADER, main
+from domechain.cli import SCHEMAS, SWEEP_HEADER, main
 
 
 @pytest.fixture(autouse=True)
@@ -253,6 +254,26 @@ def test_config_file_with_set_override(outdir, tmp_path):
 
 def test_missing_required_keys_exit_2(outdir):
     assert run(["sweep", "--set", "kind=coherent"]) == 2
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schemas_satisfy_their_metaschema(command):
+    schema = SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_threads_key_is_refused(outdir, capsys):
+    cfg = ["--set", "kind=coherent", "--set", "metric=bell_at_quarter_t", "--set", "N=3",
+           "--set", "target=all", "--set", "sigma=0.1", "--set", "samples=2", "--seed", "1"]
+    assert run(["sweep", *cfg, "--set", "threads=2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "validation",
+        "detail": "Additional properties are not allowed ('threads' was unexpected)",
+    }
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", *cfg, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_output_path_is_printed(outdir, capsys):

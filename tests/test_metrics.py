@@ -75,6 +75,33 @@ def test_reduce_matches_brute_force():
             assert np.max(np.abs(got - ref)) < 1e-10
 
 
+def entrywise_reduce(rho: np.ndarray, sites) -> np.ndarray:
+    """The partial trace written entry by entry over a density matrix."""
+    k = len(sites)
+    out = np.zeros((2**k, 2**k), dtype=complex)
+    bit = [1 << (k - 1 - i) for i in range(k)]
+    out[0, 0] = rho[0, 0] + sum(rho[n, n] for n in range(1, rho.shape[0]) if n not in sites)
+    for i, si in enumerate(sites):
+        out[0, bit[i]] = rho[0, si]
+        out[bit[i], 0] = rho[si, 0]
+        for j, sj in enumerate(sites):
+            out[bit[i], bit[j]] = rho[si, sj]
+    return out
+
+
+def test_reduce_matches_entrywise_partial_trace():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n_sites = int(rng.integers(1, 12))
+        k = int(rng.integers(1, min(n_sites, 4) + 1))
+        sites = tuple(int(s) for s in rng.choice(np.arange(1, n_sites + 1), k, replace=False))
+        psi = random_sector_state(rng, n_sites)
+        a = rng.normal(size=(n_sites + 1,) * 2) + 1j * rng.normal(size=(n_sites + 1,) * 2)
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        for state, dense in ((psi, np.outer(psi, psi.conj())), (rho, rho)):
+            assert np.max(np.abs(reduce_to_sites(state, sites) - entrywise_reduce(dense, sites))) < 1e-14
+
+
 def test_reduce_accepts_density_matrices():
     rng = np.random.default_rng(4)
     a = random_sector_state(rng, 4)

@@ -121,6 +121,31 @@ def test_grid_matrix_explicit_tables_match_grid_path():
     np.testing.assert_array_equal(H_grid, H_tables)
 
 
+def loop_grid_matrix(table, xb, yb) -> np.ndarray:
+    """Grid site matrix filled site by site, bond by bond."""
+    R, C = table.shape
+    H = np.zeros((R * C, R * C))
+    for r in range(R):
+        for c in range(C):
+            H[r * C + c, r * C + c] = table[r, c]
+            if c + 1 < C:
+                H[r * C + c, r * C + c + 1] = H[r * C + c + 1, r * C + c] = xb[r, c]
+            if r + 1 < R:
+                H[r * C + c, (r + 1) * C + c] = H[(r + 1) * C + c, r * C + c] = yb[r, c]
+    return H
+
+
+def test_grid_matrix_matches_site_by_site_fill():
+    rng = np.random.default_rng(8)
+    for R, C, mx, my in ((2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2)):
+        grid = grid_2d(R, C, mx, my, J=3.0)
+        ref = loop_grid_matrix(grid.frequency_table(), grid.x_bonds(), grid.y_bonds())
+        np.testing.assert_array_equal(single_excitation_matrix(grid), ref)
+        np.testing.assert_array_equal(single_excitation_matrix(grid, physical=True), ref * 3.0)
+        tables = rng.normal(size=(R, C)), rng.normal(size=(R, C - 1)), rng.normal(size=(R - 1, C))
+        np.testing.assert_array_equal(single_excitation_matrix(*tables), loop_grid_matrix(*tables))
+
+
 def test_grid_matrix_physical_scaling():
     grid = grid_2d(2, 3, 2, 2, J=7.0)
     np.testing.assert_allclose(

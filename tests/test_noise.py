@@ -1,9 +1,23 @@
-"""Disorder draws, coherent sweeps, and decoherence scans."""
+"""Disorder draws, coherent sweeps, and decoherence scans.
+
+The batched sweep is checked against the per-sample path it replaced:
+`perturb` -> `ClosedPropagator` -> reduction -> `state_fidelity`, or
+`simulate_qpt` for the tomography metric.
+"""
 
 import numpy as np
 import pytest
 
-from domechain.models import DomeParams, dome_hamiltonian, grid_2d
+from domechain import noise
+from domechain.dynamics import ClosedPropagator, site_state
+from domechain.metrics import reduce_to_corners, reduce_to_pair, simulate_qpt, state_fidelity
+from domechain.models import (
+    DomeParams,
+    Grid2D,
+    dome_hamiltonian,
+    grid_2d,
+    single_excitation_matrix,
+)
 from domechain.noise import (
     DisorderConfig,
     DisorderTarget,
@@ -12,6 +26,8 @@ from domechain.noise import (
     sweep_coherent,
     sweep_decoherence,
 )
+
+RATE_5MHZ = 2 * np.pi * 5e6
 
 
 def cfg(target, sigma=1.0, seed=99, samples=None):
@@ -124,15 +140,6 @@ def test_sweep_is_deterministic():
     np.testing.assert_array_equal(a.fidelities, b.fidelities)
 
 
-def test_sweep_threads_match_serial():
-    c = cfg(DisorderTarget.ALL, sigma=0.5, samples=16)
-    serial = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
-    threaded = sweep_coherent(
-        DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T, threads=4
-    )
-    np.testing.assert_array_equal(serial.fidelities, threaded.fidelities)
-
-
 def test_sweep_multi_sigma_axis():
     c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, samples=8)
     res = sweep_coherent(
@@ -192,6 +199,123 @@ def test_sweep_grid_w_metric_sigma_zero():
         SweepMetric.W_AT_QUARTER_T,
     )
     np.testing.assert_allclose(res.mean, 1.0, atol=1e-9)
+
+
+def per_sample_fidelities(system, c, metric, sigmas):
+    """(len(sigmas), samples) fidelities, one sample at a time."""
+    if isinstance(system, Grid2D):
+        n_sites, period, base = system.rows * system.cols, system.period, system
+
+        def final(matrix):
+            prop = ClosedPropagator(matrix * system.J)
+            return reduce_to_corners(prop.apply(site_state(n_sites, 1), period / 4), system)
+
+        ideal = final(single_excitation_matrix(system))
+    else:
+        base = dome_hamiltonian(system)
+        n_sites, period = base.n, base.period
+
+        def final(ham):
+            prop = ClosedPropagator(ham.matrix(physical=True))
+            return reduce_to_pair(prop.apply(site_state(n_sites, 1), period / 4), 1, n_sites)
+
+        ideal = final(base)
+    out = np.empty((len(sigmas), c.samples))
+    for i, sigma in enumerate(sigmas):
+        point = DisorderConfig(target=c.target, sigma=sigma, seed=c.seed, samples=c.samples)
+        for k in range(c.samples):
+            sample = perturb(base, point, k)
+            if metric is SweepMetric.QPT_AT_HALF_T:
+                out[i, k] = simulate_qpt(sample, t_end=period / 2)[1]
+            else:
+                out[i, k] = state_fidelity(final(sample), ideal)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 102])
+@pytest.mark.parametrize("target", list(DisorderTarget))
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("bell", DomeParams, dict(N=6), SweepMetric.BELL_AT_QUARTER_T),
+        ("qpt", DomeParams, dict(N=5), SweepMetric.QPT_AT_HALF_T),
+        ("w", Grid2D, dict(rows=3, cols=4), SweepMetric.W_AT_QUARTER_T),
+    ],
+    ids=lambda case: case[0],
+)
+def test_batched_sweep_matches_per_sample_path(case, target, m):
+    _, kind, shape, metric = case
+    shape = dict(shape, m=m) if kind is DomeParams else dict(shape, m_x=m, m_y=m)
+    system = kind(**shape, J=RATE_5MHZ)
+    c = cfg(target, seed=31, samples=5)
+    sigmas = [0.3, 1.5]
+    res = sweep_coherent(system, c, metric, sigmas=sigmas)
+    want = per_sample_fidelities(system, c, metric, sigmas)
+    assert np.max(np.abs(res.fidelities - want)) < 1e-12
+    assert res.failures.sum() == 0
+
+
+@pytest.mark.parametrize("target", list(DisorderTarget))
+@pytest.mark.parametrize(
+    "system",
+    [dome_hamiltonian(DomeParams(N=5, m=102)), grid_2d(3, 4, 2, 2)],
+    ids=["chain", "grid"],
+)
+def test_perturb_equals_batched_rows(system, target):
+    c = cfg(target, sigma=0.7)
+    model = noise._SiteModel.of(system)
+    stack = model.matrices(target, c.sigma * model.unit_draws(c, range(6)))
+    for k in range(6):
+        single = perturb(system, c, k)
+        matrix = single.matrix() if isinstance(single, type(system)) else single
+        np.testing.assert_array_equal(matrix, stack[k])
+
+
+@pytest.mark.parametrize(
+    "system, metric",
+    [
+        (DomeParams(N=5, m=2), SweepMetric.BELL_AT_QUARTER_T),
+        (DomeParams(N=5, m=102), SweepMetric.QPT_AT_HALF_T),
+        (grid_2d(3, 4, 2, 2), SweepMetric.W_AT_QUARTER_T),
+    ],
+    ids=["bell", "qpt", "w"],
+)
+def test_chunked_sweep_is_bit_identical(system, metric, monkeypatch):
+    c = cfg(DisorderTarget.ALL, samples=7)
+    sigmas = [0.25, 0.5, 1.0]
+    whole = sweep_coherent(system, c, metric, sigmas=sigmas)
+    n_sites = 12 if isinstance(system, Grid2D) else system.N
+    for rows_per_chunk in (1, 4):
+        monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
+        split = sweep_coherent(system, c, metric, sigmas=sigmas)
+        np.testing.assert_array_equal(split.fidelities, whole.fidelities)
+        np.testing.assert_array_equal(split.mean, whole.mean)
+        np.testing.assert_array_equal(split.std, whole.std)
+
+
+def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
+    system = DomeParams(N=5, m=2)
+    c = cfg(DisorderTarget.ALL, samples=10)
+    clean = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.5, 1.0])
+    point = DisorderConfig(target=DisorderTarget.ALL, sigma=1.0, seed=c.seed)
+    bad = perturb(dome_hamiltonian(system), point, 3).matrix(physical=True)
+    eigh = np.linalg.eigh
+
+    def failing_eigh(H, *args, **kwargs):
+        if np.any(np.all(H == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("planted failure")
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.5, 1.0])
+    np.testing.assert_array_equal(res.failures, [0, 1])
+    np.testing.assert_array_equal(res.samples, [10, 9])
+    assert np.isnan(res.fidelities[1, 3])
+    kept = np.ones((2, 10), dtype=bool)
+    kept[1, 3] = False
+    np.testing.assert_allclose(res.fidelities[kept], clean.fidelities[kept], rtol=0, atol=1e-15)
+    assert res.mean[0] == clean.mean[0]
+    assert abs(res.mean[1] - np.mean(np.delete(clean.fidelities[1], 3))) < 1e-15
 
 
 def test_decoherence_scan_pinned_endpoints():
