@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -42,15 +43,7 @@ from .dynamics import (
     site_state,
 )
 from .inverse_eigen import ReconstructionError, compute_weights, eigenvectors, reconstruct
-from .metrics import (
-    bell_fidelity,
-    chain_bell_target,
-    corner_w_target,
-    reduce_to_corners,
-    reduce_to_pair,
-    simulate_qpt,
-    w_fidelity,
-)
+from .metrics import chain_bell_target, corner_w_target, simulate_qpt, subset_fidelities
 from .models import (
     DomeParams,
     Grid2D,
@@ -284,12 +277,8 @@ def _evolve_system(cfg: dict):
     raise ConfigError("provide either chain keys (N, m) or grid keys")
 
 
-def cmd_evolve(cfg: dict) -> Path:
-    """Propagate |site 1> and write the population/fidelity trajectory."""
-    if "decoherence" in cfg and "rate_MHz" not in cfg:
-        # The default rate (J = 1 rad/s) is meaningless against microsecond T1/Tphi.
-        raise ConfigError("decoherence needs rate_MHz")
-    system, H, period, n_sites, grid = _evolve_system(cfg)
+def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
+    """Output grid with T/4 and T/2 placed exactly, and those marked times."""
     n_periods = cfg.get("n_periods", 1.0)
     if "points" in cfg:
         times = np.linspace(0.0, period * n_periods, cfg["points"])
@@ -298,6 +287,26 @@ def cmd_evolve(cfg: dict) -> Path:
     marked = [t for t in (period / 4, period / 2) if t <= times[-1] + 1e-15]
     for t in marked:
         times[int(np.argmin(np.abs(times - t)))] = t
+    return times, marked
+
+
+def _table_lines(table: np.ndarray, tails) -> list[str]:
+    """Each row of `table` as comma-joined _fmt cells, then a comma and its tail cell.
+
+    One %-template per row prints what _fmt prints; no numeric cell needs
+    CSV quoting, so the lines equal csv.writer's.
+    """
+    template = "%.12g," * table.shape[1]
+    return [template % tuple(row) + tail for row, tail in zip(table.tolist(), tails)]
+
+
+def cmd_evolve(cfg: dict) -> Path:
+    """Propagate |site 1> and write the population/fidelity trajectory."""
+    if "decoherence" in cfg and "rate_MHz" not in cfg:
+        # The default rate (J = 1 rad/s) is meaningless against microsecond T1/Tphi.
+        raise ConfigError("decoherence needs rate_MHz")
+    system, H, period, n_sites, grid = _evolve_system(cfg)
+    times, marked = _evolve_times(cfg, period)
 
     deco = None
     if "decoherence" in cfg:
@@ -314,36 +323,33 @@ def cmd_evolve(cfg: dict) -> Path:
     else:
         traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
         frames = traj.rhos
-    pops = traj.site_populations()
 
     if grid is None:
-        target = chain_bell_target(n_sites)
-        fidelity = [bell_fidelity(reduce_to_pair(f, 1, n_sites), target) for f in frames]
+        sites, target = (1, n_sites), chain_bell_target(n_sites)
         fidelity_name = "bell_fidelity"
     else:
+        sites = tuple(i + 1 for i in grid.corner_indices())
         target = corner_w_target(grid.rows, grid.cols)
-        fidelity = [w_fidelity(reduce_to_corners(f, grid), target) for f in frames]
         fidelity_name = "w_fidelity"
+    table = np.column_stack(
+        [times / period, traj.site_populations(), subset_fidelities(frames, sites, target)]
+    )
 
     qpt = {}
     if grid is None:
         for t in marked:
             _, fid = simulate_qpt(system, deco, t_end=t)
-            qpt[t] = fid
+            qpt[t] = _fmt(fid)
 
     fmt = cfg.get("format", "csv")
     path = _resolve_output(cfg, "evolve", fmt)
     header = ["t_over_T"] + [f"P_{n}" for n in range(1, n_sites + 1)]
     header += [fidelity_name, "qpt_fidelity"]
-    rows = []
-    for i, t in enumerate(times):
-        row = [_fmt(t / period)] + [_fmt(p) for p in pops[i]] + [_fmt(fidelity[i])]
-        row.append(_fmt(qpt[t]) if t in qpt else "")
-        rows.append(row)
+    lines = _table_lines(table, [qpt.get(t, "") for t in times.tolist()])
     if fmt == "csv":
-        _write_atomic(path, _csv_text(header, rows))
+        _write_atomic(path, "".join(f"{line}\n" for line in [",".join(header), *lines]))
     else:
-        _write_json(path, {"columns": header, "rows": rows})
+        _write_json(path, {"columns": header, "rows": [line.split(",") for line in lines]})
     return path
 
 
@@ -517,7 +523,12 @@ def _error(kind: str, detail: str, **extra) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls.
+
+    Parsing leaves it unchanged: `append` copies its default list.
+    """
     parser = argparse.ArgumentParser(
         prog="domechain",
         description="Synthesize, evolve, sweep, and plan transfer chains.",
@@ -530,7 +541,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--output", type=Path)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg: dict = {}

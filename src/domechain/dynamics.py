@@ -26,8 +26,10 @@ three exactly solvable parts:
 
 The vacuum coherences ride the closed eigendecomposition.  The site block
 obeys one time-independent D^2 x D^2 generator: small systems exponentiate
-it densely (once per distinct output step), large ones apply it with
-scipy's expm_multiply on its sparse form.
+it densely (once per distinct step length, steps within a few ulps of the
+end time counting as one), large ones apply it with scipy's expm_multiply
+on its sparse form.  Closed evolution and the vacuum terms are evaluated
+for the whole time grid at once.
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ POINTS_PER_PERIOD = 401
 # The dense cost grows as D^6 but only logarithmically with the coupling
 # scale; expm_multiply grows as D^2 times the coupling scale.  Timed on the
 # `domechain evolve` default grid (402 points, 5 MHz, T1 = 30 us, Tphi = 5 us,
-# one BLAS thread): at D = 18 to 20 the m = 2 chains and grids ran 1.1-1.7x
-# faster sparse, at D = 22 2.4x and at D = 24 3.5-3.9x, while the stiff
-# m = 102 chain ran 10-24x faster dense from D = 16 to 22.  The switch is the
-# largest D where the m = 2 loss stays under 2x.  The sparse path is what
-# lets large grids run at all: one dense matrix needs 1.6 GB at D = 100.
+# one BLAS thread), which costs 5 dense exponentials: at D = 20 dense is
+# 1.4x faster than sparse for the m = 2 chain and the 4x5 grid, at D = 24
+# it is 1.7x slower for the m = 2 chain and the 4x6 grid, and the stiff
+# m = 102 chain ran 10-24x faster dense from D = 16 to 22.  The sparse path
+# is what lets large grids run at all: one dense matrix needs 1.6 GB at
+# D = 100.
 DENSE_GENERATOR_MAX_SITES = 20
 
 
@@ -186,29 +189,43 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     states = np.empty((times.size, psi0.size), dtype=complex)
+    states[:, 0] = psi0[0]
     c0 = prop.V.T @ psi0[1:]
-    for k, t in enumerate(times):
-        states[k, 0] = psi0[0]
-        states[k, 1:] = prop.V @ (np.exp(-1j * prop.w * t) * c0)
+    states[:, 1:] = (np.exp(-1j * np.outer(times, prop.w)) * c0) @ prop.V.T
     return Trajectory(times=times, states=states)
 
 
-def _site_block_generator(
-    H: np.ndarray, deco: DecoherenceConfig
-) -> scipy.sparse.csr_matrix:
+def _site_block_generator(H: np.ndarray, deco: DecoherenceConfig, dense: bool):
     """Generator of the row-major vec of the site block rho_S.
 
     -i (H kron 1 - 1 kron H) for the commutator (H is real symmetric), plus
     a diagonal decay: gamma1 on populations, gamma1 + 4 gamma_phi on the
-    coherences between sites.
+    coherences between sites.  A dense ndarray when `dense`, else CSR.
     """
     D = H.shape[0]
     decay = np.full((D, D), deco.gamma1 + 4.0 * deco.gamma_phi)
     np.fill_diagonal(decay, deco.gamma1)
+    if dense:
+        eye = np.eye(D)
+        G = -1j * (np.kron(H, eye) - np.kron(eye, H))
+        G[np.diag_indices(D * D)] -= decay.reshape(-1)
+        return G
     Hs = scipy.sparse.csr_matrix(H)
     eye = scipy.sparse.identity(D, format="csr")
     commutator = scipy.sparse.kron(Hs, eye) - scipy.sparse.kron(eye, Hs)
     return (-1j * commutator - scipy.sparse.diags(decay.reshape(-1))).tocsr()
+
+
+def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group index of each step and the mean length of each group.
+
+    Sorted step lengths that differ from their neighbour by at most tol
+    share a group.  Taking the mean keeps the summed time of a group's
+    steps equal to the sum of their exact lengths.
+    """
+    lengths, inverse = np.unique(steps, return_inverse=True)
+    group = (np.cumsum(np.r_[True, np.diff(lengths) > tol]) - 1)[inverse]
+    return group, np.bincount(group, weights=steps) / np.bincount(group)
 
 
 def _evolve_open_stack(
@@ -222,7 +239,7 @@ def _evolve_open_stack(
     rhos0 has shape (k, D+1, D+1); all members share H and deco, so the
     stack is one linear map.  Returns shape (T, k, D+1, D+1).  The site
     block steps from one output time to the next; the vacuum coherences
-    and the vacuum population are evaluated directly at each time.
+    and the vacuum population are then evaluated at all times at once.
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
@@ -231,30 +248,27 @@ def _evolve_open_stack(
         raise ValueError("times must be non-decreasing")
     D = H.shape[0]
     k = rhos0.shape[0]
-    w, V = eigendecompose(H)
-    coherence_rate = 0.5 * deco.gamma1 + 2.0 * deco.gamma_phi
-    vac_modes = V.T @ rhos0[:, 1:, 0].T
-    traces0 = np.einsum("kii->k", rhos0)
     dense = D <= DENSE_GENERATOR_MAX_SITES
-    G = _site_block_generator(H, deco)
+    G = _site_block_generator(H, deco, dense)
     if dense:
-        G = G.toarray()
-    step_maps: dict[float, np.ndarray] = {}
+        # The steps of a linspace grid differ in their last bits; steps within
+        # a few ulps of the end time share one exponential.
+        group, lengths = _merge_steps(steps, 4.0 * np.spacing(times[-1]))
+        step_maps = {g: scipy.linalg.expm(G * lengths[g]) for g in set(group[steps > 0])}
     sites = rhos0[:, 1:, 1:].reshape(k, D * D).T
     out = np.empty((times.size, k, D + 1, D + 1), dtype=complex)
-    for i, (t, dt) in enumerate(zip(times, steps)):
+    for i, dt in enumerate(steps):
         if dt > 0.0 and dense:
-            if dt not in step_maps:
-                step_maps[dt] = scipy.linalg.expm(G * dt)
-            sites = step_maps[dt] @ sites
+            sites = step_maps[group[i]] @ sites
         elif dt > 0.0:
             sites = expm_multiply(G * dt, sites)
-        block = sites.T.reshape(k, D, D)
-        col = V @ (np.exp(-(1j * w + coherence_rate) * t)[:, None] * vac_modes)
-        out[i, :, 1:, 1:] = block
-        out[i, :, 1:, 0] = col.T
-        out[i, :, 0, 1:] = col.T.conj()
-        out[i, :, 0, 0] = traces0 - np.einsum("kii->k", block)
+        out[i, :, 1:, 1:] = sites.T.reshape(k, D, D)
+    w, V = eigendecompose(H)
+    decay = np.exp(-(1j * w + 0.5 * deco.gamma1 + 2.0 * deco.gamma_phi) * times[:, None])
+    cols = (V @ (decay[:, :, None] * (V.T @ rhos0[:, 1:, 0].T))).transpose(0, 2, 1)
+    out[:, :, 1:, 0] = cols
+    out[:, :, 0, 1:] = cols.conj()
+    out[:, :, 0, 0] = np.einsum("kii->k", rhos0) - np.einsum("tkii->tk", out[:, :, 1:, 1:])
     return out
 
 
@@ -282,7 +296,7 @@ def evolve_lindblad(
     traces = np.real(np.einsum("tii->t", rhos))
     if not np.all(np.abs(traces - 1.0) <= 1e-6):
         raise RuntimeError("open evolution drifted in trace beyond 1e-6")
-    if not min(np.linalg.eigvalsh(r).min() for r in rhos) >= -1e-6:
+    if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
         raise RuntimeError("open evolution lost positivity beyond 1e-6")
     return Trajectory(times=times, rhos=rhos)
 

@@ -42,6 +42,7 @@ __all__ = [
     "chain_bell_target",
     "corner_w_target",
     "state_fidelity",
+    "subset_fidelities",
     "bell_fidelity",
     "w_fidelity",
     "qpt_fiducials",
@@ -160,6 +161,44 @@ def state_fidelity(rho, target) -> float:
     if target.ndim == 1:
         return float(np.real(target.conj() @ rho @ target))
     return float(np.real(np.trace(rho @ target)))
+
+
+def subset_fidelities(frames, sites, target) -> np.ndarray:
+    """state_fidelity(reduce_to_sites(f, sites), target) for every frame f.
+
+    `frames` is a (T, D+1) stack of state vectors or a (T, D+1, D+1) stack
+    of density matrices; `target` is a 2^k ket or density matrix on the
+    subset.  A reduction is nonzero only on the all-down bitstring and the
+    k single-excitation bitstrings, so each overlap needs just the
+    (k+1) x (k+1) block of the frame on (vacuum, sites), with its vacuum
+    entry replaced by the trace minus the subset populations.
+    """
+    frames = np.asarray(frames, dtype=complex)
+    sites = [int(s) for s in sites]
+    k = len(sites)
+    if len(set(sites)) != k:
+        raise ValueError("subset sites must be distinct")
+    if sites and not (1 <= min(sites) and max(sites) < frames.shape[-1]):
+        raise ValueError("site index out of range")
+    idx = [0, *sites]
+    if frames.ndim == 2:
+        amp = frames[:, idx]
+        block = amp[:, :, None] * amp[:, None, :].conj()
+        total = np.einsum("ti,ti->t", frames.conj(), frames)
+    elif frames.ndim == 3 and frames.shape[1] == frames.shape[2]:
+        block = frames[:, idx][:, :, idx]
+        total = np.einsum("tii->t", frames)
+    else:
+        raise ValueError("expected a stack of state vectors or square density matrices")
+    block[:, 0, 0] = total - np.einsum("tii->t", block[:, 1:, 1:])
+    target = np.asarray(target, dtype=complex)
+    if target.shape[0] != 2**k:
+        raise ValueError("target dimension must be 2^k for k subset sites")
+    pos = [0] + [1 << (k - 1 - i) for i in range(k)]
+    if target.ndim == 1:
+        t = target[pos]
+        return np.real(np.einsum("a,tab,b->t", t.conj(), block, t))
+    return np.real(np.einsum("tab,ba->t", block, target[np.ix_(pos, pos)]))
 
 
 def bell_fidelity(rho_pair, target: np.ndarray | None = None) -> float:

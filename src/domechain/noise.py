@@ -101,10 +101,24 @@ class DisorderConfig:
             raise ValueError("samples must be at least 1")
 
 
-def _rng(cfg: DisorderConfig, draw_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=int(cfg.seed), counter=[0, 0, 0, int(draw_index)])
-    )
+def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
+    """(S, n) standard normals; row s comes from Philox keyed by `seed` at
+    counter [0, 0, 0, draw_indices[s]].
+
+    One bit generator is set to each counter block with an empty buffer,
+    the state Philox(key=seed, counter=...) starts in.  Constructing one
+    per sample would also draw OS entropy for a seed sequence that the key
+    then overrides.
+    """
+    bitgen = np.random.Philox(key=int(seed))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    rows = []
+    for k in draw_indices:
+        state["state"]["counter"][3] = k
+        bitgen.state = state
+        rows.append(gen.standard_normal(n))
+    return np.array(rows).reshape(len(rows), n)
 
 
 @dataclass(frozen=True)
@@ -145,8 +159,7 @@ class _SiteModel:
     def unit_draws(self, cfg: DisorderConfig, draw_indices) -> np.ndarray:
         """(S, n) unit normals, row s from the generator of draw_indices[s]."""
         n = sum(idx.size for idx in self.targeted(cfg.target))
-        rows = [_rng(cfg, k).standard_normal(n) for k in draw_indices]
-        return np.array(rows).reshape(len(rows), n)
+        return _unit_normals(cfg.seed, draw_indices, n)
 
     def matrices(self, target: DisorderTarget, noise: np.ndarray) -> np.ndarray:
         """(S, D, D) site matrices with the (S, n) noise rows added."""

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from domechain.cli import SCHEMAS, SWEEP_HEADER, main
+from domechain.cli import SCHEMAS, SWEEP_HEADER, _csv_text, _fmt, _table_lines, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -300,3 +304,46 @@ def test_open_system_reruns_are_byte_identical(outdir):
         assert run(argv + ["--output", "r1.csv"]) == 0
         assert run(argv + ["--output", "r2.csv"]) == 0
         assert (outdir / "r1.csv").read_bytes() == (outdir / "r2.csv").read_bytes()
+
+
+def test_successive_calls_do_not_share_parser_state(outdir, tmp_path):
+    # The parser is built once; an earlier --set list must not leak into a
+    # later call, with or without --set of its own.
+    assert run(["synth", "--set", "N=5", "--set", "m=2", "--output", "a.json"]) == 0
+    assert run(["synth", "--set", "N=3", "--output", "b.json", "--set", "m=0"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "m": 1}))
+    assert run(["synth", "--config", str(cfg), "--output", "c.json"]) == 0
+    lengths = [len(json.loads((outdir / f"{n}.json").read_text())["omegas"]) for n in "abc"]
+    assert lengths == [5, 3, 4]
+
+
+def test_table_lines_equal_csv_writer_with_fmt():
+    table = np.array([
+        [-0.0, 1e-300, 3.0, 0.1],
+        [1.0, -2.0, 1e16, 2.5e-7],
+        [0.25, 123456789012345.0, -1e-310, 1 / 3],
+    ])
+    tails = [_fmt(float("nan")), "", _fmt(0.999999999999)]
+    header = ["a", "b", "c", "d", "e"]
+    rows = [[_fmt(x) for x in row] + [tail] for row, tail in zip(table, tails)]
+    got = "".join(f"{line}\n" for line in [",".join(header), *_table_lines(table, tails)])
+    assert got == _csv_text(header, rows)
+    assert got.splitlines()[1] == "-0,1e-300,3,0.1,nan"
+
+
+def _readme_commands():
+    """Every `domechain ...` command in README's Command line block, as argv."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(c, comments=True) for c in block.replace("\\\n", " ").splitlines()]
+    return [c[1:] for c in commands if c and c[0] == "domechain"]
+
+
+def test_readme_commands_run(outdir, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert run(argv) == 0, argv
+        path = Path(capsys.readouterr().out.strip())
+        assert path.parent == outdir and path.stat().st_size > 0, argv

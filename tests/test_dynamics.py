@@ -253,3 +253,60 @@ def test_default_time_grid_density():
     assert grid.size == 402
     assert grid[0] == 0.0
     assert abs(grid[-1] - 2 * np.pi) < 1e-15
+
+
+def test_evolve_closed_matches_per_time_propagator():
+    # The one-shot product against ClosedPropagator.apply at each time, on
+    # a chain, a grid and the stiff m = 102 chain in physical units.
+    rate = 2 * np.pi * 5e6
+    rng = np.random.default_rng(17)
+    cases = [
+        (dome_hamiltonian(DomeParams(N=9, m=2)).matrix(), 2 * np.pi),
+        (single_excitation_matrix(Grid2D(3, 4, 2, 2)), 2 * np.pi),
+        (dome_hamiltonian(DomeParams(N=5, m=102, J=rate)).matrix(physical=True),
+         2 * np.pi / rate),
+    ]
+    for H, period in cases:
+        c = rng.normal(size=H.shape[0] + 1) + 1j * rng.normal(size=H.shape[0] + 1)
+        psi0 = c / np.linalg.norm(c)
+        times = default_time_grid(period, 2.0)
+        traj = evolve_closed(H, psi0, times)
+        prop = ClosedPropagator(H)
+        ref = np.array([prop.apply(psi0, t) for t in times])
+        assert np.max(np.abs(traj.states - ref)) < 1e-13
+
+
+def test_default_grid_shares_step_exponentials(monkeypatch):
+    # The `domechain evolve` default grid has 5 true step lengths once T/4
+    # and T/2 are marked; last-bit differences must not add exponentials.
+    from domechain.cli import _evolve_times
+
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
+    ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
+    H = ham.matrix(physical=True)
+    times, marked = _evolve_times({}, ham.period)
+    assert np.unique(np.diff(times)).size > 5
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    rho0 = np.outer(site_state(5, 1), site_state(5, 1))
+    traj = evolve_lindblad(H, rho0, times, deco)
+    assert len(calls) == 5
+    for t in [*marked, times[-1]]:
+        k = int(np.flatnonzero(times == t)[0])
+        assert np.max(np.abs(traj.rhos[k] - expm_evolve(H, rho0, t, deco))) < 1e-12
+
+
+def test_lindblad_positivity_failure_raises(monkeypatch):
+    # A unit-trace output with a negative eigenvalue fails the stacked check.
+    import domechain.dynamics as dynamics
+
+    bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    good = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    monkeypatch.setattr(
+        dynamics, "_evolve_open_stack",
+        lambda H, rhos0, times, deco: np.array([good, bad, good])[:, None],
+    )
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(RuntimeError, match="positivity"):
+        evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))

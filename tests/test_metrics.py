@@ -9,7 +9,14 @@ with metrics.reduce_to_sites.
 import numpy as np
 import pytest
 
-from domechain.dynamics import ClosedPropagator, DecoherenceConfig, site_state, vacuum_state
+from domechain.dynamics import (
+    ClosedPropagator,
+    DecoherenceConfig,
+    evolve_closed,
+    evolve_lindblad,
+    site_state,
+    vacuum_state,
+)
 from domechain.metrics import (
     ProcessMatrix,
     bell_fidelity,
@@ -24,9 +31,16 @@ from domechain.metrics import (
     reduce_to_sites,
     simulate_qpt,
     state_fidelity,
+    subset_fidelities,
     w_fidelity,
 )
-from domechain.models import DomeParams, dome_hamiltonian, grid_2d, single_excitation_matrix
+from domechain.models import (
+    DomeParams,
+    Grid2D,
+    dome_hamiltonian,
+    grid_2d,
+    single_excitation_matrix,
+)
 from test_dynamics import expm_evolve
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,3 +303,44 @@ def test_process_matrix_dataclass_fields():
     pm = ProcessMatrix(chi=np.eye(4) / 4.0, residual=0.0,
                        hermiticity_error=0.0, trace_error=0.0)
     assert abs(pm.fidelity() - 0.25) < 1e-12
+
+
+def test_subset_fidelities_match_reduced_state_fidelity():
+    # The stacked readout against reduce_to_sites + state_fidelity frame by
+    # frame: closed and open frames, the chain Bell and grid W targets, a
+    # target with a vacuum component and a mixed target.
+    rng = np.random.default_rng(21)
+    deco = DecoherenceConfig(t1=3.0, t_phi=2.0)
+    chain = dome_hamiltonian(DomeParams(N=5, m=2)).matrix()
+    grid = Grid2D(3, 4, 2, 2)
+    corners = tuple(i + 1 for i in grid.corner_indices())
+    grid_H = single_excitation_matrix(grid)
+    vac = rng.normal(size=4) + 1j * rng.normal(size=4)
+    cases = [
+        (chain, (1, 5), chain_bell_target(5)),
+        (chain, (5, 2), vac / np.linalg.norm(vac)),
+        (chain, (3,), np.diag([0.3, 0.7]).astype(complex)),
+        (grid_H, corners, corner_w_target(3, 4)),
+    ]
+    times = np.linspace(0.0, 2.0, 9)
+    for H, sites, target in cases:
+        c = rng.normal(size=H.shape[0] + 1) + 1j * rng.normal(size=H.shape[0] + 1)
+        psi0 = c / np.linalg.norm(c)
+        closed = evolve_closed(H, psi0, times).states
+        opened = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco).rhos
+        for frames in (closed, opened):
+            got = subset_fidelities(frames, sites, target)
+            ref = [state_fidelity(reduce_to_sites(f, sites), target) for f in frames]
+            assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def test_subset_fidelities_validation():
+    frames = np.eye(4, dtype=complex)[None]
+    with pytest.raises(ValueError):
+        subset_fidelities(frames, (1, 1), bell_state(1j))
+    with pytest.raises(ValueError):
+        subset_fidelities(frames, (1, 4), bell_state(1j))
+    with pytest.raises(ValueError):
+        subset_fidelities(frames, (1, 2, 3), bell_state(1j))
+    with pytest.raises(ValueError):
+        subset_fidelities(np.ones((2, 3, 4)), (1, 2), bell_state(1j))

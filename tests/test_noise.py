@@ -352,3 +352,17 @@ def test_decoherence_scan_shapes_and_gain():
 def test_decoherence_scan_rejects_grid_metric():
     with pytest.raises(ValueError):
         sweep_decoherence(5, SweepMetric.W_AT_QUARTER_T)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])
+def test_unit_normals_match_per_sample_philox(seed):
+    # One re-pointed bit generator against a fresh Philox per sample.
+    indices = [0, 1, 2, 7, 1000, 1999, 3, 3]
+    for n in (1, 5, 9):
+        got = noise._unit_normals(seed, indices, n)
+        ref = [
+            np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
+            .standard_normal(n)
+            for k in indices
+        ]
+        np.testing.assert_array_equal(got, ref)
