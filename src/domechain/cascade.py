@@ -151,10 +151,6 @@ class CascadePlan:
     total_duration: float
     asymptotic_duration: float
 
-    @property
-    def first_segment(self) -> TransferMode:
-        return TransferMode.FST if self.mode is TransferMode.FST else TransferMode.PST
-
 
 def plan_cascade(
     N: int,

@@ -47,18 +47,19 @@ class TridiagonalHamiltonian:
             H += np.diag(self.couplings, 1) + np.diag(self.couplings, -1)
         return H * self.rate_J if physical else H
 
-    def is_mirror_symmetric(self, tol: float = 1e-9) -> bool:
+    def is_mirror_symmetric(self) -> bool:
+        """Mirror symmetric to 1e-9 of the largest |omega| or |J| (at least 1)."""
         scale = max(1.0, float(np.max(np.abs(self.omegas)) if self.omegas.size else 0.0),
                     float(np.max(np.abs(self.couplings)) if self.couplings.size else 0.0))
-        ok_om = np.allclose(self.omegas, self.omegas[::-1], atol=tol * scale, rtol=0)
-        ok_cp = np.allclose(self.couplings, self.couplings[::-1], atol=tol * scale, rtol=0)
+        ok_om = np.allclose(self.omegas, self.omegas[::-1], atol=1e-9 * scale, rtol=0)
+        ok_cp = np.allclose(self.couplings, self.couplings[::-1], atol=1e-9 * scale, rtol=0)
         return bool(ok_om and ok_cp)
 
-    def validate_synthesized(self, tol: float = 1e-9) -> None:
+    def validate_synthesized(self) -> None:
         """Checks expected of reconstruction and closed-form outputs."""
         if self.couplings.size and not np.all(self.couplings > 0):
             raise ValueError("synthesized chain must have strictly positive couplings")
-        if not self.is_mirror_symmetric(tol):
+        if not self.is_mirror_symmetric():
             raise ValueError("synthesized chain must be mirror symmetric")
 
     @property

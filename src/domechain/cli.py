@@ -10,8 +10,10 @@ converted to angular frequency internally.
 Artifacts are written atomically (temp file then rename), CSV output is
 RFC 4180 with LF line endings, and every command is deterministic given
 (config, seed): reruns produce byte-identical primary outputs.  Exit
-codes: 0 success, 2 config validation failure, 3 numerical breakdown or
-infeasible plan, with a machine-readable error JSON on stderr.
+codes: 0 success, 1 internal error (a bug: the error JSON carries the
+traceback), 2 config rejected by the schema or by a domain check that
+raises ValueError, 3 numerical breakdown or infeasible plan.  Every
+failure prints a machine-readable error JSON on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import jsonschema
@@ -485,7 +488,7 @@ def cmd_cascade(cfg: dict) -> Path:
             "segment_durations_s": list(plan.durations),
             "total_duration_s": plan.total_duration,
             "asymptotic_duration_s": plan.asymptotic_duration,
-            "first_segment": plan.first_segment.value,
+            "first_segment": plan.mode.value,
             "feasible": True,
         },
     )
@@ -568,7 +571,7 @@ def main(argv=None) -> int:
         if error is not None:
             raise ConfigError(error.message)
         path = COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # ConfigError and domain input checks
         _error("validation", str(exc))
         return 2
     except CascadeInfeasibleError as exc:
@@ -583,6 +586,9 @@ def main(argv=None) -> int:
     except (ReconstructionError, PerturbativeBreakdownError, RuntimeError) as exc:
         _error("numerical", str(exc))
         return 3
+    except Exception as exc:
+        _error("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
+        return 1
     print(path)
     return 0
 

@@ -50,7 +50,6 @@ __all__ = [
     "eigendecompose",
     "evolve_closed",
     "evolve_lindblad",
-    "populations",
     "default_time_grid",
 ]
 
@@ -148,10 +147,8 @@ def eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     H = _check_symmetric(H)
     w, V = np.linalg.eigh(H)
-    for k in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, k])))
-        if V[i, k] < 0:
-            V[:, k] = -V[:, k]
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    V *= np.where(peak < 0, -1.0, 1.0)
     return w, V
 
 
@@ -299,11 +296,6 @@ def evolve_lindblad(
     if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
         raise RuntimeError("open evolution lost positivity beyond 1e-6")
     return Trajectory(times=times, rhos=rhos)
-
-
-def populations(traj: Trajectory) -> np.ndarray:
-    """Per-site populations P_n(t) as a (T, D) array."""
-    return traj.site_populations()
 
 
 def default_time_grid(period: float, n_periods: float = 1.0) -> np.ndarray:

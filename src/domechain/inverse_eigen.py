@@ -19,10 +19,9 @@ normalized to unit sum; for mirror-symmetric chains they are exactly the
 squared first components of the eigenvectors.
 
 Monic polynomial values overflow quickly on wide spectra, so the
-recurrence is carried entirely in normalized form: the stored table rows
-are P_n / ||P_n|| and the norms are tracked as logarithms.  This keeps
-every intermediate O(1) and the normalized rows are exactly the
-eigenvector coefficient functions chi_{n+1}(lambda_s).
+recurrence is carried in normalized form, P_n / ||P_n||.  This keeps
+every intermediate O(1), and the normalized values at the nodes are
+exactly the eigenvector coefficient functions chi_{n+1}(lambda_s).
 
 Mirror symmetry makes the second half of the coefficients a reflection
 of the first, so only ceil(N/2) recurrence steps are taken; the result
@@ -41,7 +40,6 @@ from .spectrum import Spectrum
 
 __all__ = [
     "WeightedSpectrum",
-    "PolynomialTable",
     "EigenBasis",
     "ReconstructionError",
     "compute_weights",
@@ -81,31 +79,6 @@ class WeightedSpectrum:
 
 
 @dataclass(frozen=True)
-class PolynomialTable:
-    """Normalized node evaluations of the recurrence polynomials.
-
-    normalized[n] holds P_n(lambda_s) / ||P_n|| for n = 0..N-1 (row n, all
-    nodes s); log_norms[n] = ln ||P_n||.  Row n equals the eigenvector
-    coefficient function chi_{n+1} at the nodes.  Monic values are
-    exp(log_norms[n]) * normalized[n] and may overflow; callers that need
-    them should work in logs.
-    """
-
-    nodes: np.ndarray
-    normalized: np.ndarray
-    log_norms: np.ndarray
-
-    def monic_values(self, n: int) -> np.ndarray:
-        """Raw P_n at the nodes; raises OverflowError if not representable."""
-        ln = self.log_norms[n]
-        if ln > 700.0:
-            raise OverflowError(
-                f"monic values of degree {n} exceed double range (log norm {ln:.1f})"
-            )
-        return np.exp(ln) * self.normalized[n]
-
-
-@dataclass(frozen=True)
 class EigenBasis:
     """Eigenvector matrix W with rows indexed by eigenvalue, columns by site.
 
@@ -139,49 +112,42 @@ def compute_weights(spec: Spectrum) -> WeightedSpectrum:
     return WeightedSpectrum(spectrum=spec, weights=w / w.sum())
 
 
-def _recurrence(ws: WeightedSpectrum, steps: int):
-    """Run the normalized recurrence for a given number of steps.
+def _recurrence(ws: WeightedSpectrum, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run the normalized recurrence for `steps` (at most N - 1) steps.
 
-    Returns (omegas, couplings, rows, log_norms) with rows[n] the
-    normalized P_n at the nodes.  Raises ReconstructionError when a norm
-    collapses before the final degree.
+    Returns (omegas, couplings), one of each per step.  Raises
+    ReconstructionError when a norm collapses.
     """
     lam = ws.spectrum.values
     a = ws.weights
-    N = lam.size
     span = max(1.0, float(np.max(np.abs(lam))))
-    rows = [np.ones(N)]
-    log_norms = [0.0]  # ||P_0|| = sqrt(sum alpha) = 1
     omegas = []
     couplings = []
-    p_prev = np.zeros(N)
-    p_cur = rows[0]
+    p_prev = np.zeros(lam.size)
+    p_cur = np.ones(lam.size)  # ||P_0|| = sqrt(sum alpha) = 1
     j_prev = 0.0
     for n in range(1, steps + 1):
         om = float(np.sum(a * lam * p_cur**2))
         omegas.append(om)
-        if n <= N - 1:
-            q = (lam - om) * p_cur - j_prev * p_prev
-            norm_sq = float(np.sum(a * q * q))
-            if not norm_sq > (1e-14 * span) ** 2:
-                raise ReconstructionError(
-                    f"recurrence norm collapsed at degree {n}", degree=n
-                )
-            jn = float(np.sqrt(norm_sq))
-            couplings.append(jn)
-            p_prev, p_cur, j_prev = p_cur, q / jn, jn
-            rows.append(p_cur)
-            log_norms.append(log_norms[-1] + np.log(jn))
-    return np.array(omegas), np.array(couplings), rows, np.array(log_norms)
+        q = (lam - om) * p_cur - j_prev * p_prev
+        norm_sq = float(np.sum(a * q * q))
+        if not norm_sq > (1e-14 * span) ** 2:
+            raise ReconstructionError(
+                f"recurrence norm collapsed at degree {n}", degree=n
+            )
+        jn = float(np.sqrt(norm_sq))
+        couplings.append(jn)
+        p_prev, p_cur, j_prev = p_cur, q / jn, jn
+    return np.array(omegas), np.array(couplings)
 
 
-def reconstruct(spec: Spectrum, *, validate: bool = True) -> TridiagonalHamiltonian:
+def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
     """Synthesize the mirror-symmetric chain with the prescribed spectrum.
 
     Only ceil(N/2) recurrence steps are taken; the remaining coefficients
-    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  With
-    validate=True the output is re-diagonalized and required to match the
-    input spectrum to 1e-8 relative, which doubles as a breakdown check.
+    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  The
+    output is re-diagonalized and required to match the input spectrum to
+    1e-8 relative, which doubles as a breakdown check.
     """
     ws = compute_weights(spec)
     N = spec.n
@@ -190,38 +156,25 @@ def reconstruct(spec: Spectrum, *, validate: bool = True) -> TridiagonalHamilton
             omegas=spec.values.copy(), couplings=np.zeros(0), rate_J=spec.rate_J
         )
     half = (N + 1) // 2
-    omegas_half, couplings_half, _, _ = _recurrence(ws, half)
+    omegas_half, couplings_half = _recurrence(ws, half)
     omegas = np.zeros(N)
     omegas[:half] = omegas_half
     omegas[half:] = omegas_half[: N - half][::-1]
     couplings = np.zeros(N - 1)
-    keep = min(len(couplings_half), N - 1)
-    couplings[:keep] = couplings_half[:keep]
+    couplings[:half] = couplings_half
     half_c = (N - 1 + 1) // 2
     couplings[half_c:] = couplings[: (N - 1) - half_c][::-1]
     ham = TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
-    if validate:
-        ev = scipy.linalg.eigh_tridiagonal(omegas, couplings, eigvals_only=True)
-        scale = max(1.0, float(np.max(np.abs(spec.values))))
-        err = float(np.max(np.abs(ev - spec.values))) / scale
-        if err > 1e-8:
-            raise ReconstructionError(
-                f"synthesized chain eigenvalues deviate by {err:.2e} relative; "
-                f"spectrum outside the validated double-precision range",
-                degree=N,
-            )
+    ev = scipy.linalg.eigh_tridiagonal(omegas, couplings, eigvals_only=True)
+    scale = max(1.0, float(np.max(np.abs(spec.values))))
+    err = float(np.max(np.abs(ev - spec.values))) / scale
+    if err > 1e-8:
+        raise ReconstructionError(
+            f"synthesized chain eigenvalues deviate by {err:.2e} relative; "
+            f"spectrum outside the validated double-precision range",
+            degree=N,
+        )
     return ham
-
-
-def polynomial_table(ws: WeightedSpectrum) -> PolynomialTable:
-    """Full normalized table of degrees 0..N-1 at the nodes."""
-    N = ws.spectrum.n
-    _, _, rows, log_norms = _recurrence(ws, N)
-    return PolynomialTable(
-        nodes=ws.spectrum.values.copy(),
-        normalized=np.vstack(rows),
-        log_norms=log_norms,
-    )
 
 
 def eigenvectors(ham: TridiagonalHamiltonian, ws: WeightedSpectrum) -> EigenBasis:

@@ -201,33 +201,27 @@ def subset_fidelities(frames, sites, target) -> np.ndarray:
     return np.real(np.einsum("tab,ba->t", block, target[np.ix_(pos, pos)]))
 
 
-def bell_fidelity(rho_pair, target: np.ndarray | None = None) -> float:
+def bell_fidelity(rho_pair, target: np.ndarray) -> float:
     """Overlap of a 4x4 end-pair state with a Bell target.
 
-    The default target is chain_bell_target for an odd chain (the N=5
-    working point); even chains carry the opposite relative phase, so
-    pass chain_bell_target(n_sites) explicitly there.
+    The reachable target depends on the chain parity: pass
+    chain_bell_target(n_sites).
     """
     rho_pair = _as_density(rho_pair)
     if rho_pair.shape != (4, 4):
         raise ValueError("expected a two-qubit reduced state")
-    if target is None:
-        target = bell_state(1j)
     return state_fidelity(rho_pair, target)
 
 
-def w_fidelity(rho_corners, target: np.ndarray | None = None) -> float:
+def w_fidelity(rho_corners, target: np.ndarray) -> float:
     """Overlap of a 16x16 corner state with a four-corner W target.
 
-    The default target is corner_w_target(3, 4); pass corner_w_target(R, C)
-    for other geometries, since the relative phases depend on the side
-    parities.
+    The relative phases depend on the side parities: pass
+    corner_w_target(R, C).
     """
     rho_corners = _as_density(rho_corners)
     if rho_corners.shape != (16, 16):
         raise ValueError("expected a four-qubit reduced state")
-    if target is None:
-        target = corner_w_target(3, 4)
     return state_fidelity(rho_corners, target)
 
 

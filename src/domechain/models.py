@@ -33,7 +33,6 @@ __all__ = [
     "EffectiveTwoSite",
     "PerturbativeBreakdownError",
     "dome_hamiltonian",
-    "grid_2d",
     "single_excitation_matrix",
     "schrieffer_wolff_reduce",
 ]
@@ -113,26 +112,10 @@ class Grid2D:
     def column_chain(self) -> TridiagonalHamiltonian:
         return dome_hamiltonian(DomeParams(N=self.rows, m=self.m_y, J=self.J))
 
-    def frequency_table(self) -> np.ndarray:
-        """rows x cols table of on-site frequencies in units of J."""
-        return _grid_sites(self)[0].reshape(self.rows, self.cols)
-
-    def x_bonds(self) -> np.ndarray:
-        """rows x (cols-1) horizontal couplings in units of J."""
-        return _grid_sites(self)[1][: self.rows * (self.cols - 1)].reshape(self.rows, -1)
-
-    def y_bonds(self) -> np.ndarray:
-        """(rows-1) x cols vertical couplings in units of J."""
-        return _grid_sites(self)[1][self.rows * (self.cols - 1) :].reshape(-1, self.cols)
-
     def corner_indices(self) -> list[int]:
         """Flat indices of corners in the order (1,1), (1,C), (R,1), (R,C)."""
         R, C = self.rows, self.cols
         return [0, C - 1, (R - 1) * C, R * C - 1]
-
-
-def grid_2d(rows: int, cols: int, m_x: int, m_y: int, J: float = 1.0) -> Grid2D:
-    return Grid2D(rows=rows, cols=cols, m_x=m_x, m_y=m_y, J=J)
 
 
 def _grid_sites(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -167,35 +150,11 @@ def _site_matrix(freqs: np.ndarray, couplings: np.ndarray, bonds: np.ndarray) ->
     return H
 
 
-def single_excitation_matrix(
-    freqs: np.ndarray | Grid2D,
-    x_bonds: np.ndarray | None = None,
-    y_bonds: np.ndarray | None = None,
-    physical: bool = False,
-) -> np.ndarray:
-    """Dense single-excitation matrix of a grid, row-major site order.
-
-    Accepts either a Grid2D or explicit per-site frequency and per-bond
-    coupling tables.
-    """
-    if isinstance(freqs, Grid2D):
-        grid = freqs
-        R, C = grid.rows, grid.cols
-        site_freqs, couplings = _grid_sites(grid)
-        scale = grid.J if physical else 1.0
-    else:
-        table = np.asarray(freqs, dtype=float)
-        if x_bonds is None or y_bonds is None:
-            raise ValueError("explicit tables require x_bonds and y_bonds")
-        xb = np.asarray(x_bonds, dtype=float)
-        yb = np.asarray(y_bonds, dtype=float)
-        R, C = table.shape
-        if xb.shape != (R, C - 1) or yb.shape != (R - 1, C):
-            raise ValueError("bond tables do not match the grid shape")
-        site_freqs = table.reshape(-1)
-        couplings = np.concatenate([xb.reshape(-1), yb.reshape(-1)])
-        scale = 1.0
-    return _site_matrix(site_freqs, couplings, _bond_pairs(R, C)) * scale
+def single_excitation_matrix(grid: Grid2D, physical: bool = False) -> np.ndarray:
+    """Dense single-excitation matrix of a grid, row-major site order."""
+    freqs, couplings = _grid_sites(grid)
+    H = _site_matrix(freqs, couplings, _bond_pairs(grid.rows, grid.cols))
+    return H * grid.J if physical else H
 
 
 class PerturbativeBreakdownError(RuntimeError):
@@ -219,9 +178,7 @@ class EffectiveTwoSite:
         return np.linalg.eigvalsh(H)
 
 
-def schrieffer_wolff_reduce(
-    ham: TridiagonalHamiltonian, gap_factor: float = 5.0
-) -> EffectiveTwoSite:
+def schrieffer_wolff_reduce(ham: TridiagonalHamiltonian) -> EffectiveTwoSite:
     """Second-order reduction of a chain onto its two end sites.
 
     The middle block is diagonalized exactly and each eigenmode mu is
@@ -230,7 +187,7 @@ def schrieffer_wolff_reduce(
         1/2 [ 1 / (E_a - d_mu) + 1 / (E_b - d_mu) ],
 
     E_a, E_b being the bare end frequencies.  Breakdown is declared when
-    the smallest edge/middle gap is below gap_factor times the largest
+    the smallest edge/middle gap is below 5 times the largest
     edge-to-middle coupling.
     """
     N = ham.n
@@ -243,9 +200,9 @@ def schrieffer_wolff_reduce(
     E1, EN = H[0, 0], H[N - 1, N - 1]
     vmax = float(max(abs(ham.couplings[0]), abs(ham.couplings[-1])))
     gap = float(min(np.min(np.abs(E1 - d)), np.min(np.abs(EN - d))))
-    if gap < gap_factor * vmax:
+    if gap < 5.0 * vmax:
         raise PerturbativeBreakdownError(
-            f"edge/middle gap {gap:.3g} below {gap_factor} x coupling {vmax:.3g}"
+            f"edge/middle gap {gap:.3g} below 5.0 x coupling {vmax:.3g}"
         )
     inv1 = 1.0 / (E1 - d)
     invN = 1.0 / (EN - d)

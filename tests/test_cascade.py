@@ -97,8 +97,6 @@ def test_plan_durations_pst_and_fst():
     assert pst.durations[0] == pytest.approx(np.pi / pst.rates[0])
     assert fst.durations[0] == pytest.approx(np.pi / (2 * fst.rates[0]))
     assert fst.durations[1] == pytest.approx(pst.durations[1])
-    assert fst.first_segment is TransferMode.FST
-    assert pst.first_segment is TransferMode.PST
 
 
 def test_swap_limit_total_time():

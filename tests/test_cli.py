@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from domechain import cli
 from domechain.cli import SCHEMAS, SWEEP_HEADER, _csv_text, _fmt, _table_lines, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -280,6 +281,42 @@ def test_threads_key_is_refused(outdir, capsys):
     assert exc.value.code == 2
 
 
+_CASCADE = ["cascade", "--set", "N=10", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.0001"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (_CASCADE + ["--set", "kind=dome", "--set", "m=0", "--set", "k=2"], "needs m >= 1"),
+        (_CASCADE + ["--set", "kind=line", "--set", "k=10"], "k <= N - 1"),
+        (_CASCADE + ["--set", "kind=line", "--set", "j_min_MHz=50"], "j_max > j_min"),
+        (["synth", "--set", "spectrum=[0.5,-0.5]"], "strictly increasing"),
+        (["sweep", "--set", "kind=decoherence", "--set", "metric=w_at_quarter_t",
+          "--set", "N=5"], "defined for chain metrics"),
+    ],
+    ids=["dome_m0", "k_above_N_minus_1", "j_max_not_above_j_min",
+         "decreasing_spectrum", "decoherence_w_metric"],
+)
+def test_domain_input_errors_exit_2(outdir, capsys, argv, detail):
+    # Schema-valid configs that a domain check rejects with ValueError.
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and detail in err["detail"]
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, KeyError])
+def test_internal_errors_exit_1_with_traceback(outdir, capsys, monkeypatch, exc_type):
+    def broken_command(cfg):
+        raise exc_type("planted")
+
+    monkeypatch.setitem(cli.COMMANDS, "synth", broken_command)
+    assert run(["synth", "--set", "N=3", "--set", "m=1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal"
+    assert err["detail"].startswith(exc_type.__name__)
+    assert "broken_command" in err["traceback"]
+
+
 def test_output_path_is_printed(outdir, capsys):
     assert run(["synth", "--set", "N=3", "--set", "m=1"]) == 0
     out = capsys.readouterr().out.strip()
@@ -347,3 +384,13 @@ def test_readme_commands_run(outdir, capsys):
         assert run(argv) == 0, argv
         path = Path(capsys.readouterr().out.strip())
         assert path.parent == outdir and path.stat().st_size > 0, argv
+
+
+def test_readme_python_blocks_run():
+    text = README.read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert 0.98 < namespace["fidelity"] <= 1.0

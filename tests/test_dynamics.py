@@ -18,7 +18,6 @@ from domechain.dynamics import (
     eigendecompose,
     evolve_closed,
     evolve_lindblad,
-    populations,
     site_state,
     vacuum_state,
 )
@@ -226,6 +225,30 @@ def test_eigendecompose_is_deterministic_and_sorted():
     np.testing.assert_allclose(V1 @ np.diag(w1) @ V1.T, H, atol=1e-10)
 
 
+def loop_sign_fix(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh with each column's largest-magnitude entry made positive, column by column."""
+    w, V = np.linalg.eigh(H)
+    for k in range(V.shape[1]):
+        i = int(np.argmax(np.abs(V[:, k])))
+        if V[i, k] < 0:
+            V[:, k] = -V[:, k]
+    return w, V
+
+
+def test_eigendecompose_sign_fix_matches_column_loop():
+    rng = np.random.default_rng(3)
+    mats = [dome_hamiltonian(DomeParams(N=N, m=m)).matrix()
+            for N in (2, 5, 17, 128) for m in (0, 2, 102)]
+    for D in (1, 3, 8, 40):
+        A = rng.normal(size=(D, D))
+        mats.append(A + A.T)
+    for H in mats:
+        w, V = eigendecompose(H)
+        w_ref, V_ref = loop_sign_fix(H)
+        assert w.tobytes() == w_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()  # bit for bit, -0.0 included
+
+
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -235,7 +258,7 @@ def test_populations_and_trajectory_accessors():
     ham = dome_hamiltonian(DomeParams(N=3, m=0))
     psi0 = site_state(3, 1)
     traj = evolve_closed(ham.matrix(), psi0, np.array([0.0, 1.0]))
-    pops = populations(traj)
+    pops = traj.site_populations()
     assert pops.shape == (2, 3)
     np.testing.assert_allclose(pops.sum(axis=1) + traj.vacuum_population(), 1.0,
                                atol=1e-10)

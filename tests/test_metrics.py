@@ -38,7 +38,6 @@ from domechain.models import (
     DomeParams,
     Grid2D,
     dome_hamiltonian,
-    grid_2d,
     single_excitation_matrix,
 )
 from test_dynamics import expm_evolve
@@ -186,11 +185,10 @@ def test_corner_w_target_3x4_phases():
 
 
 def test_w_target_reached_on_grid():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     prop = ClosedPropagator(single_excitation_matrix(grid, physical=True))
     psi = prop.apply(site_state(12, 1), grid.period / 4)
     rho = reduce_to_corners(psi, grid)
-    assert abs(w_fidelity(rho) - 1.0) < 1e-6
     assert abs(w_fidelity(rho, corner_w_target(3, 4)) - 1.0) < 1e-6
 
 
@@ -205,14 +203,14 @@ def test_fidelity_bounds_and_mixed_target():
 
 
 def test_maximally_mixed_pair_fidelity():
-    assert abs(bell_fidelity(np.eye(4) / 4.0) - 0.25) < 1e-12
+    assert abs(bell_fidelity(np.eye(4) / 4.0, chain_bell_target(5)) - 0.25) < 1e-12
 
 
 def test_fidelity_shape_validation():
     with pytest.raises(ValueError):
-        bell_fidelity(np.eye(3) / 3.0)
+        bell_fidelity(np.eye(3) / 3.0, chain_bell_target(5))
     with pytest.raises(ValueError):
-        w_fidelity(np.eye(4) / 4.0)
+        w_fidelity(np.eye(4) / 4.0, corner_w_target(3, 4))
 
 
 def test_qpt_identity_channel():

@@ -8,7 +8,6 @@ from domechain.models import (
     Grid2D,
     PerturbativeBreakdownError,
     dome_hamiltonian,
-    grid_2d,
     schrieffer_wolff_reduce,
     single_excitation_matrix,
 )
@@ -36,7 +35,8 @@ def test_dome_mirror_symmetry_and_positivity():
     for N in (2, 3, 7, 12):
         for m in (0, 1, 2, 9):
             ham = dome_hamiltonian(DomeParams(N=N, m=m))
-            assert ham.is_mirror_symmetric(1e-12)
+            np.testing.assert_array_equal(ham.omegas, ham.omegas[::-1])
+            np.testing.assert_array_equal(ham.couplings, ham.couplings[::-1])
             assert np.all(ham.couplings > 0)
 
 
@@ -76,23 +76,22 @@ def test_grid_requires_two_by_two():
 
 
 def test_grid_frequency_table_adds_row_and_column_profiles():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     wx = dome_hamiltonian(DomeParams(N=4, m=2)).omegas
     wy = dome_hamiltonian(DomeParams(N=3, m=2)).omegas
-    table = grid.frequency_table()
-    assert table.shape == (3, 4)
+    table = np.diag(single_excitation_matrix(grid)).reshape(3, 4)
     for r in range(3):
         for c in range(4):
             assert abs(table[r, c] - (wx[c] + wy[r])) < 1e-12
 
 
 def test_grid_corner_indices_row_major():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     assert grid.corner_indices() == [0, 3, 8, 11]
 
 
 def test_grid_matrix_is_symmetric_with_correct_bonds():
-    grid = grid_2d(3, 4, 2, 1)
+    grid = Grid2D(3, 4, 2, 1)
     H = single_excitation_matrix(grid)
     assert H.shape == (12, 12)
     np.testing.assert_allclose(H, H.T, atol=0)
@@ -104,21 +103,12 @@ def test_grid_matrix_is_symmetric_with_correct_bonds():
 
 
 def test_grid_spectrum_is_kronecker_sum():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     ev = np.sort(np.linalg.eigvalsh(single_excitation_matrix(grid)))
     lx = dome_spectrum(4, 2).values
     ly = dome_spectrum(3, 2).values
     pair_sums = np.sort((ly[:, None] + lx[None, :]).ravel())
     np.testing.assert_allclose(ev, pair_sums, atol=1e-9)
-
-
-def test_grid_matrix_explicit_tables_match_grid_path():
-    grid = grid_2d(3, 4, 2, 2)
-    H_grid = single_excitation_matrix(grid)
-    H_tables = single_excitation_matrix(
-        grid.frequency_table(), grid.x_bonds(), grid.y_bonds()
-    )
-    np.testing.assert_array_equal(H_grid, H_tables)
 
 
 def loop_grid_matrix(table, xb, yb) -> np.ndarray:
@@ -136,32 +126,26 @@ def loop_grid_matrix(table, xb, yb) -> np.ndarray:
 
 
 def test_grid_matrix_matches_site_by_site_fill():
-    rng = np.random.default_rng(8)
+    # Tables from the row and column dome chains: omega_x[c] + omega_y[r],
+    # the x couplings on every row, the y couplings across every column.
     for R, C, mx, my in ((2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2)):
-        grid = grid_2d(R, C, mx, my, J=3.0)
-        ref = loop_grid_matrix(grid.frequency_table(), grid.x_bonds(), grid.y_bonds())
+        row = dome_hamiltonian(DomeParams(N=C, m=mx))
+        col = dome_hamiltonian(DomeParams(N=R, m=my))
+        table = row.omegas[None, :] + col.omegas[:, None]
+        xb = np.tile(row.couplings, (R, 1))
+        yb = np.repeat(col.couplings[:, None], C, axis=1)
+        ref = loop_grid_matrix(table, xb, yb)
+        grid = Grid2D(R, C, mx, my, J=3.0)
         np.testing.assert_array_equal(single_excitation_matrix(grid), ref)
         np.testing.assert_array_equal(single_excitation_matrix(grid, physical=True), ref * 3.0)
-        tables = rng.normal(size=(R, C)), rng.normal(size=(R, C - 1)), rng.normal(size=(R - 1, C))
-        np.testing.assert_array_equal(single_excitation_matrix(*tables), loop_grid_matrix(*tables))
 
 
 def test_grid_matrix_physical_scaling():
-    grid = grid_2d(2, 3, 2, 2, J=7.0)
+    grid = Grid2D(2, 3, 2, 2, J=7.0)
     np.testing.assert_allclose(
         single_excitation_matrix(grid, physical=True),
         single_excitation_matrix(grid) * 7.0,
     )
-
-
-def test_grid_matrix_rejects_mismatched_tables():
-    grid = grid_2d(3, 4, 2, 2)
-    with pytest.raises(ValueError):
-        single_excitation_matrix(grid.frequency_table(), grid.x_bonds(), None)
-    with pytest.raises(ValueError):
-        single_excitation_matrix(
-            grid.frequency_table(), np.zeros((2, 2)), grid.y_bonds()
-        )
 
 
 def test_schrieffer_wolff_large_m_limits():

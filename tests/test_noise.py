@@ -15,7 +15,6 @@ from domechain.models import (
     DomeParams,
     Grid2D,
     dome_hamiltonian,
-    grid_2d,
     single_excitation_matrix,
 )
 from domechain.noise import (
@@ -77,7 +76,7 @@ def test_perturb_preserves_rate():
 
 
 def test_perturb_grid_targets_corners_vs_interior():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     from domechain.models import single_excitation_matrix
 
     base = single_excitation_matrix(grid)
@@ -99,7 +98,7 @@ def test_perturb_grid_targets_corners_vs_interior():
 
 
 def test_perturb_grid_couplings_change_bonds_only():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     from domechain.models import single_excitation_matrix
 
     base = single_excitation_matrix(grid)
@@ -166,7 +165,7 @@ def test_sweep_monotone_in_sigma_within_error():
 
 
 def test_sweep_metric_system_pairing():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     with pytest.raises(ValueError):
         sweep_coherent(grid, cfg(DisorderTarget.ALL, samples=2),
                        SweepMetric.BELL_AT_QUARTER_T)
@@ -192,7 +191,7 @@ def test_sweep_qpt_metric_runs():
 
 
 def test_sweep_grid_w_metric_sigma_zero():
-    grid = grid_2d(3, 4, 2, 2)
+    grid = Grid2D(3, 4, 2, 2)
     res = sweep_coherent(
         grid,
         cfg(DisorderTarget.EDGE_FREQUENCIES, sigma=0.0, samples=3),
@@ -258,7 +257,7 @@ def test_batched_sweep_matches_per_sample_path(case, target, m):
 @pytest.mark.parametrize("target", list(DisorderTarget))
 @pytest.mark.parametrize(
     "system",
-    [dome_hamiltonian(DomeParams(N=5, m=102)), grid_2d(3, 4, 2, 2)],
+    [dome_hamiltonian(DomeParams(N=5, m=102)), Grid2D(3, 4, 2, 2)],
     ids=["chain", "grid"],
 )
 def test_perturb_equals_batched_rows(system, target):
@@ -276,7 +275,7 @@ def test_perturb_equals_batched_rows(system, target):
     [
         (DomeParams(N=5, m=2), SweepMetric.BELL_AT_QUARTER_T),
         (DomeParams(N=5, m=102), SweepMetric.QPT_AT_HALF_T),
-        (grid_2d(3, 4, 2, 2), SweepMetric.W_AT_QUARTER_T),
+        (Grid2D(3, 4, 2, 2), SweepMetric.W_AT_QUARTER_T),
     ],
     ids=["bell", "qpt", "w"],
 )
