@@ -5,7 +5,13 @@ keys rejected); `--set path.key=value` applies dotted overrides before
 validation and `--seed/--format/--output` override the
 corresponding config fields.  All physical inputs carry units in their
 field names (rate_MHz is J/2pi; t1_us, tphi_us are microseconds) and are
-converted to angular frequency internally.
+converted to angular frequency internally.  Integral floats in integer
+fields (`N=5.0`) are accepted, as JSON Schema does, and read as ints.
+
+The schemas use a small subset of JSON Schema, checked by `_schema_error`.
+Its exit-2 messages are the ones jsonschema's `best_match` reports for
+the same config (the test suite compares the two on random configs), but
+the package itself does not depend on jsonschema.
 
 Artifacts are written atomically (temp file then rename), CSV output is
 RFC 4180 with LF line endings, and every command is deterministic given
@@ -28,7 +34,6 @@ import tempfile
 import traceback
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .cascade import (
@@ -159,8 +164,79 @@ SCHEMAS = {
     "cascade": CASCADE_SCHEMA,
 }
 
-# Compiled once; the suite checks each schema against its metaschema.
-_VALIDATORS = {k: jsonschema.validators.validator_for(s)(s) for k, s in SCHEMAS.items()}
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test on json.loads output: bools are not numbers."""
+    if isinstance(value, bool) and name in ("integer", "number"):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    kinds = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+    return isinstance(value, kinds[name])
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """(path, value has the schema's type, message) for each failed keyword.
+
+    Implements the keywords SCHEMAS use: type, enum, minimum,
+    exclusiveMinimum, maximum, minItems, items, required, properties and
+    additionalProperties (false only).  Keywords are visited in schema
+    order and nested values where they appear, as jsonschema visits them,
+    and each message is worded as jsonschema words it.
+    """
+    typed = "type" in schema and _is_type(value, schema["type"])
+    number, array, obj = _is_type(value, "number"), isinstance(value, list), isinstance(value, dict)
+    for key, arg in schema.items():
+        if key == "properties" and obj:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(sub, value[name], (*path, name))
+        elif key == "items" and array:
+            for i, item in enumerate(value):
+                yield from _violations(arg, item, (*path, i))
+        elif key == "required" and obj:
+            for name in arg:
+                if name not in value:
+                    yield path, typed, f"{name!r} is a required property"
+        elif key == "additionalProperties" and obj:
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, typed, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif key == "type" and not typed:
+            yield path, typed, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and value not in arg:
+            yield path, typed, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum" and number and value < arg:
+            yield path, typed, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and number and value <= arg:
+            yield path, typed, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "maximum" and number and value > arg:
+            yield path, typed, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "minItems" and array and len(value) < arg:
+            yield path, typed, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+
+
+def _schema_error(schema: dict, cfg) -> str | None:
+    """Message of the most relevant violation of `schema` by cfg, or None.
+
+    Relevance is jsonschema's `best_match` order: the shallowest path, then
+    the greatest path among equals, then a value not of its schema's type;
+    the first violation wins a tie.
+    """
+    best = max(_violations(schema, cfg), key=lambda v: (-len(v[0]), v[0], not v[1]), default=None)
+    return None if best is None else best[2]
+
+
+def _with_ints(schema: dict, value):
+    """A valid config with integral floats in integer fields turned into ints."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _with_ints(schema["properties"][k], v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_ints(schema["items"], v) for v in value]
+    return value
 
 
 class ConfigError(ValueError):
@@ -340,15 +416,21 @@ def cmd_evolve(cfg: dict) -> Path:
 
     qpt = {}
     if grid is None:
-        for t in marked:
-            _, fid = simulate_qpt(system, deco, t_end=t)
-            qpt[t] = _fmt(fid)
+        for i in np.flatnonzero(np.isin(times, marked)).tolist():
+            t = times[i]
+            if deco is None:
+                # A closed chain sends the source qubit through amplitude damping
+                # with amplitude psi_N(t), whose process fidelity is |1 + psi_N|^2 / 4.
+                fid = abs(1.0 + traj.states[i, n_sites]) ** 2 / 4.0
+            else:
+                _, fid = simulate_qpt(system, deco, t_end=t)
+            qpt[i] = _fmt(fid)
 
     fmt = cfg.get("format", "csv")
     path = _resolve_output(cfg, "evolve", fmt)
     header = ["t_over_T"] + [f"P_{n}" for n in range(1, n_sites + 1)]
     header += [fidelity_name, "qpt_fidelity"]
-    lines = _table_lines(table, [qpt.get(t, "") for t in times.tolist()])
+    lines = _table_lines(table, [qpt.get(i, "") for i in range(times.size)])
     if fmt == "csv":
         _write_atomic(path, "".join(f"{line}\n" for line in [",".join(header), *lines]))
     else:
@@ -567,10 +649,11 @@ def main(argv=None) -> int:
             cfg["format"] = args.format
         if args.output is not None:
             cfg["output"] = str(args.output)
-        error = jsonschema.exceptions.best_match(_VALIDATORS[args.command].iter_errors(cfg))
+        schema = SCHEMAS[args.command]
+        error = _schema_error(schema, cfg)
         if error is not None:
-            raise ConfigError(error.message)
-        path = COMMANDS[args.command](cfg)
+            raise ConfigError(error)
+        path = COMMANDS[args.command](_with_ints(schema, cfg))
     except ValueError as exc:  # ConfigError and domain input checks
         _error("validation", str(exc))
         return 2

@@ -30,6 +30,9 @@ it densely (once per distinct step length, steps within a few ulps of the
 end time counting as one), large ones apply it with scipy's expm_multiply
 on its sparse form.  Closed evolution and the vacuum terms are evaluated
 for the whole time grid at once.
+
+scipy is imported by the open propagator only, on its first call, so
+closed evolution runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "DecoherenceConfig",
@@ -207,6 +207,8 @@ def _site_block_generator(H: np.ndarray, deco: DecoherenceConfig, dense: bool):
         G = -1j * (np.kron(H, eye) - np.kron(eye, H))
         G[np.diag_indices(D * D)] -= decay.reshape(-1)
         return G
+    import scipy.sparse
+
     Hs = scipy.sparse.csr_matrix(H)
     eye = scipy.sparse.identity(D, format="csr")
     commutator = scipy.sparse.kron(Hs, eye) - scipy.sparse.kron(eye, Hs)
@@ -248,10 +250,14 @@ def _evolve_open_stack(
     dense = D <= DENSE_GENERATOR_MAX_SITES
     G = _site_block_generator(H, deco, dense)
     if dense:
+        import scipy.linalg
+
         # The steps of a linspace grid differ in their last bits; steps within
         # a few ulps of the end time share one exponential.
         group, lengths = _merge_steps(steps, 4.0 * np.spacing(times[-1]))
         step_maps = {g: scipy.linalg.expm(G * lengths[g]) for g in set(group[steps > 0])}
+    else:
+        from scipy.sparse.linalg import expm_multiply
     sites = rhos0[:, 1:, 1:].reshape(k, D * D).T
     out = np.empty((times.size, k, D + 1, D + 1), dtype=complex)
     for i, dt in enumerate(steps):

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chain import TridiagonalHamiltonian
 from .spectrum import Spectrum
@@ -165,7 +164,7 @@ def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
     half_c = (N - 1 + 1) // 2
     couplings[half_c:] = couplings[: (N - 1) - half_c][::-1]
     ham = TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
-    ev = scipy.linalg.eigh_tridiagonal(omegas, couplings, eigvals_only=True)
+    ev = np.linalg.eigvalsh(ham.matrix())
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     err = float(np.max(np.abs(ev - spec.values))) / scale
     if err > 1e-8:

@@ -18,6 +18,7 @@ Fidelities are insensitive to the remaining global phase.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,8 +270,13 @@ def _pauli_expectations(rho2: np.ndarray) -> tuple[float, float, float]:
     return ex, ey, ez
 
 
+@functools.cache
 def _tomography_matrix() -> np.ndarray:
-    """A[4j + beta, 4m + n] = Tr(sigma_beta E_m rho_j E_n) over the fiducials."""
+    """A[4j + beta, 4m + n] = Tr(sigma_beta E_m rho_j E_n) over the fiducials.
+
+    Depends only on the fiducials and the Pauli basis, so it is built on
+    first use and shared, read-only, afterwards.
+    """
     inputs = [np.outer((a, b), np.conj((a, b))) for a, b in qpt_fiducials()]
     A = np.zeros((16, 16), dtype=complex)
     for j, rho_in in enumerate(inputs):
@@ -280,11 +286,8 @@ def _tomography_matrix() -> np.ndarray:
                     A[4 * j + beta, 4 * m + n] = np.trace(
                         PAULIS[beta] @ PAULIS[m] @ rho_in @ PAULIS[n]
                     )
+    A.flags.writeable = False
     return A
-
-
-# Depends only on the fiducials and the Pauli basis, so it is built once.
-_TOMOGRAPHY_MATRIX = _tomography_matrix()
 
 
 def process_matrix(output_rhos) -> ProcessMatrix:
@@ -299,7 +302,7 @@ def process_matrix(output_rhos) -> ProcessMatrix:
     output_rhos = [np.asarray(r, dtype=complex) for r in output_rhos]
     if len(output_rhos) != 4 or any(r.shape != (2, 2) for r in output_rhos):
         raise ValueError("expected four 2x2 channel outputs")
-    A = _TOMOGRAPHY_MATRIX
+    A = _tomography_matrix()
     b = np.zeros(16, dtype=complex)
     for j, rho_out in enumerate(output_rhos):
         ex, ey, ez = _pauli_expectations(rho_out)

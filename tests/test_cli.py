@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import domechain
 from domechain import cli
 from domechain.cli import SCHEMAS, SWEEP_HEADER, _csv_text, _fmt, _table_lines, main
 
@@ -394,3 +398,63 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert 0.98 < namespace["fidelity"] <= 1.0
+
+
+_LAZY_CASES = {
+    "synth": ["synth", "--set", "N=26", "--set", "m=2"],
+    "evolve_closed": ["evolve", "--set", "N=5", "--set", "m=2", "--set", "points=9"],
+    "sweep_coherent": ["sweep", "--set", "kind=coherent", "--set", "metric=qpt_at_half_t",
+                       "--set", "N=3", "--set", "target=all", "--set", "sigma=0.1",
+                       "--set", "samples=2", "--seed", "1"],
+    "cascade": ["cascade", "--set", "kind=dome", "--set", "N=40", "--set", "m=10",
+                "--set", "k=4", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.01"],
+    "evolve_open": ["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=9",
+                    "--set", "rate_MHz=5", "--set", "decoherence.t1_us=30"],
+}
+
+
+def _modules_after(argv):
+    """Names in sys.modules after a fresh interpreter runs cli.main(argv)."""
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"import json, sys\nfrom domechain.cli import main\nassert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("case", ["synth", "evolve_closed", "sweep_coherent", "cascade"])
+def test_closed_commands_import_neither_scipy_nor_jsonschema(case):
+    loaded = {name.split(".")[0] for name in _modules_after(_LAZY_CASES[case])}
+    assert not loaded & {"scipy", "jsonschema"}
+
+
+def test_open_evolve_imports_scipy_linalg():
+    assert "scipy.linalg" in _modules_after(_LAZY_CASES["evolve_open"])
+
+
+def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
+    from domechain import dynamics
+
+    calls = []
+    eigendecompose = dynamics.eigendecompose
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: calls.append(H) or eigendecompose(H))
+    assert run(["evolve", "--set", "N=6", "--set", "m=2", "--set", "points=21"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_sites, m", [(2, 0), (3, 2), (5, 2), (6, 10), (17, 102)])
+def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m):
+    from domechain.metrics import simulate_qpt
+    from domechain.models import DomeParams, dome_hamiltonian
+
+    assert run(["evolve", "--set", f"N={n_sites}", "--set", f"m={m}", "--set", "points=21",
+                "--output", "qpt.csv"]) == 0
+    _, rows = read_csv(outdir / "qpt.csv")
+    cells = {r[0]: float(r[-1]) for r in rows if r[-1]}
+    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m))
+    assert sorted(cells) == ["0.25", "0.5"]
+    for key, frac in (("0.25", 0.25), ("0.5", 0.5)):
+        _, fid = simulate_qpt(ham, None, t_end=frac * ham.period)
+        assert cells[key] == pytest.approx(fid, abs=1e-11)

@@ -1,0 +1,138 @@
+"""Config validation: the in-house schema check against jsonschema as an oracle.
+
+`cli._schema_error` must report exactly the message jsonschema's
+`best_match` reports (or None when jsonschema finds nothing), and integral
+floats in integer fields must behave as their int form.
+"""
+
+import json
+import random
+
+import jsonschema
+import pytest
+
+from domechain import cli
+from domechain.cli import SCHEMAS, main
+
+# The keywords `cli._violations` implements (its docstring); `additionalProperties` only as false.
+IMPLEMENTED = {
+    "type", "enum", "minimum", "exclusiveMinimum", "maximum", "minItems", "items",
+    "required", "additionalProperties", "properties",
+}
+
+SCALARS = [
+    0, 1, 2, 3, -1, 5, 2.0, 0.0, -0.0, 2.5, -0.5, 1e-9, True, False, None, "", "x",
+    "csv", "json", "line", "dome", "coherent", "all", 2**64 - 1, 2**64, 1e300,
+    float("nan"), float("inf"), -float("inf"),
+]
+
+
+def _keywords(schema):
+    for key, arg in schema.items():
+        yield key, arg
+        if key == "properties":
+            for sub in arg.values():
+                yield from _keywords(sub)
+        elif key == "items":
+            yield from _keywords(arg)
+
+
+def _any_value(rng, depth=0):
+    r = rng.random()
+    if r < 0.6 or depth > 1:
+        return rng.choice(SCALARS)
+    if r < 0.85:
+        return [_any_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["t1_us", "tphi_us", "zz", "N"]
+    return {rng.choice(keys): _any_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def _near(rng, schema):
+    """A random instance mostly shaped like `schema`: wrong types, bools,
+    integral floats, bounds, extra keys, empty arrays and non-object roots."""
+    if rng.random() < 0.15:
+        return _any_value(rng)
+    if "enum" in schema:
+        return rng.choice(schema["enum"])
+    kind = schema.get("type")
+    if kind == "object":
+        out = {k: _near(rng, sub) for k, sub in schema["properties"].items() if rng.random() < 0.3}
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            out[rng.choice(["threads", "zz", "n", "seed2"])] = _any_value(rng)
+        return dict(rng.sample(list(out.items()), len(out)))
+    if kind == "array":
+        return [_near(rng, schema["items"]) for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+    if kind in ("integer", "number"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", 0))
+        return rng.choice([lo - 1, lo, lo + 1, float(lo), float(lo + 2), lo + 0.5, lo - 0.5])
+    return rng.choice(SCALARS)
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schemas_use_only_implemented_keywords(command):
+    used = list(_keywords(SCHEMAS[command]))
+    assert {key for key, _ in used} <= IMPLEMENTED
+    assert all(arg is False for key, arg in used if key == "additionalProperties")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_messages_match_jsonschema_best_match(seed):
+    rng = random.Random(seed)
+    validators = {k: jsonschema.validators.validator_for(s)(s) for k, s in SCHEMAS.items()}
+    verdicts = set()
+    for _ in range(2500):
+        command = rng.choice(sorted(SCHEMAS))
+        cfg = _near(rng, SCHEMAS[command])
+        best = jsonschema.exceptions.best_match(validators[command].iter_errors(cfg))
+        want = None if best is None else best.message
+        assert cli._schema_error(SCHEMAS[command], cfg) == want, (command, cfg)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+# Small valid configs that between them set every integer field of every schema.
+INTEGER_CASES = {
+    "synth": [{"N": 5, "m": 2}],
+    "evolve": [
+        {"N": 3, "m": 2, "points": 9},
+        {"rows": 2, "cols": 3, "m_x": 0, "m_y": 2, "points": 9},
+    ],
+    "sweep": [
+        {"kind": "coherent", "metric": "bell_at_quarter_t", "N": 3, "m_values": [0, 2],
+         "target": "all", "sigma": 0.1, "samples": 3, "seed": 7},
+        {"kind": "coherent", "metric": "w_at_quarter_t", "rows": 2, "cols": 3,
+         "m_values": [2], "target": "edge_frequencies", "sigma": 0.1, "samples": 2, "seed": 7},
+    ],
+    "cascade": [{"kind": "dome", "N": 40, "k": 2, "m": 2, "j_max_MHz": 50, "j_min_MHz": 0.01}],
+}
+
+
+def _integer_fields(schema):
+    for name, sub in schema["properties"].items():
+        if "integer" in (sub.get("type"), sub.get("items", {}).get("type")):
+            yield name
+
+
+INTEGER_FIELDS = [(c, f) for c in sorted(SCHEMAS) for f in _integer_fields(SCHEMAS[c])]
+
+
+def _outputs(outdir, tmp_path, command, cfg):
+    for old in outdir.glob(f"{command}.*"):
+        old.unlink()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 0, cfg
+    return {p.name: p.read_bytes() for p in outdir.glob(f"{command}.*")}
+
+
+@pytest.mark.parametrize("command, field", INTEGER_FIELDS, ids=[f"{c}-{f}" for c, f in INTEGER_FIELDS])
+def test_integral_floats_in_integer_fields_act_as_ints(tmp_path, monkeypatch, command, field):
+    outdir = tmp_path / "out"
+    monkeypatch.setenv("DOMECHAIN_OUTDIR", str(outdir))
+    cases = [cfg for cfg in INTEGER_CASES[command] if field in cfg]
+    assert cases, f"no case sets {command}.{field}"
+    for cfg in cases:
+        value = cfg[field]
+        as_float = [float(v) for v in value] if isinstance(value, list) else float(value)
+        want = _outputs(outdir, tmp_path, command, cfg)
+        assert _outputs(outdir, tmp_path, command, {**cfg, field: as_float}) == want
