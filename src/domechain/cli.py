@@ -7,6 +7,8 @@ corresponding config fields.  All physical inputs carry units in their
 field names (rate_MHz is J/2pi; t1_us, tphi_us are microseconds) and are
 converted to angular frequency internally.  Integral floats in integer
 fields (`N=5.0`) are accepted, as JSON Schema does, and read as ints.
+NaN, Infinity and numbers that overflow a float are refused while
+parsing, before any schema check.
 
 The schemas use a small subset of JSON Schema, checked by `_schema_error`.
 Its exit-2 messages are the ones jsonschema's `best_match` reports for
@@ -28,6 +30,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,7 +54,7 @@ from .dynamics import (
     site_state,
 )
 from .inverse_eigen import ReconstructionError, compute_weights, eigenvectors, reconstruct
-from .metrics import chain_bell_target, corner_w_target, simulate_qpt, subset_fidelities
+from .metrics import chain_bell_target, corner_w_target, subset_fidelities, transfer_fidelity
 from .models import (
     DomeParams,
     Grid2D,
@@ -338,7 +341,7 @@ def cmd_synth(cfg: dict) -> Path:
 
 
 def _evolve_system(cfg: dict):
-    """(site matrix in rad/s, period, n_sites, bell target or W target, grid?)."""
+    """(site matrix in rad/s, period, n_sites, grid or None for a chain)."""
     chain_keys = {"N", "m"} & cfg.keys()
     grid_keys = {"rows", "cols", "m_x", "m_y"} & cfg.keys()
     rate = _rate_rad_per_s(cfg)
@@ -346,27 +349,35 @@ def _evolve_system(cfg: dict):
         if chain_keys != {"N", "m"}:
             raise ConfigError("chain evolution needs both N and m")
         ham = dome_hamiltonian(DomeParams(N=cfg["N"], m=cfg["m"], J=rate))
-        return ham, ham.matrix(physical=True), ham.period, ham.n, None
+        return ham.matrix(physical=True), ham.period, ham.n, None
     if grid_keys and not chain_keys:
         if grid_keys != {"rows", "cols", "m_x", "m_y"}:
             raise ConfigError("grid evolution needs rows, cols, m_x, and m_y")
         grid = Grid2D(cfg["rows"], cfg["cols"], cfg["m_x"], cfg["m_y"], J=rate)
         H = single_excitation_matrix(grid, physical=True)
-        return grid, H, grid.period, grid.rows * grid.cols, grid
+        return H, grid.period, grid.rows * grid.cols, grid
     raise ConfigError("provide either chain keys (N, m) or grid keys")
 
 
 def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
-    """Output grid with T/4 and T/2 placed exactly, and those marked times."""
+    """Output grid with T/4 and T/2 placed exactly, and the times placed.
+
+    Each marked time replaces its nearest grid point, T/4 first.  The t=0
+    point never moves, so a marked time nearest to it is left out; T/2
+    takes over a point it shares with T/4.
+    """
     n_periods = cfg.get("n_periods", 1.0)
     if "points" in cfg:
         times = np.linspace(0.0, period * n_periods, cfg["points"])
     else:
         times = default_time_grid(period, n_periods)
-    marked = [t for t in (period / 4, period / 2) if t <= times[-1] + 1e-15]
-    for t in marked:
-        times[int(np.argmin(np.abs(times - t)))] = t
-    return times, marked
+    end = times[-1]
+    placed = {}
+    for t in (period / 4, period / 2):
+        i = int(np.argmin(np.abs(times - t)))
+        if t <= end + 1e-15 and i > 0:
+            times[i] = placed[i] = t
+    return times, list(placed.values())
 
 
 def _table_lines(table: np.ndarray, tails) -> list[str]:
@@ -384,7 +395,7 @@ def cmd_evolve(cfg: dict) -> Path:
     if "decoherence" in cfg and "rate_MHz" not in cfg:
         # The default rate (J = 1 rad/s) is meaningless against microsecond T1/Tphi.
         raise ConfigError("decoherence needs rate_MHz")
-    system, H, period, n_sites, grid = _evolve_system(cfg)
+    H, period, n_sites, grid = _evolve_system(cfg)
     times, marked = _evolve_times(cfg, period)
 
     deco = None
@@ -416,15 +427,16 @@ def cmd_evolve(cfg: dict) -> Path:
 
     qpt = {}
     if grid is None:
-        for i in np.flatnonzero(np.isin(times, marked)).tolist():
-            t = times[i]
-            if deco is None:
-                # A closed chain sends the source qubit through amplitude damping
-                # with amplitude psi_N(t), whose process fidelity is |1 + psi_N|^2 / 4.
-                fid = abs(1.0 + traj.states[i, n_sites]) ** 2 / 4.0
-            else:
-                _, fid = simulate_qpt(system, deco, t_end=t)
-            qpt[i] = _fmt(fid)
+        # The transfer channel from the trajectory: p is the P_N column, c the
+        # closed amplitude psi_N(t) times the decay of vacuum coherences.
+        rows = np.flatnonzero(np.isin(times, marked))
+        if deco is None:
+            c = traj.states[rows, n_sites]
+        else:
+            t = times[rows]
+            u = evolve_closed(H, psi0, t).states[:, n_sites]
+            c = np.exp(-deco.vacuum_coherence_rate * t) * u
+        qpt = dict(zip(rows.tolist(), map(_fmt, transfer_fidelity(table[rows, n_sites], c))))
 
     fmt = cfg.get("format", "csv")
     path = _resolve_output(cfg, "evolve", fmt)
@@ -585,12 +597,25 @@ COMMANDS = {
 }
 
 
+def _finite(text: str) -> float:
+    """A JSON number or NaN/Infinity literal as a float, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} is not allowed")
+    return value
+
+
+# Configs and --set values are decoded by one shared decoder that refuses
+# NaN, Infinity and numbers that overflow a float.
+_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def _apply_set(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
     try:
-        value = json.loads(raw)
+        value = _JSON.decode(raw)
     except json.JSONDecodeError:
         value = raw
     node = cfg
@@ -636,7 +661,7 @@ def main(argv=None) -> int:
         cfg: dict = {}
         if args.config is not None:
             try:
-                cfg = json.loads(args.config.read_text())
+                cfg = _JSON.decode(args.config.read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             if not isinstance(cfg, dict):

@@ -108,6 +108,11 @@ class DecoherenceConfig:
     def gamma_phi(self) -> float:
         return 0.0 if self.t_phi is None else 0.5 / self.t_phi
 
+    @property
+    def vacuum_coherence_rate(self) -> float:
+        """Decay rate gamma1/2 + 2 gamma_phi of every coherence with the vacuum."""
+        return 0.5 * self.gamma1 + 2.0 * self.gamma_phi
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -267,7 +272,7 @@ def _evolve_open_stack(
             sites = expm_multiply(G * dt, sites)
         out[i, :, 1:, 1:] = sites.T.reshape(k, D, D)
     w, V = eigendecompose(H)
-    decay = np.exp(-(1j * w + 0.5 * deco.gamma1 + 2.0 * deco.gamma_phi) * times[:, None])
+    decay = np.exp(-(1j * w + deco.vacuum_coherence_rate) * times[:, None])
     cols = (V @ (decay[:, :, None] * (V.T @ rhos0[:, 1:, 0].T))).transpose(0, 2, 1)
     out[:, :, 1:, 0] = cols
     out[:, :, 0, 1:] = cols.conj()

@@ -1,4 +1,4 @@
-"""Reduced end-qubit states, entanglement targets, and process tomography.
+"""Reduced end-qubit states, entanglement targets, and transfer fidelity.
 
 Reductions exploit the vacuum-plus-one-excitation structure: tracing a
 global state down to a k-qubit subset leaves support only on the all-down
@@ -14,27 +14,22 @@ the e^{-i pi/2 (L-1)} mirror phase of the quarter-period propagator.
 states (the 2D corner state factorizes into a row transfer times a
 column transfer, so its relative phases are products of the 1D ones).
 Fidelities are insensitive to the remaining global phase.
+
+Transfer channel.  Under uniform site-local T1/Tphi an excitation-conserving
+chain keeps the vacuum, so the source-to-target map of one qubit is
+amplitude-damping-like (Bose, PRL 91, 207901, 2003): it sends |up><up| to
+p|up><up| + (1 - p)|down><down| and |up><down| to c|up><down|.  Its
+process fidelity with the identity, (1 + p + 2 Re c)/4, therefore needs
+one open population and one closed amplitude, not a tomography.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain import TridiagonalHamiltonian
-from .dynamics import (
-    ClosedPropagator,
-    DecoherenceConfig,
-    _evolve_open_stack,
-    site_state,
-    vacuum_state,
-)
 from .models import Grid2D
 
 __all__ = [
-    "ProcessMatrix",
     "reduce_to_sites",
     "reduce_to_pair",
     "reduce_to_corners",
@@ -46,16 +41,8 @@ __all__ = [
     "subset_fidelities",
     "bell_fidelity",
     "w_fidelity",
-    "qpt_fiducials",
-    "process_matrix",
-    "simulate_qpt",
+    "transfer_fidelity",
 ]
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def _as_density(state: np.ndarray) -> np.ndarray:
@@ -226,131 +213,12 @@ def w_fidelity(rho_corners, target: np.ndarray) -> float:
     return state_fidelity(rho_corners, target)
 
 
-# ---------------------------------------------------------------------------
-# Process tomography
+def transfer_fidelity(p, c):
+    """Identity-process fidelity (1 + p + 2 Re c)/4 of the transfer channel.
 
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Single-qubit chi matrix in the Pauli basis {I, X, Y, Z}.
-
-    Diagnostics report how physical the linear-inversion result is;
-    nothing is projected or renormalized.
+    p is the target population reached from an excitation on the source,
+    and c = e^{-r t} <target|U(t)|source> its coherence with the vacuum,
+    with r = `DecoherenceConfig.vacuum_coherence_rate` (0 when closed).
+    Elementwise on arrays.
     """
-
-    chi: np.ndarray
-    residual: float
-    hermiticity_error: float
-    trace_error: float
-
-    def fidelity(self, ideal: np.ndarray | None = None) -> float:
-        """Tr(chi chi_ideal); the default ideal is the identity process."""
-        if ideal is None:
-            return float(np.real(self.chi[0, 0]))
-        return float(np.real(np.trace(self.chi @ ideal)))
-
-
-def qpt_fiducials() -> tuple[tuple[complex, complex], ...]:
-    """Source-qubit input amplitudes (a, b) for a|down> + b|up>."""
-    s = 1 / np.sqrt(2)
-    return ((1, 0), (0, 1), (s, s), (s, 1j * s))
-
-
-def _pauli_expectations(rho2: np.ndarray) -> tuple[float, float, float]:
-    """<X>, <Y>, <Z> via the Z readout after {I, X_pi/2, Y_pi/2} rotations."""
-    rx = (PAULI_I - 1j * PAULI_X) / np.sqrt(2)
-    ry = (PAULI_I - 1j * PAULI_Y) / np.sqrt(2)
-
-    def z_of(r: np.ndarray) -> float:
-        return float(np.real(np.trace(PAULI_Z @ r)))
-
-    ex = -z_of(ry @ rho2 @ ry.conj().T)
-    ey = z_of(rx @ rho2 @ rx.conj().T)
-    ez = z_of(rho2)
-    return ex, ey, ez
-
-
-@functools.cache
-def _tomography_matrix() -> np.ndarray:
-    """A[4j + beta, 4m + n] = Tr(sigma_beta E_m rho_j E_n) over the fiducials.
-
-    Depends only on the fiducials and the Pauli basis, so it is built on
-    first use and shared, read-only, afterwards.
-    """
-    inputs = [np.outer((a, b), np.conj((a, b))) for a, b in qpt_fiducials()]
-    A = np.zeros((16, 16), dtype=complex)
-    for j, rho_in in enumerate(inputs):
-        for beta in range(4):
-            for m in range(4):
-                for n in range(4):
-                    A[4 * j + beta, 4 * m + n] = np.trace(
-                        PAULIS[beta] @ PAULIS[m] @ rho_in @ PAULIS[n]
-                    )
-    A.flags.writeable = False
-    return A
-
-
-def process_matrix(output_rhos) -> ProcessMatrix:
-    """Linear-inversion chi from the four fiducial output states.
-
-    `output_rhos` are the 2x2 reduced channel outputs for the fiducial
-    inputs in qpt_fiducials order.  The outputs are first collapsed to
-    Pauli expectation values (the tomographic readout), then the 16x16
-    linear system Tr(sigma_b sum_mn chi_mn E_m rho_j E_n) = Tr(sigma_b
-    rho_out,j) is solved for chi.
-    """
-    output_rhos = [np.asarray(r, dtype=complex) for r in output_rhos]
-    if len(output_rhos) != 4 or any(r.shape != (2, 2) for r in output_rhos):
-        raise ValueError("expected four 2x2 channel outputs")
-    A = _tomography_matrix()
-    b = np.zeros(16, dtype=complex)
-    for j, rho_out in enumerate(output_rhos):
-        ex, ey, ez = _pauli_expectations(rho_out)
-        b[4 * j : 4 * j + 4] = (np.real(np.trace(rho_out)), ex, ey, ez)
-    x = np.linalg.solve(A, b)
-    chi = x.reshape(4, 4)
-    return ProcessMatrix(
-        chi=chi,
-        residual=float(np.linalg.norm(A @ x - b)),
-        hermiticity_error=float(np.max(np.abs(chi - chi.conj().T))),
-        trace_error=float(abs(np.trace(chi) - 1.0)),
-    )
-
-
-def simulate_qpt(
-    ham: TridiagonalHamiltonian,
-    deco: DecoherenceConfig | None = None,
-    t_end: float | None = None,
-    source: int = 1,
-    target: int | None = None,
-) -> tuple[ProcessMatrix, float]:
-    """Tomograph the source-to-target transfer channel of a chain.
-
-    Prepares {|down>, |up>, |+>, |+i>} on the source qubit as vacuum
-    superpositions, evolves to t_end (default: half the chain period,
-    i.e. the transfer time), reduces to the target qubit, and inverts for
-    chi.  Returns (ProcessMatrix, fidelity against the identity process).
-    Open evolution sends all four fiducials through one stacked linear map.
-    """
-    N = ham.n
-    if target is None:
-        target = N
-    if not (1 <= source <= N and 1 <= target <= N):
-        raise ValueError("source/target out of range")
-    if t_end is None:
-        t_end = ham.period / 2
-    H = ham.matrix(physical=True)
-    fiducial_states = [
-        a * vacuum_state(N) + b * site_state(N, source) for a, b in qpt_fiducials()
-    ]
-    if deco is None or t_end == 0.0:
-        prop = ClosedPropagator(H)
-        finals = [
-            np.outer(v := prop.apply(psi, t_end), v.conj()) for psi in fiducial_states
-        ]
-    else:
-        stack = np.stack([np.outer(psi, psi.conj()) for psi in fiducial_states])
-        finals = _evolve_open_stack(H, stack, np.array([0.0, t_end]), deco)[-1]
-    outputs = [reduce_to_sites(rho, (target,)) for rho in finals]
-    pm = process_matrix(outputs)
-    return pm, pm.fidelity()
+    return (1.0 + np.real(p) + 2.0 * np.real(c)) / 4.0

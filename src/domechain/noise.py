@@ -11,7 +11,10 @@ Coherent sweeps diagonalize stacks of perturbed site matrices with one
 readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
 overlap with the noise-free reduction is (1 - p)(1 - p0) + |a0^dagger a|^2.
 The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
-whose process fidelity with the identity is |1 + u|^2 / 4.
+whose process fidelity with the identity is |1 + u|^2 / 4.  Decoherence
+scans evolve |1><1| under T1/Tphi once per grid point and read the same
+channel from the end population and the decayed noise-free amplitude
+(`metrics.transfer_fidelity`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .chain import TridiagonalHamiltonian
 from .dynamics import ClosedPropagator, DecoherenceConfig, evolve_lindblad, site_state
-from .metrics import reduce_to_pair, simulate_qpt, state_fidelity
+from .metrics import reduce_to_pair, state_fidelity, transfer_fidelity
 from .models import (
     DomeParams,
     Grid2D,
@@ -230,9 +233,9 @@ def sweep_coherent(
 
     `system` is DomeParams for the chain metrics or Grid2D for the corner
     metric.  Evolution time is T/4 for the entanglement metrics and T/2
-    for tomography.  When `sigmas` is given the sweep runs once per value
-    (same seed, so points share their underlying noise field); otherwise
-    the single cfg.sigma is used.  Per-sample failures are counted and
+    for the transfer channel.  When `sigmas` is given the sweep runs once
+    per value (same seed, so points share their underlying noise field);
+    otherwise the single cfg.sigma is used.  Per-sample failures are counted and
     excluded from the statistics rather than raised.
     """
     qpt = metric is SweepMetric.QPT_AT_HALF_T
@@ -317,8 +320,11 @@ def sweep_decoherence(
     """Open-system fidelity over the (T1, Tphi) grids for each m.
 
     Two scans per m: T1 varied at fixed Tphi and Tphi varied at fixed T1.
-    The entanglement metric is the end-pair overlap with the noise-free
-    T/4 state; the tomography metric is the T/2 process fidelity.  With
+    Each point evolves |1><1| under T1/Tphi to the metric's time.  The
+    entanglement metric is the end-pair overlap with the noise-free T/4
+    state; the transfer metric is the T/2 process fidelity
+    `transfer_fidelity(rho_NN, e^{-rt} u)` with u the noise-free end
+    amplitude and r the vacuum-coherence decay rate.  With
     J/2pi = 5 MHz the period is 200 ns, so the scan touches the regime
     where dephasing, not relaxation, dominates.
     """
@@ -326,28 +332,30 @@ def sweep_decoherence(
         raise ValueError("decoherence scans are defined for chain metrics")
     m_values = tuple(int(m) for m in m_values)
     rate_J = 2 * np.pi * rate_MHz * 1e6
-    hams = {m: dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate_J)) for m in m_values}
+    hams = {
+        m: dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate_J)).matrix(physical=True)
+        for m in m_values
+    }
     period = 2 * np.pi / rate_J
 
+    qpt = metric is SweepMetric.QPT_AT_HALF_T
+    duration = period / (2 if qpt else 4)
+    psi0 = site_state(n_sites, 1)
+    rho0 = np.outer(psi0, psi0.conj())
+    # Noise-free references, once per m: the end amplitude u = <N|U(T/2)|1>
+    # for the transfer channel, the end-pair state at T/4 for the Bell overlap.
     ideals = {}
-    if metric is SweepMetric.BELL_AT_QUARTER_T:
-        for m, ham in hams.items():
-            prop = ClosedPropagator(ham.matrix(physical=True))
-            psi = prop.apply(site_state(n_sites, 1), period / 4)
-            ideals[m] = reduce_to_pair(psi, 1, n_sites)
+    for m, H in hams.items():
+        psi = ClosedPropagator(H).apply(psi0, duration)
+        ideals[m] = psi[n_sites] if qpt else reduce_to_pair(psi, 1, n_sites)
 
     def point(m: int, t1_us: float, tphi_us: float) -> float:
         deco = DecoherenceConfig(t1=t1_us * 1e-6, t_phi=tphi_us * 1e-6)
-        ham = hams[m]
-        if metric is SweepMetric.QPT_AT_HALF_T:
-            _, fid = simulate_qpt(ham, deco, t_end=period / 2)
-            return fid
-        psi0 = site_state(n_sites, 1)
-        rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(
-            ham.matrix(physical=True), rho0, np.array([0.0, period / 4]), deco
-        )
-        return state_fidelity(reduce_to_pair(traj.rhos[-1], 1, n_sites), ideals[m])
+        rho = evolve_lindblad(hams[m], rho0, np.array([0.0, duration]), deco).rhos[-1]
+        if qpt:
+            decay = np.exp(-deco.vacuum_coherence_rate * duration)
+            return float(transfer_fidelity(rho[n_sites, n_sites], decay * ideals[m]))
+        return state_fidelity(reduce_to_pair(rho, 1, n_sites), ideals[m])
 
     t1_scan = np.array(
         [[point(m, t1, fixed_tphi_us) for t1 in t1_values_us] for m in m_values]

@@ -32,7 +32,6 @@ from domechain import (
     reduce_to_corners,
     reduce_to_pair,
     reduce_to_sites,
-    simulate_qpt,
     single_excitation_matrix,
     site_state,
     solve_fst_phase,
@@ -41,7 +40,7 @@ from domechain import (
     w_fidelity,
 )
 from test_dynamics import expm_evolve
-from test_metrics import brute_force_reduce, random_sector_state
+from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
 
 SYNTH_SIZES = range(2, 17)
 SYNTH_CURVATURES = (0, 1, 2, 3, 4, 6, 10)

@@ -308,6 +308,29 @@ def test_domain_input_errors_exit_2(outdir, capsys, argv, detail):
     assert err["error"] == "validation" and detail in err["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--set", "N=3", "--set", "m=2", "--set", "n_periods=NaN", "--set", "points=3"],
+        ["evolve", "--set", "N=3", "--set", "m=2", "--set", "n_periods=Infinity",
+         "--set", "points=3"],
+        ["sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t", "--set", "N=5",
+         "--set", "target=all", "--set", "sigma=NaN", "--seed", "1"],
+        ["evolve", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=-1e999"],
+        ["evolve", "--config", "nan.json"],
+    ],
+    ids=["n_periods_nan", "n_periods_infinity", "sigma_nan", "overflow", "config_file"],
+)
+def test_non_finite_numbers_exit_2(outdir, capsys, argv):
+    config = outdir / "nan.json"
+    config.write_text('{"N": 3, "m": 2, "decoherence": {"t1_us": -Infinity}}')
+    argv = [str(config) if a == "nan.json" else a for a in argv]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "non-finite number" in err["detail"]
+    assert [p.name for p in outdir.iterdir()] == ["nan.json"]
+
+
 @pytest.mark.parametrize("exc_type", [TypeError, KeyError])
 def test_internal_errors_exit_1_with_traceback(outdir, capsys, monkeypatch, exc_type):
     def broken_command(cfg):
@@ -444,17 +467,75 @@ def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n_sites, m", [(2, 0), (3, 2), (5, 2), (6, 10), (17, 102)])
-def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m):
-    from domechain.metrics import simulate_qpt
+def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
+    # The default grid needs 5 step exponentials and one diagonalization for
+    # the vacuum coherences; the QPT column adds only the closed amplitudes.
+    import scipy.linalg
+    from domechain import dynamics
+
+    expms, eighs = [], []
+    expm, eigendecompose = scipy.linalg.expm, dynamics.eigendecompose
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: expms.append(A) or expm(A))
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
+    assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
+                "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
+    assert (len(expms), len(eighs)) == (5, 2)
+
+
+_OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
+
+
+@pytest.mark.parametrize(
+    "n_sites, m, extra",
+    [pytest.param(n, m, [], id=f"{n}-{m}") for n, m in [(2, 0), (3, 2), (5, 2), (6, 10), (17, 102)]]
+    + [pytest.param(5, m, _OPEN, id=f"5-{m}-open") for m in (2, 102)],
+)
+def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
+    from domechain.dynamics import DecoherenceConfig
     from domechain.models import DomeParams, dome_hamiltonian
+    from test_metrics import simulate_qpt
 
     assert run(["evolve", "--set", f"N={n_sites}", "--set", f"m={m}", "--set", "points=21",
-                "--output", "qpt.csv"]) == 0
+                *extra, "--output", "qpt.csv"]) == 0
     _, rows = read_csv(outdir / "qpt.csv")
     cells = {r[0]: float(r[-1]) for r in rows if r[-1]}
-    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m))
+    if extra:
+        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6))
+        deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    else:
+        ham, deco = dome_hamiltonian(DomeParams(N=n_sites, m=m)), None
     assert sorted(cells) == ["0.25", "0.5"]
     for key, frac in (("0.25", 0.25), ("0.5", 0.5)):
-        _, fid = simulate_qpt(ham, None, t_end=frac * ham.period)
+        _, fid = simulate_qpt(ham, deco, t_end=frac * ham.period)
         assert cells[key] == pytest.approx(fid, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "cfg, marked",
+    [
+        ({"points": 2, "n_periods": 0.5}, [0.5]),  # T/4 is nearest to t=0: left out
+        ({"points": 3, "n_periods": 1.0}, [0.5]),
+        ({"points": 2, "n_periods": 1.0}, []),  # T/2 ties with t=0 and T
+        ({"points": 3, "n_periods": 0.8}, [0.5]),  # T/2 takes over the T/4 row
+        ({"points": 21, "n_periods": 1.0}, [0.25, 0.5]),
+        ({"points": 11, "n_periods": 0.3}, [0.25]),
+    ],
+)
+def test_evolve_times_keep_t0_and_mark_each_row_once(cfg, marked):
+    times, got = cli._evolve_times(cfg, 1.0)
+    grid = np.linspace(0.0, cfg["n_periods"], cfg["points"])
+    assert times[0] == 0.0 and got == marked
+    assert np.all(np.diff(times) > 0)
+    rows = np.isin(times, marked)
+    assert rows.sum() == len(marked)
+    np.testing.assert_array_equal(times[~rows], grid[~rows])
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30"]],
+                         ids=["closed", "open"])
+def test_evolve_keeps_t0_row_when_quarter_period_is_nearest_to_it(outdir, extra):
+    assert run(["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=2",
+                "--set", "n_periods=0.5", *extra, "--output", "e.csv"]) == 0
+    _, rows = read_csv(outdir / "e.csv")
+    assert [r[0] for r in rows] == ["0", "0.5"]
+    assert rows[0][-1] == "" and rows[1][-1] != ""

@@ -1,14 +1,26 @@
-"""Reductions, entanglement targets, and process tomography.
+"""Reductions, entanglement targets, and the transfer-channel fidelity.
 
 The reduction oracle embeds the (D+1)-dim vacuum-plus-excitation state
 into the full 2^D qubit space (site 1 is the leftmost tensor factor) and
 performs a dense partial trace by axis reordering.  It shares no code
 with metrics.reduce_to_sites.
+
+The transfer-fidelity oracle is an emulated single-qubit process
+tomography (`simulate_qpt`): four fiducial inputs on the source qubit,
+dense propagation (`expm(-iHt)` when closed, the dense Liouvillian
+exponential `expm_evolve` when open), Pauli readout of the target qubit
+and a 16x16 linear inversion for chi.  It shares no code with the closed
+form `metrics.transfer_fidelity` or the propagators feeding it.
 """
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from domechain.chain import TridiagonalHamiltonian
 from domechain.dynamics import (
     ClosedPropagator,
     DecoherenceConfig,
@@ -18,20 +30,17 @@ from domechain.dynamics import (
     vacuum_state,
 )
 from domechain.metrics import (
-    ProcessMatrix,
     bell_fidelity,
     bell_state,
     chain_bell_target,
     corner_w_target,
-    process_matrix,
-    qpt_fiducials,
     quarter_period_phase,
     reduce_to_corners,
     reduce_to_pair,
     reduce_to_sites,
-    simulate_qpt,
     state_fidelity,
     subset_fidelities,
+    transfer_fidelity,
     w_fidelity,
 )
 from domechain.models import (
@@ -42,7 +51,121 @@ from domechain.models import (
 )
 from test_dynamics import expm_evolve
 
+PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+
+
+@dataclass(frozen=True)
+class ProcessMatrix:
+    """Single-qubit chi matrix in the Pauli basis {I, X, Y, Z}.
+
+    Diagnostics report how physical the linear-inversion result is;
+    nothing is projected or renormalized.
+    """
+
+    chi: np.ndarray
+    residual: float
+    hermiticity_error: float
+    trace_error: float
+
+    def fidelity(self, ideal: np.ndarray | None = None) -> float:
+        """Tr(chi chi_ideal); the default ideal is the identity process."""
+        if ideal is None:
+            return float(np.real(self.chi[0, 0]))
+        return float(np.real(np.trace(self.chi @ ideal)))
+
+
+def qpt_fiducials() -> tuple[tuple[complex, complex], ...]:
+    """Source-qubit input amplitudes (a, b) for a|down> + b|up>."""
+    s = 1 / np.sqrt(2)
+    return ((1, 0), (0, 1), (s, s), (s, 1j * s))
+
+
+def _pauli_expectations(rho2: np.ndarray) -> tuple[float, float, float]:
+    """<X>, <Y>, <Z> via the Z readout after {I, X_pi/2, Y_pi/2} rotations."""
+    rx = (PAULI_I - 1j * PAULI_X) / np.sqrt(2)
+    ry = (PAULI_I - 1j * PAULI_Y) / np.sqrt(2)
+
+    def z_of(r: np.ndarray) -> float:
+        return float(np.real(np.trace(PAULI_Z @ r)))
+
+    ex = -z_of(ry @ rho2 @ ry.conj().T)
+    ey = z_of(rx @ rho2 @ rx.conj().T)
+    ez = z_of(rho2)
+    return ex, ey, ez
+
+
+@functools.cache
+def _tomography_matrix() -> np.ndarray:
+    """A[4j + beta, 4m + n] = Tr(sigma_beta E_m rho_j E_n) over the fiducials."""
+    inputs = [np.outer((a, b), np.conj((a, b))) for a, b in qpt_fiducials()]
+    A = np.zeros((16, 16), dtype=complex)
+    for j, rho_in in enumerate(inputs):
+        for beta in range(4):
+            for m in range(4):
+                for n in range(4):
+                    A[4 * j + beta, 4 * m + n] = np.trace(
+                        PAULIS[beta] @ PAULIS[m] @ rho_in @ PAULIS[n]
+                    )
+    A.flags.writeable = False
+    return A
+
+
+def process_matrix(output_rhos) -> ProcessMatrix:
+    """Linear-inversion chi from the four fiducial output states.
+
+    `output_rhos` are the 2x2 reduced channel outputs for the fiducial
+    inputs in qpt_fiducials order.  The outputs are first collapsed to
+    Pauli expectation values (the tomographic readout), then the 16x16
+    linear system Tr(sigma_b sum_mn chi_mn E_m rho_j E_n) = Tr(sigma_b
+    rho_out,j) is solved for chi.
+    """
+    output_rhos = [np.asarray(r, dtype=complex) for r in output_rhos]
+    if len(output_rhos) != 4 or any(r.shape != (2, 2) for r in output_rhos):
+        raise ValueError("expected four 2x2 channel outputs")
+    A = _tomography_matrix()
+    b = np.zeros(16, dtype=complex)
+    for j, rho_out in enumerate(output_rhos):
+        ex, ey, ez = _pauli_expectations(rho_out)
+        b[4 * j : 4 * j + 4] = (np.real(np.trace(rho_out)), ex, ey, ez)
+    x = np.linalg.solve(A, b)
+    chi = x.reshape(4, 4)
+    return ProcessMatrix(
+        chi=chi,
+        residual=float(np.linalg.norm(A @ x - b)),
+        hermiticity_error=float(np.max(np.abs(chi - chi.conj().T))),
+        trace_error=float(abs(np.trace(chi) - 1.0)),
+    )
+
+
+def simulate_qpt(ham, deco=None, t_end=None, source=1, target=None):
+    """Tomograph the source-to-target transfer channel of a chain.
+
+    Prepares {|down>, |up>, |+>, |+i>} on the source qubit as vacuum
+    superpositions, evolves each to t_end (default: half the chain period)
+    with a dense propagator, reduces to the target qubit and inverts for
+    chi.  Returns (ProcessMatrix, fidelity against the identity process).
+    """
+    N = ham.n
+    if target is None:
+        target = N
+    if not (1 <= source <= N and 1 <= target <= N):
+        raise ValueError("source/target out of range")
+    if t_end is None:
+        t_end = ham.period / 2
+    H = ham.matrix(physical=True)
+    fiducials = [a * vacuum_state(N) + b * site_state(N, source) for a, b in qpt_fiducials()]
+    if deco is None:
+        U = np.eye(N + 1, dtype=complex)
+        U[1:, 1:] = scipy.linalg.expm(-1j * H * t_end)
+        finals = [np.outer(U @ psi, (U @ psi).conj()) for psi in fiducials]
+    else:
+        finals = [expm_evolve(H, np.outer(psi, psi.conj()), t_end, deco) for psi in fiducials]
+    pm = process_matrix([entrywise_reduce(rho, (target,)) for rho in finals])
+    return pm, pm.fidelity()
 
 
 def embed_full_hilbert(state: np.ndarray, n_sites: int) -> np.ndarray:
@@ -244,9 +367,9 @@ def test_qpt_open_system_matches_closed_at_long_coherence():
 
 
 def test_qpt_open_system_matches_dense_oracle():
-    # The transfer channel keeps the vacuum, so its identity-process
-    # fidelity is (1 + P + 2 Re c)/4 with P = rho_NN(T/2) from input |1>
-    # and c = 2 rho_N0(T/2) from input |+>, both from the dense oracle.
+    # The transfer channel keeps the vacuum, so the tomographed fidelity is
+    # transfer_fidelity(P, c) with P = rho_NN(T/2) from input |1> and
+    # c = 2 rho_N0(T/2) from input |+>, both from the dense oracle.
     rate = 2 * np.pi * 5e6
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     for m in (2, 102):
@@ -258,7 +381,7 @@ def test_qpt_open_system_matches_dense_oracle():
         P = expm_evolve(H, np.outer(one, one.conj()), t, deco)[5, 5].real
         c = 2 * expm_evolve(H, np.outer(plus, plus.conj()), t, deco)[5, 0]
         _, fid = simulate_qpt(ham, deco)
-        assert abs(fid - (1 + P + 2 * c.real) / 4) < 1e-12
+        assert abs(fid - transfer_fidelity(P, c)) < 1e-12
 
 
 def test_qpt_fidelity_against_explicit_ideal():
@@ -301,6 +424,49 @@ def test_process_matrix_dataclass_fields():
     pm = ProcessMatrix(chi=np.eye(4) / 4.0, residual=0.0,
                        hermiticity_error=0.0, trace_error=0.0)
     assert abs(pm.fidelity() - 0.25) < 1e-12
+
+
+def closed_form_transfer(H, times, deco):
+    """transfer_fidelity at `times` (from 0), composed as `domechain evolve` does:
+    p from the open trajectory of |1>, c from the closed amplitude psi_N(t)
+    times the decay of vacuum coherences."""
+    N = H.shape[0]
+    psi0 = site_state(N, 1)
+    u = evolve_closed(H, psi0, times).states[:, N]
+    if deco is None:
+        return transfer_fidelity(np.abs(u) ** 2, u)
+    p = evolve_lindblad(H, np.outer(psi0, psi0), times, deco).rhos[:, N, N]
+    return transfer_fidelity(p, np.exp(-deco.vacuum_coherence_rate * times) * u)
+
+
+def test_transfer_fidelity_matches_tomography_oracle():
+    # Dome chains (m = 0, 2, 102) and random chains at 5 MHz, closed and
+    # under T1/Tphi, at T/4, T/2 and a random time: the closed form agrees
+    # with the emulated tomography.
+    rng = np.random.default_rng(17)
+    rate = 2 * np.pi * 5e6
+    decos = [None, DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t1=3e-6),
+             DecoherenceConfig(t_phi=0.5e-6)]
+    chains = [dome_hamiltonian(DomeParams(N=N, m=m, J=rate))
+              for N in (2, 3, 5, 8) for m in (0, 2, 102)]
+    for N in (2, 4, 7):
+        chains.append(TridiagonalHamiltonian(rng.normal(size=N) * 3, rng.uniform(0.2, 2.0, N - 1), rate))
+    worst = 0.0
+    for ham in chains:
+        T = ham.period
+        times = np.array([0.0, T / 4, T / 2, T / 2 + rng.uniform(0, T)])
+        for deco in decos:
+            got = closed_form_transfer(ham.matrix(physical=True), times, deco)
+            for t, fid in zip(times[1:], got[1:]):
+                worst = max(worst, abs(fid - simulate_qpt(ham, deco, t_end=t)[1]))
+    assert worst < 1e-12
+
+
+def test_transfer_fidelity_is_elementwise():
+    p = np.array([1.0, 0.5, 0.0])
+    c = np.array([1.0, 0.25j, -0.5 + 0.1j])
+    np.testing.assert_array_equal(transfer_fidelity(p, c), [1.0, 0.375, 0.0])
+    assert transfer_fidelity(1.0, -1.0) == 0.0
 
 
 def test_subset_fidelities_match_reduced_state_fidelity():

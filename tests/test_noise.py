@@ -1,16 +1,17 @@
 """Disorder draws, coherent sweeps, and decoherence scans.
 
 The batched sweep is checked against the per-sample path it replaced:
-`perturb` -> `ClosedPropagator` -> reduction -> `state_fidelity`, or
-`simulate_qpt` for the tomography metric.
+`perturb` -> `ClosedPropagator` -> reduction -> `state_fidelity`.  The
+transfer metric, coherent and under T1/Tphi, is checked against the
+emulated process tomography `test_metrics.simulate_qpt`.
 """
 
 import numpy as np
 import pytest
 
 from domechain import noise
-from domechain.dynamics import ClosedPropagator, site_state
-from domechain.metrics import reduce_to_corners, reduce_to_pair, simulate_qpt, state_fidelity
+from domechain.dynamics import ClosedPropagator, DecoherenceConfig, site_state
+from domechain.metrics import reduce_to_corners, reduce_to_pair, state_fidelity
 from domechain.models import (
     DomeParams,
     Grid2D,
@@ -25,6 +26,7 @@ from domechain.noise import (
     sweep_coherent,
     sweep_decoherence,
 )
+from test_metrics import simulate_qpt
 
 RATE_5MHZ = 2 * np.pi * 5e6
 
@@ -346,6 +348,20 @@ def test_decoherence_scan_shapes_and_gain():
     assert np.all(np.diff(scan.tphi_scan, axis=1) > 0)
     gain = scan.gain_vs_first_m("t1")
     np.testing.assert_array_equal(gain[0], 0.0)
+
+
+@pytest.mark.parametrize("n_sites", [2, 5])
+def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
+    t1s, tphis = (3.0, 300.0), (0.5, 50.0)
+    scan = sweep_decoherence(n_sites, SweepMetric.QPT_AT_HALF_T, m_values=(2, 102),
+                             t1_values_us=t1s, tphi_values_us=tphis)
+    for i, m in enumerate(scan.m_values):
+        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
+        points = [(scan.t1_scan[i, j], t1, 5.0) for j, t1 in enumerate(t1s)]
+        points += [(scan.tphi_scan[i, j], 30.0, tphi) for j, tphi in enumerate(tphis)]
+        for got, t1, tphi in points:
+            deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
+            assert abs(got - simulate_qpt(ham, deco)[1]) < 1e-12
 
 
 def test_decoherence_scan_rejects_grid_metric():
