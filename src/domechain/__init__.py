@@ -30,12 +30,9 @@ from .dynamics import (
     evolve_closed,
     evolve_lindblad,
     site_state,
-    vacuum_state,
 )
 from .inverse_eigen import (
-    EigenBasis,
     ReconstructionError,
-    WeightedSpectrum,
     compute_weights,
     eigenvectors,
     reconstruct,
@@ -94,7 +91,6 @@ __all__ = [
     "DisorderTarget",
     "DomeParams",
     "EffectiveTwoSite",
-    "EigenBasis",
     "FstPhase",
     "Grid2D",
     "PerturbativeBreakdownError",
@@ -106,7 +102,6 @@ __all__ = [
     "TransferCapability",
     "TransferMode",
     "TridiagonalHamiltonian",
-    "WeightedSpectrum",
     "bell_fidelity",
     "bell_state",
     "chain_bell_target",
@@ -140,6 +135,5 @@ __all__ = [
     "sweep_coherent",
     "sweep_decoherence",
     "transfer_fidelity",
-    "vacuum_state",
     "w_fidelity",
 ]

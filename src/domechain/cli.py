@@ -109,6 +109,10 @@ EVOLVE_SCHEMA = {
 _TARGETS = [t.value for t in DisorderTarget]
 _METRICS = [m.value for m in SweepMetric]
 
+# Sweep keys that only one kind of sweep reads; the other kind refuses them.
+_COHERENT_ONLY_KEYS = ("target", "sigma", "sigmas", "samples")
+_DECOHERENCE_ONLY_KEYS = ("t1_us_values", "tphi_us_values", "fixed_t1_us", "fixed_tphi_us")
+
 SWEEP_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -307,8 +311,8 @@ def cmd_synth(cfg: dict) -> Path:
         values = np.asarray(cfg["spectrum"], dtype=float)
         spec = Spectrum(values=values, rate_J=rate)
     ham = reconstruct(spec)
-    ws = compute_weights(spec)
-    basis = eigenvectors(ham, ws)
+    weights = compute_weights(spec)
+    W = eigenvectors(ham, spec)
     fmt = cfg.get("format", "json")
     path = _resolve_output(cfg, "synth", fmt)
     if fmt == "json":
@@ -317,10 +321,10 @@ def cmd_synth(cfg: dict) -> Path:
             {
                 "rate_J_rad_per_s": rate,
                 "spectrum": spec.values.tolist(),
-                "weights": ws.weights.tolist(),
+                "weights": weights.tolist(),
                 "omegas": ham.omegas.tolist(),
                 "couplings": ham.couplings.tolist(),
-                "eigenvectors": basis.matrix.tolist(),
+                "eigenvectors": W.tolist(),
             },
         )
     else:
@@ -331,11 +335,11 @@ def cmd_synth(cfg: dict) -> Path:
             rows.append(["coupling", i, "", _fmt(v)])
         for s, v in enumerate(spec.values, start=1):
             rows.append(["lambda", s, "", _fmt(v)])
-        for s, v in enumerate(ws.weights, start=1):
+        for s, v in enumerate(weights, start=1):
             rows.append(["weight", s, "", _fmt(v)])
-        for s in range(basis.matrix.shape[0]):
-            for n in range(basis.matrix.shape[1]):
-                rows.append(["eigenvector", s + 1, n + 1, _fmt(basis.matrix[s, n])])
+        for s in range(W.shape[0]):
+            for n in range(W.shape[1]):
+                rows.append(["eigenvector", s + 1, n + 1, _fmt(W[s, n])])
         _write_atomic(path, _csv_text(["quantity", "i", "j", "value"], rows))
     return path
 
@@ -450,12 +454,20 @@ def cmd_evolve(cfg: dict) -> Path:
     return path
 
 
+def _refuse_keys(cfg: dict, keys, command: str) -> None:
+    """Reject config keys that `command` would otherwise silently ignore."""
+    for key in keys:
+        if key in cfg:
+            raise ConfigError(f"{command} do not use {key!r}")
+
+
 def _sweep_coherent(cfg: dict):
     metric = SweepMetric(cfg["metric"])
+    _refuse_keys(cfg, _DECOHERENCE_ONLY_KEYS, "coherent sweeps")
     if "target" not in cfg or "seed" not in cfg:
         raise ConfigError("coherent sweeps need target and seed")
-    if "sigma" not in cfg and "sigmas" not in cfg:
-        raise ConfigError("coherent sweeps need sigma or sigmas")
+    if ("sigma" in cfg) == ("sigmas" in cfg):
+        raise ConfigError("coherent sweeps need either sigma or sigmas, not both")
     sigmas = cfg.get("sigmas", [cfg.get("sigma")])
     dcfg = DisorderConfig(
         target=DisorderTarget(cfg["target"]),
@@ -468,10 +480,12 @@ def _sweep_coherent(cfg: dict):
     rows = []
     for m in m_values:
         if metric is SweepMetric.W_AT_QUARTER_T:
+            _refuse_keys(cfg, ["N"], "corner sweeps")
             if "rows" not in cfg or "cols" not in cfg:
                 raise ConfigError("the corner metric needs rows and cols")
             system = Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate)
         else:
+            _refuse_keys(cfg, ["rows", "cols"], "chain sweeps")
             if "N" not in cfg:
                 raise ConfigError("chain sweeps need N")
             system = DomeParams(N=cfg["N"], m=m, J=rate)
@@ -497,6 +511,7 @@ def _sweep_coherent(cfg: dict):
 
 def _sweep_decoherence(cfg: dict):
     metric = SweepMetric(cfg["metric"])
+    _refuse_keys(cfg, _COHERENT_ONLY_KEYS + ("rows", "cols"), "decoherence scans")
     if "N" not in cfg:
         raise ConfigError("decoherence scans need N")
     kwargs = {}
@@ -555,6 +570,8 @@ def cmd_sweep(cfg: dict) -> Path:
 
 def cmd_cascade(cfg: dict) -> Path:
     """Plan a cascaded transfer and write the plan JSON."""
+    if cfg["kind"] == "line":
+        _refuse_keys(cfg, ["m"], "line cascades")
     budget = CouplingBudget(
         j_max=2 * np.pi * cfg["j_max_MHz"] * 1e6,
         j_min=2 * np.pi * cfg["j_min_MHz"] * 1e6,

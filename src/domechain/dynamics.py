@@ -45,7 +45,6 @@ __all__ = [
     "DecoherenceConfig",
     "Trajectory",
     "ClosedPropagator",
-    "vacuum_state",
     "site_state",
     "eigendecompose",
     "evolve_closed",
@@ -68,12 +67,6 @@ POINTS_PER_PERIOD = 401
 # is what lets large grids run at all: one dense matrix needs 1.6 GB at
 # D = 100.
 DENSE_GENERATOR_MAX_SITES = 20
-
-
-def vacuum_state(n_sites: int) -> np.ndarray:
-    psi = np.zeros(n_sites + 1, dtype=complex)
-    psi[0] = 1.0
-    return psi
 
 
 def site_state(n_sites: int, site: int) -> np.ndarray:
@@ -127,11 +120,6 @@ class Trajectory:
         if self.states is not None:
             return np.abs(self.states[:, 1:]) ** 2
         return np.real(np.einsum("tii->ti", self.rhos))[:, 1:]
-
-    def vacuum_population(self) -> np.ndarray:
-        if self.states is not None:
-            return np.abs(self.states[:, 0]) ** 2
-        return np.real(self.rhos[:, 0, 0])
 
 
 def _check_symmetric(H: np.ndarray) -> np.ndarray:

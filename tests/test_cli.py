@@ -66,6 +66,34 @@ def test_synth_csv_long_format(outdir):
     }
 
 
+def test_synth_long_chain_json_and_csv_agree(outdir):
+    # N=32 is past where a forward site recurrence loses the eigenvectors.
+    args = ["synth", "--set", "N=32", "--set", "m=2"]
+    assert run(args) == 0
+    assert run(args + ["--format", "csv"]) == 0
+    W = np.array(json.loads((outdir / "synth.json").read_text())["eigenvectors"])
+    assert W.shape == (32, 32)
+    np.testing.assert_allclose(W @ W.T, np.eye(32), atol=1e-12)
+    _, rows = read_csv(outdir / "synth.csv")
+    cells = {(int(i), int(j)): v for quantity, i, j, v in rows if quantity == "eigenvector"}
+    assert cells == {(s + 1, n + 1): _fmt(W[s, n]) for s in range(32) for n in range(32)}
+
+
+def test_synth_rerun_is_byte_identical(outdir):
+    args = ["synth", "--set", "N=64", "--set", "m=10"]
+    assert run(args + ["--output", "s1.json"]) == 0
+    assert run(args + ["--output", "s2.json"]) == 0
+    assert (outdir / "s1.json").read_bytes() == (outdir / "s2.json").read_bytes()
+
+
+def test_synth_numerical_breakdown_exits_3(outdir, capsys):
+    # A spectrum this wide breaks the recurrence; its norm test must not
+    # overflow into an internal error.
+    assert run(["synth", "--set", "N=5", "--set", f"m={10**200}"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+
+
 def test_synth_rejects_single_site(outdir, capsys):
     assert run(["synth", "--set", "N=1", "--set", "m=2"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -286,6 +314,10 @@ def test_threads_key_is_refused(outdir, capsys):
 
 
 _CASCADE = ["cascade", "--set", "N=10", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.0001"]
+_DECOHERENCE = ["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
+                "--set", "N=3", "--seed", "1"]
+_COHERENT = ["sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t",
+             "--set", "N=3", "--set", "target=all", "--set", "samples=2", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -297,9 +329,24 @@ _CASCADE = ["cascade", "--set", "N=10", "--set", "j_max_MHz=50", "--set", "j_min
         (["synth", "--set", "spectrum=[0.5,-0.5]"], "strictly increasing"),
         (["sweep", "--set", "kind=decoherence", "--set", "metric=w_at_quarter_t",
           "--set", "N=5"], "defined for chain metrics"),
+        *[(_DECOHERENCE + ["--set", kv], f"decoherence scans do not use '{kv.split('=')[0]}'")
+          for kv in ("sigma=0.1", "sigmas=[0.1]", "samples=5", "target=all", "rows=2")],
+        *[(_COHERENT + ["--set", "sigma=0.1", "--set", kv],
+           f"coherent sweeps do not use '{kv.split('=')[0]}'")
+          for kv in ("t1_us_values=[30]", "tphi_us_values=[5]", "fixed_t1_us=30",
+                     "fixed_tphi_us=5")],
+        (_COHERENT + ["--set", "sigma=0.1", "--set", "sigmas=[0.2]"], "not both"),
+        (_COHERENT + ["--set", "sigma=0.1", "--set", "cols=3"], "chain sweeps do not use 'cols'"),
+        (_COHERENT + ["--set", "sigma=0.1", "--set", "metric=w_at_quarter_t", "--set", "rows=2",
+                      "--set", "cols=3"], "corner sweeps do not use 'N'"),
+        (_CASCADE + ["--set", "kind=line", "--set", "m=7"], "line cascades do not use 'm'"),
     ],
     ids=["dome_m0", "k_above_N_minus_1", "j_max_not_above_j_min",
-         "decreasing_spectrum", "decoherence_w_metric"],
+         "decreasing_spectrum", "decoherence_w_metric",
+         "decoherence_sigma", "decoherence_sigmas", "decoherence_samples",
+         "decoherence_target", "decoherence_rows", "coherent_t1_us_values",
+         "coherent_tphi_us_values", "coherent_fixed_t1_us", "coherent_fixed_tphi_us", "sigma_with_sigmas",
+         "chain_sweep_cols", "corner_sweep_N", "line_cascade_m"],
 )
 def test_domain_input_errors_exit_2(outdir, capsys, argv, detail):
     # Schema-valid configs that a domain check rejects with ValueError.

@@ -19,9 +19,15 @@ from domechain.dynamics import (
     evolve_closed,
     evolve_lindblad,
     site_state,
-    vacuum_state,
 )
 from domechain.models import DomeParams, Grid2D, dome_hamiltonian, single_excitation_matrix
+
+
+def vacuum_state(n_sites: int) -> np.ndarray:
+    """The no-excitation state |0> on the (n_sites + 1)-dim space."""
+    psi = np.zeros(n_sites + 1, dtype=complex)
+    psi[0] = 1.0
+    return psi
 
 
 def lindblad_superoperator(H_site: np.ndarray, deco: DecoherenceConfig) -> np.ndarray:
@@ -135,7 +141,7 @@ def test_lindblad_relaxation_fills_vacuum_monotonically():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[2, 2] = 1.0
     traj = evolve_lindblad(H, rho0, np.linspace(0.0, 4.0, 12), deco)
-    vac = traj.vacuum_population()
+    vac = traj.rhos[:, 0, 0].real
     assert np.all(np.diff(vac) > -1e-9)
     assert vac[-1] > 0.99
 
@@ -260,7 +266,7 @@ def test_populations_and_trajectory_accessors():
     traj = evolve_closed(ham.matrix(), psi0, np.array([0.0, 1.0]))
     pops = traj.site_populations()
     assert pops.shape == (2, 3)
-    np.testing.assert_allclose(pops.sum(axis=1) + traj.vacuum_population(), 1.0,
+    np.testing.assert_allclose(pops.sum(axis=1) + np.abs(traj.states[:, 0]) ** 2, 1.0,
                                atol=1e-10)
 
 

@@ -27,7 +27,6 @@ from domechain.dynamics import (
     evolve_closed,
     evolve_lindblad,
     site_state,
-    vacuum_state,
 )
 from domechain.metrics import (
     bell_fidelity,
@@ -49,7 +48,7 @@ from domechain.models import (
     dome_hamiltonian,
     single_excitation_matrix,
 )
-from test_dynamics import expm_evolve
+from test_dynamics import expm_evolve, vacuum_state
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
