@@ -14,7 +14,6 @@ from .cascade import (
     ChainKind,
     CouplingBudget,
     TransferMode,
-    execute_cascade,
     feasible_N,
     max_coupling,
     plan_cascade,
@@ -23,7 +22,6 @@ from .cascade import (
 from .chain import TridiagonalHamiltonian
 from .dynamics import (
     DecoherenceConfig,
-    ClosedPropagator,
     Trajectory,
     default_time_grid,
     eigendecompose,
@@ -38,17 +36,13 @@ from .inverse_eigen import (
     reconstruct,
 )
 from .metrics import (
-    bell_fidelity,
     bell_state,
     chain_bell_target,
     corner_w_target,
     quarter_period_phase,
-    reduce_to_corners,
-    reduce_to_pair,
     reduce_to_sites,
     state_fidelity,
     transfer_fidelity,
-    w_fidelity,
 )
 from .models import (
     DomeParams,
@@ -83,7 +77,6 @@ __all__ = [
     "CascadeInfeasibleError",
     "CascadePlan",
     "ChainKind",
-    "ClosedPropagator",
     "CouplingBudget",
     "DecoherenceConfig",
     "DecoherenceScan",
@@ -102,7 +95,6 @@ __all__ = [
     "TransferCapability",
     "TransferMode",
     "TridiagonalHamiltonian",
-    "bell_fidelity",
     "bell_state",
     "chain_bell_target",
     "check_pst_spacing",
@@ -116,15 +108,12 @@ __all__ = [
     "eigenvectors",
     "evolve_closed",
     "evolve_lindblad",
-    "execute_cascade",
     "feasible_N",
     "max_coupling",
     "perturb",
     "plan_cascade",
     "quarter_period_phase",
     "reconstruct",
-    "reduce_to_corners",
-    "reduce_to_pair",
     "reduce_to_sites",
     "schrieffer_wolff_reduce",
     "segment_lengths",
@@ -135,5 +124,4 @@ __all__ = [
     "sweep_coherent",
     "sweep_decoherence",
     "transfer_fidelity",
-    "w_fidelity",
 ]

@@ -15,7 +15,8 @@ coupling, and asymptotically, from the large-N envelopes
     dome: tau = pi m N^2 / (8 k j_max)
 
 with a half-segment deduction when the first segment is a fractional
-transfer (it runs T/4 instead of T/2).
+transfer (it runs T/4 instead of T/2).  Plans are not executed here:
+running one means evolving each segment's window in turn with `dynamics`.
 """
 
 from __future__ import annotations
@@ -26,21 +27,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ClosedPropagator, site_state
 from .models import DomeParams, dome_hamiltonian
 
 __all__ = [
     "ChainKind",
     "TransferMode",
     "CouplingBudget",
-    "MaxCoupling",
     "CascadePlan",
     "CascadeInfeasibleError",
     "max_coupling",
     "segment_lengths",
     "plan_cascade",
     "feasible_N",
-    "execute_cascade",
 ]
 
 
@@ -206,25 +204,3 @@ def feasible_N(budget: CouplingBudget, kind: ChainKind, m: int = 0) -> int:
         return int(round(4.0 * ratio))
     m = _kind_m(kind, m)
     return int(round(np.sqrt(8.0 * ratio / m)))
-
-
-def execute_cascade(plan: CascadePlan) -> np.ndarray:
-    """Run the planned segments back to back on a global state.
-
-    Segments are applied sequentially: the active segment's chain evolves
-    the amplitudes in its site window for its planned duration while all
-    other couplings are off (idle amplitudes frozen).  Returns the final
-    global state of length n_sites + 1 (vacuum slot first), starting from
-    an excitation on site 1.
-    """
-    psi = site_state(plan.n_sites, 1)
-    start = 0
-    for L, rate, tau in zip(plan.lengths, plan.rates, plan.durations):
-        ham = dome_hamiltonian(DomeParams(N=L, m=plan.m, J=rate))
-        prop = ClosedPropagator(ham.matrix(physical=True))
-        window = np.zeros(L + 1, dtype=complex)
-        window[1:] = psi[1 + start : 1 + start + L]
-        window = prop.apply(window, tau)
-        psi[1 + start : 1 + start + L] = window[1:]
-        start += L - 1
-    return psi

@@ -2,8 +2,8 @@
 
 Configs are JSON documents validated against strict schemas (unknown
 keys rejected); `--set path.key=value` applies dotted overrides before
-validation and `--seed/--format/--output` override the
-corresponding config fields.  All physical inputs carry units in their
+validation and `--format/--output` (and, for `sweep`, `--seed`) override
+the corresponding config fields.  All physical inputs carry units in their
 field names (rate_MHz is J/2pi; t1_us, tphi_us are microseconds) and are
 converted to angular frequency internally.  Integral floats in integer
 fields (`N=5.0`) are accepted, as JSON Schema does, and read as ints.
@@ -54,7 +54,13 @@ from .dynamics import (
     site_state,
 )
 from .inverse_eigen import ReconstructionError, compute_weights, eigenvectors, reconstruct
-from .metrics import chain_bell_target, corner_w_target, subset_fidelities, transfer_fidelity
+from .metrics import (
+    chain_bell_target,
+    corner_w_target,
+    reduce_to_sites,
+    state_fidelity,
+    transfer_fidelity,
+)
 from .models import (
     DomeParams,
     Grid2D,
@@ -425,9 +431,8 @@ def cmd_evolve(cfg: dict) -> Path:
         sites = tuple(i + 1 for i in grid.corner_indices())
         target = corner_w_target(grid.rows, grid.cols)
         fidelity_name = "w_fidelity"
-    table = np.column_stack(
-        [times / period, traj.site_populations(), subset_fidelities(frames, sites, target)]
-    )
+    fidelity = state_fidelity(reduce_to_sites(frames, sites), target)
+    table = np.column_stack([times / period, traj.site_populations(), fidelity])
 
     qpt = {}
     if grid is None:
@@ -665,9 +670,10 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int)
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--output", type=Path)
+        if name == "sweep":
+            p.add_argument("--seed", type=int)
     return parser
 
 
@@ -685,7 +691,7 @@ def main(argv=None) -> int:
                 raise ConfigError("config root must be a JSON object")
         for assignment in args.set:
             _apply_set(cfg, assignment)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg["seed"] = args.seed
         if args.format is not None:
             cfg["format"] = args.format

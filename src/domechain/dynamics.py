@@ -28,8 +28,10 @@ The vacuum coherences ride the closed eigendecomposition.  The site block
 obeys one time-independent D^2 x D^2 generator: small systems exponentiate
 it densely (once per distinct step length, steps within a few ulps of the
 end time counting as one), large ones apply it with scipy's expm_multiply
-on its sparse form.  Closed evolution and the vacuum terms are evaluated
-for the whole time grid at once.
+on its sparse form.  `evolve_closed` is the one closed propagator: one
+diagonalization and one matrix product give every output time, and a
+single time is a one-point grid.  The vacuum terms of open evolution are
+evaluated for the whole time grid the same way.
 
 scipy is imported by the open propagator only, on its first call, so
 closed evolution runs on numpy alone.
@@ -44,7 +46,6 @@ import numpy as np
 __all__ = [
     "DecoherenceConfig",
     "Trajectory",
-    "ClosedPropagator",
     "site_state",
     "eigendecompose",
     "evolve_closed",
@@ -135,36 +136,10 @@ def _check_symmetric(H: np.ndarray) -> np.ndarray:
 def eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns.
 
-    Eigenvector signs are fixed (largest-magnitude component positive) so
-    identical inputs give identical output.
+    Column signs are whatever LAPACK returns: every caller uses V only in
+    V f(w) V^T, which no column sign changes.
     """
-    H = _check_symmetric(H)
-    w, V = np.linalg.eigh(H)
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    V *= np.where(peak < 0, -1.0, 1.0)
-    return w, V
-
-
-class ClosedPropagator:
-    """Cached eigendecomposition of a site-block Hamiltonian.
-
-    Reused across output times and across observables within a Monte
-    Carlo sample, which keeps sweeps at one diagonalization per sample.
-    """
-
-    def __init__(self, H: np.ndarray):
-        self.w, self.V = eigendecompose(H)
-        self.dim = self.w.size
-
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Evolve a (D+1)-component state by time t."""
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.dim + 1,):
-            raise ValueError("state must have length D + 1 (vacuum slot first)")
-        out = psi.copy()
-        phases = np.exp(-1j * self.w * t)
-        out[1:] = self.V @ (phases * (self.V.T @ psi[1:]))
-        return out
+    return np.linalg.eigh(_check_symmetric(H))
 
 
 def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Trajectory:
@@ -172,16 +147,19 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
 
     H is the D x D site block (physical units, rad/s when times are in
     seconds); psi0 has D + 1 entries with index 0 the vacuum amplitude.
+    One diagonalization serves the whole time grid.
     """
-    prop = ClosedPropagator(H)
+    w, V = eigendecompose(H)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (w.size + 1,):
+        raise ValueError("psi0 must have length D + 1 (vacuum slot first)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     states = np.empty((times.size, psi0.size), dtype=complex)
     states[:, 0] = psi0[0]
-    c0 = prop.V.T @ psi0[1:]
-    states[:, 1:] = (np.exp(-1j * np.outer(times, prop.w)) * c0) @ prop.V.T
+    c0 = V.T @ psi0[1:]
+    states[:, 1:] = (np.exp(-1j * np.outer(times, w)) * c0) @ V.T
     return Trajectory(times=times, states=states)
 
 
@@ -220,18 +198,17 @@ def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return group, np.bincount(group, weights=steps) / np.bincount(group)
 
 
-def _evolve_open_stack(
+def _evolve_open(
     H: np.ndarray,
-    rhos0: np.ndarray,
+    rho0: np.ndarray,
     times: np.ndarray,
     deco: DecoherenceConfig,
 ) -> np.ndarray:
-    """Exact open evolution of a stack of Hermitian density matrices.
+    """Exact open evolution of a Hermitian (D+1) x (D+1) density matrix.
 
-    rhos0 has shape (k, D+1, D+1); all members share H and deco, so the
-    stack is one linear map.  Returns shape (T, k, D+1, D+1).  The site
-    block steps from one output time to the next; the vacuum coherences
-    and the vacuum population are then evaluated at all times at once.
+    Returns shape (T, D+1, D+1).  The site block steps from one output
+    time to the next; the vacuum coherences and the vacuum population are
+    then evaluated at all times at once.
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
@@ -239,7 +216,6 @@ def _evolve_open_stack(
     if np.any(steps < 0):
         raise ValueError("times must be non-decreasing")
     D = H.shape[0]
-    k = rhos0.shape[0]
     dense = D <= DENSE_GENERATOR_MAX_SITES
     G = _site_block_generator(H, deco, dense)
     if dense:
@@ -251,20 +227,20 @@ def _evolve_open_stack(
         step_maps = {g: scipy.linalg.expm(G * lengths[g]) for g in set(group[steps > 0])}
     else:
         from scipy.sparse.linalg import expm_multiply
-    sites = rhos0[:, 1:, 1:].reshape(k, D * D).T
-    out = np.empty((times.size, k, D + 1, D + 1), dtype=complex)
+    sites = rho0[1:, 1:].reshape(D * D)
+    out = np.empty((times.size, D + 1, D + 1), dtype=complex)
     for i, dt in enumerate(steps):
         if dt > 0.0 and dense:
             sites = step_maps[group[i]] @ sites
         elif dt > 0.0:
             sites = expm_multiply(G * dt, sites)
-        out[i, :, 1:, 1:] = sites.T.reshape(k, D, D)
+        out[i, 1:, 1:] = sites.reshape(D, D)
     w, V = eigendecompose(H)
     decay = np.exp(-(1j * w + deco.vacuum_coherence_rate) * times[:, None])
-    cols = (V @ (decay[:, :, None] * (V.T @ rhos0[:, 1:, 0].T))).transpose(0, 2, 1)
-    out[:, :, 1:, 0] = cols
-    out[:, :, 0, 1:] = cols.conj()
-    out[:, :, 0, 0] = np.einsum("kii->k", rhos0) - np.einsum("tkii->tk", out[:, :, 1:, 1:])
+    cols = (decay * (V.T @ rho0[1:, 0])) @ V.T
+    out[:, 1:, 0] = cols
+    out[:, 0, 1:] = cols.conj()
+    out[:, 0, 0] = np.einsum("ii->", rho0) - np.einsum("tii->t", out[:, 1:, 1:])
     return out
 
 
@@ -288,7 +264,7 @@ def evolve_lindblad(
         raise ValueError("rho0 must be (D+1) x (D+1)")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
         raise ValueError("rho0 must be Hermitian with unit trace")
-    rhos = _evolve_open_stack(H, rho0[None], times, deco)[:, 0]
+    rhos = _evolve_open(H, rho0, times, deco)
     traces = np.real(np.einsum("tii->t", rhos))
     if not np.all(np.abs(traces - 1.0) <= 1e-6):
         raise RuntimeError("open evolution drifted in trace beyond 1e-6")

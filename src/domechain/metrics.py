@@ -1,6 +1,8 @@
 """Reduced end-qubit states, entanglement targets, and transfer fidelity.
 
-Reductions exploit the vacuum-plus-one-excitation structure: tracing a
+Every figure of merit is one reduction and one overlap over a stack of
+frames: `state_fidelity(reduce_to_sites(frames, sites), target)`.  The
+reduction exploits the vacuum-plus-one-excitation structure: tracing a
 global state down to a k-qubit subset leaves support only on the all-down
 bitstring and the k single-excitation bitstrings, so the exact partial
 trace is an entry relabeling.  Subset basis order is {down, up}^k with the
@@ -27,80 +29,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import Grid2D
-
 __all__ = [
     "reduce_to_sites",
-    "reduce_to_pair",
-    "reduce_to_corners",
     "quarter_period_phase",
     "bell_state",
     "chain_bell_target",
     "corner_w_target",
     "state_fidelity",
-    "subset_fidelities",
-    "bell_fidelity",
-    "w_fidelity",
     "transfer_fidelity",
 ]
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    if state.ndim == 2 and state.shape[0] == state.shape[1]:
-        return state
-    raise ValueError("expected a state vector or a square density matrix")
+def reduce_to_sites(frames, sites) -> np.ndarray:
+    """Exact partial trace of every frame onto a subset of sites.
 
-
-def reduce_to_sites(state, sites) -> np.ndarray:
-    """Exact partial trace onto a subset of sites.
-
-    `state` is a (D+1)-vector or (D+1)x(D+1) density matrix with the
-    vacuum at index 0; `sites` are distinct 1-based site indices.  The
-    result is 2^k x 2^k.  Only the all-down entry, the single-excitation
-    block, and the vacuum coherences into it are nonzero; coherences
-    between the subset and excitations elsewhere trace to zero.
+    `frames` is a (T, D+1) stack of state vectors or a (T, D+1, D+1) stack
+    of density matrices, with the vacuum at index 0; `sites` are distinct
+    1-based site indices.  Returns (T, 2^k, 2^k).  A reduction is nonzero
+    only on the all-down bitstring and the k single-excitation bitstrings:
+    it is the (k+1) x (k+1) block of the frame on (vacuum, sites), with the
+    vacuum entry replaced by the trace minus the subset populations.
+    Coherences between the subset and excitations elsewhere trace to zero.
     """
-    state = np.asarray(state, dtype=complex)
-    # Subset entries are read one by one: no (D+1)^2 outer product, no loop over all sites.
-    if state.ndim == 1:
-        amp = state.tolist()
-        entry = lambda a, b: amp[a] * amp[b].conjugate()
-        total = np.vdot(state, state)
-    elif state.ndim == 2 and state.shape[0] == state.shape[1]:
-        entry = state.item
-        total = sum(state.diagonal().tolist())
-    else:
-        raise ValueError("expected a state vector or a square density matrix")
-    sites = tuple(map(int, sites))
+    frames = np.asarray(frames, dtype=complex)
+    sites = [int(s) for s in sites]
     k = len(sites)
     if len(set(sites)) != k:
         raise ValueError("subset sites must be distinct")
-    if sites and not (1 <= min(sites) and max(sites) < state.shape[0]):
+    if sites and not (1 <= min(sites) and max(sites) < frames.shape[-1]):
         raise ValueError("site index out of range")
-    out = np.zeros((2**k, 2**k), dtype=complex)
-    bit = [1 << (k - 1 - i) for i in range(k)]
-    out[0, 0] = total - sum(entry(s, s) for s in sites)
-    for i, si in enumerate(sites):
-        out[0, bit[i]] = entry(0, si)
-        out[bit[i], 0] = entry(si, 0)
-        for j, sj in enumerate(sites):
-            out[bit[i], bit[j]] = entry(si, sj)
+    idx = [0, *sites]
+    if frames.ndim == 2:
+        amp = frames[:, idx]
+        block = amp[:, :, None] * amp[:, None, :].conj()
+        total = np.einsum("ti,ti->t", frames.conj(), frames)
+    elif frames.ndim == 3 and frames.shape[1] == frames.shape[2]:
+        block = frames[:, idx][:, :, idx]
+        total = np.einsum("tii->t", frames)
+    else:
+        raise ValueError("expected a stack of state vectors or square density matrices")
+    block[:, 0, 0] = total - np.einsum("tii->t", block[:, 1:, 1:])
+    pos = np.array([0] + [1 << (k - 1 - i) for i in range(k)])
+    out = np.zeros((frames.shape[0], 2**k, 2**k), dtype=complex)
+    out[:, pos[:, None], pos] = block
     return out
-
-
-def reduce_to_pair(state, site_a: int, site_b: int) -> np.ndarray:
-    """Two-qubit reduced state of (site_a, site_b), site_a leftmost."""
-    if site_a == site_b:
-        raise ValueError("pair sites must differ")
-    return reduce_to_sites(state, (site_a, site_b))
-
-
-def reduce_to_corners(state, grid: Grid2D) -> np.ndarray:
-    """Four-corner reduced state in order (1,1), (1,C), (R,1), (R,C)."""
-    return reduce_to_sites(state, tuple(i + 1 for i in grid.corner_indices()))
 
 
 def quarter_period_phase(length: int) -> complex:
@@ -142,75 +114,20 @@ def corner_w_target(rows: int, cols: int) -> np.ndarray:
     return vec
 
 
-def state_fidelity(rho, target) -> float:
-    """Tr(rho |t><t|) for a pure target, or Tr(rho sigma) if both mixed."""
-    rho = _as_density(rho)
+def state_fidelity(rhos, target) -> np.ndarray:
+    """Tr(rho |t><t|) for a ket target, or Tr(rho sigma) for a mixed one.
+
+    `rhos` is a (..., d, d) stack of density matrices; the result has its
+    leading shape.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
     target = np.asarray(target, dtype=complex)
+    d = target.shape[0]
+    if rhos.shape[-2:] != (d, d) or target.shape not in ((d,), (d, d)):
+        raise ValueError("expected (..., d, d) density matrices and a d-dim target")
     if target.ndim == 1:
-        return float(np.real(target.conj() @ rho @ target))
-    return float(np.real(np.trace(rho @ target)))
-
-
-def subset_fidelities(frames, sites, target) -> np.ndarray:
-    """state_fidelity(reduce_to_sites(f, sites), target) for every frame f.
-
-    `frames` is a (T, D+1) stack of state vectors or a (T, D+1, D+1) stack
-    of density matrices; `target` is a 2^k ket or density matrix on the
-    subset.  A reduction is nonzero only on the all-down bitstring and the
-    k single-excitation bitstrings, so each overlap needs just the
-    (k+1) x (k+1) block of the frame on (vacuum, sites), with its vacuum
-    entry replaced by the trace minus the subset populations.
-    """
-    frames = np.asarray(frames, dtype=complex)
-    sites = [int(s) for s in sites]
-    k = len(sites)
-    if len(set(sites)) != k:
-        raise ValueError("subset sites must be distinct")
-    if sites and not (1 <= min(sites) and max(sites) < frames.shape[-1]):
-        raise ValueError("site index out of range")
-    idx = [0, *sites]
-    if frames.ndim == 2:
-        amp = frames[:, idx]
-        block = amp[:, :, None] * amp[:, None, :].conj()
-        total = np.einsum("ti,ti->t", frames.conj(), frames)
-    elif frames.ndim == 3 and frames.shape[1] == frames.shape[2]:
-        block = frames[:, idx][:, :, idx]
-        total = np.einsum("tii->t", frames)
-    else:
-        raise ValueError("expected a stack of state vectors or square density matrices")
-    block[:, 0, 0] = total - np.einsum("tii->t", block[:, 1:, 1:])
-    target = np.asarray(target, dtype=complex)
-    if target.shape[0] != 2**k:
-        raise ValueError("target dimension must be 2^k for k subset sites")
-    pos = [0] + [1 << (k - 1 - i) for i in range(k)]
-    if target.ndim == 1:
-        t = target[pos]
-        return np.real(np.einsum("a,tab,b->t", t.conj(), block, t))
-    return np.real(np.einsum("tab,ba->t", block, target[np.ix_(pos, pos)]))
-
-
-def bell_fidelity(rho_pair, target: np.ndarray) -> float:
-    """Overlap of a 4x4 end-pair state with a Bell target.
-
-    The reachable target depends on the chain parity: pass
-    chain_bell_target(n_sites).
-    """
-    rho_pair = _as_density(rho_pair)
-    if rho_pair.shape != (4, 4):
-        raise ValueError("expected a two-qubit reduced state")
-    return state_fidelity(rho_pair, target)
-
-
-def w_fidelity(rho_corners, target: np.ndarray) -> float:
-    """Overlap of a 16x16 corner state with a four-corner W target.
-
-    The relative phases depend on the side parities: pass
-    corner_w_target(R, C).
-    """
-    rho_corners = _as_density(rho_corners)
-    if rho_corners.shape != (16, 16):
-        raise ValueError("expected a four-qubit reduced state")
-    return state_fidelity(rho_corners, target)
+        return np.real(np.einsum("a,...ab,b->...", target.conj(), rhos, target))
+    return np.real(np.einsum("...ab,ba->...", rhos, target))
 
 
 def transfer_fidelity(p, c):

@@ -14,7 +14,8 @@ The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
 whose process fidelity with the identity is |1 + u|^2 / 4.  Decoherence
 scans evolve |1><1| under T1/Tphi once per grid point and read the same
 channel from the end population and the decayed noise-free amplitude
-(`metrics.transfer_fidelity`).
+(`metrics.transfer_fidelity`), or the end-pair overlap with the noise-free
+T/4 state; one `evolve_closed` per m gives both noise-free references.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
-from .dynamics import ClosedPropagator, DecoherenceConfig, evolve_lindblad, site_state
-from .metrics import reduce_to_pair, state_fidelity, transfer_fidelity
+from .dynamics import DecoherenceConfig, evolve_closed, evolve_lindblad, site_state
+from .metrics import reduce_to_sites, state_fidelity, transfer_fidelity
 from .models import (
     DomeParams,
     Grid2D,
@@ -43,8 +44,6 @@ __all__ = [
     "SweepMetric",
     "SweepResult",
     "DecoherenceScan",
-    "T1_GRID_US",
-    "TPHI_GRID_US",
     "perturb",
     "sweep_coherent",
     "sweep_decoherence",
@@ -346,16 +345,16 @@ def sweep_decoherence(
     # for the transfer channel, the end-pair state at T/4 for the Bell overlap.
     ideals = {}
     for m, H in hams.items():
-        psi = ClosedPropagator(H).apply(psi0, duration)
-        ideals[m] = psi[n_sites] if qpt else reduce_to_pair(psi, 1, n_sites)
+        psi = evolve_closed(H, psi0, duration).states
+        ideals[m] = psi[0, n_sites] if qpt else reduce_to_sites(psi, (1, n_sites))[0]
 
     def point(m: int, t1_us: float, tphi_us: float) -> float:
         deco = DecoherenceConfig(t1=t1_us * 1e-6, t_phi=tphi_us * 1e-6)
-        rho = evolve_lindblad(hams[m], rho0, np.array([0.0, duration]), deco).rhos[-1]
+        rhos = evolve_lindblad(hams[m], rho0, np.array([0.0, duration]), deco).rhos
         if qpt:
             decay = np.exp(-deco.vacuum_coherence_rate * duration)
-            return float(transfer_fidelity(rho[n_sites, n_sites], decay * ideals[m]))
-        return state_fidelity(reduce_to_pair(rho, 1, n_sites), ideals[m])
+            return float(transfer_fidelity(rhos[-1, n_sites, n_sites], decay * ideals[m]))
+        return state_fidelity(reduce_to_sites(rhos[-1:], (1, n_sites)), ideals[m])[0]
 
     t1_scan = np.array(
         [[point(m, t1, fixed_tphi_us) for t1 in t1_values_us] for m in m_values]

@@ -12,32 +12,29 @@ import numpy as np
 from domechain import (
     CouplingBudget,
     ChainKind,
-    ClosedPropagator,
     DecoherenceConfig,
     DisorderConfig,
     DisorderTarget,
     DomeParams,
     Grid2D,
     SweepMetric,
-    bell_fidelity,
     chain_bell_target,
     check_pst_spacing,
     corner_w_target,
     dome_hamiltonian,
     dome_spectrum,
+    evolve_closed,
     evolve_lindblad,
     feasible_N,
     plan_cascade,
     reconstruct,
-    reduce_to_corners,
-    reduce_to_pair,
     reduce_to_sites,
     single_excitation_matrix,
     site_state,
     solve_fst_phase,
+    state_fidelity,
     sweep_coherent,
     sweep_decoherence,
-    w_fidelity,
 )
 from test_dynamics import expm_evolve
 from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
@@ -82,9 +79,8 @@ def test_criterion_2_transfer_certificates_at_n5():
     for m in (2, 6, 10):
         params = DomeParams(N=5, m=m)
         ham = dome_hamiltonian(params)
-        prop = ClosedPropagator(ham.matrix())
-        psi = prop.apply(site_state(5, 1), params.period / 4)
-        bell = bell_fidelity(reduce_to_pair(psi, 1, 5), chain_bell_target(5))
+        psi = evolve_closed(ham.matrix(), site_state(5, 1), params.period / 4).states[0]
+        bell = state_fidelity(reduce_to_sites(psi[None], (1, 5))[0], chain_bell_target(5))
         if abs(bell - 1.0) >= 1e-8:
             failures.append(f"m={m} bell {bell:.3e}")
         _, qpt = simulate_qpt(ham, None, t_end=params.period / 2)
@@ -93,12 +89,10 @@ def test_criterion_2_transfer_certificates_at_n5():
 
     line = DomeParams(N=5, m=0)
     ham0 = dome_hamiltonian(line)
-    prop0 = ClosedPropagator(ham0.matrix())
-    pst_pop = abs(prop0.apply(site_state(5, 1), line.period / 2)[5]) ** 2
-    bell0 = bell_fidelity(
-        reduce_to_pair(prop0.apply(site_state(5, 1), line.period / 4), 1, 5),
-        chain_bell_target(5),
-    )
+    half = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 2).states
+    pst_pop = abs(half[0, 5]) ** 2
+    quarter = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 4).states
+    bell0 = state_fidelity(reduce_to_sites(quarter, (1, 5))[0], chain_bell_target(5))
     if abs(pst_pop - 1.0) >= 1e-8:
         failures.append(f"m=0 pst {pst_pop:.3e}")
     if not bell0 < 0.99:
@@ -107,7 +101,7 @@ def test_criterion_2_transfer_certificates_at_n5():
     odd = DomeParams(N=5, m=3)
     spec3 = dome_spectrum(5, 3)
     ham3 = dome_hamiltonian(odd)
-    ret = abs(ClosedPropagator(ham3.matrix()).apply(site_state(5, 1), odd.period)[1]) ** 2
+    ret = abs(evolve_closed(ham3.matrix(), site_state(5, 1), odd.period).states[0, 1]) ** 2
     if abs(ret - 1.0) >= 1e-8:
         failures.append(f"m=3 return {ret:.3e}")
     if check_pst_spacing(spec3, np.pi):
@@ -220,9 +214,10 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     t0 = time.perf_counter()
     failures = []
     grid = Grid2D(rows=3, cols=4, m_x=2, m_y=2)
-    prop = ClosedPropagator(single_excitation_matrix(grid))
-    psi = prop.apply(site_state(12, 1), grid.period / 4)
-    w = w_fidelity(reduce_to_corners(psi, grid), corner_w_target(3, 4))
+    H = single_excitation_matrix(grid)
+    psi = evolve_closed(H, site_state(12, 1), grid.period / 4).states[0]
+    corners = tuple(i + 1 for i in grid.corner_indices())
+    w = state_fidelity(reduce_to_sites(psi[None], corners)[0], corner_w_target(3, 4))
     if abs(w - 1.0) >= 1e-6:
         failures.append(f"W fidelity {w:.8f}")
 
@@ -295,7 +290,7 @@ def test_criterion_8_oracle_agreement():
     for N in (2, 3, 4, 5):
         psi = random_sector_state(rng, N)
         for sites in ((1,), (1, N), tuple(range(1, N + 1))):
-            got = reduce_to_sites(psi, sites)
+            got = reduce_to_sites(psi[None], sites)[0]
             ref = brute_force_reduce(psi, N, sites)
             worst_pt = max(worst_pt, float(np.max(np.abs(got - ref))))
     if worst_pt >= 1e-10:

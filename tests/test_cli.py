@@ -320,6 +320,20 @@ _COHERENT = ["sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter
              "--set", "N=3", "--set", "target=all", "--set", "samples=2", "--seed", "1"]
 
 
+def test_seed_is_a_sweep_option_only(outdir, capsys):
+    # Only sweeps read a seed, so only `sweep` offers --seed.
+    for argv in (["synth", "--set", "N=5", "--set", "m=2"],
+                 ["evolve", "--set", "N=3", "--set", "m=2"],
+                 [*_CASCADE, "--set", "kind=line"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert run(argv) == 0
+    assert run([*_COHERENT, "--set", "sigma=0.1", "--output", "sw.csv"]) == 0
+    assert json.loads((outdir / "sw.csv.config.json").read_text())["config"]["seed"] == 1
+
+
 @pytest.mark.parametrize(
     "argv, detail",
     [

@@ -12,7 +12,6 @@ import scipy.linalg
 
 from domechain.dynamics import (
     DENSE_GENERATOR_MAX_SITES,
-    ClosedPropagator,
     DecoherenceConfig,
     default_time_grid,
     eigendecompose,
@@ -188,38 +187,35 @@ def test_pst_identity_across_sizes():
     for N in range(2, 11):
         for m in (0, 2, 4, 6, 10):
             ham = dome_hamiltonian(DomeParams(N=N, m=m))
-            prop = ClosedPropagator(ham.matrix(physical=True))
-            psi = prop.apply(site_state(N, 1), ham.period / 2)
-            assert abs(abs(psi[N]) - 1.0) < 1e-8
+            psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 2)
+            assert abs(abs(psi.states[0, N]) - 1.0) < 1e-8
 
 
 def test_mirror_transfer_from_interior_sites():
     N = 7
     ham = dome_hamiltonian(DomeParams(N=N, m=2))
-    prop = ClosedPropagator(ham.matrix(physical=True))
+    H = ham.matrix(physical=True)
     for n in range(1, N + 1):
-        psi = prop.apply(site_state(N, n), ham.period / 2)
+        psi = evolve_closed(H, site_state(N, n), ham.period / 2).states[0]
         assert abs(abs(psi[N + 1 - n]) - 1.0) < 1e-8
 
 
 def test_full_period_revival():
     for m in (0, 1, 2, 3):
         ham = dome_hamiltonian(DomeParams(N=5, m=m))
-        prop = ClosedPropagator(ham.matrix(physical=True))
         psi0 = site_state(5, 1)
-        psi = prop.apply(psi0, ham.period)
+        psi = evolve_closed(ham.matrix(physical=True), psi0, ham.period).states[0]
         assert abs(abs(np.vdot(psi0, psi)) - 1.0) < 1e-9
 
 
-def test_propagator_matches_evolve_closed():
-    ham = dome_hamiltonian(DomeParams(N=4, m=1))
-    H = ham.matrix()
-    prop = ClosedPropagator(H)
-    psi0 = site_state(4, 1)
-    times = np.array([0.0, 0.9, 2.2])
-    traj = evolve_closed(H, psi0, times)
-    for k, t in enumerate(times):
-        np.testing.assert_allclose(prop.apply(psi0, t), traj.states[k], atol=1e-12)
+def test_evolve_closed_rejects_malformed_states():
+    H = dome_hamiltonian(DomeParams(N=4, m=1)).matrix()
+    with pytest.raises(ValueError, match="vacuum slot first"):
+        evolve_closed(H, site_state(4, 1)[1:], [0.0, 1.0])
+    with pytest.raises(ValueError, match="vacuum slot first"):
+        evolve_closed(H, np.eye(5)[:, :1], [0.0, 1.0])
+    with pytest.raises(ValueError, match="normalized"):
+        evolve_closed(H, 2.0 * site_state(4, 1), [0.0, 1.0])
 
 
 def test_eigendecompose_is_deterministic_and_sorted():
@@ -229,30 +225,6 @@ def test_eigendecompose_is_deterministic_and_sorted():
     assert np.all(np.diff(w1) > 0)
     np.testing.assert_array_equal(V1, V2)
     np.testing.assert_allclose(V1 @ np.diag(w1) @ V1.T, H, atol=1e-10)
-
-
-def loop_sign_fix(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with each column's largest-magnitude entry made positive, column by column."""
-    w, V = np.linalg.eigh(H)
-    for k in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, k])))
-        if V[i, k] < 0:
-            V[:, k] = -V[:, k]
-    return w, V
-
-
-def test_eigendecompose_sign_fix_matches_column_loop():
-    rng = np.random.default_rng(3)
-    mats = [dome_hamiltonian(DomeParams(N=N, m=m)).matrix()
-            for N in (2, 5, 17, 128) for m in (0, 2, 102)]
-    for D in (1, 3, 8, 40):
-        A = rng.normal(size=(D, D))
-        mats.append(A + A.T)
-    for H in mats:
-        w, V = eigendecompose(H)
-        w_ref, V_ref = loop_sign_fix(H)
-        assert w.tobytes() == w_ref.tobytes()
-        assert V.tobytes() == V_ref.tobytes()  # bit for bit, -0.0 included
 
 
 def test_eigendecompose_rejects_asymmetric():
@@ -285,7 +257,7 @@ def test_default_time_grid_density():
 
 
 def test_evolve_closed_matches_per_time_propagator():
-    # The one-shot product against ClosedPropagator.apply at each time, on
+    # The one-shot product against V exp(-iwt) V^T applied time by time, on
     # a chain, a grid and the stiff m = 102 chain in physical units.
     rate = 2 * np.pi * 5e6
     rng = np.random.default_rng(17)
@@ -300,8 +272,9 @@ def test_evolve_closed_matches_per_time_propagator():
         psi0 = c / np.linalg.norm(c)
         times = default_time_grid(period, 2.0)
         traj = evolve_closed(H, psi0, times)
-        prop = ClosedPropagator(H)
-        ref = np.array([prop.apply(psi0, t) for t in times])
+        w, V = np.linalg.eigh(H)
+        ref = np.array([np.r_[psi0[0], V @ (np.exp(-1j * w * t) * (V.T @ psi0[1:]))]
+                        for t in times])
         assert np.max(np.abs(traj.states - ref)) < 1e-13
 
 
@@ -333,8 +306,8 @@ def test_lindblad_positivity_failure_raises(monkeypatch):
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     good = np.diag([1.0, 0.0, 0.0]).astype(complex)
     monkeypatch.setattr(
-        dynamics, "_evolve_open_stack",
-        lambda H, rhos0, times, deco: np.array([good, bad, good])[:, None],
+        dynamics, "_evolve_open",
+        lambda H, rho0, times, deco: np.array([good, bad, good]),
     )
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError, match="positivity"):

@@ -22,25 +22,19 @@ import scipy.linalg
 
 from domechain.chain import TridiagonalHamiltonian
 from domechain.dynamics import (
-    ClosedPropagator,
     DecoherenceConfig,
     evolve_closed,
     evolve_lindblad,
     site_state,
 )
 from domechain.metrics import (
-    bell_fidelity,
     bell_state,
     chain_bell_target,
     corner_w_target,
     quarter_period_phase,
-    reduce_to_corners,
-    reduce_to_pair,
     reduce_to_sites,
     state_fidelity,
-    subset_fidelities,
     transfer_fidelity,
-    w_fidelity,
 )
 from domechain.models import (
     DomeParams,
@@ -194,7 +188,14 @@ def random_sector_state(rng: np.random.Generator, n_sites: int) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
+def random_density_matrix(rng: np.random.Generator, n_sites: int) -> np.ndarray:
+    a = rng.normal(size=(n_sites + 1,) * 2) + 1j * rng.normal(size=(n_sites + 1,) * 2)
+    return a @ a.conj().T / np.trace(a @ a.conj().T)
+
+
 def test_reduce_matches_brute_force():
+    # Stacks of kets and of two-ket mixtures, T == D + 1 frames each, so a
+    # ket stack is as square as a single density matrix.
     rng = np.random.default_rng(3)
     subsets = {
         2: [(1,), (2,), (1, 2), (2, 1)],
@@ -204,10 +205,13 @@ def test_reduce_matches_brute_force():
     }
     for n_sites, site_lists in subsets.items():
         for sites in site_lists:
-            state = random_sector_state(rng, n_sites)
-            got = reduce_to_sites(state, sites)
-            ref = brute_force_reduce(state, n_sites, sites)
-            assert np.max(np.abs(got - ref)) < 1e-10
+            kets = np.array([random_sector_state(rng, n_sites) for _ in range(n_sites + 1)])
+            mixes = [0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj())
+                     for a, b in zip(kets, np.roll(kets, 1, axis=0))]
+            ref = np.array([brute_force_reduce(k, n_sites, sites) for k in kets])
+            assert np.max(np.abs(reduce_to_sites(kets, sites) - ref)) < 1e-10
+            got = reduce_to_sites(np.array(mixes), sites)
+            assert np.max(np.abs(got - (0.3 * ref + 0.7 * np.roll(ref, 1, axis=0)))) < 1e-10
 
 
 def entrywise_reduce(rho: np.ndarray, sites) -> np.ndarray:
@@ -230,11 +234,12 @@ def test_reduce_matches_entrywise_partial_trace():
         n_sites = int(rng.integers(1, 12))
         k = int(rng.integers(1, min(n_sites, 4) + 1))
         sites = tuple(int(s) for s in rng.choice(np.arange(1, n_sites + 1), k, replace=False))
-        psi = random_sector_state(rng, n_sites)
-        a = rng.normal(size=(n_sites + 1,) * 2) + 1j * rng.normal(size=(n_sites + 1,) * 2)
-        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-        for state, dense in ((psi, np.outer(psi, psi.conj())), (rho, rho)):
-            assert np.max(np.abs(reduce_to_sites(state, sites) - entrywise_reduce(dense, sites))) < 1e-14
+        T = int(rng.choice([1, 3, n_sites + 1]))
+        kets = np.array([random_sector_state(rng, n_sites) for _ in range(T)])
+        rhos = np.array([random_density_matrix(rng, n_sites) for _ in range(T)])
+        for frames, dense in ((kets, [np.outer(k, k.conj()) for k in kets]), (rhos, rhos)):
+            ref = np.array([entrywise_reduce(rho, sites) for rho in dense])
+            assert np.max(np.abs(reduce_to_sites(frames, sites) - ref)) < 1e-14
 
 
 def test_reduce_accepts_density_matrices():
@@ -242,31 +247,32 @@ def test_reduce_accepts_density_matrices():
     a = random_sector_state(rng, 4)
     b = random_sector_state(rng, 4)
     rho = 0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj())
-    got = reduce_to_sites(rho, (1, 4))
+    got = reduce_to_sites(rho[None], (1, 4))[0]
     ref = 0.3 * brute_force_reduce(a, 4, (1, 4)) + 0.7 * brute_force_reduce(b, 4, (1, 4))
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
 def test_reduced_states_are_physical():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        state = random_sector_state(rng, 5)
-        rho = reduce_to_sites(state, (2, 4, 5))
+    kets = np.array([random_sector_state(rng, 5) for _ in range(20)])
+    for rho in reduce_to_sites(kets, (2, 4, 5)):
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
 
 def test_reduce_validation():
-    state = site_state(4, 1)
+    frames = site_state(4, 1)[None]
     with pytest.raises(ValueError):
-        reduce_to_sites(state, (1, 1))
+        reduce_to_sites(frames, (1, 1))
     with pytest.raises(ValueError):
-        reduce_to_sites(state, (0,))
+        reduce_to_sites(frames, (0,))
     with pytest.raises(ValueError):
-        reduce_to_sites(state, (5,))
+        reduce_to_sites(frames, (5,))
     with pytest.raises(ValueError):
-        reduce_to_pair(state, 2, 2)
+        reduce_to_sites(site_state(4, 1), (1, 4))  # one ket, not a stack
+    with pytest.raises(ValueError):
+        reduce_to_sites(np.ones((2, 3, 4)), (1, 2))
 
 
 def test_quarter_period_phase_parity():
@@ -282,13 +288,12 @@ def test_bell_targets_are_reached_by_the_dynamics():
     # on the transferred component; the targets must match exactly.
     for N in (3, 4, 5, 6):
         ham = dome_hamiltonian(DomeParams(N=N, m=2))
-        prop = ClosedPropagator(ham.matrix(physical=True))
-        psi = prop.apply(site_state(N, 1), ham.period / 4)
-        rho = reduce_to_pair(psi, 1, N)
-        assert abs(bell_fidelity(rho, chain_bell_target(N)) - 1.0) < 1e-9
+        psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 4)
+        rho = reduce_to_sites(psi.states, (1, N))
+        assert abs(state_fidelity(rho, chain_bell_target(N))[0] - 1.0) < 1e-9
         # The opposite parity phase is orthogonal, not merely off by phase.
         wrong = bell_state(-quarter_period_phase(N))
-        assert bell_fidelity(rho, wrong) < 1e-9
+        assert state_fidelity(rho, wrong)[0] < 1e-9
 
 
 def test_bell_state_structure():
@@ -308,31 +313,35 @@ def test_corner_w_target_3x4_phases():
 
 def test_w_target_reached_on_grid():
     grid = Grid2D(3, 4, 2, 2)
-    prop = ClosedPropagator(single_excitation_matrix(grid, physical=True))
-    psi = prop.apply(site_state(12, 1), grid.period / 4)
-    rho = reduce_to_corners(psi, grid)
-    assert abs(w_fidelity(rho, corner_w_target(3, 4)) - 1.0) < 1e-6
+    H = single_excitation_matrix(grid, physical=True)
+    psi = evolve_closed(H, site_state(12, 1), grid.period / 4).states
+    rho = reduce_to_sites(psi, tuple(i + 1 for i in grid.corner_indices()))
+    assert abs(state_fidelity(rho, corner_w_target(3, 4))[0] - 1.0) < 1e-6
 
 
 def test_fidelity_bounds_and_mixed_target():
     rng = np.random.default_rng(8)
     state = random_sector_state(rng, 4)
-    rho = reduce_to_pair(state, 1, 4)
-    f = bell_fidelity(rho, chain_bell_target(4))
+    rho = reduce_to_sites(state[None], (1, 4))[0]
+    f = state_fidelity(rho, chain_bell_target(4))
     assert 0.0 <= f <= 1.0 + 1e-12
     # Mixed-target branch: Tr(rho sigma).
     assert abs(state_fidelity(rho, rho) - np.trace(rho @ rho).real) < 1e-12
 
 
 def test_maximally_mixed_pair_fidelity():
-    assert abs(bell_fidelity(np.eye(4) / 4.0, chain_bell_target(5)) - 0.25) < 1e-12
+    assert abs(state_fidelity(np.eye(4) / 4.0, chain_bell_target(5)) - 0.25) < 1e-12
 
 
 def test_fidelity_shape_validation():
     with pytest.raises(ValueError):
-        bell_fidelity(np.eye(3) / 3.0, chain_bell_target(5))
+        state_fidelity(np.eye(3) / 3.0, chain_bell_target(5))
     with pytest.raises(ValueError):
-        w_fidelity(np.eye(4) / 4.0, corner_w_target(3, 4))
+        state_fidelity(np.eye(4) / 4.0, corner_w_target(3, 4))
+    with pytest.raises(ValueError):
+        state_fidelity(np.eye(4)[None] / 4.0, np.eye(4)[:, :2])
+    with pytest.raises(ValueError):
+        state_fidelity(bell_state(1j), bell_state(1j))  # a ket is not a density matrix
 
 
 def test_qpt_identity_channel():
@@ -468,10 +477,10 @@ def test_transfer_fidelity_is_elementwise():
     assert transfer_fidelity(1.0, -1.0) == 0.0
 
 
-def test_subset_fidelities_match_reduced_state_fidelity():
-    # The stacked readout against reduce_to_sites + state_fidelity frame by
-    # frame: closed and open frames, the chain Bell and grid W targets, a
-    # target with a vacuum component and a mixed target.
+def test_state_fidelity_matches_per_frame_trace():
+    # The stacked reduction and overlap against np.trace frame by frame:
+    # closed and open frames, the chain Bell and grid W targets, a target
+    # with a vacuum component and a mixed target.
     rng = np.random.default_rng(21)
     deco = DecoherenceConfig(t1=3.0, t_phi=2.0)
     chain = dome_hamiltonian(DomeParams(N=5, m=2)).matrix()
@@ -487,23 +496,17 @@ def test_subset_fidelities_match_reduced_state_fidelity():
     ]
     times = np.linspace(0.0, 2.0, 9)
     for H, sites, target in cases:
+        sigma = np.outer(target, target.conj()) if target.ndim == 1 else target
         c = rng.normal(size=H.shape[0] + 1) + 1j * rng.normal(size=H.shape[0] + 1)
         psi0 = c / np.linalg.norm(c)
         closed = evolve_closed(H, psi0, times).states
         opened = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco).rhos
         for frames in (closed, opened):
-            got = subset_fidelities(frames, sites, target)
-            ref = [state_fidelity(reduce_to_sites(f, sites), target) for f in frames]
+            rhos = reduce_to_sites(frames, sites)
+            got = state_fidelity(rhos, target)
+            ref = [np.trace(rho @ sigma).real for rho in rhos]
+            assert got.shape == (times.size,)
             assert np.max(np.abs(got - ref)) < 1e-14
-
-
-def test_subset_fidelities_validation():
-    frames = np.eye(4, dtype=complex)[None]
-    with pytest.raises(ValueError):
-        subset_fidelities(frames, (1, 1), bell_state(1j))
-    with pytest.raises(ValueError):
-        subset_fidelities(frames, (1, 4), bell_state(1j))
-    with pytest.raises(ValueError):
-        subset_fidelities(frames, (1, 2, 3), bell_state(1j))
-    with pytest.raises(ValueError):
-        subset_fidelities(np.ones((2, 3, 4)), (1, 2), bell_state(1j))
+            # Any leading shape: a (3, 3) grid of frames gives a (3, 3) grid.
+            grid_of = state_fidelity(rhos.reshape(3, 3, *rhos.shape[1:]), target)
+            np.testing.assert_allclose(grid_of, got.reshape(3, 3), rtol=0, atol=1e-15)

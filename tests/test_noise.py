@@ -1,7 +1,8 @@
 """Disorder draws, coherent sweeps, and decoherence scans.
 
 The batched sweep is checked against the per-sample path it replaced:
-`perturb` -> `ClosedPropagator` -> reduction -> `state_fidelity`.  The
+`perturb` -> `evolve_closed` -> `reduce_to_sites` -> `state_fidelity`,
+which shares nothing with the sweep's readout amplitudes.  The
 transfer metric, coherent and under T1/Tphi, is checked against the
 emulated process tomography `test_metrics.simulate_qpt`.
 """
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from domechain import noise
-from domechain.dynamics import ClosedPropagator, DecoherenceConfig, site_state
-from domechain.metrics import reduce_to_corners, reduce_to_pair, state_fidelity
+from domechain.dynamics import DecoherenceConfig, evolve_closed, site_state
+from domechain.metrics import reduce_to_sites, state_fidelity
 from domechain.models import (
     DomeParams,
     Grid2D,
@@ -206,10 +207,11 @@ def per_sample_fidelities(system, c, metric, sigmas):
     """(len(sigmas), samples) fidelities, one sample at a time."""
     if isinstance(system, Grid2D):
         n_sites, period, base = system.rows * system.cols, system.period, system
+        sites = tuple(i + 1 for i in system.corner_indices())
 
         def final(matrix):
-            prop = ClosedPropagator(matrix * system.J)
-            return reduce_to_corners(prop.apply(site_state(n_sites, 1), period / 4), system)
+            psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)
+            return reduce_to_sites(psi.states, sites)[0]
 
         ideal = final(single_excitation_matrix(system))
     else:
@@ -217,8 +219,8 @@ def per_sample_fidelities(system, c, metric, sigmas):
         n_sites, period = base.n, base.period
 
         def final(ham):
-            prop = ClosedPropagator(ham.matrix(physical=True))
-            return reduce_to_pair(prop.apply(site_state(n_sites, 1), period / 4), 1, n_sites)
+            psi = evolve_closed(ham.matrix(physical=True), site_state(n_sites, 1), period / 4)
+            return reduce_to_sites(psi.states, (1, n_sites))[0]
 
         ideal = final(base)
     out = np.empty((len(sigmas), c.samples))

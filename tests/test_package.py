@@ -1,4 +1,4 @@
-"""The public API: every exported name exists."""
+"""The public API: every exported name exists, and there is one list of them."""
 
 import importlib
 import pkgutil
@@ -17,5 +17,9 @@ def test_package_all_resolves():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_all_lists_only_existing_names(module):
+    # Each module lists existing names, all of them re-exported by the package.
     mod = importlib.import_module(f"domechain.{module}")
-    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+    names = getattr(mod, "__all__", ())
+    assert [name for name in names if not hasattr(mod, name)] == []
+    assert sorted(set(names) - set(domechain.__all__)) == []
+

@@ -99,7 +99,7 @@ def test_reduced_states_are_physical(N, seed, keep):
     psi = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
     psi /= np.linalg.norm(psi)
     sites = list(range(1, min(keep, N) + 1))
-    rho = reduce_to_sites(psi, sites)
+    rho = reduce_to_sites(psi[None], sites)[0]
     assert rho.shape == (2 ** len(sites),) * 2
     assert abs(np.trace(rho) - 1.0) < 1e-12
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -141,10 +141,10 @@ def test_state_fidelity_is_bounded_and_symmetric_on_pure_states(seed, dim):
     b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    f = state_fidelity(a, b)
+    f = state_fidelity(np.outer(a, a.conj()), b)
     assert -1e-12 <= f <= 1 + 1e-12
-    assert abs(f - state_fidelity(b, a)) < 1e-12
-    assert abs(state_fidelity(a, a) - 1.0) < 1e-12
+    assert abs(f - state_fidelity(np.outer(b, b.conj()), a)) < 1e-12
+    assert abs(state_fidelity(np.outer(a, a.conj()), a) - 1.0) < 1e-12
 
 
 @SETTINGS
