@@ -24,14 +24,19 @@ three exactly solvable parts:
     rho_S'    = -i [H, rho_S] - gamma1 rho_S - 4 gamma_phi (rho_S - diag rho_S)
     rho_00    = tr rho(0) - tr rho_S
 
-The vacuum coherences ride the closed eigendecomposition.  The site block
-obeys one time-independent D^2 x D^2 generator: small systems exponentiate
-it densely (once per distinct step length, steps within a few ulps of the
-end time counting as one), large ones apply it with scipy's expm_multiply
-on its sparse form.  `evolve_closed` is the one closed propagator: one
-diagonalization and one matrix product give every output time, and a
-single time is a one-point grid.  The vacuum terms of open evolution are
-evaluated for the whole time grid the same way.
+The vacuum coherences ride the closed eigendecomposition, one per site
+block.  T1 enters the site block only as the scalar e^{-gamma1 t}: its
+D^2 x D^2 generator is G_phi - gamma1, so the block is propagated under
+G_phi once per distinct Tphi and scaled per T1.  `evolve_lindblad` takes a
+stack of site blocks and a sequence of configs, so a whole decoherence
+scan is one call.  Small systems exponentiate G_phi densely, every (site
+block, Tphi, step length) in one stacked expm call up to a memory budget;
+steps within a few ulps of the end time count as one length.  Large
+systems apply it with scipy's expm_multiply on its sparse form.
+`evolve_closed` is the one closed propagator: one diagonalization and one
+matrix product give every output time, and a single time is a one-point
+grid.  The vacuum terms of open evolution are evaluated for the whole time
+grid the same way.
 
 scipy is imported by the open propagator only, on its first call, so
 closed evolution runs on numpy alone.
@@ -39,6 +44,7 @@ closed evolution runs on numpy alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +74,10 @@ POINTS_PER_PERIOD = 401
 # is what lets large grids run at all: one dense matrix needs 1.6 GB at
 # D = 100.
 DENSE_GENERATOR_MAX_SITES = 20
+
+# Matrix entries per stacked LAPACK call: site matrices per `eigh` in the
+# disorder sweeps, generator entries per dense `expm` of the open propagator.
+MAX_CHUNK_ENTRIES = 1 << 20
 
 
 def site_state(n_sites: int, site: int) -> np.ndarray:
@@ -117,10 +127,10 @@ class Trajectory:
     rhos: np.ndarray | None = None
 
     def site_populations(self) -> np.ndarray:
-        """(T, D) array of per-site populations."""
+        """(..., T, D) array of per-site populations."""
         if self.states is not None:
             return np.abs(self.states[:, 1:]) ** 2
-        return np.real(np.einsum("tii->ti", self.rhos))[:, 1:]
+        return np.real(np.einsum("...ii->...i", self.rhos))[..., 1:]
 
 
 def _check_symmetric(H: np.ndarray) -> np.ndarray:
@@ -163,29 +173,6 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
     return Trajectory(times=times, states=states)
 
 
-def _site_block_generator(H: np.ndarray, deco: DecoherenceConfig, dense: bool):
-    """Generator of the row-major vec of the site block rho_S.
-
-    -i (H kron 1 - 1 kron H) for the commutator (H is real symmetric), plus
-    a diagonal decay: gamma1 on populations, gamma1 + 4 gamma_phi on the
-    coherences between sites.  A dense ndarray when `dense`, else CSR.
-    """
-    D = H.shape[0]
-    decay = np.full((D, D), deco.gamma1 + 4.0 * deco.gamma_phi)
-    np.fill_diagonal(decay, deco.gamma1)
-    if dense:
-        eye = np.eye(D)
-        G = -1j * (np.kron(H, eye) - np.kron(eye, H))
-        G[np.diag_indices(D * D)] -= decay.reshape(-1)
-        return G
-    import scipy.sparse
-
-    Hs = scipy.sparse.csr_matrix(H)
-    eye = scipy.sparse.identity(D, format="csr")
-    commutator = scipy.sparse.kron(Hs, eye) - scipy.sparse.kron(eye, Hs)
-    return (-1j * commutator - scipy.sparse.diags(decay.reshape(-1))).tocsr()
-
-
 def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Group index of each step and the mean length of each group.
 
@@ -198,49 +185,113 @@ def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return group, np.bincount(group, weights=steps) / np.bincount(group)
 
 
+def _site_blocks(
+    H: np.ndarray,
+    gamma_phi: np.ndarray,
+    sites0: np.ndarray,
+    steps: np.ndarray,
+    t_end: float,
+) -> np.ndarray:
+    """(M, F, T, D^2) row-major vecs of the site block without relaxation.
+
+    Pair (m, f) steps sites0 with the generator -i (H_m kron 1 - 1 kron H_m)
+    (H is real symmetric) minus 4 gamma_phi[f] on the coherences between
+    sites.  Dense step maps come from stacked expm calls of at most
+    MAX_CHUNK_ENTRIES generator entries each; above DENSE_GENERATOR_MAX_SITES
+    every pair steps with expm_multiply on the sparse form.
+    """
+    M, D = H.shape[:2]
+    n = D * D
+    eye = np.eye(D)
+    dephase = 4.0 * (1.0 - eye).reshape(n)
+    out = np.empty((M, gamma_phi.size, steps.size, n), dtype=complex)
+    if D <= DENSE_GENERATOR_MAX_SITES:
+        import scipy.linalg
+
+        # The steps of a linspace grid differ in their last bits; steps within
+        # a few ulps of the end time share one exponential.
+        group, lengths = _merge_steps(steps, 4.0 * np.spacing(t_end))
+        # Group 0 holds the zero steps (steps[0] is one); it needs no map
+        # unless steps within the tolerance of 0 joined it.
+        skip = int(lengths[0] == 0.0)
+        map_of = np.where(steps > 0.0, group - skip, -1).tolist()
+        pairs = [(k, f) for k in range(M) for f in range(gamma_phi.size)]
+        per_call = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size - skip) * n * n))
+        for start in range(0, len(pairs), per_call):
+            chunk = pairs[start : start + per_call]
+            ks, fs = np.array(chunk).T
+            kron = np.einsum("kij,ab->kiajb", H[ks], eye) - np.einsum("ij,kab->kiajb", eye, H[ks])
+            G = -1j * kron.reshape(len(chunk), n, n)
+            G.reshape(len(chunk), -1)[:, :: n + 1] -= gamma_phi[fs, None] * dephase
+            maps = scipy.linalg.expm(G[:, None] * lengths[skip:, None, None])
+            for (k, f), step_maps in zip(chunk, maps):
+                sites, block = sites0, out[k, f]
+                for i, g in enumerate(map_of):
+                    if g >= 0:
+                        sites = step_maps[g] @ sites
+                    block[i] = sites
+        return out
+    import scipy.sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    # expm_multiply takes its degree and step count from onenormest, which
+    # draws from numpy's global RNG.  Seeding it before every call makes each
+    # step a function of its inputs; the caller's state is restored.
+    ident = scipy.sparse.identity(D, format="csr")
+    state = np.random.get_state()
+    try:
+        for k, h in enumerate(H):
+            Hs = scipy.sparse.csr_matrix(h)
+            commutator = scipy.sparse.kron(Hs, ident) - scipy.sparse.kron(ident, Hs)
+            for f, rate in enumerate(gamma_phi):
+                Gf = (-1j * commutator - scipy.sparse.diags(rate * dephase)).tocsr()
+                sites = sites0
+                for i, dt in enumerate(steps.tolist()):
+                    if dt > 0.0:
+                        np.random.seed(0)
+                        sites = expm_multiply(Gf * dt, sites)
+                    out[k, f, i] = sites
+    finally:
+        np.random.set_state(state)
+    return out
+
+
 def _evolve_open(
     H: np.ndarray,
     rho0: np.ndarray,
     times: np.ndarray,
-    deco: DecoherenceConfig,
+    decos: tuple[DecoherenceConfig, ...],
 ) -> np.ndarray:
     """Exact open evolution of a Hermitian (D+1) x (D+1) density matrix.
 
-    Returns shape (T, D+1, D+1).  The site block steps from one output
-    time to the next; the vacuum coherences and the vacuum population are
-    then evaluated at all times at once.
+    H is an (M, D, D) stack of site blocks.  Returns shape
+    (M, P, T, D+1, D+1), one trajectory per site block and config.  The
+    site block is propagated once per (H, distinct gamma_phi) and scaled by
+    e^{-gamma1 t} per config; the vacuum coherences and the vacuum
+    population are then evaluated at all times at once.
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
     steps = np.diff(times, prepend=0.0)
     if np.any(steps < 0):
         raise ValueError("times must be non-decreasing")
-    D = H.shape[0]
-    dense = D <= DENSE_GENERATOR_MAX_SITES
-    G = _site_block_generator(H, deco, dense)
-    if dense:
-        import scipy.linalg
-
-        # The steps of a linspace grid differ in their last bits; steps within
-        # a few ulps of the end time share one exponential.
-        group, lengths = _merge_steps(steps, 4.0 * np.spacing(times[-1]))
-        step_maps = {g: scipy.linalg.expm(G * lengths[g]) for g in set(group[steps > 0])}
-    else:
-        from scipy.sparse.linalg import expm_multiply
-    sites = rho0[1:, 1:].reshape(D * D)
-    out = np.empty((times.size, D + 1, D + 1), dtype=complex)
-    for i, dt in enumerate(steps):
-        if dt > 0.0 and dense:
-            sites = step_maps[group[i]] @ sites
-        elif dt > 0.0:
-            sites = expm_multiply(G * dt, sites)
-        out[i, 1:, 1:] = sites.reshape(D, D)
-    w, V = eigendecompose(H)
-    decay = np.exp(-(1j * w + deco.vacuum_coherence_rate) * times[:, None])
-    cols = (decay * (V.T @ rho0[1:, 0])) @ V.T
-    out[:, 1:, 0] = cols
-    out[:, 0, 1:] = cols.conj()
-    out[:, 0, 0] = np.einsum("ii->", rho0) - np.einsum("tii->t", out[:, 1:, 1:])
+    M, D = H.shape[:2]
+    dephasing: dict[float, int] = {}  # distinct gamma_phi -> its block index
+    phi_of = [dephasing.setdefault(d.gamma_phi, len(dephasing)) for d in decos]
+    sites0 = rho0[1:, 1:].reshape(D * D)
+    blocks = _site_blocks(H, np.array(list(dephasing)), sites0, steps, times[-1])
+    blocks = blocks.reshape(M, len(dephasing), times.size, D, D)
+    out = np.empty((M, len(decos), times.size, D + 1, D + 1), dtype=complex)
+    rates = np.array([(d.gamma1, d.vacuum_coherence_rate) for d in decos]).T
+    relax, decay = np.exp(-rates[..., None] * times)
+    for p, f in enumerate(phi_of):
+        np.multiply(relax[p, :, None, None], blocks[:, f], out=out[:, p, :, 1:, 1:])
+    for k, h in enumerate(H):
+        w, V = eigendecompose(h)
+        cols = (np.exp(-1j * np.outer(times, w)) * (V.T @ rho0[1:, 0])) @ V.T
+        np.multiply(decay[..., None], cols, out=out[k, :, :, 1:, 0])
+    np.conjugate(out[..., 1:, 0], out=out[..., 0, 1:])
+    out[..., 0, 0] = np.einsum("ii->", rho0) - np.einsum("...ii->...", out[..., 1:, 1:])
     return out
 
 
@@ -248,28 +299,39 @@ def evolve_lindblad(
     H: np.ndarray,
     rho0: np.ndarray,
     times: np.ndarray,
-    deco: DecoherenceConfig,
+    deco: DecoherenceConfig | Sequence[DecoherenceConfig],
 ) -> Trajectory:
     """Open evolution of rho0 under H with uniform T1 and Tphi channels.
 
     rho0 is (D+1) x (D+1) on the vacuum-plus-sites basis; times start at 0
-    and do not decrease.  Trace and positivity of the result are validated
-    to 1e-6.
+    and do not decrease.  H is one D x D site block or an (M, D, D) stack,
+    and deco one DecoherenceConfig or a sequence of P of them: `rhos` has
+    shape (T, D+1, D+1), led by an M axis for a stack and then a P axis
+    for a sequence, so (M, P, T, D+1, D+1) when both are given.  Trace and
+    positivity of every state are validated to 1e-6.
     """
-    H = _check_symmetric(H)
+    H = np.asarray(H, dtype=float)
+    stack = np.array([_check_symmetric(h) for h in (H if H.ndim == 3 else [H])])
+    decos = (deco,) if isinstance(deco, DecoherenceConfig) else tuple(deco)
+    if not (stack.size and decos):
+        raise ValueError("need at least one site block and one DecoherenceConfig")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rho0 = np.asarray(rho0, dtype=complex)
-    dim = H.shape[0] + 1
+    dim = stack.shape[1] + 1
     if rho0.shape != (dim, dim):
         raise ValueError("rho0 must be (D+1) x (D+1)")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
         raise ValueError("rho0 must be Hermitian with unit trace")
-    rhos = _evolve_open(H, rho0, times, deco)
-    traces = np.real(np.einsum("tii->t", rhos))
+    rhos = _evolve_open(stack, rho0, times, decos)
+    traces = np.real(np.einsum("...ii->...", rhos))
     if not np.all(np.abs(traces - 1.0) <= 1e-6):
         raise RuntimeError("open evolution drifted in trace beyond 1e-6")
     if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
         raise RuntimeError("open evolution lost positivity beyond 1e-6")
+    if H.ndim == 2:
+        rhos = rhos[0]
+    if isinstance(deco, DecoherenceConfig):
+        rhos = rhos[..., 0, :, :, :]
     return Trajectory(times=times, rhos=rhos)
 
 

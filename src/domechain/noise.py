@@ -11,8 +11,10 @@ Coherent sweeps diagonalize stacks of perturbed site matrices with one
 readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
 overlap with the noise-free reduction is (1 - p)(1 - p0) + |a0^dagger a|^2.
 The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
-whose process fidelity with the identity is |1 + u|^2 / 4.  Decoherence
-scans evolve |1><1| under T1/Tphi once per grid point and read the same
+whose process fidelity with the identity is |1 + u|^2 / 4.  A decoherence
+scan evolves |1><1| for every m and every (T1, Tphi) point in one stacked
+`evolve_lindblad` call, which propagates the site block once per
+(m, distinct Tphi) and scales it by e^{-t/T1} per point.  It reads the same
 channel from the end population and the decayed noise-free amplitude
 (`metrics.transfer_fidelity`), or the end-pair overlap with the noise-free
 T/4 state; one `evolve_closed` per m gives both noise-free references.
@@ -27,7 +29,13 @@ from functools import reduce
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
-from .dynamics import DecoherenceConfig, evolve_closed, evolve_lindblad, site_state
+from .dynamics import (
+    MAX_CHUNK_ENTRIES,
+    DecoherenceConfig,
+    evolve_closed,
+    evolve_lindblad,
+    site_state,
+)
 from .metrics import reduce_to_sites, state_fidelity, transfer_fidelity
 from .models import (
     DomeParams,
@@ -53,9 +61,6 @@ __all__ = [
 # range; the working point pins J/2pi = 5 MHz so one period is 200 ns.
 T1_GRID_US = (3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
 TPHI_GRID_US = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
-
-# Site-matrix entries per stacked eigh call (8 MB of float64), whatever the sample count.
-MAX_CHUNK_ENTRIES = 1 << 20
 
 
 class DisorderTarget(Enum):
@@ -319,7 +324,8 @@ def sweep_decoherence(
     """Open-system fidelity over the (T1, Tphi) grids for each m.
 
     Two scans per m: T1 varied at fixed Tphi and Tphi varied at fixed T1.
-    Each point evolves |1><1| under T1/Tphi to the metric's time.  The
+    One `evolve_lindblad` call evolves |1><1| to the metric's time under
+    every m and every (T1, Tphi) point, repeated m values included.  The
     entanglement metric is the end-pair overlap with the noise-free T/4
     state; the transfer metric is the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u the noise-free end
@@ -331,10 +337,10 @@ def sweep_decoherence(
         raise ValueError("decoherence scans are defined for chain metrics")
     m_values = tuple(int(m) for m in m_values)
     rate_J = 2 * np.pi * rate_MHz * 1e6
-    hams = {
-        m: dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate_J)).matrix(physical=True)
+    hams = np.array([
+        dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate_J)).matrix(physical=True)
         for m in m_values
-    }
+    ])
     period = 2 * np.pi / rate_J
 
     qpt = metric is SweepMetric.QPT_AT_HALF_T
@@ -343,25 +349,23 @@ def sweep_decoherence(
     rho0 = np.outer(psi0, psi0.conj())
     # Noise-free references, once per m: the end amplitude u = <N|U(T/2)|1>
     # for the transfer channel, the end-pair state at T/4 for the Bell overlap.
-    ideals = {}
-    for m, H in hams.items():
+    ideals = []
+    for H in hams:
         psi = evolve_closed(H, psi0, duration).states
-        ideals[m] = psi[0, n_sites] if qpt else reduce_to_sites(psi, (1, n_sites))[0]
+        ideals.append(psi[0, n_sites] if qpt else reduce_to_sites(psi, (1, n_sites))[0])
 
-    def point(m: int, t1_us: float, tphi_us: float) -> float:
-        deco = DecoherenceConfig(t1=t1_us * 1e-6, t_phi=tphi_us * 1e-6)
-        rhos = evolve_lindblad(hams[m], rho0, np.array([0.0, duration]), deco).rhos
-        if qpt:
-            decay = np.exp(-deco.vacuum_coherence_rate * duration)
-            return float(transfer_fidelity(rhos[-1, n_sites, n_sites], decay * ideals[m]))
-        return state_fidelity(reduce_to_sites(rhos[-1:], (1, n_sites)), ideals[m])[0]
-
-    t1_scan = np.array(
-        [[point(m, t1, fixed_tphi_us) for t1 in t1_values_us] for m in m_values]
-    ).reshape(len(m_values), len(t1_values_us))
-    tphi_scan = np.array(
-        [[point(m, fixed_t1_us, tphi) for tphi in tphi_values_us] for m in m_values]
-    ).reshape(len(m_values), len(tphi_values_us))
+    decos = [DecoherenceConfig(t1=t1 * 1e-6, t_phi=fixed_tphi_us * 1e-6) for t1 in t1_values_us]
+    decos += [DecoherenceConfig(t1=fixed_t1_us * 1e-6, t_phi=tp * 1e-6) for tp in tphi_values_us]
+    finals = evolve_lindblad(hams, rho0, np.array([0.0, duration]), decos).rhos[:, :, -1]
+    if qpt:
+        decay = np.exp(-np.array([d.vacuum_coherence_rate for d in decos]) * duration)
+        fids = transfer_fidelity(finals[:, :, n_sites, n_sites], np.outer(ideals, decay))
+    else:
+        fids = np.array([
+            state_fidelity(reduce_to_sites(rhos, (1, n_sites)), ideal)
+            for rhos, ideal in zip(finals, ideals)
+        ])
+    t1_scan, tphi_scan = fids[:, : len(t1_values_us)], fids[:, len(t1_values_us) :]
 
     return DecoherenceScan(
         metric=metric,

@@ -236,6 +236,42 @@ def test_sweep_decoherence_rows(outdir):
     assert float(tphi_row[7]) == pytest.approx(0.997117215625, abs=1e-6)
 
 
+@pytest.mark.parametrize("metric", ["bell_at_quarter_t", "qpt_at_half_t"])
+def test_sweep_decoherence_keeps_repeated_m(outdir, metric):
+    # The stacked scan must not collapse repeated m values into one block.
+    base = ["sweep", "--set", "kind=decoherence", "--set", f"metric={metric}", "--set", "N=4",
+            "--set", "t1_us_values=[3,30]", "--set", "tphi_us_values=[0.5,5]",
+            "--set", "rate_MHz=5"]
+    assert run(base + ["--set", "m_values=[2,2]", "--output", "twice.csv"]) == 0
+    assert run(base + ["--set", "m_values=[2]", "--output", "once.csv"]) == 0
+    _, twice = read_csv(outdir / "twice.csv")
+    _, once = read_csv(outdir / "once.csv")
+    assert len(once) == 4
+    assert twice == once + once
+
+
+def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
+    # One non-positive state at one (m, T1, Tphi) point fails the whole scan.
+    from domechain import dynamics
+    from domechain.noise import SweepMetric, sweep_decoherence
+
+    evolve_open = dynamics._evolve_open
+
+    def corrupted(H, rho0, times, decos):
+        out = evolve_open(H, rho0, times, decos)
+        out[1, 2, -1] = np.diag(np.r_[1.5, -0.5, np.zeros(out.shape[-1] - 2)])
+        return out
+
+    monkeypatch.setattr(dynamics, "_evolve_open", corrupted)
+    with pytest.raises(RuntimeError, match="positivity"):
+        sweep_decoherence(3, SweepMetric.QPT_AT_HALF_T, t1_values_us=(3.0, 30.0),
+                          tphi_values_us=(0.5, 5.0))
+    assert run(["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
+                "--set", "N=3", "--set", "m_values=[2,102]", "--set", "t1_us_values=[3,30]",
+                "--set", "tphi_us_values=[0.5,5]", "--set", "rate_MHz=5"]) == 3
+    assert "positivity" in capsys.readouterr().err
+
+
 def test_cascade_line_at_budget_boundary(outdir):
     assert run([
         "cascade", "--set", "kind=line", "--set", "N=400", "--set", "k=1",
@@ -531,8 +567,10 @@ def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     # The default grid needs 5 step exponentials and one diagonalization for
     # the vacuum coherences; the QPT column adds only the closed amplitudes.
+    # One stacked expm call carries several maps, so matrices are counted.
     import scipy.linalg
     from domechain import dynamics
+    from test_dynamics import exponentiated
 
     expms, eighs = [], []
     expm, eigendecompose = scipy.linalg.expm, dynamics.eigendecompose
@@ -540,7 +578,7 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
-    assert (len(expms), len(eighs)) == (5, 2)
+    assert (exponentiated(expms), len(eighs)) == (5, 2)
 
 
 _OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]

@@ -9,6 +9,7 @@ emulated process tomography `test_metrics.simulate_qpt`.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from domechain import noise
 from domechain.dynamics import DecoherenceConfig, evolve_closed, site_state
@@ -27,7 +28,8 @@ from domechain.noise import (
     sweep_coherent,
     sweep_decoherence,
 )
-from test_metrics import simulate_qpt
+from test_dynamics import expm_evolve, exponentiated
+from test_metrics import entrywise_reduce, simulate_qpt
 
 RATE_5MHZ = 2 * np.pi * 5e6
 
@@ -364,6 +366,60 @@ def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
         for got, t1, tphi in points:
             deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
             assert abs(got - simulate_qpt(ham, deco)[1]) < 1e-12
+
+
+def dense_bell_point(ham, deco) -> float:
+    """End-pair overlap at T/4 from the dense Liouvillian and expm(-iHt)."""
+    N, t = ham.n, ham.period / 4
+    H = ham.matrix(physical=True)
+    psi = np.zeros(N + 1, dtype=complex)
+    psi[1:] = scipy.linalg.expm(-1j * H * t)[:, 0]
+    rho = expm_evolve(H, np.outer(site_state(N, 1), site_state(N, 1)), t, deco)
+    ideal = entrywise_reduce(np.outer(psi, psi.conj()), (1, N))
+    return float(np.real(np.trace(entrywise_reduce(rho, (1, N)) @ ideal)))
+
+
+@pytest.mark.parametrize("metric", [SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T])
+@pytest.mark.parametrize("n_sites", [2, 5])
+def test_default_scan_matches_dense_liouvillian(n_sites, metric):
+    # Every point of the default (T1, Tphi) grids against the dense oracle:
+    # the tomography emulation for the transfer channel, the entrywise
+    # partial trace of the dense state for the Bell overlap.
+    scan = sweep_decoherence(n_sites, metric, m_values=(0, 2, 102))
+    for i, m in enumerate(scan.m_values):
+        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
+        points = [(scan.t1_scan[i, j], t1, scan.fixed_tphi_us)
+                  for j, t1 in enumerate(scan.t1_values_us)]
+        points += [(scan.tphi_scan[i, j], scan.fixed_t1_us, tphi)
+                   for j, tphi in enumerate(scan.tphi_values_us)]
+        assert len(points) == 16
+        for got, t1, tphi in points:
+            deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
+            if metric is SweepMetric.QPT_AT_HALF_T:
+                ref = simulate_qpt(ham, deco)[1]
+            else:
+                ref = dense_bell_point(ham, deco)
+            assert abs(got - ref) <= 1e-12
+
+
+def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
+    # The default Tphi grid contains the fixed 5 us, so each m needs 8
+    # generator exponentials for both scans; H is diagonalized once for the
+    # noise-free reference and once for the vacuum coherences.
+    import scipy.linalg
+    from domechain import dynamics
+
+    expms, eighs = [], []
+    expm, eigendecompose = scipy.linalg.expm, dynamics.eigendecompose
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: expms.append(A) or expm(A))
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
+    for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
+        expms.clear()
+        eighs.clear()
+        scan = sweep_decoherence(5, metric)
+        assert len(scan.m_values) == 2
+        assert exponentiated(expms) == 8 * 2
+        assert len(eighs) <= 2 * 2
 
 
 def test_decoherence_scan_rejects_grid_metric():
