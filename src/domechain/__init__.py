@@ -66,9 +66,7 @@ from .noise import (
 from .spectrum import (
     FstPhase,
     Spectrum,
-    TransferCapability,
     check_pst_spacing,
-    classify_m,
     dome_spectrum,
     solve_fst_phase,
 )
@@ -92,13 +90,11 @@ __all__ = [
     "SweepMetric",
     "SweepResult",
     "Trajectory",
-    "TransferCapability",
     "TransferMode",
     "TridiagonalHamiltonian",
     "bell_state",
     "chain_bell_target",
     "check_pst_spacing",
-    "classify_m",
     "compute_weights",
     "corner_w_target",
     "default_time_grid",

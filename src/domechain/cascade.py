@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,11 +63,6 @@ class CouplingBudget:
             raise ValueError("budget requires j_max > j_min > 0")
 
 
-class MaxCoupling(NamedTuple):
-    exact: float
-    asymptotic: float
-
-
 class CascadeInfeasibleError(RuntimeError):
     """Some segment would need a rate below the budget floor."""
 
@@ -90,21 +84,16 @@ def _kind_m(kind: ChainKind, m: int) -> int:
     return int(m)
 
 
-def max_coupling(kind: ChainKind, N: int, m: int = 0, J: float = 1.0) -> MaxCoupling:
-    """Largest coupling of a length-N chain at rate J, exact and envelope.
+def max_coupling(kind: ChainKind, N: int, m: int = 0, J: float = 1.0) -> float:
+    """Largest coupling of a length-N chain at rate J.
 
-    The exact value (authoritative for planning) is the maximum of the
-    closed-form coupling array; the asymptotic envelope is N J / 4 for
-    lines and m N^2 J / 8 for domes.
+    The maximum of the closed-form coupling array; planning divides the
+    ceiling by it.  Its large-N envelopes (N J / 4 for lines, m N^2 J / 8
+    for domes) give the plan's asymptotic total.
     """
     m = _kind_m(kind, m)
     couplings = dome_hamiltonian(DomeParams(N=N, m=m, J=1.0)).couplings
-    exact = float(np.max(couplings)) * J
-    if kind is ChainKind.LINE:
-        asym = N * J / 4.0
-    else:
-        asym = m * N**2 * J / 8.0
-    return MaxCoupling(exact=exact, asymptotic=asym)
+    return float(np.max(couplings)) * J
 
 
 def segment_lengths(N: int, k: int) -> tuple[int, ...]:
@@ -170,7 +159,7 @@ def plan_cascade(
     lengths = segment_lengths(N, k)
     rates = []
     for i, L in enumerate(lengths):
-        rate = budget.j_max / max_coupling(kind, L, m).exact
+        rate = budget.j_max / max_coupling(kind, L, m)
         if rate < budget.j_min * (1.0 - 1e-12):
             raise CascadeInfeasibleError(i, L, rate, budget.j_min)
         rates.append(rate)

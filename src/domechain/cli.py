@@ -1,14 +1,17 @@
 """Command line front end: synth, evolve, sweep, cascade.
 
-Configs are JSON documents validated against strict schemas (unknown
-keys rejected); `--set path.key=value` applies dotted overrides before
-validation and `--format/--output` (and, for `sweep`, `--seed`) override
-the corresponding config fields.  All physical inputs carry units in their
-field names (rate_MHz is J/2pi; t1_us, tphi_us are microseconds) and are
-converted to angular frequency internally.  Integral floats in integer
-fields (`N=5.0`) are accepted, as JSON Schema does, and read as ints.
-NaN, Infinity and numbers that overflow a float are refused while
-parsing, before any schema check.
+Configs are JSON documents; `--set path.key=value` applies dotted
+overrides before validation and `--format/--output` (and, for `sweep`,
+`--seed`) override the corresponding config fields.  Each command has a
+few variants (synth: dome or spectrum; evolve: chain or grid; sweep:
+coherent chain, coherent corner or decoherence; cascade: line or dome).
+`_variant` picks one from the config, and that variant's strict schema
+then requires every key it needs and refuses every key it does not read.
+All physical inputs carry units in their field names (rate_MHz is J/2pi;
+t1_us, tphi_us are microseconds) and are converted to angular frequency
+internally.  Integral floats in integer fields (`N=5.0`) are accepted, as
+JSON Schema does, and read as ints.  NaN, Infinity and numbers that
+overflow a float are refused while parsing, before any schema check.
 
 The schemas use a small subset of JSON Schema, checked by `_schema_error`.
 Its exit-2 messages are the ones jsonschema's `best_match` reports for
@@ -20,8 +23,9 @@ RFC 4180 with LF line endings, and every command is deterministic given
 (config, seed): reruns produce byte-identical primary outputs.  Exit
 codes: 0 success, 1 internal error (a bug: the error JSON carries the
 traceback), 2 config rejected by the schema or by a domain check that
-raises ValueError, 3 numerical breakdown or infeasible plan.  Every
-failure prints a machine-readable error JSON on stderr.
+raises ValueError, 3 numerical breakdown (numpy's LinAlgError included)
+or infeasible plan.  Every failure prints a machine-readable error JSON
+on stderr.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .metrics import (
 from .models import (
     DomeParams,
     Grid2D,
-    PerturbativeBreakdownError,
     dome_hamiltonian,
     single_excitation_matrix,
 )
@@ -74,108 +77,100 @@ from .spectrum import Spectrum, dome_spectrum
 OUTDIR_ENV = "DOMECHAIN_OUTDIR"
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+_POSITIVES = {"type": "array", "items": _POSITIVE, "minItems": 1}
 
-SYNTH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "N": {"type": "integer", "minimum": 2},
-        "m": {"type": "integer", "minimum": 0},
-        "rate_MHz": _POSITIVE,
-        "spectrum": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "output": {"type": "string"},
-        "format": {"enum": ["csv", "json"]},
+# The schema of every config key but `kind` and `metric`, whose values pick
+# the variant.  Each variant takes a subset of these keys.
+_FIELDS = {
+    "N": {"type": "integer", "minimum": 2},
+    "m": {"type": "integer", "minimum": 0},
+    "rows": {"type": "integer", "minimum": 2},
+    "cols": {"type": "integer", "minimum": 2},
+    "m_x": {"type": "integer", "minimum": 0},
+    "m_y": {"type": "integer", "minimum": 0},
+    "spectrum": {"type": "array", "items": {"type": "number"}, "minItems": 2},
+    "rate_MHz": _POSITIVE,
+    "decoherence": {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {"t1_us": _POSITIVE, "tphi_us": _POSITIVE},
     },
+    "n_periods": _POSITIVE,
+    "points": {"type": "integer", "minimum": 2},
+    "m_values": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+    "target": {"enum": [t.value for t in DisorderTarget]},
+    "sigma": {"type": "number", "minimum": 0},
+    "sigmas": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
+    "samples": {"type": "integer", "minimum": 1},
+    "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+    "t1_us_values": _POSITIVES,
+    "tphi_us_values": _POSITIVES,
+    "fixed_t1_us": _POSITIVE,
+    "fixed_tphi_us": _POSITIVE,
+    "k": {"type": "integer", "minimum": 1},
+    "mode": {"enum": ["pst", "fst"]},
+    "j_max_MHz": _POSITIVE,
+    "j_min_MHz": _POSITIVE,
+    "output": {"type": "string"},
+    "format": {"enum": ["csv", "json"]},
 }
 
-EVOLVE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "N": {"type": "integer", "minimum": 2},
-        "m": {"type": "integer", "minimum": 0},
-        "rows": {"type": "integer", "minimum": 2},
-        "cols": {"type": "integer", "minimum": 2},
-        "m_x": {"type": "integer", "minimum": 0},
-        "m_y": {"type": "integer", "minimum": 0},
-        "rate_MHz": _POSITIVE,
-        "decoherence": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"t1_us": _POSITIVE, "tphi_us": _POSITIVE},
-        },
-        "n_periods": _POSITIVE,
-        "points": {"type": "integer", "minimum": 2},
-        "output": {"type": "string"},
-        "format": {"enum": ["csv", "json"]},
-    },
-}
 
-_TARGETS = [t.value for t in DisorderTarget]
-_METRICS = [m.value for m in SweepMetric]
+def _strict(required, optional=(), **enums) -> dict:
+    """Schema taking exactly `required`, `optional`, output and format.
 
-# Sweep keys that only one kind of sweep reads; the other kind refuses them.
-_COHERENT_ONLY_KEYS = ("target", "sigma", "sigmas", "samples")
-_DECOHERENCE_ONLY_KEYS = ("t1_us_values", "tphi_us_values", "fixed_t1_us", "fixed_tphi_us")
+    Each keyword argument limits that key to the listed values.
+    """
+    names = [*required, *optional, "output", "format"]
+    properties = {name: {"enum": enums[name]} if name in enums else _FIELDS[name] for name in names}
+    return {"type": "object", "additionalProperties": False, "required": list(required),
+            "properties": properties}
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "metric"],
-    "properties": {
-        "kind": {"enum": ["coherent", "decoherence"]},
-        "metric": {"enum": _METRICS},
-        "N": {"type": "integer", "minimum": 2},
-        "rows": {"type": "integer", "minimum": 2},
-        "cols": {"type": "integer", "minimum": 2},
-        "m_values": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-        "target": {"enum": _TARGETS},
-        "sigma": {"type": "number", "minimum": 0},
-        "sigmas": {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 1,
-        },
-        "samples": {"type": "integer", "minimum": 1},
-        "seed": _SEED,
-        "t1_us_values": {"type": "array", "items": _POSITIVE, "minItems": 1},
-        "tphi_us_values": {"type": "array", "items": _POSITIVE, "minItems": 1},
-        "fixed_t1_us": _POSITIVE,
-        "fixed_tphi_us": _POSITIVE,
-        "rate_MHz": _POSITIVE,
-        "output": {"type": "string"},
-        "format": {"enum": ["csv", "json"]},
-    },
-}
 
-CASCADE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "N", "j_max_MHz", "j_min_MHz"],
-    "properties": {
-        "kind": {"enum": ["line", "dome"]},
-        "N": {"type": "integer", "minimum": 2},
-        "k": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 0},
-        "mode": {"enum": ["pst", "fst"]},
-        "j_max_MHz": _POSITIVE,
-        "j_min_MHz": _POSITIVE,
-        "output": {"type": "string"},
-        "format": {"enum": ["json"]},
-    },
-}
+_EVOLVE = ("rate_MHz", "decoherence", "n_periods", "points")
+_COHERENT = ("m_values", "sigma", "sigmas", "samples", "rate_MHz")
+_SCAN = ("m_values", "t1_us_values", "tphi_us_values", "fixed_t1_us", "fixed_tphi_us", "rate_MHz")
+_CASCADE = ("kind", "N", "j_max_MHz", "j_min_MHz")
+_CHAIN_METRICS = [SweepMetric.BELL_AT_QUARTER_T.value, SweepMetric.QPT_AT_HALF_T.value]
 
+# One strict schema per command variant: a key that the variant does not
+# read is refused, and one that it needs is required.
 SCHEMAS = {
-    "synth": SYNTH_SCHEMA,
-    "evolve": EVOLVE_SCHEMA,
-    "sweep": SWEEP_SCHEMA,
-    "cascade": CASCADE_SCHEMA,
+    "synth": {
+        "dome": _strict(["N", "m"], ["rate_MHz"]),
+        "spectrum": _strict(["spectrum"], ["rate_MHz"]),
+    },
+    "evolve": {
+        "chain": _strict(["N", "m"], _EVOLVE),
+        "grid": _strict(["rows", "cols", "m_x", "m_y"], _EVOLVE),
+    },
+    "sweep": {
+        "chain": _strict(["kind", "metric", "N", "target", "seed"], _COHERENT,
+                         kind=["coherent"], metric=_CHAIN_METRICS),
+        "corner": _strict(["kind", "metric", "rows", "cols", "target", "seed"], _COHERENT,
+                          kind=["coherent"], metric=[SweepMetric.W_AT_QUARTER_T.value]),
+        "decoherence": _strict(["kind", "metric", "N"], _SCAN,
+                               kind=["decoherence"], metric=[m.value for m in SweepMetric]),
+    },
+    "cascade": {
+        "line": _strict(_CASCADE, ["k", "mode"], kind=["line"], format=["json"]),
+        "dome": _strict(_CASCADE, ["k", "m", "mode"], kind=["dome"], format=["json"]),
+    },
 }
+
+
+def _variant(command: str, cfg: dict) -> str:
+    """The SCHEMAS[command] variant that cfg asks for."""
+    if command == "synth":
+        return "spectrum" if "spectrum" in cfg else "dome"
+    if command == "evolve":
+        return "grid" if cfg.keys() & {"rows", "cols", "m_x", "m_y"} else "chain"
+    if command == "sweep":
+        if cfg.get("kind") == "decoherence":
+            return "decoherence"
+        return "corner" if cfg.get("metric") == SweepMetric.W_AT_QUARTER_T.value else "chain"
+    return "dome" if cfg.get("kind") == "dome" else "line"
+
 
 def _is_type(value, name: str) -> bool:
     """JSON Schema's type test on json.loads output: bools are not numbers."""
@@ -304,18 +299,11 @@ def _csv_text(header, rows) -> str:
 
 def cmd_synth(cfg: dict) -> Path:
     """Reconstruct a chain from its spectrum and write all artifacts."""
-    has_dome = "N" in cfg or "m" in cfg
-    has_spec = "spectrum" in cfg
-    if has_dome == has_spec:
-        raise ConfigError("provide either N and m, or an explicit spectrum")
     rate = _rate_rad_per_s(cfg)
-    if has_dome:
-        if "N" not in cfg or "m" not in cfg:
-            raise ConfigError("dome synthesis needs both N and m")
-        spec = dome_spectrum(cfg["N"], cfg["m"], rate)
+    if "spectrum" in cfg:
+        spec = Spectrum(values=np.asarray(cfg["spectrum"], dtype=float), rate_J=rate)
     else:
-        values = np.asarray(cfg["spectrum"], dtype=float)
-        spec = Spectrum(values=values, rate_J=rate)
+        spec = dome_spectrum(cfg["N"], cfg["m"], rate)
     ham = reconstruct(spec)
     weights = compute_weights(spec)
     W = eigenvectors(ham, spec)
@@ -352,21 +340,13 @@ def cmd_synth(cfg: dict) -> Path:
 
 def _evolve_system(cfg: dict):
     """(site matrix in rad/s, period, n_sites, grid or None for a chain)."""
-    chain_keys = {"N", "m"} & cfg.keys()
-    grid_keys = {"rows", "cols", "m_x", "m_y"} & cfg.keys()
     rate = _rate_rad_per_s(cfg)
-    if chain_keys and not grid_keys:
-        if chain_keys != {"N", "m"}:
-            raise ConfigError("chain evolution needs both N and m")
+    if "N" in cfg:
         ham = dome_hamiltonian(DomeParams(N=cfg["N"], m=cfg["m"], J=rate))
         return ham.matrix(physical=True), ham.period, ham.n, None
-    if grid_keys and not chain_keys:
-        if grid_keys != {"rows", "cols", "m_x", "m_y"}:
-            raise ConfigError("grid evolution needs rows, cols, m_x, and m_y")
-        grid = Grid2D(cfg["rows"], cfg["cols"], cfg["m_x"], cfg["m_y"], J=rate)
-        H = single_excitation_matrix(grid, physical=True)
-        return H, grid.period, grid.rows * grid.cols, grid
-    raise ConfigError("provide either chain keys (N, m) or grid keys")
+    grid = Grid2D(cfg["rows"], cfg["cols"], cfg["m_x"], cfg["m_y"], J=rate)
+    H = single_excitation_matrix(grid, physical=True)
+    return H, grid.period, grid.rows * grid.cols, grid
 
 
 def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
@@ -459,18 +439,8 @@ def cmd_evolve(cfg: dict) -> Path:
     return path
 
 
-def _refuse_keys(cfg: dict, keys, command: str) -> None:
-    """Reject config keys that `command` would otherwise silently ignore."""
-    for key in keys:
-        if key in cfg:
-            raise ConfigError(f"{command} do not use {key!r}")
-
-
 def _sweep_coherent(cfg: dict):
     metric = SweepMetric(cfg["metric"])
-    _refuse_keys(cfg, _DECOHERENCE_ONLY_KEYS, "coherent sweeps")
-    if "target" not in cfg or "seed" not in cfg:
-        raise ConfigError("coherent sweeps need target and seed")
     if ("sigma" in cfg) == ("sigmas" in cfg):
         raise ConfigError("coherent sweeps need either sigma or sigmas, not both")
     sigmas = cfg.get("sigmas", [cfg.get("sigma")])
@@ -484,16 +454,10 @@ def _sweep_coherent(cfg: dict):
     rate = _rate_rad_per_s(cfg)
     rows = []
     for m in m_values:
-        if metric is SweepMetric.W_AT_QUARTER_T:
-            _refuse_keys(cfg, ["N"], "corner sweeps")
-            if "rows" not in cfg or "cols" not in cfg:
-                raise ConfigError("the corner metric needs rows and cols")
-            system = Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate)
-        else:
-            _refuse_keys(cfg, ["rows", "cols"], "chain sweeps")
-            if "N" not in cfg:
-                raise ConfigError("chain sweeps need N")
+        if "N" in cfg:
             system = DomeParams(N=cfg["N"], m=m, J=rate)
+        else:
+            system = Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate)
         result = sweep_coherent(system, dcfg, metric, sigmas=sigmas)
         for j in range(result.axis.size):
             rows.append(
@@ -515,21 +479,9 @@ def _sweep_coherent(cfg: dict):
 
 
 def _sweep_decoherence(cfg: dict):
-    metric = SweepMetric(cfg["metric"])
-    _refuse_keys(cfg, _COHERENT_ONLY_KEYS + ("rows", "cols"), "decoherence scans")
-    if "N" not in cfg:
-        raise ConfigError("decoherence scans need N")
-    kwargs = {}
-    if "m_values" in cfg:
-        kwargs["m_values"] = cfg["m_values"]
-    if "t1_us_values" in cfg:
-        kwargs["t1_values_us"] = cfg["t1_us_values"]
-    if "tphi_us_values" in cfg:
-        kwargs["tphi_values_us"] = cfg["tphi_us_values"]
-    for key in ("fixed_t1_us", "fixed_tphi_us", "rate_MHz"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    scan = sweep_decoherence(cfg["N"], metric, **kwargs)
+    renamed = {"t1_us_values": "t1_values_us", "tphi_us_values": "tphi_values_us"}
+    kwargs = {renamed.get(key, key): cfg[key] for key in _SCAN if key in cfg}
+    scan = sweep_decoherence(cfg["N"], SweepMetric(cfg["metric"]), **kwargs)
     rows = []
     for i, m in enumerate(scan.m_values):
         for j, t1 in enumerate(scan.t1_values_us):
@@ -575,8 +527,6 @@ def cmd_sweep(cfg: dict) -> Path:
 
 def cmd_cascade(cfg: dict) -> Path:
     """Plan a cascaded transfer and write the plan JSON."""
-    if cfg["kind"] == "line":
-        _refuse_keys(cfg, ["m"], "line cascades")
     budget = CouplingBudget(
         j_max=2 * np.pi * cfg["j_max_MHz"] * 1e6,
         j_min=2 * np.pi * cfg["j_min_MHz"] * 1e6,
@@ -697,14 +647,11 @@ def main(argv=None) -> int:
             cfg["format"] = args.format
         if args.output is not None:
             cfg["output"] = str(args.output)
-        schema = SCHEMAS[args.command]
+        schema = SCHEMAS[args.command][_variant(args.command, cfg)]
         error = _schema_error(schema, cfg)
         if error is not None:
             raise ConfigError(error)
         path = COMMANDS[args.command](_with_ints(schema, cfg))
-    except ValueError as exc:  # ConfigError and domain input checks
-        _error("validation", str(exc))
-        return 2
     except CascadeInfeasibleError as exc:
         _error(
             "infeasible",
@@ -714,9 +661,12 @@ def main(argv=None) -> int:
             required_rate_rad_per_s=exc.required_rate,
         )
         return 3
-    except (ReconstructionError, PerturbativeBreakdownError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, ReconstructionError, RuntimeError) as exc:
         _error("numerical", str(exc))
         return 3
+    except ValueError as exc:  # ConfigError and domain input checks
+        _error("validation", str(exc))
+        return 2
     except Exception as exc:
         _error("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
         return 1

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
-from .spectrum import TransferCapability, classify_m
 
 __all__ = [
     "DomeParams",
@@ -57,10 +56,6 @@ class DomeParams:
     @property
     def period(self) -> float:
         return 2.0 * np.pi / self.J
-
-    @property
-    def capability(self) -> TransferCapability:
-        return classify_m(self.m)
 
 
 def dome_hamiltonian(params: DomeParams) -> TridiagonalHamiltonian:

@@ -19,7 +19,6 @@ quarter period.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -28,24 +27,14 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "FstPhase",
-    "TransferCapability",
     "dome_spectrum",
     "check_pst_spacing",
     "solve_fst_phase",
-    "classify_m",
 ]
 
 # Phase-matching tolerance for the PST/FST predicates.  Dome spectra are
 # integers or half-integers in units of J, so roundoff is the only noise.
 PHASE_TOL = 1e-9
-
-
-class TransferCapability(enum.Enum):
-    """Transfer behavior of a dome chain as a function of the shape parameter m."""
-
-    PST_AND_FST = "pst_and_fst"
-    PST_ONLY = "pst_only"
-    PERIODIC_ONLY = "periodic_only"
 
 
 @dataclass(frozen=True)
@@ -181,19 +170,3 @@ def solve_fst_phase(spec: Spectrum, tau: float) -> FstPhase | None:
         return None
     return sol
 
-
-def classify_m(m: int) -> TransferCapability:
-    """Transfer capability of the dome family by shape parameter.
-
-    m = 2 (mod 4) gives PST at half period plus FST at quarter period.
-    Other even m (including 0) give PST only; odd m only revives at the
-    full period.
-    """
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
-    m = int(m)
-    if m % 2 == 1:
-        return TransferCapability.PERIODIC_ONLY
-    if m % 4 == 2:
-        return TransferCapability.PST_AND_FST
-    return TransferCapability.PST_ONLY

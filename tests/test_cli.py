@@ -331,8 +331,8 @@ def test_missing_required_keys_exit_2(outdir):
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
 def test_schemas_satisfy_their_metaschema(command):
-    schema = SCHEMAS[command]
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    for schema in SCHEMAS[command].values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_threads_key_is_refused(outdir, capsys):
@@ -351,7 +351,7 @@ def test_threads_key_is_refused(outdir, capsys):
 
 _CASCADE = ["cascade", "--set", "N=10", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.0001"]
 _DECOHERENCE = ["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
-                "--set", "N=3", "--seed", "1"]
+                "--set", "N=3"]
 _COHERENT = ["sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t",
              "--set", "N=3", "--set", "target=all", "--set", "samples=2", "--seed", "1"]
 
@@ -379,30 +379,60 @@ def test_seed_is_a_sweep_option_only(outdir, capsys):
         (["synth", "--set", "spectrum=[0.5,-0.5]"], "strictly increasing"),
         (["sweep", "--set", "kind=decoherence", "--set", "metric=w_at_quarter_t",
           "--set", "N=5"], "defined for chain metrics"),
-        *[(_DECOHERENCE + ["--set", kv], f"decoherence scans do not use '{kv.split('=')[0]}'")
-          for kv in ("sigma=0.1", "sigmas=[0.1]", "samples=5", "target=all", "rows=2")],
-        *[(_COHERENT + ["--set", "sigma=0.1", "--set", kv],
-           f"coherent sweeps do not use '{kv.split('=')[0]}'")
-          for kv in ("t1_us_values=[30]", "tphi_us_values=[5]", "fixed_t1_us=30",
-                     "fixed_tphi_us=5")],
         (_COHERENT + ["--set", "sigma=0.1", "--set", "sigmas=[0.2]"], "not both"),
-        (_COHERENT + ["--set", "sigma=0.1", "--set", "cols=3"], "chain sweeps do not use 'cols'"),
-        (_COHERENT + ["--set", "sigma=0.1", "--set", "metric=w_at_quarter_t", "--set", "rows=2",
-                      "--set", "cols=3"], "corner sweeps do not use 'N'"),
-        (_CASCADE + ["--set", "kind=line", "--set", "m=7"], "line cascades do not use 'm'"),
     ],
     ids=["dome_m0", "k_above_N_minus_1", "j_max_not_above_j_min",
-         "decreasing_spectrum", "decoherence_w_metric",
-         "decoherence_sigma", "decoherence_sigmas", "decoherence_samples",
-         "decoherence_target", "decoherence_rows", "coherent_t1_us_values",
-         "coherent_tphi_us_values", "coherent_fixed_t1_us", "coherent_fixed_tphi_us", "sigma_with_sigmas",
-         "chain_sweep_cols", "corner_sweep_N", "line_cascade_m"],
+         "decreasing_spectrum", "decoherence_w_metric", "sigma_with_sigmas"],
 )
 def test_domain_input_errors_exit_2(outdir, capsys, argv, detail):
     # Schema-valid configs that a domain check rejects with ValueError.
     assert run(argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and detail in err["detail"]
+
+
+def _unexpected(*keys):
+    verb = "was" if len(keys) == 1 else "were"
+    return f"Additional properties are not allowed ({', '.join(map(repr, keys))} {verb} unexpected)"
+
+
+# A key that the chosen variant does not read, or a missing key that it needs.
+_SCHEMA_REFUSALS = {
+    **{f"decoherence_{key}": (_DECOHERENCE + ["--set", f"{key}={value}"], _unexpected(key))
+       for key, value in [("sigma", "0.1"), ("sigmas", "[0.1]"), ("samples", "5"),
+                          ("target", "all"), ("rows", "2"), ("seed", "1")]},
+    **{f"coherent_{key}": (_COHERENT + ["--set", "sigma=0.1", "--set", f"{key}={value}"],
+                           _unexpected(key))
+       for key, value in [("t1_us_values", "[30]"), ("tphi_us_values", "[5]"),
+                          ("fixed_t1_us", "30"), ("fixed_tphi_us", "5")]},
+    "chain_sweep_cols": (_COHERENT + ["--set", "sigma=0.1", "--set", "cols=3"], _unexpected("cols")),
+    "corner_sweep_N": (_COHERENT + ["--set", "sigma=0.1", "--set", "metric=w_at_quarter_t",
+                                    "--set", "rows=2", "--set", "cols=3"], _unexpected("N")),
+    "line_cascade_m": (_CASCADE + ["--set", "kind=line", "--set", "m=7"], _unexpected("m")),
+    "decoherence_seed_flag": (_DECOHERENCE + ["--seed", "1"], _unexpected("seed")),
+    "synth_both_sources": (["synth", "--set", "N=5", "--set", "m=2",
+                            "--set", "spectrum=[-0.5,0.5]"], _unexpected("N", "m")),
+    "evolve_chain_and_grid": (["evolve", "--set", "N=5", "--set", "m=2", "--set", "rows=2",
+                               "--set", "cols=2", "--set", "m_x=0", "--set", "m_y=0"],
+                              _unexpected("N", "m")),
+    "synth_empty": (["synth"], "'N' is a required property"),
+    "evolve_grid_without_m_y": (["evolve", "--set", "rows=2", "--set", "cols=3",
+                                 "--set", "m_x=0"], "'m_y' is a required property"),
+    "coherent_without_seed": (_COHERENT[:-2] + ["--set", "sigma=0.1"],
+                              "'seed' is a required property"),
+    "corner_without_cols": (["sweep", "--set", "kind=coherent", "--set", "metric=w_at_quarter_t",
+                             "--set", "rows=2", "--set", "target=all", "--set", "sigma=0.1",
+                             "--seed", "1"], "'cols' is a required property"),
+    "decoherence_without_N": (_DECOHERENCE[:-2], "'N' is a required property"),
+}
+
+
+@pytest.mark.parametrize("argv, detail", _SCHEMA_REFUSALS.values(), ids=_SCHEMA_REFUSALS)
+def test_schema_refusals_exit_2(outdir, capsys, argv, detail):
+    # The chosen variant's schema message, worded as jsonschema words it.
+    assert run(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "validation", "detail": detail}
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -439,6 +469,20 @@ def test_internal_errors_exit_1_with_traceback(outdir, capsys, monkeypatch, exc_
     assert err["error"] == "internal"
     assert err["detail"].startswith(exc_type.__name__)
     assert "broken_command" in err["traceback"]
+
+
+def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but it reports a numerical failure, not a bad config.
+    from domechain import dynamics
+
+    def broken(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(dynamics, "eigendecompose", broken)
+    assert run(["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=5"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "numerical", "detail": "Eigenvalues did not converge"}
+    assert list(outdir.iterdir()) == []
 
 
 def test_output_path_is_printed(outdir, capsys):

@@ -11,7 +11,7 @@ from domechain.models import (
     schrieffer_wolff_reduce,
     single_excitation_matrix,
 )
-from domechain.spectrum import TransferCapability, dome_spectrum
+from domechain.spectrum import check_pst_spacing, dome_spectrum
 
 
 def test_dome_closed_forms_n5_m2():
@@ -59,7 +59,7 @@ def test_dome_params_validation_and_capability():
     with pytest.raises(ValueError):
         DomeParams(N=5, m=2, J=0.0)
     p = DomeParams(N=5, m=2, J=2.0)
-    assert p.capability is TransferCapability.PST_AND_FST
+    assert check_pst_spacing(dome_spectrum(p.N, p.m), np.pi)  # even m: PST at T/2
     assert abs(p.period * p.J - 2 * np.pi) < 1e-15
 
 

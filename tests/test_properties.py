@@ -7,9 +7,7 @@ from domechain import (
     DisorderConfig,
     DisorderTarget,
     DomeParams,
-    TransferCapability,
     check_pst_spacing,
-    classify_m,
     dome_hamiltonian,
     dome_spectrum,
     perturb,
@@ -72,18 +70,16 @@ def test_closed_forms_are_mirror_symmetric_with_positive_couplings(N, m):
 def test_capability_class_matches_phase_solver(N, m):
     # N = 2 is excluded: its spectrum is +-1/2 for every m, so the pair
     # always splits at quarter period regardless of the curvature class.
+    # Classes by m: odd m revive only at T, even m give PST at T/2, and
+    # m = 2 (mod 4) also give FST at T/4.
     spec = dome_spectrum(N, m)
-    cap = classify_m(m)
     period = 2 * np.pi
-    if cap is TransferCapability.PERIODIC_ONLY:
-        assert not check_pst_spacing(spec, period / 2)
-    else:
-        assert check_pst_spacing(spec, period / 2)
+    assert check_pst_spacing(spec, period / 2) == (m % 2 == 0)
     phase = solve_fst_phase(spec, period / 4)
-    if cap is TransferCapability.PST_AND_FST:
+    if m % 4 == 2:
         assert phase is not None
         assert abs(phase.theta - np.pi / 4) < 1e-9
-    elif cap is TransferCapability.PST_ONLY and phase is not None:
+    elif m % 2 == 0 and phase is not None:
         # No genuine splitting: any quarter-period solution is degenerate.
         assert phase.theta < 1e-9 or abs(phase.theta - np.pi / 2) < 1e-9
 

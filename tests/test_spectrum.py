@@ -8,9 +8,7 @@ import pytest
 from domechain.spectrum import (
     FstPhase,
     Spectrum,
-    TransferCapability,
     check_pst_spacing,
-    classify_m,
     dome_spectrum,
     solve_fst_phase,
 )
@@ -129,30 +127,12 @@ def test_fst_phase_dataclass_bounds():
         FstPhase(theta=2.0, psi=0.0, phi=0.0)
 
 
-def test_classify_m_table():
-    assert classify_m(0) is TransferCapability.PST_ONLY
-    assert classify_m(1) is TransferCapability.PERIODIC_ONLY
-    assert classify_m(2) is TransferCapability.PST_AND_FST
-    assert classify_m(3) is TransferCapability.PERIODIC_ONLY
-    assert classify_m(4) is TransferCapability.PST_ONLY
-    assert classify_m(6) is TransferCapability.PST_AND_FST
-    assert classify_m(10) is TransferCapability.PST_AND_FST
-    assert classify_m(102) is TransferCapability.PST_AND_FST
-    with pytest.raises(ValueError):
-        classify_m(-2)
-
-
 def test_capability_predicates_agree_with_classification():
-    # The enum is a summary of the two spectral predicates.
+    # The module's classification by m: even m give PST at T/2, and
+    # m = 2 (mod 4) also give the Bell split at T/4.
     for m in range(0, 13):
         spec = dome_spectrum(6, m)
-        cap = classify_m(m)
         pst = check_pst_spacing(spec, math.pi)
         fst = solve_fst_phase(spec, math.pi / 2)
         bell = fst is not None and abs(fst.theta - math.pi / 4) < 1e-9
-        if cap is TransferCapability.PST_AND_FST:
-            assert pst and bell
-        elif cap is TransferCapability.PST_ONLY:
-            assert pst and not bell
-        else:
-            assert not pst and not bell
+        assert (pst, bell) == (m % 2 == 0, m % 4 == 2)

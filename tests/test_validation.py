@@ -1,7 +1,8 @@
 """Config validation: the in-house schema check against jsonschema as an oracle.
 
 `cli._schema_error` must report exactly the message jsonschema's
-`best_match` reports (or None when jsonschema finds nothing), and integral
+`best_match` reports (or None when jsonschema finds nothing) for every
+variant schema, `cli._variant` must reach every variant, and integral
 floats in integer fields must behave as their int form.
 """
 
@@ -68,43 +69,67 @@ def _near(rng, schema):
     return rng.choice(SCALARS)
 
 
+VARIANTS = [(c, v) for c in sorted(SCHEMAS) for v in SCHEMAS[c]]
+
+
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
 def test_schemas_use_only_implemented_keywords(command):
-    used = list(_keywords(SCHEMAS[command]))
-    assert {key for key, _ in used} <= IMPLEMENTED
-    assert all(arg is False for key, arg in used if key == "additionalProperties")
+    for schema in SCHEMAS[command].values():
+        used = list(_keywords(schema))
+        assert {key for key, _ in used} <= IMPLEMENTED
+        assert all(arg is False for key, arg in used if key == "additionalProperties")
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_messages_match_jsonschema_best_match(seed):
     rng = random.Random(seed)
-    validators = {k: jsonschema.validators.validator_for(s)(s) for k, s in SCHEMAS.items()}
+    schemas = {(c, v): SCHEMAS[c][v] for c, v in VARIANTS}
+    validators = {k: jsonschema.validators.validator_for(s)(s) for k, s in schemas.items()}
     verdicts = set()
     for _ in range(2500):
-        command = rng.choice(sorted(SCHEMAS))
-        cfg = _near(rng, SCHEMAS[command])
-        best = jsonschema.exceptions.best_match(validators[command].iter_errors(cfg))
+        variant = rng.choice(VARIANTS)
+        cfg = _near(rng, schemas[variant])
+        best = jsonschema.exceptions.best_match(validators[variant].iter_errors(cfg))
         want = None if best is None else best.message
-        assert cli._schema_error(SCHEMAS[command], cfg) == want, (command, cfg)
+        assert cli._schema_error(schemas[variant], cfg) == want, (variant, cfg)
+        if want is None:  # a config that a variant accepts is routed to it
+            assert cli._variant(variant[0], cfg) == variant[1], (variant, cfg)
         verdicts.add(want is None)
     assert verdicts == {True, False}
 
 
-# Small valid configs that between them set every integer field of every schema.
+# One small valid config per variant; between them they set every integer
+# field of every variant.
 INTEGER_CASES = {
-    "synth": [{"N": 5, "m": 2}],
-    "evolve": [
-        {"N": 3, "m": 2, "points": 9},
-        {"rows": 2, "cols": 3, "m_x": 0, "m_y": 2, "points": 9},
-    ],
-    "sweep": [
-        {"kind": "coherent", "metric": "bell_at_quarter_t", "N": 3, "m_values": [0, 2],
-         "target": "all", "sigma": 0.1, "samples": 3, "seed": 7},
-        {"kind": "coherent", "metric": "w_at_quarter_t", "rows": 2, "cols": 3,
-         "m_values": [2], "target": "edge_frequencies", "sigma": 0.1, "samples": 2, "seed": 7},
-    ],
-    "cascade": [{"kind": "dome", "N": 40, "k": 2, "m": 2, "j_max_MHz": 50, "j_min_MHz": 0.01}],
+    "synth": {"dome": {"N": 5, "m": 2}, "spectrum": {"spectrum": [-0.5, 0.5]}},
+    "evolve": {
+        "chain": {"N": 3, "m": 2, "points": 9},
+        "grid": {"rows": 2, "cols": 3, "m_x": 0, "m_y": 2, "points": 9},
+    },
+    "sweep": {
+        "chain": {"kind": "coherent", "metric": "bell_at_quarter_t", "N": 3, "m_values": [0, 2],
+                  "target": "all", "sigma": 0.1, "samples": 3, "seed": 7},
+        "corner": {"kind": "coherent", "metric": "w_at_quarter_t", "rows": 2, "cols": 3,
+                   "m_values": [2], "target": "edge_frequencies", "sigma": 0.1, "samples": 2,
+                   "seed": 7},
+        "decoherence": {"kind": "decoherence", "metric": "qpt_at_half_t", "N": 3,
+                        "m_values": [2], "t1_us_values": [30], "tphi_us_values": [5],
+                        "rate_MHz": 5},
+    },
+    "cascade": {
+        "line": {"kind": "line", "N": 40, "k": 2, "j_max_MHz": 50, "j_min_MHz": 0.01},
+        "dome": {"kind": "dome", "N": 40, "k": 2, "m": 2, "j_max_MHz": 50, "j_min_MHz": 0.01},
+    },
 }
+
+
+def test_variant_reaches_every_schema_and_every_field_is_used():
+    for command, variant in VARIANTS:
+        cfg = INTEGER_CASES[command][variant]
+        assert cli._variant(command, cfg) == variant
+        assert cli._schema_error(SCHEMAS[command][variant], cfg) is None
+    used = {name for c, v in VARIANTS for name in SCHEMAS[c][v]["properties"]}
+    assert set(cli._FIELDS) <= used
 
 
 def _integer_fields(schema):
@@ -113,7 +138,7 @@ def _integer_fields(schema):
             yield name
 
 
-INTEGER_FIELDS = [(c, f) for c in sorted(SCHEMAS) for f in _integer_fields(SCHEMAS[c])]
+INTEGER_FIELDS = sorted({(c, f) for c, v in VARIANTS for f in _integer_fields(SCHEMAS[c][v])})
 
 
 def _outputs(outdir, tmp_path, command, cfg):
@@ -129,8 +154,9 @@ def _outputs(outdir, tmp_path, command, cfg):
 def test_integral_floats_in_integer_fields_act_as_ints(tmp_path, monkeypatch, command, field):
     outdir = tmp_path / "out"
     monkeypatch.setenv("DOMECHAIN_OUTDIR", str(outdir))
-    cases = [cfg for cfg in INTEGER_CASES[command] if field in cfg]
-    assert cases, f"no case sets {command}.{field}"
+    variants = [v for v, schema in SCHEMAS[command].items() if field in _integer_fields(schema)]
+    cases = [INTEGER_CASES[command][v] for v in variants]
+    assert all(field in cfg for cfg in cases), f"a {command} variant's case leaves out {field}"
     for cfg in cases:
         value = cfg[field]
         as_float = [float(v) for v in value] if isinstance(value, list) else float(value)
