@@ -29,10 +29,16 @@ block.  T1 enters the site block only as the scalar e^{-gamma1 t}: its
 D^2 x D^2 generator is G_phi - gamma1, so the block is propagated under
 G_phi once per distinct Tphi and scaled per T1.  `evolve_lindblad` takes a
 stack of site blocks and a sequence of configs, so a whole decoherence
-scan is one call.  Small systems exponentiate G_phi densely, every (site
-block, Tphi, step length) in one stacked expm call up to a memory budget;
-steps within a few ulps of the end time count as one length.  Large
-systems apply it with scipy's expm_multiply on its sparse form.
+scan is one call.  Steps within a few ulps of the end time count as one
+length, and consecutive steps of one length form a run.  Small systems
+exponentiate G_phi densely, every (site block, Tphi, step length) in one
+stacked expm call up to a memory budget, and fill each run by doubling:
+with k states known, the next k are those times the k-th power of the step
+map, squared once per round, where squaring is cheaper than stepping.
+Large systems apply G_phi with scipy's expm_multiply on its sparse form,
+one call per run.  Positivity of every output state is checked by one
+stacked Cholesky factorization of rho + 1e-6 I; eigvalsh decides only
+when that fails.
 `evolve_closed` is the one closed propagator: one diagonalization and one
 matrix product give every output time, and a single time is a one-point
 grid.  The vacuum terms of open evolution are evaluated for the whole time
@@ -78,6 +84,16 @@ DENSE_GENERATOR_MAX_SITES = 20
 # Matrix entries per stacked LAPACK call: site matrices per `eigh` in the
 # disorder sweeps, generator entries per dense `expm` of the open propagator.
 MAX_CHUNK_ENTRIES = 1 << 20
+
+# A run of L equal dense steps with an n x n map (n = D^2) is filled by
+# doubling when its log2(L) squarings, n^3 multiply-adds each, cost at most
+# this many multiply-adds per step; otherwise it takes one matrix-vector
+# product per step.  Timed on one BLAS thread, runs of 99 and 397 steps:
+# always doubling was 2-5x faster than stepping at D <= 5, about even at
+# D = 8-10 and up to 2x slower from D = 12, where one squaring costs more
+# than the products it saves.  This bound doubles up to D = 8 on 99 steps
+# and up to D = 10 on 397.
+DOUBLING_MACS_PER_STEP = 1 << 15
 
 
 def site_state(n_sites: int, site: int) -> np.ndarray:
@@ -185,6 +201,45 @@ def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return group, np.bincount(group, weights=steps) / np.bincount(group)
 
 
+def _step_runs(steps: np.ndarray, t_end: float) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Step lengths to propagate by, and the runs of steps that share one.
+
+    Each run is (start, stop, slot): steps start..stop-1 all advance by
+    lengths[slot], or stay put when slot is -1.  The steps of a linspace
+    grid differ in their last bits; steps within a few ulps of the end time
+    share one length (see _merge_steps).
+    """
+    group, lengths = _merge_steps(steps, 4.0 * np.spacing(t_end))
+    # Group 0 holds the zero steps (steps[0] is one); it needs no length
+    # unless steps within the tolerance of 0 joined it.
+    skip = int(lengths[0] == 0.0)
+    slot = np.where(steps > 0.0, group - skip, -1)
+    bounds = (np.flatnonzero(slot[1:] != slot[:-1]) + 1).tolist()
+    starts = [0, *bounds]
+    return lengths[skip:], list(zip(starts, [*bounds, steps.size], slot[starts].tolist()))
+
+
+def _fill_run(block: np.ndarray, A: np.ndarray, prev: np.ndarray) -> None:
+    """block[i] = A^(i+1) prev for every row.
+
+    With A^k known and the first i >= k rows filled, the next k rows are
+    block[i-k : i] @ (A^k)^T.  When doubling pays (see
+    DOUBLING_MACS_PER_STEP), A^k is squared after every such product, so a
+    run of L rows takes about 2 log2(L) products; otherwise k stays 1.
+    """
+    np.matmul(A, prev, out=block[0])
+    L, n = len(block), A.shape[0]
+    double = n**3 * L.bit_length() <= DOUBLING_MACS_PER_STEP * L
+    i, k, power = 1, 1, A
+    while i < L:
+        m = min(k, L - i)
+        np.matmul(block[i - k : i - k + m], power.T, out=block[i : i + m])
+        i += m
+        if double and i < L:
+            power = power @ power
+            k *= 2
+
+
 def _site_blocks(
     H: np.ndarray,
     gamma_phi: np.ndarray,
@@ -196,47 +251,45 @@ def _site_blocks(
 
     Pair (m, f) steps sites0 with the generator -i (H_m kron 1 - 1 kron H_m)
     (H is real symmetric) minus 4 gamma_phi[f] on the coherences between
-    sites.  Dense step maps come from stacked expm calls of at most
-    MAX_CHUNK_ENTRIES generator entries each; above DENSE_GENERATOR_MAX_SITES
-    every pair steps with expm_multiply on the sparse form.
+    sites.  Consecutive steps of one length form a run.  Dense step maps
+    come from stacked expm calls of at most MAX_CHUNK_ENTRIES generator
+    entries each, and _fill_run fills each run from its map; above
+    DENSE_GENERATOR_MAX_SITES every pair takes one expm_multiply call per
+    run on the sparse form.
     """
     M, D = H.shape[:2]
     n = D * D
     eye = np.eye(D)
     dephase = 4.0 * (1.0 - eye).reshape(n)
     out = np.empty((M, gamma_phi.size, steps.size, n), dtype=complex)
+    lengths, runs = _step_runs(steps, t_end)
     if D <= DENSE_GENERATOR_MAX_SITES:
         import scipy.linalg
 
-        # The steps of a linspace grid differ in their last bits; steps within
-        # a few ulps of the end time share one exponential.
-        group, lengths = _merge_steps(steps, 4.0 * np.spacing(t_end))
-        # Group 0 holds the zero steps (steps[0] is one); it needs no map
-        # unless steps within the tolerance of 0 joined it.
-        skip = int(lengths[0] == 0.0)
-        map_of = np.where(steps > 0.0, group - skip, -1).tolist()
         pairs = [(k, f) for k in range(M) for f in range(gamma_phi.size)]
-        per_call = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size - skip) * n * n))
+        per_call = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n))
         for start in range(0, len(pairs), per_call):
             chunk = pairs[start : start + per_call]
             ks, fs = np.array(chunk).T
             kron = np.einsum("kij,ab->kiajb", H[ks], eye) - np.einsum("ij,kab->kiajb", eye, H[ks])
             G = -1j * kron.reshape(len(chunk), n, n)
             G.reshape(len(chunk), -1)[:, :: n + 1] -= gamma_phi[fs, None] * dephase
-            maps = scipy.linalg.expm(G[:, None] * lengths[skip:, None, None])
+            maps = scipy.linalg.expm(G[:, None] * lengths[:, None, None])
             for (k, f), step_maps in zip(chunk, maps):
-                sites, block = sites0, out[k, f]
-                for i, g in enumerate(map_of):
-                    if g >= 0:
-                        sites = step_maps[g] @ sites
-                    block[i] = sites
+                prev, block = sites0, out[k, f]
+                for i, stop, g in runs:
+                    if g < 0:
+                        block[i:stop] = prev
+                    else:
+                        _fill_run(block[i:stop], step_maps[g], prev)
+                    prev = block[stop - 1]
         return out
     import scipy.sparse
     from scipy.sparse.linalg import expm_multiply
 
     # expm_multiply takes its degree and step count from onenormest, which
     # draws from numpy's global RNG.  Seeding it before every call makes each
-    # step a function of its inputs; the caller's state is restored.
+    # run a function of its inputs; the caller's state is restored.
     ident = scipy.sparse.identity(D, format="csr")
     state = np.random.get_state()
     try:
@@ -245,12 +298,18 @@ def _site_blocks(
             commutator = scipy.sparse.kron(Hs, ident) - scipy.sparse.kron(ident, Hs)
             for f, rate in enumerate(gamma_phi):
                 Gf = (-1j * commutator - scipy.sparse.diags(rate * dephase)).tocsr()
-                sites = sites0
-                for i, dt in enumerate(steps.tolist()):
-                    if dt > 0.0:
+                prev, block = sites0, out[k, f]
+                for i, stop, g in runs:
+                    if g < 0:
+                        block[i:stop] = prev
+                    else:
                         np.random.seed(0)
-                        sites = expm_multiply(Gf * dt, sites)
-                    out[k, f, i] = sites
+                        L, dt = stop - i, lengths[g]
+                        block[i:stop] = (
+                            expm_multiply(Gf * dt, prev) if L == 1 else
+                            expm_multiply(Gf, prev, start=dt, stop=L * dt, num=L, endpoint=True)
+                        )
+                    prev = block[stop - 1]
     finally:
         np.random.set_state(state)
     return out
@@ -326,8 +385,13 @@ def evolve_lindblad(
     traces = np.real(np.einsum("...ii->...", rhos))
     if not np.all(np.abs(traces - 1.0) <= 1e-6):
         raise RuntimeError("open evolution drifted in trace beyond 1e-6")
-    if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
-        raise RuntimeError("open evolution lost positivity beyond 1e-6")
+    # Cholesky of rho + 1e-6 I succeeds only when no eigenvalue of rho is
+    # below -1e-6 (up to rounding); when it fails, eigvalsh decides.
+    try:
+        np.linalg.cholesky(rhos + 1e-6 * np.eye(dim))
+    except np.linalg.LinAlgError:
+        if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
+            raise RuntimeError("open evolution lost positivity beyond 1e-6") from None
     if H.ndim == 2:
         rhos = rhos[0]
     if isinstance(deco, DecoherenceConfig):

@@ -6,6 +6,8 @@ scipy.linalg.expm.  It shares no code with the block-split propagator in
 dynamics.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -320,6 +322,95 @@ def test_lindblad_positivity_failure_raises(monkeypatch):
         evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))
 
 
+@pytest.mark.parametrize("low, fails", [(-0.9e-6, False), (-1.1e-6, True)])
+def test_positivity_check_at_its_bound(monkeypatch, low, fails):
+    # A rotated state with smallest eigenvalue just inside or just outside
+    # -1e-6.  Inside, the Cholesky test passes and eigvalsh is not called;
+    # outside, eigvalsh confirms the failure.
+    import domechain.dynamics as dynamics
+
+    U = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)) + 0j)[0]
+    good = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    edge = U @ np.diag([0.6 - low, 0.4, low]) @ U.conj().T
+    monkeypatch.setattr(
+        dynamics, "_evolve_open",
+        lambda H, rho0, times, decos: np.array([good, edge, good])[None, None],
+    )
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    message = "^open evolution lost positivity beyond 1e-6$"
+    with pytest.raises(RuntimeError, match=message) if fails else contextlib.nullcontext():
+        evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))
+    assert len(calls) == int(fails)
+
+
+def test_healthy_default_grid_skips_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
+    times = _evolve_times_of({}, ham.period)
+    rho0 = np.outer(site_state(5, 1), site_state(5, 1))
+    evolve_lindblad(ham.matrix(physical=True), rho0, times, DecoherenceConfig(t1=30e-6, t_phi=5e-6))
+    assert calls == []
+
+
+def _evolve_times_of(cfg, period):
+    from domechain.cli import _evolve_times
+
+    return _evolve_times(cfg, period)[0]
+
+
+def _repeated_times(period):
+    # Zero-length steps at the start, mid-run and at the end.
+    times = np.linspace(0.0, period / 2, 30)
+    return np.sort(np.r_[0.0, times, times[10:14], times[-1]])
+
+
+_GRIDS = {
+    "points=2": lambda period: _evolve_times_of({"points": 2}, period),
+    "points=3": lambda period: _evolve_times_of({"points": 3}, period),
+    "points=11": lambda period: _evolve_times_of({"points": 11}, period),
+    "default": lambda period: _evolve_times_of({}, period),
+    "n_periods=4": lambda period: _evolve_times_of({"n_periods": 4}, period),
+    "repeated": _repeated_times,
+}
+
+
+@pytest.mark.parametrize(
+    "n_sites, m, grid",
+    [pytest.param(5, m, g, id=f"5-{m}-{g}") for m in (2, 102) for g in _GRIDS]
+    + [pytest.param(10, 2, g, id=f"10-2-{g}") for g in ("default", "n_periods=4")],
+)
+def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
+    # Every run of one step map, filled by doubling (or, at N = 10 on the
+    # default grid, one product per step), against one product per step of
+    # the same maps.  The default grids place T/4 and T/2 mid-run.
+    import domechain.dynamics as dynamics
+
+    maps = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: maps.append(expm(A)) or maps[-1])
+    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6))
+    times = _GRIDS[grid](ham.period)
+    steps = np.diff(times, prepend=0.0)
+    rng = np.random.default_rng(7)
+    sites0 = rng.normal(size=n_sites**2) + 1j * rng.normal(size=n_sites**2)
+    sites0 /= np.linalg.norm(sites0)
+    H = ham.matrix(physical=True)[None]
+    block = dynamics._site_blocks(H, np.array([0.1e6]), sites0, steps, times[-1])[0, 0]
+    lengths, _ = dynamics._step_runs(steps, times[-1])
+    (step_maps,) = maps[0]
+    sites, ref = sites0, []
+    for dt in steps:
+        if dt > 0.0:
+            sites = step_maps[np.argmin(np.abs(lengths - dt))] @ sites
+        ref.append(sites)
+    assert np.max(np.abs(block - ref)) <= 1e-13
+
+
 def test_stacked_lindblad_equals_single_calls(monkeypatch):
     # One call over a stack of site blocks (m = 2 twice) and a sequence of
     # configs, with each channel switched off and Tphi values repeated,
@@ -363,12 +454,13 @@ def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone():
     # expm_multiply's norm estimates draw from numpy's global RNG; reruns
     # must be bit-identical whatever that state is, and must not move it.
     # For this stiff chain and step, global seeds 0 and 1 gave results
-    # 2.9e-14 apart before the estimates were seeded.
+    # 2.9e-14 apart before the estimates were seeded.  A run of three equal
+    # steps takes one call over the run, the last step a call of its own.
     rate = 2 * np.pi * 5e6
     N = DENSE_GENERATOR_MAX_SITES + 2
     ham = dome_hamiltonian(DomeParams(N=N, m=102, J=rate))
     H = ham.matrix(physical=True)
-    times = np.array([0.0, ham.period / 39])
+    times = np.r_[np.linspace(0.0, ham.period / 13, 4), ham.period / 13 + ham.period / 50]
     rho0 = np.outer(site_state(N, 1), site_state(N, 1))
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     runs = []
