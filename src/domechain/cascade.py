@@ -15,8 +15,11 @@ coupling, and asymptotically, from the large-N envelopes
     dome: tau = pi m N^2 / (8 k j_max)
 
 with a half-segment deduction when the first segment is a fractional
-transfer (it runs T/4 instead of T/2).  Plans are not executed here:
-running one means evolving each segment's window in turn with `dynamics`.
+transfer (it runs T/4 instead of T/2).  Segment lengths take at most
+two values for any k, so a plan costs one closed-form evaluation per
+distinct length and sweeping k up to N - 1 is cheap.  Plans are not
+executed here: running one means evolving each segment's window in turn
+with `dynamics`.
 """
 
 from __future__ import annotations
@@ -157,9 +160,10 @@ def plan_cascade(
     """
     m = _kind_m(kind, m)
     lengths = segment_lengths(N, k)
+    peaks = {L: max_coupling(kind, L, m) for L in set(lengths)}
     rates = []
     for i, L in enumerate(lengths):
-        rate = budget.j_max / max_coupling(kind, L, m)
+        rate = budget.j_max / peaks[L]
         if rate < budget.j_min * (1.0 - 1e-12):
             raise CascadeInfeasibleError(i, L, rate, budget.j_min)
         rates.append(rate)

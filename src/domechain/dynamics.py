@@ -196,8 +196,11 @@ def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     share a group.  Taking the mean keeps the summed time of a group's
     steps equal to the sum of their exact lengths.
     """
-    lengths, inverse = np.unique(steps, return_inverse=True)
-    group = (np.cumsum(np.r_[True, np.diff(lengths) > tol]) - 1)[inverse]
+    order = np.argsort(steps, kind="stable")
+    ranked = steps[order]
+    group = np.empty(steps.size, dtype=np.intp)
+    group[order[0]] = 0
+    group[order[1:]] = np.cumsum(ranked[1:] - ranked[:-1] > tol)
     return group, np.bincount(group, weights=steps) / np.bincount(group)
 
 

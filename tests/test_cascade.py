@@ -2,15 +2,22 @@
 
 Plans are executed by `run_cascade`, a dense `scipy.linalg.expm` of each
 segment's window in turn, which shares no code with the package's
-propagators.
+propagators.  `plan_per_segment`, which evaluates the peak coupling once
+per segment, is the reference for `plan_cascade`, which evaluates it once
+per distinct segment length.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from domechain import cascade, cli
 from domechain.cascade import (
     CascadeInfeasibleError,
+    CascadePlan,
     ChainKind,
     CouplingBudget,
     TransferMode,
@@ -187,3 +194,119 @@ def test_plan_records_inputs():
     assert plan.kind is ChainKind.DOME
     assert plan.lengths == (11, 11, 11, 10)
     assert plan.total_duration == pytest.approx(sum(plan.durations))
+
+
+def plan_per_segment(N, k, budget, kind, m=0, mode=TransferMode.PST):
+    """Reference plan: one `max_coupling` evaluation per segment, in order."""
+    m = m if kind is ChainKind.DOME else 0
+    lengths = segment_lengths(N, k)
+    rates = []
+    for i, L in enumerate(lengths):
+        rate = budget.j_max / max_coupling(kind, L, m)
+        if rate < budget.j_min * (1.0 - 1e-12):
+            raise CascadeInfeasibleError(i, L, rate, budget.j_min)
+        rates.append(rate)
+    durations = [np.pi / r for r in rates]
+    if mode is TransferMode.FST:
+        durations[0] /= 2.0
+    return CascadePlan(
+        kind=kind,
+        mode=mode,
+        n_sites=N,
+        m=m,
+        k=k,
+        budget=budget,
+        lengths=lengths,
+        rates=tuple(rates),
+        durations=tuple(durations),
+        total_duration=float(sum(durations)),
+        asymptotic_duration=cascade._asymptotic_total(kind, N, m, k, budget.j_max, mode),
+    )
+
+
+_CHAINS = [(ChainKind.LINE, 0)] + [(ChainKind.DOME, m) for m in (1, 2, 10, 102)]
+_MHZ = 2 * np.pi * 1e6
+
+
+def _ks(N):
+    return sorted({k for k in (1, 2, N // 10, N - 1) if 1 <= k <= N - 1})
+
+
+def _cli_run(monkeypatch, capsys, planner, argv):
+    """Exit code, plan JSON bytes and stderr of `domechain cascade` planned by planner."""
+    monkeypatch.setattr(cli, "plan_cascade", planner)
+    path = Path(os.environ["DOMECHAIN_OUTDIR"]) / "plan.json"
+    code = cli.main(["cascade", *argv, "--output", str(path)])
+    data = path.read_bytes() if code == 0 else None
+    path.unlink(missing_ok=True)
+    return code, data, capsys.readouterr().err
+
+
+def _cascade_argv(kind, m, mode, N, k, j_max_MHz, j_min_MHz):
+    argv = ["--set", f"kind={kind.value}", "--set", f"N={N}", "--set", f"k={k}",
+            "--set", f"mode={mode.value}", "--set", f"j_max_MHz={j_max_MHz!r}",
+            "--set", f"j_min_MHz={j_min_MHz!r}"]
+    return argv + (["--set", f"m={m}"] if kind is ChainKind.DOME else [])
+
+
+def assert_same_plan(plan, want):
+    assert plan == want
+    for field in ("rates", "durations", "total_duration", "asymptotic_duration"):
+        assert np.asarray(getattr(plan, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(TransferMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("kind, m", _CHAINS, ids=[f"{kind.value}-{m}" for kind, m in _CHAINS])
+def test_plan_matches_per_segment_planning(tmp_path, monkeypatch, capsys, kind, m, mode):
+    # Every plan field bitwise and the CLI plan JSON byte for byte, from
+    # N = 2 to N = 2000 and k from 1 to N - 1.
+    monkeypatch.setenv("DOMECHAIN_OUTDIR", str(tmp_path))
+    j_max_MHz, j_min_MHz = 50.0, 1e-9
+    b = CouplingBudget(j_max=_MHZ * j_max_MHz, j_min=_MHZ * j_min_MHz)
+    for N in (2, 3, 17, 400, 2000):
+        for k in _ks(N):
+            assert_same_plan(plan_cascade(N, k, b, kind, m, mode), plan_per_segment(N, k, b, kind, m, mode))
+            argv = _cascade_argv(kind, m, mode, N, k, j_max_MHz, j_min_MHz)
+            got = _cli_run(monkeypatch, capsys, plan_cascade, argv)
+            assert got[0] == 0
+            assert got == _cli_run(monkeypatch, capsys, plan_per_segment, argv)
+
+
+@pytest.mark.parametrize("mode", list(TransferMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("kind, m", _CHAINS, ids=[f"{kind.value}-{m}" for kind, m in _CHAINS])
+def test_infeasible_plan_matches_per_segment_planning(tmp_path, monkeypatch, capsys, kind, m, mode):
+    # A floor between the two segment rates (only the longer segments fail)
+    # and one above both: the same limiting segment, length and rate, and
+    # the same exit-3 JSON.
+    monkeypatch.setenv("DOMECHAIN_OUTDIR", str(tmp_path))
+    j_max_MHz = 50.0
+    loose = CouplingBudget(j_max=_MHZ * j_max_MHz, j_min=1e-9)
+    for N, k in [(17, 2), (17, 3), (400, 7), (400, 8), (2000, 199), (2000, 285)]:
+        rates = sorted(set(plan_per_segment(N, k, loose, kind, m, mode).rates))
+        floors = [(rates[-1] + loose.j_max) / 2]
+        if len(rates) == 2:
+            floors.append(np.sqrt(rates[0] * rates[1]))
+        for j_min in floors:
+            j_min_MHz = float(j_min / _MHZ)
+            b = CouplingBudget(j_max=_MHZ * j_max_MHz, j_min=_MHZ * j_min_MHz)
+            with pytest.raises(CascadeInfeasibleError) as want:
+                plan_per_segment(N, k, b, kind, m, mode)
+            with pytest.raises(CascadeInfeasibleError) as got:
+                plan_cascade(N, k, b, kind, m, mode)
+            assert (got.value.segment_index, got.value.length, got.value.required_rate) == (
+                want.value.segment_index, want.value.length, want.value.required_rate)
+            assert str(got.value) == str(want.value)
+            argv = _cascade_argv(kind, m, mode, N, k, j_max_MHz, j_min_MHz)
+            cli_got = _cli_run(monkeypatch, capsys, plan_cascade, argv)
+            assert cli_got[0] == 3
+            assert cli_got == _cli_run(monkeypatch, capsys, plan_per_segment, argv)
+
+
+@pytest.mark.parametrize("k", [8, 399])
+def test_plan_evaluates_each_segment_length_once(monkeypatch, k):
+    # N = 400 at k = 8 has two segment lengths (50 and 51), at k = 399 one.
+    calls = []
+    peak = cascade.max_coupling
+    monkeypatch.setattr(cascade, "max_coupling", lambda *args: calls.append(args) or peak(*args))
+    plan = plan_cascade(400, k, budget(j_min=1e-9), ChainKind.DOME, m=10)
+    assert len(calls) == len(set(plan.lengths)) <= 2

@@ -411,6 +411,42 @@ def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
     assert np.max(np.abs(block - ref)) <= 1e-13
 
 
+def merge_steps_by_unique(steps, tol):
+    """Reference grouping: sort the distinct lengths, map back by inverse."""
+    lengths, inverse = np.unique(steps, return_inverse=True)
+    group = (np.cumsum(np.r_[True, np.diff(lengths) > tol]) - 1)[inverse]
+    return group, np.bincount(group, weights=steps) / np.bincount(group)
+
+
+def _merge_grids():
+    rng = np.random.default_rng(11)
+    for rate_MHz in (0.1, 1.0, 5.0, 17.0, 250.0):
+        period = 1e-6 / rate_MHz
+        for grid in _GRIDS.values():
+            yield grid(period)
+    for _ in range(100):
+        end = 10.0 ** rng.uniform(-9, 1)
+        yield np.linspace(0.0, end, int(rng.integers(2, 2000)))
+        yield np.r_[0.0, np.sort(rng.uniform(0.0, end, int(rng.integers(1, 500))))]
+    yield np.zeros(1)
+    yield np.zeros(4)
+
+
+def test_merge_steps_matches_unique_grouping():
+    # The same groups and bitwise the same mean lengths as grouping by
+    # np.unique, on default grids with T/4 and T/2 placed, linspaces and
+    # random sorted times.
+    import domechain.dynamics as dynamics
+
+    for times in _merge_grids():
+        steps = np.diff(times, prepend=0.0)
+        tol = 4.0 * np.spacing(times[-1])
+        group, lengths = dynamics._merge_steps(steps, tol)
+        want_group, want_lengths = merge_steps_by_unique(steps, tol)
+        np.testing.assert_array_equal(group, want_group)
+        assert lengths.tobytes() == want_lengths.tobytes()
+
+
 def test_stacked_lindblad_equals_single_calls(monkeypatch):
     # One call over a stack of site blocks (m = 2 twice) and a sequence of
     # configs, with each channel switched off and Tphi values repeated,
