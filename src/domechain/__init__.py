@@ -34,6 +34,7 @@ from .inverse_eigen import (
     compute_weights,
     eigenvectors,
     reconstruct,
+    synthesize,
 )
 from .metrics import (
     bell_state,
@@ -119,5 +120,6 @@ __all__ = [
     "state_fidelity",
     "sweep_coherent",
     "sweep_decoherence",
+    "synthesize",
     "transfer_fidelity",
 ]

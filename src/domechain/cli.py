@@ -19,7 +19,10 @@ the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
 Artifacts are written atomically (temp file then rename), CSV output is
-RFC 4180 with LF line endings, and every command is deterministic given
+RFC 4180 with LF line endings, JSON artifacts are 2-space indented with
+sorted keys and a final newline, byte for byte what
+`json.dumps(payload, indent=2, sort_keys=True)` gives (`_json_text` gets
+there through json's C encoder), and every command is deterministic given
 (config, seed): reruns produce byte-identical primary outputs.  Exit
 codes: 0 success, 1 internal error (a bug: the error JSON carries the
 traceback), 2 config rejected by the schema or by a domain check that
@@ -39,6 +42,7 @@ import os
 import sys
 import tempfile
 import traceback
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +61,7 @@ from .dynamics import (
     evolve_lindblad,
     site_state,
 )
-from .inverse_eigen import ReconstructionError, compute_weights, eigenvectors, reconstruct
+from .inverse_eigen import ReconstructionError, synthesize
 from .metrics import (
     chain_bell_target,
     corner_w_target,
@@ -283,8 +287,60 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _json_encoder(item_separator: str):
+    """json's compact C encoder with the given item separator and sorted keys.
+
+    It is built once per separator; `JSONEncoder.encode` would build a new
+    one on every call, which costs more than encoding a short list.
+    """
+    if c_make_encoder is None:  # no C accelerator: the same text, more slowly
+        return json.JSONEncoder(separators=(item_separator, ": "), sort_keys=True).encode
+    # (markers: no circular check, default, string encoder, indent, key and
+    # item separators, sort_keys, skipkeys, allow_nan), as JSONEncoder passes them.
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                            ": ", item_separator, True, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), at nesting `indent`.
+
+    json.dumps with an indent runs json's pure-Python encoder, so here
+    only dicts and lists that hold containers are walked in Python.  A container of scalars is
+    one C-encoder call with newline-and-indent as its item separator; the
+    scalars beside containers are encoded in one call and split at its
+    newline separators, which no encoded scalar contains.  Keys are str.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _json_encoder("")(value)
+    is_dict = isinstance(value, dict)
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    inner = indent + "  "
+    children = value.values() if is_dict else value
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
+        body = _json_encoder(",\n" + inner)(value)[1:-1]
+    else:
+        if is_dict:
+            keys, children = zip(*sorted(value.items()))
+        scalars = [v for v in children if not isinstance(v, _CONTAINERS)]
+        encoded = iter(_json_encoder("\n")(scalars)[1:-1].split("\n"))
+        parts = [_json_text(v, inner) if isinstance(v, _CONTAINERS) else next(encoded)
+                 for v in children]
+        if is_dict:
+            parts = [f"{encode_basestring_ascii(k)}: {p}" for k, p in zip(keys, parts)]
+        body = (",\n" + inner).join(parts)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_json(path: Path, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as json.dumps(payload, indent=2, sort_keys=True) + newline."""
+    _write_atomic(path, _json_text(payload) + "\n")
 
 
 def _csv_text(header, rows) -> str:
@@ -304,9 +360,7 @@ def cmd_synth(cfg: dict) -> Path:
         spec = Spectrum(values=np.asarray(cfg["spectrum"], dtype=float), rate_J=rate)
     else:
         spec = dome_spectrum(cfg["N"], cfg["m"], rate)
-    ham = reconstruct(spec)
-    weights = compute_weights(spec)
-    W = eigenvectors(ham, spec)
+    ham, weights, W = synthesize(spec)
     fmt = cfg.get("format", "json")
     path = _resolve_output(cfg, "synth", fmt)
     if fmt == "json":
@@ -322,19 +376,15 @@ def cmd_synth(cfg: dict) -> Path:
             },
         )
     else:
-        rows = []
-        for i, v in enumerate(ham.omegas, start=1):
-            rows.append(["omega", i, "", _fmt(v)])
-        for i, v in enumerate(ham.couplings, start=1):
-            rows.append(["coupling", i, "", _fmt(v)])
-        for s, v in enumerate(spec.values, start=1):
-            rows.append(["lambda", s, "", _fmt(v)])
-        for s, v in enumerate(weights, start=1):
-            rows.append(["weight", s, "", _fmt(v)])
-        for s in range(W.shape[0]):
-            for n in range(W.shape[1]):
-                rows.append(["eigenvector", s + 1, n + 1, _fmt(W[s, n])])
-        _write_atomic(path, _csv_text(["quantity", "i", "j", "value"], rows))
+        # One %-template per row, as _table_lines: the lines csv.writer
+        # writes for [quantity, i, j or "", _fmt(value)].
+        lines = ["quantity,i,j,value\n"]
+        for quantity, values in (("omega", ham.omegas), ("coupling", ham.couplings),
+                                 ("lambda", spec.values), ("weight", weights)):
+            lines += [f"{quantity},%d,,%.12g\n" % row for row in enumerate(values.tolist(), 1)]
+        for s, row in enumerate(W.tolist(), 1):
+            lines += [f"eigenvector,{s},%d,%.12g\n" % cell for cell in enumerate(row, 1)]
+        _write_atomic(path, "".join(lines))
     return path
 
 

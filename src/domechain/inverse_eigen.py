@@ -27,8 +27,11 @@ matrix, since running the site recurrence forward loses about a digit
 every two sites.
 
 Mirror symmetry makes the second half of the coefficients a reflection
-of the first, so only ceil(N/2) recurrence steps are taken; the result
-is then verified by re-diagonalization.
+of the first, so only ceil(N/2) recurrence steps are taken.  The chain
+is then verified by re-diagonalization: `reconstruct` runs its own
+`eigvalsh`, and `synthesize` (the `synth` command) checks the eigenvalues
+of the one `eigh` that also gives its eigenvectors, against the same
+1e-8 bound with the same message.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "compute_weights",
     "reconstruct",
     "eigenvectors",
+    "synthesize",
 ]
 
 
@@ -98,21 +102,15 @@ def _recurrence(
     return np.array(omegas), np.array(couplings)
 
 
-def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
-    """Synthesize the mirror-symmetric chain with the prescribed spectrum.
-
-    Only ceil(N/2) recurrence steps are taken; the remaining coefficients
-    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  The
-    output is re-diagonalized and required to match the input spectrum to
-    1e-8 relative, which doubles as a breakdown check.
-    """
+def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
+    """The mirror-symmetric chain from ceil(N/2) recurrence steps, unverified."""
     N = spec.n
     if N == 1:
         return TridiagonalHamiltonian(
             omegas=spec.values.copy(), couplings=np.zeros(0), rate_J=spec.rate_J
         )
     half = (N + 1) // 2
-    omegas_half, couplings_half = _recurrence(spec.values, compute_weights(spec), half)
+    omegas_half, couplings_half = _recurrence(spec.values, weights, half)
     omegas = np.zeros(N)
     omegas[:half] = omegas_half
     omegas[half:] = omegas_half[: N - half][::-1]
@@ -120,8 +118,11 @@ def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
     couplings[:half] = couplings_half
     half_c = (N - 1 + 1) // 2
     couplings[half_c:] = couplings[: (N - 1) - half_c][::-1]
-    ham = TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
-    ev = np.linalg.eigvalsh(ham.matrix())
+    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
+
+
+def _check_spectrum(ev: np.ndarray, spec: Spectrum) -> None:
+    """Raise ReconstructionError unless eigenvalues ev match spec to 1e-8 relative."""
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     err = float(np.max(np.abs(ev - spec.values))) / scale
     if err > 1e-8:
@@ -129,6 +130,26 @@ def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
             f"synthesized chain eigenvalues deviate by {err:.2e} relative; "
             f"spectrum outside the validated double-precision range"
         )
+
+
+def _signed_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of H and its eigenvectors as rows, first components >= 0."""
+    ev, V = np.linalg.eigh(H)
+    V *= np.where(V[0] < 0, -1.0, 1.0)
+    return ev, V.T
+
+
+def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
+    """Synthesize the mirror-symmetric chain with the prescribed spectrum.
+
+    Only ceil(N/2) recurrence steps are taken; the remaining coefficients
+    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  The
+    output is re-diagonalized here (`eigvalsh`) and required to match the
+    input spectrum to 1e-8 relative, which doubles as a breakdown check.
+    """
+    ham = _chain(spec, compute_weights(spec))
+    if ham.n > 1:
+        _check_spectrum(np.linalg.eigvalsh(ham.matrix()), spec)
     return ham
 
 
@@ -147,12 +168,28 @@ def eigenvectors(ham: TridiagonalHamiltonian, spec: Spectrum) -> np.ndarray:
     if lam.size != ham.n:
         raise ValueError("spectrum size does not match the chain size")
     H = ham.matrix()
-    _, V = np.linalg.eigh(H)
-    V *= np.where(V[0] < 0, -1.0, 1.0)
-    residual = float(np.max(np.abs(H @ V - V * lam[None, :])))
+    _, W = _signed_eigh(H)
+    residual = float(np.max(np.abs(H @ W.T - W.T * lam[None, :])))
     scale = max(1.0, float(np.max(np.abs(lam))))
     if not residual / scale <= 1e-8:
         raise ReconstructionError(
             f"chain does not carry the requested spectrum: eigen-residual {residual:.2e}"
         )
-    return V.T
+    return W
+
+
+def synthesize(spec: Spectrum) -> tuple[TridiagonalHamiltonian, np.ndarray, np.ndarray]:
+    """(chain, weights, eigenvector rows) of the spectrum: what `synth` writes.
+
+    The chain, weights and rows of `reconstruct`, `compute_weights` and
+    `eigenvectors`, bit for bit, from one weights pass and one `eigh`.
+    Verification happens here, on that `eigh`'s eigenvalues, with
+    reconstruct's 1e-8 bound and message.  It also bounds eigenvectors'
+    residual check: for a unit eigenvector, ||H w_s - lambda_s w_s|| is
+    |ev_s - lambda_s|.
+    """
+    weights = compute_weights(spec)
+    ham = _chain(spec, weights)
+    ev, W = _signed_eigh(ham.matrix())
+    _check_spectrum(ev, spec)
+    return ham, weights, W

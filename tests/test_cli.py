@@ -1,6 +1,8 @@
 """End-to-end CLI checks: configs, outputs, exit codes, determinism."""
 
 import csv
+import functools
+import io
 import json
 import os
 import shlex
@@ -15,6 +17,8 @@ import pytest
 import domechain
 from domechain import cli
 from domechain.cli import SCHEMAS, SWEEP_HEADER, _csv_text, _fmt, _table_lines, main
+
+_OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -84,6 +88,105 @@ def test_synth_rerun_is_byte_identical(outdir):
     assert run(args + ["--output", "s1.json"]) == 0
     assert run(args + ["--output", "s2.json"]) == 0
     assert (outdir / "s1.json").read_bytes() == (outdir / "s2.json").read_bytes()
+
+
+def _json_oracle(payload) -> str:
+    """Artifact text of the earlier writer: json's own indented encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _synth_csv_oracle(spec, ham, weights, W) -> str:
+    """Artifact text of the earlier synth CSV writer: one csv.writer row per value."""
+    rows = [["omega", i, "", _fmt(v)] for i, v in enumerate(ham.omegas, start=1)]
+    rows += [["coupling", i, "", _fmt(v)] for i, v in enumerate(ham.couplings, start=1)]
+    rows += [["lambda", s, "", _fmt(v)] for s, v in enumerate(spec.values, start=1)]
+    rows += [["weight", s, "", _fmt(v)] for s, v in enumerate(weights, start=1)]
+    rows += [["eigenvector", s + 1, n + 1, _fmt(W[s, n])]
+             for s in range(W.shape[0]) for n in range(W.shape[1])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["quantity", "i", "j", "value"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("sets", [["N=2", "m=2"], ["N=5", "m=2"], ["N=24", "m=2"], ["N=256", "m=2"],
+                                  ["spectrum=[-3.5, -0.25, 1e-7, 2, 40.125]", "rate_MHz=7"]])
+def test_synth_artifacts_equal_the_earlier_writers(outdir, sets):
+    # The oracle rebuilds every value through reconstruct, compute_weights
+    # and eigenvectors, and writes them as the earlier code did.
+    from domechain.inverse_eigen import compute_weights, eigenvectors, reconstruct
+    from domechain.spectrum import Spectrum, dome_spectrum
+
+    argv = ["synth", *[arg for s in sets for arg in ("--set", s)]]
+    assert run(argv) == 0
+    assert run(argv + ["--format", "csv"]) == 0
+    cfg = dict(s.split("=", 1) for s in sets)
+    rate = 2 * np.pi * float(cfg["rate_MHz"]) * 1e6 if "rate_MHz" in cfg else 1.0
+    if "spectrum" in cfg:
+        spec = Spectrum(values=np.array(json.loads(cfg["spectrum"]), dtype=float), rate_J=rate)
+    else:
+        spec = dome_spectrum(int(cfg["N"]), int(cfg["m"]), rate)
+    ham, weights = reconstruct(spec), compute_weights(spec)
+    W = eigenvectors(ham, spec)
+    payload = {
+        "rate_J_rad_per_s": rate,
+        "spectrum": spec.values.tolist(),
+        "weights": weights.tolist(),
+        "omegas": ham.omegas.tolist(),
+        "couplings": ham.couplings.tolist(),
+        "eigenvectors": W.tolist(),
+    }
+    assert (outdir / "synth.json").read_text() == _json_oracle(payload)
+    assert (outdir / "synth.csv").read_text() == _synth_csv_oracle(spec, ham, weights, W)
+
+
+_SWEEPS = {
+    "chain": ["--set", "kind=coherent", "--set", "metric=qpt_at_half_t", "--set", "N=4",
+              "--set", "target=all", "--set", "sigmas=[0, 0.3]", "--set", "samples=3",
+              "--set", "m_values=[2]", "--seed", "5"],
+    "corner": ["--set", "kind=coherent", "--set", "metric=w_at_quarter_t", "--set", "rows=2",
+               "--set", "cols=3", "--set", "target=edge_frequencies", "--set", "sigma=0.2",
+               "--set", "samples=2", "--set", "m_values=[2]", "--seed", "7"],
+    "decoherence": ["--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
+                    "--set", "N=3", "--set", "m_values=[2]", "--set", "t1_us_values=[30]",
+                    "--set", "tphi_us_values=[5]", "--set", "rate_MHz=5"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cascade", "--set", "kind=line", "--set", "N=40", "--set", "k=3", "--set", "mode=fst",
+                  "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.01"], id="cascade-line"),
+    pytest.param(["cascade", "--set", "kind=dome", "--set", "N=400", "--set", "m=10", "--set", "k=8",
+                  "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.01"], id="cascade-dome"),
+    pytest.param(["evolve", "--set", "N=6", "--set", "m=2", "--format", "json"], id="evolve-chain"),
+    pytest.param(["evolve", "--set", "rows=2", "--set", "cols=3", "--set", "m_x=2", "--set", "m_y=2",
+                  "--format", "json"], id="evolve-grid"),
+    pytest.param(["evolve", "--set", "N=4", "--set", "m=2", *_OPEN, "--format", "json"],
+                 id="evolve-open"),
+    *[pytest.param(["sweep", *args, *fmt], id=f"sweep-{name}{'-json' if fmt else ''}")
+      for name, args in _SWEEPS.items() for fmt in ([], ["--format", "json"])],
+])
+def test_json_artifacts_equal_the_earlier_writer(outdir, monkeypatch, argv):
+    # Every payload a command writes, sweep sidecars included, is compared
+    # with what the earlier writer makes of the same payload.
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda path, payload: written.append((path, payload))
+                        or write_json(path, payload))
+    assert run(argv) == 0
+    # sweep writes its .config.json sidecar beside the CSV or JSON table
+    assert len(written) == 1 + (argv[0] == "sweep" and "json" in argv)
+    for path, payload in written:
+        assert path.read_text() == _json_oracle(payload)
+
+
+def test_json_writer_without_c_accelerator(monkeypatch):
+    # Where json has no C encoder, its pure-Python one gives the same text.
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_json_encoder", functools.cache(cli._json_encoder.__wrapped__))
+    payload = {"b": [1.5, -0.0, float("nan")], "a": {"z": None, "\u00e9": [[], {}, [True, "x\ny"]]}}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_synth_numerical_breakdown_exits_3(outdir, capsys):
@@ -608,6 +711,28 @@ def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
+    from domechain import inverse_eigen
+
+    calls = {"eigh": 0, "eigvalsh": 0, "compute_weights": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(inverse_eigen, "compute_weights",
+                        counted("compute_weights", inverse_eigen.compute_weights))
+    for argv in (["synth", "--set", "N=24", "--set", "m=2"],
+                 ["synth", "--set", "spectrum=[-1, 0.5, 2]", "--format", "csv"]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run(argv) == 0
+        assert calls == {"eigh": 1, "eigvalsh": 0, "compute_weights": 1}
+
+
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     # The default grid needs 5 step exponentials and one diagonalization for
     # the vacuum coherences; the QPT column adds only the closed amplitudes.
@@ -623,9 +748,6 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
     assert (exponentiated(expms), len(eighs)) == (5, 2)
-
-
-_OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from domechain.inverse_eigen import (
     compute_weights,
     eigenvectors,
     reconstruct,
+    synthesize,
 )
 from domechain.models import DomeParams, dome_hamiltonian
 from domechain.spectrum import Spectrum, dome_spectrum
@@ -162,3 +163,26 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
     assert np.max(np.abs(W[:, 0] ** 2 - compute_weights(spec))) <= 1e-12
     mirror = (-1.0) ** (N + np.arange(1, N + 1))
     assert np.max(np.abs(W[:, -1] - mirror * W[:, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [dome_spectrum(2, 0), dome_spectrum(5, 2), dome_spectrum(64, 10),
+                                  Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]), rate_J=2.0)])
+def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
+    ham, weights, W = synthesize(spec)
+    built = reconstruct(spec)
+    np.testing.assert_array_equal(ham.omegas, built.omegas)
+    np.testing.assert_array_equal(ham.couplings, built.couplings)
+    assert ham.rate_J == built.rate_J
+    np.testing.assert_array_equal(weights, compute_weights(spec))
+    np.testing.assert_array_equal(W, eigenvectors(built, spec))
+
+
+def test_synthesize_fails_as_reconstruct_does():
+    # Two tight clusters: the recurrence survives, but the chain misses the
+    # spectrum by about 1e-6, and both routes refuse it with one message.
+    spec = Spectrum(values=np.r_[1e-11 * np.arange(5), 1 + 1e-11 * np.arange(5)])
+    with pytest.raises(ReconstructionError, match="deviate by") as direct:
+        reconstruct(spec)
+    with pytest.raises(ReconstructionError) as synthesized:
+        synthesize(spec)
+    assert str(synthesized.value) == str(direct.value)

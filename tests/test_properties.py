@@ -1,5 +1,8 @@
 """Property-based invariants over randomized parameter families."""
 
+import json
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +20,7 @@ from domechain import (
     state_fidelity,
 )
 from domechain.cascade import segment_lengths
+from domechain.cli import _json_text
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -153,3 +157,29 @@ def test_segment_lengths_partition_the_chain(N, data):
     assert min(lengths) >= 2
     assert max(lengths) - min(lengths) <= 1
     assert lengths == tuple(sorted(lengths, reverse=True))
+
+
+# JSON values as json.loads returns them, plus the awkward cases of the
+# writer's C-encoder path: escapes and non-ASCII in keys and strings, big
+# ints, signed zero, extreme and non-finite floats, empty containers.
+_KEYS = st.text() | st.sampled_from(["", "a\nb", '"q"\\', "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f"])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 5e-324])
+    | _KEYS
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_KEYS, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_equals_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
