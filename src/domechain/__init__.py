@@ -32,8 +32,6 @@ from .dynamics import (
 from .inverse_eigen import (
     ReconstructionError,
     compute_weights,
-    eigenvectors,
-    reconstruct,
     synthesize,
 )
 from .metrics import (
@@ -60,7 +58,6 @@ from .noise import (
     DecoherenceScan,
     SweepMetric,
     SweepResult,
-    perturb,
     sweep_coherent,
     sweep_decoherence,
 )
@@ -102,15 +99,12 @@ __all__ = [
     "dome_hamiltonian",
     "dome_spectrum",
     "eigendecompose",
-    "eigenvectors",
     "evolve_closed",
     "evolve_lindblad",
     "feasible_N",
     "max_coupling",
-    "perturb",
     "plan_cascade",
     "quarter_period_phase",
-    "reconstruct",
     "reduce_to_sites",
     "schrieffer_wolff_reduce",
     "segment_lengths",

@@ -34,7 +34,6 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -343,16 +342,6 @@ def _write_json(path: Path, payload) -> None:
     _write_atomic(path, _json_text(payload) + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_synth(cfg: dict) -> Path:
     """Reconstruct a chain from its spectrum and write all artifacts."""
     rate = _rate_rad_per_s(cfg)
@@ -568,7 +557,9 @@ def cmd_sweep(cfg: dict) -> Path:
     fmt = cfg.get("format", "csv")
     path = _resolve_output(cfg, "sweep", fmt)
     if fmt == "csv":
-        _write_atomic(path, _csv_text(SWEEP_HEADER, rows))
+        # No sweep field needs CSV quoting: the lines equal csv.writer's.
+        lines = [",".join(map(str, row)) for row in [SWEEP_HEADER, *rows]]
+        _write_atomic(path, "".join(f"{line}\n" for line in lines))
     else:
         _write_json(path, {"columns": SWEEP_HEADER, "rows": rows})
     _write_json(Path(str(path) + ".config.json"), {"command": "sweep", "config": cfg})

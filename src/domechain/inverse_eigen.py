@@ -28,10 +28,9 @@ every two sites.
 
 Mirror symmetry makes the second half of the coefficients a reflection
 of the first, so only ceil(N/2) recurrence steps are taken.  The chain
-is then verified by re-diagonalization: `reconstruct` runs its own
-`eigvalsh`, and `synthesize` (the `synth` command) checks the eigenvalues
-of the one `eigh` that also gives its eigenvectors, against the same
-1e-8 bound with the same message.
+is then verified on the eigenvalues of that same `eigh`, which must
+match the spectrum to 1e-8 relative; the check doubles as a breakdown
+test for the recurrence.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .spectrum import Spectrum
 __all__ = [
     "ReconstructionError",
     "compute_weights",
-    "reconstruct",
-    "eigenvectors",
     "synthesize",
 ]
 
@@ -122,74 +119,35 @@ def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
 
 
 def _check_spectrum(ev: np.ndarray, spec: Spectrum) -> None:
-    """Raise ReconstructionError unless eigenvalues ev match spec to 1e-8 relative."""
+    """Raise ReconstructionError unless eigenvalues ev match spec to 1e-8 relative.
+
+    A NaN deviation (an overflowed chain) fails the test as well.
+    """
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     err = float(np.max(np.abs(ev - spec.values))) / scale
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise ReconstructionError(
             f"synthesized chain eigenvalues deviate by {err:.2e} relative; "
             f"spectrum outside the validated double-precision range"
         )
 
 
-def _signed_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of H and its eigenvectors as rows, first components >= 0."""
-    ev, V = np.linalg.eigh(H)
-    V *= np.where(V[0] < 0, -1.0, 1.0)
-    return ev, V.T
-
-
-def reconstruct(spec: Spectrum) -> TridiagonalHamiltonian:
-    """Synthesize the mirror-symmetric chain with the prescribed spectrum.
-
-    Only ceil(N/2) recurrence steps are taken; the remaining coefficients
-    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  The
-    output is re-diagonalized here (`eigvalsh`) and required to match the
-    input spectrum to 1e-8 relative, which doubles as a breakdown check.
-    """
-    ham = _chain(spec, compute_weights(spec))
-    if ham.n > 1:
-        _check_spectrum(np.linalg.eigvalsh(ham.matrix()), spec)
-    return ham
-
-
-def eigenvectors(ham: TridiagonalHamiltonian, spec: Spectrum) -> np.ndarray:
-    """Eigenvector matrix W of the chain, one row per ascending eigenvalue.
-
-    Rows come from one `eigh` of the chain matrix, each signed so that its
-    first component is non-negative: W[s, 0] = sqrt(alpha_s).  Where
-    sqrt(alpha_s) is below eigh's absolute accuracy (about 1e-15, from
-    about N = 48 on dome chains), that row's sign is deterministic but not
-    physically pinned.  The pair is rejected when the eigen-residual
-    ||H W^T - W^T Lambda|| against the requested spectrum exceeds 1e-8
-    relative, which catches mismatched (ham, spec) inputs.
-    """
-    lam = spec.values
-    if lam.size != ham.n:
-        raise ValueError("spectrum size does not match the chain size")
-    H = ham.matrix()
-    _, W = _signed_eigh(H)
-    residual = float(np.max(np.abs(H @ W.T - W.T * lam[None, :])))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if not residual / scale <= 1e-8:
-        raise ReconstructionError(
-            f"chain does not carry the requested spectrum: eigen-residual {residual:.2e}"
-        )
-    return W
-
-
 def synthesize(spec: Spectrum) -> tuple[TridiagonalHamiltonian, np.ndarray, np.ndarray]:
     """(chain, weights, eigenvector rows) of the spectrum: what `synth` writes.
 
-    The chain, weights and rows of `reconstruct`, `compute_weights` and
-    `eigenvectors`, bit for bit, from one weights pass and one `eigh`.
-    Verification happens here, on that `eigh`'s eigenvalues, with
-    reconstruct's 1e-8 bound and message.  It also bounds eigenvectors'
-    residual check: for a unit eigenvector, ||H w_s - lambda_s w_s|| is
-    |ev_s - lambda_s|.
+    Only ceil(N/2) recurrence steps are taken; the remaining coefficients
+    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  One
+    `eigh` of the chain gives both the eigenvalues that verify it and the
+    rows W, one per ascending eigenvalue, each signed so that its first
+    component is non-negative: W[s, 0] = sqrt(alpha_s).  Where
+    sqrt(alpha_s) is below eigh's absolute accuracy (about 1e-15, from
+    about N = 48 on dome chains), that row's sign is deterministic but not
+    physically pinned.  For a unit eigenvector, ||H w_s - lambda_s w_s||
+    is |ev_s - lambda_s|, so the check also bounds the eigen-residual.
     """
     weights = compute_weights(spec)
     ham = _chain(spec, weights)
-    ev, W = _signed_eigh(ham.matrix())
+    ev, V = np.linalg.eigh(ham.matrix())
     _check_spectrum(ev, spec)
-    return ham, weights, W
+    V *= np.where(V[0] < 0, -1.0, 1.0)
+    return ham, weights, V.T

@@ -52,7 +52,6 @@ __all__ = [
     "SweepMetric",
     "SweepResult",
     "DecoherenceScan",
-    "perturb",
     "sweep_coherent",
     "sweep_decoherence",
 ]
@@ -146,11 +145,9 @@ class _SiteModel:
         if isinstance(system, TridiagonalHamiltonian):
             return cls(system.omegas, system.couplings, _bond_pairs(1, system.n),
                        np.array([0, system.n - 1]), system.rate_J)
-        if isinstance(system, Grid2D):
-            freqs, couplings = _grid_sites(system)
-            return cls(freqs, couplings, _bond_pairs(system.rows, system.cols),
-                       np.array(system.corner_indices()), system.J)
-        raise TypeError("system must be a TridiagonalHamiltonian or Grid2D")
+        freqs, couplings = _grid_sites(system)
+        return cls(freqs, couplings, _bond_pairs(system.rows, system.cols),
+                   np.array(system.corner_indices()), system.J)
 
     def targeted(self, target: DisorderTarget) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the perturbed frequencies and couplings, in draw order."""
@@ -176,23 +173,6 @@ class _SiteModel:
         freqs[:, sites] += noise[:, : sites.size]
         couplings[:, bonds] += noise[:, sites.size :]
         return _site_matrix(freqs, couplings, self.bonds)
-
-
-def perturb(system, cfg: DisorderConfig, draw_index: int):
-    """Additive Gaussian disorder on the configured parameter set.
-
-    Chains come back as a new TridiagonalHamiltonian; grids come back as
-    the dense perturbed site matrix in units of J.  Deterministic in
-    (seed, draw_index); untargeted entries are bit-identical to the input.
-    `sweep_coherent` builds the same matrices in batches.
-    """
-    if draw_index < 0:
-        raise ValueError("draw_index must be non-negative")
-    model = _SiteModel.of(system)
-    H = model.matrices(cfg.target, cfg.sigma * model.unit_draws(cfg, [draw_index]))[0]
-    if isinstance(system, TridiagonalHamiltonian):
-        return TridiagonalHamiltonian(H.diagonal().copy(), H.diagonal(1).copy(), system.rate_J)
-    return H
 
 
 def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndarray:

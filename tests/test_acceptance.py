@@ -27,7 +27,6 @@ from domechain import (
     evolve_lindblad,
     feasible_N,
     plan_cascade,
-    reconstruct,
     reduce_to_sites,
     single_excitation_matrix,
     site_state,
@@ -35,6 +34,7 @@ from domechain import (
     state_fidelity,
     sweep_coherent,
     sweep_decoherence,
+    synthesize,
 )
 from test_dynamics import expm_evolve
 from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
@@ -59,7 +59,7 @@ def test_criterion_1_synthesis_matches_closed_forms():
     worst = 0.0
     for N in SYNTH_SIZES:
         for m in SYNTH_CURVATURES:
-            built = reconstruct(dome_spectrum(N, m))
+            built = synthesize(dome_spectrum(N, m))[0]
             closed = dome_hamiltonian(DomeParams(N=N, m=m))
             scale_w = max(float(np.abs(closed.omegas).max()), 1.0)
             scale_j = float(np.abs(closed.couplings).max())
@@ -300,7 +300,7 @@ def test_criterion_8_oracle_agreement():
     for N in SYNTH_SIZES:
         for m in SYNTH_CURVATURES:
             spec = dome_spectrum(N, m)
-            back = np.linalg.eigvalsh(reconstruct(spec).matrix())
+            back = np.linalg.eigvalsh(synthesize(spec)[0].matrix())
             scale = float(np.abs(spec.values).max())
             worst_rt = max(worst_rt, float(np.max(np.abs(back - spec.values))) / scale)
     if worst_rt >= 1e-8:

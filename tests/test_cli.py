@@ -16,7 +16,7 @@ import pytest
 
 import domechain
 from domechain import cli
-from domechain.cli import SCHEMAS, SWEEP_HEADER, _csv_text, _fmt, _table_lines, main
+from domechain.cli import SCHEMAS, SWEEP_HEADER, _fmt, _table_lines, main
 
 _OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
 
@@ -95,6 +95,15 @@ def _json_oracle(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _csv_writer_text(header, rows) -> str:
+    """The CSV text csv.writer makes of the header and rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _synth_csv_oracle(spec, ham, weights, W) -> str:
     """Artifact text of the earlier synth CSV writer: one csv.writer row per value."""
     rows = [["omega", i, "", _fmt(v)] for i, v in enumerate(ham.omegas, start=1)]
@@ -103,19 +112,15 @@ def _synth_csv_oracle(spec, ham, weights, W) -> str:
     rows += [["weight", s, "", _fmt(v)] for s, v in enumerate(weights, start=1)]
     rows += [["eigenvector", s + 1, n + 1, _fmt(W[s, n])]
              for s in range(W.shape[0]) for n in range(W.shape[1])]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "i", "j", "value"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    return _csv_writer_text(["quantity", "i", "j", "value"], rows)
 
 
 @pytest.mark.parametrize("sets", [["N=2", "m=2"], ["N=5", "m=2"], ["N=24", "m=2"], ["N=256", "m=2"],
                                   ["spectrum=[-3.5, -0.25, 1e-7, 2, 40.125]", "rate_MHz=7"]])
 def test_synth_artifacts_equal_the_earlier_writers(outdir, sets):
-    # The oracle rebuilds every value through reconstruct, compute_weights
-    # and eigenvectors, and writes them as the earlier code did.
-    from domechain.inverse_eigen import compute_weights, eigenvectors, reconstruct
+    # The oracle rebuilds every value through synthesize and writes them
+    # as the earlier code did.
+    from domechain.inverse_eigen import synthesize
     from domechain.spectrum import Spectrum, dome_spectrum
 
     argv = ["synth", *[arg for s in sets for arg in ("--set", s)]]
@@ -127,8 +132,7 @@ def test_synth_artifacts_equal_the_earlier_writers(outdir, sets):
         spec = Spectrum(values=np.array(json.loads(cfg["spectrum"]), dtype=float), rate_J=rate)
     else:
         spec = dome_spectrum(int(cfg["N"]), int(cfg["m"]), rate)
-    ham, weights = reconstruct(spec), compute_weights(spec)
-    W = eigenvectors(ham, spec)
+    ham, weights, W = synthesize(spec)
     payload = {
         "rate_J_rad_per_s": rate,
         "spectrum": spec.values.tolist(),
@@ -588,6 +592,16 @@ def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
+def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir, capsys):
+    # The first coupling overflows to inf; the NaN eigenvalues must fail
+    # verification, not reach a synth.json holding Infinity and NaN.
+    with np.errstate(over="ignore"):
+        assert run(["synth", "--set", "spectrum=[-1e300,1e300]"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "deviate by nan" in err["detail"]
+    assert list(outdir.iterdir()) == []
+
+
 def test_output_path_is_printed(outdir, capsys):
     assert run(["synth", "--set", "N=3", "--set", "m=1"]) == 0
     out = capsys.readouterr().out.strip()
@@ -626,7 +640,7 @@ def test_successive_calls_do_not_share_parser_state(outdir, tmp_path):
     assert lengths == [5, 3, 4]
 
 
-def test_table_lines_equal_csv_writer_with_fmt():
+def test_table_lines_equal_csv_writer_with_fmt(outdir):
     table = np.array([
         [-0.0, 1e-300, 3.0, 0.1],
         [1.0, -2.0, 1e16, 2.5e-7],
@@ -636,8 +650,15 @@ def test_table_lines_equal_csv_writer_with_fmt():
     header = ["a", "b", "c", "d", "e"]
     rows = [[_fmt(x) for x in row] + [tail] for row, tail in zip(table, tails)]
     got = "".join(f"{line}\n" for line in [",".join(header), *_table_lines(table, tails)])
-    assert got == _csv_text(header, rows)
+    assert got == _csv_writer_text(header, rows)
     assert got.splitlines()[1] == "-0,1e-300,3,0.1,nan"
+    # Sweep CSVs are joined the same way: csv.writer on the JSON table's rows.
+    for name in ("chain", "decoherence"):
+        assert main(["sweep", *_SWEEPS[name], "--output", f"{name}.csv"]) == 0
+        assert main(["sweep", *_SWEEPS[name], "--output", f"{name}.json", "--format", "json"]) == 0
+        written = json.loads((outdir / f"{name}.json").read_text())
+        text = (outdir / f"{name}.csv").read_text()
+        assert text == _csv_writer_text(written["columns"], written["rows"]), name
 
 
 def _readme_commands():

@@ -1,4 +1,7 @@
-"""Spectral synthesis: weights, recurrence, reconstruction, eigenvectors."""
+"""Spectral synthesis: weights, recurrence, reconstruction, eigenvectors.
+
+Every check runs on `synthesize`, the one route `synth` takes.
+"""
 
 import numpy as np
 import pytest
@@ -7,8 +10,6 @@ import scipy.linalg
 from domechain.inverse_eigen import (
     ReconstructionError,
     compute_weights,
-    eigenvectors,
-    reconstruct,
     synthesize,
 )
 from domechain.models import DomeParams, dome_hamiltonian
@@ -39,7 +40,7 @@ def test_weights_symmetric_spectrum_gives_symmetric_weights():
 
 
 def test_reconstruct_two_site_example():
-    ham = reconstruct(Spectrum(values=np.array([-0.5, 0.5])))
+    ham = synthesize(Spectrum(values=np.array([-0.5, 0.5])))[0]
     np.testing.assert_allclose(ham.omegas, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(ham.couplings, [0.5], atol=1e-12)
 
@@ -47,7 +48,7 @@ def test_reconstruct_two_site_example():
 def test_reconstruct_matches_closed_forms():
     for N in range(2, 11):
         for m in (0, 1, 2, 5, 10):
-            ham = reconstruct(dome_spectrum(N, m))
+            ham = synthesize(dome_spectrum(N, m))[0]
             ref = dome_hamiltonian(DomeParams(N=N, m=m))
             scale = max(1.0, np.max(np.abs(ref.omegas)), np.max(np.abs(ref.couplings)))
             assert np.max(np.abs(ham.omegas - ref.omegas)) / scale < 1e-9
@@ -58,7 +59,7 @@ def test_reconstruct_round_trip_eigenvalues():
     for N in (2, 7, 16, 24):
         for m in (0, 2, 10, 102):
             spec = dome_spectrum(N, m)
-            ham = reconstruct(spec)
+            ham = synthesize(spec)[0]
             ev = scipy.linalg.eigh_tridiagonal(
                 ham.omegas, ham.couplings, eigvals_only=True
             )
@@ -77,18 +78,18 @@ def is_mirror_symmetric(ham) -> bool:
 
 def test_reconstruct_is_mirror_symmetric():
     for N in (5, 8, 13):
-        ham = reconstruct(dome_spectrum(N, 4))
+        ham = synthesize(dome_spectrum(N, 4))[0]
         assert is_mirror_symmetric(ham)
         assert np.all(ham.couplings > 0)
 
 
 def test_reconstruct_carries_rate():
-    ham = reconstruct(dome_spectrum(5, 2, J=3.0e6))
+    ham = synthesize(dome_spectrum(5, 2, J=3.0e6))[0]
     assert ham.rate_J == 3.0e6
 
 
 def test_reconstruct_single_eigenvalue():
-    ham = reconstruct(Spectrum(values=np.array([2.5])))
+    ham = synthesize(Spectrum(values=np.array([2.5])))[0]
     np.testing.assert_allclose(ham.omegas, [2.5])
     assert ham.couplings.size == 0
 
@@ -99,44 +100,32 @@ def test_reconstruct_arbitrary_spectrum_round_trip():
         vals = np.sort(rng.normal(0.0, 3.0, 6))
         if np.min(np.diff(vals)) < 1e-3:
             continue
-        ham = reconstruct(Spectrum(values=vals))
+        ham = synthesize(Spectrum(values=vals))[0]
         ev = scipy.linalg.eigh_tridiagonal(ham.omegas, ham.couplings, eigvals_only=True)
         np.testing.assert_allclose(ev, vals, atol=1e-8, rtol=1e-8)
 
 
 def test_eigenvectors_orthonormal_rows():
-    spec = dome_spectrum(7, 2)
-    W = eigenvectors(reconstruct(spec), spec)
+    W = synthesize(dome_spectrum(7, 2))[2]
     np.testing.assert_allclose(W @ W.T, np.eye(7), atol=1e-12)
 
 
 def test_eigenvectors_diagonalize_the_chain():
     spec = dome_spectrum(6, 3)
-    ham = reconstruct(spec)
-    W = eigenvectors(ham, spec)
+    ham, _, W = synthesize(spec)
     np.testing.assert_allclose(W @ ham.matrix() @ W.T, np.diag(spec.values), atol=1e-10)
 
 
 def test_eigenvectors_first_column_is_sqrt_weight():
     for spec in (dome_spectrum(5, 2), Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]))):
-        W = eigenvectors(reconstruct(spec), spec)
+        W = synthesize(spec)[2]
         np.testing.assert_allclose(W[:, 0], np.sqrt(compute_weights(spec)), atol=1e-12)
 
 
 def test_eigenvectors_end_site_sign_alternation():
     # End-site coefficients alternate in sign across ascending eigenvalues.
-    spec = dome_spectrum(6, 2)
-    last = eigenvectors(reconstruct(spec), spec)[:, -1]
+    last = synthesize(dome_spectrum(6, 2))[2][:, -1]
     assert np.all(last[::2] * last[1::2] < 0)
-
-
-def test_eigenvectors_reject_mismatched_pair():
-    spec = dome_spectrum(5, 2)
-    wrong = dome_hamiltonian(DomeParams(N=5, m=4))
-    with pytest.raises(ReconstructionError, match="eigen-residual"):
-        eigenvectors(wrong, spec)
-    with pytest.raises(ValueError, match="size"):
-        eigenvectors(reconstruct(dome_spectrum(4, 2)), spec)
 
 
 @pytest.mark.parametrize("m", [0, 2, 10, 102])
@@ -149,8 +138,7 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
     # below eigh's accuracy carry no pinned sign, so rows are compared up
     # to sign.
     spec = dome_spectrum(N, m)
-    ham = reconstruct(spec)
-    W = eigenvectors(ham, spec)
+    ham, _, W = synthesize(spec)
     lam = spec.values
     scale = max(1.0, float(np.max(np.abs(lam))))
     assert W.shape == (N, N)
@@ -168,21 +156,34 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
 @pytest.mark.parametrize("spec", [dome_spectrum(2, 0), dome_spectrum(5, 2), dome_spectrum(64, 10),
                                   Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]), rate_J=2.0)])
 def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
+    # One pass gives what the separate steps give: compute_weights' weights
+    # and one signed eigh of the chain, bit for bit, with the chain carrying
+    # the spectrum (eigvalsh) and the rows its eigen-residual, both to 1e-8.
     ham, weights, W = synthesize(spec)
-    built = reconstruct(spec)
-    np.testing.assert_array_equal(ham.omegas, built.omegas)
-    np.testing.assert_array_equal(ham.couplings, built.couplings)
-    assert ham.rate_J == built.rate_J
+    H = ham.matrix()
+    _, V = np.linalg.eigh(H)
+    V *= np.where(V[0] < 0, -1.0, 1.0)
+    scale = max(1.0, float(np.max(np.abs(spec.values))))
+    assert ham.rate_J == spec.rate_J
     np.testing.assert_array_equal(weights, compute_weights(spec))
-    np.testing.assert_array_equal(W, eigenvectors(built, spec))
+    np.testing.assert_array_equal(W, V.T)
+    assert np.max(np.abs(np.linalg.eigvalsh(H) - spec.values)) / scale <= 1e-8
+    assert np.max(np.abs(H @ W.T - W.T * spec.values)) / scale <= 1e-8
 
 
 def test_synthesize_fails_as_reconstruct_does():
-    # Two tight clusters: the recurrence survives, but the chain misses the
-    # spectrum by about 1e-6, and both routes refuse it with one message.
-    spec = Spectrum(values=np.r_[1e-11 * np.arange(5), 1 + 1e-11 * np.arange(5)])
-    with pytest.raises(ReconstructionError, match="deviate by") as direct:
-        reconstruct(spec)
-    with pytest.raises(ReconstructionError) as synthesized:
-        synthesize(spec)
-    assert str(synthesized.value) == str(direct.value)
+    cases = [
+        # Two tight clusters: the recurrence survives, but the chain misses
+        # the spectrum by about 1e-6.
+        (np.r_[1e-11 * np.arange(5), 1 + 1e-11 * np.arange(5)], "1.22e-06"),
+        # The first coupling overflows to inf and the eigenvalues come out
+        # NaN; a NaN deviation must fail the bound, not slip past it.
+        (np.array([-1e300, 1e300]), "nan"),
+    ]
+    for values, deviation in cases:
+        with np.errstate(over="ignore"), pytest.raises(ReconstructionError) as refused:
+            synthesize(Spectrum(values=values))
+        assert str(refused.value) == (
+            f"synthesized chain eigenvalues deviate by {deviation} relative; "
+            "spectrum outside the validated double-precision range"
+        )

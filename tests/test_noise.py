@@ -1,9 +1,11 @@
 """Disorder draws, coherent sweeps, and decoherence scans.
 
-The batched sweep is checked against the per-sample path it replaced:
-`perturb` -> `evolve_closed` -> `reduce_to_sites` -> `state_fidelity`,
-which shares nothing with the sweep's readout amplitudes.  The
-transfer metric, coherent and under T1/Tphi, is checked against the
+The batched sweep is checked against a per-sample path that shares no
+code with it: `perturbed` (one Philox generator per sample, its draws
+added entry by entry to `dome_hamiltonian` or `single_excitation_matrix`)
+-> `evolve_closed` -> `reduce_to_sites` -> `state_fidelity`.  The draw
+and targeting tests run on `noise._SiteModel`, the pipeline sweeps run.
+The transfer metric, coherent and under T1/Tphi, is checked against the
 emulated process tomography `test_metrics.simulate_qpt`.
 """
 
@@ -12,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from domechain import noise
+from domechain.chain import TridiagonalHamiltonian
 from domechain.dynamics import DecoherenceConfig, evolve_closed, site_state
 from domechain.metrics import reduce_to_sites, state_fidelity
 from domechain.models import (
@@ -24,7 +27,6 @@ from domechain.noise import (
     DisorderConfig,
     DisorderTarget,
     SweepMetric,
-    perturb,
     sweep_coherent,
     sweep_decoherence,
 )
@@ -38,55 +40,92 @@ def cfg(target, sigma=1.0, seed=99, samples=None):
     return DisorderConfig(target=target, sigma=sigma, seed=seed, samples=samples)
 
 
+def perturbed(system, c, k: int) -> np.ndarray:
+    """Sample k's site matrix in units of J, drawn on its own.
+
+    `system` is DomeParams or Grid2D.  Sample k's normals come from a fresh
+    Philox at counter block k.  Sigma times each draw is added, in draw order,
+    to the dense noise-free matrix: targeted sites ascending, then x bonds
+    row-major, then y bonds row-major (a chain is the 1 x N grid).
+    """
+    if isinstance(system, Grid2D):
+        rows, cols, ends = system.rows, system.cols, system.corner_indices()
+        H = single_excitation_matrix(system)
+    else:
+        rows, cols, ends = 1, system.N, [0, system.N - 1]
+        H = dome_hamiltonian(system).matrix()
+    site = np.arange(rows * cols).reshape(rows, cols)
+    bonds = [(site[r, q], site[r, q + 1]) for r in range(rows) for q in range(cols - 1)]
+    bonds += [(site[r, q], site[r + 1, q]) for r in range(rows - 1) for q in range(cols)]
+    sites = {
+        DisorderTarget.MIDDLE_FREQUENCIES: [i for i in range(rows * cols) if i not in ends],
+        DisorderTarget.EDGE_FREQUENCIES: ends,
+        DisorderTarget.COUPLINGS: [],
+        DisorderTarget.ALL: list(range(rows * cols)),
+    }[c.target]
+    if c.target not in (DisorderTarget.COUPLINGS, DisorderTarget.ALL):
+        bonds = []
+    gen = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, k]))
+    draws = gen.standard_normal(len(sites) + len(bonds))
+    for i, z in zip(sites, draws):
+        H[i, i] += c.sigma * z
+    for (a, b), z in zip(bonds, draws[len(sites):]):
+        H[a, b] += c.sigma * z
+        H[b, a] += c.sigma * z
+    return H
+
+
+def sampled(system, c, k: int) -> np.ndarray:
+    """Sample k's site matrix in units of J, from the pipeline sweeps run."""
+    model = noise._SiteModel.of(system)
+    return model.matrices(c.target, c.sigma * model.unit_draws(c, [k]))[0]
+
+
 def test_perturb_is_deterministic_in_seed_and_index():
     base = dome_hamiltonian(DomeParams(N=5, m=2))
     c = cfg(DisorderTarget.ALL)
-    a = perturb(base, c, 7)
-    b = perturb(base, c, 7)
-    np.testing.assert_array_equal(a.omegas, b.omegas)
-    np.testing.assert_array_equal(a.couplings, b.couplings)
-    other = perturb(base, c, 8)
-    assert not np.array_equal(a.omegas, other.omegas)
+    a = sampled(base, c, 7)
+    np.testing.assert_array_equal(a, sampled(base, c, 7))
+    assert not np.array_equal(np.diag(a), np.diag(sampled(base, c, 8)))
 
 
 def test_perturb_middle_frequencies_only():
     base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = perturb(base, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
-    assert out.omegas[0] == base.omegas[0]
-    assert out.omegas[-1] == base.omegas[-1]
-    assert not np.array_equal(out.omegas[1:-1], base.omegas[1:-1])
-    np.testing.assert_array_equal(out.couplings, base.couplings)
+    out = sampled(base, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
+    assert out[0, 0] == base.omegas[0]
+    assert out[-1, -1] == base.omegas[-1]
+    assert not np.array_equal(np.diag(out)[1:-1], base.omegas[1:-1])
+    np.testing.assert_array_equal(np.diag(out, 1), base.couplings)
 
 
 def test_perturb_edge_frequencies_only():
     base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = perturb(base, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
-    assert out.omegas[0] != base.omegas[0]
-    assert out.omegas[-1] != base.omegas[-1]
-    np.testing.assert_array_equal(out.omegas[1:-1], base.omegas[1:-1])
-    np.testing.assert_array_equal(out.couplings, base.couplings)
+    out = sampled(base, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
+    assert out[0, 0] != base.omegas[0]
+    assert out[-1, -1] != base.omegas[-1]
+    np.testing.assert_array_equal(np.diag(out)[1:-1], base.omegas[1:-1])
+    np.testing.assert_array_equal(np.diag(out, 1), base.couplings)
 
 
 def test_perturb_couplings_only():
     base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = perturb(base, cfg(DisorderTarget.COUPLINGS), 0)
-    np.testing.assert_array_equal(out.omegas, base.omegas)
-    assert not np.array_equal(out.couplings, base.couplings)
+    out = sampled(base, cfg(DisorderTarget.COUPLINGS), 0)
+    np.testing.assert_array_equal(np.diag(out), base.omegas)
+    assert not np.array_equal(np.diag(out, 1), base.couplings)
+    np.testing.assert_array_equal(out, out.T)
 
 
 def test_perturb_preserves_rate():
     base = dome_hamiltonian(DomeParams(N=4, m=2, J=3.0e7))
-    out = perturb(base, cfg(DisorderTarget.ALL), 1)
-    assert out.rate_J == base.rate_J
+    assert noise._SiteModel.of(base).rate == base.rate_J
+    assert noise._SiteModel.of(Grid2D(2, 3, 2, 2, J=3.0e7)).rate == 3.0e7
 
 
 def test_perturb_grid_targets_corners_vs_interior():
     grid = Grid2D(3, 4, 2, 2)
-    from domechain.models import single_excitation_matrix
-
     base = single_excitation_matrix(grid)
     corners = grid.corner_indices()
-    mid = perturb(grid, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
+    mid = sampled(grid, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
     for i in corners:
         assert mid[i, i] == base[i, i]
     changed = [i for i in range(12) if i not in corners and mid[i, i] != base[i, i]]
@@ -94,7 +133,7 @@ def test_perturb_grid_targets_corners_vs_interior():
     np.testing.assert_array_equal(mid - np.diag(np.diag(mid)),
                                   base - np.diag(np.diag(base)))
 
-    edge = perturb(grid, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
+    edge = sampled(grid, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
     for i in corners:
         assert edge[i, i] != base[i, i]
     for i in range(12):
@@ -104,26 +143,22 @@ def test_perturb_grid_targets_corners_vs_interior():
 
 def test_perturb_grid_couplings_change_bonds_only():
     grid = Grid2D(3, 4, 2, 2)
-    from domechain.models import single_excitation_matrix
-
     base = single_excitation_matrix(grid)
-    out = perturb(grid, cfg(DisorderTarget.COUPLINGS), 2)
+    out = sampled(grid, cfg(DisorderTarget.COUPLINGS), 2)
     np.testing.assert_array_equal(np.diag(out), np.diag(base))
     off = out - np.diag(np.diag(out))
     assert not np.array_equal(off, base - np.diag(np.diag(base)))
+    np.testing.assert_array_equal(out != 0, base != 0)
     np.testing.assert_array_equal(out, out.T)
 
 
 def test_perturb_validation():
-    base = dome_hamiltonian(DomeParams(N=4, m=2))
-    with pytest.raises(ValueError):
-        perturb(base, cfg(DisorderTarget.ALL), -1)
-    with pytest.raises(TypeError):
-        perturb(np.eye(3), cfg(DisorderTarget.ALL), 0)
     with pytest.raises(ValueError):
         DisorderConfig(target=DisorderTarget.ALL, sigma=-0.1, seed=1)
     with pytest.raises(ValueError):
         DisorderConfig(target=DisorderTarget.ALL, sigma=0.1, seed=1, samples=0)
+    with pytest.raises(ValueError):
+        DisorderConfig(target=DisorderTarget.ALL, sigma=0.1, seed=2**64)
 
 
 def test_sweep_sigma_zero_recovers_noise_free():
@@ -206,32 +241,28 @@ def test_sweep_grid_w_metric_sigma_zero():
 
 
 def per_sample_fidelities(system, c, metric, sigmas):
-    """(len(sigmas), samples) fidelities, one sample at a time."""
+    """(len(sigmas), samples) fidelities, one `perturbed` sample at a time."""
     if isinstance(system, Grid2D):
-        n_sites, period, base = system.rows * system.cols, system.period, system
-        sites = tuple(i + 1 for i in system.corner_indices())
-
-        def final(matrix):
-            psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)
-            return reduce_to_sites(psi.states, sites)[0]
-
-        ideal = final(single_excitation_matrix(system))
+        n_sites, sites = system.rows * system.cols, tuple(i + 1 for i in system.corner_indices())
+        ideal_matrix = single_excitation_matrix(system)
     else:
-        base = dome_hamiltonian(system)
-        n_sites, period = base.n, base.period
+        n_sites, sites = system.N, (1, system.N)
+        ideal_matrix = dome_hamiltonian(system).matrix()
+    period = system.period
 
-        def final(ham):
-            psi = evolve_closed(ham.matrix(physical=True), site_state(n_sites, 1), period / 4)
-            return reduce_to_sites(psi.states, (1, n_sites))[0]
+    def final(matrix):
+        psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)
+        return reduce_to_sites(psi.states, sites)[0]
 
-        ideal = final(base)
+    ideal = final(ideal_matrix)
     out = np.empty((len(sigmas), c.samples))
     for i, sigma in enumerate(sigmas):
         point = DisorderConfig(target=c.target, sigma=sigma, seed=c.seed, samples=c.samples)
         for k in range(c.samples):
-            sample = perturb(base, point, k)
+            sample = perturbed(system, point, k)
             if metric is SweepMetric.QPT_AT_HALF_T:
-                out[i, k] = simulate_qpt(sample, t_end=period / 2)[1]
+                ham = TridiagonalHamiltonian(np.diag(sample), np.diag(sample, 1), system.J)
+                out[i, k] = simulate_qpt(ham, t_end=period / 2)[1]
             else:
                 out[i, k] = state_fidelity(final(sample), ideal)
     return out
@@ -263,17 +294,16 @@ def test_batched_sweep_matches_per_sample_path(case, target, m):
 @pytest.mark.parametrize("target", list(DisorderTarget))
 @pytest.mark.parametrize(
     "system",
-    [dome_hamiltonian(DomeParams(N=5, m=102)), Grid2D(3, 4, 2, 2)],
+    [DomeParams(N=5, m=102), Grid2D(3, 4, 2, 2)],
     ids=["chain", "grid"],
 )
 def test_perturb_equals_batched_rows(system, target):
     c = cfg(target, sigma=0.7)
-    model = noise._SiteModel.of(system)
+    model = noise._SiteModel.of(dome_hamiltonian(system) if isinstance(system, DomeParams)
+                                else system)
     stack = model.matrices(target, c.sigma * model.unit_draws(c, range(6)))
     for k in range(6):
-        single = perturb(system, c, k)
-        matrix = single.matrix() if isinstance(single, type(system)) else single
-        np.testing.assert_array_equal(matrix, stack[k])
+        np.testing.assert_array_equal(perturbed(system, c, k), stack[k])
 
 
 @pytest.mark.parametrize(
@@ -303,7 +333,7 @@ def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
     c = cfg(DisorderTarget.ALL, samples=10)
     clean = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.5, 1.0])
     point = DisorderConfig(target=DisorderTarget.ALL, sigma=1.0, seed=c.seed)
-    bad = perturb(dome_hamiltonian(system), point, 3).matrix(physical=True)
+    bad = perturbed(system, point, 3) * system.J
     eigh = np.linalg.eigh
 
     def failing_eigh(H, *args, **kwargs):

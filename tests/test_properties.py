@@ -2,9 +2,11 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from domechain import (
     DisorderConfig,
@@ -13,14 +15,14 @@ from domechain import (
     check_pst_spacing,
     dome_hamiltonian,
     dome_spectrum,
-    perturb,
-    reconstruct,
     reduce_to_sites,
     solve_fst_phase,
     state_fidelity,
+    synthesize,
 )
+from domechain import noise
 from domechain.cascade import segment_lengths
-from domechain.cli import _json_text
+from domechain.cli import _json_text, main
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -54,7 +56,7 @@ def test_spectrum_sum_matches_frequency_sum(N, m, J):
 )
 def test_reconstruction_round_trip(N, m):
     spec = dome_spectrum(N, m)
-    ham = reconstruct(spec)
+    ham = synthesize(spec)[0]
     back = np.linalg.eigvalsh(ham.matrix())
     scale = np.abs(spec.values).max()
     np.testing.assert_allclose(back, spec.values, atol=1e-8 * scale)
@@ -116,18 +118,19 @@ def test_reduced_states_are_physical(N, seed, keep):
 def test_perturbation_is_deterministic_and_targeted(seed, index, sigma, target):
     ham = dome_hamiltonian(DomeParams(N=6, m=2))
     cfg = DisorderConfig(target=target, sigma=sigma, seed=seed)
-    a = perturb(ham, cfg, index)
-    b = perturb(ham, cfg, index)
-    np.testing.assert_array_equal(a.omegas, b.omegas)
-    np.testing.assert_array_equal(a.couplings, b.couplings)
+    model = noise._SiteModel.of(ham)
+    a = model.matrices(target, sigma * model.unit_draws(cfg, [index]))[0]
+    b = model.matrices(target, sigma * model.unit_draws(cfg, [index]))[0]
+    np.testing.assert_array_equal(a, b)
+    omegas, couplings = np.diag(a), np.diag(a, 1)
     if target is DisorderTarget.COUPLINGS:
-        np.testing.assert_array_equal(a.omegas, ham.omegas)
+        np.testing.assert_array_equal(omegas, ham.omegas)
     elif target is DisorderTarget.MIDDLE_FREQUENCIES:
-        np.testing.assert_array_equal(a.couplings, ham.couplings)
-        np.testing.assert_array_equal(a.omegas[[0, -1]], ham.omegas[[0, -1]])
+        np.testing.assert_array_equal(couplings, ham.couplings)
+        np.testing.assert_array_equal(omegas[[0, -1]], ham.omegas[[0, -1]])
     elif target is DisorderTarget.EDGE_FREQUENCIES:
-        np.testing.assert_array_equal(a.couplings, ham.couplings)
-        np.testing.assert_array_equal(a.omegas[1:-1], ham.omegas[1:-1])
+        np.testing.assert_array_equal(couplings, ham.couplings)
+        np.testing.assert_array_equal(omegas[1:-1], ham.omegas[1:-1])
 
 
 @SETTINGS
@@ -183,3 +186,30 @@ _JSON_VALUES = st.recursive(
 @given(value=_JSON_VALUES)
 def test_json_writer_equals_indented_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_SPECTRA = st.lists(
+    st.floats(min_value=-1e300, max_value=1e300), min_size=2, max_size=8, unique=True
+).map(sorted).filter(lambda v: all(a < b for a, b in zip(v, v[1:])))
+
+
+@SETTINGS
+@example(values=[-1e300, 1e300])
+@given(values=_SPECTRA)
+def test_synth_writes_finite_json_or_exits_3(values):
+    # Wide spectra may overflow the recurrence; synth must then refuse with
+    # exit 3 and write nothing, never an artifact holding NaN or Infinity.
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        out = Path(tmp) / "synth.json"
+        code = main(["synth", "--set", f"spectrum={json.dumps(values)}", "--output", str(out)])
+        if code == 3:
+            assert list(Path(tmp).iterdir()) == []
+            return
+        assert code == 0
+        data = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    for key in ("spectrum", "weights", "omegas", "couplings", "eigenvectors"):
+        assert np.all(np.isfinite(np.asarray(data[key], dtype=float))), key
