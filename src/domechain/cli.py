@@ -491,30 +491,18 @@ def _sweep_coherent(cfg: dict):
     )
     m_values = cfg.get("m_values", [2, 102])
     rate = _rate_rad_per_s(cfg)
-    rows = []
-    for m in m_values:
-        if "N" in cfg:
-            system = DomeParams(N=cfg["N"], m=m, J=rate)
-        else:
-            system = Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate)
-        result = sweep_coherent(system, dcfg, metric, sigmas=sigmas)
-        for j in range(result.axis.size):
-            rows.append(
-                [
-                    "coherent",
-                    cfg["metric"],
-                    m,
-                    "sigma_over_J",
-                    _fmt(result.axis[j]),
-                    "",
-                    "",
-                    _fmt(result.mean[j]),
-                    _fmt(result.std[j]),
-                    int(result.samples[j]),
-                    int(result.failures[j]),
-                ]
-            )
-    return rows
+    if "N" in cfg:
+        systems = [DomeParams(N=cfg["N"], m=m, J=rate) for m in m_values]
+    else:
+        systems = [Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate) for m in m_values]
+    result = sweep_coherent(systems, dcfg, metric, sigmas=sigmas)
+    return [
+        ["coherent", cfg["metric"], m, "sigma_over_J", _fmt(result.axis[i, j]), "", "",
+         _fmt(result.mean[i, j]), _fmt(result.std[i, j]), int(result.samples[i, j]),
+         int(result.failures[i, j])]
+        for i, m in enumerate(m_values)
+        for j in range(result.axis.shape[1])
+    ]
 
 
 def _sweep_decoherence(cfg: dict):

@@ -25,7 +25,7 @@ three exactly solvable parts:
     rho_00    = tr rho(0) - tr rho_S
 
 The vacuum coherences ride the closed eigendecomposition, one per site
-block.  T1 enters the site block only as the scalar e^{-gamma1 t}: its
+block; when rho0 has none they stay zero and no block is diagonalized.  T1 enters the site block only as the scalar e^{-gamma1 t}: its
 D^2 x D^2 generator is G_phi - gamma1, so the block is propagated under
 G_phi once per distinct Tphi and scaled per T1.  `evolve_lindblad` takes a
 stack of site blocks and a sequence of configs, so a whole decoherence
@@ -348,10 +348,13 @@ def _evolve_open(
     relax, decay = np.exp(-rates[..., None] * times)
     for p, f in enumerate(phi_of):
         np.multiply(relax[p, :, None, None], blocks[:, f], out=out[:, p, :, 1:, 1:])
-    for k, h in enumerate(H):
-        w, V = eigendecompose(h)
-        cols = (np.exp(-1j * np.outer(times, w)) * (V.T @ rho0[1:, 0])) @ V.T
-        np.multiply(decay[..., None], cols, out=out[k, :, :, 1:, 0])
+    # Vacuum coherences that start at zero stay zero: no H is diagonalized.
+    out[..., 1:, 0] = 0.0
+    if rho0[1:, 0].any():
+        for k, h in enumerate(H):
+            w, V = eigendecompose(h)
+            cols = (np.exp(-1j * np.outer(times, w)) * (V.T @ rho0[1:, 0])) @ V.T
+            np.multiply(decay[..., None], cols, out=out[k, :, :, 1:, 0])
     np.conjugate(out[..., 1:, 0], out=out[..., 0, 1:])
     out[..., 0, 0] = np.einsum("ii->", rho0) - np.einsum("...ii->...", out[..., 1:, 1:])
     return out

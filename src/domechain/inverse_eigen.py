@@ -35,6 +35,8 @@ test for the recurrence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
@@ -73,13 +75,15 @@ def compute_weights(spec: Spectrum) -> np.ndarray:
     return w / w.sum()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _recurrence(
     lam: np.ndarray, weights: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the normalized recurrence for `steps` (at most N - 1) steps.
 
     Returns (omegas, couplings), one of each per step.  Raises
-    ReconstructionError when a norm collapses.
+    ReconstructionError when a coefficient overflows or a norm collapses;
+    overflow is detected, not warned about.
     """
     span = max(1.0, float(np.max(np.abs(lam))))
     omegas = []
@@ -92,6 +96,8 @@ def _recurrence(
         omegas.append(om)
         q = (lam - om) * p_cur - j_prev * p_prev
         jn = float(np.sqrt(np.sum(weights * q * q)))
+        if not (math.isfinite(om) and math.isfinite(jn)):
+            raise ReconstructionError(f"recurrence overflowed at degree {n}")
         if not jn > 1e-14 * span:
             raise ReconstructionError(f"recurrence norm collapsed at degree {n}")
         couplings.append(jn)

@@ -4,10 +4,14 @@ Sample k draws its unit normals once from a Philox generator keyed by
 (seed) with counter block k, in a fixed order: targeted site frequencies
 in ascending site order, then targeted couplings (x bonds before y bonds
 on grids).  Sigma, in units of J, scales them into additive shifts of the
-dimensionless entries, so the points of a sigma axis share one field.
+dimensionless entries.  A coherent sweep takes one system or a stack of
+systems that differ only in m, and draws once: every m and every sigma
+shares one noise field.
 
-Coherent sweeps diagonalize stacks of perturbed site matrices with one
-`eigh` call and contract to readout amplitudes a = <r|U(t)|site 1>.  The
+Coherent sweeps diagonalize the perturbed site matrices of all (m, sigma,
+sample) rows in one chunked stream of stacked `eigh` calls, and the
+noise-free matrices of all m in one more, and contract to readout
+amplitudes a = <r|U(t)|site 1>.  The
 readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
 overlap with the noise-free reduction is (1 - p)(1 - p0) + |a0^dagger a|^2.
 The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
@@ -129,9 +133,10 @@ def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SiteModel:
-    """A chain or grid as disorder sees it: noise-free site-matrix entries
-    `freqs` (D,) and `couplings` (B,) in units of J, the (B, 2) `bonds` in
-    draw order, the chain ends or grid corners `edges`, and J in rad/s.
+    """Chains or grids of one layout as disorder sees them: noise-free
+    site-matrix entries `freqs` (M, D) and `couplings` (M, B) in units of J,
+    one row per system, the (B, 2) `bonds` in draw order, the chain ends or
+    grid corners `edges`, and J in rad/s.
     """
 
     freqs: np.ndarray
@@ -141,17 +146,21 @@ class _SiteModel:
     rate: float
 
     @classmethod
-    def of(cls, system) -> _SiteModel:
-        if isinstance(system, TridiagonalHamiltonian):
-            return cls(system.omegas, system.couplings, _bond_pairs(1, system.n),
-                       np.array([0, system.n - 1]), system.rate_J)
-        freqs, couplings = _grid_sites(system)
-        return cls(freqs, couplings, _bond_pairs(system.rows, system.cols),
-                   np.array(system.corner_indices()), system.J)
+    def of(cls, *systems) -> _SiteModel:
+        """The model of chains or grids that share their layout and rate."""
+        first = systems[0]
+        if isinstance(first, TridiagonalHamiltonian):
+            entries = [(s.omegas, s.couplings) for s in systems]
+            shape, edges, rate = (1, first.n), [0, first.n - 1], first.rate_J
+        else:
+            entries = [_grid_sites(s) for s in systems]
+            shape, edges, rate = (first.rows, first.cols), first.corner_indices(), first.J
+        freqs, couplings = (np.array(e) for e in zip(*entries))
+        return cls(freqs, couplings, _bond_pairs(*shape), np.array(edges), rate)
 
     def targeted(self, target: DisorderTarget) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the perturbed frequencies and couplings, in draw order."""
-        sites, bonds = np.arange(self.freqs.size), np.arange(self.couplings.size)
+        sites, bonds = np.arange(self.freqs.shape[1]), np.arange(self.couplings.shape[1])
         if target is DisorderTarget.MIDDLE_FREQUENCIES:
             return np.setdiff1d(sites, self.edges), bonds[:0]
         if target is DisorderTarget.EDGE_FREQUENCIES:
@@ -160,16 +169,11 @@ class _SiteModel:
             return sites[:0], bonds
         return sites, bonds
 
-    def unit_draws(self, cfg: DisorderConfig, draw_indices) -> np.ndarray:
-        """(S, n) unit normals, row s from the generator of draw_indices[s]."""
-        n = sum(idx.size for idx in self.targeted(cfg.target))
-        return _unit_normals(cfg.seed, draw_indices, n)
-
-    def matrices(self, target: DisorderTarget, noise: np.ndarray) -> np.ndarray:
-        """(S, D, D) site matrices with the (S, n) noise rows added."""
-        sites, bonds = self.targeted(target)
-        freqs = np.repeat(self.freqs[None], len(noise), axis=0)
-        couplings = np.repeat(self.couplings[None], len(noise), axis=0)
+    def matrices(self, targeted, noise: np.ndarray, members) -> np.ndarray:
+        """(S, D, D) site matrices: system members[s] with noise row s of the
+        (S, n) `noise` added at the `targeted` (sites, bonds)."""
+        sites, bonds = targeted
+        freqs, couplings = self.freqs[members], self.couplings[members]
         freqs[:, sites] += noise[:, : sites.size]
         couplings[:, bonds] += noise[:, sites.size :]
         return _site_matrix(freqs, couplings, self.bonds)
@@ -216,23 +220,32 @@ def sweep_coherent(
     """Monte Carlo fidelity under static coherent disorder.
 
     `system` is DomeParams for the chain metrics or Grid2D for the corner
-    metric.  Evolution time is T/4 for the entanglement metrics and T/2
-    for the transfer channel.  When `sigmas` is given the sweep runs once
-    per value (same seed, so points share their underlying noise field);
-    otherwise the single cfg.sigma is used.  Per-sample failures are counted and
-    excluded from the statistics rather than raised.
+    metric, or a sequence of M of them that differ only in m: then every
+    result array gains a leading M axis.  Evolution time is T/4 for the
+    entanglement metrics and T/2 for the transfer channel.  When `sigmas`
+    is given the sweep runs once per value, otherwise the single cfg.sigma
+    is used.  One draw of unit normals serves every system and sigma, so
+    all points share their noise field, and one chunked `eigh` stream runs
+    over the flattened (m, sigma, sample) rows.  Per-sample failures are
+    counted and excluded from the statistics rather than raised.
     """
     qpt = metric is SweepMetric.QPT_AT_HALF_T
-    if isinstance(system, Grid2D):
+    stacked = not isinstance(system, (DomeParams, Grid2D))
+    systems = list(system) if stacked else [system]
+    if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
+        raise TypeError("system must be DomeParams or Grid2D")
+    layouts = {(type(s), s.J, getattr(s, "N", None), getattr(s, "rows", None),
+                getattr(s, "cols", None)) for s in systems}
+    if len(layouts) != 1:
+        raise ValueError("stacked systems must share kind, size and rate")
+    if isinstance(systems[0], Grid2D):
         if metric is not SweepMetric.W_AT_QUARTER_T:
             raise ValueError("grids support only the corner metric")
-        model = _SiteModel.of(system)
-    elif isinstance(system, DomeParams):
+        model = _SiteModel.of(*systems)
+    else:
         if metric is SweepMetric.W_AT_QUARTER_T:
             raise ValueError("the corner metric requires a Grid2D")
-        model = _SiteModel.of(dome_hamiltonian(system))
-    else:
-        raise TypeError("system must be DomeParams or Grid2D")
+        model = _SiteModel.of(*map(dome_hamiltonian, systems))
     readout = model.edges[-1:] if qpt else model.edges
     duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
 
@@ -240,36 +253,42 @@ def sweep_coherent(
         return _readout_amplitudes(H * model.rate, duration, readout)
 
     if not qpt:
-        a0 = amplitudes(_site_matrix(model.freqs, model.couplings, model.bonds)[None])[0]
-        p0 = np.sum(np.abs(a0) ** 2)
+        a0 = amplitudes(_site_matrix(model.freqs, model.couplings, model.bonds))
+        p0 = np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
 
     n_samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES[metric]
     axis = np.atleast_1d(
         np.asarray(sigmas if sigmas is not None else [cfg.sigma], dtype=float)
     )
-    unit = model.unit_draws(cfg, range(n_samples))
-    fids = np.empty(axis.size * n_samples)
-    chunk = max(1, MAX_CHUNK_ENTRIES // model.freqs.size**2)
+    targeted = model.targeted(cfg.target)
+    unit = _unit_normals(cfg.seed, range(n_samples), sum(idx.size for idx in targeted))
+    fids = np.empty(len(systems) * axis.size * n_samples)
+    chunk = max(1, MAX_CHUNK_ENTRIES // model.freqs.shape[1] ** 2)
     for start in range(0, fids.size, chunk):
         rows = np.arange(start, min(start + chunk, fids.size))
-        noise = axis[rows // n_samples, None] * unit[rows % n_samples]
-        a = amplitudes(model.matrices(cfg.target, noise))
+        members, point = np.divmod(rows, axis.size * n_samples)
+        noise = axis[point // n_samples, None] * unit[point % n_samples]
+        a = amplitudes(model.matrices(targeted, noise, members))
         if qpt:
             fids[rows] = np.abs(1.0 + a[:, 0]) ** 2 / 4.0
         else:
             # Summed column by column: numpy's row reductions take another
             # path for a one-row chunk, which would make bits depend on chunking.
             p = reduce(np.add, np.abs(a.T) ** 2)
-            overlap = reduce(np.add, a.T * a0.conj()[:, None])
-            fids[rows] = (1.0 - p) * (1.0 - p0) + np.abs(overlap) ** 2
-    fids = fids.reshape(axis.size, n_samples)
+            overlap = reduce(np.add, a.T * a0[members].T.conj())
+            fids[rows] = (1.0 - p) * (1.0 - p0[members]) + np.abs(overlap) ** 2
+    fids = fids.reshape(-1, n_samples)
     ok = ~np.isnan(fids)
     mean = np.array([np.mean(f[o]) if o.any() else np.nan for f, o in zip(fids, ok)])
     std = np.array(
         [np.std(f[o], ddof=1) if o.sum() > 1 else 0.0 for f, o in zip(fids, ok)]
     )
-    return SweepResult(axis_name="sigma", axis=axis, mean=mean, std=std,
-                       samples=ok.sum(axis=1), failures=(~ok).sum(axis=1), fidelities=fids)
+    shape = (len(systems), axis.size) if stacked else axis.shape
+    return SweepResult(axis_name="sigma", axis=np.broadcast_to(axis, shape).copy(),
+                       mean=mean.reshape(shape), std=std.reshape(shape),
+                       samples=ok.sum(axis=1).reshape(shape),
+                       failures=(~ok).sum(axis=1).reshape(shape),
+                       fidelities=fids.reshape(*shape, n_samples))
 
 
 @dataclass(frozen=True)

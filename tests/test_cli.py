@@ -324,6 +324,58 @@ def test_sweep_is_deterministic(outdir):
     assert (outdir / "a.csv").read_bytes() == (outdir / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "metric, layout",
+    [
+        ("bell_at_quarter_t", dict(N=5)),
+        ("qpt_at_half_t", dict(N=6)),
+        ("w_at_quarter_t", dict(rows=2, cols=3)),
+    ],
+    ids=["bell", "qpt", "w"],
+)
+def test_coherent_sweep_csv_equals_per_m_calls(outdir, metric, layout):
+    from domechain.models import DomeParams, Grid2D
+    from domechain.noise import DisorderConfig, DisorderTarget, SweepMetric, sweep_coherent
+
+    m_values, sigmas = [0, 2, 102], [0.25, 0.5, 1.0]
+    sets = [f"{key}={value}" for key, value in layout.items()]
+    sets += ["kind=coherent", f"metric={metric}", "target=all", f"sigmas={sigmas}",
+             f"m_values={m_values}", "samples=6", "rate_MHz=5"]
+    argv = ["sweep", "--seed", "5", "--output", "sw.csv"]
+    assert run(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+    # The oracle: one single-system call per m.
+    rate = 2.0 * np.pi * 5 * 1e6
+    c = DisorderConfig(target=DisorderTarget.ALL, sigma=sigmas[0], seed=5, samples=6)
+    lines = [",".join(SWEEP_HEADER)]
+    for m in m_values:
+        if "N" in layout:
+            system = DomeParams(N=layout["N"], m=m, J=rate)
+        else:
+            system = Grid2D(layout["rows"], layout["cols"], m, m, J=rate)
+        res = sweep_coherent(system, c, SweepMetric(metric), sigmas=sigmas)
+        for j in range(len(sigmas)):
+            lines.append(
+                f"coherent,{metric},{m},sigma_over_J,{res.axis[j]:.12g},,,"
+                f"{res.mean[j]:.12g},{res.std[j]:.12g},{res.samples[j]},{res.failures[j]}"
+            )
+    assert (outdir / "sw.csv").read_text() == "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("m_values", [[2], [2, 102], [0, 2, 10, 102]], ids=["1m", "2m", "4m"])
+def test_coherent_sweep_draws_once(outdir, monkeypatch, m_values):
+    from domechain import noise
+
+    calls = []
+    unit_normals = noise._unit_normals
+    monkeypatch.setattr(noise, "_unit_normals", lambda *a: calls.append(a) or unit_normals(*a))
+    assert run([
+        "sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t",
+        "--set", "N=5", "--set", "target=all", "--set", "sigmas=[0.5, 1.0]",
+        "--set", "samples=4", "--set", f"m_values={m_values}", "--seed", "2",
+    ]) == 0
+    assert len(calls) == 1
+
+
 def test_sweep_decoherence_rows(outdir):
     assert run([
         "sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
@@ -592,14 +644,22 @@ def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
-def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir, capsys):
-    # The first coupling overflows to inf; the NaN eigenvalues must fail
-    # verification, not reach a synth.json holding Infinity and NaN.
-    with np.errstate(over="ignore"):
-        assert run(["synth", "--set", "spectrum=[-1e300,1e300]"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "numerical" and "deviate by nan" in err["detail"]
-    assert list(outdir.iterdir()) == []
+def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir):
+    # The first recurrence step overflows; synth must name that, print
+    # nothing but its one JSON line, and write no synth.json.
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for spectrum in ("[-1e300,1e300]", "[-1e300,0,1e300]"):
+        done = subprocess.run(
+            [sys.executable, "-m", "domechain.cli", "synth", "--set", f"spectrum={spectrum}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 3, done.stderr
+        [line] = done.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "numerical", "detail": "recurrence overflowed at degree 1",
+        }
+        assert list(outdir.iterdir()) == []
 
 
 def test_output_path_is_printed(outdir, capsys):
@@ -755,8 +815,9 @@ def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
 
 
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
-    # The default grid needs 5 step exponentials and one diagonalization for
-    # the vacuum coherences; the QPT column adds only the closed amplitudes.
+    # The default grid needs 5 step exponentials; |1><1| has no vacuum
+    # coherences to propagate, so the one diagonalization is the QPT
+    # column's closed amplitudes.
     # One stacked expm call carries several maps, so matrices are counted.
     import scipy.linalg
     from domechain import dynamics
@@ -768,7 +829,7 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
-    assert (exponentiated(expms), len(eighs)) == (5, 2)
+    assert (exponentiated(expms), len(eighs)) == (5, 1)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import scipy.linalg
 
 from domechain.inverse_eigen import (
     ReconstructionError,
+    _check_spectrum,
     compute_weights,
     synthesize,
 )
@@ -176,14 +177,22 @@ def test_synthesize_fails_as_reconstruct_does():
         # Two tight clusters: the recurrence survives, but the chain misses
         # the spectrum by about 1e-6.
         (np.r_[1e-11 * np.arange(5), 1 + 1e-11 * np.arange(5)], "1.22e-06"),
-        # The first coupling overflows to inf and the eigenvalues come out
-        # NaN; a NaN deviation must fail the bound, not slip past it.
-        (np.array([-1e300, 1e300]), "nan"),
     ]
     for values, deviation in cases:
-        with np.errstate(over="ignore"), pytest.raises(ReconstructionError) as refused:
+        with pytest.raises(ReconstructionError) as refused:
             synthesize(Spectrum(values=values))
         assert str(refused.value) == (
             f"synthesized chain eigenvalues deviate by {deviation} relative; "
             "spectrum outside the validated double-precision range"
         )
+    # A NaN deviation must fail the bound, not slip past it.
+    with pytest.raises(ReconstructionError, match="deviate by nan"):
+        _check_spectrum(np.array([np.nan, 1.0]), Spectrum(values=np.array([0.0, 1.0])))
+
+
+def test_overflowed_recurrence_is_refused_without_warnings():
+    # The first coupling overflows to inf; it must be refused where it
+    # happens, by name, not run on into NaN (warnings fail the suite).
+    for values in ([-1e300, 1e300], [-1e300, 0.0, 1e300]):
+        with pytest.raises(ReconstructionError, match="^recurrence overflowed at degree 1$"):
+            synthesize(Spectrum(values=np.array(values)))

@@ -75,10 +75,17 @@ def perturbed(system, c, k: int) -> np.ndarray:
     return H
 
 
+def unit_rows(model, c, indices):
+    """The targeted (sites, bonds) of c and the unit normals of draws `indices`."""
+    targeted = model.targeted(c.target)
+    return targeted, noise._unit_normals(c.seed, indices, sum(idx.size for idx in targeted))
+
+
 def sampled(system, c, k: int) -> np.ndarray:
     """Sample k's site matrix in units of J, from the pipeline sweeps run."""
     model = noise._SiteModel.of(system)
-    return model.matrices(c.target, c.sigma * model.unit_draws(c, [k]))[0]
+    targeted, unit = unit_rows(model, c, [k])
+    return model.matrices(targeted, c.sigma * unit, [0])[0]
 
 
 def test_perturb_is_deterministic_in_seed_and_index():
@@ -301,7 +308,8 @@ def test_perturb_equals_batched_rows(system, target):
     c = cfg(target, sigma=0.7)
     model = noise._SiteModel.of(dome_hamiltonian(system) if isinstance(system, DomeParams)
                                 else system)
-    stack = model.matrices(target, c.sigma * model.unit_draws(c, range(6)))
+    targeted, unit = unit_rows(model, c, range(6))
+    stack = model.matrices(targeted, c.sigma * unit, [0] * 6)
     for k in range(6):
         np.testing.assert_array_equal(perturbed(system, c, k), stack[k])
 
@@ -326,6 +334,99 @@ def test_chunked_sweep_is_bit_identical(system, metric, monkeypatch):
         np.testing.assert_array_equal(split.fidelities, whole.fidelities)
         np.testing.assert_array_equal(split.mean, whole.mean)
         np.testing.assert_array_equal(split.std, whole.std)
+
+
+def stack_of(kind, shape, m_values, J=1.0):
+    """Chains or grids of one layout, one per m."""
+    if kind is DomeParams:
+        return [DomeParams(**shape, m=m, J=J) for m in m_values]
+    return [Grid2D(**shape, m_x=m, m_y=m, J=J) for m in m_values]
+
+
+_STACKS = [
+    (DomeParams, dict(N=5), SweepMetric.BELL_AT_QUARTER_T),
+    (DomeParams, dict(N=5), SweepMetric.QPT_AT_HALF_T),
+    (Grid2D, dict(rows=3, cols=4), SweepMetric.W_AT_QUARTER_T),
+]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 4, None], ids=["1row", "4rows", "default"])
+@pytest.mark.parametrize("case", _STACKS, ids=["bell", "qpt", "w"])
+def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
+    # 21 rows per m: chunks of 4 rows straddle the m boundaries.
+    kind, shape, metric = case
+    systems = stack_of(kind, shape, [0, 2, 102, 2], J=RATE_5MHZ)
+    c = cfg(DisorderTarget.ALL, samples=7)
+    sigmas = [0.25, 0.5, 1.0]
+    per_m = [sweep_coherent(s, c, metric, sigmas=sigmas) for s in systems]
+    if rows_per_chunk is not None:
+        n_sites = shape["N"] if kind is DomeParams else 12
+        monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
+    stacked = sweep_coherent(systems, c, metric, sigmas=sigmas)
+    for field in ("axis", "mean", "std", "samples", "failures", "fidelities"):
+        want = np.array([getattr(r, field) for r in per_m])
+        np.testing.assert_array_equal(getattr(stacked, field), want, err_msg=field)
+        assert getattr(stacked, field).shape == want.shape
+
+
+def test_single_system_result_has_no_stack_axis():
+    c = cfg(DisorderTarget.ALL, samples=3)
+    system = DomeParams(N=4, m=2)
+    single = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.1, 0.2])
+    stack = sweep_coherent([system], c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.1, 0.2])
+    assert (single.mean.shape, single.fidelities.shape) == ((2,), (2, 3))
+    assert (stack.mean.shape, stack.fidelities.shape) == ((1, 2), (1, 2, 3))
+    np.testing.assert_array_equal(stack.fidelities[0], single.fidelities)
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [
+        [DomeParams(N=5, m=2), DomeParams(N=6, m=2)],
+        [DomeParams(N=5, m=2), DomeParams(N=5, m=2, J=2.0)],
+        [Grid2D(3, 4, 2, 2), Grid2D(4, 3, 2, 2)],
+        [Grid2D(3, 4, 2, 2), Grid2D(3, 4, 2, 2, J=2.0)],
+        [DomeParams(N=6, m=2), Grid2D(2, 3, 2, 2)],
+        [],
+    ],
+    ids=["N", "chain-rate", "rows-cols", "grid-rate", "kind", "empty"],
+)
+def test_mismatched_stack_is_refused(systems):
+    grid = bool(systems) and isinstance(systems[0], Grid2D)
+    metric = SweepMetric.W_AT_QUARTER_T if grid else SweepMetric.BELL_AT_QUARTER_T
+    with pytest.raises(ValueError, match="share kind, size and rate"):
+        sweep_coherent(systems, cfg(DisorderTarget.ALL, samples=2), metric)
+
+
+def test_stack_of_non_systems_is_refused():
+    with pytest.raises(TypeError):
+        sweep_coherent([dome_hamiltonian(DomeParams(N=5, m=2))], cfg(DisorderTarget.ALL),
+                       SweepMetric.BELL_AT_QUARTER_T)
+
+
+def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
+    systems = stack_of(DomeParams, dict(N=5), [2, 102])
+    c = cfg(DisorderTarget.ALL, samples=10)
+    metric = SweepMetric.BELL_AT_QUARTER_T
+    clean = sweep_coherent(systems, c, metric, sigmas=[0.5, 1.0])
+    point = DisorderConfig(target=DisorderTarget.ALL, sigma=1.0, seed=c.seed)
+    bad = perturbed(systems[1], point, 3) * systems[1].J
+    eigh = np.linalg.eigh
+
+    def failing_eigh(H, *args, **kwargs):
+        if np.any(np.all(H == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("planted failure")
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    res = sweep_coherent(systems, c, metric, sigmas=[0.5, 1.0])
+    np.testing.assert_array_equal(res.failures, [[0, 0], [0, 1]])
+    np.testing.assert_array_equal(res.samples, [[10, 10], [10, 9]])
+    kept = ~np.isnan(res.fidelities)
+    assert np.flatnonzero(~kept).tolist() == [np.ravel_multi_index((1, 1, 3), kept.shape)]
+    np.testing.assert_array_equal(res.fidelities[kept], clean.fidelities[kept])
+    np.testing.assert_array_equal(res.mean.flat[:3], clean.mean.flat[:3])
+    assert abs(res.mean[1, 1] - np.mean(np.delete(clean.fidelities[1, 1], 3))) < 1e-15
 
 
 def test_failed_diagonalization_drops_only_that_sample(monkeypatch):

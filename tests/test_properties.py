@@ -23,6 +23,7 @@ from domechain import (
 from domechain import noise
 from domechain.cascade import segment_lengths
 from domechain.cli import _json_text, main
+from test_noise import unit_rows
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -119,8 +120,9 @@ def test_perturbation_is_deterministic_and_targeted(seed, index, sigma, target):
     ham = dome_hamiltonian(DomeParams(N=6, m=2))
     cfg = DisorderConfig(target=target, sigma=sigma, seed=seed)
     model = noise._SiteModel.of(ham)
-    a = model.matrices(target, sigma * model.unit_draws(cfg, [index]))[0]
-    b = model.matrices(target, sigma * model.unit_draws(cfg, [index]))[0]
+    targeted, unit = unit_rows(model, cfg, [index])
+    a = model.matrices(targeted, sigma * unit, [0])[0]
+    b = model.matrices(targeted, sigma * unit_rows(model, cfg, [index])[1], [0])[0]
     np.testing.assert_array_equal(a, b)
     omegas, couplings = np.diag(a), np.diag(a, 1)
     if target is DisorderTarget.COUPLINGS:
