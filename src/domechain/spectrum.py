@@ -53,6 +53,8 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("spectrum must be a non-empty 1-D array")
+        if math.isinf(float(vals[-1]) - float(vals[0])):  # a finite span bounds every gap
+            raise ValueError(f"spectrum span {vals[-1]:g} - ({vals[0]:g}) overflows a float")
         if not np.all(np.diff(vals) > 0):
             raise ValueError("spectrum values must be strictly increasing")
         if not self.rate_J > 0:

@@ -16,7 +16,7 @@ import pytest
 
 import domechain
 from domechain import cli
-from domechain.cli import SCHEMAS, SWEEP_HEADER, _fmt, _table_lines, main
+from domechain.cli import SCHEMAS, SWEEP_HEADER, _fmt, _format_block, _table_lines, main
 
 _OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
 
@@ -649,7 +649,7 @@ def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir):
     # nothing but its one JSON line, and write no synth.json.
     src = str(Path(domechain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for spectrum in ("[-1e300,1e300]", "[-1e300,0,1e300]"):
+    for spectrum in ("[-1e300,1e300]", "[-1e300,0,1e300]", "[-8e307,8e307]"):
         done = subprocess.run(
             [sys.executable, "-m", "domechain.cli", "synth", "--set", f"spectrum={spectrum}"],
             env=env, capture_output=True, text=True,
@@ -658,6 +658,25 @@ def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir):
         [line] = done.stderr.splitlines()
         assert json.loads(line) == {
             "error": "numerical", "detail": "recurrence overflowed at degree 1",
+        }
+        assert list(outdir.iterdir()) == []
+
+
+def test_overflowing_spectrum_span_exits_2_and_writes_nothing(outdir):
+    # The span itself overflows: the spectrum is refused as input, with no
+    # numpy warning and before any weights or recurrence run.
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for spectrum, text in (("[-1.7e308,1.7e308]", "1.7e+308 - (-1.7e+308)"),
+                           ("[-1e308,1e308]", "1e+308 - (-1e+308)")):
+        done = subprocess.run(
+            [sys.executable, "-m", "domechain.cli", "synth", "--set", f"spectrum={spectrum}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "validation", "detail": f"spectrum span {text} overflows a float",
         }
         assert list(outdir.iterdir()) == []
 
@@ -712,6 +731,15 @@ def test_table_lines_equal_csv_writer_with_fmt(outdir):
     got = "".join(f"{line}\n" for line in [",".join(header), *_table_lines(table, tails)])
     assert got == _csv_writer_text(header, rows)
     assert got.splitlines()[1] == "-0,1e-300,3,0.1,nan"
+    # Above the gate, in row blocks of 8192 // 3 = 2730 rows: the 3000 rows
+    # straddle a block boundary, and the hard cells print as _fmt.
+    rng = np.random.default_rng(17)
+    big = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-30, 30, (3000, 3))
+    big[2729:2731] = [[0.0, -np.inf, 999999999999.5], [np.nan, 5e-324, -1e-300]]
+    tails = [_fmt(x) if i % 7 else "" for i, x in enumerate(big[:, 0])]
+    rows = [[_fmt(x) for x in row] + [tail] for row, tail in zip(big, tails)]
+    got = "".join(f"{line}\n" for line in [",".join(header[1:]), *_table_lines(big, tails)])
+    assert got == _csv_writer_text(header[1:], rows)
     # Sweep CSVs are joined the same way: csv.writer on the JSON table's rows.
     for name in ("chain", "decoherence"):
         assert main(["sweep", *_SWEEPS[name], "--output", f"{name}.csv"]) == 0
@@ -719,6 +747,48 @@ def test_table_lines_equal_csv_writer_with_fmt(outdir):
         written = json.loads((outdir / f"{name}.json").read_text())
         text = (outdir / f"{name}.csv").read_text()
         assert text == _csv_writer_text(written["columns"], written["rows"]), name
+
+
+def test_block_formatter_equals_percent_g_on_random_bits_and_decades():
+    rng = np.random.default_rng(1)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64).reshape(100, 100, 100)
+    decades = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    cells = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
+    for block in [*bits, np.concatenate([cells, -cells]).reshape(6, -1)]:
+        assert _format_block(block) == ["".join("%.12g," % x for x in row) for row in block.tolist()]
+
+
+def _per_row_table_lines(table, tails):
+    """_table_lines before the vectorized pass: one %-template per row."""
+    template = "%.12g," * table.shape[1]
+    return [template % tuple(row) + tail for row, tail in zip(table.tolist(), tails)]
+
+
+_TABLE_EVOLVES = {  # cells of the evolve table, then its --set arguments
+    "chain_128": (402 * 130, ["N=128", "m=2", "rate_MHz=5"]),
+    "grid_10x10": (402 * 102, ["rows=10", "cols=10", "m_x=2", "m_y=2", "rate_MHz=5"]),
+    "chain_5_m102_4_periods": (1605 * 7, ["N=5", "m=102", "rate_MHz=5", "n_periods=4"]),
+    "open_5": (402 * 7, ["N=5", "m=2", "rate_MHz=5", "decoherence.t1_us=30",
+                         "decoherence.tphi_us=5"]),
+    "open_5_below_gate": (11 * 7, ["N=5", "m=2", "rate_MHz=5", "decoherence.t1_us=30",
+                                   "decoherence.tphi_us=5", "n_periods=0.25", "points=11"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_EVOLVES))
+def test_evolve_tables_equal_the_per_row_template(outdir, monkeypatch, case):
+    cells, sets = _TABLE_EVOLVES[case]
+    blocks = []
+    monkeypatch.setattr(cli, "_format_block", lambda x: blocks.append(x.size) or _format_block(x))
+    argv = ["evolve", *(a for kv in sets for a in ("--set", kv))]
+    for fmt in ("csv", "json"):
+        assert run([*argv, "--format", fmt, "--output", f"new.{fmt}"]) == 0
+        with monkeypatch.context() as oracle:
+            oracle.setattr(cli, "_table_lines", _per_row_table_lines)
+            assert run([*argv, "--format", fmt, "--output", f"old.{fmt}"]) == 0
+        assert (outdir / f"new.{fmt}").read_bytes() == (outdir / f"old.{fmt}").read_bytes(), fmt
+    # Each format printed the table through the vectorized pass iff it is above the gate.
+    assert sum(blocks) == (2 * cells if cells >= 1000 else 0)
 
 
 def _readme_commands():
@@ -761,21 +831,38 @@ _LAZY_CASES = {
 }
 
 
-def _modules_after(argv):
-    """Names in sys.modules after a fresh interpreter runs cli.main(argv)."""
+def _modules_after(argv, tables=None):
+    """Names in sys.modules after a fresh interpreter imports domechain.cli
+    and runs cli.main(argv) unless argv is None.
+
+    `tables`, if given, is how many times _format_block's lookup tables must
+    have been built by then.
+    """
     src = str(Path(domechain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (f"import json, sys\nfrom domechain.cli import main\nassert main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))")
+    code = ("import json, sys\nfrom domechain import cli\n"
+            + ("" if argv is None else f"assert cli.main({argv!r}) == 0\n")
+            + "print(json.dumps([sorted(sys.modules), cli._cell_tables.cache_info().currsize]))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    modules, built = json.loads(done.stdout.splitlines()[-1])
+    assert tables is None or built == tables
+    return set(modules)
 
 
 @pytest.mark.parametrize("case", ["synth", "evolve_closed", "sweep_coherent", "cascade"])
 def test_closed_commands_import_neither_scipy_nor_jsonschema(case):
     loaded = {name.split(".")[0] for name in _modules_after(_LAZY_CASES[case])}
     assert not loaded & {"scipy", "jsonschema"}
+
+
+def test_cli_import_builds_no_formatter_tables():
+    # Import time is set-up time: the tables are built by the first table
+    # above the gate, and the import loads no more than a closed command does.
+    imported = _modules_after(None, tables=0)
+    assert imported <= _modules_after(_LAZY_CASES["evolve_closed"], tables=0)
+    assert not {name.split(".")[0] for name in imported} & {"scipy", "jsonschema"}
+    _modules_after(["evolve", "--set", "N=5", "--set", "m=2", "--set", "points=200"], tables=1)
 
 
 def test_open_evolve_imports_scipy_linalg():

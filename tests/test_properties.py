@@ -22,7 +22,7 @@ from domechain import (
 )
 from domechain import noise
 from domechain.cascade import segment_lengths
-from domechain.cli import _json_text, main
+from domechain.cli import _fmt, _format_block, _json_text, main
 from test_noise import unit_rows
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -215,3 +215,24 @@ def test_synth_writes_finite_json_or_exits_3(values):
         data = json.loads(out.read_text(), parse_constant=_refuse_constant)
     for key in ("spectrum", "weights", "omegas", "couplings", "eigenvectors"):
         assert np.all(np.isfinite(np.asarray(data[key], dtype=float))), key
+
+
+# 10^k (1 - 5e-13) and 10^k (1 - 4e-13), and their neighbours: the 12 digits
+# tie or round up into the next decade there, which moves the exponent and
+# may switch %g's form.
+_NEAR_DECADES = [float(v) for k in (-5, -4, -1, 0, 11, 12, 15, 300) for d in (5e-13, 4e-13)
+                 for x in [10.0**k * (1 - d)] for v in (np.nextafter(x, 0), x, np.nextafter(x, 2 * x))]
+# Exact 13-digit values ending in 5: %g rounds them half to even.
+_TIES = [999999999999.5, 999999999998.5, 123456789012.5, 1234567890125.0, 1234567890135.0,
+         2.0**-18, -(2.0**-18)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(row=_NEAR_DECADES)
+@example(row=_TIES)
+@example(row=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e-297])
+@given(row=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8))
+def test_block_formatter_equals_fmt_on_every_float(row):
+    # Called directly: at any size, each cell prints as _fmt prints it.
+    rows = [row, row[::-1]]
+    assert _format_block(np.array(rows)) == ["".join(f"{_fmt(x)}," for x in r) for r in rows]
