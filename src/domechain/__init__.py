@@ -23,7 +23,6 @@ from .chain import TridiagonalHamiltonian
 from .dynamics import (
     DecoherenceConfig,
     Trajectory,
-    default_time_grid,
     eigendecompose,
     evolve_closed,
     evolve_lindblad,
@@ -95,7 +94,6 @@ __all__ = [
     "check_pst_spacing",
     "compute_weights",
     "corner_w_target",
-    "default_time_grid",
     "dome_hamiltonian",
     "dome_spectrum",
     "eigendecompose",

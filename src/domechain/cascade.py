@@ -148,15 +148,16 @@ def plan_cascade(
     budget: CouplingBudget,
     kind: ChainKind,
     m: int = 0,
-    mode: TransferMode = TransferMode.PST,
+    *,
+    mode: TransferMode,
 ) -> CascadePlan:
     """Size k segments and push each rate to the coupling ceiling.
 
     Each segment's rate is j_max divided by its unit-rate maximum
     coupling, so its largest coupling lands exactly on the ceiling.  A
     fractional-transfer plan runs its first segment for a quarter period
-    instead of half.  Raises CascadeInfeasibleError (naming the limiting
-    segment) if any rate falls below j_min.
+    instead of half.  A line ignores m.  Raises CascadeInfeasibleError
+    (naming the limiting segment) if any rate falls below j_min.
     """
     m = _kind_m(kind, m)
     lengths = segment_lengths(N, k)

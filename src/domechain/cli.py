@@ -7,6 +7,9 @@ few variants (synth: dome or spectrum; evolve: chain or grid; sweep:
 coherent chain, coherent corner or decoherence; cascade: line or dome).
 `_variant` picks one from the config, and that variant's strict schema
 then requires every key it needs and refuses every key it does not read.
+The schemas are the one table of defaults (JSON Schema `default`
+annotations); `resolve` fills them in once, after validation, and every
+command runs from that resolved config, which the sweep sidecar records.
 All physical inputs carry units in their field names (rate_MHz is J/2pi;
 t1_us, tphi_us are microseconds) and are converted to angular frequency
 internally.  Integral floats in integer fields (`N=5.0`) are accepted, as
@@ -58,7 +61,6 @@ from .cascade import (
 )
 from .dynamics import (
     DecoherenceConfig,
-    default_time_grid,
     evolve_closed,
     evolve_lindblad,
     site_state,
@@ -122,47 +124,67 @@ _FIELDS = {
 }
 
 
-def _strict(required, optional=(), **enums) -> dict:
-    """Schema taking exactly `required`, `optional`, output and format.
+def _strict(required, optional, defaults, **enums) -> dict:
+    """Schema taking exactly `required`, `optional`, the keys of `defaults`
+    (format among them) and output.
 
-    Each keyword argument limits that key to the listed values.
+    Each key of `defaults` carries its value as a JSON Schema `default`
+    annotation, which validation ignores and `resolve` fills in.  Each
+    keyword argument limits that key to the listed values.
     """
-    names = [*required, *optional, "output", "format"]
-    properties = {name: {"enum": enums[name]} if name in enums else _FIELDS[name] for name in names}
+    properties = {name: {"enum": enums[name]} if name in enums else _FIELDS[name]
+                  for name in [*required, *optional, *defaults, "output"]}
+    for name, value in defaults.items():
+        properties[name] = {**properties[name], "default": value}
     return {"type": "object", "additionalProperties": False, "required": list(required),
             "properties": properties}
 
 
-_EVOLVE = ("rate_MHz", "decoherence", "n_periods", "points")
-_COHERENT = ("m_values", "sigma", "sigmas", "samples", "rate_MHz")
-_SCAN = ("m_values", "t1_us_values", "tphi_us_values", "fixed_t1_us", "fixed_tphi_us", "rate_MHz")
+# The working point of the paper's studies: J/2pi = 5 MHz for decoherence
+# scans, dome chains at m = 2 and 102, and T1/Tphi grids (microseconds)
+# around T1 = 30 and Tphi = 5, where one period is 200 ns.
+_SCAN = {"m_values": [2, 102], "t1_us_values": [3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0],
+         "tphi_us_values": [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0],
+         "fixed_t1_us": 30.0, "fixed_tphi_us": 5.0, "rate_MHz": 5.0}
+_EVOLVE = ("rate_MHz", "decoherence", "points")
+_COHERENT = ("sigma", "sigmas", "samples", "rate_MHz")
 _CASCADE = ("kind", "N", "j_max_MHz", "j_min_MHz")
 _CHAIN_METRICS = [SweepMetric.BELL_AT_QUARTER_T.value, SweepMetric.QPT_AT_HALF_T.value]
+_EVOLVE_DEFAULTS = {"n_periods": 1.0, "format": "csv"}
+_COHERENT_DEFAULTS = {"m_values": _SCAN["m_values"], "format": "csv"}
+_CASCADE_DEFAULTS = {"k": 1, "mode": TransferMode.PST.value, "format": "json"}
 
 # One strict schema per command variant: a key that the variant does not
-# read is refused, and one that it needs is required.
+# read is refused, one that it needs is required, and every default of the
+# CLI is one of their `default` annotations.  `resolve` derives the rest:
+# `points` from n_periods, `samples` from metric and `output` from format.
 SCHEMAS = {
     "synth": {
-        "dome": _strict(["N", "m"], ["rate_MHz"]),
-        "spectrum": _strict(["spectrum"], ["rate_MHz"]),
+        "dome": _strict(["N", "m"], ["rate_MHz"], {"format": "json"}),
+        "spectrum": _strict(["spectrum"], ["rate_MHz"], {"format": "json"}),
     },
     "evolve": {
-        "chain": _strict(["N", "m"], _EVOLVE),
-        "grid": _strict(["rows", "cols", "m_x", "m_y"], _EVOLVE),
+        "chain": _strict(["N", "m"], _EVOLVE, _EVOLVE_DEFAULTS),
+        "grid": _strict(["rows", "cols", "m_x", "m_y"], _EVOLVE, _EVOLVE_DEFAULTS),
     },
     "sweep": {
-        "chain": _strict(["kind", "metric", "N", "target", "seed"], _COHERENT,
+        "chain": _strict(["kind", "metric", "N", "target", "seed"], _COHERENT, _COHERENT_DEFAULTS,
                          kind=["coherent"], metric=_CHAIN_METRICS),
         "corner": _strict(["kind", "metric", "rows", "cols", "target", "seed"], _COHERENT,
-                          kind=["coherent"], metric=[SweepMetric.W_AT_QUARTER_T.value]),
-        "decoherence": _strict(["kind", "metric", "N"], _SCAN,
+                          _COHERENT_DEFAULTS, kind=["coherent"],
+                          metric=[SweepMetric.W_AT_QUARTER_T.value]),
+        "decoherence": _strict(["kind", "metric", "N"], (), {**_SCAN, "format": "csv"},
                                kind=["decoherence"], metric=[m.value for m in SweepMetric]),
     },
     "cascade": {
-        "line": _strict(_CASCADE, ["k", "mode"], kind=["line"], format=["json"]),
-        "dome": _strict(_CASCADE, ["k", "m", "mode"], kind=["dome"], format=["json"]),
+        "line": _strict(_CASCADE, (), _CASCADE_DEFAULTS, kind=["line"], format=["json"]),
+        "dome": _strict([*_CASCADE, "m"], (), _CASCADE_DEFAULTS, kind=["dome"], format=["json"]),
     },
 }
+
+# Monte Carlo samples per sigma of a coherent sweep that names no `samples`.
+_SAMPLES = {SweepMetric.BELL_AT_QUARTER_T.value: 100, SweepMetric.QPT_AT_HALF_T.value: 50,
+            SweepMetric.W_AT_QUARTER_T.value: 50}
 
 
 def _variant(command: str, cfg: dict) -> str:
@@ -242,15 +264,49 @@ def _schema_error(schema: dict, cfg) -> str | None:
     return None if best is None else best[2]
 
 
-def _with_ints(schema: dict, value):
-    """A valid config with integral floats in integer fields turned into ints."""
+def _filled(schema: dict, value):
+    """A valid value with its schema's defaults filled in and integral floats
+    in integer fields turned into ints."""
     if schema.get("type") == "integer":
         return int(value)
     if isinstance(value, dict):
-        return {k: _with_ints(schema["properties"][k], v) for k, v in value.items()}
+        properties = schema["properties"]
+        value = {k: p["default"] for k, p in properties.items() if "default" in p} | value
+        return {k: _filled(properties[k], v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_with_ints(schema["items"], v) for v in value]
+        return [_filled(schema["items"], v) for v in value]
     return value
+
+
+def resolve(command: str, cfg: dict) -> dict:
+    """The config that `command` runs from: cfg, once its variant's schema
+    accepts it (ConfigError otherwise), with every default filled in.
+
+    Integral floats in integer fields become ints.  Besides the schema
+    defaults it derives points, samples and output, and turns a coherent
+    sweep's sigma into sigmas = [sigma].  The result passes its variant's
+    schema and resolves to itself.
+    """
+    variant = _variant(command, cfg)
+    schema = SCHEMAS[command][variant]
+    error = _schema_error(schema, cfg)
+    if error is not None:
+        raise ConfigError(error)
+    cfg = _filled(schema, cfg)
+    if "decoherence" in cfg and "rate_MHz" not in cfg:
+        # Natural units (J = 1 rad/s) are meaningless against microsecond T1/Tphi.
+        raise ConfigError("decoherence needs rate_MHz")
+    if "n_periods" in cfg and "points" not in cfg:
+        # 401 points a period resolve the fastest dome modes used in practice.
+        cfg["points"] = math.ceil(401 * cfg["n_periods"]) + 1
+    if command == "sweep" and variant != "decoherence":
+        if ("sigma" in cfg) == ("sigmas" in cfg):
+            raise ConfigError("coherent sweeps need either sigma or sigmas, not both")
+        if "sigma" in cfg:
+            cfg["sigmas"] = [cfg.pop("sigma")]
+        cfg.setdefault("samples", _SAMPLES[cfg["metric"]])
+    cfg["output"] = cfg.pop("output", "") or f"{command}.{cfg['format']}"
+    return cfg
 
 
 class ConfigError(ValueError):
@@ -268,9 +324,8 @@ def _rate_rad_per_s(cfg: dict) -> float:
     return 1.0
 
 
-def _resolve_output(cfg: dict, command: str, fmt: str) -> Path:
-    name = cfg.get("output") or f"{command}.{fmt}"
-    path = Path(name)
+def _output_path(cfg: dict) -> Path:
+    path = Path(cfg["output"])
     if not path.is_absolute():
         path = Path(os.environ.get(OUTDIR_ENV, ".")) / path
     return path
@@ -353,9 +408,8 @@ def cmd_synth(cfg: dict) -> Path:
     else:
         spec = dome_spectrum(cfg["N"], cfg["m"], rate)
     ham, weights, W = synthesize(spec)
-    fmt = cfg.get("format", "json")
-    path = _resolve_output(cfg, "synth", fmt)
-    if fmt == "json":
+    path = _output_path(cfg)
+    if cfg["format"] == "json":
         _write_json(
             path,
             {
@@ -398,11 +452,7 @@ def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
     point never moves, so a marked time nearest to it is left out; T/2
     takes over a point it shares with T/4.
     """
-    n_periods = cfg.get("n_periods", 1.0)
-    if "points" in cfg:
-        times = np.linspace(0.0, period * n_periods, cfg["points"])
-    else:
-        times = default_time_grid(period, n_periods)
+    times = np.linspace(0.0, period * cfg["n_periods"], cfg["points"])
     end = times[-1]
     placed = {}
     for t in (period / 4, period / 2):
@@ -488,9 +538,6 @@ def _table_lines(table: np.ndarray, tails) -> list[str]:
 
 def cmd_evolve(cfg: dict) -> Path:
     """Propagate |site 1> and write the population/fidelity trajectory."""
-    if "decoherence" in cfg and "rate_MHz" not in cfg:
-        # The default rate (J = 1 rad/s) is meaningless against microsecond T1/Tphi.
-        raise ConfigError("decoherence needs rate_MHz")
     H, period, n_sites, grid = _evolve_system(cfg)
     times, marked = _evolve_times(cfg, period)
 
@@ -533,12 +580,11 @@ def cmd_evolve(cfg: dict) -> Path:
             c = np.exp(-deco.vacuum_coherence_rate * t) * u
         qpt = dict(zip(rows.tolist(), map(_fmt, transfer_fidelity(table[rows, n_sites], c))))
 
-    fmt = cfg.get("format", "csv")
-    path = _resolve_output(cfg, "evolve", fmt)
+    path = _output_path(cfg)
     header = ["t_over_T"] + [f"P_{n}" for n in range(1, n_sites + 1)]
     header += [fidelity_name, "qpt_fidelity"]
     lines = _table_lines(table, [qpt.get(i, "") for i in range(times.size)])
-    if fmt == "csv":
+    if cfg["format"] == "csv":
         _write_atomic(path, "".join(f"{line}\n" for line in [",".join(header), *lines]))
     else:
         _write_json(path, {"columns": header, "rows": [line.split(",") for line in lines]})
@@ -546,36 +592,24 @@ def cmd_evolve(cfg: dict) -> Path:
 
 
 def _sweep_coherent(cfg: dict):
-    metric = SweepMetric(cfg["metric"])
-    if ("sigma" in cfg) == ("sigmas" in cfg):
-        raise ConfigError("coherent sweeps need either sigma or sigmas, not both")
-    sigmas = cfg.get("sigmas", [cfg.get("sigma")])
-    dcfg = DisorderConfig(
-        target=DisorderTarget(cfg["target"]),
-        sigma=float(sigmas[0]),
-        seed=cfg["seed"],
-        samples=cfg.get("samples"),
-    )
-    m_values = cfg.get("m_values", [2, 102])
+    dcfg = DisorderConfig(DisorderTarget(cfg["target"]), cfg["sigmas"], cfg["seed"], cfg["samples"])
     rate = _rate_rad_per_s(cfg)
     if "N" in cfg:
-        systems = [DomeParams(N=cfg["N"], m=m, J=rate) for m in m_values]
+        systems = [DomeParams(N=cfg["N"], m=m, J=rate) for m in cfg["m_values"]]
     else:
-        systems = [Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate) for m in m_values]
-    result = sweep_coherent(systems, dcfg, metric, sigmas=sigmas)
+        systems = [Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate) for m in cfg["m_values"]]
+    result = sweep_coherent(systems, dcfg, SweepMetric(cfg["metric"]))
     return [
         ["coherent", cfg["metric"], m, "sigma_over_J", _fmt(result.axis[i, j]), "", "",
          _fmt(result.mean[i, j]), _fmt(result.std[i, j]), int(result.samples[i, j]),
          int(result.failures[i, j])]
-        for i, m in enumerate(m_values)
+        for i, m in enumerate(cfg["m_values"])
         for j in range(result.axis.shape[1])
     ]
 
 
 def _sweep_decoherence(cfg: dict):
-    renamed = {"t1_us_values": "t1_values_us", "tphi_us_values": "tphi_values_us"}
-    kwargs = {renamed.get(key, key): cfg[key] for key in _SCAN if key in cfg}
-    scan = sweep_decoherence(cfg["N"], SweepMetric(cfg["metric"]), **kwargs)
+    scan = sweep_decoherence(cfg["N"], SweepMetric(cfg["metric"]), **{k: cfg[k] for k in _SCAN})
     rows = []
     for i, m in enumerate(scan.m_values):
         for j, t1 in enumerate(scan.t1_values_us):
@@ -609,9 +643,8 @@ SWEEP_HEADER = [
 def cmd_sweep(cfg: dict) -> Path:
     """Run a disorder or decoherence sweep; CSV plus a config sidecar."""
     rows = _sweep_coherent(cfg) if cfg["kind"] == "coherent" else _sweep_decoherence(cfg)
-    fmt = cfg.get("format", "csv")
-    path = _resolve_output(cfg, "sweep", fmt)
-    if fmt == "csv":
+    path = _output_path(cfg)
+    if cfg["format"] == "csv":
         # No sweep field needs CSV quoting: the lines equal csv.writer's.
         lines = [",".join(map(str, row)) for row in [SWEEP_HEADER, *rows]]
         _write_atomic(path, "".join(f"{line}\n" for line in lines))
@@ -627,15 +660,10 @@ def cmd_cascade(cfg: dict) -> Path:
         j_max=2 * np.pi * cfg["j_max_MHz"] * 1e6,
         j_min=2 * np.pi * cfg["j_min_MHz"] * 1e6,
     )
-    plan = plan_cascade(
-        N=cfg["N"],
-        k=cfg.get("k", 1),
-        budget=budget,
-        kind=ChainKind(cfg["kind"]),
-        m=cfg.get("m", 0),
-        mode=TransferMode(cfg.get("mode", "pst")),
-    )
-    path = _resolve_output(cfg, "cascade", "json")
+    kind = ChainKind(cfg["kind"])
+    plan = plan_cascade(N=cfg["N"], k=cfg["k"], budget=budget, kind=kind,
+                        m=cfg["m"] if kind is ChainKind.DOME else 0, mode=TransferMode(cfg["mode"]))
+    path = _output_path(cfg)
     _write_json(
         path,
         {
@@ -743,11 +771,7 @@ def main(argv=None) -> int:
             cfg["format"] = args.format
         if args.output is not None:
             cfg["output"] = str(args.output)
-        schema = SCHEMAS[args.command][_variant(args.command, cfg)]
-        error = _schema_error(schema, cfg)
-        if error is not None:
-            raise ConfigError(error)
-        path = COMMANDS[args.command](_with_ints(schema, cfg))
+        path = COMMANDS[args.command](resolve(args.command, cfg))
     except CascadeInfeasibleError as exc:
         _error(
             "infeasible",

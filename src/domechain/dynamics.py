@@ -62,12 +62,7 @@ __all__ = [
     "eigendecompose",
     "evolve_closed",
     "evolve_lindblad",
-    "default_time_grid",
 ]
-
-# Points per period on default output grids; dense enough for plotting
-# the fastest dome modes used in practice.
-POINTS_PER_PERIOD = 401
 
 # Largest site count whose site-block generator is exponentiated densely.
 # The dense cost grows as D^6 but only logarithmically with the coupling
@@ -403,9 +398,3 @@ def evolve_lindblad(
     if isinstance(deco, DecoherenceConfig):
         rhos = rhos[..., 0, :, :, :]
     return Trajectory(times=times, rhos=rhos)
-
-
-def default_time_grid(period: float, n_periods: float = 1.0) -> np.ndarray:
-    """Uniform output grid with POINTS_PER_PERIOD points per period."""
-    n = int(np.ceil(POINTS_PER_PERIOD * n_periods))
-    return np.linspace(0.0, period * n_periods, n + 1)

@@ -22,6 +22,8 @@ scan evolves |1><1| for every m and every (T1, Tphi) point in one stacked
 channel from the end population and the decayed noise-free amplitude
 (`metrics.transfer_fidelity`), or the end-pair overlap with the noise-free
 T/4 state; one `evolve_closed` per m gives both noise-free references.
+The sigmas, sample counts, scan grids and rate are all arguments here; the
+working-point defaults live in the CLI's one table (`cli.SCHEMAS`).
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ __all__ = [
     "sweep_decoherence",
 ]
 
-# Decoherence scan grids (microseconds) spanning the hardware-relevant
-# range; the working point pins J/2pi = 5 MHz so one period is 200 ns.
-T1_GRID_US = (3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
-TPHI_GRID_US = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0)
-
-
 class DisorderTarget(Enum):
     MIDDLE_FREQUENCIES = "middle_frequencies"
     EDGE_FREQUENCIES = "edge_frequencies"
@@ -86,28 +82,25 @@ class SweepMetric(Enum):
     W_AT_QUARTER_T = "w_at_quarter_t"
 
 
-DEFAULT_SAMPLES = {
-    SweepMetric.BELL_AT_QUARTER_T: 100,
-    SweepMetric.QPT_AT_HALF_T: 50,
-    SweepMetric.W_AT_QUARTER_T: 50,
-}
-
-
 @dataclass(frozen=True)
 class DisorderConfig:
-    """Gaussian disorder specification; sigma in units of J."""
+    """Gaussian disorder specification: the sigmas swept, in units of J, and
+    the samples drawn per sigma."""
 
     target: DisorderTarget
-    sigma: float
+    sigmas: tuple[float, ...]
     seed: int
-    samples: int | None = None
+    samples: int
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        object.__setattr__(self, "sigmas", tuple(map(float, self.sigmas)))
+        if not self.sigmas:
+            raise ValueError("sigmas must not be empty")
+        if not all(0 <= s < np.inf for s in self.sigmas):  # NaN fails too
+            raise ValueError("every sigma must be finite and non-negative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.samples is not None and self.samples < 1:
+        if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
 
@@ -212,21 +205,15 @@ class SweepResult:
         return self.std / np.sqrt(np.maximum(self.samples, 1))
 
 
-def sweep_coherent(
-    system,
-    cfg: DisorderConfig,
-    metric: SweepMetric,
-    sigmas=None,
-) -> SweepResult:
+def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepResult:
     """Monte Carlo fidelity under static coherent disorder.
 
     `system` is DomeParams for the chain metrics or Grid2D for the corner
     metric, or a sequence of M of them that differ only in m: then every
     result array gains a leading M axis.  Evolution time is T/4 for the
-    entanglement metrics and T/2 for the transfer channel.  When `sigmas`
-    is given the sweep runs once per value, otherwise the single cfg.sigma
-    is used.  One draw of unit normals serves every system and sigma, so
-    all points share their noise field, and one chunked `eigh` stream runs
+    entanglement metrics and T/2 for the transfer channel, once per value
+    of cfg.sigmas.  One draw of unit normals serves every system and sigma,
+    so all points share their noise field, and one chunked `eigh` stream runs
     over the flattened (m, sigma, sample) rows.  Per-sample failures are
     counted and excluded from the statistics rather than raised.
     """
@@ -257,10 +244,7 @@ def sweep_coherent(
         a0 = amplitudes(_site_matrix(model.freqs, model.couplings, model.bonds))
         p0 = np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
 
-    n_samples = cfg.samples if cfg.samples is not None else DEFAULT_SAMPLES[metric]
-    axis = np.atleast_1d(
-        np.asarray(sigmas if sigmas is not None else [cfg.sigma], dtype=float)
-    )
+    n_samples, axis = cfg.samples, np.array(cfg.sigmas)
     targeted = model.targeted(cfg.target)
     unit = _unit_normals(cfg.seed, range(n_samples), sum(idx.size for idx in targeted))
     fids = np.empty(len(systems) * axis.size * n_samples)
@@ -314,24 +298,27 @@ class DecoherenceScan:
 def sweep_decoherence(
     n_sites: int,
     metric: SweepMetric,
-    m_values=(2, 102),
-    t1_values_us=T1_GRID_US,
-    tphi_values_us=TPHI_GRID_US,
-    fixed_tphi_us: float = 5.0,
-    fixed_t1_us: float = 30.0,
-    rate_MHz: float = 5.0,
+    *,
+    m_values,
+    t1_us_values,
+    tphi_us_values,
+    fixed_t1_us: float,
+    fixed_tphi_us: float,
+    rate_MHz: float,
 ) -> DecoherenceScan:
     """Open-system fidelity over the (T1, Tphi) grids for each m.
 
-    Two scans per m: T1 varied at fixed Tphi and Tphi varied at fixed T1.
+    Two scans per m: T1 (`t1_us_values`) varied at fixed Tphi and Tphi
+    (`tphi_us_values`) varied at fixed T1; times in microseconds, J/2pi =
+    `rate_MHz`.
     One `evolve_lindblad` call evolves |1><1| to the metric's time under
     every m and every (T1, Tphi) point, repeated m values included.  The
     entanglement metric is the end-pair overlap with the noise-free T/4
     state; the transfer metric is the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u the noise-free end
-    amplitude and r the vacuum-coherence decay rate.  With
-    J/2pi = 5 MHz the period is 200 ns, so the scan touches the regime
-    where dephasing, not relaxation, dominates.
+    amplitude and r the vacuum-coherence decay rate.  At the CLI's
+    working point, J/2pi = 5 MHz, the period is 200 ns, so the scan
+    touches the regime where dephasing, not relaxation, dominates.
     """
     if metric is SweepMetric.W_AT_QUARTER_T:
         raise ValueError("decoherence scans are defined for chain metrics")
@@ -354,8 +341,8 @@ def sweep_decoherence(
         psi = evolve_closed(H, psi0, duration).states
         ideals.append(psi[0, n_sites] if qpt else reduce_to_sites(psi, (1, n_sites))[0])
 
-    decos = [DecoherenceConfig(t1=t1 * 1e-6, t_phi=fixed_tphi_us * 1e-6) for t1 in t1_values_us]
-    decos += [DecoherenceConfig(t1=fixed_t1_us * 1e-6, t_phi=tp * 1e-6) for tp in tphi_values_us]
+    decos = [DecoherenceConfig(t1=t1 * 1e-6, t_phi=fixed_tphi_us * 1e-6) for t1 in t1_us_values]
+    decos += [DecoherenceConfig(t1=fixed_t1_us * 1e-6, t_phi=tp * 1e-6) for tp in tphi_us_values]
     finals = evolve_lindblad(hams, rho0, np.array([0.0, duration]), decos).rhos[:, :, -1]
     if qpt:
         decay = np.exp(-np.array([d.vacuum_coherence_rate for d in decos]) * duration)
@@ -365,13 +352,13 @@ def sweep_decoherence(
             state_fidelity(reduce_to_sites(rhos, (1, n_sites)), ideal)
             for rhos, ideal in zip(finals, ideals)
         ])
-    t1_scan, tphi_scan = fids[:, : len(t1_values_us)], fids[:, len(t1_values_us) :]
+    t1_scan, tphi_scan = fids[:, : len(t1_us_values)], fids[:, len(t1_us_values) :]
 
     return DecoherenceScan(
         metric=metric,
         m_values=m_values,
-        t1_values_us=tuple(float(v) for v in t1_values_us),
-        tphi_values_us=tuple(float(v) for v in tphi_values_us),
+        t1_values_us=tuple(float(v) for v in t1_us_values),
+        tphi_values_us=tuple(float(v) for v in tphi_us_values),
         fixed_tphi_us=fixed_tphi_us,
         fixed_t1_us=fixed_t1_us,
         t1_scan=t1_scan,

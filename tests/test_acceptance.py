@@ -18,6 +18,7 @@ from domechain import (
     DomeParams,
     Grid2D,
     SweepMetric,
+    TransferMode,
     chain_bell_target,
     check_pst_spacing,
     corner_w_target,
@@ -36,8 +37,10 @@ from domechain import (
     sweep_decoherence,
     synthesize,
 )
+from domechain.cli import resolve
 from test_dynamics import expm_evolve
 from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
+from test_noise import scan_table
 
 SYNTH_SIZES = range(2, 17)
 SYNTH_CURVATURES = (0, 1, 2, 3, 4, 6, 10)
@@ -158,7 +161,7 @@ def test_criterion_4_decoherence_scans_and_curvature_cost():
         (SweepMetric.BELL_AT_QUARTER_T, 0.008),
         (SweepMetric.QPT_AT_HALF_T, 0.004),
     ):
-        scan = sweep_decoherence(5, metric)
+        scan = sweep_decoherence(5, metric, **scan_table())
         t1_gain = float(scan.t1_scan[0][-1] - scan.t1_scan[0][0])
         tphi_gain = float(scan.tphi_scan[0][-1] - scan.tphi_scan[0][0])
         m_gain = float(np.max(scan.gain_vs_first_m(scan="t1")))
@@ -186,9 +189,12 @@ def test_criterion_5_disorder_separation_by_target():
         DisorderTarget.COUPLINGS,
         DisorderTarget.EDGE_FREQUENCIES,
     ):
+        # m values and sample count from the CLI's one table of defaults.
+        table = resolve("sweep", {"kind": "coherent", "metric": "bell_at_quarter_t", "N": 5,
+                                  "target": target.value, "seed": 12345, "sigma": 1.0})
         res = {}
-        for m in (2, 102):
-            cfg = DisorderConfig(target=target, sigma=1.0, seed=12345, samples=100)
+        for m in table["m_values"]:
+            cfg = DisorderConfig(target, table["sigmas"], table["seed"], table["samples"])
             res[m] = sweep_coherent(
                 DomeParams(N=5, m=m), cfg, SweepMetric.BELL_AT_QUARTER_T
             )
@@ -224,7 +230,7 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     res = {}
     for m in (2, 102):
         cfg = DisorderConfig(
-            target=DisorderTarget.EDGE_FREQUENCIES, sigma=2.0, seed=777, samples=50
+            target=DisorderTarget.EDGE_FREQUENCIES, sigmas=(2.0,), seed=777, samples=50
         )
         res[m] = sweep_coherent(
             Grid2D(rows=3, cols=4, m_x=m, m_y=m), cfg, SweepMetric.W_AT_QUARTER_T
@@ -252,8 +258,9 @@ def test_criterion_7_budget_planning():
         failures.append(f"dome feasible_N {n_dome} > 9")
 
     loose = CouplingBudget(j_max=100.0, j_min=1e-9)
-    t_k1 = plan_cascade(64, 1, loose, ChainKind.DOME, m=10).asymptotic_duration
-    t_k4 = plan_cascade(64, 4, loose, ChainKind.DOME, m=10).asymptotic_duration
+    pst = TransferMode.PST
+    t_k1 = plan_cascade(64, 1, loose, ChainKind.DOME, m=10, mode=pst).asymptotic_duration
+    t_k4 = plan_cascade(64, 4, loose, ChainKind.DOME, m=10, mode=pst).asymptotic_duration
     ratio = t_k4 / t_k1
     if abs(ratio - 0.25) >= 0.02:
         failures.append(f"asymptotic ratio {ratio:.4f}")

@@ -28,6 +28,8 @@ from domechain.cascade import (
 )
 from domechain.models import DomeParams, dome_hamiltonian
 
+PST = TransferMode.PST
+
 
 def budget(j_max=1000.0, j_min=1.0):
     return CouplingBudget(j_max=j_max, j_min=j_min)
@@ -79,7 +81,7 @@ def test_budget_validation():
 
 def test_plan_boundary_rate_is_feasible():
     # N = 400 line at ratio 100: the segment rate lands exactly on j_min.
-    plan = plan_cascade(400, 1, budget(j_max=100.0, j_min=1.0), ChainKind.LINE)
+    plan = plan_cascade(400, 1, budget(j_max=100.0, j_min=1.0), ChainKind.LINE, mode=PST)
     assert plan.rates[0] == pytest.approx(1.0, rel=1e-12)
     assert plan.durations[0] == pytest.approx(np.pi, rel=1e-12)
     assert plan.lengths == (400,)
@@ -87,20 +89,20 @@ def test_plan_boundary_rate_is_feasible():
 
 def test_plan_infeasible_names_limiting_segment():
     with pytest.raises(CascadeInfeasibleError) as exc:
-        plan_cascade(401, 1, budget(j_max=100.0, j_min=1.0), ChainKind.LINE)
+        plan_cascade(401, 1, budget(j_max=100.0, j_min=1.0), ChainKind.LINE, mode=PST)
     assert exc.value.segment_index == 0
     assert exc.value.length == 401
     assert exc.value.required_rate < 1.0
 
 
 def test_plan_rates_hit_the_ceiling():
-    plan = plan_cascade(40, 4, budget(), ChainKind.DOME, m=10)
+    plan = plan_cascade(40, 4, budget(), ChainKind.DOME, m=10, mode=PST)
     for L, rate in zip(plan.lengths, plan.rates):
         assert abs(rate * max_coupling(ChainKind.DOME, L, m=10) - 1000.0) < 1e-9
 
 
 def test_plan_durations_pst_and_fst():
-    pst = plan_cascade(9, 2, budget(), ChainKind.LINE)
+    pst = plan_cascade(9, 2, budget(), ChainKind.LINE, mode=PST)
     fst = plan_cascade(9, 2, budget(), ChainKind.LINE, mode=TransferMode.FST)
     assert pst.durations[0] == pytest.approx(np.pi / pst.rates[0])
     assert fst.durations[0] == pytest.approx(np.pi / (2 * fst.rates[0]))
@@ -110,13 +112,13 @@ def test_plan_durations_pst_and_fst():
 def test_swap_limit_total_time():
     # k = N - 1 two-site segments: total = pi (N - 1) / (2 j_max) exactly.
     N, j_max = 12, 50.0
-    plan = plan_cascade(N, N - 1, budget(j_max=j_max, j_min=1e-6), ChainKind.LINE)
+    plan = plan_cascade(N, N - 1, budget(j_max=j_max, j_min=1e-6), ChainKind.LINE, mode=PST)
     assert plan.total_duration == pytest.approx(np.pi * (N - 1) / (2 * j_max), rel=1e-12)
 
 
 def test_asymptotic_line_total_is_k_independent():
     totals = [
-        plan_cascade(64, k, budget(), ChainKind.LINE).asymptotic_duration
+        plan_cascade(64, k, budget(), ChainKind.LINE, mode=PST).asymptotic_duration
         for k in (1, 2, 4, 8)
     ]
     np.testing.assert_allclose(totals, totals[0], rtol=1e-12)
@@ -124,14 +126,14 @@ def test_asymptotic_line_total_is_k_independent():
 
 def test_asymptotic_dome_total_scales_as_one_over_k():
     loose = budget(j_max=1000.0, j_min=1e-9)
-    base = plan_cascade(64, 1, loose, ChainKind.DOME, m=10).asymptotic_duration
+    base = plan_cascade(64, 1, loose, ChainKind.DOME, m=10, mode=PST).asymptotic_duration
     for k in (2, 4, 8):
-        tk = plan_cascade(64, k, loose, ChainKind.DOME, m=10).asymptotic_duration
+        tk = plan_cascade(64, k, loose, ChainKind.DOME, m=10, mode=PST).asymptotic_duration
         assert tk / base == pytest.approx(1.0 / k, rel=1e-12)
 
 
 def test_asymptotic_fst_deduction():
-    pst = plan_cascade(64, 4, budget(), ChainKind.DOME, m=10).asymptotic_duration
+    pst = plan_cascade(64, 4, budget(), ChainKind.DOME, m=10, mode=PST).asymptotic_duration
     fst = plan_cascade(
         64, 4, budget(), ChainKind.DOME, m=10, mode=TransferMode.FST
     ).asymptotic_duration
@@ -167,7 +169,7 @@ def test_execute_pst_cascade_transfers_end_to_end():
         (ChainKind.DOME, 2, 12, 2),
         (ChainKind.DOME, 10, 9, 4),
     ]:
-        plan = plan_cascade(N, k, budget(j_max=1e4, j_min=1e-9), kind, m=m)
+        plan = plan_cascade(N, k, budget(j_max=1e4, j_min=1e-9), kind, m=m, mode=PST)
         psi = run_cascade(plan)
         assert abs(abs(psi[N]) ** 2 - 1.0) < 1e-6
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
@@ -187,7 +189,7 @@ def test_execute_fst_cascade_splits_end_amplitudes():
 
 
 def test_plan_records_inputs():
-    plan = plan_cascade(40, 4, budget(), ChainKind.DOME, m=10)
+    plan = plan_cascade(40, 4, budget(), ChainKind.DOME, m=10, mode=PST)
     assert plan.n_sites == 40
     assert plan.k == 4
     assert plan.m == 10
@@ -265,7 +267,8 @@ def test_plan_matches_per_segment_planning(tmp_path, monkeypatch, capsys, kind, 
     b = CouplingBudget(j_max=_MHZ * j_max_MHz, j_min=_MHZ * j_min_MHz)
     for N in (2, 3, 17, 400, 2000):
         for k in _ks(N):
-            assert_same_plan(plan_cascade(N, k, b, kind, m, mode), plan_per_segment(N, k, b, kind, m, mode))
+            assert_same_plan(plan_cascade(N, k, b, kind, m, mode=mode),
+                             plan_per_segment(N, k, b, kind, m, mode))
             argv = _cascade_argv(kind, m, mode, N, k, j_max_MHz, j_min_MHz)
             got = _cli_run(monkeypatch, capsys, plan_cascade, argv)
             assert got[0] == 0
@@ -292,7 +295,7 @@ def test_infeasible_plan_matches_per_segment_planning(tmp_path, monkeypatch, cap
             with pytest.raises(CascadeInfeasibleError) as want:
                 plan_per_segment(N, k, b, kind, m, mode)
             with pytest.raises(CascadeInfeasibleError) as got:
-                plan_cascade(N, k, b, kind, m, mode)
+                plan_cascade(N, k, b, kind, m, mode=mode)
             assert (got.value.segment_index, got.value.length, got.value.required_rate) == (
                 want.value.segment_index, want.value.length, want.value.required_rate)
             assert str(got.value) == str(want.value)
@@ -308,5 +311,5 @@ def test_plan_evaluates_each_segment_length_once(monkeypatch, k):
     calls = []
     peak = cascade.max_coupling
     monkeypatch.setattr(cascade, "max_coupling", lambda *args: calls.append(args) or peak(*args))
-    plan = plan_cascade(400, k, budget(j_min=1e-9), ChainKind.DOME, m=10)
+    plan = plan_cascade(400, k, budget(j_min=1e-9), ChainKind.DOME, m=10, mode=PST)
     assert len(calls) == len(set(plan.lengths)) <= 2

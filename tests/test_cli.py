@@ -345,20 +345,53 @@ def test_coherent_sweep_csv_equals_per_m_calls(outdir, metric, layout):
     assert run(argv + [arg for item in sets for arg in ("--set", item)]) == 0
     # The oracle: one single-system call per m.
     rate = 2.0 * np.pi * 5 * 1e6
-    c = DisorderConfig(target=DisorderTarget.ALL, sigma=sigmas[0], seed=5, samples=6)
+    c = DisorderConfig(target=DisorderTarget.ALL, sigmas=sigmas, seed=5, samples=6)
     lines = [",".join(SWEEP_HEADER)]
     for m in m_values:
         if "N" in layout:
             system = DomeParams(N=layout["N"], m=m, J=rate)
         else:
             system = Grid2D(layout["rows"], layout["cols"], m, m, J=rate)
-        res = sweep_coherent(system, c, SweepMetric(metric), sigmas=sigmas)
+        res = sweep_coherent(system, c, SweepMetric(metric))
         for j in range(len(sigmas)):
             lines.append(
                 f"coherent,{metric},{m},sigma_over_J,{res.axis[j]:.12g},,,"
                 f"{res.mean[j]:.12g},{res.std[j]:.12g},{res.samples[j]},{res.failures[j]}"
             )
     assert (outdir / "sw.csv").read_text() == "".join(f"{line}\n" for line in lines)
+
+
+# Each sweep variant with only the keys it requires (and a coherent sweep's sigma).
+_REQUIRED_ONLY_SWEEPS = {
+    "bell": ("chain", ["kind=coherent", "metric=bell_at_quarter_t", "N=3", "target=all",
+                       "sigma=0.5"]),
+    "qpt": ("chain", ["kind=coherent", "metric=qpt_at_half_t", "N=4", "target=couplings",
+                      "sigma=0.5"]),
+    "corner": ("corner", ["kind=coherent", "metric=w_at_quarter_t", "rows=2", "cols=3",
+                          "target=edge_frequencies", "sigma=0.5"]),
+    "decoherence": ("decoherence", ["kind=decoherence", "metric=qpt_at_half_t", "N=3"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REQUIRED_ONLY_SWEEPS))
+def test_sweep_sidecar_reruns_the_same_sweep(outdir, monkeypatch, case):
+    # The sidecar holds the resolved config: every defaulted key of the
+    # variant, and a config that reruns to the same table byte for byte.
+    variant, sets = _REQUIRED_ONLY_SWEEPS[case]
+    seed = [] if variant == "decoherence" else ["--seed", "4"]
+    assert run(["sweep", *seed, *[a for kv in sets for a in ("--set", kv)]]) == 0
+    sidecar = json.loads((outdir / "sweep.csv.config.json").read_text())
+    config, schema = sidecar["config"], SCHEMAS["sweep"][variant]
+    defaulted = {key for key, sub in schema["properties"].items() if "default" in sub}
+    assert defaulted <= config.keys()
+    assert cli._schema_error(schema, config) is None
+    rerun = outdir / "rerun"
+    rerun.mkdir()
+    (rerun / "config.json").write_text(json.dumps(config))
+    monkeypatch.setenv("DOMECHAIN_OUTDIR", str(rerun))
+    assert run(["sweep", "--config", str(rerun / "config.json")]) == 0
+    assert (rerun / "sweep.csv").read_bytes() == (outdir / "sweep.csv").read_bytes()
+    assert json.loads((rerun / "sweep.csv.config.json").read_text()) == sidecar
 
 
 @pytest.mark.parametrize("m_values", [[2], [2, 102], [0, 2, 10, 102]], ids=["1m", "2m", "4m"])
@@ -413,6 +446,7 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
     # One non-positive state at one (m, T1, Tphi) point fails the whole scan.
     from domechain import dynamics
     from domechain.noise import SweepMetric, sweep_decoherence
+    from test_noise import scan_table
 
     evolve_open = dynamics._evolve_open
 
@@ -423,8 +457,8 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
 
     monkeypatch.setattr(dynamics, "_evolve_open", corrupted)
     with pytest.raises(RuntimeError, match="positivity"):
-        sweep_decoherence(3, SweepMetric.QPT_AT_HALF_T, t1_values_us=(3.0, 30.0),
-                          tphi_values_us=(0.5, 5.0))
+        sweep_decoherence(3, SweepMetric.QPT_AT_HALF_T,
+                          **scan_table(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0)))
     assert run(["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
                 "--set", "N=3", "--set", "m_values=[2,102]", "--set", "t1_us_values=[3,30]",
                 "--set", "tphi_us_values=[0.5,5]", "--set", "rate_MHz=5"]) == 3
@@ -583,6 +617,9 @@ _SCHEMA_REFUSALS = {
                              "--set", "rows=2", "--set", "target=all", "--set", "sigma=0.1",
                              "--seed", "1"], "'cols' is a required property"),
     "decoherence_without_N": (_DECOHERENCE[:-2], "'N' is a required property"),
+    "dome_cascade_without_m": (["cascade", "--set", "kind=dome", "--set", "N=10",
+                                "--set", "j_max_MHz=50", "--set", "j_min_MHz=1"],
+                               "'m' is a required property"),
 }
 
 
@@ -808,6 +845,20 @@ def test_readme_commands_run(outdir, capsys):
         assert path.parent == outdir and path.stat().st_size > 0, argv
 
 
+def test_readme_defaults_table_matches_the_schemas():
+    section = README.read_text().split("### Config defaults", 1)[1]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    documented = {
+        (key.strip(" `"), variant.strip(), json.dumps(json.loads(default.strip(" `"))))
+        for key, variants, default in rows for variant in variants.split(",")
+    }
+    assert documented == {
+        (key, f"{command} {variant}", json.dumps(sub["default"]))
+        for command, variants in SCHEMAS.items() for variant, schema in variants.items()
+        for key, sub in schema["properties"].items() if "default" in sub
+    }
+
+
 def test_readme_python_blocks_run():
     text = README.read_text()
     blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
@@ -945,6 +996,25 @@ def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
 
 
 @pytest.mark.parametrize(
+    "n_periods, points",
+    [(None, 402), (1.0, 402), (2, 803), (0.25, 102), (0.3, 122), (4.0, 1605)],
+)
+def test_resolved_points_are_401_per_period(n_periods, points):
+    cfg = {"N": 5, "m": 2} if n_periods is None else {"N": 5, "m": 2, "n_periods": n_periods}
+    resolved = cli.resolve("evolve", cfg)
+    assert resolved["points"] == points
+    assert cli.resolve("evolve", {**cfg, "points": 7})["points"] == 7
+
+
+def test_default_evolve_grid_spans_one_period():
+    times, marked = cli._evolve_times(cli.resolve("evolve", {"N": 5, "m": 2}), 2 * np.pi)
+    assert times.size == 402
+    assert times[0] == 0.0
+    assert abs(times[-1] - 2 * np.pi) < 1e-15
+    assert marked == [np.pi / 2, np.pi]
+
+
+@pytest.mark.parametrize(
     "cfg, marked",
     [
         ({"points": 2, "n_periods": 0.5}, [0.5]),  # T/4 is nearest to t=0: left out
@@ -956,7 +1026,7 @@ def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
     ],
 )
 def test_evolve_times_keep_t0_and_mark_each_row_once(cfg, marked):
-    times, got = cli._evolve_times(cfg, 1.0)
+    times, got = cli._evolve_times(cli.resolve("evolve", {"N": 2, "m": 0, **cfg}), 1.0)
     grid = np.linspace(0.0, cfg["n_periods"], cfg["points"])
     assert times[0] == 0.0 and got == marked
     assert np.all(np.diff(times) > 0)

@@ -15,7 +15,6 @@ import scipy.linalg
 from domechain.dynamics import (
     DENSE_GENERATOR_MAX_SITES,
     DecoherenceConfig,
-    default_time_grid,
     eigendecompose,
     evolve_closed,
     evolve_lindblad,
@@ -256,13 +255,6 @@ def test_site_state_validation():
         site_state(3, 4)
 
 
-def test_default_time_grid_density():
-    grid = default_time_grid(2 * np.pi, 1.0)
-    assert grid.size == 402
-    assert grid[0] == 0.0
-    assert abs(grid[-1] - 2 * np.pi) < 1e-15
-
-
 def test_evolve_closed_matches_per_time_propagator():
     # The one-shot product against V exp(-iwt) V^T applied time by time, on
     # a chain, a grid and the stiff m = 102 chain in physical units.
@@ -277,7 +269,7 @@ def test_evolve_closed_matches_per_time_propagator():
     for H, period in cases:
         c = rng.normal(size=H.shape[0] + 1) + 1j * rng.normal(size=H.shape[0] + 1)
         psi0 = c / np.linalg.norm(c)
-        times = default_time_grid(period, 2.0)
+        times = np.linspace(0.0, 2 * period, 803)
         traj = evolve_closed(H, psi0, times)
         w, V = np.linalg.eigh(H)
         ref = np.array([np.r_[psi0[0], V @ (np.exp(-1j * w * t) * (V.T @ psi0[1:]))]
@@ -296,7 +288,7 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
     ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
     H = ham.matrix(physical=True)
-    times, marked = _evolve_times({}, ham.period)
+    times, marked = _evolve_times(_resolved_evolve({}), ham.period)
     assert np.unique(np.diff(times)).size > 5
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
@@ -357,10 +349,18 @@ def test_healthy_default_grid_skips_eigvalsh(monkeypatch):
     assert calls == []
 
 
+def _resolved_evolve(cfg):
+    """The resolved `evolve` config of a chain with the given grid keys."""
+    from domechain.cli import resolve
+
+    return resolve("evolve", {"N": 2, "m": 0, **cfg})
+
+
 def _evolve_times_of(cfg, period):
+    """The `domechain evolve` output grid for the given grid keys."""
     from domechain.cli import _evolve_times
 
-    return _evolve_times(cfg, period)[0]
+    return _evolve_times(_resolved_evolve(cfg), period)[0]
 
 
 def _repeated_times(period):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from domechain import noise
+from domechain import cli, noise
 from domechain.chain import TridiagonalHamiltonian
 from domechain.dynamics import DecoherenceConfig, evolve_closed, site_state
 from domechain.metrics import reduce_to_sites, state_fidelity
@@ -36,18 +36,26 @@ from test_metrics import entrywise_reduce, simulate_qpt
 RATE_5MHZ = 2 * np.pi * 5e6
 
 
-def cfg(target, sigma=1.0, seed=99, samples=None):
-    return DisorderConfig(target=target, sigma=sigma, seed=seed, samples=samples)
+def cfg(target, sigmas=(1.0,), seed=99, samples=1):
+    return DisorderConfig(target=target, sigmas=sigmas, seed=seed, samples=samples)
+
+
+def scan_table(**overrides):
+    """sweep_decoherence's scan arguments from the CLI's one table of defaults."""
+    resolved = cli.resolve("sweep", {"kind": "decoherence", "metric": "qpt_at_half_t", "N": 2})
+    return {key: resolved[key] for key in cli._SCAN} | overrides
 
 
 def perturbed(system, c, k: int) -> np.ndarray:
     """Sample k's site matrix in units of J, drawn on its own.
 
-    `system` is DomeParams or Grid2D.  Sample k's normals come from a fresh
-    Philox at counter block k.  Sigma times each draw is added, in draw order,
+    `system` is DomeParams or Grid2D, and c has one sigma.  Sample k's normals
+    come from a fresh Philox at counter block k.  Sigma times each draw is
+    added, in draw order,
     to the dense noise-free matrix: targeted sites ascending, then x bonds
     row-major, then y bonds row-major (a chain is the 1 x N grid).
     """
+    (sigma,) = c.sigmas
     if isinstance(system, Grid2D):
         rows, cols, ends = system.rows, system.cols, system.corner_indices()
         H = single_excitation_matrix(system)
@@ -68,10 +76,10 @@ def perturbed(system, c, k: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=c.seed, counter=[0, 0, 0, k]))
     draws = gen.standard_normal(len(sites) + len(bonds))
     for i, z in zip(sites, draws):
-        H[i, i] += c.sigma * z
+        H[i, i] += sigma * z
     for (a, b), z in zip(bonds, draws[len(sites):]):
-        H[a, b] += c.sigma * z
-        H[b, a] += c.sigma * z
+        H[a, b] += sigma * z
+        H[b, a] += sigma * z
     return H
 
 
@@ -82,10 +90,12 @@ def unit_rows(model, c, indices):
 
 
 def sampled(system, c, k: int) -> np.ndarray:
-    """Sample k's site matrix in units of J, from the pipeline sweeps run."""
+    """Sample k's site matrix in units of J, from the pipeline sweeps run;
+    c has one sigma."""
+    (sigma,) = c.sigmas
     model = noise._SiteModel.of(system)
     targeted, unit = unit_rows(model, c, [k])
-    return model.matrices(targeted, c.sigma * unit, [0])[0]
+    return model.matrices(targeted, sigma * unit, [0])[0]
 
 
 def test_perturb_is_deterministic_in_seed_and_index():
@@ -161,17 +171,34 @@ def test_perturb_grid_couplings_change_bonds_only():
 
 def test_perturb_validation():
     with pytest.raises(ValueError):
-        DisorderConfig(target=DisorderTarget.ALL, sigma=-0.1, seed=1)
+        DisorderConfig(target=DisorderTarget.ALL, sigmas=(-0.1,), seed=1, samples=1)
     with pytest.raises(ValueError):
-        DisorderConfig(target=DisorderTarget.ALL, sigma=0.1, seed=1, samples=0)
+        DisorderConfig(target=DisorderTarget.ALL, sigmas=(0.1,), seed=1, samples=0)
     with pytest.raises(ValueError):
-        DisorderConfig(target=DisorderTarget.ALL, sigma=0.1, seed=2**64)
+        DisorderConfig(target=DisorderTarget.ALL, sigmas=(0.1,), seed=2**64, samples=1)
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [(), (-1.0, np.nan), (0.1, -1.0), (0.1, np.nan), (np.inf,), (-0.0, -1e-300)],
+    ids=["empty", "negative-and-nan", "negative", "nan", "inf", "tiny-negative"],
+)
+def test_every_sigma_is_validated(sigmas):
+    # Each sigma of the axis is checked, not only the first: a negative
+    # sigma would run as its absolute value and a NaN one as all failures.
+    with pytest.raises(ValueError, match="sigma"):
+        DisorderConfig(DisorderTarget.ALL, sigmas, 1, 5)
+
+
+def test_sigmas_are_read_as_a_tuple_of_floats():
+    c = DisorderConfig(DisorderTarget.ALL, [0, 0.5, -0.0], 1, 5)
+    assert c.sigmas == (0.0, 0.5, 0.0) and all(type(s) is float for s in c.sigmas)
 
 
 def test_sweep_sigma_zero_recovers_noise_free():
     res = sweep_coherent(
         DomeParams(N=5, m=2),
-        cfg(DisorderTarget.MIDDLE_FREQUENCIES, sigma=0.0, samples=5),
+        cfg(DisorderTarget.MIDDLE_FREQUENCIES, sigmas=(0.0,), samples=5),
         SweepMetric.BELL_AT_QUARTER_T,
     )
     np.testing.assert_allclose(res.fidelities, 1.0, atol=1e-9)
@@ -180,33 +207,23 @@ def test_sweep_sigma_zero_recovers_noise_free():
 
 
 def test_sweep_is_deterministic():
-    c = cfg(DisorderTarget.COUPLINGS, sigma=0.8, samples=12)
+    c = cfg(DisorderTarget.COUPLINGS, sigmas=(0.8,), samples=12)
     a = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
     b = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
     np.testing.assert_array_equal(a.fidelities, b.fidelities)
 
 
 def test_sweep_multi_sigma_axis():
-    c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, samples=8)
-    res = sweep_coherent(
-        DomeParams(N=5, m=2),
-        c,
-        SweepMetric.BELL_AT_QUARTER_T,
-        sigmas=[0.0, 0.5, 1.0],
-    )
+    c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, sigmas=(0.0, 0.5, 1.0), samples=8)
+    res = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
     assert res.axis.shape == (3,)
     assert res.fidelities.shape == (3, 8)
     assert abs(res.mean[0] - 1.0) < 1e-9
 
 
 def test_sweep_monotone_in_sigma_within_error():
-    c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, seed=5, samples=40)
-    res = sweep_coherent(
-        DomeParams(N=5, m=2),
-        c,
-        SweepMetric.BELL_AT_QUARTER_T,
-        sigmas=[0.25, 1.0],
-    )
+    c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, sigmas=(0.25, 1.0), seed=5, samples=40)
+    res = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
     pooled = np.sqrt(res.stderr[0] ** 2 + res.stderr[1] ** 2)
     assert res.mean[1] <= res.mean[0] + 2 * pooled
 
@@ -230,7 +247,7 @@ def test_sweep_qpt_metric_runs():
     # process fidelity near 1.
     res = sweep_coherent(
         DomeParams(N=5, m=2),
-        cfg(DisorderTarget.COUPLINGS, sigma=0.1, samples=4),
+        cfg(DisorderTarget.COUPLINGS, sigmas=(0.1,), samples=4),
         SweepMetric.QPT_AT_HALF_T,
     )
     assert np.all(res.fidelities <= 1.0 + 1e-9)
@@ -241,14 +258,14 @@ def test_sweep_grid_w_metric_sigma_zero():
     grid = Grid2D(3, 4, 2, 2)
     res = sweep_coherent(
         grid,
-        cfg(DisorderTarget.EDGE_FREQUENCIES, sigma=0.0, samples=3),
+        cfg(DisorderTarget.EDGE_FREQUENCIES, sigmas=(0.0,), samples=3),
         SweepMetric.W_AT_QUARTER_T,
     )
     np.testing.assert_allclose(res.mean, 1.0, atol=1e-9)
 
 
-def per_sample_fidelities(system, c, metric, sigmas):
-    """(len(sigmas), samples) fidelities, one `perturbed` sample at a time."""
+def per_sample_fidelities(system, c, metric):
+    """(len(c.sigmas), samples) fidelities, one `perturbed` sample at a time."""
     if isinstance(system, Grid2D):
         n_sites, sites = system.rows * system.cols, tuple(i + 1 for i in system.corner_indices())
         ideal_matrix = single_excitation_matrix(system)
@@ -262,9 +279,9 @@ def per_sample_fidelities(system, c, metric, sigmas):
         return reduce_to_sites(psi.states, sites)[0]
 
     ideal = final(ideal_matrix)
-    out = np.empty((len(sigmas), c.samples))
-    for i, sigma in enumerate(sigmas):
-        point = DisorderConfig(target=c.target, sigma=sigma, seed=c.seed, samples=c.samples)
+    out = np.empty((len(c.sigmas), c.samples))
+    for i, sigma in enumerate(c.sigmas):
+        point = DisorderConfig(target=c.target, sigmas=(sigma,), seed=c.seed, samples=c.samples)
         for k in range(c.samples):
             sample = perturbed(system, point, k)
             if metric is SweepMetric.QPT_AT_HALF_T:
@@ -290,10 +307,9 @@ def test_batched_sweep_matches_per_sample_path(case, target, m):
     _, kind, shape, metric = case
     shape = dict(shape, m=m) if kind is DomeParams else dict(shape, m_x=m, m_y=m)
     system = kind(**shape, J=RATE_5MHZ)
-    c = cfg(target, seed=31, samples=5)
-    sigmas = [0.3, 1.5]
-    res = sweep_coherent(system, c, metric, sigmas=sigmas)
-    want = per_sample_fidelities(system, c, metric, sigmas)
+    c = cfg(target, sigmas=(0.3, 1.5), seed=31, samples=5)
+    res = sweep_coherent(system, c, metric)
+    want = per_sample_fidelities(system, c, metric)
     assert np.max(np.abs(res.fidelities - want)) < 1e-12
     assert res.failures.sum() == 0
 
@@ -305,11 +321,11 @@ def test_batched_sweep_matches_per_sample_path(case, target, m):
     ids=["chain", "grid"],
 )
 def test_perturb_equals_batched_rows(system, target):
-    c = cfg(target, sigma=0.7)
+    c = cfg(target, sigmas=(0.7,))
     model = noise._SiteModel.of(dome_hamiltonian(system) if isinstance(system, DomeParams)
                                 else system)
     targeted, unit = unit_rows(model, c, range(6))
-    stack = model.matrices(targeted, c.sigma * unit, [0] * 6)
+    stack = model.matrices(targeted, 0.7 * unit, [0] * 6)
     for k in range(6):
         np.testing.assert_array_equal(perturbed(system, c, k), stack[k])
 
@@ -324,13 +340,12 @@ def test_perturb_equals_batched_rows(system, target):
     ids=["bell", "qpt", "w"],
 )
 def test_chunked_sweep_is_bit_identical(system, metric, monkeypatch):
-    c = cfg(DisorderTarget.ALL, samples=7)
-    sigmas = [0.25, 0.5, 1.0]
-    whole = sweep_coherent(system, c, metric, sigmas=sigmas)
+    c = cfg(DisorderTarget.ALL, sigmas=(0.25, 0.5, 1.0), samples=7)
+    whole = sweep_coherent(system, c, metric)
     n_sites = 12 if isinstance(system, Grid2D) else system.N
     for rows_per_chunk in (1, 4):
         monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
-        split = sweep_coherent(system, c, metric, sigmas=sigmas)
+        split = sweep_coherent(system, c, metric)
         np.testing.assert_array_equal(split.fidelities, whole.fidelities)
         np.testing.assert_array_equal(split.mean, whole.mean)
         np.testing.assert_array_equal(split.std, whole.std)
@@ -356,13 +371,12 @@ def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
     # 21 rows per m: chunks of 4 rows straddle the m boundaries.
     kind, shape, metric = case
     systems = stack_of(kind, shape, [0, 2, 102, 2], J=RATE_5MHZ)
-    c = cfg(DisorderTarget.ALL, samples=7)
-    sigmas = [0.25, 0.5, 1.0]
-    per_m = [sweep_coherent(s, c, metric, sigmas=sigmas) for s in systems]
+    c = cfg(DisorderTarget.ALL, sigmas=(0.25, 0.5, 1.0), samples=7)
+    per_m = [sweep_coherent(s, c, metric) for s in systems]
     if rows_per_chunk is not None:
         n_sites = shape["N"] if kind is DomeParams else 12
         monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
-    stacked = sweep_coherent(systems, c, metric, sigmas=sigmas)
+    stacked = sweep_coherent(systems, c, metric)
     for field in ("axis", "mean", "std", "samples", "failures", "fidelities"):
         want = np.array([getattr(r, field) for r in per_m])
         np.testing.assert_array_equal(getattr(stacked, field), want, err_msg=field)
@@ -370,10 +384,10 @@ def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
 
 
 def test_single_system_result_has_no_stack_axis():
-    c = cfg(DisorderTarget.ALL, samples=3)
+    c = cfg(DisorderTarget.ALL, sigmas=(0.1, 0.2), samples=3)
     system = DomeParams(N=4, m=2)
-    single = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.1, 0.2])
-    stack = sweep_coherent([system], c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.1, 0.2])
+    single = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
+    stack = sweep_coherent([system], c, SweepMetric.BELL_AT_QUARTER_T)
     assert (single.mean.shape, single.fidelities.shape) == ((2,), (2, 3))
     assert (stack.mean.shape, stack.fidelities.shape) == ((1, 2), (1, 2, 3))
     np.testing.assert_array_equal(stack.fidelities[0], single.fidelities)
@@ -406,10 +420,10 @@ def test_stack_of_non_systems_is_refused():
 
 def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
     systems = stack_of(DomeParams, dict(N=5), [2, 102])
-    c = cfg(DisorderTarget.ALL, samples=10)
+    c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1.0), samples=10)
     metric = SweepMetric.BELL_AT_QUARTER_T
-    clean = sweep_coherent(systems, c, metric, sigmas=[0.5, 1.0])
-    point = DisorderConfig(target=DisorderTarget.ALL, sigma=1.0, seed=c.seed)
+    clean = sweep_coherent(systems, c, metric)
+    point = cfg(DisorderTarget.ALL, seed=c.seed)
     bad = perturbed(systems[1], point, 3) * systems[1].J
     eigh = np.linalg.eigh
 
@@ -419,7 +433,7 @@ def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    res = sweep_coherent(systems, c, metric, sigmas=[0.5, 1.0])
+    res = sweep_coherent(systems, c, metric)
     np.testing.assert_array_equal(res.failures, [[0, 0], [0, 1]])
     np.testing.assert_array_equal(res.samples, [[10, 10], [10, 9]])
     kept = ~np.isnan(res.fidelities)
@@ -431,9 +445,9 @@ def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
 
 def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
     system = DomeParams(N=5, m=2)
-    c = cfg(DisorderTarget.ALL, samples=10)
-    clean = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.5, 1.0])
-    point = DisorderConfig(target=DisorderTarget.ALL, sigma=1.0, seed=c.seed)
+    c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1.0), samples=10)
+    clean = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
+    point = cfg(DisorderTarget.ALL, seed=c.seed)
     bad = perturbed(system, point, 3) * system.J
     eigh = np.linalg.eigh
 
@@ -443,7 +457,7 @@ def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T, sigmas=[0.5, 1.0])
+    res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
     np.testing.assert_array_equal(res.failures, [0, 1])
     np.testing.assert_array_equal(res.samples, [10, 9])
     assert np.isnan(res.fidelities[1, 3])
@@ -461,9 +475,7 @@ def test_decoherence_scan_pinned_endpoints():
     scan = sweep_decoherence(
         5,
         SweepMetric.BELL_AT_QUARTER_T,
-        m_values=(2,),
-        t1_values_us=(3.0,),
-        tphi_values_us=(0.5,),
+        **scan_table(m_values=(2,), t1_us_values=(3.0,), tphi_us_values=(0.5,)),
     )
     assert abs(scan.t1_scan[0, 0] - 0.9715619723) < 1e-5
     assert abs(scan.tphi_scan[0, 0] - 0.8855576848) < 1e-5
@@ -473,9 +485,7 @@ def test_decoherence_scan_shapes_and_gain():
     scan = sweep_decoherence(
         3,
         SweepMetric.BELL_AT_QUARTER_T,
-        m_values=(2, 6),
-        t1_values_us=(3.0, 300.0),
-        tphi_values_us=(0.5, 50.0),
+        **scan_table(m_values=(2, 6), t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0)),
     )
     assert scan.t1_scan.shape == (2, 2)
     assert scan.tphi_scan.shape == (2, 2)
@@ -488,8 +498,8 @@ def test_decoherence_scan_shapes_and_gain():
 @pytest.mark.parametrize("n_sites", [2, 5])
 def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
     t1s, tphis = (3.0, 300.0), (0.5, 50.0)
-    scan = sweep_decoherence(n_sites, SweepMetric.QPT_AT_HALF_T, m_values=(2, 102),
-                             t1_values_us=t1s, tphi_values_us=tphis)
+    scan = sweep_decoherence(n_sites, SweepMetric.QPT_AT_HALF_T,
+                             **scan_table(t1_us_values=t1s, tphi_us_values=tphis))
     for i, m in enumerate(scan.m_values):
         ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
         points = [(scan.t1_scan[i, j], t1, 5.0) for j, t1 in enumerate(t1s)]
@@ -516,7 +526,7 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
     # Every point of the default (T1, Tphi) grids against the dense oracle:
     # the tomography emulation for the transfer channel, the entrywise
     # partial trace of the dense state for the Bell overlap.
-    scan = sweep_decoherence(n_sites, metric, m_values=(0, 2, 102))
+    scan = sweep_decoherence(n_sites, metric, **scan_table(m_values=(0, 2, 102)))
     for i, m in enumerate(scan.m_values):
         ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
         points = [(scan.t1_scan[i, j], t1, scan.fixed_tphi_us)
@@ -547,7 +557,7 @@ def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
         expms.clear()
         eighs.clear()
-        scan = sweep_decoherence(5, metric)
+        scan = sweep_decoherence(5, metric, **scan_table())
         assert len(scan.m_values) == 2
         assert exponentiated(expms) == 8 * 2
         assert len(eighs) <= 2 * 2
@@ -555,7 +565,7 @@ def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
 
 def test_decoherence_scan_rejects_grid_metric():
     with pytest.raises(ValueError):
-        sweep_decoherence(5, SweepMetric.W_AT_QUARTER_T)
+        sweep_decoherence(5, SweepMetric.W_AT_QUARTER_T, **scan_table())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])

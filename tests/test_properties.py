@@ -118,7 +118,7 @@ def test_reduced_states_are_physical(N, seed, keep):
 )
 def test_perturbation_is_deterministic_and_targeted(seed, index, sigma, target):
     ham = dome_hamiltonian(DomeParams(N=6, m=2))
-    cfg = DisorderConfig(target=target, sigma=sigma, seed=seed)
+    cfg = DisorderConfig(target=target, sigmas=(sigma,), seed=seed, samples=1)
     model = noise._SiteModel.of(ham)
     targeted, unit = unit_rows(model, cfg, [index])
     a = model.matrices(targeted, sigma * unit, [0])[0]

@@ -3,7 +3,9 @@
 `cli._schema_error` must report exactly the message jsonschema's
 `best_match` reports (or None when jsonschema finds nothing) for every
 variant schema, `cli._variant` must reach every variant, and integral
-floats in integer fields must behave as their int form.
+floats in integer fields must behave as their int form.  Every optional
+key has a `default` or a meaning when absent, and every config that
+`cli.resolve` returns passes its own variant's schema.
 """
 
 import json
@@ -20,6 +22,9 @@ IMPLEMENTED = {
     "type", "enum", "minimum", "exclusiveMinimum", "maximum", "minItems", "items",
     "required", "additionalProperties", "properties",
 }
+# Annotations, which validation ignores (in jsonschema as in `_violations`)
+# and `cli.resolve` reads.
+ANNOTATIONS = {"default"}
 
 SCALARS = [
     0, 1, 2, 3, -1, 5, 2.0, 0.0, -0.0, 2.5, -0.5, 1e-9, True, False, None, "", "x",
@@ -76,7 +81,7 @@ VARIANTS = [(c, v) for c in sorted(SCHEMAS) for v in SCHEMAS[c]]
 def test_schemas_use_only_implemented_keywords(command):
     for schema in SCHEMAS[command].values():
         used = list(_keywords(schema))
-        assert {key for key, _ in used} <= IMPLEMENTED
+        assert {key for key, _ in used} <= IMPLEMENTED | ANNOTATIONS
         assert all(arg is False for key, arg in used if key == "additionalProperties")
 
 
@@ -130,6 +135,39 @@ def test_variant_reaches_every_schema_and_every_field_is_used():
         assert cli._schema_error(SCHEMAS[command][variant], cfg) is None
     used = {name for c, v in VARIANTS for name in SCHEMAS[c][v]["properties"]}
     assert set(cli._FIELDS) <= used
+
+
+# The optional keys with no `default`: each one's absence has a meaning.  A
+# missing rate_MHz means natural units (J = 1 rad/s) and a missing
+# decoherence a closed system; a coherent sweep takes sigma or sigmas; and
+# points, samples and output are derived from n_periods, metric and format.
+NO_DEFAULT = {"rate_MHz", "decoherence", "sigma", "sigmas", "points", "samples", "output"}
+
+
+@pytest.mark.parametrize("command, variant", VARIANTS)
+def test_every_optional_key_has_a_default_or_a_meaning_when_absent(command, variant):
+    schema = SCHEMAS[command][variant]
+    optional = schema["properties"].keys() - set(schema["required"])
+    assert {key for key in optional if "default" not in schema["properties"][key]} <= NO_DEFAULT
+
+
+def _required_only(command, variant):
+    cfg = INTEGER_CASES[command][variant]
+    out = {key: cfg[key] for key in SCHEMAS[command][variant]["required"]}
+    return out | ({"sigma": cfg["sigma"]} if "sigma" in cfg else {})
+
+
+@pytest.mark.parametrize("command, variant", VARIANTS)
+def test_resolved_configs_pass_their_own_schema(command, variant):
+    schema = SCHEMAS[command][variant]
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    for cfg in (INTEGER_CASES[command][variant], _required_only(command, variant)):
+        resolved = cli.resolve(command, cfg)
+        assert cli._schema_error(schema, resolved) is None
+        assert validator.is_valid(resolved)
+        assert cli._variant(command, resolved) == variant
+        assert {key for key, sub in schema["properties"].items() if "default" in sub} <= resolved.keys()
+        assert cli.resolve(command, resolved) == resolved
 
 
 def _integer_fields(schema):
