@@ -21,15 +21,15 @@ Its exit-2 messages are the ones jsonschema's `best_match` reports for
 the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
-Artifacts are written atomically (temp file then rename), CSV output is
-RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints them:
-an `evolve` table of 1000 cells or more in one vectorized pass, which
-leaves the cells it cannot round exactly to `_fmt`, with the same bytes
-(see `_table_lines`), JSON artifacts are 2-space indented with sorted keys
-and a final newline, byte for byte what `json.dumps(payload, indent=2,
-sort_keys=True)` gives (`_json_text` gets
-there through json's C encoder), and every command is deterministic given
-(config, seed): reruns produce byte-identical primary outputs.  Exit
+Artifacts are written atomically (temp file then rename) from bytes.  CSV
+is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
+them: an `evolve` table of 500 cells or more goes straight to bytes, one
+24-byte slot per cell (see `_table_bytes`).  JSON artifacts are 2-space
+indented with sorted keys and a final newline, byte for byte what
+`json.dumps(payload, indent=2, sort_keys=True)` gives (`_json_text` gets
+there through json's C encoder; an `evolve` table's through its CSV body),
+and every command is deterministic given (config, seed): reruns produce
+byte-identical primary outputs.  Exit
 codes: 0 success, 1 internal error (a bug: the error JSON carries the
 traceback), 2 config rejected by the schema or by a domain check that
 raises ValueError, 3 numerical breakdown (numpy's LinAlgError included)
@@ -103,8 +103,8 @@ _FIELDS = {
         "additionalProperties": False,
         "properties": {"t1_us": _POSITIVE, "tphi_us": _POSITIVE},
     },
-    "n_periods": _POSITIVE,
-    "points": {"type": "integer", "minimum": 2},
+    "n_periods": {**_POSITIVE, "maximum": 2000},
+    "points": {"type": "integer", "minimum": 2, "maximum": 10**6},
     "m_values": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
     "target": {"enum": [t.value for t in DisorderTarget]},
     "sigma": {"type": "number", "minimum": 0},
@@ -331,12 +331,12 @@ def _output_path(cfg: dict) -> Path:
     return path
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -397,7 +397,7 @@ def _json_text(value, indent: str = "") -> str:
 
 def _write_json(path: Path, payload) -> None:
     """Write payload as json.dumps(payload, indent=2, sort_keys=True) + newline."""
-    _write_atomic(path, _json_text(payload) + "\n")
+    _write_atomic(path, (_json_text(payload) + "\n").encode())
 
 
 def cmd_synth(cfg: dict) -> Path:
@@ -422,7 +422,7 @@ def cmd_synth(cfg: dict) -> Path:
             },
         )
     else:
-        # One %-template per row, as _table_lines: the lines csv.writer
+        # One %-template per row, as small evolve tables: the lines csv.writer
         # writes for [quantity, i, j or "", _fmt(value)].
         lines = ["quantity,i,j,value\n"]
         for quantity, values in (("omega", ham.omegas), ("coupling", ham.couplings),
@@ -430,7 +430,7 @@ def cmd_synth(cfg: dict) -> Path:
             lines += [f"{quantity},%d,,%.12g\n" % row for row in enumerate(values.tolist(), 1)]
         for s, row in enumerate(W.tolist(), 1):
             lines += [f"eigenvector,{s},%d,%.12g\n" % cell for cell in enumerate(row, 1)]
-        _write_atomic(path, "".join(lines))
+        _write_atomic(path, "".join(lines).encode())
     return path
 
 
@@ -464,76 +464,69 @@ def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
 
 @functools.cache
 def _cell_tables():
-    """_format_block's lookup tables, by decimal exponent + 330 or by byte count."""
+    """_table_bytes' lookup tables, by decimal exponent + 330 or by table index."""
     word = lambda text: int.from_bytes(text.encode(), "little")
-    halves = lambda v: (v % 2**64, v >> 64)  # 16 bytes as two little-endian words
     exps = range(-330, 330)
     fixed = [-4 <= x < 12 for x in exps]  # %g's choice of fixed over scientific form
-    zeros = ["0." + "0" * (-x - 1) if f and x < 0 else "" for x, f in zip(exps, fixed)]
-    prefix = np.array([[word(s + z) for z in zeros] + [word("%s,")] for s in ("", "-")], np.uint64)
-    suffix = np.array([word("," if f else f"e{x:+03d},") for x, f in zip(exps, fixed)] + [0], np.uint64)
-    point = np.array([x + 1 if f and x >= 0 else int(not f) for x, f in zip(exps, fixed)] + [0])
-    scale = np.array([float(f"1e{11 - x}") for x in exps])  # correctly rounded
-    digits = np.frombuffer("".join(f"{g:04d}" for g in range(10000)).encode(), "<u4").astype(np.uint64)
-    trailing = sum(np.arange(10000) % 10**k == 0 for k in range(1, 5))
-    mask = np.array([halves(256**n - 1) for n in range(17)], np.uint64)  # the first n bytes
-    dot = np.array([halves(46 * 256**n % 256**16) for n in range(17)], np.uint64)  # '.' at byte n
-    return prefix, suffix, point, scale, digits, trailing, mask, dot
+    # Lead forms: "0." and f = -X-1 zeros (X = -1..-4), or the digit and a point if more follow.
+    form = np.array([-x - 1 if f and x < 0 else 4 for x, f in zip(exps, fixed)]) * 80
+    # 10^(11-X), correctly rounded; NaN where the point falls among the digits.
+    scale = np.array([math.nan if f and x > 0 else float(f"1e{11 - x}") for x, f in zip(exps, fixed)])
+    lead = np.array([word("," * sep + "-" * neg + ("0." + "0" * f if f < 4 else "") + str(d)
+                          + "." * (f == 4 and more)) for f in range(5) for neg in (0, 1)
+                     for d in range(10) for more in (0, 1) for sep in (0, 1)], np.uint64)
+    expo = np.array([0 if f else word(f"e{x:+03d}".rjust(8, "\0"))
+                     for x, f in zip(exps, fixed)], np.uint64)
+    quads = [f"{g:04d}" for g in range(10000)]
+    digits = np.array([word(q) for q in quads] + [word(q.rstrip("0")) for q in quads], np.uint64)
+    return form, scale, lead, expo, digits
 
 
-def _format_block(x: np.ndarray) -> str:
-    """Each row of the 2-D float x as one string of '%.12g,' per cell.
+def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
+    """Each row of `table` as _fmt cells, each followed by a comma, then _fmt
+    of tails[row] if given, and a newline; no cell needs CSV quoting.
 
-    A cell is 4 little-endian words (prefix, 12 digits and point, suffix) less
-    their NULs, for digits M = rint(y), y = |x| 10^(11-X) exact to 2.5e-4.
+    Numpy fills a 24-byte slot per cell and row end, about 8k at a time: the
+    comma, sign, lead and first digit of M = rint(y), y = |x| 10^(11-X) exact
+    to 2.5e-4, then 11 digits but trailing zeros, then the exponent.  Cells
+    with M within 1e-3 of a tie or outside [1e11, 1e12), or x 0, inf, nan,
+    under 1e-297 or in [10, 1e12), and tails, are _fmt text in their slots.
     """
-    prefix, suffix, point, scale, digits, trailing, mask, dot = _cell_tables()
-    with np.errstate(all="ignore"):
-        a = np.abs(x)
-        ok = (a > 0) & (a < np.inf)
-        e = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.intp) + 330
-        y = a * scale[e]
-        m = np.rint(y)
-        hard = ~ok | (np.abs(y - m) > 0.499) | (m < 1e11) | (m > 1e12)
-    e = np.where(hard, 660, e + (m == 1e12))  # row 660 prints a '%s,' marker and no digits
-    m = np.where(hard, 0.0, np.where(m == 1e12, 1e11, m))
-    m4 = np.floor(m / 1e4)
-    g0 = np.floor(m4 / 1e4)
-    g0, g1, g2 = (g.astype(np.intp) for g in (g0, m4 - g0 * 1e4, m - m4 * 1e4))
-    length = 12 - np.where(g2 > 0, trailing[g2], np.where(g1 > 0, 4 + trailing[g1], 8 + trailing[g0]))
-    q = point[e]  # digits before the point; 0 if no point falls among them
-    keep = np.maximum(length, q)
-    p = np.where((keep > q) & (q > 0), q, 16)
-    lo = (digits[g0] | (digits[g1] << np.uint64(32))) & mask[keep, 0]
-    hi = digits[g2] & mask[keep, 1]
-    up = lo & ~mask[p, 0], hi & ~mask[p, 1]  # the digits after the point move up one byte
-    out = np.zeros((len(x), 4 * x.shape[1] + 1), "<u8")
-    cells = out[:, :-1].reshape(*x.shape, 4)
-    cells[..., 0] = prefix[np.signbit(x).view(np.int8), e]
-    cells[..., 1] = (lo ^ up[0]) | (up[0] << np.uint64(8)) | dot[p, 0]
-    cells[..., 2] = (hi ^ up[1]) | (up[1] << np.uint64(8)) | (up[0] >> np.uint64(56)) | dot[p, 1]
-    cells[..., 3] = suffix[e]
-    out[:, -1] = ord("\n")
-    raw = out.view(np.uint8)
-    text = raw[raw != 0].tobytes().decode("ascii")
-    return (text % tuple(map(_fmt, x[hard].tolist())) if hard.any() else text).split("\n")[:-1]
-
-
-def _table_lines(table: np.ndarray, tails) -> list[str]:
-    """Each row of `table` as comma-joined _fmt cells, then a comma and its tail cell.
-
-    Below 1000 cells, one %-template per row prints them.  From there on,
-    _format_block does, in blocks of about 8k cells, with _fmt's bytes: it
-    leaves a cell to _fmt when M is within 1e-3 of a tie or outside [1e11,
-    1e12], or x is 0, inf, nan or under 1e-297 (10^(11-X) overflows).  No
-    numeric cell needs CSV quoting, so the lines equal csv.writer's.
-    """
-    if table.size < 1000:  # twice the measured crossover of the two paths
-        template = "%.12g," * table.shape[1]
-        return [template % tuple(row) + tail for row, tail in zip(table.tolist(), tails)]
-    step = max(1, 8192 // table.shape[1])  # a block's temporaries stay in cache
-    lines = [line for i in range(0, len(table), step) for line in _format_block(table[i:i + step])]
-    return [line + tail for line, tail in zip(lines, tails)]
+    form, scale, lead, expo, digits = _cell_tables()
+    rows, cols = table.shape
+    slots = np.empty((rows, cols + 1, 3), np.uint64)
+    step = max(1, 8192 // cols)  # a block's temporaries stay in cache
+    hard = []
+    for i in range(0, rows, step):
+        x, out = table[i:i + step], slots[i:i + step, :cols]
+        with np.errstate(all="ignore"):
+            # Truncation floors the log; 0, inf and nan give clipped garbage.
+            e = (np.log10(np.abs(x)) + 330).astype(np.intp)
+            y = np.abs(x) * scale.take(e, mode="clip")
+            m = np.rint(y)
+            M = m.astype(np.int64)
+            ok = (np.abs(y - m) <= 0.499) & ((M - 10**11).view(np.uint64) < 9 * 10**11)
+        hard.append(i * cols + np.flatnonzero(~ok))
+        d1 = M // 10**11
+        r = (M - d1 * 10**11) * 10  # the other 11 digits and a 0, in three groups of 4
+        hi = r // 10000
+        g2 = r - hi * 10000
+        g0 = hi // 10000
+        g1 = hi - g0 * 10000
+        s1 = (g2 == 0) * 10000  # groups from the last nonzero one on drop trailing zeros
+        s0 = (g1 == 0) * s1
+        k = form.take(e, mode="clip") + np.signbit(x) * 40 + d1 * 4 + (r != 0) * 2
+        k[:, 1:] += 1
+        out[..., 0] = lead.take(k, mode="clip")
+        out[..., 1] = digits.take(g0 + s0, mode="clip") | digits.take(g1 + s1, mode="clip") << 32
+        out[..., 2] = digits.take(g2 + 10000, mode="clip") | expo.take(e, mode="clip")
+    hard = np.concatenate(hard)
+    slots[:, cols] = [ord(",") | ord("\n") << 8, 0, 0]
+    texts = [("," if i % cols else "") + _fmt(table.flat[i]) for i in hard.tolist()]
+    texts += [f",{_fmt(x)}\n" for x in tails.values()]
+    at = [*(hard + hard // cols).tolist(), *(i * (cols + 1) + cols for i in tails)]
+    slots.reshape(-1, 3)[at] = np.array(texts, "S24").view(np.uint64).reshape(-1, 3)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def cmd_evolve(cfg: dict) -> Path:
@@ -578,16 +571,23 @@ def cmd_evolve(cfg: dict) -> Path:
             t = times[rows]
             u = evolve_closed(H, psi0, t).states[:, n_sites]
             c = np.exp(-deco.vacuum_coherence_rate * t) * u
-        qpt = dict(zip(rows.tolist(), map(_fmt, transfer_fidelity(table[rows, n_sites], c))))
+        qpt = dict(zip(rows.tolist(), transfer_fidelity(table[rows, n_sites], c).tolist()))
 
     path = _output_path(cfg)
-    header = ["t_over_T"] + [f"P_{n}" for n in range(1, n_sites + 1)]
-    header += [fidelity_name, "qpt_fidelity"]
-    lines = _table_lines(table, [qpt.get(i, "") for i in range(times.size)])
-    if cfg["format"] == "csv":
-        _write_atomic(path, "".join(f"{line}\n" for line in [",".join(header), *lines]))
+    header = ["t_over_T", *(f"P_{n}" for n in range(1, n_sites + 1)), fidelity_name, "qpt_fidelity"]
+    if table.size < 500:  # twice the measured crossover of the two paths
+        template = "%.12g," * table.shape[1]
+        body = "".join([template % tuple(row) + (_fmt(qpt[i]) if i in qpt else "") + "\n"
+                        for i, row in enumerate(table.tolist())]).encode()
     else:
-        _write_json(path, {"columns": header, "rows": [line.split(",") for line in lines]})
+        body = _table_bytes(table, qpt)
+    if cfg["format"] == "csv":
+        _write_atomic(path, f"{','.join(header)}\n".encode() + body)
+    else:
+        # json.dumps's layout; no cell needs escaping ("]" holds the newlines meanwhile).
+        head, end = (_json_text({"columns": header, "rows": [[""]]}) + "\n").encode().split(b'""')
+        rows = body[:-1].replace(b"\n", b"]").replace(b",", b'",\n      "')
+        _write_atomic(path, b'"'.join([head, rows.replace(b"]", b'"\n    ],\n    [\n      "'), end]))
     return path
 
 
@@ -647,7 +647,7 @@ def cmd_sweep(cfg: dict) -> Path:
     if cfg["format"] == "csv":
         # No sweep field needs CSV quoting: the lines equal csv.writer's.
         lines = [",".join(map(str, row)) for row in [SWEEP_HEADER, *rows]]
-        _write_atomic(path, "".join(f"{line}\n" for line in lines))
+        _write_atomic(path, "".join(f"{line}\n" for line in lines).encode())
     else:
         _write_json(path, {"columns": SWEEP_HEADER, "rows": rows})
     _write_json(Path(str(path) + ".config.json"), {"command": "sweep", "config": cfg})

@@ -40,7 +40,7 @@ one call per run.  Positivity of every output state is checked by one
 stacked Cholesky factorization of rho + 1e-6 I; eigvalsh decides only
 when that fails.
 `evolve_closed` is the one closed propagator: one diagonalization and one
-matrix product give every output time, and a single time is a one-point
+real matrix product give every output time, and a single time is a one-point
 grid.  The vacuum terms of open evolution are evaluated for the whole time
 grid the same way.
 
@@ -168,7 +168,7 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
 
     H is the D x D site block (physical units, rad/s when times are in
     seconds); psi0 has D + 1 entries with index 0 the vacuum amplitude.
-    One diagonalization serves the whole time grid.
+    One diagonalization and one real GEMM (V is real) serve the time grid.
     """
     w, V = eigendecompose(H)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -177,10 +177,10 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
         raise ValueError("psi0 must have length D + 1 (vacuum slot first)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    states = np.empty((times.size, psi0.size), dtype=complex)
+    phases = np.exp(-1j * np.outer(w, times)) * (V.T @ psi0[1:])[:, None]
+    states = np.empty((times.size, psi0.size), dtype=complex)  # rows of (T, D+1), C order
     states[:, 0] = psi0[0]
-    c0 = V.T @ psi0[1:]
-    states[:, 1:] = (np.exp(-1j * np.outer(times, w)) * c0) @ V.T
+    states[:, 1:] = (V @ phases.view(float)).view(complex).T
     return Trajectory(times=times, states=states)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import domechain
 from domechain import cli
-from domechain.cli import SCHEMAS, SWEEP_HEADER, _fmt, _format_block, _table_lines, main
+from domechain.cli import SCHEMAS, SWEEP_HEADER, _fmt, _table_bytes, main
 
 _OPEN = ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]
 
@@ -179,6 +179,12 @@ def test_json_artifacts_equal_the_earlier_writer(outdir, monkeypatch, argv):
     monkeypatch.setattr(cli, "_write_json", lambda path, payload: written.append((path, payload))
                         or write_json(path, payload))
     assert run(argv) == 0
+    if argv[0] == "evolve":
+        # evolve prints its JSON from the CSV body without a payload; the
+        # earlier writer must make the same text of the payload read back.
+        text = (outdir / "evolve.json").read_text()
+        assert not written and text == _json_oracle(json.loads(text))
+        return
     # sweep writes its .config.json sidecar beside the CSV or JSON table
     assert len(written) == 1 + (argv[0] == "sweep" and "json" in argv)
     for path, payload in written:
@@ -620,6 +626,14 @@ _SCHEMA_REFUSALS = {
     "dome_cascade_without_m": (["cascade", "--set", "kind=dome", "--set", "N=10",
                                 "--set", "j_max_MHz=50", "--set", "j_min_MHz=1"],
                                "'m' is a required property"),
+    # Time grids that cannot be built: 401 n_periods overflows a float, and
+    # 1e11 points would take a 745 GiB array.
+    "evolve_n_periods_overflow": (["evolve", "--set", "N=3", "--set", "m=2",
+                                   "--set", "n_periods=1e307"],
+                                  "1e+307 is greater than the maximum of 2000"),
+    "evolve_points_out_of_memory": (["evolve", "--set", "N=3", "--set", "m=2",
+                                     "--set", "points=100000000000"],
+                                    "100000000000 is greater than the maximum of 1000000"),
 }
 
 
@@ -762,20 +776,25 @@ def test_table_lines_equal_csv_writer_with_fmt(outdir):
         [1.0, -2.0, 1e16, 2.5e-7],
         [0.25, 123456789012345.0, -1e-310, 1 / 3],
     ])
-    tails = [_fmt(float("nan")), "", _fmt(0.999999999999)]
+    tails = {0: float("nan"), 2: 0.999999999999}
     header = ["a", "b", "c", "d", "e"]
-    rows = [[_fmt(x) for x in row] + [tail] for row, tail in zip(table, tails)]
-    got = "".join(f"{line}\n" for line in [",".join(header), *_table_lines(table, tails)])
+    rows = [[_fmt(x) for x in row] + [_fmt(tails[i]) if i in tails else ""]
+            for i, row in enumerate(table)]
+    got = f"{','.join(header)}\n" + _table_bytes(table, tails).decode()
     assert got == _csv_writer_text(header, rows)
     assert got.splitlines()[1] == "-0,1e-300,3,0.1,nan"
     # Above the gate, in row blocks of 8192 // 3 = 2730 rows: the 3000 rows
-    # straddle a block boundary, and the hard cells print as _fmt.
+    # straddle a block boundary, the hard cells print as _fmt, also in the
+    # first and last slot of a row, and rows 2729 and 2731 on either side of
+    # the boundary carry tails.
     rng = np.random.default_rng(17)
     big = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-30, 30, (3000, 3))
     big[2729:2731] = [[0.0, -np.inf, 999999999999.5], [np.nan, 5e-324, -1e-300]]
-    tails = [_fmt(x) if i % 7 else "" for i, x in enumerate(big[:, 0])]
-    rows = [[_fmt(x) for x in row] + [tail] for row, tail in zip(big, tails)]
-    got = "".join(f"{line}\n" for line in [",".join(header[1:]), *_table_lines(big, tails)])
+    tails = {i: x for i, x in enumerate(big[:, 0].tolist()) if i % 7}
+    assert {2729, 2731} <= tails.keys()
+    rows = [[_fmt(x) for x in row] + [_fmt(tails[i]) if i in tails else ""]
+            for i, row in enumerate(big)]
+    got = f"{','.join(header[1:])}\n" + _table_bytes(big, tails).decode()
     assert got == _csv_writer_text(header[1:], rows)
     # Sweep CSVs are joined the same way: csv.writer on the JSON table's rows.
     for name in ("chain", "decoherence"):
@@ -792,13 +811,15 @@ def test_block_formatter_equals_percent_g_on_random_bits_and_decades():
     decades = np.array([float(f"1e{k}") for k in range(-320, 309)])
     cells = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
     for block in [*bits, np.concatenate([cells, -cells]).reshape(6, -1)]:
-        assert _format_block(block) == ["".join("%.12g," % x for x in row) for row in block.tolist()]
+        want = "".join("".join("%.12g," % x for x in row) + "\n" for row in block.tolist())
+        assert _table_bytes(block, {}) == want.encode()
 
 
-def _per_row_table_lines(table, tails):
-    """_table_lines before the vectorized pass: one %-template per row."""
+def _per_row_table_bytes(table, tails):
+    """_table_bytes as one %-template per row."""
     template = "%.12g," * table.shape[1]
-    return [template % tuple(row) + tail for row, tail in zip(table.tolist(), tails)]
+    return "".join(template % tuple(row) + (_fmt(tails[i]) if i in tails else "") + "\n"
+                   for i, row in enumerate(table.tolist())).encode()
 
 
 _TABLE_EVOLVES = {  # cells of the evolve table, then its --set arguments
@@ -815,17 +836,23 @@ _TABLE_EVOLVES = {  # cells of the evolve table, then its --set arguments
 @pytest.mark.parametrize("case", list(_TABLE_EVOLVES))
 def test_evolve_tables_equal_the_per_row_template(outdir, monkeypatch, case):
     cells, sets = _TABLE_EVOLVES[case]
-    blocks = []
-    monkeypatch.setattr(cli, "_format_block", lambda x: blocks.append(x.size) or _format_block(x))
+    printed = []
+    monkeypatch.setattr(cli, "_table_bytes",
+                        lambda table, tails: printed.append(table.size) or _table_bytes(table, tails))
     argv = ["evolve", *(a for kv in sets for a in ("--set", kv))]
     for fmt in ("csv", "json"):
         assert run([*argv, "--format", fmt, "--output", f"new.{fmt}"]) == 0
-        with monkeypatch.context() as oracle:
-            oracle.setattr(cli, "_table_lines", _per_row_table_lines)
-            assert run([*argv, "--format", fmt, "--output", f"old.{fmt}"]) == 0
-        assert (outdir / f"new.{fmt}").read_bytes() == (outdir / f"old.{fmt}").read_bytes(), fmt
-    # Each format printed the table through the vectorized pass iff it is above the gate.
-    assert sum(blocks) == (2 * cells if cells >= 1000 else 0)
+    with monkeypatch.context() as oracle:
+        oracle.setattr(cli, "_table_bytes", _per_row_table_bytes)
+        assert run([*argv, "--output", "old.csv"]) == 0
+    old = (outdir / "old.csv").read_bytes()
+    assert (outdir / "new.csv").read_bytes() == old
+    # The JSON table is the per-row CSV split at its commas, as json.dumps writes it.
+    header, *lines = old.decode().splitlines()
+    payload = {"columns": header.split(","), "rows": [line.split(",") for line in lines]}
+    assert (outdir / "new.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # Each format printed the table through the slot pass iff it is above the gate.
+    assert sum(printed) == (2 * cells if cells >= 500 else 0)
 
 
 def _readme_commands():
@@ -886,7 +913,7 @@ def _modules_after(argv, tables=None):
     """Names in sys.modules after a fresh interpreter imports domechain.cli
     and runs cli.main(argv) unless argv is None.
 
-    `tables`, if given, is how many times _format_block's lookup tables must
+    `tables`, if given, is how many times _table_bytes' lookup tables must
     have been built by then.
     """
     src = str(Path(domechain.__file__).resolve().parents[1])

@@ -257,13 +257,18 @@ def test_site_state_validation():
 
 def test_evolve_closed_matches_per_time_propagator():
     # The one-shot product against V exp(-iwt) V^T applied time by time, on
-    # a chain, a grid and the stiff m = 102 chain in physical units.
+    # a chain, a grid and the stiff m = 102 chain, and in physical units on
+    # the N = 128 chain and 10x10 grid of the large evolves.
     rate = 2 * np.pi * 5e6
     rng = np.random.default_rng(17)
     cases = [
         (dome_hamiltonian(DomeParams(N=9, m=2)).matrix(), 2 * np.pi),
         (single_excitation_matrix(Grid2D(3, 4, 2, 2)), 2 * np.pi),
         (dome_hamiltonian(DomeParams(N=5, m=102, J=rate)).matrix(physical=True),
+         2 * np.pi / rate),
+        (dome_hamiltonian(DomeParams(N=128, m=2, J=rate)).matrix(physical=True),
+         2 * np.pi / rate),
+        (single_excitation_matrix(Grid2D(10, 10, 2, 2, J=rate), physical=True),
          2 * np.pi / rate),
     ]
     for H, period in cases:

@@ -22,7 +22,7 @@ from domechain import (
 )
 from domechain import noise
 from domechain.cascade import segment_lengths
-from domechain.cli import _fmt, _format_block, _json_text, main
+from domechain.cli import _fmt, _json_text, _table_bytes, main
 from test_noise import unit_rows
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -233,6 +233,8 @@ _TIES = [999999999999.5, 999999999998.5, 123456789012.5, 1234567890125.0, 123456
 @example(row=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e-297])
 @given(row=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8))
 def test_block_formatter_equals_fmt_on_every_float(row):
-    # Called directly: at any size, each cell prints as _fmt prints it.
+    # Called directly: at any size, each cell and tail prints as _fmt prints it.
     rows = [row, row[::-1]]
-    assert _format_block(np.array(rows)) == ["".join(f"{_fmt(x)}," for x in r) for r in rows]
+    tails = ["", _fmt(row[0])]
+    want = "".join("".join(f"{_fmt(x)}," for x in r) + tail + "\n" for r, tail in zip(rows, tails))
+    assert _table_bytes(np.array(rows), {1: row[0]}) == want.encode()
