@@ -21,6 +21,12 @@ Its exit-2 messages are the ones jsonschema's `best_match` reports for
 the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
+A closed grid `evolve` never builds the (rows cols)^2 grid matrix: the
+grid Hamiltonian is H_col kron 1 + 1 kron H_row, so the closed propagator
+runs on the column and on the row chain and site r cols + c takes the
+product of their amplitudes (`_closed_grid_trajectory`).  An open grid
+`evolve` builds the dense matrix, because dephasing does not factor.
+
 Artifacts are written atomically (temp file then rename) from bytes.  CSV
 is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
 them: an `evolve` table of 500 cells or more goes straight to bytes, one
@@ -61,6 +67,7 @@ from .cascade import (
 )
 from .dynamics import (
     DecoherenceConfig,
+    Trajectory,
     evolve_closed,
     evolve_lindblad,
     site_state,
@@ -435,14 +442,30 @@ def cmd_synth(cfg: dict) -> Path:
 
 
 def _evolve_system(cfg: dict):
-    """(site matrix in rad/s, period, n_sites, grid or None for a chain)."""
+    """(dome chain or Grid2D, n_sites); both carry the period."""
     rate = _rate_rad_per_s(cfg)
     if "N" in cfg:
         ham = dome_hamiltonian(DomeParams(N=cfg["N"], m=cfg["m"], J=rate))
-        return ham.matrix(physical=True), ham.period, ham.n, None
+        return ham, ham.n
     grid = Grid2D(cfg["rows"], cfg["cols"], cfg["m_x"], cfg["m_y"], J=rate)
-    H = single_excitation_matrix(grid, physical=True)
-    return H, grid.period, grid.rows * grid.cols, grid
+    return grid, grid.rows * grid.cols
+
+
+def _closed_grid_trajectory(grid: Grid2D, times: np.ndarray) -> Trajectory:
+    """Closed evolution of a grid from |1, 1> as the product of its two chains.
+
+    H = H_col kron 1 + 1 kron H_row and |1, 1> = |1> kron |1>, so site
+    r * cols + c holds psi_col(t)[r] psi_row(t)[c] and the vacuum stays 0:
+    two chain diagonalizations in place of one of the (rows cols)^2 matrix.
+    """
+    col, row = (evolve_closed(chain.matrix(physical=True), site_state(chain.n, 1), times).states[:, 1:]
+                for chain in (grid.column_chain(), grid.row_chain()))
+    states = np.empty((times.size, grid.rows * grid.cols + 1), dtype=complex)
+    states[:, 0] = 0.0
+    # Splitting the contiguous site axis is always a view, so this writes into states.
+    np.multiply(col[:, :, None], row[:, None, :],
+                out=states[:, 1:].reshape(times.size, grid.rows, grid.cols))
+    return Trajectory(times=times, states=states)
 
 
 def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
@@ -531,7 +554,9 @@ def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
 
 def cmd_evolve(cfg: dict) -> Path:
     """Propagate |site 1> and write the population/fidelity trajectory."""
-    H, period, n_sites, grid = _evolve_system(cfg)
+    system, n_sites = _evolve_system(cfg)
+    grid = system if isinstance(system, Grid2D) else None
+    period = system.period
     times, marked = _evolve_times(cfg, period)
 
     deco = None
@@ -543,12 +568,16 @@ def cmd_evolve(cfg: dict) -> Path:
         )
 
     psi0 = site_state(n_sites, 1)
-    if deco is None:
-        traj = evolve_closed(H, psi0, times)
-        frames = traj.states
-    else:
+    if grid is None:
+        H = system.matrix(physical=True)
+    elif deco is not None:  # dephasing does not factor over the grid's chains
+        H = single_excitation_matrix(grid, physical=True)
+    if deco is not None:
         traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
         frames = traj.rhos
+    else:
+        traj = evolve_closed(H, psi0, times) if grid is None else _closed_grid_trajectory(grid, times)
+        frames = traj.states
 
     if grid is None:
         sites, target = (1, n_sites), chain_bell_target(n_sites)

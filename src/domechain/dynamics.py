@@ -41,8 +41,10 @@ stacked Cholesky factorization of rho + 1e-6 I; eigvalsh decides only
 when that fails.
 `evolve_closed` is the one closed propagator: one diagonalization and one
 real matrix product give every output time, and a single time is a one-point
-grid.  The vacuum terms of open evolution are evaluated for the whole time
-grid the same way.
+grid.  A closed grid (H_col kron 1 + 1 kron H_row) is evolved as the product
+of two such calls, one per chain, so its D x D matrix is never built.  The
+vacuum terms of open evolution are evaluated for the whole time grid the
+same way.
 
 scipy is imported by the open propagator only, on its first call, so
 closed evolution runs on numpy alone.

@@ -20,8 +20,10 @@ squared first components of the eigenvectors.
 
 Monic polynomial values overflow quickly on wide spectra, so the
 recurrence is carried in normalized form, P_n / ||P_n|| (the Stieltjes
-form of de Boor & Golub's Jacobi-matrix reconstruction).  This keeps
-every intermediate O(1).  The recurrence yields only the chain
+form of de Boor & Golub's Jacobi-matrix reconstruction), on the
+spectrum divided by a power of two just above max|lambda|.  This keeps
+every intermediate O(1) for any finite spectrum; the scaling is exact and
+is undone on omega and J.  The recurrence yields only the chain
 coefficients; the eigenvectors come from one `eigh` of the synthesized
 matrix, since running the site recurrence forward loses about a digit
 every two sites.
@@ -85,7 +87,7 @@ def _recurrence(
     ReconstructionError when a coefficient overflows or a norm collapses;
     overflow is detected, not warned about.
     """
-    span = max(1.0, float(np.max(np.abs(lam))))
+    floor = 1e-14 * float(np.max(np.abs(lam)))
     omegas = []
     couplings = []
     p_prev = np.zeros(lam.size)
@@ -98,22 +100,36 @@ def _recurrence(
         jn = float(np.sqrt(np.sum(weights * q * q)))
         if not (math.isfinite(om) and math.isfinite(jn)):
             raise ReconstructionError(f"recurrence overflowed at degree {n}")
-        if not jn > 1e-14 * span:
+        if not jn > floor:
             raise ReconstructionError(f"recurrence norm collapsed at degree {n}")
         couplings.append(jn)
         p_prev, p_cur, j_prev = p_cur, q / jn, jn
     return np.array(omegas), np.array(couplings)
 
 
+def _exponent(values: np.ndarray) -> int:
+    """e with max|values| in [2^(e-1), 2^e): dividing by 2^e scales exactly into (-1, 1)."""
+    return math.frexp(float(np.max(np.abs(values))))[1]
+
+
 def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
-    """The mirror-symmetric chain from ceil(N/2) recurrence steps, unverified."""
+    """The mirror-symmetric chain from ceil(N/2) recurrence steps, unverified.
+
+    The recurrence is scale-covariant, so it runs on the spectrum divided by
+    s = 2^e (see `_exponent`), where every intermediate is O(1), and omega
+    and J are multiplied back by s.  Both scalings are exact short of
+    subnormal results.
+    """
     N = spec.n
     if N == 1:
         return TridiagonalHamiltonian(
             omegas=spec.values.copy(), couplings=np.zeros(0), rate_J=spec.rate_J
         )
     half = (N + 1) // 2
-    omegas_half, couplings_half = _recurrence(spec.values, weights, half)
+    e = _exponent(spec.values)
+    omegas_half, couplings_half = (
+        np.ldexp(c, e) for c in _recurrence(np.ldexp(spec.values, -e), weights, half)
+    )
     omegas = np.zeros(N)
     omegas[:half] = omegas_half
     omegas[half:] = omegas_half[: N - half][::-1]
@@ -127,10 +143,13 @@ def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
 def _check_spectrum(ev: np.ndarray, spec: Spectrum) -> None:
     """Raise ReconstructionError unless eigenvalues ev match spec to 1e-8 relative.
 
-    A NaN deviation (an overflowed chain) fails the test as well.
+    The deviation is relative to max|lambda| and computed on values scaled
+    by s = 2^e of `_exponent`, so no subtraction overflows.  A NaN
+    deviation (an overflowed chain) fails the test as well.
     """
-    scale = max(1.0, float(np.max(np.abs(spec.values))))
-    err = float(np.max(np.abs(ev - spec.values))) / scale
+    e = _exponent(spec.values)
+    lam = np.ldexp(spec.values, -e)
+    err = float(np.max(np.abs(np.ldexp(ev, -e) - lam))) / float(np.max(np.abs(lam)))
     if not err <= 1e-8:
         raise ReconstructionError(
             f"synthesized chain eigenvalues deviate by {err:.2e} relative; "

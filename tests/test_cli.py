@@ -273,6 +273,37 @@ def test_evolve_grid_w_state(outdir):
     assert all(r[14] == "" for r in rows)  # no process tomography on grids
 
 
+@pytest.mark.parametrize("rows, cols, m_x, m_y", [
+    pytest.param(*g, id="{}x{}-{}-{}".format(*g))
+    for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102)]
+])
+def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y):
+    # The product of the two chains' states, and the P_n and w_fidelity
+    # columns the CLI prints from it, against expm(-i H t)|1, 1> of the
+    # dense grid matrix.
+    import scipy.linalg
+    from domechain.metrics import corner_w_target, reduce_to_sites, state_fidelity
+    from domechain.models import Grid2D, single_excitation_matrix
+
+    cfg = {"rows": rows, "cols": cols, "m_x": m_x, "m_y": m_y, "points": 21}
+    grid = Grid2D(rows, cols, m_x, m_y)
+    times, _ = cli._evolve_times(cli.resolve("evolve", cfg), grid.period)
+    H = single_excitation_matrix(grid)
+    frames = np.array([np.r_[0.0, scipy.linalg.expm(-1j * H * t)[:, 0]] for t in times])
+    states = cli._closed_grid_trajectory(grid, times).states
+    assert np.all(states[:, 0] == 0)
+    assert np.max(np.abs(states - frames)) <= 1e-12
+
+    assert run(["evolve", *(a for k, v in cfg.items() for a in ("--set", f"{k}={v}"))]) == 0
+    _, table = read_csv(outdir / "evolve.csv")
+    got = np.array([[float(x) for x in r[1:-1]] for r in table])
+    corners = [i + 1 for i in grid.corner_indices()]
+    w = state_fidelity(reduce_to_sites(frames, corners), corner_w_target(rows, cols))
+    # 1e-12 from the propagation, 5e-13 from printing 12 significant digits.
+    np.testing.assert_allclose(got, np.column_stack([np.abs(frames[:, 1:]) ** 2, w]),
+                               rtol=0, atol=1.5e-12)
+
+
 def test_evolve_with_decoherence_matches_known_fidelity(outdir):
     assert run([
         "evolve", "--set", "N=5", "--set", "m=2", "--set", "points=9",
@@ -695,22 +726,28 @@ def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
-def test_overflowed_synthesis_exits_3_and_writes_nothing(outdir):
-    # The first recurrence step overflows; synth must name that, print
-    # nothing but its one JSON line, and write no synth.json.
+def test_wide_and_narrow_spectra_synthesize_without_warnings(outdir):
+    # The recurrence runs on the spectrum scaled by a power of two, so spectra
+    # whose unscaled recurrence overflows or collapses synthesize cleanly:
+    # exit 0, nothing on stderr even under -W error, and a chain whose
+    # eigenvalues match the spectrum to 1e-8 relative.
     src = str(Path(domechain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for spectrum in ("[-1e300,1e300]", "[-1e300,0,1e300]", "[-8e307,8e307]"):
+    for spectrum in ("[-1e300,1e300]", "[-1e300,0,1e300]", "[-8e307,8e307]", "[-8e307,0,8e307]",
+                     "[-1e300,-3e299,1e299,1e300]", "[-1e-300,0,1e-300]"):
         done = subprocess.run(
-            [sys.executable, "-m", "domechain.cli", "synth", "--set", f"spectrum={spectrum}"],
+            [sys.executable, "-W", "error", "-m", "domechain.cli", "synth",
+             "--set", f"spectrum={spectrum}", "--output", "synth.json"],
             env=env, capture_output=True, text=True,
         )
-        assert done.returncode == 3, done.stderr
-        [line] = done.stderr.splitlines()
-        assert json.loads(line) == {
-            "error": "numerical", "detail": "recurrence overflowed at degree 1",
-        }
-        assert list(outdir.iterdir()) == []
+        assert (done.returncode, done.stderr) == (0, ""), spectrum
+        data = json.loads((outdir / "synth.json").read_text())
+        lam = np.array(json.loads(spectrum))
+        assert data["spectrum"] == lam.tolist()
+        c = np.array(data["couplings"])
+        ev = np.linalg.eigvalsh(np.diag(data["omegas"]) + np.diag(c, 1) + np.diag(c, -1))
+        scale = np.max(np.abs(lam))
+        assert np.max(np.abs(ev / scale - lam / scale)) <= 1e-8, spectrum
 
 
 def test_overflowing_spectrum_span_exits_2_and_writes_nothing(outdir):
@@ -955,6 +992,25 @@ def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: calls.append(H) or eigendecompose(H))
     assert run(["evolve", "--set", "N=6", "--set", "m=2", "--set", "points=21"]) == 0
     assert len(calls) == 1
+
+
+def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
+    # A closed grid is the product of its column and row chains: two small
+    # diagonalizations and no dense grid matrix.  An open grid still needs
+    # the dense matrix, because dephasing does not factor over the chains.
+    from domechain import dynamics
+
+    eighs, dense = [], []
+    eigendecompose, matrix = dynamics.eigendecompose, cli.single_excitation_matrix
+    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H.shape) or eigendecompose(H))
+    monkeypatch.setattr(cli, "single_excitation_matrix",
+                        lambda *a, **k: dense.append(a) or matrix(*a, **k))
+    grid = ["evolve", "--set", "rows=3", "--set", "cols=5", "--set", "m_x=2", "--set", "m_y=1",
+            "--set", "rate_MHz=5", "--set", "points=21"]
+    assert run(grid) == 0
+    assert (eighs, dense) == ([(3, 3), (5, 5)], [])
+    assert run([*grid, "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
+    assert len(dense) == 1
 
 
 def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):

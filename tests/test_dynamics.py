@@ -103,6 +103,54 @@ def test_lindblad_matches_superoperator_exponential():
             assert np.max(np.abs(traj.rhos[k] - ref)) < 1e-12
 
 
+def longdouble_site_block(H_site, deco, t, sites0):
+    """exp(G t) vec(rho_S) in complex longdouble, by Taylor scaling and squaring.
+
+    G is the site-block generator -i [H, .] - gamma1 - 4 gamma_phi on the
+    coherences between sites, on row-major vecs.  A = G t is halved until
+    ||A||_1 <= 1/4, its Taylor series summed until a term is below 1e-24,
+    and the sum squared back.  In 80-bit arithmetic (eps 1.1e-19) its error
+    is about eps ||G t||, far below the double-precision propagator's.
+    """
+    D = H_site.shape[0]
+    n = D * D
+    H = H_site.astype(np.longdouble)
+    eye = np.eye(D, dtype=np.longdouble)
+    gamma1, gamma_phi = 1 / np.longdouble(deco.t1), 1 / (2 * np.longdouble(deco.t_phi))
+    A = -1j * (np.kron(H, eye) - np.kron(eye, H))
+    A.reshape(-1)[:: n + 1] -= gamma1 + 4 * gamma_phi * (1 - eye).reshape(n)
+    A *= np.longdouble(t)
+    squarings = max(0, int(np.ceil(np.log2(float(np.abs(A).sum(axis=0).max()) * 4))))
+    A /= np.longdouble(2) ** squarings
+    E = term = np.eye(n, dtype=A.dtype)
+    k = 0
+    while np.max(np.abs(term)) >= 1e-24:
+        k += 1
+        term = term @ A / k
+        E = E + term
+    for _ in range(squarings):
+        E = E @ E
+    return E @ sites0.astype(A.dtype)
+
+
+@pytest.mark.parametrize("N, bound", [(5, 5e-14), (9, 4e-13), (12, 3e-13)])
+def test_stiff_open_step_matches_extended_precision(N, bound):
+    # One T/4 step of the stiff m = 102 chain at the physical working point
+    # (5 MHz, T1 = 30 us, Tphi = 5 us; ||G t||_1 is about 1e4 at N = 12).
+    # Measured: 2.1e-14, 1.8e-13 and 1.3e-13 from the extended-precision
+    # oracle at N = 5, 9 and 12; the scipy dense Liouvillian sits 3.0e-14,
+    # 1.5e-13 and 1.1e-13 from it.
+    assert np.finfo(np.longdouble).eps < 1e-18
+    ham = dome_hamiltonian(DomeParams(N=N, m=102, J=2 * np.pi * 5e6))
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    t = ham.period / 4
+    rho0 = np.zeros((N + 1, N + 1), dtype=complex)
+    rho0[1, 1] = 1.0
+    block = evolve_lindblad(ham.matrix(physical=True), rho0, [0.0, t], deco).rhos[1, 1:, 1:]
+    ref = longdouble_site_block(ham.matrix(physical=True), deco, t, rho0[1:, 1:].reshape(-1))
+    assert np.max(np.abs(block - ref.reshape(N, N))) <= bound
+
+
 def test_lindblad_single_site_closed_forms():
     # One site: population decays at 1/T1, coherence at 1/(2T1) + 1/Tphi.
     t1, tphi = 1.5, 0.8

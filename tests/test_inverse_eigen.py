@@ -10,6 +10,7 @@ import scipy.linalg
 from domechain.inverse_eigen import (
     ReconstructionError,
     _check_spectrum,
+    _recurrence,
     compute_weights,
     synthesize,
 )
@@ -191,8 +192,11 @@ def test_synthesize_fails_as_reconstruct_does():
 
 
 def test_overflowed_recurrence_is_refused_without_warnings():
-    # The first coupling overflows to inf; it must be refused where it
-    # happens, by name, not run on into NaN (warnings fail the suite).
-    for values in ([-1e300, 1e300], [-1e300, 0.0, 1e300]):
+    # synthesize scales the spectrum first, so the guard is reached only by
+    # running the recurrence on unscaled values: the first coupling
+    # overflows to inf and is refused where it happens, by name, not run on
+    # into NaN (warnings fail the suite).
+    for values in ([-1e300, 1e300], [-1e300, 0.0, 1e300], [-8e307, 8e307]):
+        spec = Spectrum(values=np.array(values))
         with pytest.raises(ReconstructionError, match="^recurrence overflowed at degree 1$"):
-            synthesize(Spectrum(values=np.array(values)))
+            _recurrence(spec.values, compute_weights(spec), spec.n - 1)

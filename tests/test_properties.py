@@ -1,5 +1,7 @@
 """Property-based invariants over randomized parameter families."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -194,24 +196,35 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# Magnitudes from 1e-300 to 8e307, and zero: the spans stay finite, so
+# Spectrum accepts every list and synth must handle it.
+_MAGNITUDES = st.floats(min_value=1e-300, max_value=8e307)
 _SPECTRA = st.lists(
-    st.floats(min_value=-1e300, max_value=1e300), min_size=2, max_size=8, unique=True
+    st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x)),
+    min_size=2, max_size=8, unique=True,
 ).map(sorted).filter(lambda v: all(a < b for a, b in zip(v, v[1:])))
 
 
 @SETTINGS
 @example(values=[-1e300, 1e300])
+@example(values=[-8e307, 0.0, 8e307])
+@example(values=[-1e-300, 0.0, 1e-300])
+@example(values=[-1e-300, 0.0, 1e300])
 @given(values=_SPECTRA)
 def test_synth_writes_finite_json_or_exits_3(values):
-    # Wide spectra may overflow the recurrence; synth must then refuse with
-    # exit 3 and write nothing, never an artifact holding NaN or Infinity.
-    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+    # synth either writes a finite synth.json and prints nothing on stderr,
+    # or refuses with exit 3, exactly one numerical-error JSON line on stderr
+    # and nothing written: never an artifact holding NaN or Infinity, and no
+    # RuntimeWarning (the suite turns those into errors, which exit 1).
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "synth.json"
         code = main(["synth", "--set", f"spectrum={json.dumps(values)}", "--output", str(out)])
         if code == 3:
+            [line] = err.getvalue().splitlines()
+            assert json.loads(line)["error"] == "numerical"
             assert list(Path(tmp).iterdir()) == []
             return
-        assert code == 0
+        assert (code, err.getvalue()) == (0, "")
         data = json.loads(out.read_text(), parse_constant=_refuse_constant)
     for key in ("spectrum", "weights", "omegas", "couplings", "eigenvectors"):
         assert np.all(np.isfinite(np.asarray(data[key], dtype=float))), key
