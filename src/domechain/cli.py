@@ -21,11 +21,11 @@ Its exit-2 messages are the ones jsonschema's `best_match` reports for
 the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
-A closed grid `evolve` never builds the (rows cols)^2 grid matrix: the
-grid Hamiltonian is H_col kron 1 + 1 kron H_row, so the closed propagator
-runs on the column and on the row chain and site r cols + c takes the
-product of their amplitudes (`_closed_grid_trajectory`).  An open grid
-`evolve` builds the dense matrix, because dephasing does not factor.
+A closed `evolve` reads its fidelity off the readout amplitudes (chain ends
+or grid corners).  A closed grid, H_col kron 1 + 1 kron H_row, runs on its
+column and row chains, whose outer products give its populations and
+corners (`_closed_columns`).  An open grid builds the (rows cols)^2 matrix,
+as dephasing does not factor, and open frames are reduced to the readout.
 
 Artifacts are written atomically (temp file then rename) from bytes.  CSV
 is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
@@ -67,13 +67,13 @@ from .cascade import (
 )
 from .dynamics import (
     DecoherenceConfig,
-    Trajectory,
     evolve_closed,
     evolve_lindblad,
     site_state,
 )
 from .inverse_eigen import ReconstructionError, synthesize
 from .metrics import (
+    _readout_fidelity,
     chain_bell_target,
     corner_w_target,
     reduce_to_sites,
@@ -451,36 +451,41 @@ def _evolve_system(cfg: dict):
     return grid, grid.rows * grid.cols
 
 
-def _closed_grid_trajectory(grid: Grid2D, times: np.ndarray) -> Trajectory:
-    """Closed evolution of a grid from |1, 1> as the product of its two chains.
+def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Closed evolution from site 1: fill the (T, D) `populations` and return
+    the (T, k) readout amplitudes, the chain's ends or the grid's corners.
 
-    H = H_col kron 1 + 1 kron H_row and |1, 1> = |1> kron |1>, so site
-    r * cols + c holds psi_col(t)[r] psi_row(t)[c] and the vacuum stays 0:
-    two chain diagonalizations in place of one of the (rows cols)^2 matrix.
+    Grid site r * cols + c holds psi_col(t)[r] psi_row(t)[c], so its
+    populations and corners are outer products of the two chains' own.
     """
-    col, row = (evolve_closed(chain.matrix(physical=True), site_state(chain.n, 1), times).states[:, 1:]
-                for chain in (grid.column_chain(), grid.row_chain()))
-    states = np.empty((times.size, grid.rows * grid.cols + 1), dtype=complex)
-    states[:, 0] = 0.0
-    # Splitting the contiguous site axis is always a view, so this writes into states.
-    np.multiply(col[:, :, None], row[:, None, :],
-                out=states[:, 1:].reshape(times.size, grid.rows, grid.cols))
-    return Trajectory(times=times, states=states)
+    def evolve(chain):
+        traj = evolve_closed(chain.matrix(physical=True), site_state(chain.n, 1), times)
+        return traj.site_populations(), traj.states[:, [1, -1]]
+
+    if not isinstance(system, Grid2D):
+        populations[:], ends = evolve(system)
+        return ends
+    col, ends_col = evolve(system.column_chain())
+    square = (system.rows, system.m_y) == (system.cols, system.m_x)  # one chain for both axes
+    row, ends_row = (col, ends_col) if square else evolve(system.row_chain())
+    # Splitting the contiguous site axis is always a view, so this writes into populations.
+    np.einsum("tr,tc->trc", col, row, out=populations.reshape(times.size, system.rows, system.cols))
+    return (ends_col[:, :, None] * ends_row[:, None, :]).reshape(times.size, 4)
 
 
 def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
     """Output grid with T/4 and T/2 placed exactly, and the times placed.
 
     Each marked time replaces its nearest grid point, T/4 first.  The t=0
-    point never moves, so a marked time nearest to it is left out; T/2
-    takes over a point it shares with T/4.
+    point never moves, so a marked time nearest to it, or past the end by
+    more than a few ulps, is left out; T/2 takes over a point it shares with T/4.
     """
     times = np.linspace(0.0, period * cfg["n_periods"], cfg["points"])
     end = times[-1]
     placed = {}
     for t in (period / 4, period / 2):
         i = int(np.argmin(np.abs(times - t)))
-        if t <= end + 1e-15 and i > 0:
+        if t <= end * (1 + 1e-15) and i > 0:
             times[i] = placed[i] = t
     return times, list(placed.values())
 
@@ -567,18 +572,6 @@ def cmd_evolve(cfg: dict) -> Path:
             t_phi=d["tphi_us"] * 1e-6 if "tphi_us" in d else None,
         )
 
-    psi0 = site_state(n_sites, 1)
-    if grid is None:
-        H = system.matrix(physical=True)
-    elif deco is not None:  # dephasing does not factor over the grid's chains
-        H = single_excitation_matrix(grid, physical=True)
-    if deco is not None:
-        traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
-        frames = traj.rhos
-    else:
-        traj = evolve_closed(H, psi0, times) if grid is None else _closed_grid_trajectory(grid, times)
-        frames = traj.states
-
     if grid is None:
         sites, target = (1, n_sites), chain_bell_target(n_sites)
         fidelity_name = "bell_fidelity"
@@ -586,8 +579,20 @@ def cmd_evolve(cfg: dict) -> Path:
         sites = tuple(i + 1 for i in grid.corner_indices())
         target = corner_w_target(grid.rows, grid.cols)
         fidelity_name = "w_fidelity"
-    fidelity = state_fidelity(reduce_to_sites(frames, sites), target)
-    table = np.column_stack([times / period, traj.site_populations(), fidelity])
+    table = np.empty((times.size, n_sites + 2))
+    table[:, 0] = times / period
+    if deco is None:
+        readout = _closed_columns(system, times, table[:, 1:-1])
+        # The target's entries on the single-excitation bitstrings, first site leftmost.
+        ket = target[1 << np.arange(len(sites))[::-1]]
+        table[:, -1] = _readout_fidelity(readout, ket, abs(target[0]) ** 2)
+    else:
+        psi0 = site_state(n_sites, 1)
+        # Dephasing does not factor over the grid's chains: grids take the dense matrix.
+        H = system.matrix(physical=True) if grid is None else single_excitation_matrix(grid, physical=True)
+        traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
+        table[:, 1:-1] = traj.site_populations()
+        table[:, -1] = state_fidelity(reduce_to_sites(traj.rhos, sites), target)
 
     qpt = {}
     if grid is None:
@@ -595,7 +600,7 @@ def cmd_evolve(cfg: dict) -> Path:
         # closed amplitude psi_N(t) times the decay of vacuum coherences.
         rows = np.flatnonzero(np.isin(times, marked))
         if deco is None:
-            c = traj.states[rows, n_sites]
+            c = readout[rows, -1]
         else:
             t = times[rows]
             u = evolve_closed(H, psi0, t).states[:, n_sites]

@@ -1,12 +1,14 @@
 """Reduced end-qubit states, entanglement targets, and transfer fidelity.
 
-Every figure of merit is one reduction and one overlap over a stack of
-frames: `state_fidelity(reduce_to_sites(frames, sites), target)`.  The
-reduction exploits the vacuum-plus-one-excitation structure: tracing a
-global state down to a k-qubit subset leaves support only on the all-down
-bitstring and the k single-excitation bitstrings, so the exact partial
-trace is an entry relabeling.  Subset basis order is {down, up}^k with the
-first listed site as the leftmost (most significant) tensor factor.
+A figure of merit of density frames is one reduction and one overlap:
+`state_fidelity(reduce_to_sites(frames, sites), target)`.  The reduction
+exploits the vacuum-plus-one-excitation structure: tracing a global state
+down to a k-qubit subset leaves support only on the all-down bitstring and
+the k single-excitation bitstrings, so the exact partial trace is an entry
+relabeling.  Subset basis order is {down, up}^k with the first listed site
+as the leftmost (most significant) tensor factor.  Kets with no vacuum
+amplitude skip the reduction: `_readout_fidelity` needs only their k
+readout amplitudes.
 
 Phase conventions.  Starting from an excitation on site 1, a transfer
 chain of length L reaches (|1> + p(L)|L>)/sqrt(2) at t = T/4, where
@@ -139,3 +141,15 @@ def transfer_fidelity(p, c):
     Elementwise on arrays.
     """
     return (1.0 + np.real(p) + 2.0 * np.real(c)) / 4.0
+
+
+def _readout_fidelity(amps, target, vacuum_weight) -> np.ndarray:
+    """Overlap w (1 - p) + |t^dagger a|^2 of the reduced ket (1 - p)|vac><vac| +
+    |a><a|, p = |a|^2, for each row a of (S, k) `amps`, with a target of vacuum
+    weight w and readout amplitudes t, (k,) or (S, k).  Sums run column by
+    column: numpy's row reductions take another path for one row, so bits
+    would depend on the row count."""
+    cols = np.asarray(amps).T
+    p = sum(np.abs(cols) ** 2)
+    overlap = sum(cols * np.conj(target).T.reshape(len(cols), -1))
+    return vacuum_weight * (1.0 - p) + np.abs(overlap) ** 2

@@ -13,7 +13,8 @@ sample) rows in one chunked stream of stacked `eigh` calls, and the
 noise-free matrices of all m in one more, and contract to readout
 amplitudes a = <r|U(t)|site 1>.  The
 readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
-overlap with the noise-free reduction is (1 - p)(1 - p0) + |a0^dagger a|^2.
+overlap with the noise-free reduction is (1 - p0)(1 - p) + |a0^dagger a|^2
+(`metrics._readout_fidelity`).
 The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
 whose process fidelity with the identity is |1 + u|^2 / 4.  A decoherence
 scan evolves |1><1| for every m and every (T1, Tphi) point in one stacked
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .dynamics import (
     evolve_lindblad,
     site_state,
 )
-from .metrics import reduce_to_sites, state_fidelity, transfer_fidelity
+from .metrics import _readout_fidelity, reduce_to_sites, state_fidelity, transfer_fidelity
 from .models import (
     DomeParams,
     Grid2D,
@@ -257,11 +257,7 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
         if qpt:
             fids[rows] = np.abs(1.0 + a[:, 0]) ** 2 / 4.0
         else:
-            # Summed column by column: numpy's row reductions take another
-            # path for a one-row chunk, which would make bits depend on chunking.
-            p = reduce(np.add, np.abs(a.T) ** 2)
-            overlap = reduce(np.add, a.T * a0[members].T.conj())
-            fids[rows] = (1.0 - p) * (1.0 - p0[members]) + np.abs(overlap) ** 2
+            fids[rows] = _readout_fidelity(a, a0[members], 1.0 - p0[members])
     fids = fids.reshape(-1, n_samples)
     ok = ~np.isnan(fids)
     mean = np.array([np.mean(f[o]) if o.any() else np.nan for f, o in zip(fids, ok)])

@@ -273,35 +273,91 @@ def test_evolve_grid_w_state(outdir):
     assert all(r[14] == "" for r in rows)  # no process tomography on grids
 
 
+def _evolve_columns(outdir, cfg):
+    """The numeric columns of the closed `evolve` of cfg, read back from its
+    CSV and from its JSON, which must hold the same cells; '' reads as nan."""
+    args = [a for k, v in cfg.items() for a in ("--set", f"{k}={v}")]
+    assert run(["evolve", *args]) == 0
+    assert run(["evolve", *args, "--format", "json"]) == 0
+    header, rows = read_csv(outdir / "evolve.csv")
+    data = json.loads((outdir / "evolve.json").read_text())
+    assert (data["columns"], data["rows"]) == (header, rows)
+    return np.array([[float(x) if x else np.nan for x in r] for r in rows])
+
+
+def _dense_frames(H, times):
+    """expm(-i H t)|site 1> with a zero vacuum slot, one row per time."""
+    import scipy.linalg
+
+    return np.array([np.r_[0.0, scipy.linalg.expm(-1j * H * t)[:, 0]] for t in times])
+
+
 @pytest.mark.parametrize("rows, cols, m_x, m_y", [
     pytest.param(*g, id="{}x{}-{}-{}".format(*g))
-    for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102)]
+    for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102), (4, 4, 2, 2)]
 ])
 def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y):
-    # The product of the two chains' states, and the P_n and w_fidelity
-    # columns the CLI prints from it, against expm(-i H t)|1, 1> of the
-    # dense grid matrix.
-    import scipy.linalg
+    # The populations and corner amplitudes of the two chains' product, and
+    # the P_n and w_fidelity columns the CLI prints from them, against
+    # expm(-i H t)|1, 1> of the dense grid matrix, reduced to the corners.
     from domechain.metrics import corner_w_target, reduce_to_sites, state_fidelity
     from domechain.models import Grid2D, single_excitation_matrix
 
     cfg = {"rows": rows, "cols": cols, "m_x": m_x, "m_y": m_y, "points": 21}
     grid = Grid2D(rows, cols, m_x, m_y)
     times, _ = cli._evolve_times(cli.resolve("evolve", cfg), grid.period)
-    H = single_excitation_matrix(grid)
-    frames = np.array([np.r_[0.0, scipy.linalg.expm(-1j * H * t)[:, 0]] for t in times])
-    states = cli._closed_grid_trajectory(grid, times).states
-    assert np.all(states[:, 0] == 0)
-    assert np.max(np.abs(states - frames)) <= 1e-12
-
-    assert run(["evolve", *(a for k, v in cfg.items() for a in ("--set", f"{k}={v}"))]) == 0
-    _, table = read_csv(outdir / "evolve.csv")
-    got = np.array([[float(x) for x in r[1:-1]] for r in table])
+    frames = _dense_frames(single_excitation_matrix(grid), times)
     corners = [i + 1 for i in grid.corner_indices()]
+    populations = np.full((times.size, rows * cols), np.nan)
+    readout = cli._closed_columns(grid, times, populations)
+    assert np.max(np.abs(readout - frames[:, corners])) <= 1e-12
+    assert np.max(np.abs(populations - np.abs(frames[:, 1:]) ** 2)) <= 1e-12
+
+    got = _evolve_columns(outdir, cfg)
+    assert np.all(np.isnan(got[:, -1]))  # no process tomography on grids
     w = state_fidelity(reduce_to_sites(frames, corners), corner_w_target(rows, cols))
     # 1e-12 from the propagation, 5e-13 from printing 12 significant digits.
-    np.testing.assert_allclose(got, np.column_stack([np.abs(frames[:, 1:]) ** 2, w]),
+    np.testing.assert_allclose(got[:, 1:-1], np.column_stack([np.abs(frames[:, 1:]) ** 2, w]),
                                rtol=0, atol=1.5e-12)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 8])  # every Bell phase, N mod 4
+@pytest.mark.parametrize("m", [0, 2, 102])
+def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
+    # The P_n, bell_fidelity and qpt_fidelity columns against expm(-i H t)|1>
+    # of the dense chain matrix, reduced to the end pair.
+    from domechain.metrics import (chain_bell_target, reduce_to_sites, state_fidelity,
+                                   transfer_fidelity)
+    from domechain.models import DomeParams, dome_hamiltonian
+
+    cfg = {"N": n_sites, "m": m, "points": 21}
+    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m))
+    times, marked = cli._evolve_times(cli.resolve("evolve", cfg), ham.period)
+    frames = _dense_frames(ham.matrix(), times)
+    bell = state_fidelity(reduce_to_sites(frames, (1, n_sites)), chain_bell_target(n_sites))
+    end = frames[:, n_sites]
+    qpt = np.where(np.isin(times, marked), transfer_fidelity(np.abs(end) ** 2, end), np.nan)
+    expected = np.column_stack([np.abs(frames[:, 1:]) ** 2, bell, qpt])
+
+    got = _evolve_columns(outdir, cfg)
+    assert np.sum(~np.isnan(got[:, -1])) == len(marked) == 2
+    np.testing.assert_allclose(got[:, 1:], expected, rtol=0, atol=1.5e-12)
+
+
+@pytest.mark.parametrize("argv", [["--set", "N=5", "--set", "m=2"],
+                                  ["--set", "rows=3", "--set", "cols=4", "--set", "m_x=2",
+                                   "--set", "m_y=1"]], ids=["chain", "grid"])
+def test_only_open_evolves_reduce_to_sites(outdir, monkeypatch, argv):
+    # A closed state has no vacuum amplitude, so its fidelity comes from its
+    # readout amplitudes; open frames are density matrices and are reduced.
+    calls = []
+    for name in ("reduce_to_sites", "state_fidelity"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert run(["evolve", *argv, "--set", "points=21"]) == 0
+    assert calls == []
+    assert run(["evolve", *argv, "--set", "points=21", *_OPEN]) == 0
+    assert calls == ["reduce_to_sites", "state_fidelity"]
 
 
 def test_evolve_with_decoherence_matches_known_fidelity(outdir):
@@ -1009,6 +1065,10 @@ def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
             "--set", "rate_MHz=5", "--set", "points=21"]
     assert run(grid) == 0
     assert (eighs, dense) == ([(3, 3), (5, 5)], [])
+    # A square grid with m_x = m_y has the same chain along both axes.
+    eighs.clear()
+    assert run([*grid, "--set", "rows=5", "--set", "m_y=2"]) == 0
+    assert (eighs, dense) == ([(5, 5)], [])
     assert run([*grid, "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
     assert len(dense) == 1
 
@@ -1116,6 +1176,22 @@ def test_evolve_times_keep_t0_and_mark_each_row_once(cfg, marked):
     rows = np.isin(times, marked)
     assert rows.sum() == len(marked)
     np.testing.assert_array_equal(times[~rows], grid[~rows])
+
+
+@pytest.mark.parametrize("rate", [{}, {"rate_MHz": 100000}], ids=["natural", "100GHz"])
+@pytest.mark.parametrize("n_periods, marked", [(0.2499, []), (0.25, [0.25]), (0.5, [0.25, 0.5])])
+def test_evolve_ends_at_n_periods_on_any_time_scale(outdir, rate, n_periods, marked):
+    # At J/2pi = 100 GHz a period is 1e-11 s, so T/4 lies 1e-15 s past a
+    # 0.2499-period grid: a marked time may overrun the end by ulps only.
+    cfg = {"N": 5, "m": 2, **rate, "n_periods": n_periods, "points": 5}
+    assert run(["evolve", *(a for k, v in cfg.items() for a in ("--set", f"{k}={v}"))]) == 0
+    _, rows = read_csv(outdir / "evolve.csv")
+    assert rows[-1][0] == _fmt(n_periods)
+    assert [r[0] for r in rows if r[-1]] == [_fmt(x) for x in marked]
+    period = 2 * np.pi / cli._rate_rad_per_s(rate)
+    times, got = cli._evolve_times(cli.resolve("evolve", cfg), period)
+    assert got == [period * x for x in marked] and np.isin(got, times).all()
+    assert times[-1] == period * n_periods
 
 
 @pytest.mark.parametrize("extra", [[], ["--set", "rate_MHz=5", "--set", "decoherence.t1_us=30"]],
