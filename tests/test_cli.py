@@ -806,6 +806,27 @@ def test_wide_and_narrow_spectra_synthesize_without_warnings(outdir):
         assert np.max(np.abs(ev / scale - lam / scale)) <= 1e-8, spectrum
 
 
+def test_overflowing_disorder_fails_samples_without_warnings(outdir):
+    # Noise of 1e308 J overflows the site matrices of all 3 samples of seed 1
+    # and of 1981 in 2000: each is a counted failure, with nothing on stderr,
+    # on one thread and on the split path (2000 samples, 100000 matrix
+    # entries, on a multi-CPU host).
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for samples in (3, 2000):
+        done = subprocess.run(
+            [sys.executable, "-m", "domechain.cli", "sweep", "--set", "kind=coherent",
+             "--set", "metric=bell_at_quarter_t", "--set", "N=5", "--set", "target=all",
+             "--set", "seed=1", "--set", "sigmas=[1e308]", "--set", f"samples={samples}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), samples
+        header, rows = read_csv(outdir / "sweep.csv")
+        failed = {3: 3, 2000: 1981}[samples]
+        assert [r[header.index("failures")] for r in rows] == [str(failed)] * 2
+        assert [r[header.index("samples")] for r in rows] == [str(samples - failed)] * 2
+
+
 def test_overflowing_spectrum_span_exits_2_and_writes_nothing(outdir):
     # The span itself overflows: the spectrum is refused as input, with no
     # numpy warning and before any weights or recurrence run.
@@ -1033,6 +1054,7 @@ def test_cli_import_builds_no_formatter_tables():
     imported = _modules_after(None, tables=0)
     assert imported <= _modules_after(_LAZY_CASES["evolve_closed"], tables=0)
     assert not {name.split(".")[0] for name in imported} & {"scipy", "jsonschema"}
+    assert "concurrent.futures" not in imported  # its import costs about 6 ms of set-up
     _modules_after(["evolve", "--set", "N=5", "--set", "m=2", "--set", "points=200"], tables=1)
 
 

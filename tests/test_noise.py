@@ -9,6 +9,9 @@ The transfer metric, coherent and under T1/Tphi, is checked against the
 emulated process tomography `test_metrics.simulate_qpt`.
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +41,13 @@ RATE_5MHZ = 2 * np.pi * 5e6
 
 def cfg(target, sigmas=(1.0,), seed=99, samples=1):
     return DisorderConfig(target=target, sigmas=sigmas, seed=seed, samples=samples)
+
+
+def force_split(monkeypatch, workers):
+    """Split every coherent sweep, however small, over `workers` threads."""
+    monkeypatch.setattr(noise, "SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(noise.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
 
 
 def scan_table(**overrides):
@@ -340,15 +350,19 @@ def test_perturb_equals_batched_rows(system, target):
     ids=["bell", "qpt", "w"],
 )
 def test_chunked_sweep_is_bit_identical(system, metric, monkeypatch):
+    # 21 rows: 2 and 3 threads take unequal shares of 11/10 and 7/7/7 rows.
     c = cfg(DisorderTarget.ALL, sigmas=(0.25, 0.5, 1.0), samples=7)
     whole = sweep_coherent(system, c, metric)
-    n_sites = 12 if isinstance(system, Grid2D) else system.N
-    for rows_per_chunk in (1, 4):
-        monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
-        split = sweep_coherent(system, c, metric)
-        np.testing.assert_array_equal(split.fidelities, whole.fidelities)
-        np.testing.assert_array_equal(split.mean, whole.mean)
-        np.testing.assert_array_equal(split.std, whole.std)
+    n_sites, default = 12 if isinstance(system, Grid2D) else system.N, noise.MAX_CHUNK_ENTRIES
+    for workers in (1, 2, 3):
+        force_split(monkeypatch, workers)
+        for rows_per_chunk in (1, 4, None):
+            chunk_entries = rows_per_chunk * n_sites**2 if rows_per_chunk else default
+            monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", chunk_entries)
+            split = sweep_coherent(system, c, metric)
+            np.testing.assert_array_equal(split.fidelities, whole.fidelities)
+            np.testing.assert_array_equal(split.mean, whole.mean)
+            np.testing.assert_array_equal(split.std, whole.std)
 
 
 def stack_of(kind, shape, m_values, J=1.0):
@@ -376,11 +390,15 @@ def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
     if rows_per_chunk is not None:
         n_sites = shape["N"] if kind is DomeParams else 12
         monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
-    stacked = sweep_coherent(systems, c, metric)
-    for field in ("axis", "mean", "std", "samples", "failures", "fidelities"):
-        want = np.array([getattr(r, field) for r in per_m])
-        np.testing.assert_array_equal(getattr(stacked, field), want, err_msg=field)
-        assert getattr(stacked, field).shape == want.shape
+    for workers in (None, 2, 3):
+        if workers:
+            force_split(monkeypatch, workers)
+        stacked = sweep_coherent(systems, c, metric)
+        for field in ("axis", "mean", "std", "samples", "failures", "fidelities"):
+            want = np.array([getattr(r, field) for r in per_m])
+            np.testing.assert_array_equal(getattr(stacked, field), want,
+                                          err_msg=f"{field}, {workers} workers")
+            assert getattr(stacked, field).shape == want.shape
 
 
 def test_single_system_result_has_no_stack_axis():
@@ -433,14 +451,18 @@ def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    res = sweep_coherent(systems, c, metric)
-    np.testing.assert_array_equal(res.failures, [[0, 0], [0, 1]])
-    np.testing.assert_array_equal(res.samples, [[10, 10], [10, 9]])
-    kept = ~np.isnan(res.fidelities)
-    assert np.flatnonzero(~kept).tolist() == [np.ravel_multi_index((1, 1, 3), kept.shape)]
-    np.testing.assert_array_equal(res.fidelities[kept], clean.fidelities[kept])
-    np.testing.assert_array_equal(res.mean.flat[:3], clean.mean.flat[:3])
-    assert abs(res.mean[1, 1] - np.mean(np.delete(clean.fidelities[1, 1], 3))) < 1e-15
+    # Split over 2 or 3 threads, the failing row 33 of 40 is in a worker's share.
+    for workers in (None, 2, 3):
+        if workers:
+            force_split(monkeypatch, workers)
+        res = sweep_coherent(systems, c, metric)
+        np.testing.assert_array_equal(res.failures, [[0, 0], [0, 1]])
+        np.testing.assert_array_equal(res.samples, [[10, 10], [10, 9]])
+        kept = ~np.isnan(res.fidelities)
+        assert np.flatnonzero(~kept).tolist() == [np.ravel_multi_index((1, 1, 3), kept.shape)]
+        np.testing.assert_array_equal(res.fidelities[kept], clean.fidelities[kept])
+        np.testing.assert_array_equal(res.mean.flat[:3], clean.mean.flat[:3])
+        assert abs(res.mean[1, 1] - np.mean(np.delete(clean.fidelities[1, 1], 3))) < 1e-15
 
 
 def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
@@ -457,15 +479,91 @@ def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
-    np.testing.assert_array_equal(res.failures, [0, 1])
-    np.testing.assert_array_equal(res.samples, [10, 9])
-    assert np.isnan(res.fidelities[1, 3])
-    kept = np.ones((2, 10), dtype=bool)
-    kept[1, 3] = False
-    np.testing.assert_allclose(res.fidelities[kept], clean.fidelities[kept], rtol=0, atol=1e-15)
-    assert res.mean[0] == clean.mean[0]
-    assert abs(res.mean[1] - np.mean(np.delete(clean.fidelities[1], 3))) < 1e-15
+    # Split over 2 or 3 threads, the failing row 13 of 20 is in a worker's share.
+    for workers in (None, 2, 3):
+        if workers:
+            force_split(monkeypatch, workers)
+        res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
+        np.testing.assert_array_equal(res.failures, [0, 1])
+        np.testing.assert_array_equal(res.samples, [10, 9])
+        assert np.isnan(res.fidelities[1, 3])
+        kept = np.ones((2, 10), dtype=bool)
+        kept[1, 3] = False
+        np.testing.assert_allclose(res.fidelities[kept], clean.fidelities[kept], rtol=0,
+                                   atol=1e-15)
+        assert res.mean[0] == clean.mean[0]
+        assert abs(res.mean[1] - np.mean(np.delete(clean.fidelities[1], 3))) < 1e-15
+
+
+@pytest.mark.parametrize("bad_rows, first", [([9, 15], 9), ([3, 15], 3), ([15, 18], 15)],
+                         ids=["two-workers", "caller-and-worker", "one-worker"])
+def test_worker_errors_reach_the_caller_in_chunk_order(bad_rows, first, monkeypatch):
+    # 20 rows over 3 threads: shares 0-6 (the calling thread), 7-13 and 14-19.
+    system = DomeParams(N=5, m=2)
+    c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1.0), samples=10)
+    bad = {row: perturbed(system, cfg(DisorderTarget.ALL, sigmas=(c.sigmas[row // 10],),
+                                      seed=c.seed), row % 10) for row in bad_rows}
+    eigh = np.linalg.eigh
+
+    def failing_eigh(H, *args, **kwargs):
+        for row, matrix in bad.items():
+            if np.any(np.all(H == matrix * system.J, axis=(-2, -1))):
+                raise RuntimeError(f"planted failure in row {row}")
+        return eigh(H, *args, **kwargs)
+
+    force_split(monkeypatch, 3)
+    monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", 25)  # one row per chunk and thread
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"planted failure in row {first}$"):
+        sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "cpus, samples, threads",
+    [(4, 15, 0), (1, 250, 0), (2, 250, 1), (3, 250, 2)],
+    ids=["below-threshold", "one-cpu", "two-cpus", "three-cpus"],
+)
+def test_only_large_sweeps_on_several_cpus_start_threads(cpus, samples, threads, monkeypatch):
+    # disorder_mc's QPT sweep (2 m x 3 sigmas x 15 samples of N = 5: 2250
+    # entries) stays serial; its Bell sweep (37500 entries) splits.
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(noise.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(noise.threading, "Thread", Recorded)
+    systems = stack_of(DomeParams, dict(N=5), [2, 102])
+    c = cfg(DisorderTarget.ALL, sigmas=(0.05, 0.1, 0.2), samples=samples)
+    assert (len(systems) * 3 * samples * 25 >= noise.SPLIT_MIN_ENTRIES) == (samples == 250)
+    sweep_coherent(systems, c, SweepMetric.BELL_AT_QUARTER_T)
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("workers", [None, 2, 3])
+def test_overflowing_disorder_fails_samples_silently(workers, monkeypatch):
+    # Noise of 1e308 J overflows the site matrices: those samples are counted
+    # failures, with no RuntimeWarning (an error under this suite's filters)
+    # on the calling thread or any worker, whatever errstate the caller set.
+    if workers:
+        force_split(monkeypatch, workers)
+    systems = stack_of(DomeParams, dict(N=5), [2, 102])
+    c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1e308), seed=1, samples=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise"):
+            res = sweep_coherent(systems, c, SweepMetric.BELL_AT_QUARTER_T)
+    np.testing.assert_array_equal(res.failures, [[0, 3], [0, 3]])
+    np.testing.assert_array_equal(res.samples, [[3, 0], [3, 0]])
+    assert np.all(np.isnan(res.mean[:, 1])) and np.all(np.isfinite(res.mean[:, 0]))
+    finite = sweep_coherent(systems, cfg(DisorderTarget.ALL, sigmas=(0.5,), seed=1, samples=3),
+                            SweepMetric.BELL_AT_QUARTER_T)
+    np.testing.assert_array_equal(res.fidelities[:, :1], finite.fidelities)
 
 
 def test_decoherence_scan_pinned_endpoints():
