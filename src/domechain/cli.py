@@ -21,6 +21,9 @@ Its exit-2 messages are the ones jsonschema's `best_match` reports for
 the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
+Every command that simulates resolves its chains or grids with one
+`_systems(cfg)`, one per m, and reads their matrices from the one system
+model, `models._SiteModel`; the sweeps in `noise` take the same systems.
 A closed `evolve` reads its fidelity off the readout amplitudes (chain ends
 or grid corners).  A closed grid, H_col kron 1 + 1 kron H_row, runs on its
 column and row chains, whose outer products give its populations and
@@ -80,12 +83,7 @@ from .metrics import (
     state_fidelity,
     transfer_fidelity,
 )
-from .models import (
-    DomeParams,
-    Grid2D,
-    dome_hamiltonian,
-    single_excitation_matrix,
-)
+from .models import DomeParams, Grid2D, _SiteModel
 from .noise import DisorderConfig, DisorderTarget, SweepMetric, sweep_coherent, sweep_decoherence
 from .spectrum import Spectrum, dome_spectrum
 
@@ -147,18 +145,20 @@ def _strict(required, optional, defaults, **enums) -> dict:
             "properties": properties}
 
 
-# The working point of the paper's studies: J/2pi = 5 MHz for decoherence
-# scans, dome chains at m = 2 and 102, and T1/Tphi grids (microseconds)
-# around T1 = 30 and Tphi = 5, where one period is 200 ns.
-_SCAN = {"m_values": [2, 102], "t1_us_values": [3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0],
+# The working point of the paper's studies: dome chains at m = 2 and 102,
+# J/2pi = 5 MHz for decoherence scans, and the scans' T1/Tphi grids
+# (microseconds, `sweep_decoherence`'s arguments) around T1 = 30 and
+# Tphi = 5, where one period is 200 ns.
+_M_VALUES = [2, 102]
+_SCAN = {"t1_us_values": [3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0],
          "tphi_us_values": [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0],
-         "fixed_t1_us": 30.0, "fixed_tphi_us": 5.0, "rate_MHz": 5.0}
+         "fixed_t1_us": 30.0, "fixed_tphi_us": 5.0}
 _EVOLVE = ("rate_MHz", "decoherence", "points")
 _COHERENT = ("sigma", "sigmas", "samples", "rate_MHz")
 _CASCADE = ("kind", "N", "j_max_MHz", "j_min_MHz")
 _CHAIN_METRICS = [SweepMetric.BELL_AT_QUARTER_T.value, SweepMetric.QPT_AT_HALF_T.value]
 _EVOLVE_DEFAULTS = {"n_periods": 1.0, "format": "csv"}
-_COHERENT_DEFAULTS = {"m_values": _SCAN["m_values"], "format": "csv"}
+_COHERENT_DEFAULTS = {"m_values": _M_VALUES, "format": "csv"}
 _CASCADE_DEFAULTS = {"k": 1, "mode": TransferMode.PST.value, "format": "json"}
 
 # One strict schema per command variant: a key that the variant does not
@@ -180,7 +180,8 @@ SCHEMAS = {
         "corner": _strict(["kind", "metric", "rows", "cols", "target", "seed"], _COHERENT,
                           _COHERENT_DEFAULTS, kind=["coherent"],
                           metric=[SweepMetric.W_AT_QUARTER_T.value]),
-        "decoherence": _strict(["kind", "metric", "N"], (), {**_SCAN, "format": "csv"},
+        "decoherence": _strict(["kind", "metric", "N"], (),
+                               {**_SCAN, "m_values": _M_VALUES, "rate_MHz": 5.0, "format": "csv"},
                                kind=["decoherence"], metric=[m.value for m in SweepMetric]),
     },
     "cascade": {
@@ -441,14 +442,14 @@ def cmd_synth(cfg: dict) -> Path:
     return path
 
 
-def _evolve_system(cfg: dict):
-    """(dome chain or Grid2D, n_sites); both carry the period."""
+def _systems(cfg: dict) -> list:
+    """The config's dome chains or grids at its rate, one per m of
+    `m_values`, or the one of an `evolve`."""
     rate = _rate_rad_per_s(cfg)
     if "N" in cfg:
-        ham = dome_hamiltonian(DomeParams(N=cfg["N"], m=cfg["m"], J=rate))
-        return ham, ham.n
-    grid = Grid2D(cfg["rows"], cfg["cols"], cfg["m_x"], cfg["m_y"], J=rate)
-    return grid, grid.rows * grid.cols
+        return [DomeParams(cfg["N"], m, rate) for m in cfg.get("m_values") or [cfg["m"]]]
+    shapes = [(m, m) for m in cfg["m_values"]] if "m_values" in cfg else [(cfg["m_x"], cfg["m_y"])]
+    return [Grid2D(cfg["rows"], cfg["cols"], m_x, m_y, rate) for m_x, m_y in shapes]
 
 
 def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.ndarray:
@@ -458,8 +459,9 @@ def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.nd
     Grid site r * cols + c holds psi_col(t)[r] psi_row(t)[c], so its
     populations and corners are outer products of the two chains' own.
     """
-    def evolve(chain):
-        traj = evolve_closed(chain.matrix(physical=True), site_state(chain.n, 1), times)
+    def evolve(chain: DomeParams):
+        H = _SiteModel.of(chain).matrices()[0]
+        traj = evolve_closed(H, site_state(chain.N, 1), times)
         return traj.site_populations(), traj.states[:, [1, -1]]
 
     if not isinstance(system, Grid2D):
@@ -559,8 +561,9 @@ def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
 
 def cmd_evolve(cfg: dict) -> Path:
     """Propagate |site 1> and write the population/fidelity trajectory."""
-    system, n_sites = _evolve_system(cfg)
+    (system,) = _systems(cfg)
     grid = system if isinstance(system, Grid2D) else None
+    n_sites = system.N if grid is None else grid.rows * grid.cols
     period = system.period
     times, marked = _evolve_times(cfg, period)
 
@@ -589,7 +592,7 @@ def cmd_evolve(cfg: dict) -> Path:
     else:
         psi0 = site_state(n_sites, 1)
         # Dephasing does not factor over the grid's chains: grids take the dense matrix.
-        H = system.matrix(physical=True) if grid is None else single_excitation_matrix(grid, physical=True)
+        H = _SiteModel.of(system).matrices()[0]
         traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
         table[:, 1:-1] = traj.site_populations()
         table[:, -1] = state_fidelity(reduce_to_sites(traj.rhos, sites), target)
@@ -627,34 +630,29 @@ def cmd_evolve(cfg: dict) -> Path:
 
 def _sweep_coherent(cfg: dict):
     dcfg = DisorderConfig(DisorderTarget(cfg["target"]), cfg["sigmas"], cfg["seed"], cfg["samples"])
-    rate = _rate_rad_per_s(cfg)
-    if "N" in cfg:
-        systems = [DomeParams(N=cfg["N"], m=m, J=rate) for m in cfg["m_values"]]
-    else:
-        systems = [Grid2D(cfg["rows"], cfg["cols"], m, m, J=rate) for m in cfg["m_values"]]
-    result = sweep_coherent(systems, dcfg, SweepMetric(cfg["metric"]))
+    result = sweep_coherent(_systems(cfg), dcfg, SweepMetric(cfg["metric"]))
     return [
-        ["coherent", cfg["metric"], m, "sigma_over_J", _fmt(result.axis[i, j]), "", "",
+        ["coherent", cfg["metric"], m, "sigma_over_J", _fmt(sigma), "", "",
          _fmt(result.mean[i, j]), _fmt(result.std[i, j]), int(result.samples[i, j]),
          int(result.failures[i, j])]
         for i, m in enumerate(cfg["m_values"])
-        for j in range(result.axis.shape[1])
+        for j, sigma in enumerate(cfg["sigmas"])
     ]
 
 
 def _sweep_decoherence(cfg: dict):
-    scan = sweep_decoherence(cfg["N"], SweepMetric(cfg["metric"]), **{k: cfg[k] for k in _SCAN})
+    scan = sweep_decoherence(_systems(cfg), SweepMetric(cfg["metric"]), **{k: cfg[k] for k in _SCAN})
     rows = []
-    for i, m in enumerate(scan.m_values):
-        for j, t1 in enumerate(scan.t1_values_us):
+    for i, m in enumerate(cfg["m_values"]):
+        for j, t1 in enumerate(cfg["t1_us_values"]):
             rows.append(
                 ["decoherence", cfg["metric"], m, "t1_us", _fmt(t1), "",
-                 _fmt(scan.fixed_tphi_us), _fmt(scan.t1_scan[i, j]), "", 1, 0]
+                 _fmt(cfg["fixed_tphi_us"]), _fmt(scan.t1_scan[i, j]), "", 1, 0]
             )
-        for j, tphi in enumerate(scan.tphi_values_us):
+        for j, tphi in enumerate(cfg["tphi_us_values"]):
             rows.append(
                 ["decoherence", cfg["metric"], m, "tphi_us", _fmt(tphi),
-                 _fmt(scan.fixed_t1_us), "", _fmt(scan.tphi_scan[i, j]), "", 1, 0]
+                 _fmt(cfg["fixed_t1_us"]), "", _fmt(scan.tphi_scan[i, j]), "", 1, 0]
             )
     return rows
 

@@ -16,10 +16,17 @@ of the two 1D spectra.
 For large m the middle sites are far detuned from the ends and the chain
 reduces to an effective two-site system with J_eff -> (-1)^N J / 2 and
 end frequencies shifted by -(N - 2) J / 2.
+
+`_SiteModel` is the package's one system model.  Every study starts from
+it: it checks that chains or grids form one layout, and it alone turns
+their parameters into site entries and site matrices (`matrices`), which
+`single_excitation_matrix`, the sweeps in `noise` and the CLI's `evolve`
+all read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +44,23 @@ __all__ = [
 ]
 
 
+def _check_system(system, sizes: tuple[str, ...], shapes: tuple[str, ...]) -> None:
+    """The one check of chain and grid parameters, which it reads as ints.
+
+    Sizes must be integral and at least 2, shapes (m) integral, finite and
+    at least 0, and J finite and positive; integral floats and numpy
+    integers are accepted.  Each failure is a ValueError.
+    """
+    for names, low in ((sizes, 2), (shapes, 0)):
+        for name in names:
+            value = getattr(system, name)
+            if not (math.isfinite(value) and value == int(value) >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(system, name, int(value))
+    if not (math.isfinite(system.J) and system.J > 0):
+        raise ValueError(f"J must be finite and positive, got {system.J!r}")
+
+
 @dataclass(frozen=True)
 class DomeParams:
     """Dome-chain parameters: length N, shape m, rate J (rad/s)."""
@@ -46,12 +70,7 @@ class DomeParams:
     J: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if self.m < 0 or self.m != int(self.m):
-            raise ValueError("m must be a non-negative integer")
-        if not self.J > 0:
-            raise ValueError("J must be positive")
+        _check_system(self, ("N",), ("m",))
 
     @property
     def period(self) -> float:
@@ -91,38 +110,22 @@ class Grid2D:
     J: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid must be at least 2 x 2")
-        for m in (self.m_x, self.m_y):
-            if m < 0 or m != int(m):
-                raise ValueError("m_x and m_y must be non-negative integers")
-        if not self.J > 0:
-            raise ValueError("J must be positive")
+        _check_system(self, ("rows", "cols"), ("m_x", "m_y"))
 
     @property
     def period(self) -> float:
         return 2.0 * np.pi / self.J
 
-    def row_chain(self) -> TridiagonalHamiltonian:
-        return dome_hamiltonian(DomeParams(N=self.cols, m=self.m_x, J=self.J))
+    def row_chain(self) -> DomeParams:
+        return DomeParams(N=self.cols, m=self.m_x, J=self.J)
 
-    def column_chain(self) -> TridiagonalHamiltonian:
-        return dome_hamiltonian(DomeParams(N=self.rows, m=self.m_y, J=self.J))
+    def column_chain(self) -> DomeParams:
+        return DomeParams(N=self.rows, m=self.m_y, J=self.J)
 
     def corner_indices(self) -> list[int]:
         """Flat indices of corners in the order (1,1), (1,C), (R,1), (R,C)."""
         R, C = self.rows, self.cols
         return [0, C - 1, (R - 1) * C, R * C - 1]
-
-
-def _grid_sites(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major on-site frequencies and `_bond_pairs`-order couplings, units of J."""
-    row, col = grid.row_chain(), grid.column_chain()
-    freqs = (col.omegas[:, None] + row.omegas[None, :]).reshape(-1)
-    couplings = np.concatenate(
-        [np.tile(row.couplings, grid.rows), np.repeat(col.couplings, grid.cols)]
-    )
-    return freqs, couplings
 
 
 def _bond_pairs(rows: int, cols: int) -> np.ndarray:
@@ -136,22 +139,69 @@ def _bond_pairs(rows: int, cols: int) -> np.ndarray:
     return np.concatenate([x, y])
 
 
-def _site_matrix(freqs: np.ndarray, couplings: np.ndarray, bonds: np.ndarray) -> np.ndarray:
-    """Site matrices (..., D, D) from on-site values (..., D) and bond values (..., B)."""
-    D = freqs.shape[-1]
-    H = np.zeros(freqs.shape + (D,))
-    sites = np.arange(D)
-    H[..., sites, sites] = freqs
-    H[..., bonds[:, 0], bonds[:, 1]] = couplings
-    H[..., bonds[:, 1], bonds[:, 0]] = couplings
-    return H
+@dataclass(frozen=True)
+class _SiteModel:
+    """Chains or grids of one layout: noise-free site-matrix entries `freqs`
+    (M, D) and `couplings` (M, B) in units of J, one row per system, the
+    (B, 2) `bonds` in draw order, the chain ends or grid corners `edges`,
+    J in rad/s, and the leading shape `stack` of per-system results: () for
+    one system, (M,) for a sequence of M.
+    """
+
+    freqs: np.ndarray
+    couplings: np.ndarray
+    bonds: np.ndarray
+    edges: np.ndarray
+    rate: float
+    stack: tuple[int, ...]
+
+    @classmethod
+    def of(cls, system) -> _SiteModel:
+        """The model of one DomeParams or Grid2D, or of a sequence of them
+        that differ only in m (TypeError for anything else, ValueError for
+        a sequence that is empty or mixes kinds, sizes or rates)."""
+        one = isinstance(system, (DomeParams, Grid2D))
+        systems = [system] if one else list(system)
+        if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
+            raise TypeError("system must be DomeParams or Grid2D")
+        layouts = {(type(s), s.J, (1, s.N) if isinstance(s, DomeParams) else (s.rows, s.cols))
+                   for s in systems}
+        if len(layouts) != 1:
+            raise ValueError("stacked systems must share kind, size and rate")
+        ((_, _, shape),), first = layouts, systems[0]
+        if isinstance(first, DomeParams):
+            entries = [(c.omegas, c.couplings) for c in map(dome_hamiltonian, systems)]
+            edges = [0, first.N - 1]
+        else:  # row-major frequencies; x couplings on every row, then y across every column
+            entries = []
+            for grid in systems:
+                row, col = dome_hamiltonian(grid.row_chain()), dome_hamiltonian(grid.column_chain())
+                entries.append(((col.omegas[:, None] + row.omegas[None, :]).reshape(-1),
+                                np.concatenate([np.tile(row.couplings, grid.rows),
+                                                np.repeat(col.couplings, grid.cols)])))
+            edges = first.corner_indices()
+        freqs, couplings = (np.array(e) for e in zip(*entries))
+        return cls(freqs, couplings, _bond_pairs(*shape), np.array(edges), first.J,
+                   () if one else (len(systems),))
+
+    def matrices(self, physical: bool = True, freqs=None, couplings=None) -> np.ndarray:
+        """(..., D, D) site matrices of on-site values (..., D) and bond values
+        (..., B) in units of J, the model's own (M, D, D) by default; scaled
+        to rad/s if `physical`."""
+        freqs = self.freqs if freqs is None else freqs
+        couplings = self.couplings if couplings is None else couplings
+        D = freqs.shape[-1]
+        H = np.zeros(freqs.shape + (D,))
+        sites = np.arange(D)
+        H[..., sites, sites] = freqs
+        H[..., self.bonds[:, 0], self.bonds[:, 1]] = couplings
+        H[..., self.bonds[:, 1], self.bonds[:, 0]] = couplings
+        return H * self.rate if physical else H
 
 
 def single_excitation_matrix(grid: Grid2D, physical: bool = False) -> np.ndarray:
     """Dense single-excitation matrix of a grid, row-major site order."""
-    freqs, couplings = _grid_sites(grid)
-    H = _site_matrix(freqs, couplings, _bond_pairs(grid.rows, grid.cols))
-    return H * grid.J if physical else H
+    return _SiteModel.of(grid).matrices(physical)[0]
 
 
 class PerturbativeBreakdownError(RuntimeError):

@@ -1,12 +1,16 @@
 """Seeded parameter disorder and Monte Carlo fidelity sweeps.
 
+Both sweeps take what the rest of the package takes for a system: one
+DomeParams or Grid2D, or a sequence of them that differ only in m, read
+through the one system model `models._SiteModel`.  A sequence adds a
+leading m axis to every result array.
+
 Sample k draws its unit normals once from a Philox generator keyed by
 (seed) with counter block k, in a fixed order: targeted site frequencies
 in ascending site order, then targeted couplings (x bonds before y bonds
 on grids).  Sigma, in units of J, scales them into additive shifts of the
-dimensionless entries.  A coherent sweep takes one system or a stack of
-systems that differ only in m, and draws once: every m and every sigma
-shares one noise field.
+dimensionless entries.  A coherent sweep draws once: every m and every
+sigma shares one noise field.
 
 Coherent sweeps diagonalize the perturbed site matrices of all (m, sigma,
 sample) rows in one chunked stream of stacked `eigh` calls, split over the
@@ -17,14 +21,15 @@ overlap with the noise-free reduction is (1 - p0)(1 - p) + |a0^dagger a|^2
 (`metrics._readout_fidelity`).
 The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
 whose process fidelity with the identity is |1 + u|^2 / 4.  A decoherence
-scan evolves |1><1| for every m and every (T1, Tphi) point in one stacked
+scan evolves |1><1| for every chain and every (T1, Tphi) point in one stacked
 `evolve_lindblad` call, which propagates the site block once per
 (m, distinct Tphi) and scales it by e^{-t/T1} per point.  It reads the same
 channel from the end population and the decayed noise-free amplitude
 (`metrics.transfer_fidelity`), or the end-pair overlap with the noise-free
 T/4 state; one `evolve_closed` per m gives both noise-free references.
-The sigmas, sample counts, scan grids and rate are all arguments here; the
-working-point defaults live in the CLI's one table (`cli.SCHEMAS`).
+The sigmas, sample counts and scan grids are all arguments here, and the
+rate is the systems' J; the working-point defaults live in the CLI's one
+table (`cli.SCHEMAS`).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from enum import Enum
 
 import numpy as np
 
-from .chain import TridiagonalHamiltonian
 from .dynamics import (
     MAX_CHUNK_ENTRIES,
     DecoherenceConfig,
@@ -45,14 +49,7 @@ from .dynamics import (
     site_state,
 )
 from .metrics import _readout_fidelity, reduce_to_sites, state_fidelity, transfer_fidelity
-from .models import (
-    DomeParams,
-    Grid2D,
-    _bond_pairs,
-    _grid_sites,
-    _site_matrix,
-    dome_hamiltonian,
-)
+from .models import _SiteModel
 
 __all__ = [
     "DisorderTarget",
@@ -117,9 +114,8 @@ def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
 
     One bit generator is set to each counter block with an empty buffer,
     the state Philox(key=seed, counter=...) starts in.  Of the bit-identical
-    public routes there, this is the cheapest (250 samples of 5 on a 2-core
-    x86-64 VM): 2.8 us a sample, against 9.3 to read the state and call
-    `advance`, and 13.2 to build a new Philox.
+    public routes there, this is the cheapest: reading the state and calling
+    `advance`, or building a new Philox per sample, cost more.
     """
     bitgen = np.random.Philox(key=int(seed))
     gen = np.random.Generator(bitgen)
@@ -132,52 +128,35 @@ def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
     return np.array(rows).reshape(len(rows), n)
 
 
-@dataclass(frozen=True)
-class _SiteModel:
-    """Chains or grids of one layout as disorder sees them: noise-free
-    site-matrix entries `freqs` (M, D) and `couplings` (M, B) in units of J,
-    one row per system, the (B, 2) `bonds` in draw order, the chain ends or
-    grid corners `edges`, and J in rad/s.
-    """
+def _targeted(model: _SiteModel, target: DisorderTarget) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the perturbed frequencies and couplings, in draw order."""
+    sites, bonds = np.arange(model.freqs.shape[1]), np.arange(model.couplings.shape[1])
+    if target is DisorderTarget.MIDDLE_FREQUENCIES:
+        return np.setdiff1d(sites, model.edges), bonds[:0]
+    if target is DisorderTarget.EDGE_FREQUENCIES:
+        return model.edges, bonds[:0]
+    if target is DisorderTarget.COUPLINGS:
+        return sites[:0], bonds
+    return sites, bonds
 
-    freqs: np.ndarray
-    couplings: np.ndarray
-    bonds: np.ndarray
-    edges: np.ndarray
-    rate: float
 
-    @classmethod
-    def of(cls, *systems) -> _SiteModel:
-        """The model of chains or grids that share their layout and rate."""
-        first = systems[0]
-        if isinstance(first, TridiagonalHamiltonian):
-            entries = [(s.omegas, s.couplings) for s in systems]
-            shape, edges, rate = (1, first.n), [0, first.n - 1], first.rate_J
-        else:
-            entries = [_grid_sites(s) for s in systems]
-            shape, edges, rate = (first.rows, first.cols), first.corner_indices(), first.J
-        freqs, couplings = (np.array(e) for e in zip(*entries))
-        return cls(freqs, couplings, _bond_pairs(*shape), np.array(edges), rate)
+def _perturbed(model: _SiteModel, targeted, noise: np.ndarray, members) -> np.ndarray:
+    """(S, D, D) site matrices in rad/s: system members[s] with noise row s
+    of the (S, n) `noise` added at the `targeted` (sites, bonds)."""
+    sites, bonds = targeted
+    freqs, couplings = model.freqs[members], model.couplings[members]
+    freqs[:, sites] += noise[:, : sites.size]
+    couplings[:, bonds] += noise[:, sites.size :]
+    return model.matrices(freqs=freqs, couplings=couplings)
 
-    def targeted(self, target: DisorderTarget) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the perturbed frequencies and couplings, in draw order."""
-        sites, bonds = np.arange(self.freqs.shape[1]), np.arange(self.couplings.shape[1])
-        if target is DisorderTarget.MIDDLE_FREQUENCIES:
-            return np.setdiff1d(sites, self.edges), bonds[:0]
-        if target is DisorderTarget.EDGE_FREQUENCIES:
-            return self.edges, bonds[:0]
-        if target is DisorderTarget.COUPLINGS:
-            return sites[:0], bonds
-        return sites, bonds
 
-    def matrices(self, targeted, noise: np.ndarray, members) -> np.ndarray:
-        """(S, D, D) site matrices: system members[s] with noise row s of the
-        (S, n) `noise` added at the `targeted` (sites, bonds)."""
-        sites, bonds = targeted
-        freqs, couplings = self.freqs[members], self.couplings[members]
-        freqs[:, sites] += noise[:, : sites.size]
-        couplings[:, bonds] += noise[:, sites.size :]
-        return _site_matrix(freqs, couplings, self.bonds)
+def _check_pairing(model: _SiteModel, metric: SweepMetric) -> None:
+    """Grids, with their four corners, take the corner metric; chains take the others."""
+    corner = metric is SweepMetric.W_AT_QUARTER_T
+    if model.edges.size == 4 and not corner:
+        raise ValueError("grids support only the corner metric")
+    if model.edges.size == 2 and corner:
+        raise ValueError("the corner metric requires a Grid2D")
 
 
 def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndarray:
@@ -197,10 +176,8 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-axis-point Monte Carlo summary plus the raw sample values."""
+    """Per-sigma Monte Carlo summary plus the raw sample values."""
 
-    axis_name: str
-    axis: np.ndarray
     mean: np.ndarray
     std: np.ndarray
     samples: np.ndarray
@@ -224,37 +201,20 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     the usable CPUs for large stacks, runs over the flattened (m, sigma, sample) rows.
     Failed and non-finite samples are counted and left out of the statistics, not raised.
     """
+    model = _SiteModel.of(system)
+    _check_pairing(model, metric)
     qpt = metric is SweepMetric.QPT_AT_HALF_T
-    stacked = not isinstance(system, (DomeParams, Grid2D))
-    systems = list(system) if stacked else [system]
-    if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
-        raise TypeError("system must be DomeParams or Grid2D")
-    layouts = {(type(s), s.J, getattr(s, "N", None), getattr(s, "rows", None),
-                getattr(s, "cols", None)) for s in systems}
-    if len(layouts) != 1:
-        raise ValueError("stacked systems must share kind, size and rate")
-    if isinstance(systems[0], Grid2D):
-        if metric is not SweepMetric.W_AT_QUARTER_T:
-            raise ValueError("grids support only the corner metric")
-        model = _SiteModel.of(*systems)
-    else:
-        if metric is SweepMetric.W_AT_QUARTER_T:
-            raise ValueError("the corner metric requires a Grid2D")
-        model = _SiteModel.of(*map(dome_hamiltonian, systems))
     readout = model.edges[-1:] if qpt else model.edges
     duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
 
-    def amplitudes(H: np.ndarray) -> np.ndarray:
-        return _readout_amplitudes(H * model.rate, duration, readout)
-
     if not qpt:
-        a0 = amplitudes(_site_matrix(model.freqs, model.couplings, model.bonds))
+        a0 = _readout_amplitudes(model.matrices(), duration, readout)
         p0 = np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
 
     n_samples, axis = cfg.samples, np.array(cfg.sigmas)
-    targeted = model.targeted(cfg.target)
+    targeted = _targeted(model, cfg.target)
     unit = _unit_normals(cfg.seed, range(n_samples), sum(idx.size for idx in targeted))
-    fids = np.empty(len(systems) * axis.size * n_samples)
+    fids = np.empty(model.freqs.shape[0] * axis.size * n_samples)
     entries = model.freqs.shape[1] ** 2
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     workers = len(cpus) if fids.size * entries >= SPLIT_MIN_ENTRIES else 1
@@ -269,7 +229,8 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
                     rows = np.arange(start, min(start + chunk, first + share, fids.size))
                     members, point = np.divmod(rows, axis.size * n_samples)
                     noise = axis[point // n_samples, None] * unit[point % n_samples]
-                    a = amplitudes(model.matrices(targeted, noise, members))
+                    a = _readout_amplitudes(_perturbed(model, targeted, noise, members),
+                                            duration, readout)
                     if qpt:
                         fids[rows] = np.abs(1.0 + a[:, 0]) ** 2 / 4.0
                     else:
@@ -294,9 +255,8 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     std = np.array(
         [np.std(f[o], ddof=1) if o.sum() > 1 else 0.0 for f, o in zip(fids, ok)]
     )
-    shape = (len(systems), axis.size) if stacked else axis.shape
-    return SweepResult(axis_name="sigma", axis=np.broadcast_to(axis, shape).copy(),
-                       mean=mean.reshape(shape), std=std.reshape(shape),
+    shape = model.stack + axis.shape
+    return SweepResult(mean=mean.reshape(shape), std=std.reshape(shape),
                        samples=ok.sum(axis=1).reshape(shape),
                        failures=(~ok).sum(axis=1).reshape(shape),
                        fidelities=fids.reshape(*shape, n_samples))
@@ -306,39 +266,33 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
 class DecoherenceScan:
     """Fidelity grids of the T1 scan (Tphi fixed) and Tphi scan (T1 fixed)."""
 
-    metric: SweepMetric
-    m_values: tuple[int, ...]
-    t1_values_us: tuple[float, ...]
-    tphi_values_us: tuple[float, ...]
-    fixed_tphi_us: float
-    fixed_t1_us: float
     t1_scan: np.ndarray
     tphi_scan: np.ndarray
 
     def gain_vs_first_m(self, scan: str = "t1") -> np.ndarray:
-        """Fidelity minus the first-m row; the per-grid-point m gain."""
+        """Fidelity minus the first-m row; the per-grid-point m gain of a stack."""
         grid = self.t1_scan if scan == "t1" else self.tphi_scan
         return grid - grid[0]
 
 
 def sweep_decoherence(
-    n_sites: int,
+    system,
     metric: SweepMetric,
     *,
-    m_values,
     t1_us_values,
     tphi_us_values,
     fixed_t1_us: float,
     fixed_tphi_us: float,
-    rate_MHz: float,
 ) -> DecoherenceScan:
-    """Open-system fidelity over the (T1, Tphi) grids for each m.
+    """Open-system fidelity over the (T1, Tphi) grids.
 
-    Two scans per m: T1 (`t1_us_values`) varied at fixed Tphi and Tphi
-    (`tphi_us_values`) varied at fixed T1; times in microseconds, J/2pi =
-    `rate_MHz`.
+    `system` is one DomeParams or a sequence of them that differ only in m
+    (repeated m included): then both grids gain a leading M axis.  Two
+    scans per chain: T1 (`t1_us_values`) varied at fixed Tphi and Tphi
+    (`tphi_us_values`) varied at fixed T1; times in microseconds, the rate
+    the chains' J in rad/s.
     One `evolve_lindblad` call evolves |1><1| to the metric's time under
-    every m and every (T1, Tphi) point, repeated m values included.  The
+    every chain and every (T1, Tphi) point.  The
     entanglement metric is the end-pair overlap with the noise-free T/4
     state; the transfer metric is the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u the noise-free end
@@ -348,13 +302,11 @@ def sweep_decoherence(
     """
     if metric is SweepMetric.W_AT_QUARTER_T:
         raise ValueError("decoherence scans are defined for chain metrics")
-    m_values = tuple(int(m) for m in m_values)
-    rate_J = 2 * np.pi * rate_MHz * 1e6
-    hams = np.array([
-        dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate_J)).matrix(physical=True)
-        for m in m_values
-    ])
-    period = 2 * np.pi / rate_J
+    model = _SiteModel.of(system)
+    _check_pairing(model, metric)
+    hams = model.matrices()
+    n_sites = hams.shape[-1]
+    period = 2 * np.pi / model.rate
 
     qpt = metric is SweepMetric.QPT_AT_HALF_T
     duration = period / (2 if qpt else 4)
@@ -378,15 +330,6 @@ def sweep_decoherence(
             state_fidelity(reduce_to_sites(rhos, (1, n_sites)), ideal)
             for rhos, ideal in zip(finals, ideals)
         ])
-    t1_scan, tphi_scan = fids[:, : len(t1_us_values)], fids[:, len(t1_us_values) :]
-
-    return DecoherenceScan(
-        metric=metric,
-        m_values=m_values,
-        t1_values_us=tuple(float(v) for v in t1_us_values),
-        tphi_values_us=tuple(float(v) for v in tphi_us_values),
-        fixed_tphi_us=fixed_tphi_us,
-        fixed_t1_us=fixed_t1_us,
-        t1_scan=t1_scan,
-        tphi_scan=tphi_scan,
-    )
+    fids = fids.reshape(model.stack + (len(decos),))
+    return DecoherenceScan(t1_scan=fids[..., : len(t1_us_values)],
+                           tphi_scan=fids[..., len(t1_us_values) :])

@@ -40,7 +40,7 @@ from domechain import (
 from domechain.cli import resolve
 from test_dynamics import expm_evolve
 from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
-from test_noise import scan_table
+from test_noise import scan_chains, scan_table
 
 SYNTH_SIZES = range(2, 17)
 SYNTH_CURVATURES = (0, 1, 2, 3, 4, 6, 10)
@@ -161,7 +161,7 @@ def test_criterion_4_decoherence_scans_and_curvature_cost():
         (SweepMetric.BELL_AT_QUARTER_T, 0.008),
         (SweepMetric.QPT_AT_HALF_T, 0.004),
     ):
-        scan = sweep_decoherence(5, metric, **scan_table())
+        scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
         t1_gain = float(scan.t1_scan[0][-1] - scan.t1_scan[0][0])
         tphi_gain = float(scan.tphi_scan[0][-1] - scan.tphi_scan[0][0])
         m_gain = float(np.max(scan.gain_vs_first_m(scan="t1")))

@@ -448,7 +448,7 @@ def test_coherent_sweep_csv_equals_per_m_calls(outdir, metric, layout):
         res = sweep_coherent(system, c, SweepMetric(metric))
         for j in range(len(sigmas)):
             lines.append(
-                f"coherent,{metric},{m},sigma_over_J,{res.axis[j]:.12g},,,"
+                f"coherent,{metric},{m},sigma_over_J,{sigmas[j]:.12g},,,"
                 f"{res.mean[j]:.12g},{res.std[j]:.12g},{res.samples[j]},{res.failures[j]}"
             )
     assert (outdir / "sw.csv").read_text() == "".join(f"{line}\n" for line in lines)
@@ -539,7 +539,7 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
     # One non-positive state at one (m, T1, Tphi) point fails the whole scan.
     from domechain import dynamics
     from domechain.noise import SweepMetric, sweep_decoherence
-    from test_noise import scan_table
+    from test_noise import scan_chains, scan_table
 
     evolve_open = dynamics._evolve_open
 
@@ -550,7 +550,7 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
 
     monkeypatch.setattr(dynamics, "_evolve_open", corrupted)
     with pytest.raises(RuntimeError, match="positivity"):
-        sweep_decoherence(3, SweepMetric.QPT_AT_HALF_T,
+        sweep_decoherence(scan_chains(3), SweepMetric.QPT_AT_HALF_T,
                           **scan_table(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0)))
     assert run(["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
                 "--set", "N=3", "--set", "m_values=[2,102]", "--set", "t1_us_values=[3,30]",
@@ -1077,22 +1077,25 @@ def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
     # diagonalizations and no dense grid matrix.  An open grid still needs
     # the dense matrix, because dephasing does not factor over the chains.
     from domechain import dynamics
+    from domechain.models import _SiteModel
 
-    eighs, dense = [], []
-    eigendecompose, matrix = dynamics.eigendecompose, cli.single_excitation_matrix
+    eighs, built = [], []
+    eigendecompose, matrices = dynamics.eigendecompose, _SiteModel.matrices
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H.shape) or eigendecompose(H))
-    monkeypatch.setattr(cli, "single_excitation_matrix",
-                        lambda *a, **k: dense.append(a) or matrix(*a, **k))
+    monkeypatch.setattr(_SiteModel, "matrices",
+                        lambda *a, **k: built.append(matrices(*a, **k).shape) or matrices(*a, **k))
     grid = ["evolve", "--set", "rows=3", "--set", "cols=5", "--set", "m_x=2", "--set", "m_y=1",
             "--set", "rate_MHz=5", "--set", "points=21"]
     assert run(grid) == 0
-    assert (eighs, dense) == ([(3, 3), (5, 5)], [])
+    assert (eighs, built) == ([(3, 3), (5, 5)], [(1, 3, 3), (1, 5, 5)])
     # A square grid with m_x = m_y has the same chain along both axes.
     eighs.clear()
+    built.clear()
     assert run([*grid, "--set", "rows=5", "--set", "m_y=2"]) == 0
-    assert (eighs, dense) == ([(5, 5)], [])
+    assert (eighs, built) == ([(5, 5)], [(1, 5, 5)])
+    built.clear()
     assert run([*grid, "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
-    assert len(dense) == 1
+    assert built == [(1, 15, 15)]
 
 
 def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):

@@ -7,6 +7,7 @@ from domechain.models import (
     DomeParams,
     Grid2D,
     PerturbativeBreakdownError,
+    _SiteModel,
     dome_hamiltonian,
     schrieffer_wolff_reduce,
     single_excitation_matrix,
@@ -63,6 +64,107 @@ def test_dome_params_validation_and_capability():
     p = DomeParams(N=5, m=2, J=2.0)
     assert check_pst_spacing(dome_spectrum(p.N, p.m), np.pi)  # even m: PST at T/2
     assert abs(p.period * p.J - 2 * np.pi) < 1e-15
+
+
+_BAD_CHAINS = {
+    "N-fraction": dict(N=5.5, m=2),
+    "N-below-2": dict(N=1, m=2),
+    "N-inf": dict(N=np.inf, m=2),
+    "N-nan": dict(N=np.nan, m=2),
+    "m-fraction": dict(N=5, m=2.5),
+    "m-negative": dict(N=5, m=-1),
+    "m-inf": dict(N=5, m=np.inf),
+    "m-nan": dict(N=5, m=np.nan),
+    "J-zero": dict(N=5, m=2, J=0.0),
+    "J-negative": dict(N=5, m=2, J=-1.0),
+    "J-inf": dict(N=5, m=2, J=np.inf),
+    "J-nan": dict(N=5, m=2, J=np.nan),
+}
+_BAD_GRIDS = {
+    "rows-fraction": (2.5, 3, 2, 2),
+    "cols-below-2": (3, 1, 2, 2),
+    "cols-inf": (3, np.inf, 2, 2),
+    "m_x-fraction": (3, 4, 0.5, 2),
+    "m_y-negative": (3, 4, 2, -1),
+    "m_x-inf": (3, 4, np.inf, 2),
+    "m_y-nan": (3, 4, 2, np.nan),
+    "J-inf": (3, 4, 2, 2, np.inf),
+    "J-nan": (3, 4, 2, 2, np.nan),
+    "J-zero": (3, 4, 2, 2, 0.0),
+}
+
+
+@pytest.mark.parametrize("params", list(_BAD_CHAINS.values()), ids=list(_BAD_CHAINS))
+def test_dome_params_refuse_every_bad_value(params):
+    # Fractional sizes once built a longer chain, infinite rates gave inf and
+    # nan matrices, and m = inf raised OverflowError; each is a ValueError.
+    with pytest.raises(ValueError):
+        DomeParams(**params)
+
+
+@pytest.mark.parametrize("args", list(_BAD_GRIDS.values()), ids=list(_BAD_GRIDS))
+def test_grid_refuses_every_bad_value(args):
+    with pytest.raises(ValueError):
+        Grid2D(*args)
+
+
+def test_integral_floats_and_numpy_integers_are_read_as_ints():
+    chain = DomeParams(N=5.0, m=np.int64(2), J=3.0)
+    assert chain == DomeParams(N=5, m=2, J=3.0)
+    assert (type(chain.N), type(chain.m)) == (int, int)
+    grid = Grid2D(np.int64(3), 4.0, 2.0, np.int64(1))
+    assert grid == Grid2D(3, 4, 2, 1)
+    assert all(type(v) is int for v in (grid.rows, grid.cols, grid.m_x, grid.m_y))
+    np.testing.assert_array_equal(single_excitation_matrix(grid),
+                                  single_excitation_matrix(Grid2D(3, 4, 2, 1)))
+
+
+_RATES = (1.0, 0.37, 3.0, 2 * np.pi * 5e6)
+
+
+def test_site_model_matrices_equal_the_closed_form_chains():
+    # The model's matrices are the closed forms' own, bit for bit, one
+    # system or a stack over m, in rad/s or in units of J.
+    ms = (0, 1, 2, 3, 10, 102)
+    for N in range(2, 40):
+        for J in _RATES:
+            chains = [DomeParams(N, m, J) for m in ms]
+            stack = _SiteModel.of(chains)
+            assert stack.stack == (len(ms),) and stack.rate == J
+            np.testing.assert_array_equal(stack.edges, [0, N - 1])
+            H = stack.matrices()
+            for chain, h in zip(chains, H):
+                ref = dome_hamiltonian(chain)
+                np.testing.assert_array_equal(h, ref.matrix(physical=True))
+                one = _SiteModel.of(chain)
+                assert one.stack == ()
+                np.testing.assert_array_equal(one.matrices(physical=False)[0], ref.matrix())
+
+
+def test_site_model_matrices_equal_the_grid_matrices():
+    ms = (0, 1, 2, 3, 10, 102)
+    for R in range(2, 7):
+        for C in range(2, 7):
+            for J in _RATES:
+                grids = [Grid2D(R, C, m, (m + 2) % 5, J) for m in ms]
+                H = _SiteModel.of(grids).matrices()
+                for grid, h in zip(grids, H):
+                    np.testing.assert_array_equal(h, single_excitation_matrix(grid, physical=True))
+                    row = dome_hamiltonian(grid.row_chain())
+                    col = dome_hamiltonian(grid.column_chain())
+                    ref = loop_grid_matrix(row.omegas[None, :] + col.omegas[:, None],
+                                           np.tile(row.couplings, (R, 1)),
+                                           np.repeat(col.couplings[:, None], C, axis=1))
+                    np.testing.assert_array_equal(h, ref * J)
+
+
+def test_site_model_takes_only_chains_and_grids():
+    with pytest.raises(TypeError):
+        _SiteModel.of(dome_hamiltonian(DomeParams(N=5, m=2)))
+    with pytest.raises(TypeError):
+        _SiteModel.of([DomeParams(N=5, m=2), np.eye(5)])
+    with pytest.raises(ValueError, match="share kind, size and rate"):
+        _SiteModel.of([DomeParams(N=5, m=2), DomeParams(N=5, m=2, J=2.0)])
 
 
 def test_matrix_physical_scaling():

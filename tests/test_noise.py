@@ -4,7 +4,7 @@ The batched sweep is checked against a per-sample path that shares no
 code with it: `perturbed` (one Philox generator per sample, its draws
 added entry by entry to `dome_hamiltonian` or `single_excitation_matrix`)
 -> `evolve_closed` -> `reduce_to_sites` -> `state_fidelity`.  The draw
-and targeting tests run on `noise._SiteModel`, the pipeline sweeps run.
+and targeting tests run on `models._SiteModel`, the pipeline sweeps run.
 The transfer metric, coherent and under T1/Tphi, is checked against the
 emulated process tomography `test_metrics.simulate_qpt`.
 """
@@ -23,6 +23,7 @@ from domechain.metrics import reduce_to_sites, state_fidelity
 from domechain.models import (
     DomeParams,
     Grid2D,
+    _SiteModel,
     dome_hamiltonian,
     single_excitation_matrix,
 )
@@ -54,6 +55,15 @@ def scan_table(**overrides):
     """sweep_decoherence's scan arguments from the CLI's one table of defaults."""
     resolved = cli.resolve("sweep", {"kind": "decoherence", "metric": "qpt_at_half_t", "N": 2})
     return {key: resolved[key] for key in cli._SCAN} | overrides
+
+
+def scan_chains(n_sites: int, m_values=None) -> list:
+    """The chains of a default decoherence scan (the CLI's m values and rate),
+    or of the given m values at that rate."""
+    cfg = {"kind": "decoherence", "metric": "qpt_at_half_t", "N": n_sites}
+    if m_values is not None:
+        cfg["m_values"] = list(m_values)
+    return cli._systems(cli.resolve("sweep", cfg))
 
 
 def perturbed(system, c, k: int) -> np.ndarray:
@@ -95,21 +105,21 @@ def perturbed(system, c, k: int) -> np.ndarray:
 
 def unit_rows(model, c, indices):
     """The targeted (sites, bonds) of c and the unit normals of draws `indices`."""
-    targeted = model.targeted(c.target)
+    targeted = noise._targeted(model, c.target)
     return targeted, noise._unit_normals(c.seed, indices, sum(idx.size for idx in targeted))
 
 
 def sampled(system, c, k: int) -> np.ndarray:
-    """Sample k's site matrix in units of J, from the pipeline sweeps run;
-    c has one sigma."""
+    """Sample k's site matrix in rad/s (units of J for J = 1), from the
+    pipeline sweeps run; c has one sigma."""
     (sigma,) = c.sigmas
-    model = noise._SiteModel.of(system)
+    model = _SiteModel.of(system)
     targeted, unit = unit_rows(model, c, [k])
-    return model.matrices(targeted, sigma * unit, [0])[0]
+    return noise._perturbed(model, targeted, sigma * unit, [0])[0]
 
 
 def test_perturb_is_deterministic_in_seed_and_index():
-    base = dome_hamiltonian(DomeParams(N=5, m=2))
+    base = DomeParams(N=5, m=2)
     c = cfg(DisorderTarget.ALL)
     a = sampled(base, c, 7)
     np.testing.assert_array_equal(a, sampled(base, c, 7))
@@ -117,8 +127,9 @@ def test_perturb_is_deterministic_in_seed_and_index():
 
 
 def test_perturb_middle_frequencies_only():
-    base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = sampled(base, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
+    params = DomeParams(N=6, m=2)
+    base = dome_hamiltonian(params)
+    out = sampled(params, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
     assert out[0, 0] == base.omegas[0]
     assert out[-1, -1] == base.omegas[-1]
     assert not np.array_equal(np.diag(out)[1:-1], base.omegas[1:-1])
@@ -126,8 +137,9 @@ def test_perturb_middle_frequencies_only():
 
 
 def test_perturb_edge_frequencies_only():
-    base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = sampled(base, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
+    params = DomeParams(N=6, m=2)
+    base = dome_hamiltonian(params)
+    out = sampled(params, cfg(DisorderTarget.EDGE_FREQUENCIES), 0)
     assert out[0, 0] != base.omegas[0]
     assert out[-1, -1] != base.omegas[-1]
     np.testing.assert_array_equal(np.diag(out)[1:-1], base.omegas[1:-1])
@@ -135,17 +147,17 @@ def test_perturb_edge_frequencies_only():
 
 
 def test_perturb_couplings_only():
-    base = dome_hamiltonian(DomeParams(N=6, m=2))
-    out = sampled(base, cfg(DisorderTarget.COUPLINGS), 0)
+    params = DomeParams(N=6, m=2)
+    base = dome_hamiltonian(params)
+    out = sampled(params, cfg(DisorderTarget.COUPLINGS), 0)
     np.testing.assert_array_equal(np.diag(out), base.omegas)
     assert not np.array_equal(np.diag(out, 1), base.couplings)
     np.testing.assert_array_equal(out, out.T)
 
 
 def test_perturb_preserves_rate():
-    base = dome_hamiltonian(DomeParams(N=4, m=2, J=3.0e7))
-    assert noise._SiteModel.of(base).rate == base.rate_J
-    assert noise._SiteModel.of(Grid2D(2, 3, 2, 2, J=3.0e7)).rate == 3.0e7
+    assert _SiteModel.of(DomeParams(N=4, m=2, J=3.0e7)).rate == 3.0e7
+    assert _SiteModel.of(Grid2D(2, 3, 2, 2, J=3.0e7)).rate == 3.0e7
 
 
 def test_perturb_grid_targets_corners_vs_interior():
@@ -226,7 +238,7 @@ def test_sweep_is_deterministic():
 def test_sweep_multi_sigma_axis():
     c = cfg(DisorderTarget.MIDDLE_FREQUENCIES, sigmas=(0.0, 0.5, 1.0), samples=8)
     res = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)
-    assert res.axis.shape == (3,)
+    assert res.mean.shape == (3,)
     assert res.fidelities.shape == (3, 8)
     assert abs(res.mean[0] - 1.0) < 1e-9
 
@@ -332,10 +344,9 @@ def test_batched_sweep_matches_per_sample_path(case, target, m):
 )
 def test_perturb_equals_batched_rows(system, target):
     c = cfg(target, sigmas=(0.7,))
-    model = noise._SiteModel.of(dome_hamiltonian(system) if isinstance(system, DomeParams)
-                                else system)
+    model = _SiteModel.of(system)
     targeted, unit = unit_rows(model, c, range(6))
-    stack = model.matrices(targeted, 0.7 * unit, [0] * 6)
+    stack = noise._perturbed(model, targeted, 0.7 * unit, [0] * 6)
     for k in range(6):
         np.testing.assert_array_equal(perturbed(system, c, k), stack[k])
 
@@ -394,7 +405,7 @@ def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
         if workers:
             force_split(monkeypatch, workers)
         stacked = sweep_coherent(systems, c, metric)
-        for field in ("axis", "mean", "std", "samples", "failures", "fidelities"):
+        for field in ("mean", "std", "samples", "failures", "fidelities"):
             want = np.array([getattr(r, field) for r in per_m])
             np.testing.assert_array_equal(getattr(stacked, field), want,
                                           err_msg=f"{field}, {workers} workers")
@@ -428,12 +439,18 @@ def test_mismatched_stack_is_refused(systems):
     metric = SweepMetric.W_AT_QUARTER_T if grid else SweepMetric.BELL_AT_QUARTER_T
     with pytest.raises(ValueError, match="share kind, size and rate"):
         sweep_coherent(systems, cfg(DisorderTarget.ALL, samples=2), metric)
+    # The decoherence scan reads its systems through the same model, so it
+    # refuses the same stacks (with a chain metric, which grids would reach).
+    with pytest.raises(ValueError, match="share kind, size and rate"):
+        sweep_decoherence(systems, SweepMetric.BELL_AT_QUARTER_T, **scan_table())
 
 
 def test_stack_of_non_systems_is_refused():
-    with pytest.raises(TypeError):
-        sweep_coherent([dome_hamiltonian(DomeParams(N=5, m=2))], cfg(DisorderTarget.ALL),
-                       SweepMetric.BELL_AT_QUARTER_T)
+    for system in ([dome_hamiltonian(DomeParams(N=5, m=2))], dome_hamiltonian(DomeParams(N=5, m=2))):
+        with pytest.raises(TypeError):
+            sweep_coherent(system, cfg(DisorderTarget.ALL), SweepMetric.BELL_AT_QUARTER_T)
+        with pytest.raises(TypeError):
+            sweep_decoherence(system, SweepMetric.BELL_AT_QUARTER_T, **scan_table())
 
 
 def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
@@ -571,9 +588,9 @@ def test_decoherence_scan_pinned_endpoints():
     # scan endpoint at T1 = 3 us, Tphi = 5 us and the Tphi endpoint at
     # Tphi = 0.5 us, T1 = 30 us.
     scan = sweep_decoherence(
-        5,
+        scan_chains(5, m_values=(2,)),
         SweepMetric.BELL_AT_QUARTER_T,
-        **scan_table(m_values=(2,), t1_us_values=(3.0,), tphi_us_values=(0.5,)),
+        **scan_table(t1_us_values=(3.0,), tphi_us_values=(0.5,)),
     )
     assert abs(scan.t1_scan[0, 0] - 0.9715619723) < 1e-5
     assert abs(scan.tphi_scan[0, 0] - 0.8855576848) < 1e-5
@@ -581,9 +598,9 @@ def test_decoherence_scan_pinned_endpoints():
 
 def test_decoherence_scan_shapes_and_gain():
     scan = sweep_decoherence(
-        3,
+        scan_chains(3, m_values=(2, 6)),
         SweepMetric.BELL_AT_QUARTER_T,
-        **scan_table(m_values=(2, 6), t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0)),
+        **scan_table(t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0)),
     )
     assert scan.t1_scan.shape == (2, 2)
     assert scan.tphi_scan.shape == (2, 2)
@@ -596,10 +613,11 @@ def test_decoherence_scan_shapes_and_gain():
 @pytest.mark.parametrize("n_sites", [2, 5])
 def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
     t1s, tphis = (3.0, 300.0), (0.5, 50.0)
-    scan = sweep_decoherence(n_sites, SweepMetric.QPT_AT_HALF_T,
+    chains = scan_chains(n_sites)
+    scan = sweep_decoherence(chains, SweepMetric.QPT_AT_HALF_T,
                              **scan_table(t1_us_values=t1s, tphi_us_values=tphis))
-    for i, m in enumerate(scan.m_values):
-        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
+    for i, chain in enumerate(chains):
+        ham = dome_hamiltonian(chain)
         points = [(scan.t1_scan[i, j], t1, 5.0) for j, t1 in enumerate(t1s)]
         points += [(scan.tphi_scan[i, j], 30.0, tphi) for j, tphi in enumerate(tphis)]
         for got, t1, tphi in points:
@@ -624,13 +642,14 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
     # Every point of the default (T1, Tphi) grids against the dense oracle:
     # the tomography emulation for the transfer channel, the entrywise
     # partial trace of the dense state for the Bell overlap.
-    scan = sweep_decoherence(n_sites, metric, **scan_table(m_values=(0, 2, 102)))
-    for i, m in enumerate(scan.m_values):
-        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=RATE_5MHZ))
-        points = [(scan.t1_scan[i, j], t1, scan.fixed_tphi_us)
-                  for j, t1 in enumerate(scan.t1_values_us)]
-        points += [(scan.tphi_scan[i, j], scan.fixed_t1_us, tphi)
-                   for j, tphi in enumerate(scan.tphi_values_us)]
+    chains, table = scan_chains(n_sites, m_values=(0, 2, 102)), scan_table()
+    scan = sweep_decoherence(chains, metric, **table)
+    for i, chain in enumerate(chains):
+        ham = dome_hamiltonian(chain)
+        points = [(scan.t1_scan[i, j], t1, table["fixed_tphi_us"])
+                  for j, t1 in enumerate(table["t1_us_values"])]
+        points += [(scan.tphi_scan[i, j], table["fixed_t1_us"], tphi)
+                   for j, tphi in enumerate(table["tphi_us_values"])]
         assert len(points) == 16
         for got, t1, tphi in points:
             deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
@@ -655,15 +674,31 @@ def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
         expms.clear()
         eighs.clear()
-        scan = sweep_decoherence(5, metric, **scan_table())
-        assert len(scan.m_values) == 2
+        scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
+        assert len(scan.t1_scan) == 2
         assert exponentiated(expms) == 8 * 2
         assert len(eighs) <= 2 * 2
 
 
 def test_decoherence_scan_rejects_grid_metric():
-    with pytest.raises(ValueError):
-        sweep_decoherence(5, SweepMetric.W_AT_QUARTER_T, **scan_table())
+    with pytest.raises(ValueError, match="chain metrics"):
+        sweep_decoherence(scan_chains(5), SweepMetric.W_AT_QUARTER_T, **scan_table())
+    with pytest.raises(ValueError, match="only the corner metric"):
+        sweep_decoherence(Grid2D(2, 3, 2, 2, J=RATE_5MHZ), SweepMetric.BELL_AT_QUARTER_T,
+                          **scan_table())
+
+
+@pytest.mark.parametrize("metric", [SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T])
+def test_stacked_scan_equals_per_chain_calls(metric):
+    # Like the coherent sweeps: a stack's rows are the single-chain scans, bit
+    # for bit, repeated m and all, and one chain drops the leading axis.
+    chains = scan_chains(4, m_values=(0, 2, 102, 2))
+    table = scan_table(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0))
+    stacked = sweep_decoherence(chains, metric, **table)
+    for field in ("t1_scan", "tphi_scan"):
+        per_chain = [getattr(sweep_decoherence(c, metric, **table), field) for c in chains]
+        assert per_chain[0].shape == (2,)
+        np.testing.assert_array_equal(getattr(stacked, field), np.array(per_chain))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])

@@ -25,6 +25,7 @@ from domechain import (
 from domechain import noise
 from domechain.cascade import segment_lengths
 from domechain.cli import _fmt, _json_text, _table_bytes, main
+from domechain.models import _SiteModel
 from test_noise import unit_rows
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -119,12 +120,13 @@ def test_reduced_states_are_physical(N, seed, keep):
     target=st.sampled_from(list(DisorderTarget)),
 )
 def test_perturbation_is_deterministic_and_targeted(seed, index, sigma, target):
-    ham = dome_hamiltonian(DomeParams(N=6, m=2))
+    params = DomeParams(N=6, m=2)
+    ham = dome_hamiltonian(params)
     cfg = DisorderConfig(target=target, sigmas=(sigma,), seed=seed, samples=1)
-    model = noise._SiteModel.of(ham)
+    model = _SiteModel.of(params)
     targeted, unit = unit_rows(model, cfg, [index])
-    a = model.matrices(targeted, sigma * unit, [0])[0]
-    b = model.matrices(targeted, sigma * unit_rows(model, cfg, [index])[1], [0])[0]
+    a = noise._perturbed(model, targeted, sigma * unit, [0])[0]
+    b = noise._perturbed(model, targeted, sigma * unit_rows(model, cfg, [index])[1], [0])[0]
     np.testing.assert_array_equal(a, b)
     omegas, couplings = np.diag(a), np.diag(a, 1)
     if target is DisorderTarget.COUPLINGS:
