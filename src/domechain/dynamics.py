@@ -25,20 +25,36 @@ three exactly solvable parts:
     rho_00    = tr rho(0) - tr rho_S
 
 The vacuum coherences ride the closed eigendecomposition, one per site
-block; when rho0 has none they stay zero and no block is diagonalized.  T1 enters the site block only as the scalar e^{-gamma1 t}: its
-D^2 x D^2 generator is G_phi - gamma1, so the block is propagated under
-G_phi once per distinct Tphi and scaled per T1.  `evolve_lindblad` takes a
-stack of site blocks and a sequence of configs, so a whole decoherence
-scan is one call.  Steps within a few ulps of the end time count as one
-length, and consecutive steps of one length form a run.  Small systems
-exponentiate G_phi densely, every (site block, Tphi, step length) in one
-stacked expm call up to a memory budget, and fill each run by doubling:
-with k states known, the next k are those times the k-th power of the step
-map, squared once per round, where squaring is cheaper than stepping.
-Large systems apply G_phi with scipy's expm_multiply on its sparse form,
-one call per run.  Positivity of every output state is checked by one
-stacked Cholesky factorization of rho + 1e-6 I; eigvalsh decides only
-when that fails.
+block; when rho0 has none they stay zero and no block is diagonalized.
+T1 enters the site block only as the scalar e^{-gamma1 t}, so the block
+is propagated under G_phi (the commutator and dephasing) once per distinct
+Tphi and scaled per T1.
+
+The site block is propagated in real coordinates.  H is real symmetric,
+so with rho_S = X + iY (X real symmetric, Y real antisymmetric) the
+equation reads X' = [H, Y] - Gamma o X and Y' = -[H, X] - Gamma o Y.  In
+the orthonormal coordinates x_ii, sqrt(2) x_ij and sqrt(2) y_ij (i < j)
+the commutator is a real skew D^2 x D^2 matrix and dephasing is diagonal.
+Noise-free chains and grids commute with the reversal of all site indices,
+bit for bit (Christandl et al., PRL 92, 187902, 2004).  When every H in a
+stack equals H[::-1, ::-1], the coordinates split into reversal-even and
+reversal-odd blocks of ceil(D^2/2) and floor(D^2/2), which evolve on their
+own.  The generator is assembled from per-size index maps, linear in the
+entries of H, with no D^2 x D^2 basis.
+
+`evolve_lindblad` takes a stack of site blocks and a sequence of configs,
+so a whole decoherence scan is one call.  Steps within a few ulps of the
+end time count as one length, and consecutive steps of one length form a
+run.  Up to DENSE_GENERATOR_MAX_SITES sites the blocks are exponentiated
+densely, every (site block, mirror block, Tphi, step length) in one
+stacked Pade scaling-and-squaring call (`_expm`) up to a memory budget,
+and each run is filled by doubling: with k states
+known, the next k are those times the k-th power of the step map, squared
+once per round, where squaring is cheaper than stepping.  Larger systems
+apply each block's sparse generator with scipy's expm_multiply, one call
+per run.  Positivity of every output state is checked by one stacked
+Cholesky factorization of rho + 1e-6 I; eigvalsh decides only when that
+fails.
 `evolve_closed` is the one closed propagator: one diagonalization and one
 real matrix product give every output time, and a single time is a one-point
 grid.  A closed grid (H_col kron 1 + 1 kron H_row) is evolved as the product
@@ -46,12 +62,14 @@ of two such calls, one per chain, so its D x D matrix is never built.  The
 vacuum terms of open evolution are evaluated for the whole time grid the
 same way.
 
-scipy is imported by the open propagator only, on its first call, so
-closed evolution runs on numpy alone.
+scipy is imported only by the sparse branch of the open propagator, on its
+first call, so closed evolution and open evolution up to
+DENSE_GENERATOR_MAX_SITES sites run on numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -70,27 +88,28 @@ __all__ = [
 # The dense cost grows as D^6 but only logarithmically with the coupling
 # scale; expm_multiply grows as D^2 times the coupling scale.  Timed on the
 # `domechain evolve` default grid (402 points, 5 MHz, T1 = 30 us, Tphi = 5 us,
-# one BLAS thread), which costs 5 dense exponentials: at D = 20 dense is
-# 1.4x faster than sparse for the m = 2 chain and the 4x5 grid, at D = 24
-# it is 1.7x slower for the m = 2 chain and the 4x6 grid, and the stiff
-# m = 102 chain ran 10-24x faster dense from D = 16 to 22.  The sparse path
-# is what lets large grids run at all: one dense matrix needs 1.6 GB at
-# D = 100.
-DENSE_GENERATOR_MAX_SITES = 20
+# one BLAS thread), which costs 5 dense exponentials per mirror block: for
+# the m = 2 chain dense was 8x faster than sparse at D = 24, 1.8x at 32 and
+# 1.1x at 36, and 1.3x slower at 40; for grids 2.6x faster at 5x6 and 1.3x
+# at 6x6, and 1.1x slower at 6x7.  The stiff m = 102 chain ran 250-700x
+# faster dense at D = 16-24.  Peak memory at D = 36 was 130-160 MB dense
+# against 90 MB sparse; the sparse path is what lets large grids run at all.
+DENSE_GENERATOR_MAX_SITES = 36
 
 # Matrix entries per stacked LAPACK call: site matrices per `eigh` in the
 # disorder sweeps, generator entries per dense `expm` of the open propagator.
 MAX_CHUNK_ENTRIES = 1 << 20
 
-# A run of L equal dense steps with an n x n map (n = D^2) is filled by
-# doubling when its log2(L) squarings, n^3 multiply-adds each, cost at most
-# this many multiply-adds per step; otherwise it takes one matrix-vector
-# product per step.  Timed on one BLAS thread, runs of 99 and 397 steps:
-# always doubling was 2-5x faster than stepping at D <= 5, about even at
-# D = 8-10 and up to 2x slower from D = 12, where one squaring costs more
-# than the products it saves.  This bound doubles up to D = 8 on 99 steps
-# and up to D = 10 on 397.
-DOUBLING_MACS_PER_STEP = 1 << 15
+# A run of L equal dense steps with an n x n map (n = ceil(D^2/2) when the
+# block is mirror-split, D^2 otherwise) is filled by doubling when its
+# log2(L) squarings, n^3 multiply-adds each, cost at most this many
+# multiply-adds per step; otherwise it takes one matrix-vector product per
+# step.  Timed on one BLAS thread with both mirror blocks in one stack,
+# runs of 99 and 397 steps: doubling took 0.1-0.6x the time of stepping up
+# to D = 12, 0.9x at D = 14 and 2x at D = 16 on 99 steps, and 0.66x at
+# D = 20 and 0.9x at D = 24 on 397.  This bound doubles up to D = 15 on 99
+# steps and up to D = 18 on 397.
+DOUBLING_MACS_PER_STEP = 1 << 17
 
 
 def site_state(n_sites: int, site: int) -> np.ndarray:
@@ -220,24 +239,206 @@ def _step_runs(steps: np.ndarray, t_end: float) -> tuple[np.ndarray, list[tuple[
 
 
 def _fill_run(block: np.ndarray, A: np.ndarray, prev: np.ndarray) -> None:
-    """block[i] = A^(i+1) prev for every row.
+    """block[:, i] = A^(i+1) prev for every row i, per leading index.
 
-    With A^k known and the first i >= k rows filled, the next k rows are
-    block[i-k : i] @ (A^k)^T.  When doubling pays (see
-    DOUBLING_MACS_PER_STEP), A^k is squared after every such product, so a
-    run of L rows takes about 2 log2(L) products; otherwise k stays 1.
+    block is (P, L, n), A (P, n, n) and prev (P, n).  With A^k known and the
+    first i >= k rows filled, the next k rows are block[:, i-k : i] @
+    (A^k)^T.  When doubling pays (see DOUBLING_MACS_PER_STEP), A^k is
+    squared after every such product, so a run of L rows takes about
+    2 log2(L) products; otherwise k stays 1.
     """
-    np.matmul(A, prev, out=block[0])
-    L, n = len(block), A.shape[0]
+    np.matmul(A, prev[..., None], out=block[:, :1].swapaxes(1, 2))
+    L, n = block.shape[1], A.shape[-1]
     double = n**3 * L.bit_length() <= DOUBLING_MACS_PER_STEP * L
     i, k, power = 1, 1, A
     while i < L:
         m = min(k, L - i)
-        np.matmul(block[i - k : i - k + m], power.T, out=block[i : i + m])
+        np.matmul(block[:, i - k : i - k + m], power.swapaxes(1, 2), out=block[:, i : i + m])
         i += m
         if double and i < L:
             power = power @ power
             k *= 2
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, read-only: cached results are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _coordinates(D: int, split: bool) -> tuple[np.ndarray, ...]:
+    """Real coordinates of a Hermitian D x D site block, in B = 1 or 2 blocks.
+
+    rho_S = X + iY has the orthonormal coordinates x_ii, sqrt(2) x_ij and
+    sqrt(2) y_ij (i < j).  Site reversal i -> D-1-i sends x_ij to
+    x_{D-1-j,D-1-i} and y_ij to -y_{D-1-j,D-1-i}.  With `split` each orbit
+    {u, v} of that map gives (r_u + s_u r_v)/sqrt(2) to the even block and
+    (r_u - s_u r_v)/sqrt(2) to the odd one (s_u the sign of the map), and a
+    fixed coordinate joins the block of its own sign: ceil(D^2/2) and
+    floor(D^2/2) coordinates.  Without it all D^2 form one block.  Blocks
+    are padded to n = ceil(D^2/2) or D^2 coordinates; a padding coordinate
+    is coupled to nothing and stays 0.
+
+    Returns (dephase, index, weight): the (B, n) dephasing factors (0 on
+    x_ii and padding, 4 elsewhere), and (B, D^2, 2) arrays that give, for
+    the real (last index 0) and the imaginary part (1) of every row-major
+    entry e, the flat index b n + c of its coordinate c in block b and its
+    weight: Re rho_e = sum_b weight[b, e, 0] r[index[b, e, 0]].
+    """
+    size = D * D
+    u = np.arange(size)
+    upper, strict = np.triu_indices(D), np.triu_indices(D, 1)
+    nx = upper[0].size
+    xid, yid = np.zeros((D, D), dtype=np.intp), np.zeros((D, D), dtype=np.intp)
+    xid[upper] = xid[upper[::-1]] = u[:nx]
+    yid[strict] = yid[strict[::-1]] = u[nx:]
+    first, second = np.r_[upper[0], strict[0]], np.r_[upper[1], strict[1]]
+    if split:
+        sign = np.where(u < nx, 1.0, -1.0)
+        mirror = (D - 1 - second, D - 1 - first)
+        partner = np.where(u < nx, xid[mirror], yid[mirror])
+        parities = (1.0, -1.0)
+    else:
+        sign, partner, parities = np.ones(size), u, (1.0,)
+    rep, fixed = np.minimum(u, partner), partner == u
+    n = (size + 1) // 2 if split else size
+    dephase = np.zeros((len(parities), n))
+    col, weight = np.empty((len(parities), size), dtype=np.intp), np.empty((len(parities), size))
+    for b, parity in enumerate(parities):
+        member = ~fixed | (sign == parity)
+        owner = member & (rep == u)
+        col[b] = b * n + (np.cumsum(owner) - 1)[rep]
+        norm = np.where(fixed, 1.0, np.sqrt(0.5))
+        weight[b] = member * np.where(rep == u, 1.0, parity * sign) * norm
+        dephase[b, : owner.sum()] = np.where(first == second, 0.0, 4.0)[owner]
+    i, j = np.divmod(u, D)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    parts = np.stack([xid[lo, hi], yid[lo, hi]], axis=1)
+    scale = np.stack([np.where(i == j, 1.0, np.sqrt(0.5)), np.sign(j - i) * np.sqrt(0.5)], axis=1)
+    return _frozen(dephase, col[:, parts], weight[:, parts] * scale)
+
+
+@functools.lru_cache(maxsize=64)
+def _generator_terms(D: int, split: bool, support: bytes) -> tuple[np.ndarray, ...]:
+    """The commutator part of the real generator, as a linear function of H.
+
+    `support` marks the nonzero entries of H.  On row-major vecs the
+    commutator is -i C with C = H kron 1 - 1 kron H, which has H_ik at
+    ((i, j), (k, j)) and -H_lj at ((i, j), (i, l)).  With W = W_r + i W_i
+    the entry maps of `_coordinates`, the block generator W^H (-i C) W is
+    real and equals S - S^T with S = W_r^T C W_i; the terms between mirror
+    blocks vanish and are not formed.  Returns (flat index b n^2 + p n + q
+    into the (B, n, n) blocks, row-major index into H, coefficient), with
+    repeated (block entry, H entry) pairs merged.
+    """
+    dephase, index, weight = _coordinates(D, split)
+    B, n = dephase.shape
+    row, col = np.divmod(np.flatnonzero(np.frombuffer(support, dtype=bool)), D)
+    j = np.arange(D)
+    e = np.concatenate([row[:, None] * D + j, j * D + col[:, None]]).ravel()
+    f = np.concatenate([col[:, None] * D + j, j * D + row[:, None]]).ravel()
+    h = np.repeat(np.r_[row, row] * D + np.r_[col, col], D)
+    s = np.repeat([1.0, -1.0], row.size * D)
+    coef = (s * weight[:, e, 0] * weight[:, f, 1]).ravel()
+    keep = coef != 0.0
+    (blk, p), q = np.divmod(index[:, e, 0].ravel()[keep], n), index[:, f, 1].ravel()[keep] % n
+    h, coef = np.tile(h, B)[keep], coef[keep]
+    # S at b n^2 + p n + q and -S^T at b n^2 + q n + p.
+    key, inverse = np.unique(
+        np.r_[blk * n * n + p * n + q, blk * n * n + q * n + p] * (D * D) + np.r_[h, h],
+        return_inverse=True,
+    )
+    return _frozen(key // (D * D), key % (D * D), np.bincount(inverse, np.r_[coef, -coef]))
+
+
+# Pade degrees m below 13, each with the 1-norm up to which it is accurate
+# to unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) and its
+# coefficients b_0..b_m as rows (b_m, b_{m-2}, ..., b_1) and (b_{m-1}, ...,
+# b_0): U = A (row 0 . (A^(m-1), ..., A^2, I)) and V = row 1 . (same).
+# Degree 13 is evaluated as U = A (A6 R0 + R1), V = A6 R2 + R3, with R0..R3
+# the combinations of (A6, A4, A2, I) in _PADE13_TERMS.
+_PADE = {
+    m: (theta, np.array([b[::-2], b[-2::-2]]))
+    for m, theta, b in (
+        (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+        (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+        (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                                   1512.0, 56.0, 1.0)),
+        (9, 2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                                30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    )
+}
+_PADE13_TERMS = np.array([
+    [1.0, 16380.0, 40840800.0, 0.0],
+    [33522128640.0, 10559470521600.0, 1187353796428800.0, 32382376266240000.0],
+    [182.0, 960960.0, 1323241920.0, 0.0],
+    [670442572800.0, 129060195264000.0, 7771770303897600.0, 64764752532480000.0],
+])
+_THETA13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of a (P, n, n) stack of real matrices by scaling and squaring.
+
+    The lowest Pade degree of 3, 5, 7 and 9 whose bound covers the largest
+    1-norm in the stack is taken unscaled.  Beyond that, degree 13 with the
+    scaling of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31, 2009): each
+    matrix is halved s times, with s set by max(||A^6||^(1/6),
+    ||A^8||^(1/8)) <= 5.37, and squared back.  One batched evaluation serves
+    the stack.  scipy.linalg.expm is not used: on real input its degree-13
+    approximant loses up to a few hundred ulps (scipy 1.17: a plane rotation
+    by 4 rad is 3.7e-14 off, 1.1e-16 here), and squaring amplifies that
+    (4.3e-12 at 500 rad).
+    """
+    P, n = A.shape[:2]
+    norms = _onenorm(A)
+    top = norms.max(initial=0.0)
+    squarings = None
+    degree = next((m for m, (theta, _) in _PADE.items() if top <= theta), 13)
+    if degree < 13:
+        terms = _PADE[degree][1]
+        half = degree // 2
+        powers = np.empty((half, P, n, n))  # A^(m-1), ..., A^4, A^2
+        np.matmul(A, A, out=powers[-1])
+        for i in range(half - 2, -1, -1):
+            np.matmul(powers[i + 1], powers[-1], out=powers[i])
+        r = (terms[:, :-1] @ powers.reshape(half, -1)).reshape(2, P, n, n)
+        r.reshape(2, P, n * n)[:, :, :: n + 1] += terms[:, -1:, None]
+        U, V = A @ r[0], r[1]
+    else:
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        if top > _THETA13:
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha = np.maximum(_onenorm(A6) ** (1 / 6), _onenorm(A4 @ A4) ** (1 / 8))
+            # Overflowed powers fall back to the 1-norm, which also bounds alpha.
+            squarings = np.ceil(np.log2(np.maximum(np.fmin(alpha, norms), _THETA13) / _THETA13))
+            squarings = squarings.astype(int)
+            c = np.ldexp(1.0, -squarings)[:, None, None]
+            A, A2, A4, A6 = A * c, A2 * c**2, A4 * c**4, A6 * c**6
+        powers = np.stack([A6, A4, A2])
+        r = (_PADE13_TERMS[:, :3] @ powers.reshape(3, -1)).reshape(4, P, n, n)
+        r.reshape(4, P, n * n)[:, :, :: n + 1] += _PADE13_TERMS[:, 3, None, None]
+        U = A @ (A6 @ r[0] + r[1])
+        V = A6 @ r[2] + r[3]
+    # (V - U)^-1 (V + U) = 1 + 2 (V - U)^-1 U: the correction to 1 carries
+    # the rounding, not the whole map.
+    E = 2.0 * np.linalg.solve(V - U, U)
+    E.reshape(P, n * n)[:, :: n + 1] += 1.0
+    for k in range(1, 0 if squarings is None else squarings.max() + 1):
+        if squarings.min() >= k:
+            E = E @ E
+        else:
+            more = squarings >= k
+            E[more] = E[more] @ E[more]
+    return E
+
+
+def _onenorm(A: np.ndarray) -> np.ndarray:
+    return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
 def _site_blocks(
@@ -249,70 +450,101 @@ def _site_blocks(
 ) -> np.ndarray:
     """(M, F, T, D^2) row-major vecs of the site block without relaxation.
 
-    Pair (m, f) steps sites0 with the generator -i (H_m kron 1 - 1 kron H_m)
-    (H is real symmetric) minus 4 gamma_phi[f] on the coherences between
-    sites.  Consecutive steps of one length form a run.  Dense step maps
-    come from stacked expm calls of at most MAX_CHUNK_ENTRIES generator
-    entries each, and _fill_run fills each run from its map; above
-    DENSE_GENERATOR_MAX_SITES every pair takes one expm_multiply call per
-    run on the sparse form.
+    sites0 is the Hermitian site block of rho0, flattened.  Pair (m, f)
+    evolves it under -i [H_m, .] minus 4 gamma_phi[f] on the coherences
+    between sites, in the real coordinates of `_coordinates`, split by
+    mirror parity when every H_m equals H_m[::-1, ::-1].  Dense step maps
+    of every (m, block, f) come from stacked _expm calls of at most
+    MAX_CHUNK_ENTRIES generator entries each, and _fill_run fills each run
+    of equal steps from them; above DENSE_GENERATOR_MAX_SITES sites
+    `_sparse_runs` propagates instead.
     """
     M, D = H.shape[:2]
-    n = D * D
-    eye = np.eye(D)
-    dephase = 4.0 * (1.0 - eye).reshape(n)
-    out = np.empty((M, gamma_phi.size, steps.size, n), dtype=complex)
+    split = bool((H == H[:, ::-1, ::-1]).all())
+    dephase, index, weight = _coordinates(D, split)
+    flat, h, coef = _generator_terms(D, split, (H != 0).any(axis=0).tobytes())
+    (B, n), F, T = dephase.shape, gamma_phi.size, steps.size
+    values = H.reshape(M, -1)[:, h] * coef
+    start = np.bincount(index.ravel(), (weight * sites0.view(float).reshape(-1, 2)).ravel(),
+                        minlength=B * n).reshape(B, n)
     lengths, runs = _step_runs(steps, t_end)
+    coords = np.empty((M, F, T, B, n))
     if D <= DENSE_GENERATOR_MAX_SITES:
-        import scipy.linalg
-
-        pairs = [(k, f) for k in range(M) for f in range(gamma_phi.size)]
+        K = np.bincount((np.arange(M)[:, None] * (B * n * n) + flat).ravel(), values.ravel(),
+                        minlength=M * B * n * n).astype(float, copy=False).reshape(M, B, n, n)
         per_call = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n))
-        for start in range(0, len(pairs), per_call):
-            chunk = pairs[start : start + per_call]
-            ks, fs = np.array(chunk).T
-            kron = np.einsum("kij,ab->kiajb", H[ks], eye) - np.einsum("ij,kab->kiajb", eye, H[ks])
-            G = -1j * kron.reshape(len(chunk), n, n)
-            G.reshape(len(chunk), -1)[:, :: n + 1] -= gamma_phi[fs, None] * dephase
-            maps = scipy.linalg.expm(G[:, None] * lengths[:, None, None])
-            for (k, f), step_maps in zip(chunk, maps):
-                prev, block = sites0, out[k, f]
-                for i, stop, g in runs:
-                    if g < 0:
-                        block[i:stop] = prev
-                    else:
-                        _fill_run(block[i:stop], step_maps[g], prev)
-                    prev = block[stop - 1]
-        return out
+        for first in range(0, M * B * F, per_call):
+            chunk = np.arange(first, min(first + per_call, M * B * F))
+            ks, bs, fs = np.unravel_index(chunk, (M, B, F))
+            G = K[ks, bs]
+            G.reshape(len(ks), -1)[:, :: n + 1] -= gamma_phi[fs, None] * dephase[bs]
+            maps = _expm((G[:, None] * lengths[:, None, None]).reshape(-1, n, n))
+            maps = maps.reshape(len(ks), lengths.size, n, n)
+            traj, prev = np.empty((len(ks), T, n)), start[bs]
+            for i, stop, g in runs:
+                if g < 0:
+                    traj[:, i:stop] = prev[:, None]
+                else:
+                    _fill_run(traj[:, i:stop], maps[:, g], prev)
+                prev = traj[:, stop - 1]
+            coords[ks, fs, :, bs] = traj
+    else:
+        _sparse_runs(values, flat, dephase, gamma_phi, start, coords, lengths, runs)
+    coords = coords.reshape(M, F, T, B * n)
+    out = np.empty((M, F, T, D * D), dtype=complex)
+    parts = out.view(float).reshape(M, F, T, D * D, 2)  # (Re, Im) of each entry
+    np.multiply(np.take(coords, index[0], axis=-1), weight[0], out=parts)
+    for b in range(1, B):
+        parts += np.take(coords, index[b], axis=-1) * weight[b]
+    return out
+
+
+def _sparse_runs(
+    values: np.ndarray,
+    flat: np.ndarray,
+    dephase: np.ndarray,
+    gamma_phi: np.ndarray,
+    start: np.ndarray,
+    coords: np.ndarray,
+    lengths: np.ndarray,
+    runs: list[tuple[int, int, int]],
+) -> None:
+    """Fill coords[m, f, :, b] with one expm_multiply call per run.
+
+    The generator of block b for H_m has values[m] at the (B, n, n) flat
+    indices `flat` of that block, minus gamma_phi[f] dephase[b] on its
+    diagonal.
+    """
     import scipy.sparse
     from scipy.sparse.linalg import expm_multiply
 
+    B, n = dephase.shape
+    blk, rows, cols = np.unravel_index(flat, (B, n, n))
     # expm_multiply takes its degree and step count from onenormest, which
     # draws from numpy's global RNG.  Seeding it before every call makes each
     # run a function of its inputs; the caller's state is restored.
-    ident = scipy.sparse.identity(D, format="csr")
     state = np.random.get_state()
     try:
-        for k, h in enumerate(H):
-            Hs = scipy.sparse.csr_matrix(h)
-            commutator = scipy.sparse.kron(Hs, ident) - scipy.sparse.kron(ident, Hs)
-            for f, rate in enumerate(gamma_phi):
-                Gf = (-1j * commutator - scipy.sparse.diags(rate * dephase)).tocsr()
-                prev, block = sites0, out[k, f]
-                for i, stop, g in runs:
-                    if g < 0:
-                        block[i:stop] = prev
-                    else:
-                        np.random.seed(0)
-                        L, dt = stop - i, lengths[g]
-                        block[i:stop] = (
-                            expm_multiply(Gf * dt, prev) if L == 1 else
-                            expm_multiply(Gf, prev, start=dt, stop=L * dt, num=L, endpoint=True)
-                        )
-                    prev = block[stop - 1]
+        for b in range(B):
+            here = blk == b
+            for k, vals in enumerate(values[:, here]):
+                K = scipy.sparse.csr_matrix((vals, (rows[here], cols[here])), shape=(n, n))
+                for f, rate in enumerate(gamma_phi):
+                    G = (K - scipy.sparse.diags(rate * dephase[b])).tocsr()
+                    prev, block = start[b], coords[k, f, :, b]
+                    for i, stop, g in runs:
+                        if g < 0:
+                            block[i:stop] = prev
+                        else:
+                            np.random.seed(0)
+                            L, dt = stop - i, lengths[g]
+                            block[i:stop] = (
+                                expm_multiply(G * dt, prev) if L == 1 else
+                                expm_multiply(G, prev, start=dt, stop=L * dt, num=L, endpoint=True)
+                            )
+                        prev = block[stop - 1]
     finally:
         np.random.set_state(state)
-    return out
 
 
 def _evolve_open(
@@ -331,8 +563,9 @@ def _evolve_open(
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
-    steps = np.diff(times, prepend=0.0)
-    if np.any(steps < 0):
+    steps = np.zeros_like(times)  # steps[0] = times[0] - 0
+    np.subtract(times[1:], times[:-1], out=steps[1:])
+    if (steps < 0).any():
         raise ValueError("times must be non-decreasing")
     M, D = H.shape[:2]
     dephasing: dict[float, int] = {}  # distinct gamma_phi -> its block index
@@ -386,7 +619,7 @@ def evolve_lindblad(
         raise ValueError("rho0 must be Hermitian with unit trace")
     rhos = _evolve_open(stack, rho0, times, decos)
     traces = np.real(np.einsum("...ii->...", rhos))
-    if not np.all(np.abs(traces - 1.0) <= 1e-6):
+    if not (np.abs(traces - 1.0) <= 1e-6).all():
         raise RuntimeError("open evolution drifted in trace beyond 1e-6")
     # Cholesky of rho + 1e-6 I succeeds only when no eigenvalue of rho is
     # below -1e-6 (up to rounding); when it fails, eigvalsh decides.

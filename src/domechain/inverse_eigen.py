@@ -79,32 +79,40 @@ def compute_weights(spec: Spectrum) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _recurrence(
-    lam: np.ndarray, weights: np.ndarray, steps: int
+    lam: np.ndarray, weights: np.ndarray, steps: int, couplings: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the normalized recurrence for `steps` (at most N - 1) steps.
 
-    Returns (omegas, couplings), one of each per step.  Raises
+    Returns `steps` omegas and the first `couplings` (default `steps`)
+    couplings; a step past the last coupling forms only its omega.  Raises
     ReconstructionError when a coefficient overflows or a norm collapses;
-    overflow is detected, not warned about.
+    overflow is detected, not warned about.  A norm collapses when
+    orthogonalization cancels lambda P_{n-1} to rounding: ||P_n|| <= 1e-14
+    ||lambda P_{n-1}||, where ||lambda P_{n-1}||^2 = ||P_n||^2 + J_{n-1}^2 +
+    omega_n^2 for the normalized P_{n-1}.  A coupling that is merely small
+    against max|lambda| is kept; `_check_spectrum` judges the chain.
     """
-    floor = 1e-14 * float(np.max(np.abs(lam)))
-    omegas = []
-    couplings = []
+    couplings = steps if couplings is None else couplings
+    omegas, js = [], []
     p_prev = np.zeros(lam.size)
     p_cur = np.ones(lam.size)  # ||P_0|| = sqrt(sum alpha) = 1
     j_prev = 0.0
     for n in range(1, steps + 1):
         om = float(np.sum(weights * lam * p_cur**2))
         omegas.append(om)
+        if not math.isfinite(om):
+            raise ReconstructionError(f"recurrence overflowed at degree {n}")
+        if n > couplings:
+            break
         q = (lam - om) * p_cur - j_prev * p_prev
         jn = float(np.sqrt(np.sum(weights * q * q)))
-        if not (math.isfinite(om) and math.isfinite(jn)):
+        if not math.isfinite(jn):
             raise ReconstructionError(f"recurrence overflowed at degree {n}")
-        if not jn > floor:
+        if not jn > 1e-14 * math.hypot(jn, j_prev, om):
             raise ReconstructionError(f"recurrence norm collapsed at degree {n}")
-        couplings.append(jn)
+        js.append(jn)
         p_prev, p_cur, j_prev = p_cur, q / jn, jn
-    return np.array(omegas), np.array(couplings)
+    return np.array(omegas), np.array(js)
 
 
 def _exponent(values: np.ndarray) -> int:
@@ -125,17 +133,16 @@ def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
         return TridiagonalHamiltonian(
             omegas=spec.values.copy(), couplings=np.zeros(0), rate_J=spec.rate_J
         )
-    half = (N + 1) // 2
+    half, half_c = (N + 1) // 2, N // 2
     e = _exponent(spec.values)
     omegas_half, couplings_half = (
-        np.ldexp(c, e) for c in _recurrence(np.ldexp(spec.values, -e), weights, half)
+        np.ldexp(c, e) for c in _recurrence(np.ldexp(spec.values, -e), weights, half, half_c)
     )
     omegas = np.zeros(N)
     omegas[:half] = omegas_half
     omegas[half:] = omegas_half[: N - half][::-1]
     couplings = np.zeros(N - 1)
-    couplings[:half] = couplings_half
-    half_c = (N - 1 + 1) // 2
+    couplings[:half_c] = couplings_half
     couplings[half_c:] = couplings[: (N - 1) - half_c][::-1]
     return TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
 

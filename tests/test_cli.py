@@ -200,11 +200,15 @@ def test_json_writer_without_c_accelerator(monkeypatch):
 
 
 def test_synth_numerical_breakdown_exits_3(outdir, capsys):
-    # A spectrum this wide breaks the recurrence; its norm test must not
-    # overflow into an internal error.
-    assert run(["synth", "--set", "N=5", "--set", f"m={10**200}"]) == 3
+    # A spectrum this wide breaks the recurrence (its outer weight underflows,
+    # so degree 1 sees two nodes); its norm test must not overflow into an
+    # internal error.  Dome spectra as wide as N=5, m=10**200 synthesize: a
+    # coupling small against max|lambda| is not a collapse, and the
+    # spectrum check accepts the chain.
+    assert run(["synth", "--set", "spectrum=[-1e-170,0,1e170]"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical"
+    assert run(["synth", "--set", "N=5", "--set", f"m={10**200}"]) == 0
 
 
 def test_synth_rejects_single_site(outdir, capsys):
@@ -1020,6 +1024,10 @@ _LAZY_CASES = {
                 "--set", "k=4", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.01"],
     "evolve_open": ["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=9",
                     "--set", "rate_MHz=5", "--set", "decoherence.t1_us=30"],
+    # 42 sites, above DENSE_GENERATOR_MAX_SITES: the expm_multiply branch.
+    "evolve_open_sparse": ["evolve", "--set", "rows=6", "--set", "cols=7", "--set", "m_x=2",
+                           "--set", "m_y=2", "--set", "points=3", "--set", "n_periods=0.01",
+                           "--set", "rate_MHz=5", "--set", "decoherence.t1_us=30"],
 }
 
 
@@ -1059,7 +1067,13 @@ def test_cli_import_builds_no_formatter_tables():
 
 
 def test_open_evolve_imports_scipy_linalg():
-    assert "scipy.linalg" in _modules_after(_LAZY_CASES["evolve_open"])
+    # Only the sparse branch needs scipy; a dense open evolve runs on numpy.
+    from domechain.dynamics import DENSE_GENERATOR_MAX_SITES
+
+    assert 6 * 7 > DENSE_GENERATOR_MAX_SITES
+    assert "scipy.linalg" in _modules_after(_LAZY_CASES["evolve_open_sparse"])
+    loaded = {name.split(".")[0] for name in _modules_after(_LAZY_CASES["evolve_open"])}
+    assert not loaded & {"scipy", "jsonschema"}
 
 
 def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
@@ -1121,21 +1135,20 @@ def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
 
 
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
-    # The default grid needs 5 step exponentials; |1><1| has no vacuum
-    # coherences to propagate, so the one diagonalization is the QPT
-    # column's closed amplitudes.
+    # The default grid needs 5 step exponentials for each of the chain's two
+    # mirror blocks; |1><1| has no vacuum coherences to propagate, so the one
+    # diagonalization is the QPT column's closed amplitudes.
     # One stacked expm call carries several maps, so matrices are counted.
-    import scipy.linalg
     from domechain import dynamics
     from test_dynamics import exponentiated
 
     expms, eighs = [], []
-    expm, eigendecompose = scipy.linalg.expm, dynamics.eigendecompose
-    monkeypatch.setattr(scipy.linalg, "expm", lambda A: expms.append(A) or expm(A))
+    expm, eigendecompose = dynamics._expm, dynamics.eigendecompose
+    monkeypatch.setattr(dynamics, "_expm", lambda A: expms.append(A) or expm(A))
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
-    assert (exponentiated(expms), len(eighs)) == (5, 1)
+    assert (exponentiated(expms), len(eighs)) == (2 * 5, 1)
 
 
 @pytest.mark.parametrize(

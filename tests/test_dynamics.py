@@ -3,7 +3,8 @@
 The open-system oracle builds the vectorized Liouvillian (row-major vec
 convention: vec(A X B) = (A kron B^T) vec(X)) and exponentiates it with
 scipy.linalg.expm.  It shares no code with the block-split propagator in
-dynamics.
+dynamics, which works in real, mirror-split coordinates with its own
+Pade exponential.
 """
 
 import contextlib
@@ -13,7 +14,6 @@ import pytest
 import scipy.linalg
 
 from domechain.dynamics import (
-    DENSE_GENERATOR_MAX_SITES,
     DecoherenceConfig,
     eigendecompose,
     evolve_closed,
@@ -64,15 +64,18 @@ def expm_evolve(H_site, rho0, t, deco):
 
 
 def exponentiated(calls) -> int:
-    """Matrices exponentiated by recorded scipy.linalg.expm arguments (stacks count per slice)."""
+    """Matrices exponentiated by recorded expm arguments (stacks count per slice)."""
     return sum(A.size // A.shape[-1] ** 2 for A in calls)
 
 
-def test_lindblad_matches_superoperator_exponential():
+def test_lindblad_matches_superoperator_exponential(monkeypatch):
     # Small instances in units of J, N <= 3, both channels on; N = 5 at the
     # physical working point (5 MHz, T1 = 30 us, Tphi = 5 us) for the mild
-    # m = 2 and the stiff m = 102 chain; and a 3x7 grid (D = 21), which is
-    # above DENSE_GENERATOR_MAX_SITES and takes the expm_multiply branch.
+    # m = 2 and the stiff m = 102 chain; and a 3x7 grid (D = 21), which
+    # takes the expm_multiply branch once the dense threshold is held at 20.
+    import domechain.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 20)
     rng = np.random.default_rng(11)
     cases = []
     deco = DecoherenceConfig(t1=2.0, t_phi=3.0)
@@ -89,7 +92,7 @@ def test_lindblad_matches_superoperator_exponential():
         times = np.array([0.0, ham.period / 4, ham.period / 2])
         cases.append((ham.matrix(physical=True), deco, times))
     grid = Grid2D(3, 7, 2, 2, J=rate)
-    assert grid.rows * grid.cols > DENSE_GENERATOR_MAX_SITES
+    assert grid.rows * grid.cols > dynamics.DENSE_GENERATOR_MAX_SITES
     times = np.array([0.0, grid.period / 4, grid.period / 2])
     cases.append((single_excitation_matrix(grid, physical=True), deco, times))
     for H, deco, times in cases:
@@ -101,6 +104,85 @@ def test_lindblad_matches_superoperator_exponential():
         for k, t in enumerate(times):
             ref = expm_evolve(H, rho0, t, deco)
             assert np.max(np.abs(traj.rhos[k] - ref)) < 1e-12
+
+
+def random_density(n_sites, rng):
+    """A full-rank Hermitian unit-trace state on vacuum plus sites, with vacuum coherences."""
+    shape = (n_sites + 1, n_sites + 1)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def shifted_chain(n_sites, m, rate):
+    """A dome chain whose first site is detuned by J/10: no longer mirror-symmetric."""
+    H = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate)).matrix(physical=True)
+    H[0, 0] += 0.1 * rate
+    return H
+
+
+def _oracle_systems():
+    rate = 2 * np.pi * 5e6
+    for N in range(2, 10):
+        for m in (0, 2, 102):
+            ham = dome_hamiltonian(DomeParams(N=N, m=m, J=rate))
+            yield f"chain-{N}-{m}", ham.matrix(physical=True)
+    for rows, cols in ((2, 2), (2, 3), (3, 4), (3, 7)):
+        grid = Grid2D(rows, cols, 2, 2, J=rate)
+        yield f"grid-{rows}x{cols}", single_excitation_matrix(grid, physical=True)
+    yield "shifted-chain-7-2", shifted_chain(7, 2, rate)
+
+
+@pytest.mark.parametrize("H", [pytest.param(H, id=name) for name, H in _oracle_systems()])
+def test_real_propagator_matches_liouvillian(monkeypatch, H):
+    # The real, mirror-split site-block propagator against the dense
+    # (D+1)^2 Liouvillian at the working point (5 MHz, T1 = 30 us, Tphi =
+    # 5 us), from a mixed state with vacuum coherences, at T/8, T/4 and T/2
+    # of one call.  The 3x7 grid (21 sites) runs the dense branch and, with
+    # the threshold held at 20, the expm_multiply branch.
+    import domechain.dynamics as dynamics
+
+    period = 1 / 5e6
+    times = np.array([0.0, period / 8, period / 4, period / 2])
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    rho0 = random_density(H.shape[0], np.random.default_rng(H.shape[0]))
+    refs = [expm_evolve(H, rho0, t, deco) for t in times]
+    thresholds = [dynamics.DENSE_GENERATOR_MAX_SITES] + ([20] if H.shape[0] > 20 else [])
+    for threshold in thresholds:
+        monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", threshold)
+        rhos = evolve_lindblad(H, rho0, times, deco).rhos
+        assert np.max(np.abs(rhos - refs)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 6, 9])
+def test_mirror_symmetric_stacks_exponentiate_half_blocks(monkeypatch, n_sites):
+    # A stack of dome chains (and a grid) equals its mirror image bit for
+    # bit, so every exponentiated map is real with at most ceil(D^2/2)
+    # coordinates, two per (chain, Tphi, step length).  One detuned chain in
+    # the stack makes every map real and D^2 x D^2, one per (chain, Tphi,
+    # step length).
+    import domechain.dynamics as dynamics
+
+    calls = []
+    expm = dynamics._expm
+    monkeypatch.setattr(dynamics, "_expm", lambda A: calls.append(A) or expm(A))
+    rate = 2 * np.pi * 5e6
+    chains = [dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate)).matrix(physical=True)
+              for m in (0, 2, 102)]
+    times = np.array([0.0, 1e-8, 2e-8, 5e-8])  # two step lengths
+    decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t_phi=2e-6)]
+    rho0 = random_density(n_sites, np.random.default_rng(0))
+    detuned = np.array([*chains, shifted_chain(n_sites, 2, rate)])
+    stacks = [(np.array(chains), True), (detuned, False)]
+    if n_sites == 6:
+        grid = single_excitation_matrix(Grid2D(2, 3, 2, 2, J=rate), physical=True)
+        stacks.append((grid[None], True))
+    for H, split in stacks:
+        calls.clear()
+        evolve_lindblad(H, rho0, times, decos)
+        n = (n_sites**2 + 1) // 2 if split else n_sites**2
+        assert {(A.dtype, A.shape[-1]) for A in calls} == {(np.dtype(float), n)}
+        assert exponentiated(calls) == len(H) * len(decos) * 2 * (2 if split else 1)
 
 
 def longdouble_site_block(H_site, deco, t, sites0):
@@ -133,15 +215,14 @@ def longdouble_site_block(H_site, deco, t, sites0):
     return E @ sites0.astype(A.dtype)
 
 
-@pytest.mark.parametrize("N, bound", [(5, 5e-14), (9, 4e-13), (12, 3e-13), (15, 1e-12)])
+@pytest.mark.parametrize("N, bound", [(5, 5e-14), (9, 1.5e-13), (12, 2e-13), (15, 7e-13)])
 def test_stiff_open_step_matches_extended_precision(N, bound):
     # One T/4 step of the stiff m = 102 chain at the physical working point
     # (5 MHz, T1 = 30 us, Tphi = 5 us; ||G t||_1 is about 1e4 at N = 12).
-    # Measured: 2.1e-14, 1.8e-13, 1.3e-13 and 7.8e-13 from the
+    # Measured: 1.4e-14, 5.9e-14, 9.7e-14 and 4.1e-13 from the
     # extended-precision oracle at N = 5, 9, 12 and 15; the scipy dense
-    # Liouvillian sits 3.0e-14, 1.5e-13, 1.1e-13 and 1.1e-13 from it, so at
-    # N = 15 the error is the site-block step's.  The oracle takes about 5 s
-    # at N = 15.
+    # Liouvillian sits 3.0e-14, 1.5e-13, 1.1e-13 and 1.1e-13 from it.  The
+    # oracle takes about 3 s at N = 15.
     assert np.finfo(np.longdouble).eps < 1e-18
     ham = dome_hamiltonian(DomeParams(N=N, m=102, J=2 * np.pi * 5e6))
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
@@ -335,12 +416,14 @@ def test_evolve_closed_matches_per_time_propagator():
 def test_default_grid_shares_step_exponentials(monkeypatch):
     # The `domechain evolve` default grid has 5 true step lengths once T/4
     # and T/2 are marked; last-bit differences must not add exponentials.
-    # One stacked expm call carries several maps, so matrices are counted.
+    # One stacked expm call carries several maps, so matrices are counted:
+    # 5 for each of the chain's two mirror blocks.
+    import domechain.dynamics as dynamics
     from domechain.cli import _evolve_times
 
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
+    expm = dynamics._expm
+    monkeypatch.setattr(dynamics, "_expm", lambda A: calls.append(A) or expm(A))
     ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
     H = ham.matrix(physical=True)
     times, marked = _evolve_times(_resolved_evolve({}), ham.period)
@@ -348,7 +431,7 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
     traj = evolve_lindblad(H, rho0, times, deco)
-    assert exponentiated(calls) == 5
+    assert exponentiated(calls) == 2 * 5
     for t in [*marked, times[-1]]:
         k = int(np.flatnonzero(times == t)[0])
         assert np.max(np.abs(traj.rhos[k] - expm_evolve(H, rho0, t, deco))) < 1e-12
@@ -442,27 +525,35 @@ _GRIDS = {
 def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
     # Every run of one step map, filled by doubling (or, at N = 10 on the
     # default grid, one product per step), against one product per step of
-    # the same maps.  The default grids place T/4 and T/2 mid-run.
+    # the same maps.  The default grids place T/4 and T/2 mid-run.  The maps
+    # act on the real coordinates of each mirror block; a random Hermitian
+    # block is taken there and back by the coordinates' entry maps.
     import domechain.dynamics as dynamics
 
     maps = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda A: maps.append(expm(A)) or maps[-1])
+    expm = dynamics._expm
+    monkeypatch.setattr(dynamics, "_expm", lambda A: maps.append(expm(A)) or maps[-1])
     ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6))
     times = _GRIDS[grid](ham.period)
     steps = np.diff(times, prepend=0.0)
     rng = np.random.default_rng(7)
-    sites0 = rng.normal(size=n_sites**2) + 1j * rng.normal(size=n_sites**2)
+    c = rng.normal(size=(n_sites, n_sites)) + 1j * rng.normal(size=(n_sites, n_sites))
+    sites0 = (c + c.conj().T).reshape(-1)
     sites0 /= np.linalg.norm(sites0)
     H = ham.matrix(physical=True)[None]
     block = dynamics._site_blocks(H, np.array([0.1e6]), sites0, steps, times[-1])[0, 0]
     lengths, _ = dynamics._step_runs(steps, times[-1])
-    (step_maps,) = maps[0]
-    sites, ref = sites0, []
+    dephase, index, weight = dynamics._coordinates(n_sites, True)
+    step_maps = maps[0].reshape(len(dephase), lengths.size, *maps[0].shape[1:])
+    coords = np.zeros(dephase.size)
+    np.add.at(coords, index, weight * sites0.view(float).reshape(-1, 2))
+    ref = []
     for dt in steps:
         if dt > 0.0:
-            sites = step_maps[np.argmin(np.abs(lengths - dt))] @ sites
-        ref.append(sites)
+            g = np.argmin(np.abs(lengths - dt))
+            blocks = coords.reshape(dephase.shape)
+            coords = np.concatenate([A[g] @ r for A, r in zip(step_maps, blocks)])
+        ref.append((coords[index] * weight).sum(axis=0) @ [1.0, 1j])
     assert np.max(np.abs(block - ref)) <= 1e-13
 
 
@@ -541,14 +632,18 @@ def test_stacked_lindblad_equals_single_calls(monkeypatch):
     np.testing.assert_array_equal(evolve_lindblad(H, rho0, times, decos).rhos, rhos)
 
 
-def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone():
+def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone(monkeypatch):
     # expm_multiply's norm estimates draw from numpy's global RNG; reruns
     # must be bit-identical whatever that state is, and must not move it.
     # For this stiff chain and step, global seeds 0 and 1 gave results
     # 2.9e-14 apart before the estimates were seeded.  A run of three equal
     # steps takes one call over the run, the last step a call of its own.
+    # The dense threshold is held at 20 so that N = 22 takes this branch.
+    import domechain.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 20)
     rate = 2 * np.pi * 5e6
-    N = DENSE_GENERATOR_MAX_SITES + 2
+    N = dynamics.DENSE_GENERATOR_MAX_SITES + 2
     ham = dome_hamiltonian(DomeParams(N=N, m=102, J=rate))
     H = ham.matrix(physical=True)
     times = np.r_[np.linspace(0.0, ham.period / 13, 4), ham.period / 13 + ham.period / 50]

@@ -662,21 +662,21 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
 
 def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     # The default Tphi grid contains the fixed 5 us, so each m needs 8
-    # generator exponentials for both scans; H is diagonalized once for the
-    # noise-free reference and once for the vacuum coherences.
-    import scipy.linalg
+    # generator exponentials for both scans, for each of its two mirror
+    # blocks; H is diagonalized once for the noise-free reference and once
+    # for the vacuum coherences.
     from domechain import dynamics
 
     expms, eighs = [], []
-    expm, eigendecompose = scipy.linalg.expm, dynamics.eigendecompose
-    monkeypatch.setattr(scipy.linalg, "expm", lambda A: expms.append(A) or expm(A))
+    expm, eigendecompose = dynamics._expm, dynamics.eigendecompose
+    monkeypatch.setattr(dynamics, "_expm", lambda A: expms.append(A) or expm(A))
     monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
     for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
         expms.clear()
         eighs.clear()
         scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
         assert len(scan.t1_scan) == 2
-        assert exponentiated(expms) == 8 * 2
+        assert exponentiated(expms) == 8 * 2 * 2
         assert len(eighs) <= 2 * 2
 
 

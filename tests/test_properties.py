@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from domechain import (
@@ -212,6 +213,8 @@ _SPECTRA = st.lists(
 @example(values=[-8e307, 0.0, 8e307])
 @example(values=[-1e-300, 0.0, 1e-300])
 @example(values=[-1e-300, 0.0, 1e300])
+@example(values=[-1e-150, 0.0, 1e150])
+@example(values=[-1e-170, 0.0, 1e170])
 @given(values=_SPECTRA)
 def test_synth_writes_finite_json_or_exits_3(values):
     # synth either writes a finite synth.json and prints nothing on stderr,
@@ -230,6 +233,29 @@ def test_synth_writes_finite_json_or_exits_3(values):
         data = json.loads(out.read_text(), parse_constant=_refuse_constant)
     for key in ("spectrum", "weights", "omegas", "couplings", "eigenvectors"):
         assert np.all(np.isfinite(np.asarray(data[key], dtype=float))), key
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e170, 1e300])
+def test_three_site_spectra_spanning_many_decades(scale):
+    # [-1/s, 0, s] is the mirror chain omega = [0, s - 1/s, 0], J = [1, 1]/sqrt(2).
+    # Its couplings are far below 1e-14 max|lambda|, which is not a
+    # collapse: at s = 1e150 synth writes that chain.  At s = 1e170 and
+    # 1e300 the outer weight (about s^-2) underflows and -1/s scaled by
+    # max|lambda| is below the smallest subnormal, so the recurrence sees
+    # two nodes and collapses at degree 1: exit 3, nothing written.
+    values = [-1 / scale, 0.0, scale]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "synth.json"
+        code = main(["synth", "--set", f"spectrum={json.dumps(values)}", "--output", str(out)])
+        if scale > 1e150:
+            assert code == 3 and list(Path(tmp).iterdir()) == []
+            assert json.loads(err.getvalue()) == {
+                "error": "numerical", "detail": "recurrence norm collapsed at degree 1"}
+            return
+        assert (code, err.getvalue()) == (0, "")
+        data = json.loads(out.read_text())
+    np.testing.assert_allclose(data["couplings"], [np.sqrt(0.5)] * 2, rtol=1e-12)
+    np.testing.assert_allclose(data["omegas"], [0.0, scale, 0.0], rtol=1e-12, atol=1e-150)
 
 
 # 10^k (1 - 5e-13) and 10^k (1 - 4e-13), and their neighbours: the 12 digits
