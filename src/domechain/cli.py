@@ -24,11 +24,12 @@ the package itself does not depend on jsonschema.
 Every command that simulates resolves its chains or grids with one
 `_systems(cfg)`, one per m, and reads their matrices from the one system
 model, `models._SiteModel`; the sweeps in `noise` take the same systems.
-A closed `evolve` reads its fidelity off the readout amplitudes (chain ends
-or grid corners).  A closed grid, H_col kron 1 + 1 kron H_row, runs on its
-column and row chains, whose outer products give its populations and
-corners (`_closed_columns`).  An open grid builds the (rows cols)^2 matrix,
-as dephasing does not factor, and open frames are reduced to the readout.
+An `evolve` reads its fidelity off its readout sites (chain ends or grid
+corners) with one scorer, `metrics._readout_fidelity`: the readout
+amplitudes when closed, the readout block of rho when open.  A closed grid,
+H_col kron 1 + 1 kron H_row, runs on its column and row chains, whose outer
+products give its populations and corners (`_closed_columns`).  An open
+grid builds the (rows cols)^2 matrix, as dephasing does not factor.
 
 Artifacts are written atomically (temp file then rename) from bytes.  CSV
 is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
@@ -75,14 +76,7 @@ from .dynamics import (
     site_state,
 )
 from .inverse_eigen import ReconstructionError, synthesize
-from .metrics import (
-    _readout_fidelity,
-    chain_bell_target,
-    corner_w_target,
-    reduce_to_sites,
-    state_fidelity,
-    transfer_fidelity,
-)
+from .metrics import _readout_fidelity, chain_bell_target, corner_w_target, transfer_fidelity
 from .models import DomeParams, Grid2D, _SiteModel
 from .noise import DisorderConfig, DisorderTarget, SweepMetric, sweep_coherent, sweep_decoherence
 from .spectrum import Spectrum, dome_spectrum
@@ -461,8 +455,8 @@ def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.nd
     """
     def evolve(chain: DomeParams):
         H = _SiteModel.of(chain).matrices()[0]
-        traj = evolve_closed(H, site_state(chain.N, 1), times)
-        return traj.site_populations(), traj.states[:, [1, -1]]
+        states = evolve_closed(H, site_state(chain.N, 1), times)
+        return np.abs(states[:, 1:]) ** 2, states[:, [1, -1]]
 
     if not isinstance(system, Grid2D):
         populations[:], ends = evolve(system)
@@ -586,16 +580,16 @@ def cmd_evolve(cfg: dict) -> Path:
     table[:, 0] = times / period
     if deco is None:
         readout = _closed_columns(system, times, table[:, 1:-1])
-        # The target's entries on the single-excitation bitstrings, first site leftmost.
-        ket = target[1 << np.arange(len(sites))[::-1]]
-        table[:, -1] = _readout_fidelity(readout, ket, abs(target[0]) ** 2)
     else:
         psi0 = site_state(n_sites, 1)
         # Dephasing does not factor over the grid's chains: grids take the dense matrix.
         H = _SiteModel.of(system).matrices()[0]
-        traj = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
-        table[:, 1:-1] = traj.site_populations()
-        table[:, -1] = state_fidelity(reduce_to_sites(traj.rhos, sites), target)
+        rhos = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
+        table[:, 1:-1] = np.real(np.einsum("tii->ti", rhos))[:, 1:]
+        readout = rhos[:, np.array(sites)[:, None], sites]
+    # The target's entries on the single-excitation bitstrings, first site leftmost.
+    ket = target[1 << np.arange(len(sites))[::-1]]
+    table[:, -1] = _readout_fidelity(readout, ket, abs(target[0]) ** 2, block=deco is not None)
 
     qpt = {}
     if grid is None:
@@ -606,7 +600,7 @@ def cmd_evolve(cfg: dict) -> Path:
             c = readout[rows, -1]
         else:
             t = times[rows]
-            u = evolve_closed(H, psi0, t).states[:, n_sites]
+            u = evolve_closed(H, psi0, t)[:, n_sites]
             c = np.exp(-deco.vacuum_coherence_rate * t) * u
         qpt = dict(zip(rows.tolist(), transfer_fidelity(table[rows, n_sites], c).tolist()))
 

@@ -55,12 +55,13 @@ apply each block's sparse generator with scipy's expm_multiply, one call
 per run.  Positivity of every output state is checked by one stacked
 Cholesky factorization of rho + 1e-6 I; eigvalsh decides only when that
 fails.
-`evolve_closed` is the one closed propagator: one diagonalization and one
-real matrix product give every output time, and a single time is a one-point
-grid.  A closed grid (H_col kron 1 + 1 kron H_row) is evolved as the product
-of two such calls, one per chain, so its D x D matrix is never built.  The
-vacuum terms of open evolution are evaluated for the whole time grid the
-same way.
+Both propagators return plain arrays: `evolve_closed` the (T, D+1) states,
+`evolve_lindblad` the density matrices.  `evolve_closed` is the one closed
+propagator: one diagonalization and one real matrix product give every
+output time, and a single time is a one-point grid.  A closed grid
+(H_col kron 1 + 1 kron H_row) is evolved as the product of two such calls,
+one per chain, so its D x D matrix is never built.  The vacuum terms of
+open evolution are evaluated for the whole time grid the same way.
 
 scipy is imported only by the sparse branch of the open propagator, on its
 first call, so closed evolution and open evolution up to
@@ -77,7 +78,6 @@ import numpy as np
 
 __all__ = [
     "DecoherenceConfig",
-    "Trajectory",
     "site_state",
     "eigendecompose",
     "evolve_closed",
@@ -150,21 +150,6 @@ class DecoherenceConfig:
         return 0.5 * self.gamma1 + 2.0 * self.gamma_phi
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time series of states (closed) or density matrices (open)."""
-
-    times: np.ndarray
-    states: np.ndarray | None = None
-    rhos: np.ndarray | None = None
-
-    def site_populations(self) -> np.ndarray:
-        """(..., T, D) array of per-site populations."""
-        if self.states is not None:
-            return np.abs(self.states[:, 1:]) ** 2
-        return np.real(np.einsum("...ii->...i", self.rhos))[..., 1:]
-
-
 def _check_symmetric(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -184,8 +169,8 @@ def eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_check_symmetric(H))
 
 
-def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Trajectory:
-    """Unitarily evolve psi0 through the site block of H.
+def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (T, D+1) states psi0 reaches under the site block of H at `times`.
 
     H is the D x D site block (physical units, rad/s when times are in
     seconds); psi0 has D + 1 entries with index 0 the vacuum amplitude.
@@ -202,7 +187,7 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> Traject
     states = np.empty((times.size, psi0.size), dtype=complex)  # rows of (T, D+1), C order
     states[:, 0] = psi0[0]
     states[:, 1:] = (V @ phases.view(float)).view(complex).T
-    return Trajectory(times=times, states=states)
+    return states
 
 
 def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -595,13 +580,14 @@ def evolve_lindblad(
     rho0: np.ndarray,
     times: np.ndarray,
     deco: DecoherenceConfig | Sequence[DecoherenceConfig],
-) -> Trajectory:
-    """Open evolution of rho0 under H with uniform T1 and Tphi channels.
+) -> np.ndarray:
+    """The density matrices rho0 reaches under H with uniform T1 and Tphi
+    channels at `times`.
 
     rho0 is (D+1) x (D+1) on the vacuum-plus-sites basis; times start at 0
     and do not decrease.  H is one D x D site block or an (M, D, D) stack,
-    and deco one DecoherenceConfig or a sequence of P of them: `rhos` has
-    shape (T, D+1, D+1), led by an M axis for a stack and then a P axis
+    and deco one DecoherenceConfig or a sequence of P of them: the result
+    has shape (T, D+1, D+1), led by an M axis for a stack and then a P axis
     for a sequence, so (M, P, T, D+1, D+1) when both are given.  Trace and
     positivity of every state are validated to 1e-6.
     """
@@ -632,4 +618,4 @@ def evolve_lindblad(
         rhos = rhos[0]
     if isinstance(deco, DecoherenceConfig):
         rhos = rhos[..., 0, :, :, :]
-    return Trajectory(times=times, rhos=rhos)
+    return rhos

@@ -1,14 +1,17 @@
 """Reduced end-qubit states, entanglement targets, and transfer fidelity.
 
-A figure of merit of density frames is one reduction and one overlap:
-`state_fidelity(reduce_to_sites(frames, sites), target)`.  The reduction
-exploits the vacuum-plus-one-excitation structure: tracing a global state
-down to a k-qubit subset leaves support only on the all-down bitstring and
-the k single-excitation bitstrings, so the exact partial trace is an entry
-relabeling.  Subset basis order is {down, up}^k with the first listed site
-as the leftmost (most significant) tensor factor.  Kets with no vacuum
-amplitude skip the reduction: `_readout_fidelity` needs only their k
-readout amplitudes.
+Every figure of merit is read off its readout sites only.  A state reached
+from one site excitation has no vacuum coherence, so its reduction to the
+k readout qubits is (1 - p)|vac><vac| plus a k x k block on the
+single-excitation bitstrings: a a^dagger for a closed ket with readout
+amplitudes a, the readout block B of rho for an open state, with p its
+trace.  `_readout_fidelity` scores either form against a target of vacuum
+weight w and readout amplitudes t as w (1 - p) + <t|.|t>, and
+`transfer_fidelity` scores the transfer channel.  `reduce_to_sites` and
+`state_fidelity` build and score the full 2^k x 2^k reduction of any
+frame; they are the independent route the tests check the scorer with.
+Subset basis order is {down, up}^k with the first listed site as the
+leftmost (most significant) tensor factor.
 
 Phase conventions.  Starting from an excitation on site 1, a transfer
 chain of length L reaches (|1> + p(L)|L>)/sqrt(2) at t = T/4, where
@@ -23,8 +26,8 @@ Transfer channel.  Under uniform site-local T1/Tphi an excitation-conserving
 chain keeps the vacuum, so the source-to-target map of one qubit is
 amplitude-damping-like (Bose, PRL 91, 207901, 2003): it sends |up><up| to
 p|up><up| + (1 - p)|down><down| and |up><down| to c|up><down|.  Its
-process fidelity with the identity, (1 + p + 2 Re c)/4, therefore needs
-one open population and one closed amplitude, not a tomography.
+process fidelity with the identity (`transfer_fidelity`) therefore needs
+one population and one amplitude, not a tomography.
 """
 
 from __future__ import annotations
@@ -143,13 +146,23 @@ def transfer_fidelity(p, c):
     return (1.0 + np.real(p) + 2.0 * np.real(c)) / 4.0
 
 
-def _readout_fidelity(amps, target, vacuum_weight) -> np.ndarray:
-    """Overlap w (1 - p) + |t^dagger a|^2 of the reduced ket (1 - p)|vac><vac| +
-    |a><a|, p = |a|^2, for each row a of (S, k) `amps`, with a target of vacuum
-    weight w and readout amplitudes t, (k,) or (S, k).  Sums run column by
-    column: numpy's row reductions take another path for one row, so bits
-    would depend on the row count."""
-    cols = np.asarray(amps).T
-    p = sum(np.abs(cols) ** 2)
-    overlap = sum(cols * np.conj(target).T.reshape(len(cols), -1))
-    return vacuum_weight * (1.0 - p) + np.abs(overlap) ** 2
+def _readout_fidelity(readout, target, vacuum_weight, block: bool = False) -> np.ndarray:
+    """Overlap w (1 - p) + <t|.|t> of the reduced readout state with a target
+    of vacuum weight w and readout amplitudes t, (..., k), broadcast against
+    the readout's leading shape.
+
+    `readout` holds closed amplitudes a, (..., k), reduced state
+    (1 - p)|vac><vac| + |a><a| with p = |a|^2, or with `block` the open
+    readout blocks B of rho, (..., k, k), with p = tr B.  Sums run entry by
+    entry: numpy's row reductions take another path for one row, so bits
+    would depend on the row count.
+    """
+    a, t = np.asarray(readout), np.asarray(target)
+    k = range(t.shape[-1])
+    if block:
+        p = sum(a[..., i, i].real for i in k)
+        overlap = sum(np.conj(t[..., i]) * sum(a[..., i, j] * t[..., j] for j in k) for i in k).real
+    else:
+        p = sum(np.abs(a[..., i]) ** 2 for i in k)
+        overlap = np.abs(sum(a[..., i] * np.conj(t[..., i]) for i in k)) ** 2
+    return vacuum_weight * (1.0 - p) + overlap

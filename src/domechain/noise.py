@@ -14,19 +14,17 @@ sigma shares one noise field.
 
 Coherent sweeps diagonalize the perturbed site matrices of all (m, sigma,
 sample) rows in one chunked stream of stacked `eigh` calls, split over the
-usable CPUs from SPLIT_MIN_ENTRIES entries on, and the noise-free matrices
-of all m in one more, and contract to readout amplitudes a = <r|U(t)|site 1>.
-The readout state is (1 - p)|vac><vac| + |a><a| with p = |a|^2, and its
-overlap with the noise-free reduction is (1 - p0)(1 - p) + |a0^dagger a|^2
-(`metrics._readout_fidelity`).
-The transfer channel at T/2 is amplitude damping with u = <N|U(T/2)|1>,
-whose process fidelity with the identity is |1 + u|^2 / 4.  A decoherence
-scan evolves |1><1| for every chain and every (T1, Tphi) point in one stacked
-`evolve_lindblad` call, which propagates the site block once per
-(m, distinct Tphi) and scales it by e^{-t/T1} per point.  It reads the same
-channel from the end population and the decayed noise-free amplitude
-(`metrics.transfer_fidelity`), or the end-pair overlap with the noise-free
-T/4 state; one `evolve_closed` per m gives both noise-free references.
+usable CPUs from SPLIT_MIN_ENTRIES entries on, and contract to readout
+amplitudes a = <r|U(t)|site 1>.  A decoherence scan evolves |1><1| for every
+chain and every (T1, Tphi) point in one stacked `evolve_lindblad` call, which
+propagates the site block once per (m, distinct Tphi) and scales it by
+e^{-t/T1} per point, and keeps the readout block of the final states.  Both
+take their readout sites, evaluation time and noise-free amplitudes a0 from
+`_reference`, one stacked diagonalization of the noise-free matrices of all
+m.  Both score through `metrics`: the entanglement metrics by
+`_readout_fidelity` against the noise-free reduction, and the transfer
+channel at T/2 by `transfer_fidelity`, from |a|^2 and a when closed, or from
+the end population and the decayed a0 when open.
 The sigmas, sample counts and scan grids are all arguments here, and the
 rate is the systems' J; the working-point defaults live in the CLI's one
 table (`cli.SCHEMAS`).
@@ -41,14 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    MAX_CHUNK_ENTRIES,
-    DecoherenceConfig,
-    evolve_closed,
-    evolve_lindblad,
-    site_state,
-)
-from .metrics import _readout_fidelity, reduce_to_sites, state_fidelity, transfer_fidelity
+from .dynamics import MAX_CHUNK_ENTRIES, DecoherenceConfig, evolve_lindblad, site_state
+from .metrics import _readout_fidelity, transfer_fidelity
 from .models import _SiteModel
 
 __all__ = [
@@ -174,6 +166,20 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
     return np.einsum("srk,sk,sk->sr", V[:, readout, :], np.exp(-1j * w * t), V[:, 0, :])
 
 
+def _reference(model: _SiteModel, metric: SweepMetric):
+    """The metric's readout sites (0-based), evaluation time, and the (M, k)
+    noise-free readout amplitudes a0 of every system with their (M,) vacuum
+    weights 1 - |a0|^2: the far end at T/2 for the transfer channel, the
+    ends or corners at T/4 for the entanglement metrics."""
+    _check_pairing(model, metric)
+    qpt = metric is SweepMetric.QPT_AT_HALF_T
+    readout = model.edges[-1:] if qpt else model.edges
+    duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
+    a0 = _readout_amplitudes(model.matrices(), duration, readout)
+    weight0 = 1.0 - np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
+    return readout, duration, a0, weight0
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-sigma Monte Carlo summary plus the raw sample values."""
@@ -202,14 +208,8 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     Failed and non-finite samples are counted and left out of the statistics, not raised.
     """
     model = _SiteModel.of(system)
-    _check_pairing(model, metric)
+    readout, duration, a0, weight0 = _reference(model, metric)
     qpt = metric is SweepMetric.QPT_AT_HALF_T
-    readout = model.edges[-1:] if qpt else model.edges
-    duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
-
-    if not qpt:
-        a0 = _readout_amplitudes(model.matrices(), duration, readout)
-        p0 = np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
 
     n_samples, axis = cfg.samples, np.array(cfg.sigmas)
     targeted = _targeted(model, cfg.target)
@@ -232,9 +232,9 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
                     a = _readout_amplitudes(_perturbed(model, targeted, noise, members),
                                             duration, readout)
                     if qpt:
-                        fids[rows] = np.abs(1.0 + a[:, 0]) ** 2 / 4.0
+                        fids[rows] = transfer_fidelity(np.abs(a[:, 0]) ** 2, a[:, 0])
                     else:
-                        fids[rows] = _readout_fidelity(a, a0[members], 1.0 - p0[members])
+                        fids[rows] = _readout_fidelity(a, a0[members], weight0[members])
         except BaseException as exc:  # re-raised by the calling thread
             errors[first] = exc
     threads = []
@@ -270,7 +270,10 @@ class DecoherenceScan:
     tphi_scan: np.ndarray
 
     def gain_vs_first_m(self, scan: str = "t1") -> np.ndarray:
-        """Fidelity minus the first-m row; the per-grid-point m gain of a stack."""
+        """Fidelity minus the first-m row of the "t1" or "tphi" scan; the
+        per-grid-point m gain of a stack."""
+        if scan not in ("t1", "tphi"):
+            raise ValueError(f'scan must be "t1" or "tphi", not {scan!r}')
         grid = self.t1_scan if scan == "t1" else self.tphi_scan
         return grid - grid[0]
 
@@ -292,10 +295,11 @@ def sweep_decoherence(
     (`tphi_us_values`) varied at fixed T1; times in microseconds, the rate
     the chains' J in rad/s.
     One `evolve_lindblad` call evolves |1><1| to the metric's time under
-    every chain and every (T1, Tphi) point.  The
-    entanglement metric is the end-pair overlap with the noise-free T/4
-    state; the transfer metric is the T/2 process fidelity
-    `transfer_fidelity(rho_NN, e^{-rt} u)` with u the noise-free end
+    every chain and every (T1, Tphi) point, and the end pair's readout block
+    is scored against the noise-free amplitudes a0 of `_reference`: the
+    entanglement metric is its overlap with the noise-free T/4 reduction,
+    the transfer metric the T/2 process fidelity
+    `transfer_fidelity(rho_NN, e^{-rt} u)` with u = a0 the noise-free end
     amplitude and r the vacuum-coherence decay rate.  At the CLI's
     working point, J/2pi = 5 MHz, the period is 200 ns, so the scan
     touches the regime where dephasing, not relaxation, dominates.
@@ -303,33 +307,19 @@ def sweep_decoherence(
     if metric is SweepMetric.W_AT_QUARTER_T:
         raise ValueError("decoherence scans are defined for chain metrics")
     model = _SiteModel.of(system)
-    _check_pairing(model, metric)
+    readout, duration, a0, weight0 = _reference(model, metric)
     hams = model.matrices()
-    n_sites = hams.shape[-1]
-    period = 2 * np.pi / model.rate
-
-    qpt = metric is SweepMetric.QPT_AT_HALF_T
-    duration = period / (2 if qpt else 4)
-    psi0 = site_state(n_sites, 1)
-    rho0 = np.outer(psi0, psi0.conj())
-    # Noise-free references, once per m: the end amplitude u = <N|U(T/2)|1>
-    # for the transfer channel, the end-pair state at T/4 for the Bell overlap.
-    ideals = []
-    for H in hams:
-        psi = evolve_closed(H, psi0, duration).states
-        ideals.append(psi[0, n_sites] if qpt else reduce_to_sites(psi, (1, n_sites))[0])
-
+    psi0 = site_state(hams.shape[-1], 1)
     decos = [DecoherenceConfig(t1=t1 * 1e-6, t_phi=fixed_tphi_us * 1e-6) for t1 in t1_us_values]
     decos += [DecoherenceConfig(t1=fixed_t1_us * 1e-6, t_phi=tp * 1e-6) for tp in tphi_us_values]
-    finals = evolve_lindblad(hams, rho0, np.array([0.0, duration]), decos).rhos[:, :, -1]
-    if qpt:
+    finals = evolve_lindblad(hams, np.outer(psi0, psi0.conj()), np.array([0.0, duration]), decos)
+    sites = readout + 1  # the vacuum is index 0
+    block = finals[:, :, -1][..., sites[:, None], sites]  # (M, P, k, k)
+    if metric is SweepMetric.QPT_AT_HALF_T:
         decay = np.exp(-np.array([d.vacuum_coherence_rate for d in decos]) * duration)
-        fids = transfer_fidelity(finals[:, :, n_sites, n_sites], np.outer(ideals, decay))
+        fids = transfer_fidelity(block[..., 0, 0], np.outer(a0[:, 0], decay))
     else:
-        fids = np.array([
-            state_fidelity(reduce_to_sites(rhos, (1, n_sites)), ideal)
-            for rhos, ideal in zip(finals, ideals)
-        ])
+        fids = _readout_fidelity(block, a0[:, None], weight0[:, None], block=True)
     fids = fids.reshape(model.stack + (len(decos),))
     return DecoherenceScan(t1_scan=fids[..., : len(t1_us_values)],
                            tphi_scan=fids[..., len(t1_us_values) :])

@@ -82,7 +82,7 @@ def test_criterion_2_transfer_certificates_at_n5():
     for m in (2, 6, 10):
         params = DomeParams(N=5, m=m)
         ham = dome_hamiltonian(params)
-        psi = evolve_closed(ham.matrix(), site_state(5, 1), params.period / 4).states[0]
+        psi = evolve_closed(ham.matrix(), site_state(5, 1), params.period / 4)[0]
         bell = state_fidelity(reduce_to_sites(psi[None], (1, 5))[0], chain_bell_target(5))
         if abs(bell - 1.0) >= 1e-8:
             failures.append(f"m={m} bell {bell:.3e}")
@@ -92,9 +92,9 @@ def test_criterion_2_transfer_certificates_at_n5():
 
     line = DomeParams(N=5, m=0)
     ham0 = dome_hamiltonian(line)
-    half = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 2).states
+    half = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 2)
     pst_pop = abs(half[0, 5]) ** 2
-    quarter = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 4).states
+    quarter = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 4)
     bell0 = state_fidelity(reduce_to_sites(quarter, (1, 5))[0], chain_bell_target(5))
     if abs(pst_pop - 1.0) >= 1e-8:
         failures.append(f"m=0 pst {pst_pop:.3e}")
@@ -104,7 +104,7 @@ def test_criterion_2_transfer_certificates_at_n5():
     odd = DomeParams(N=5, m=3)
     spec3 = dome_spectrum(5, 3)
     ham3 = dome_hamiltonian(odd)
-    ret = abs(evolve_closed(ham3.matrix(), site_state(5, 1), odd.period).states[0, 1]) ** 2
+    ret = abs(evolve_closed(ham3.matrix(), site_state(5, 1), odd.period)[0, 1]) ** 2
     if abs(ret - 1.0) >= 1e-8:
         failures.append(f"m=3 return {ret:.3e}")
     if check_pst_spacing(spec3, np.pi):
@@ -221,7 +221,7 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     failures = []
     grid = Grid2D(rows=3, cols=4, m_x=2, m_y=2)
     H = single_excitation_matrix(grid)
-    psi = evolve_closed(H, site_state(12, 1), grid.period / 4).states[0]
+    psi = evolve_closed(H, site_state(12, 1), grid.period / 4)[0]
     corners = tuple(i + 1 for i in grid.corner_indices())
     w = state_fidelity(reduce_to_sites(psi[None], corners)[0], corner_w_target(3, 4))
     if abs(w - 1.0) >= 1e-6:
@@ -288,7 +288,7 @@ def test_criterion_8_oracle_agreement():
         traj = evolve_lindblad(H, rho0, times, deco)
         for k, t in enumerate(times):
             worst_lb = max(
-                worst_lb, float(np.max(np.abs(traj.rhos[k] - expm_evolve(H, rho0, t, deco))))
+                worst_lb, float(np.max(np.abs(traj[k] - expm_evolve(H, rho0, t, deco))))
             )
     if worst_lb >= 1e-8:
         failures.append(f"lindblad vs exponential {worst_lb:.2e}")

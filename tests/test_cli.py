@@ -351,17 +351,54 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
 @pytest.mark.parametrize("argv", [["--set", "N=5", "--set", "m=2"],
                                   ["--set", "rows=3", "--set", "cols=4", "--set", "m_x=2",
                                    "--set", "m_y=1"]], ids=["chain", "grid"])
-def test_only_open_evolves_reduce_to_sites(outdir, monkeypatch, argv):
-    # A closed state has no vacuum amplitude, so its fidelity comes from its
-    # readout amplitudes; open frames are density matrices and are reduced.
+def test_no_evolve_reduces_to_sites(outdir, monkeypatch, argv):
+    # Closed and open evolves read their fidelity off the readout sites
+    # (`metrics._readout_fidelity`): no 2^k x 2^k reduction is built.
+    from domechain import metrics, noise
+
     calls = []
     for name in ("reduce_to_sites", "state_fidelity"):
-        fn = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        assert not hasattr(cli, name) and not hasattr(noise, name)
+        fn = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     assert run(["evolve", *argv, "--set", "points=21"]) == 0
-    assert calls == []
     assert run(["evolve", *argv, "--set", "points=21", *_OPEN]) == 0
-    assert calls == ["reduce_to_sites", "state_fidelity"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [dict(N=n, m=m) for n in (2, 3, 5, 8) for m in (0, 2, 102)]
+                         + [dict(rows=2, cols=3, m_x=2, m_y=1)],
+                         ids=lambda shape: "-".join(map(str, shape.values())))
+def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, shape):
+    # The open Bell or W column, read off the readout block of rho, against
+    # the 2^k x 2^k reduction of the same states scored by state_fidelity.
+    from domechain.dynamics import DecoherenceConfig, evolve_lindblad, site_state
+    from domechain.metrics import (chain_bell_target, corner_w_target, reduce_to_sites,
+                                   state_fidelity)
+    from domechain.models import _SiteModel
+
+    tables = []
+    table_bytes = cli._table_bytes
+    monkeypatch.setattr(cli, "_table_bytes",
+                        lambda table, tails: tables.append(table.copy()) or table_bytes(table, tails))
+    argv = [a for k, v in shape.items() for a in ("--set", f"{k}={v}")]
+    assert run(["evolve", *argv, *_OPEN]) == 0
+    cfg = cli.resolve("evolve", {**shape, "rate_MHz": 5,
+                                 "decoherence": {"t1_us": 30, "tphi_us": 5}})
+    (system,) = cli._systems(cfg)
+    times, _ = cli._evolve_times(cfg, system.period)
+    if "N" in shape:
+        sites, target = (1, system.N), chain_bell_target(system.N)
+    else:
+        sites = tuple(i + 1 for i in system.corner_indices())
+        target = corner_w_target(system.rows, system.cols)
+    H = _SiteModel.of(system).matrices()[0]
+    psi0 = site_state(H.shape[0], 1)
+    rhos = evolve_lindblad(H, np.outer(psi0, psi0), times, DecoherenceConfig(30 * 1e-6, 5 * 1e-6))
+    (table,) = tables
+    np.testing.assert_array_equal(table[:, 1:-1], np.real(np.einsum("tii->ti", rhos))[:, 1:])
+    np.testing.assert_allclose(table[:, -1], state_fidelity(reduce_to_sites(rhos, sites), target),
+                               rtol=0, atol=1e-14)
 
 
 def test_evolve_with_decoherence_matches_known_fidelity(outdir):

@@ -103,7 +103,7 @@ def test_lindblad_matches_superoperator_exponential(monkeypatch):
         traj = evolve_lindblad(H, rho0, times, deco)
         for k, t in enumerate(times):
             ref = expm_evolve(H, rho0, t, deco)
-            assert np.max(np.abs(traj.rhos[k] - ref)) < 1e-12
+            assert np.max(np.abs(traj[k] - ref)) < 1e-12
 
 
 def random_density(n_sites, rng):
@@ -150,7 +150,7 @@ def test_real_propagator_matches_liouvillian(monkeypatch, H):
     thresholds = [dynamics.DENSE_GENERATOR_MAX_SITES] + ([20] if H.shape[0] > 20 else [])
     for threshold in thresholds:
         monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", threshold)
-        rhos = evolve_lindblad(H, rho0, times, deco).rhos
+        rhos = evolve_lindblad(H, rho0, times, deco)
         assert np.max(np.abs(rhos - refs)) <= 1e-12
 
 
@@ -229,7 +229,7 @@ def test_stiff_open_step_matches_extended_precision(N, bound):
     t = ham.period / 4
     rho0 = np.zeros((N + 1, N + 1), dtype=complex)
     rho0[1, 1] = 1.0
-    block = evolve_lindblad(ham.matrix(physical=True), rho0, [0.0, t], deco).rhos[1, 1:, 1:]
+    block = evolve_lindblad(ham.matrix(physical=True), rho0, [0.0, t], deco)[1, 1:, 1:]
     ref = longdouble_site_block(ham.matrix(physical=True), deco, t, rho0[1:, 1:].reshape(-1))
     assert np.max(np.abs(block - ref.reshape(N, N))) <= bound
 
@@ -246,8 +246,8 @@ def test_lindblad_single_site_closed_forms():
     for k, t in enumerate(times):
         pop = 0.5 * np.exp(-t / t1)
         coh = 0.5 * np.exp(-t * (0.5 / t1 + 1.0 / tphi))
-        assert abs(traj.rhos[k][1, 1].real - pop) < 1e-8
-        assert abs(abs(traj.rhos[k][0, 1]) - coh) < 1e-8
+        assert abs(traj[k][1, 1].real - pop) < 1e-8
+        assert abs(abs(traj[k][0, 1]) - coh) < 1e-8
 
 
 def test_lindblad_vacuum_is_fixed_point():
@@ -256,7 +256,7 @@ def test_lindblad_vacuum_is_fixed_point():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     traj = evolve_lindblad(H, rho0, np.array([0.0, 5.0]), deco)
-    assert np.max(np.abs(traj.rhos[-1] - rho0)) < 1e-9
+    assert np.max(np.abs(traj[-1] - rho0)) < 1e-9
 
 
 def test_lindblad_trace_and_positivity():
@@ -266,7 +266,7 @@ def test_lindblad_trace_and_positivity():
     rho0[1, 1] = 1.0
     times = np.linspace(0.0, 3.0, 7)
     traj = evolve_lindblad(H, rho0, times, deco)
-    for rho in traj.rhos:
+    for rho in traj:
         assert abs(np.trace(rho).real - 1.0) < 1e-6
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-6
 
@@ -277,7 +277,7 @@ def test_lindblad_relaxation_fills_vacuum_monotonically():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[2, 2] = 1.0
     traj = evolve_lindblad(H, rho0, np.linspace(0.0, 4.0, 12), deco)
-    vac = traj.rhos[:, 0, 0].real
+    vac = traj[:, 0, 0].real
     assert np.all(np.diff(vac) > -1e-9)
     assert vac[-1] > 0.99
 
@@ -306,7 +306,7 @@ def test_closed_evolution_matches_direct_exponential():
         U = scipy.linalg.expm(-1j * H * t)
         ref = psi0.copy()
         ref[1:] = U @ psi0[1:]
-        assert np.max(np.abs(traj.states[k] - ref)) < 1e-10
+        assert np.max(np.abs(traj[k] - ref)) < 1e-10
 
 
 def test_closed_evolution_preserves_norm_and_vacuum():
@@ -314,9 +314,9 @@ def test_closed_evolution_preserves_norm_and_vacuum():
     psi0 = (vacuum_state(6) + site_state(6, 1)) / np.sqrt(2)
     times = np.linspace(0.0, 2 * np.pi, 50)
     traj = evolve_closed(ham.matrix(), psi0, times)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(traj, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-    np.testing.assert_allclose(traj.states[:, 0], psi0[0], atol=1e-12)
+    np.testing.assert_allclose(traj[:, 0], psi0[0], atol=1e-12)
 
 
 def test_pst_identity_across_sizes():
@@ -325,7 +325,7 @@ def test_pst_identity_across_sizes():
         for m in (0, 2, 4, 6, 10):
             ham = dome_hamiltonian(DomeParams(N=N, m=m))
             psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 2)
-            assert abs(abs(psi.states[0, N]) - 1.0) < 1e-8
+            assert abs(abs(psi[0, N]) - 1.0) < 1e-8
 
 
 def test_mirror_transfer_from_interior_sites():
@@ -333,7 +333,7 @@ def test_mirror_transfer_from_interior_sites():
     ham = dome_hamiltonian(DomeParams(N=N, m=2))
     H = ham.matrix(physical=True)
     for n in range(1, N + 1):
-        psi = evolve_closed(H, site_state(N, n), ham.period / 2).states[0]
+        psi = evolve_closed(H, site_state(N, n), ham.period / 2)[0]
         assert abs(abs(psi[N + 1 - n]) - 1.0) < 1e-8
 
 
@@ -341,7 +341,7 @@ def test_full_period_revival():
     for m in (0, 1, 2, 3):
         ham = dome_hamiltonian(DomeParams(N=5, m=m))
         psi0 = site_state(5, 1)
-        psi = evolve_closed(ham.matrix(physical=True), psi0, ham.period).states[0]
+        psi = evolve_closed(ham.matrix(physical=True), psi0, ham.period)[0]
         assert abs(abs(np.vdot(psi0, psi)) - 1.0) < 1e-9
 
 
@@ -367,16 +367,6 @@ def test_eigendecompose_is_deterministic_and_sorted():
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-
-def test_populations_and_trajectory_accessors():
-    ham = dome_hamiltonian(DomeParams(N=3, m=0))
-    psi0 = site_state(3, 1)
-    traj = evolve_closed(ham.matrix(), psi0, np.array([0.0, 1.0]))
-    pops = traj.site_populations()
-    assert pops.shape == (2, 3)
-    np.testing.assert_allclose(pops.sum(axis=1) + np.abs(traj.states[:, 0]) ** 2, 1.0,
-                               atol=1e-10)
 
 
 def test_site_state_validation():
@@ -410,7 +400,7 @@ def test_evolve_closed_matches_per_time_propagator():
         w, V = np.linalg.eigh(H)
         ref = np.array([np.r_[psi0[0], V @ (np.exp(-1j * w * t) * (V.T @ psi0[1:]))]
                         for t in times])
-        assert np.max(np.abs(traj.states - ref)) < 1e-13
+        assert np.max(np.abs(traj - ref)) < 1e-13
 
 
 def test_default_grid_shares_step_exponentials(monkeypatch):
@@ -434,7 +424,7 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     assert exponentiated(calls) == 2 * 5
     for t in [*marked, times[-1]]:
         k = int(np.flatnonzero(times == t)[0])
-        assert np.max(np.abs(traj.rhos[k] - expm_evolve(H, rho0, t, deco))) < 1e-12
+        assert np.max(np.abs(traj[k] - expm_evolve(H, rho0, t, deco))) < 1e-12
 
 
 def test_lindblad_positivity_failure_raises(monkeypatch):
@@ -616,20 +606,18 @@ def test_stacked_lindblad_equals_single_calls(monkeypatch):
     times = np.array([0.0, period / 8, period / 4, period / 4, period / 2])
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     rho0 = np.outer(c, c.conj()) / np.vdot(c, c).real
-    traj = evolve_lindblad(H, rho0, times, decos)
-    rhos = traj.rhos
+    rhos = evolve_lindblad(H, rho0, times, decos)
     assert rhos.shape == (4, 6, 5, 6, 6)
-    assert traj.site_populations().shape == (4, 6, 5, 5)
     for k in range(4):
         for p, deco in enumerate(decos):
-            single = evolve_lindblad(H[k], rho0, times, deco).rhos
+            single = evolve_lindblad(H[k], rho0, times, deco)
             assert np.max(np.abs(rhos[k, p] - single)) <= 1e-13
             ref = expm_evolve(H[k], rho0, times[-1], deco)
             assert np.max(np.abs(rhos[k, p, -1] - ref)) <= 1e-12
-    assert evolve_lindblad(H[1], rho0, times, decos).rhos.shape == (6, 5, 6, 6)
-    assert evolve_lindblad(H, rho0, times, decos[0]).rhos.shape == (4, 5, 6, 6)
+    assert evolve_lindblad(H[1], rho0, times, decos).shape == (6, 5, 6, 6)
+    assert evolve_lindblad(H, rho0, times, decos[0]).shape == (4, 5, 6, 6)
     monkeypatch.setattr(dynamics, "MAX_CHUNK_ENTRIES", 1)
-    np.testing.assert_array_equal(evolve_lindblad(H, rho0, times, decos).rhos, rhos)
+    np.testing.assert_array_equal(evolve_lindblad(H, rho0, times, decos), rhos)
 
 
 def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone(monkeypatch):
@@ -653,7 +641,7 @@ def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone(monkeypatch):
     for seed in (0, 1):
         np.random.seed(seed)
         before = np.random.get_state()
-        runs.append(evolve_lindblad(H, rho0, times, deco).rhos)
+        runs.append(evolve_lindblad(H, rho0, times, deco))
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         np.testing.assert_array_equal(before[1], after[1])

@@ -289,7 +289,7 @@ def test_bell_targets_are_reached_by_the_dynamics():
     for N in (3, 4, 5, 6):
         ham = dome_hamiltonian(DomeParams(N=N, m=2))
         psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 4)
-        rho = reduce_to_sites(psi.states, (1, N))
+        rho = reduce_to_sites(psi, (1, N))
         assert abs(state_fidelity(rho, chain_bell_target(N))[0] - 1.0) < 1e-9
         # The opposite parity phase is orthogonal, not merely off by phase.
         wrong = bell_state(-quarter_period_phase(N))
@@ -314,7 +314,7 @@ def test_corner_w_target_3x4_phases():
 def test_w_target_reached_on_grid():
     grid = Grid2D(3, 4, 2, 2)
     H = single_excitation_matrix(grid, physical=True)
-    psi = evolve_closed(H, site_state(12, 1), grid.period / 4).states
+    psi = evolve_closed(H, site_state(12, 1), grid.period / 4)
     rho = reduce_to_sites(psi, tuple(i + 1 for i in grid.corner_indices()))
     assert abs(state_fidelity(rho, corner_w_target(3, 4))[0] - 1.0) < 1e-6
 
@@ -440,10 +440,10 @@ def closed_form_transfer(H, times, deco):
     times the decay of vacuum coherences."""
     N = H.shape[0]
     psi0 = site_state(N, 1)
-    u = evolve_closed(H, psi0, times).states[:, N]
+    u = evolve_closed(H, psi0, times)[:, N]
     if deco is None:
         return transfer_fidelity(np.abs(u) ** 2, u)
-    p = evolve_lindblad(H, np.outer(psi0, psi0), times, deco).rhos[:, N, N]
+    p = evolve_lindblad(H, np.outer(psi0, psi0), times, deco)[:, N, N]
     return transfer_fidelity(p, np.exp(-deco.vacuum_coherence_rate * times) * u)
 
 
@@ -499,8 +499,8 @@ def test_state_fidelity_matches_per_frame_trace():
         sigma = np.outer(target, target.conj()) if target.ndim == 1 else target
         c = rng.normal(size=H.shape[0] + 1) + 1j * rng.normal(size=H.shape[0] + 1)
         psi0 = c / np.linalg.norm(c)
-        closed = evolve_closed(H, psi0, times).states
-        opened = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco).rhos
+        closed = evolve_closed(H, psi0, times)
+        opened = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
         for frames in (closed, opened):
             rhos = reduce_to_sites(frames, sites)
             got = state_fidelity(rhos, target)
@@ -510,3 +510,42 @@ def test_state_fidelity_matches_per_frame_trace():
             # Any leading shape: a (3, 3) grid of frames gives a (3, 3) grid.
             grid_of = state_fidelity(rhos.reshape(3, 3, *rhos.shape[1:]), target)
             np.testing.assert_allclose(grid_of, got.reshape(3, 3), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_readout_scorer_matches_the_full_reduction_and_ignores_row_count(k):
+    # Readout blocks of random states without vacuum coherence, scored as
+    # blocks and (for pure states) as amplitudes, against state_fidelity of
+    # the 2^k reduction; a row's bits do not depend on the rows beside it.
+    from domechain.metrics import _readout_fidelity
+
+    rng = np.random.default_rng(k)
+    D, rows = 6, 7
+    sites = tuple(rng.choice(np.arange(1, D + 1), size=k, replace=False).tolist())
+    psi = rng.normal(size=(rows, D + 1)) + 1j * rng.normal(size=(rows, D + 1))
+    psi[:, 0] = 0.0
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    kets = np.einsum("ti,tj->tij", psi, psi.conj())
+    q = rng.random(rows)[:, None, None]
+    rhos = 0.8 * (q * kets + (1.0 - q) * np.roll(kets, 1, axis=0))
+    rhos[:, 0, 0] = 0.2  # vacuum population, no vacuum coherence
+    target = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+    target[[i for i in range(2**k) if bin(i).count("1") > 1]] = 0.0
+    target /= np.linalg.norm(target)
+    ket, weight = target[1 << np.arange(k)[::-1]], abs(target[0]) ** 2
+    idx = np.array(sites)
+
+    block = _readout_fidelity(rhos[:, idx[:, None], idx], ket, weight, block=True)
+    amps = _readout_fidelity(psi[:, idx], ket, weight)
+    np.testing.assert_allclose(block, state_fidelity(reduce_to_sites(rhos, sites), target),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(amps, state_fidelity(reduce_to_sites(psi, sites), target),
+                               rtol=0, atol=1e-15)
+    for part in (slice(0, 1), slice(2, 5), slice(6, 7)):
+        np.testing.assert_array_equal(
+            _readout_fidelity(rhos[part][:, idx[:, None], idx], ket, weight, block=True), block[part])
+        np.testing.assert_array_equal(_readout_fidelity(psi[part][:, idx], ket, weight), amps[part])
+    # Leading axes and per-row targets broadcast.
+    grid = _readout_fidelity(rhos[:6, idx[:, None], idx].reshape(2, 3, k, k),
+                             np.broadcast_to(ket, (2, 1, k)), weight, block=True)
+    np.testing.assert_array_equal(grid.ravel(), block[:6])

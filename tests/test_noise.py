@@ -298,7 +298,7 @@ def per_sample_fidelities(system, c, metric):
 
     def final(matrix):
         psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)
-        return reduce_to_sites(psi.states, sites)[0]
+        return reduce_to_sites(psi, sites)[0]
 
     ideal = final(ideal_matrix)
     out = np.empty((len(c.sigmas), c.samples))
@@ -663,8 +663,8 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
 def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     # The default Tphi grid contains the fixed 5 us, so each m needs 8
     # generator exponentials for both scans, for each of its two mirror
-    # blocks; H is diagonalized once for the noise-free reference and once
-    # for the vacuum coherences.
+    # blocks.  The noise-free reference is one stacked eigh in `noise`, and
+    # |1><1| has no vacuum coherences, so `dynamics` diagonalizes no H.
     from domechain import dynamics
 
     expms, eighs = [], []
@@ -677,7 +677,7 @@ def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
         scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
         assert len(scan.t1_scan) == 2
         assert exponentiated(expms) == 8 * 2 * 2
-        assert len(eighs) <= 2 * 2
+        assert eighs == []
 
 
 def test_decoherence_scan_rejects_grid_metric():
@@ -699,6 +699,47 @@ def test_stacked_scan_equals_per_chain_calls(metric):
         per_chain = [getattr(sweep_decoherence(c, metric, **table), field) for c in chains]
         assert per_chain[0].shape == (2,)
         np.testing.assert_array_equal(getattr(stacked, field), np.array(per_chain))
+
+
+def test_gain_vs_first_m_takes_only_the_two_scan_names():
+    scan = noise.DecoherenceScan(t1_scan=np.array([[1.0, 2.0], [4.0, 8.0]]),
+                                 tphi_scan=np.array([[1.0, 2.0], [0.0, 1.0]]))
+    np.testing.assert_array_equal(scan.gain_vs_first_m(), [[0.0, 0.0], [3.0, 6.0]])
+    np.testing.assert_array_equal(scan.gain_vs_first_m("tphi"), [[0.0, 0.0], [-1.0, -1.0]])
+    for name in ("T1", "t_1", "Tphi", "phi", ""):
+        with pytest.raises(ValueError, match="scan must be"):
+            scan.gain_vs_first_m(name)
+
+
+@pytest.mark.parametrize("m", [0, 2, 102])
+@pytest.mark.parametrize("n_sites", [2, 3, 5, 8])
+@pytest.mark.parametrize("metric", [SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T],
+                         ids=["bell", "qpt"])
+def test_noiseless_scan_equals_zero_sigma_sweep(metric, n_sites, m):
+    # Two routes to the noise-free fidelity that share the reference and the
+    # scorer but not the propagator: the open scan at T1 = Tphi = 1e12 us and
+    # the closed sweep at sigma = 0.
+    chain = DomeParams(n_sites, m, RATE_5MHZ)
+    scan = sweep_decoherence(chain, metric, t1_us_values=(1e12,), tphi_us_values=(1e12,),
+                             fixed_t1_us=1e12, fixed_tphi_us=1e12)
+    coherent = sweep_coherent(chain, cfg(DisorderTarget.ALL, sigmas=(0.0,), samples=3), metric)
+    for grid in (scan.t1_scan, scan.tphi_scan):
+        np.testing.assert_allclose(grid, coherent.mean, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 2, 102])
+def test_coherent_qpt_is_the_amplitude_damping_formula(m, monkeypatch):
+    # transfer_fidelity(|u|^2, u) of every sample equals |1 + u|^2 / 4 of its
+    # end amplitude u = <N|U(T/2)|1>.
+    amps = []
+    readout_amplitudes = noise._readout_amplitudes
+    monkeypatch.setattr(noise, "_readout_amplitudes",
+                        lambda *a: amps.append(readout_amplitudes(*a)) or amps[-1])
+    res = sweep_coherent(DomeParams(5, m), cfg(DisorderTarget.ALL, sigmas=(0.0, 0.1, 0.5), samples=20),
+                         SweepMetric.QPT_AT_HALF_T)
+    u = np.concatenate(amps[1:])[:, 0]  # amps[0] holds the noise-free reference
+    assert u.size == res.fidelities.size == 60
+    np.testing.assert_allclose(res.fidelities.ravel(), np.abs(1.0 + u) ** 2 / 4.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])
