@@ -295,6 +295,8 @@ def resolve(command: str, cfg: dict) -> dict:
     if error is not None:
         raise ConfigError(error)
     cfg = _filled(schema, cfg)
+    if cfg.get("decoherence") == {}:  # no channel: that is the closed evolve
+        raise ConfigError("decoherence needs t1_us or tphi_us")
     if "decoherence" in cfg and "rate_MHz" not in cfg:
         # Natural units (J = 1 rad/s) are meaningless against microsecond T1/Tphi.
         raise ConfigError("decoherence needs rate_MHz")
@@ -373,6 +375,9 @@ def _json_text(value, indent: str = "") -> str:
     one C-encoder call with newline-and-indent as its item separator; the
     scalars beside containers are encoded in one call and split at its
     newline separators, which no encoded scalar contains.  Keys are str.
+    It pays on synth's eigenvector payloads: json.dumps took 0.49 and 0.57
+    ms for N = 24 and 26, this 0.33 and 0.38 ms, about 17% of a 0.94-1.03 ms
+    in-process synth (Python 3.11, 2-core Xeon VM).
     """
     if not isinstance(value, _CONTAINERS):
         return _json_encoder("")(value)
@@ -561,13 +566,10 @@ def cmd_evolve(cfg: dict) -> Path:
     period = system.period
     times, marked = _evolve_times(cfg, period)
 
-    deco = None
-    if "decoherence" in cfg:
-        d = cfg["decoherence"]
-        deco = DecoherenceConfig(
-            t1=d["t1_us"] * 1e-6 if "t1_us" in d else None,
-            t_phi=d["tphi_us"] * 1e-6 if "tphi_us" in d else None,
-        )
+    d = cfg.get("decoherence")  # never empty: `resolve` refuses {}
+    deco = None if d is None else DecoherenceConfig(
+        t1=d["t1_us"] * 1e-6 if "t1_us" in d else None,
+        t_phi=d["tphi_us"] * 1e-6 if "tphi_us" in d else None)
 
     if grid is None:
         sites, target = (1, n_sites), chain_bell_target(n_sites)

@@ -3,8 +3,8 @@
 States live in dimension D + 1 where D is the site count: index 0 is the
 vacuum (all qubits down) and index n >= 1 is the single excitation on
 site n.  Excitation-conserving Hamiltonians act on the site block only,
-so closed evolution diagonalizes the D x D block once and leaves the
-vacuum amplitude untouched.
+so closed evolution reads every amplitude off e^{-iHt} in the eigenbasis
+of the D x D block and leaves the vacuum amplitude untouched.
 
 Open dynamics solves the master equation
 
@@ -24,8 +24,8 @@ three exactly solvable parts:
     rho_S'    = -i [H, rho_S] - gamma1 rho_S - 4 gamma_phi (rho_S - diag rho_S)
     rho_00    = tr rho(0) - tr rho_S
 
-The vacuum coherences ride the closed eigendecomposition, one per site
-block; when rho0 has none they stay zero and no block is diagonalized.
+The vacuum coherences are one closed propagation of rho0[1:, 0] under the
+whole stack; when rho0 has none they stay zero and no H is diagonalized.
 T1 enters the site block only as the scalar e^{-gamma1 t}, so the block
 is propagated under G_phi (the commutator and dephasing) once per distinct
 Tphi and scaled per T1.
@@ -55,13 +55,14 @@ apply each block's sparse generator with scipy's expm_multiply, one call
 per run.  Positivity of every output state is checked by one stacked
 Cholesky factorization of rho + 1e-6 I; eigvalsh decides only when that
 fails.
-Both propagators return plain arrays: `evolve_closed` the (T, D+1) states,
-`evolve_lindblad` the density matrices.  `evolve_closed` is the one closed
-propagator: one diagonalization and one real matrix product give every
-output time, and a single time is a one-point grid.  A closed grid
-(H_col kron 1 + 1 kron H_row) is evolved as the product of two such calls,
-one per chain, so its D x D matrix is never built.  The vacuum terms of
-open evolution are evaluated for the whole time grid the same way.
+Both propagators take one site block or an (M, D, D) stack, check its
+symmetry at once and return plain arrays led by an M axis for a stack:
+`evolve_closed` the (T, D+1) states, `evolve_lindblad` the density
+matrices.  The one closed propagator, `_amplitudes` (one stacked `eigh`,
+the phases e^{-i w t} V^T psi, one real GEMM), serves `evolve_closed`, the
+sweeps in `noise` and the vacuum coherences above.  A closed grid is the
+product of two closed calls, one per chain, so its D x D matrix is never
+built.
 
 scipy is imported only by the sparse branch of the open propagator, on its
 first call, so closed evolution and open evolution up to
@@ -79,7 +80,6 @@ import numpy as np
 __all__ = [
     "DecoherenceConfig",
     "site_state",
-    "eigendecompose",
     "evolve_closed",
     "evolve_lindblad",
 ]
@@ -151,43 +151,50 @@ class DecoherenceConfig:
 
 
 def _check_symmetric(H: np.ndarray) -> np.ndarray:
+    """H as floats: one symmetric D x D site block or an (M, D, D) stack, checked at once."""
     H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > 1e-10 * scale:
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
+        raise ValueError("H must be a square matrix or a stack of them")
+    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(H - H.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale).any():
         raise ValueError("H must be symmetric")
     return H
 
 
-def eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns.
+def _amplitudes(H: np.ndarray, source: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(M, D, T) site amplitudes exp(-i H_m t) source of an (M, D, D) stack.
 
-    Column signs are whatever LAPACK returns: every caller uses V only in
-    V f(w) V^T, which no column sign changes.
+    source holds D complex site amplitudes.  One stacked `eigh` gives
+    H = V diag(w) V^T with V real, so V^T source is one real GEMM on the
+    (re, im) pairs of source, and V (e^{-i w t} V^T source) one real GEMM on
+    those of the phases.  Each matrix of a stack gets the bits it gets alone.
     """
-    return np.linalg.eigh(_check_symmetric(H))
+    w, V = np.linalg.eigh(H)
+    pairs = np.ascontiguousarray(source, dtype=complex).view(float).reshape(-1, 2)
+    coeffs = (V.swapaxes(-1, -2) @ pairs).view(complex)
+    phases = np.exp(-1j * (w[..., None] * times)) * coeffs
+    return (V @ phases.view(float)).view(complex)
 
 
 def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The (T, D+1) states psi0 reaches under the site block of H at `times`.
+    """The (T, D+1) states psi0 reaches under the site block H at `times`,
+    or (M, T, D+1) under an (M, D, D) stack.
 
-    H is the D x D site block (physical units, rad/s when times are in
-    seconds); psi0 has D + 1 entries with index 0 the vacuum amplitude.
-    One diagonalization and one real GEMM (V is real) serve the time grid.
+    H is in physical units (rad/s when times are in seconds); psi0 has
+    D + 1 entries with index 0 the vacuum amplitude, which no H changes.
     """
-    w, V = eigendecompose(H)
+    H = _check_symmetric(H)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (w.size + 1,):
+    if psi0.shape != (H.shape[-1] + 1,):
         raise ValueError("psi0 must have length D + 1 (vacuum slot first)")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    phases = np.exp(-1j * np.outer(w, times)) * (V.T @ psi0[1:])[:, None]
-    states = np.empty((times.size, psi0.size), dtype=complex)  # rows of (T, D+1), C order
-    states[:, 0] = psi0[0]
-    states[:, 1:] = (V @ phases.view(float)).view(complex).T
-    return states
+    amps = _amplitudes(H.reshape(-1, *H.shape[-2:]), psi0[1:], times)
+    states = np.empty((amps.shape[0], times.size, psi0.size), dtype=complex)  # C order
+    states[..., 0] = psi0[0]
+    states[..., 1:] = amps.swapaxes(1, 2)
+    return states if H.ndim == 3 else states[0]
 
 
 def _merge_steps(steps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -566,10 +573,8 @@ def _evolve_open(
     # Vacuum coherences that start at zero stay zero: no H is diagonalized.
     out[..., 1:, 0] = 0.0
     if rho0[1:, 0].any():
-        for k, h in enumerate(H):
-            w, V = eigendecompose(h)
-            cols = (np.exp(-1j * np.outer(times, w)) * (V.T @ rho0[1:, 0])) @ V.T
-            np.multiply(decay[..., None], cols, out=out[k, :, :, 1:, 0])
+        cols = _amplitudes(H, rho0[1:, 0], times).swapaxes(1, 2)  # (M, T, D)
+        np.multiply(decay[..., None], cols[:, None], out=out[..., 1:, 0])
     np.conjugate(out[..., 1:, 0], out=out[..., 0, 1:])
     out[..., 0, 0] = np.einsum("ii->", rho0) - np.einsum("...ii->...", out[..., 1:, 1:])
     return out
@@ -591,8 +596,8 @@ def evolve_lindblad(
     for a sequence, so (M, P, T, D+1, D+1) when both are given.  Trace and
     positivity of every state are validated to 1e-6.
     """
-    H = np.asarray(H, dtype=float)
-    stack = np.array([_check_symmetric(h) for h in (H if H.ndim == 3 else [H])])
+    H = _check_symmetric(H)
+    stack = H if H.ndim == 3 else H[None]
     decos = (deco,) if isinstance(deco, DecoherenceConfig) else tuple(deco)
     if not (stack.size and decos):
         raise ValueError("need at least one site block and one DecoherenceConfig")

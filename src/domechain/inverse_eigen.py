@@ -46,7 +46,6 @@ from .spectrum import Spectrum
 
 __all__ = [
     "ReconstructionError",
-    "compute_weights",
     "synthesize",
 ]
 
@@ -55,7 +54,7 @@ class ReconstructionError(RuntimeError):
     """Numerical breakdown of the synthesis recurrence or of its verification."""
 
 
-def compute_weights(spec: Spectrum) -> np.ndarray:
+def _weights(spec: Spectrum) -> np.ndarray:
     """Inner-product weights alpha_s (positive, unit sum) of the spectrum.
 
     P_N'(lambda_s) = prod_{r != s} (lambda_s - lambda_r); the weights are
@@ -177,7 +176,7 @@ def synthesize(spec: Spectrum) -> tuple[TridiagonalHamiltonian, np.ndarray, np.n
     physically pinned.  For a unit eigenvector, ||H w_s - lambda_s w_s||
     is |ev_s - lambda_s|, so the check also bounds the eigen-residual.
     """
-    weights = compute_weights(spec)
+    weights = _weights(spec)
     ham = _chain(spec, weights)
     ev, V = np.linalg.eigh(ham.matrix())
     _check_spectrum(ev, spec)

@@ -36,8 +36,6 @@ import numpy as np
 
 __all__ = [
     "reduce_to_sites",
-    "quarter_period_phase",
-    "bell_state",
     "chain_bell_target",
     "corner_w_target",
     "state_fidelity",
@@ -80,43 +78,36 @@ def reduce_to_sites(frames, sites) -> np.ndarray:
     return out
 
 
-def quarter_period_phase(length: int) -> complex:
-    """Relative phase acquired by the far end at t = T/4: +i odd, -i even."""
-    if length < 2:
+def _quarter_period_ket(*lengths: int) -> np.ndarray:
+    """Readout state reached at T/4 from the first site: the two ends of a
+    chain of length L (lengths = (L,)) or the four corners of a grid (rows,
+    cols).  A transfer over L sites gives its far end the relative phase +i
+    for odd L and -i for even L; grid corners take products of these.
+    """
+    if min(lengths) < 2:
         raise ValueError("transfer needs at least two sites")
-    return 1j if length % 2 else -1j
-
-
-def bell_state(phase: complex) -> np.ndarray:
-    """(|down.up> + phase * |up.down>)/sqrt(2) on two qubits."""
-    vec = np.zeros(4, dtype=complex)
-    vec[1] = phase / np.sqrt(2)
-    vec[2] = 1 / np.sqrt(2)
+    amps = np.ones(1, dtype=complex)
+    for length in lengths:
+        amps = np.outer(amps, (1.0, 1j if length % 2 else -1j)).ravel()
+    vec = np.zeros(2**amps.size, dtype=complex)
+    vec[1 << np.arange(amps.size)[::-1]] = amps / np.sqrt(amps.size)
     return vec / np.linalg.norm(vec)
 
 
 def chain_bell_target(n_sites: int) -> np.ndarray:
-    """End-pair state reached at T/4 from an excitation on site 1.
-
-    Equals (|up.down> + p|down.up>)/sqrt(2) with p = quarter_period_phase;
-    for odd chains this is (|down.up> - i|up.down>)/sqrt(2) up to a global
-    phase.
-    """
-    return bell_state(quarter_period_phase(n_sites))
+    """End-pair state (|up.down> + p|down.up>)/sqrt(2) reached at T/4 from an
+    excitation on site 1, with p = +i for odd and -i for even chains."""
+    return _quarter_period_ket(n_sites)
 
 
 def corner_w_target(rows: int, cols: int) -> np.ndarray:
     """Four-corner state reached at T/4 from an excitation at (1,1).
 
     (|e1> + p(C)|e2> + p(R)|e3> + p(R)p(C)|e4>)/2 in corner order (1,1),
-    (1,C), (R,1), (R,C); for a 3x4 grid the phases are (1, -i, +i, 1).
+    (1,C), (R,1), (R,C), with p(L) the chain phase of `chain_bell_target`;
+    for a 3x4 grid the phases are (1, -i, +i, 1).
     """
-    pc = quarter_period_phase(cols)
-    pr = quarter_period_phase(rows)
-    vec = np.zeros(16, dtype=complex)
-    for pos, amp in enumerate((1.0, pc, pr, pr * pc)):
-        vec[1 << (3 - pos)] = amp / 2.0
-    return vec
+    return _quarter_period_ket(rows, cols)
 
 
 def state_fidelity(rhos, target) -> np.ndarray:

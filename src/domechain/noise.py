@@ -12,19 +12,20 @@ on grids).  Sigma, in units of J, scales them into additive shifts of the
 dimensionless entries.  A coherent sweep draws once: every m and every
 sigma shares one noise field.
 
-Coherent sweeps diagonalize the perturbed site matrices of all (m, sigma,
-sample) rows in one chunked stream of stacked `eigh` calls, split over the
-usable CPUs from SPLIT_MIN_ENTRIES entries on, and contract to readout
-amplitudes a = <r|U(t)|site 1>.  A decoherence scan evolves |1><1| for every
-chain and every (T1, Tphi) point in one stacked `evolve_lindblad` call, which
-propagates the site block once per (m, distinct Tphi) and scales it by
-e^{-t/T1} per point, and keeps the readout block of the final states.  Both
-take their readout sites, evaluation time and noise-free amplitudes a0 from
-`_reference`, one stacked diagonalization of the noise-free matrices of all
-m.  Both score through `metrics`: the entanglement metrics by
-`_readout_fidelity` against the noise-free reduction, and the transfer
-channel at T/2 by `transfer_fidelity`, from |a|^2 and a when closed, or from
-the end population and the decayed a0 when open.
+Coherent sweeps read a = <r|U(t)|site 1> of the perturbed site matrices
+of all (m, sigma, sample) rows off the closed propagator
+`dynamics._amplitudes`, in one chunked stream of stacked calls, split over
+the usable CPUs from SPLIT_MIN_ENTRIES entries on.  A decoherence scan
+evolves |1><1| for every chain and every (T1, Tphi) point in one stacked
+`evolve_lindblad` call, which propagates the site block once per (m,
+distinct Tphi) and scales it by e^{-t/T1} per point, and keeps the readout
+block of the final states.  Both take their readout sites, evaluation time
+and noise-free amplitudes a0 from `_reference`, one propagator call on the
+noise-free matrices of all m.  Both score through `metrics`: the
+entanglement metrics by `_readout_fidelity` against the noise-free
+reduction, and the transfer channel at T/2 by `transfer_fidelity`, from
+|a|^2 and a when closed, or from the end population and the decayed a0
+when open.
 The sigmas, sample counts and scan grids are all arguments here, and the
 rate is the systems' J; the working-point defaults live in the CLI's one
 table (`cli.SCHEMAS`).
@@ -39,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MAX_CHUNK_ENTRIES, DecoherenceConfig, evolve_lindblad, site_state
+from .dynamics import MAX_CHUNK_ENTRIES, DecoherenceConfig, _amplitudes, evolve_lindblad, site_state
 from .metrics import _readout_fidelity, transfer_fidelity
 from .models import _SiteModel
 
@@ -158,12 +159,11 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
     and only the matrices that fail on their own get NaN amplitudes.
     """
     try:
-        w, V = np.linalg.eigh(H)
+        return _amplitudes(H, site_state(H.shape[-1], 1)[1:], np.array([t]))[:, readout, 0]
     except np.linalg.LinAlgError:
         if H.shape[0] == 1:
             return np.full((1, readout.size), np.nan, dtype=complex)
         return np.concatenate([_readout_amplitudes(h[None], t, readout) for h in H])
-    return np.einsum("srk,sk,sk->sr", V[:, readout, :], np.exp(-1j * w * t), V[:, 0, :])
 
 
 def _reference(model: _SiteModel, metric: SweepMetric):

@@ -425,6 +425,16 @@ def test_evolve_decoherence_without_rate_is_refused(outdir, capsys):
     assert not (outdir / "evolve.csv").exists()
 
 
+def test_evolve_empty_decoherence_is_refused(outdir, capsys):
+    # An empty object names no channel; it would run the closed evolve
+    # through the open propagator, whose bits differ from the closed path's.
+    assert run(["evolve", "--set", "N=9", "--set", "m=2", "--set", "rate_MHz=5",
+                "--set", "decoherence={}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "detail": "decoherence needs t1_us or tphi_us"}
+    assert not (outdir / "evolve.csv").exists()
+
+
 def test_sweep_coherent_csv_and_sidecar(outdir):
     args = [
         "sweep", "--set", "kind=coherent", "--set", "metric=bell_at_quarter_t",
@@ -810,13 +820,12 @@ def test_internal_errors_exit_1_with_traceback(outdir, capsys, monkeypatch, exc_
 
 
 def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
-    # LinAlgError is a ValueError, but it reports a numerical failure, not a bad config.
-    from domechain import dynamics
-
+    # LinAlgError is a ValueError, but it reports a numerical failure, not a bad
+    # config.  It is raised here by the closed propagator's eigh.
     def broken(H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(dynamics, "eigendecompose", broken)
+    monkeypatch.setattr(np.linalg, "eigh", broken)
     assert run(["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=5"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "numerical", "detail": "Eigenvalues did not converge"}
@@ -1113,12 +1122,15 @@ def test_open_evolve_imports_scipy_linalg():
     assert not loaded & {"scipy", "jsonschema"}
 
 
-def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
-    from domechain import dynamics
+def counted_eighs(monkeypatch) -> list:
+    """The (D, D) matrix shape of every later np.linalg.eigh call, one entry a call."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: shapes.append(H.shape[-2:]) or eigh(H))
+    return shapes
 
-    calls = []
-    eigendecompose = dynamics.eigendecompose
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: calls.append(H) or eigendecompose(H))
+
+def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
+    calls = counted_eighs(monkeypatch)
     assert run(["evolve", "--set", "N=6", "--set", "m=2", "--set", "points=21"]) == 0
     assert len(calls) == 1
 
@@ -1127,12 +1139,9 @@ def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
     # A closed grid is the product of its column and row chains: two small
     # diagonalizations and no dense grid matrix.  An open grid still needs
     # the dense matrix, because dephasing does not factor over the chains.
-    from domechain import dynamics
     from domechain.models import _SiteModel
 
-    eighs, built = [], []
-    eigendecompose, matrices = dynamics.eigendecompose, _SiteModel.matrices
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H.shape) or eigendecompose(H))
+    eighs, built, matrices = counted_eighs(monkeypatch), [], _SiteModel.matrices
     monkeypatch.setattr(_SiteModel, "matrices",
                         lambda *a, **k: built.append(matrices(*a, **k).shape) or matrices(*a, **k))
     grid = ["evolve", "--set", "rows=3", "--set", "cols=5", "--set", "m_x=2", "--set", "m_y=1",
@@ -1152,7 +1161,7 @@ def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
 def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
     from domechain import inverse_eigen
 
-    calls = {"eigh": 0, "eigvalsh": 0, "compute_weights": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "_weights": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1162,13 +1171,12 @@ def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(inverse_eigen, "compute_weights",
-                        counted("compute_weights", inverse_eigen.compute_weights))
+    monkeypatch.setattr(inverse_eigen, "_weights", counted("_weights", inverse_eigen._weights))
     for argv in (["synth", "--set", "N=24", "--set", "m=2"],
                  ["synth", "--set", "spectrum=[-1, 0.5, 2]", "--format", "csv"]):
         calls.update(dict.fromkeys(calls, 0))
         assert run(argv) == 0
-        assert calls == {"eigh": 1, "eigvalsh": 0, "compute_weights": 1}
+        assert calls == {"eigh": 1, "eigvalsh": 0, "_weights": 1}
 
 
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
@@ -1179,10 +1187,8 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     from domechain import dynamics
     from test_dynamics import exponentiated
 
-    expms, eighs = [], []
-    expm, eigendecompose = dynamics._expm, dynamics.eigendecompose
+    expms, eighs, expm = [], counted_eighs(monkeypatch), dynamics._expm
     monkeypatch.setattr(dynamics, "_expm", lambda A: expms.append(A) or expm(A))
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
     assert (exponentiated(expms), len(eighs)) == (2 * 5, 1)

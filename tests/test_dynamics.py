@@ -15,7 +15,6 @@ import scipy.linalg
 
 from domechain.dynamics import (
     DecoherenceConfig,
-    eigendecompose,
     evolve_closed,
     evolve_lindblad,
     site_state,
@@ -355,18 +354,52 @@ def test_evolve_closed_rejects_malformed_states():
         evolve_closed(H, 2.0 * site_state(4, 1), [0.0, 1.0])
 
 
-def test_eigendecompose_is_deterministic_and_sorted():
+def test_evolve_closed_is_deterministic():
     H = dome_hamiltonian(DomeParams(N=6, m=3)).matrix()
-    w1, V1 = eigendecompose(H)
-    w2, V2 = eigendecompose(H.copy())
-    assert np.all(np.diff(w1) > 0)
-    np.testing.assert_array_equal(V1, V2)
-    np.testing.assert_allclose(V1 @ np.diag(w1) @ V1.T, H, atol=1e-10)
+    times = np.linspace(0.0, 2 * np.pi, 7)
+    np.testing.assert_array_equal(evolve_closed(H, site_state(6, 2), times),
+                                  evolve_closed(H.copy(), site_state(6, 2), times))
 
 
-def test_eigendecompose_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
+def test_closed_and_open_evolve_reject_asymmetric_blocks():
+    # Symmetry is checked on the whole stack: one asymmetric block refuses it.
+    H = dome_hamiltonian(DomeParams(N=4, m=1)).matrix()
+    bad = H.copy()
+    bad[0, 1] += 1e-6
+    psi0 = site_state(4, 1)
+    rho0 = np.outer(psi0, psi0.conj())
+    for stack in (bad, np.array([H, bad, H])):
+        with pytest.raises(ValueError, match="symmetric"):
+            evolve_closed(stack, psi0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            evolve_lindblad(stack, rho0, [0.0, 1.0], DecoherenceConfig(t1=1.0))
+    with pytest.raises(ValueError, match="symmetric"):
+        evolve_closed(np.array([[0.0, 1.0], [2.0, 0.0]]), site_state(2, 1), [0.0])
+    for shape in ((4,), (4, 5), (2, 4, 5), (1, 2, 4, 4)):
+        with pytest.raises(ValueError, match="square"):
+            evolve_closed(np.zeros(shape), psi0, [0.0])
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_stacked_closed_evolve_equals_single_calls(M):
+    # An (M, D, D) stack gives each block's single-call states bit for bit,
+    # for chains (one of them detuned, so not mirror-symmetric) and grid
+    # matrices, from a site state and from a random one with a vacuum part.
+    rate = 2 * np.pi * 5e6
+    rng = np.random.default_rng(M)
+    chains = [dome_hamiltonian(DomeParams(N=6, m=m, J=rate)).matrix(physical=True)
+              for m in (2, 102)] + [shifted_chain(6, 2, rate)]
+    grids = [single_excitation_matrix(Grid2D(3, 4, 2, m_y, J=rate), physical=True)
+             for m_y in (2, 1, 0)]
+    times = np.linspace(0.0, 2 * np.pi / rate, 9)
+    for stack in (np.array(chains[:M]), np.array(grids[:M])):
+        D = stack.shape[-1]
+        c = rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)
+        for psi0 in (site_state(D, 1), c / np.linalg.norm(c)):
+            states = evolve_closed(stack, psi0, times)
+            assert states.shape == (M, times.size, D + 1)
+            for h, got in zip(stack, states):
+                np.testing.assert_array_equal(got, evolve_closed(h, psi0, times))
 
 
 def test_site_state_validation():

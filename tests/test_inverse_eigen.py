@@ -11,7 +11,7 @@ from domechain.inverse_eigen import (
     ReconstructionError,
     _check_spectrum,
     _recurrence,
-    compute_weights,
+    _weights,
     synthesize,
 )
 from domechain.models import DomeParams, dome_hamiltonian
@@ -19,25 +19,25 @@ from domechain.spectrum import Spectrum, dome_spectrum
 
 
 def test_weights_positive_and_normalized():
-    w = compute_weights(dome_spectrum(9, 3))
+    w = _weights(dome_spectrum(9, 3))
     assert np.all(w > 0)
     assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_weights_two_site():
-    w = compute_weights(Spectrum(values=np.array([-0.5, 0.5])))
+    w = _weights(Spectrum(values=np.array([-0.5, 0.5])))
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
 
 def test_weights_line_three_site():
     # lambda = (-1, 0, 1): derivative magnitudes (2, 1, 2) invert to
     # weights (1/4, 1/2, 1/4), the squared end components of the chain.
-    w = compute_weights(Spectrum(values=np.array([-1.0, 0.0, 1.0])))
+    w = _weights(Spectrum(values=np.array([-1.0, 0.0, 1.0])))
     np.testing.assert_allclose(w, [0.25, 0.5, 0.25], atol=1e-14)
 
 
 def test_weights_symmetric_spectrum_gives_symmetric_weights():
-    w = compute_weights(Spectrum(values=np.array([-3.0, -1.0, 1.0, 3.0])))
+    w = _weights(Spectrum(values=np.array([-3.0, -1.0, 1.0, 3.0])))
     np.testing.assert_allclose(w, w[::-1], atol=1e-14)
 
 
@@ -121,7 +121,7 @@ def test_eigenvectors_diagonalize_the_chain():
 def test_eigenvectors_first_column_is_sqrt_weight():
     for spec in (dome_spectrum(5, 2), Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]))):
         W = synthesize(spec)[2]
-        np.testing.assert_allclose(W[:, 0], np.sqrt(compute_weights(spec)), atol=1e-12)
+        np.testing.assert_allclose(W[:, 0], np.sqrt(_weights(spec)), atol=1e-12)
 
 
 def test_eigenvectors_end_site_sign_alternation():
@@ -150,7 +150,7 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
     signs = np.where(np.sum(W * V.T, axis=1) < 0, -1.0, 1.0)
     assert np.max(np.abs(W - signs[:, None] * V.T)) <= 1e-12
     assert np.all(W[:, 0] >= 0)
-    assert np.max(np.abs(W[:, 0] ** 2 - compute_weights(spec))) <= 1e-12
+    assert np.max(np.abs(W[:, 0] ** 2 - _weights(spec))) <= 1e-12
     mirror = (-1.0) ** (N + np.arange(1, N + 1))
     assert np.max(np.abs(W[:, -1] - mirror * W[:, 0])) <= 1e-12
 
@@ -158,7 +158,7 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
 @pytest.mark.parametrize("spec", [dome_spectrum(2, 0), dome_spectrum(5, 2), dome_spectrum(64, 10),
                                   Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]), rate_J=2.0)])
 def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
-    # One pass gives what the separate steps give: compute_weights' weights
+    # One pass gives what the separate steps give: _weights' weights
     # and one signed eigh of the chain, bit for bit, with the chain carrying
     # the spectrum (eigvalsh) and the rows its eigen-residual, both to 1e-8.
     ham, weights, W = synthesize(spec)
@@ -167,7 +167,7 @@ def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
     V *= np.where(V[0] < 0, -1.0, 1.0)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     assert ham.rate_J == spec.rate_J
-    np.testing.assert_array_equal(weights, compute_weights(spec))
+    np.testing.assert_array_equal(weights, _weights(spec))
     np.testing.assert_array_equal(W, V.T)
     assert np.max(np.abs(np.linalg.eigvalsh(H) - spec.values)) / scale <= 1e-8
     assert np.max(np.abs(H @ W.T - W.T * spec.values)) / scale <= 1e-8
@@ -199,4 +199,4 @@ def test_overflowed_recurrence_is_refused_without_warnings():
     for values in ([-1e300, 1e300], [-1e300, 0.0, 1e300], [-8e307, 8e307]):
         spec = Spectrum(values=np.array(values))
         with pytest.raises(ReconstructionError, match="^recurrence overflowed at degree 1$"):
-            _recurrence(spec.values, compute_weights(spec), spec.n - 1)
+            _recurrence(spec.values, _weights(spec), spec.n - 1)

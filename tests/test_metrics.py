@@ -28,10 +28,9 @@ from domechain.dynamics import (
     site_state,
 )
 from domechain.metrics import (
-    bell_state,
+    _quarter_period_ket,
     chain_bell_target,
     corner_w_target,
-    quarter_period_phase,
     reduce_to_sites,
     state_fidelity,
     transfer_fidelity,
@@ -276,11 +275,13 @@ def test_reduce_validation():
 
 
 def test_quarter_period_phase_parity():
-    assert quarter_period_phase(3) == 1j
-    assert quarter_period_phase(5) == 1j
-    assert quarter_period_phase(4) == -1j
-    with pytest.raises(ValueError):
-        quarter_period_phase(1)
+    # The far end's phase relative to the source: +i for odd, -i for even lengths.
+    for length, phase in ((3, 1j), (5, 1j), (4, -1j)):
+        ket = _quarter_period_ket(length)
+        assert ket[1] == phase * ket[2]
+    for lengths in ((1,), (1, 4), (4, 1)):
+        with pytest.raises(ValueError):
+            _quarter_period_ket(*lengths)
 
 
 def test_bell_targets_are_reached_by_the_dynamics():
@@ -292,12 +293,12 @@ def test_bell_targets_are_reached_by_the_dynamics():
         rho = reduce_to_sites(psi, (1, N))
         assert abs(state_fidelity(rho, chain_bell_target(N))[0] - 1.0) < 1e-9
         # The opposite parity phase is orthogonal, not merely off by phase.
-        wrong = bell_state(-quarter_period_phase(N))
+        wrong = _quarter_period_ket(N + 1)
         assert state_fidelity(rho, wrong)[0] < 1e-9
 
 
 def test_bell_state_structure():
-    vec = bell_state(1j)
+    vec = _quarter_period_ket(3)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     assert vec[0] == 0 and vec[3] == 0
     assert abs(vec[2] - 1 / np.sqrt(2)) < 1e-12
@@ -341,7 +342,7 @@ def test_fidelity_shape_validation():
     with pytest.raises(ValueError):
         state_fidelity(np.eye(4)[None] / 4.0, np.eye(4)[:, :2])
     with pytest.raises(ValueError):
-        state_fidelity(bell_state(1j), bell_state(1j))  # a ket is not a density matrix
+        state_fidelity(chain_bell_target(3), chain_bell_target(3))  # a ket is not a density matrix
 
 
 def test_qpt_identity_channel():

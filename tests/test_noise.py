@@ -663,21 +663,21 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
 def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     # The default Tphi grid contains the fixed 5 us, so each m needs 8
     # generator exponentials for both scans, for each of its two mirror
-    # blocks.  The noise-free reference is one stacked eigh in `noise`, and
-    # |1><1| has no vacuum coherences, so `dynamics` diagonalizes no H.
+    # blocks.  The noise-free reference of both m is one stacked eigh, and
+    # |1><1| has no vacuum coherences, so no other H is diagonalized.
     from domechain import dynamics
 
     expms, eighs = [], []
-    expm, eigendecompose = dynamics._expm, dynamics.eigendecompose
+    expm, eigh = dynamics._expm, np.linalg.eigh
     monkeypatch.setattr(dynamics, "_expm", lambda A: expms.append(A) or expm(A))
-    monkeypatch.setattr(dynamics, "eigendecompose", lambda H: eighs.append(H) or eigendecompose(H))
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: eighs.append(H.shape) or eigh(H))
     for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
         expms.clear()
         eighs.clear()
         scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
         assert len(scan.t1_scan) == 2
         assert exponentiated(expms) == 8 * 2 * 2
-        assert eighs == []
+        assert eighs == [(2, 5, 5)]
 
 
 def test_decoherence_scan_rejects_grid_metric():
@@ -740,6 +740,30 @@ def test_coherent_qpt_is_the_amplitude_damping_formula(m, monkeypatch):
     u = np.concatenate(amps[1:])[:, 0]  # amps[0] holds the noise-free reference
     assert u.size == res.fidelities.size == 60
     np.testing.assert_allclose(res.fidelities.ravel(), np.abs(1.0 + u) ** 2 / 4.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("system, metric", [
+    (DomeParams(5, 2, RATE_5MHZ), SweepMetric.BELL_AT_QUARTER_T),
+    (DomeParams(6, 102, RATE_5MHZ), SweepMetric.QPT_AT_HALF_T),
+    (Grid2D(3, 4, 2, 1, J=RATE_5MHZ), SweepMetric.W_AT_QUARTER_T),
+], ids=["bell", "qpt", "w"])
+def test_sweep_amplitudes_are_closed_evolves_of_the_perturbed_matrices(system, metric, monkeypatch):
+    # The sweep reads each sample's readout amplitudes off the one closed
+    # propagator: they are evolve_closed's state of the sample's perturbed
+    # matrix at the metric's time, at the readout sites, bit for bit.
+    readout, duration = noise._reference(_SiteModel.of(system), metric)[:2]
+    amps = []
+    readout_amplitudes = noise._readout_amplitudes
+    monkeypatch.setattr(noise, "_readout_amplitudes",
+                        lambda *a: amps.append(readout_amplitudes(*a)) or amps[-1])
+    c = cfg(DisorderTarget.ALL, sigmas=(0.5,), samples=6)
+    sweep_coherent(system, c, metric)
+    got = np.concatenate(amps[1:])  # amps[0] holds the noise-free reference
+    assert got.shape == (c.samples, readout.size)
+    for k in range(c.samples):
+        H = sampled(system, c, k)
+        psi = evolve_closed(H, site_state(H.shape[0], 1), duration)[0]
+        np.testing.assert_array_equal(got[k], psi[readout + 1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2**63 + 5, 2**64 - 1])
