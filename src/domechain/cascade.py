@@ -38,7 +38,6 @@ __all__ = [
     "CascadePlan",
     "CascadeInfeasibleError",
     "max_coupling",
-    "segment_lengths",
     "plan_cascade",
     "feasible_N",
 ]
@@ -99,7 +98,7 @@ def max_coupling(kind: ChainKind, N: int, m: int = 0, J: float = 1.0) -> float:
     return float(np.max(couplings)) * J
 
 
-def segment_lengths(N: int, k: int) -> tuple[int, ...]:
+def _segment_lengths(N: int, k: int) -> tuple[int, ...]:
     """Segment site counts; consecutive segments share one boundary site.
 
     The N - 1 bonds are split as evenly as possible with the remainder
@@ -160,7 +159,7 @@ def plan_cascade(
     (naming the limiting segment) if any rate falls below j_min.
     """
     m = _kind_m(kind, m)
-    lengths = segment_lengths(N, k)
+    lengths = _segment_lengths(N, k)
     peaks = {L: max_coupling(kind, L, m) for L in set(lengths)}
     rates = []
     for i, L in enumerate(lengths):

@@ -45,14 +45,15 @@ entries of H, with no D^2 x D^2 basis.
 `evolve_lindblad` takes a stack of site blocks and a sequence of configs,
 so a whole decoherence scan is one call.  Steps within a few ulps of the
 end time count as one length, and consecutive steps of one length form a
-run.  Up to DENSE_GENERATOR_MAX_SITES sites the blocks are exponentiated
-densely, every (site block, mirror block, Tphi, step length) in one
-stacked Pade scaling-and-squaring call (`_expm`) up to a memory budget,
-and each run is filled by doubling: with k states
-known, the next k are those times the k-th power of the step map, squared
-once per round, where squaring is cheaper than stepping.  Larger systems
-apply each block's sparse generator with scipy's expm_multiply, one call
-per run.  Positivity of every output state is checked by one stacked
+run.  One work loop, `_site_blocks`, walks every (site block, mirror
+block, Tphi) unit and every run and subtracts the dephasing for both
+branches; a branch only builds the filler of a run.  Up to
+DENSE_GENERATOR_MAX_SITES sites the step maps of a chunk of units come
+from one stacked Pade scaling-and-squaring call (`_expm`), and a run is
+filled by doubling: with k states known, the next k are those times the
+k-th power of the step map, squared once per round, where squaring is
+cheaper than stepping.  Larger systems apply each unit's sparse generator
+with scipy's expm_multiply, one seeded call per run.  Positivity of every output state is checked by one stacked
 Cholesky factorization of rho + 1e-6 I; eigvalsh decides only when that
 fails.
 Both propagators take one site block or an (M, D, D) stack, check its
@@ -66,7 +67,8 @@ built.
 
 scipy is imported only by the sparse branch of the open propagator, on its
 first call, so closed evolution and open evolution up to
-DENSE_GENERATOR_MAX_SITES sites run on numpy alone.
+DENSE_GENERATOR_MAX_SITES sites run on numpy alone, and only that branch
+touches numpy's global RNG (see `_sparse_runs`).
 """
 
 from __future__ import annotations
@@ -442,14 +444,15 @@ def _site_blocks(
 ) -> np.ndarray:
     """(M, F, T, D^2) row-major vecs of the site block without relaxation.
 
-    sites0 is the Hermitian site block of rho0, flattened.  Pair (m, f)
-    evolves it under -i [H_m, .] minus 4 gamma_phi[f] on the coherences
-    between sites, in the real coordinates of `_coordinates`, split by
-    mirror parity when every H_m equals H_m[::-1, ::-1].  Dense step maps
-    of every (m, block, f) come from stacked _expm calls of at most
-    MAX_CHUNK_ENTRIES generator entries each, and _fill_run fills each run
-    of equal steps from them; above DENSE_GENERATOR_MAX_SITES sites
-    `_sparse_runs` propagates instead.
+    sites0 is the Hermitian site block of rho0, flattened.  Unit (m, b, f)
+    evolves mirror block b of it under -i [H_m, .] minus 4 gamma_phi[f] on
+    the coherences between sites, in the real coordinates of
+    `_coordinates`, split by mirror parity when every H_m equals
+    H_m[::-1, ::-1].  This is the one loop over units and runs of equal
+    steps.  Each chunk of units gets its generator entries here and a run
+    filler from its branch: `_dense_runs` for as many units as keep the
+    step maps within MAX_CHUNK_ENTRIES, or above DENSE_GENERATOR_MAX_SITES
+    sites `_sparse_runs` for one.
     """
     M, D = H.shape[:2]
     split = bool((H == H[:, ::-1, ::-1]).all())
@@ -460,28 +463,27 @@ def _site_blocks(
     start = np.bincount(index.ravel(), (weight * sites0.view(float).reshape(-1, 2)).ravel(),
                         minlength=B * n).reshape(B, n)
     lengths, runs = _step_runs(steps, t_end)
-    coords = np.empty((M, F, T, B, n))
     if D <= DENSE_GENERATOR_MAX_SITES:
-        K = np.bincount((np.arange(M)[:, None] * (B * n * n) + flat).ravel(), values.ravel(),
-                        minlength=M * B * n * n).astype(float, copy=False).reshape(M, B, n, n)
-        per_call = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n))
-        for first in range(0, M * B * F, per_call):
-            chunk = np.arange(first, min(first + per_call, M * B * F))
-            ks, bs, fs = np.unravel_index(chunk, (M, B, F))
-            G = K[ks, bs]
-            G.reshape(len(ks), -1)[:, :: n + 1] -= gamma_phi[fs, None] * dephase[bs]
-            maps = _expm((G[:, None] * lengths[:, None, None]).reshape(-1, n, n))
-            maps = maps.reshape(len(ks), lengths.size, n, n)
-            traj, prev = np.empty((len(ks), T, n)), start[bs]
-            for i, stop, g in runs:
-                if g < 0:
-                    traj[:, i:stop] = prev[:, None]
-                else:
-                    _fill_run(traj[:, i:stop], maps[:, g], prev)
-                prev = traj[:, stop - 1]
-            coords[ks, fs, :, bs] = traj
+        per_call, filler = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n)), _dense_runs
     else:
-        _sparse_runs(values, flat, dephase, gamma_phi, start, coords, lengths, runs)
+        per_call, filler = 1, _sparse_runs
+    blk, entry = np.divmod(flat, n * n)
+    coords = np.empty((M, F, T, B, n))
+    for first in range(0, M * B * F, per_call):
+        ks, bs, fs = np.unravel_index(np.arange(first, min(first + per_call, M * B * F)), (M, B, F))
+        # Each unit's commutator entries, at flat indices of a (P, n, n)
+        # stack, and its dephasing, subtracted on the diagonal.
+        own = bs[:, None] == blk
+        at = (np.arange(len(ks))[:, None] * (n * n) + entry)[own]
+        fill = filler(at, values[ks][own], -gamma_phi[fs, None] * dephase[bs], lengths)
+        traj, prev = np.empty((len(ks), T, n)), start[bs]
+        for i, stop, g in runs:
+            if g < 0:
+                traj[:, i:stop] = prev[:, None]
+            else:
+                fill(traj[:, i:stop], g, prev)
+            prev = traj[:, stop - 1]
+        coords[ks, fs, :, bs] = traj
     coords = coords.reshape(M, F, T, B * n)
     out = np.empty((M, F, T, D * D), dtype=complex)
     parts = out.view(float).reshape(M, F, T, D * D, 2)  # (Re, Im) of each entry
@@ -491,52 +493,44 @@ def _site_blocks(
     return out
 
 
-def _sparse_runs(
-    values: np.ndarray,
-    flat: np.ndarray,
-    dephase: np.ndarray,
-    gamma_phi: np.ndarray,
-    start: np.ndarray,
-    coords: np.ndarray,
-    lengths: np.ndarray,
-    runs: list[tuple[int, int, int]],
-) -> None:
-    """Fill coords[m, f, :, b] with one expm_multiply call per run.
+def _dense_runs(at: np.ndarray, values: np.ndarray, diagonal: np.ndarray, lengths: np.ndarray):
+    """Run filler of a chunk of P units: `values` at the flat indices `at`
+    of a (P, n, n) stack plus `diagonal` (P, n) is its generator, one
+    stacked _expm call gives every step map, and `_fill_run` fills a run."""
+    P, n = diagonal.shape
+    G = np.bincount(at, values, minlength=P * n * n).astype(float, copy=False).reshape(P, n, n)
+    G.reshape(P, -1)[:, :: n + 1] += diagonal
+    maps = _expm((G[:, None] * lengths[:, None, None]).reshape(-1, n, n)).reshape(P, -1, n, n)
+    return lambda block, g, prev: _fill_run(block, maps[:, g], prev)
 
-    The generator of block b for H_m has values[m] at the (B, n, n) flat
-    indices `flat` of that block, minus gamma_phi[f] dephase[b] on its
-    diagonal.
+
+def _sparse_runs(at: np.ndarray, values: np.ndarray, diagonal: np.ndarray, lengths: np.ndarray):
+    """Run filler of one unit, with the generator entries of `_dense_runs`.
+
+    The CSR generator is built from those triplets, never as an n x n
+    array, which keeps large grids inside memory.  A run of L steps of
+    length dt is one expm_multiply call.  Its onenormest draws from numpy's
+    global RNG, so each call is seeded, and the caller's state restored,
+    to make every run a function of its inputs.  The dense branch draws
+    nothing and skips that save and restore (66 us a pair).
     """
     import scipy.sparse
     from scipy.sparse.linalg import expm_multiply
 
-    B, n = dephase.shape
-    blk, rows, cols = np.unravel_index(flat, (B, n, n))
-    # expm_multiply takes its degree and step count from onenormest, which
-    # draws from numpy's global RNG.  Seeding it before every call makes each
-    # run a function of its inputs; the caller's state is restored.
-    state = np.random.get_state()
-    try:
-        for b in range(B):
-            here = blk == b
-            for k, vals in enumerate(values[:, here]):
-                K = scipy.sparse.csr_matrix((vals, (rows[here], cols[here])), shape=(n, n))
-                for f, rate in enumerate(gamma_phi):
-                    G = (K - scipy.sparse.diags(rate * dephase[b])).tocsr()
-                    prev, block = start[b], coords[k, f, :, b]
-                    for i, stop, g in runs:
-                        if g < 0:
-                            block[i:stop] = prev
-                        else:
-                            np.random.seed(0)
-                            L, dt = stop - i, lengths[g]
-                            block[i:stop] = (
-                                expm_multiply(G * dt, prev) if L == 1 else
-                                expm_multiply(G, prev, start=dt, stop=L * dt, num=L, endpoint=True)
-                            )
-                        prev = block[stop - 1]
-    finally:
-        np.random.set_state(state)
+    n = diagonal.shape[-1]
+    G = scipy.sparse.csr_matrix((values, np.divmod(at, n)), shape=(n, n)) + scipy.sparse.diags(diagonal[0])
+
+    def fill(block: np.ndarray, g: int, prev: np.ndarray) -> None:
+        L, dt = block.shape[1], lengths[g]
+        state = np.random.get_state()
+        try:
+            np.random.seed(0)
+            block[0] = (expm_multiply(G * dt, prev[0]) if L == 1 else
+                        expm_multiply(G, prev[0], start=dt, stop=L * dt, num=L, endpoint=True))
+        finally:
+            np.random.set_state(state)
+
+    return fill
 
 
 def _evolve_open(
@@ -589,12 +583,13 @@ def evolve_lindblad(
     """The density matrices rho0 reaches under H with uniform T1 and Tphi
     channels at `times`.
 
-    rho0 is (D+1) x (D+1) on the vacuum-plus-sites basis; times start at 0
-    and do not decrease.  H is one D x D site block or an (M, D, D) stack,
-    and deco one DecoherenceConfig or a sequence of P of them: the result
-    has shape (T, D+1, D+1), led by an M axis for a stack and then a P axis
-    for a sequence, so (M, P, T, D+1, D+1) when both are given.  Trace and
-    positivity of every state are validated to 1e-6.
+    rho0 is (D+1) x (D+1) on the vacuum-plus-sites basis; times are
+    finite, start at 0 and do not decrease.  H is one D x D site block or
+    an (M, D, D) stack, and deco one DecoherenceConfig or a sequence of P
+    of them: the result has shape (T, D+1, D+1), led by an M axis for a
+    stack and then a P axis for a sequence, so (M, P, T, D+1, D+1) when
+    both are given.  Trace and positivity of every state are validated to
+    1e-6.
     """
     H = _check_symmetric(H)
     stack = H if H.ndim == 3 else H[None]
@@ -602,6 +597,8 @@ def evolve_lindblad(
     if not (stack.size and decos):
         raise ValueError("need at least one site block and one DecoherenceConfig")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not (times.size and np.isfinite(times).all()):
+        raise ValueError("times must be a non-empty sequence of finite values")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = stack.shape[1] + 1
     if rho0.shape != (dim, dim):

@@ -251,10 +251,10 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
         raise errors[min(errors)]
     fids = fids.reshape(-1, n_samples)
     ok = ~np.isnan(fids)
-    mean = np.array([np.mean(f[o]) if o.any() else np.nan for f, o in zip(fids, ok)])
-    std = np.array(
-        [np.std(f[o], ddof=1) if o.sum() > 1 else 0.0 for f, o in zip(fids, ok)]
-    )
+    kept = [f[o] for f, o in zip(fids, ok)]
+    mean = np.array([np.mean(x) if x.size else np.nan for x in kept])
+    # Equal samples (every sigma = 0 point) have std 0; np.std may miss it by an ulp.
+    std = np.array([np.std(x, ddof=1) if x.size > 1 and x.min() < x.max() else 0.0 for x in kept])
     shape = model.stack + axis.shape
     return SweepResult(mean=mean.reshape(shape), std=std.reshape(shape),
                        samples=ok.sum(axis=1).reshape(shape),

@@ -24,7 +24,7 @@ from domechain.cascade import (
     feasible_N,
     max_coupling,
     plan_cascade,
-    segment_lengths,
+    _segment_lengths,
 )
 from domechain.models import DomeParams, dome_hamiltonian
 
@@ -36,10 +36,10 @@ def budget(j_max=1000.0, j_min=1.0):
 
 
 def test_segment_lengths_examples():
-    assert segment_lengths(40, 4) == (11, 11, 11, 10)
-    assert segment_lengths(10, 1) == (10,)
-    assert segment_lengths(10, 9) == (2,) * 9
-    assert segment_lengths(9, 2) == (5, 5)
+    assert _segment_lengths(40, 4) == (11, 11, 11, 10)
+    assert _segment_lengths(10, 1) == (10,)
+    assert _segment_lengths(10, 9) == (2,) * 9
+    assert _segment_lengths(9, 2) == (5, 5)
 
 
 def test_segment_lengths_cover_all_sites():
@@ -47,7 +47,7 @@ def test_segment_lengths_cover_all_sites():
         for k in (1, 2, 3, 7):
             if k > N - 1:
                 continue
-            lengths = segment_lengths(N, k)
+            lengths = _segment_lengths(N, k)
             assert sum(lengths) == N + k - 1
             assert min(lengths) >= 2
             assert max(lengths) - min(lengths) <= 1
@@ -55,9 +55,9 @@ def test_segment_lengths_cover_all_sites():
 
 def test_segment_lengths_validation():
     with pytest.raises(ValueError):
-        segment_lengths(5, 0)
+        _segment_lengths(5, 0)
     with pytest.raises(ValueError):
-        segment_lengths(5, 5)
+        _segment_lengths(5, 5)
 
 
 def test_max_coupling_line():
@@ -201,7 +201,7 @@ def test_plan_records_inputs():
 def plan_per_segment(N, k, budget, kind, m=0, mode=TransferMode.PST):
     """Reference plan: one `max_coupling` evaluation per segment, in order."""
     m = m if kind is ChainKind.DOME else 0
-    lengths = segment_lengths(N, k)
+    lengths = _segment_lengths(N, k)
     rates = []
     for i, L in enumerate(lengths):
         rate = budget.j_max / max_coupling(kind, L, m)

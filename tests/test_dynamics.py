@@ -409,6 +409,15 @@ def test_site_state_validation():
         site_state(3, 4)
 
 
+@pytest.mark.parametrize("times", [[], [0.0, np.nan], [0.0, 1.0, np.inf]],
+                         ids=["empty", "nan", "inf"])
+def test_lindblad_refuses_empty_or_non_finite_times(times):
+    # Refused as input errors before any propagation, not as an IndexError
+    # or a trace drift after overflowing steps.
+    with pytest.raises(ValueError, match="non-empty sequence of finite values"):
+        evolve_lindblad(np.eye(2), np.diag([0.0, 1.0, 0.0]), times, DecoherenceConfig(t1=1.0))
+
+
 def test_evolve_closed_matches_per_time_propagator():
     # The one-shot product against V exp(-iwt) V^T applied time by time, on
     # a chain, a grid and the stiff m = 102 chain, and in physical units on
@@ -651,6 +660,40 @@ def test_stacked_lindblad_equals_single_calls(monkeypatch):
     assert evolve_lindblad(H, rho0, times, decos[0]).shape == (4, 5, 6, 6)
     monkeypatch.setattr(dynamics, "MAX_CHUNK_ENTRIES", 1)
     np.testing.assert_array_equal(evolve_lindblad(H, rho0, times, decos), rhos)
+
+
+def test_sparse_branch_stack_equals_per_unit_calls_and_dense_branch(monkeypatch):
+    # The expm_multiply branch through the shared work loop: an M = 2 stack
+    # of N = 22 chains (m = 2 and the stiff m = 102) under two Tphi, on a
+    # grid with a repeated time (a zero step) and a placed time that splits
+    # one step into two odd lengths between runs of equal steps.  The dense
+    # threshold is held at 20 so that N = 22 takes this branch, one unit
+    # (chain, mirror block, Tphi) per filler.  The horizon is T/20: the
+    # m = 102 chain's on-site energies reach 1.1e4 J, and expm_multiply's
+    # work grows with them times the horizon.
+    import domechain.dynamics as dynamics
+
+    rate = 2 * np.pi * 5e6
+    hams = [dome_hamiltonian(DomeParams(N=22, m=m, J=rate)) for m in (2, 102)]
+    H = np.stack([ham.matrix(physical=True) for ham in hams])
+    dt = hams[0].period / 120
+    times = np.sort(np.r_[np.linspace(0.0, 6 * dt, 7), 2 * dt, 2.3 * dt])
+    rho0 = random_density(22, np.random.default_rng(22))
+    decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t1=10e-6, t_phi=0.5e-6)]
+    monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 20)
+    units, sparse_runs = [], dynamics._sparse_runs
+    monkeypatch.setattr(dynamics, "_sparse_runs", lambda *a: units.append(len(a[2])) or sparse_runs(*a))
+    rhos = evolve_lindblad(H, rho0, times, decos)
+    assert units == [1] * (2 * 2 * 2)
+    for k in range(2):
+        for p, deco in enumerate(decos):
+            np.testing.assert_array_equal(rhos[k, p], evolve_lindblad(H[k], rho0, times, deco))
+    # The dense branch draws nothing from numpy's global RNG, so it neither
+    # saves nor restores its state.
+    monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 36)
+    for name in ("get_state", "set_state"):
+        monkeypatch.setattr(np.random, name, lambda *a: pytest.fail("dense branch touched the RNG"))
+    assert np.max(np.abs(evolve_lindblad(H, rho0, times, decos) - rhos)) <= 1e-12
 
 
 def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone(monkeypatch):

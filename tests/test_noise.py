@@ -228,6 +228,18 @@ def test_sweep_sigma_zero_recovers_noise_free():
     assert res.failures.sum() == 0
 
 
+def test_equal_samples_have_zero_std():
+    # Every sigma = 0 sample is the same matrix and fidelity, yet np.std of
+    # these 2000 equal floats read 2.2e-16 (m = 2) and 4.4e-16 (m = 102).
+    # A point with spread keeps np.std's bits.
+    c = cfg(DisorderTarget.COUPLINGS, sigmas=(0.0, 0.3), seed=3, samples=2000)
+    res = sweep_coherent([DomeParams(N=6, m=m) for m in (2, 102)], c, SweepMetric.BELL_AT_QUARTER_T)
+    assert (res.fidelities[:, 0] == res.fidelities[:, 0, :1]).all()
+    assert (res.std[:, 0] == 0.0).all()
+    for k in range(2):
+        assert res.std[k, 1] == np.std(res.fidelities[k, 1], ddof=1) > 0.0
+
+
 def test_sweep_is_deterministic():
     c = cfg(DisorderTarget.COUPLINGS, sigmas=(0.8,), samples=12)
     a = sweep_coherent(DomeParams(N=5, m=2), c, SweepMetric.BELL_AT_QUARTER_T)

@@ -24,7 +24,7 @@ from domechain import (
     synthesize,
 )
 from domechain import noise
-from domechain.cascade import segment_lengths
+from domechain.cascade import _segment_lengths
 from domechain.cli import _fmt, _json_text, _table_bytes, main
 from domechain.models import _SiteModel
 from test_noise import unit_rows
@@ -161,7 +161,7 @@ def test_state_fidelity_is_bounded_and_symmetric_on_pure_states(seed, dim):
 @given(N=st.integers(min_value=2, max_value=500), data=st.data())
 def test_segment_lengths_partition_the_chain(N, data):
     k = data.draw(st.integers(min_value=1, max_value=N - 1))
-    lengths = segment_lengths(N, k)
+    lengths = _segment_lengths(N, k)
     assert len(lengths) == k
     assert sum(lengths) == N + k - 1  # adjacent segments share a site
     assert min(lengths) >= 2
