@@ -140,9 +140,9 @@ def _strict(required, optional, defaults, **enums) -> dict:
 
 
 # The working point of the paper's studies: dome chains at m = 2 and 102,
-# J/2pi = 5 MHz for decoherence scans, and the scans' T1/Tphi grids
-# (microseconds, `sweep_decoherence`'s arguments) around T1 = 30 and
-# Tphi = 5, where one period is 200 ns.
+# J/2pi = 5 MHz for decoherence scans, and the scans' T1 and Tphi cuts
+# (microseconds; `_sweep_decoherence` lays them out as one config list)
+# around T1 = 30 and Tphi = 5, where one period is 200 ns.
 _M_VALUES = [2, 102]
 _SCAN = {"t1_us_values": [3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0],
          "tphi_us_values": [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0],
@@ -567,9 +567,7 @@ def cmd_evolve(cfg: dict) -> Path:
     times, marked = _evolve_times(cfg, period)
 
     d = cfg.get("decoherence")  # never empty: `resolve` refuses {}
-    deco = None if d is None else DecoherenceConfig(
-        t1=d["t1_us"] * 1e-6 if "t1_us" in d else None,
-        t_phi=d["tphi_us"] * 1e-6 if "tphi_us" in d else None)
+    deco = None if d is None else _decoherence(d.get("t1_us"), d.get("tphi_us"))
 
     if grid is None:
         sites, target = (1, n_sites), chain_bell_target(n_sites)
@@ -636,21 +634,22 @@ def _sweep_coherent(cfg: dict):
     ]
 
 
+def _decoherence(t1_us, tphi_us) -> DecoherenceConfig:
+    """The config of T1 and Tphi in microseconds; None leaves a channel off."""
+    return DecoherenceConfig(t1=None if t1_us is None else t1_us * 1e-6,
+                             t_phi=None if tphi_us is None else tphi_us * 1e-6)
+
+
 def _sweep_decoherence(cfg: dict):
-    scan = sweep_decoherence(_systems(cfg), SweepMetric(cfg["metric"]), **{k: cfg[k] for k in _SCAN})
-    rows = []
-    for i, m in enumerate(cfg["m_values"]):
-        for j, t1 in enumerate(cfg["t1_us_values"]):
-            rows.append(
-                ["decoherence", cfg["metric"], m, "t1_us", _fmt(t1), "",
-                 _fmt(cfg["fixed_tphi_us"]), _fmt(scan.t1_scan[i, j]), "", 1, 0]
-            )
-        for j, tphi in enumerate(cfg["tphi_us_values"]):
-            rows.append(
-                ["decoherence", cfg["metric"], m, "tphi_us", _fmt(tphi),
-                 _fmt(cfg["fixed_t1_us"]), "", _fmt(scan.tphi_scan[i, j]), "", 1, 0]
-            )
-    return rows
+    # The T1 cut at fixed Tphi, then the Tphi cut at fixed T1, as one list of
+    # (t1_us, tphi_us, row cells from axis_name to fixed_tphi_us) points.
+    fixed_t1, fixed_tphi = cfg["fixed_t1_us"], cfg["fixed_tphi_us"]
+    points = [(t1, fixed_tphi, ["t1_us", _fmt(t1), "", _fmt(fixed_tphi)]) for t1 in cfg["t1_us_values"]]
+    points += [(fixed_t1, tphi, ["tphi_us", _fmt(tphi), _fmt(fixed_t1), ""]) for tphi in cfg["tphi_us_values"]]
+    fids = sweep_decoherence(_systems(cfg), SweepMetric(cfg["metric"]),
+                             [_decoherence(t1, tphi) for t1, tphi, _ in points])
+    return [["decoherence", cfg["metric"], m, *cells, _fmt(fid), "", 1, 0]
+            for m, row in zip(cfg["m_values"], fids) for (_, _, cells), fid in zip(points, row)]
 
 
 SWEEP_HEADER = [

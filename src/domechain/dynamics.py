@@ -402,17 +402,22 @@ def _expm(A: np.ndarray) -> np.ndarray:
         r.reshape(2, P, n * n)[:, :, :: n + 1] += terms[:, -1:, None]
         U, V = A @ r[0], r[1]
     else:
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        if top > _THETA13:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed powers are redone below
+            A2 = A @ A
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            if top > _THETA13:
                 alpha = np.maximum(_onenorm(A6) ** (1 / 6), _onenorm(A4 @ A4) ** (1 / 8))
-            # Overflowed powers fall back to the 1-norm, which also bounds alpha.
-            squarings = np.ceil(np.log2(np.maximum(np.fmin(alpha, norms), _THETA13) / _THETA13))
-            squarings = squarings.astype(int)
-            c = np.ldexp(1.0, -squarings)[:, None, None]
-            A, A2, A4, A6 = A * c, A2 * c**2, A4 * c**4, A6 * c**6
+                # An overflowed power leaves alpha inf or NaN: the 1-norm, which also bounds
+                # alpha, sets the scaling, and the powers are formed again from the scaled A.
+                squarings = np.ceil(np.log2(np.maximum(np.fmin(alpha, norms), _THETA13) / _THETA13))
+                squarings = squarings.astype(int)
+                c = np.ldexp(1.0, -squarings)[:, None, None]
+                A, A2, A4, A6 = A * c, A2 * c**2, A4 * c**4, A6 * c**6
+                if not np.isfinite(alpha).all():  # scaling by 2^-s is exact: the rest keep their bits
+                    A2 = A @ A
+                    A4 = A2 @ A2
+                    A6 = A4 @ A2
         powers = np.stack([A6, A4, A2])
         r = (_PADE13_TERMS[:, :3] @ powers.reshape(3, -1)).reshape(4, P, n, n)
         r.reshape(4, P, n * n)[:, :, :: n + 1] += _PADE13_TERMS[:, 3, None, None]

@@ -16,19 +16,20 @@ Coherent sweeps read a = <r|U(t)|site 1> of the perturbed site matrices
 of all (m, sigma, sample) rows off the closed propagator
 `dynamics._amplitudes`, in one chunked stream of stacked calls, split over
 the usable CPUs from SPLIT_MIN_ENTRIES entries on.  A decoherence scan
-evolves |1><1| for every chain and every (T1, Tphi) point in one stacked
-`evolve_lindblad` call, which propagates the site block once per (m,
-distinct Tphi) and scales it by e^{-t/T1} per point, and keeps the readout
-block of the final states.  Both take their readout sites, evaluation time
-and noise-free amplitudes a0 from `_reference`, one propagator call on the
-noise-free matrices of all m.  Both score through `metrics`: the
-entanglement metrics by `_readout_fidelity` against the noise-free
-reduction, and the transfer channel at T/2 by `transfer_fidelity`, from
-|a|^2 and a when closed, or from the end population and the decayed a0
-when open.
-The sigmas, sample counts and scan grids are all arguments here, and the
-rate is the systems' J; the working-point defaults live in the CLI's one
-table (`cli.SCHEMAS`).
+evolves |1><1| for every chain and every DecoherenceConfig of its list in
+one stacked `evolve_lindblad` call, which propagates the site block once
+per (m, distinct Tphi) and scales it by e^{-t/T1} per config, and keeps
+the readout block of the final states.  Both take their readout sites,
+evaluation time and noise-free amplitudes a0 from `_reference`, one
+propagator call on the noise-free matrices of all m.  Both score through
+`metrics`: the entanglement metrics by `_readout_fidelity` against the
+noise-free reduction, and the transfer channel at T/2 by
+`transfer_fidelity`, from |a|^2 and a when closed, or from the end
+population and the decayed a0 when open.
+The sigmas, sample counts and DecoherenceConfigs are all arguments here,
+and the rate is the systems' J.  The working-point defaults live in the
+CLI's one table (`cli.SCHEMAS`), and the CLI lays out a scan's T1 and
+Tphi cuts, in microseconds, as one config list.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MAX_CHUNK_ENTRIES, DecoherenceConfig, _amplitudes, evolve_lindblad, site_state
+from .dynamics import MAX_CHUNK_ENTRIES, _amplitudes, evolve_lindblad, site_state
 from .metrics import _readout_fidelity, transfer_fidelity
 from .models import _SiteModel
 
@@ -49,7 +50,6 @@ __all__ = [
     "DisorderConfig",
     "SweepMetric",
     "SweepResult",
-    "DecoherenceScan",
     "sweep_coherent",
     "sweep_decoherence",
 ]
@@ -262,47 +262,21 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
                        fidelities=fids.reshape(*shape, n_samples))
 
 
-@dataclass(frozen=True)
-class DecoherenceScan:
-    """Fidelity grids of the T1 scan (Tphi fixed) and Tphi scan (T1 fixed)."""
+def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
+    """Open-system fidelity at each of a sequence of P DecoherenceConfigs.
 
-    t1_scan: np.ndarray
-    tphi_scan: np.ndarray
-
-    def gain_vs_first_m(self, scan: str = "t1") -> np.ndarray:
-        """Fidelity minus the first-m row of the "t1" or "tphi" scan; the
-        per-grid-point m gain of a stack."""
-        if scan not in ("t1", "tphi"):
-            raise ValueError(f'scan must be "t1" or "tphi", not {scan!r}')
-        grid = self.t1_scan if scan == "t1" else self.tphi_scan
-        return grid - grid[0]
-
-
-def sweep_decoherence(
-    system,
-    metric: SweepMetric,
-    *,
-    t1_us_values,
-    tphi_us_values,
-    fixed_t1_us: float,
-    fixed_tphi_us: float,
-) -> DecoherenceScan:
-    """Open-system fidelity over the (T1, Tphi) grids.
-
-    `system` is one DomeParams or a sequence of them that differ only in m
-    (repeated m included): then both grids gain a leading M axis.  Two
-    scans per chain: T1 (`t1_us_values`) varied at fixed Tphi and Tphi
-    (`tphi_us_values`) varied at fixed T1; times in microseconds, the rate
-    the chains' J in rad/s.
-    One `evolve_lindblad` call evolves |1><1| to the metric's time under
-    every chain and every (T1, Tphi) point, and the end pair's readout block
-    is scored against the noise-free amplitudes a0 of `_reference`: the
+    `decos` gives T1 and Tphi in seconds, as `evolve_lindblad` takes them,
+    and the rate is the chains' J in rad/s.  `system` is one DomeParams or
+    a sequence of M of them that differ only in m (repeated m included):
+    the (P,) fidelities then gain a leading M axis.  Any list is a scan;
+    the CLI lays out its T1 cut at fixed Tphi and Tphi cut at fixed T1 as
+    one.  One `evolve_lindblad` call evolves |1><1| to the metric's time
+    under every chain and config, and the end pair's readout block is
+    scored against the noise-free amplitudes a0 of `_reference`: the
     entanglement metric is its overlap with the noise-free T/4 reduction,
     the transfer metric the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u = a0 the noise-free end
-    amplitude and r the vacuum-coherence decay rate.  At the CLI's
-    working point, J/2pi = 5 MHz, the period is 200 ns, so the scan
-    touches the regime where dephasing, not relaxation, dominates.
+    amplitude and r the vacuum-coherence decay rate.
     """
     if metric is SweepMetric.W_AT_QUARTER_T:
         raise ValueError("decoherence scans are defined for chain metrics")
@@ -310,8 +284,7 @@ def sweep_decoherence(
     readout, duration, a0, weight0 = _reference(model, metric)
     hams = model.matrices()
     psi0 = site_state(hams.shape[-1], 1)
-    decos = [DecoherenceConfig(t1=t1 * 1e-6, t_phi=fixed_tphi_us * 1e-6) for t1 in t1_us_values]
-    decos += [DecoherenceConfig(t1=fixed_t1_us * 1e-6, t_phi=tp * 1e-6) for tp in tphi_us_values]
+    decos = tuple(decos)
     finals = evolve_lindblad(hams, np.outer(psi0, psi0.conj()), np.array([0.0, duration]), decos)
     sites = readout + 1  # the vacuum is index 0
     block = finals[:, :, -1][..., sites[:, None], sites]  # (M, P, k, k)
@@ -320,6 +293,4 @@ def sweep_decoherence(
         fids = transfer_fidelity(block[..., 0, 0], np.outer(a0[:, 0], decay))
     else:
         fids = _readout_fidelity(block, a0[:, None], weight0[:, None], block=True)
-    fids = fids.reshape(model.stack + (len(decos),))
-    return DecoherenceScan(t1_scan=fids[..., : len(t1_us_values)],
-                           tphi_scan=fids[..., len(t1_us_values) :])
+    return fids.reshape(model.stack + (len(decos),))

@@ -40,7 +40,7 @@ from domechain import (
 from domechain.cli import resolve
 from test_dynamics import expm_evolve
 from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
-from test_noise import scan_chains, scan_table
+from test_noise import scan_chains, scan_configs
 
 SYNTH_SIZES = range(2, 17)
 SYNTH_CURVATURES = (0, 1, 2, 3, 4, 6, 10)
@@ -161,10 +161,13 @@ def test_criterion_4_decoherence_scans_and_curvature_cost():
         (SweepMetric.BELL_AT_QUARTER_T, 0.008),
         (SweepMetric.QPT_AT_HALF_T, 0.004),
     ):
-        scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
-        t1_gain = float(scan.t1_scan[0][-1] - scan.t1_scan[0][0])
-        tphi_gain = float(scan.tphi_scan[0][-1] - scan.tphi_scan[0][0])
-        m_gain = float(np.max(scan.gain_vs_first_m(scan="t1")))
+        # The default T1 cut, then the default Tphi cut, per m.
+        table = resolve("sweep", {"kind": "decoherence", "metric": metric.value, "N": 5})
+        fids = sweep_decoherence(scan_chains(5), metric, scan_configs())
+        t1_cut, tphi_cut = np.split(fids, [len(table["t1_us_values"])], axis=-1)
+        t1_gain = float(t1_cut[0][-1] - t1_cut[0][0])
+        tphi_gain = float(tphi_cut[0][-1] - tphi_cut[0][0])
+        m_gain = float(np.max(t1_cut - t1_cut[0]))
         details.append(
             f"{metric.value}: T1 {100 * t1_gain:.2f}pp, "
             f"Tphi {100 * tphi_gain:.2f}pp, m-gain {100 * m_gain:.2f}pp"

@@ -554,22 +554,34 @@ def test_coherent_sweep_draws_once(outdir, monkeypatch, m_values):
 
 
 def test_sweep_decoherence_rows(outdir):
+    from domechain.dynamics import DecoherenceConfig
+    from domechain.noise import SweepMetric, sweep_decoherence
+    from test_noise import scan_chains
+
     assert run([
         "sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
-        "--set", "N=5", "--set", "m_values=[2]",
-        "--set", "t1_us_values=[3]", "--set", "tphi_us_values=[50]",
+        "--set", "N=5", "--set", "m_values=[2,102]",
+        "--set", "t1_us_values=[3,300]", "--set", "tphi_us_values=[50,0.5]",
         "--set", "rate_MHz=5",
         "--output", "swd.csv",
     ]) == 0
     header, rows = read_csv(outdir / "swd.csv")
     assert header == SWEEP_HEADER
-    by_axis = {(r[3], r[4]): r for r in rows}
-    t1_row = by_axis[("t1_us", "3")]
+    by_axis = {(r[2], r[3], r[4]): r for r in rows}
+    t1_row = by_axis[("2", "t1_us", "3")]
     assert t1_row[6] == "5"  # scans T1 with the dephasing time pinned
     assert float(t1_row[7]) == pytest.approx(0.971561972299, abs=1e-6)
-    tphi_row = by_axis[("tphi_us", "50")]
+    tphi_row = by_axis[("2", "tphi_us", "50")]
     assert tphi_row[5] == "30"
     assert float(tphi_row[7]) == pytest.approx(0.997117215625, abs=1e-6)
+    # Each row's mean is the library's value at the config its cells name,
+    # bit for bit: the rows of each m, in CSV order, are the scanned list.
+    assert [r[2] for r in rows] == ["2"] * 4 + ["102"] * 4
+    assert [r[3:7] for r in rows[4:]] == [r[3:7] for r in rows[:4]]
+    points = [(r[4], r[6]) if r[3] == "t1_us" else (r[5], r[4]) for r in rows[:4]]
+    decos = [DecoherenceConfig(t1=float(t1) * 1e-6, t_phi=float(tphi) * 1e-6) for t1, tphi in points]
+    fids = sweep_decoherence(scan_chains(5), SweepMetric.BELL_AT_QUARTER_T, decos)
+    assert [r[7] for r in rows] == [_fmt(f) for f in fids.ravel()]
 
 
 @pytest.mark.parametrize("metric", ["bell_at_quarter_t", "qpt_at_half_t"])
@@ -590,7 +602,7 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
     # One non-positive state at one (m, T1, Tphi) point fails the whole scan.
     from domechain import dynamics
     from domechain.noise import SweepMetric, sweep_decoherence
-    from test_noise import scan_chains, scan_table
+    from test_noise import scan_chains, scan_configs
 
     evolve_open = dynamics._evolve_open
 
@@ -602,7 +614,7 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "_evolve_open", corrupted)
     with pytest.raises(RuntimeError, match="positivity"):
         sweep_decoherence(scan_chains(3), SweepMetric.QPT_AT_HALF_T,
-                          **scan_table(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0)))
+                          scan_configs(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0)))
     assert run(["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
                 "--set", "N=3", "--set", "m_values=[2,102]", "--set", "t1_us_values=[3,30]",
                 "--set", "tphi_us_values=[0.5,5]", "--set", "rate_MHz=5"]) == 3

@@ -8,6 +8,7 @@ Pade exponential.
 """
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,40 @@ def test_stiff_open_step_matches_extended_precision(N, bound):
     block = evolve_lindblad(ham.matrix(physical=True), rho0, [0.0, t], deco)[1, 1:, 1:]
     ref = longdouble_site_block(ham.matrix(physical=True), deco, t, rho0[1:, 1:].reshape(-1))
     assert np.max(np.abs(block - ref.reshape(N, N))) <= bound
+
+
+def test_expm_forms_overflowed_powers_from_the_scaled_matrix():
+    # Past a 1-norm of about 1e51 the sixth power overflows.  The stack's
+    # overflowing matrix takes its scaling from its 1-norm and its powers
+    # from the scaled matrix, so its map is finite, with no warning, and the
+    # ordinary matrix keeps the bits it gets alone.
+    from domechain import dynamics
+
+    rng = np.random.default_rng(11)
+    ordinary = 4.0 * rng.standard_normal((5, 5))  # 1-norm above 5.37: scaled too
+    damped = -1e200 * np.diag([0.0, 1.0, 1.0, 1.0, 1.0])
+    damped[0, 1:] = damped[1:, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = dynamics._expm(np.stack([damped, ordinary]))
+        alone = dynamics._expm(ordinary[None])[0]
+    assert np.isfinite(maps).all()
+    np.testing.assert_array_equal(maps[1], alone)
+    np.testing.assert_allclose(maps[0], np.diag([1.0, 0.0, 0.0, 0.0, 0.0]), rtol=0, atol=1e-12)
+
+
+def test_lindblad_zeno_limit_holds_the_excitation():
+    # At Tphi = 1e-150 s the generator's 1-norm is far past the overflow of
+    # its sixth power; dephasing that fast freezes the excitation on site 1.
+    ham = dome_hamiltonian(DomeParams(N=3, m=2, J=2 * np.pi * 5e6))
+    psi0 = site_state(3, 1)
+    times = np.linspace(0.0, ham.period, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rhos = evolve_lindblad(ham.matrix(physical=True), np.outer(psi0, psi0.conj()), times,
+                               DecoherenceConfig(t_phi=1e-150))
+    populations = np.real(np.einsum("tii->ti", rhos))[:, 1:]
+    np.testing.assert_allclose(populations, np.tile([1.0, 0.0, 0.0], (5, 1)), rtol=0, atol=1e-12)
 
 
 def test_lindblad_single_site_closed_forms():

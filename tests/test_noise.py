@@ -51,10 +51,17 @@ def force_split(monkeypatch, workers):
                         raising=False)
 
 
-def scan_table(**overrides):
-    """sweep_decoherence's scan arguments from the CLI's one table of defaults."""
-    resolved = cli.resolve("sweep", {"kind": "decoherence", "metric": "qpt_at_half_t", "N": 2})
-    return {key: resolved[key] for key in cli._SCAN} | overrides
+def scan_configs(t1_us_values=None, tphi_us_values=None) -> list:
+    """The DecoherenceConfigs of the CLI's default decoherence scan, built
+    here from its one table of defaults: the T1 cut at fixed Tphi, then the
+    Tphi cut at fixed T1, with either cut's microsecond values replaced
+    where given."""
+    table = cli.resolve("sweep", {"kind": "decoherence", "metric": "qpt_at_half_t", "N": 2})
+    t1s = table["t1_us_values"] if t1_us_values is None else t1_us_values
+    tphis = table["tphi_us_values"] if tphi_us_values is None else tphi_us_values
+    points = [(t1, table["fixed_tphi_us"]) for t1 in t1s]
+    points += [(table["fixed_t1_us"], tphi) for tphi in tphis]
+    return [DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6) for t1, tphi in points]
 
 
 def scan_chains(n_sites: int, m_values=None) -> list:
@@ -454,7 +461,7 @@ def test_mismatched_stack_is_refused(systems):
     # The decoherence scan reads its systems through the same model, so it
     # refuses the same stacks (with a chain metric, which grids would reach).
     with pytest.raises(ValueError, match="share kind, size and rate"):
-        sweep_decoherence(systems, SweepMetric.BELL_AT_QUARTER_T, **scan_table())
+        sweep_decoherence(systems, SweepMetric.BELL_AT_QUARTER_T, scan_configs())
 
 
 def test_stack_of_non_systems_is_refused():
@@ -462,7 +469,7 @@ def test_stack_of_non_systems_is_refused():
         with pytest.raises(TypeError):
             sweep_coherent(system, cfg(DisorderTarget.ALL), SweepMetric.BELL_AT_QUARTER_T)
         with pytest.raises(TypeError):
-            sweep_decoherence(system, SweepMetric.BELL_AT_QUARTER_T, **scan_table())
+            sweep_decoherence(system, SweepMetric.BELL_AT_QUARTER_T, scan_configs())
 
 
 def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
@@ -599,41 +606,37 @@ def test_decoherence_scan_pinned_endpoints():
     # Frozen working-point values (J/2pi = 5 MHz, N = 5, m = 2): the T1
     # scan endpoint at T1 = 3 us, Tphi = 5 us and the Tphi endpoint at
     # Tphi = 0.5 us, T1 = 30 us.
-    scan = sweep_decoherence(
+    fids = sweep_decoherence(
         scan_chains(5, m_values=(2,)),
         SweepMetric.BELL_AT_QUARTER_T,
-        **scan_table(t1_us_values=(3.0,), tphi_us_values=(0.5,)),
+        scan_configs(t1_us_values=(3.0,), tphi_us_values=(0.5,)),
     )
-    assert abs(scan.t1_scan[0, 0] - 0.9715619723) < 1e-5
-    assert abs(scan.tphi_scan[0, 0] - 0.8855576848) < 1e-5
+    assert abs(fids[0, 0] - 0.9715619723) < 1e-5
+    assert abs(fids[0, 1] - 0.8855576848) < 1e-5
 
 
 def test_decoherence_scan_shapes_and_gain():
-    scan = sweep_decoherence(
+    fids = sweep_decoherence(
         scan_chains(3, m_values=(2, 6)),
         SweepMetric.BELL_AT_QUARTER_T,
-        **scan_table(t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0)),
+        scan_configs(t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0)),
     )
-    assert scan.t1_scan.shape == (2, 2)
-    assert scan.tphi_scan.shape == (2, 2)
-    assert np.all(np.diff(scan.t1_scan, axis=1) > 0)
-    assert np.all(np.diff(scan.tphi_scan, axis=1) > 0)
-    gain = scan.gain_vs_first_m("t1")
+    assert fids.shape == (2, 4)
+    t1_cut, tphi_cut = fids[:, :2], fids[:, 2:]
+    assert np.all(np.diff(t1_cut, axis=1) > 0)
+    assert np.all(np.diff(tphi_cut, axis=1) > 0)
+    gain = t1_cut - t1_cut[0]
     np.testing.assert_array_equal(gain[0], 0.0)
 
 
 @pytest.mark.parametrize("n_sites", [2, 5])
 def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
-    t1s, tphis = (3.0, 300.0), (0.5, 50.0)
     chains = scan_chains(n_sites)
-    scan = sweep_decoherence(chains, SweepMetric.QPT_AT_HALF_T,
-                             **scan_table(t1_us_values=t1s, tphi_us_values=tphis))
-    for i, chain in enumerate(chains):
+    decos = scan_configs(t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0))
+    fids = sweep_decoherence(chains, SweepMetric.QPT_AT_HALF_T, decos)
+    for row, chain in zip(fids, chains):
         ham = dome_hamiltonian(chain)
-        points = [(scan.t1_scan[i, j], t1, 5.0) for j, t1 in enumerate(t1s)]
-        points += [(scan.tphi_scan[i, j], 30.0, tphi) for j, tphi in enumerate(tphis)]
-        for got, t1, tphi in points:
-            deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
+        for got, deco in zip(row, decos, strict=True):
             assert abs(got - simulate_qpt(ham, deco)[1]) < 1e-12
 
 
@@ -651,20 +654,22 @@ def dense_bell_point(ham, deco) -> float:
 @pytest.mark.parametrize("metric", [SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T])
 @pytest.mark.parametrize("n_sites", [2, 5])
 def test_default_scan_matches_dense_liouvillian(n_sites, metric):
-    # Every point of the default (T1, Tphi) grids against the dense oracle:
+    # Every point of the default T1 and Tphi cuts against the dense oracle:
     # the tomography emulation for the transfer channel, the entrywise
-    # partial trace of the dense state for the Bell overlap.
-    chains, table = scan_chains(n_sites, m_values=(0, 2, 102)), scan_table()
-    scan = sweep_decoherence(chains, metric, **table)
-    for i, chain in enumerate(chains):
+    # partial trace of the dense state for the Bell overlap.  Then configs
+    # that the two cuts never produce: T1 only, Tphi only, and a 3 x 3
+    # (T1, Tphi) product map.
+    decos = scan_configs()
+    assert len(decos) == 16
+    decos += [DecoherenceConfig(t1=3e-6), DecoherenceConfig(t1=300e-6),
+              DecoherenceConfig(t_phi=0.5e-6), DecoherenceConfig(t_phi=50e-6)]
+    decos += [DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
+              for t1 in (3.0, 30.0, 300.0) for tphi in (0.5, 5.0, 50.0)]
+    chains = scan_chains(n_sites, m_values=(0, 2, 102))
+    fids = sweep_decoherence(chains, metric, decos)
+    for row, chain in zip(fids, chains, strict=True):
         ham = dome_hamiltonian(chain)
-        points = [(scan.t1_scan[i, j], t1, table["fixed_tphi_us"])
-                  for j, t1 in enumerate(table["t1_us_values"])]
-        points += [(scan.tphi_scan[i, j], table["fixed_t1_us"], tphi)
-                   for j, tphi in enumerate(table["tphi_us_values"])]
-        assert len(points) == 16
-        for got, t1, tphi in points:
-            deco = DecoherenceConfig(t1=t1 * 1e-6, t_phi=tphi * 1e-6)
+        for got, deco in zip(row, decos, strict=True):
             if metric is SweepMetric.QPT_AT_HALF_T:
                 ref = simulate_qpt(ham, deco)[1]
             else:
@@ -686,18 +691,18 @@ def test_default_scan_exponentiates_once_per_m_and_tphi(monkeypatch):
     for metric in (SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T):
         expms.clear()
         eighs.clear()
-        scan = sweep_decoherence(scan_chains(5), metric, **scan_table())
-        assert len(scan.t1_scan) == 2
+        fids = sweep_decoherence(scan_chains(5), metric, scan_configs())
+        assert fids.shape == (2, 16)
         assert exponentiated(expms) == 8 * 2 * 2
         assert eighs == [(2, 5, 5)]
 
 
 def test_decoherence_scan_rejects_grid_metric():
     with pytest.raises(ValueError, match="chain metrics"):
-        sweep_decoherence(scan_chains(5), SweepMetric.W_AT_QUARTER_T, **scan_table())
+        sweep_decoherence(scan_chains(5), SweepMetric.W_AT_QUARTER_T, scan_configs())
     with pytest.raises(ValueError, match="only the corner metric"):
         sweep_decoherence(Grid2D(2, 3, 2, 2, J=RATE_5MHZ), SweepMetric.BELL_AT_QUARTER_T,
-                          **scan_table())
+                          scan_configs())
 
 
 @pytest.mark.parametrize("metric", [SweepMetric.BELL_AT_QUARTER_T, SweepMetric.QPT_AT_HALF_T])
@@ -705,22 +710,11 @@ def test_stacked_scan_equals_per_chain_calls(metric):
     # Like the coherent sweeps: a stack's rows are the single-chain scans, bit
     # for bit, repeated m and all, and one chain drops the leading axis.
     chains = scan_chains(4, m_values=(0, 2, 102, 2))
-    table = scan_table(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0))
-    stacked = sweep_decoherence(chains, metric, **table)
-    for field in ("t1_scan", "tphi_scan"):
-        per_chain = [getattr(sweep_decoherence(c, metric, **table), field) for c in chains]
-        assert per_chain[0].shape == (2,)
-        np.testing.assert_array_equal(getattr(stacked, field), np.array(per_chain))
-
-
-def test_gain_vs_first_m_takes_only_the_two_scan_names():
-    scan = noise.DecoherenceScan(t1_scan=np.array([[1.0, 2.0], [4.0, 8.0]]),
-                                 tphi_scan=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(scan.gain_vs_first_m(), [[0.0, 0.0], [3.0, 6.0]])
-    np.testing.assert_array_equal(scan.gain_vs_first_m("tphi"), [[0.0, 0.0], [-1.0, -1.0]])
-    for name in ("T1", "t_1", "Tphi", "phi", ""):
-        with pytest.raises(ValueError, match="scan must be"):
-            scan.gain_vs_first_m(name)
+    decos = scan_configs(t1_us_values=(3.0, 30.0), tphi_us_values=(0.5, 5.0))
+    stacked = sweep_decoherence(chains, metric, decos)
+    per_chain = [sweep_decoherence(c, metric, decos) for c in chains]
+    assert per_chain[0].shape == (4,)
+    np.testing.assert_array_equal(stacked, np.array(per_chain))
 
 
 @pytest.mark.parametrize("m", [0, 2, 102])
@@ -729,14 +723,12 @@ def test_gain_vs_first_m_takes_only_the_two_scan_names():
                          ids=["bell", "qpt"])
 def test_noiseless_scan_equals_zero_sigma_sweep(metric, n_sites, m):
     # Two routes to the noise-free fidelity that share the reference and the
-    # scorer but not the propagator: the open scan at T1 = Tphi = 1e12 us and
+    # scorer but not the propagator: the open scan at T1 = Tphi = 1e6 s and
     # the closed sweep at sigma = 0.
     chain = DomeParams(n_sites, m, RATE_5MHZ)
-    scan = sweep_decoherence(chain, metric, t1_us_values=(1e12,), tphi_us_values=(1e12,),
-                             fixed_t1_us=1e12, fixed_tphi_us=1e12)
+    fids = sweep_decoherence(chain, metric, [DecoherenceConfig(t1=1e6, t_phi=1e6)])
     coherent = sweep_coherent(chain, cfg(DisorderTarget.ALL, sigmas=(0.0,), samples=3), metric)
-    for grid in (scan.t1_scan, scan.tphi_scan):
-        np.testing.assert_allclose(grid, coherent.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fids, coherent.mean, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [0, 2, 102])
