@@ -4,15 +4,17 @@ Hardware caps the largest realizable coupling at j_max while decoherence
 floors the usable rate at j_min.  A length-N transfer is split into k
 segments that share boundary sites (k segments cover N distinct sites
 with N + k - 1 site slots); each segment runs as an independent chain
-whose rate is pushed up until its largest coupling hits j_max.  Line
-chains gain nothing from splitting (their segment time is linear in
-length), while dome chains gain a factor of k (quadratic in length).
+whose rate is pushed up until its largest coupling hits j_max.  The chain
+is the dome of shape m, and m alone names it: m = 0 is the engineered
+line, m >= 1 a dome.  Line chains gain nothing from splitting (their
+segment time is linear in length), while dome chains gain a factor of k
+(quadratic in length).
 
 Totals are reported two ways: exactly, from each segment's true maximum
 coupling, and asymptotically, from the large-N envelopes
 
-    line: tau = pi N / (4 j_max)        (k independent)
-    dome: tau = pi m N^2 / (8 k j_max)
+    m = 0:  tau = pi N / (4 j_max)        (k independent)
+    m >= 1: tau = pi m N^2 / (8 k j_max)
 
 with a half-segment deduction when the first segment is a fractional
 transfer (it runs T/4 instead of T/2).  Segment lengths take at most
@@ -24,6 +26,7 @@ with `dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +35,6 @@ import numpy as np
 from .models import DomeParams, dome_hamiltonian
 
 __all__ = [
-    "ChainKind",
     "TransferMode",
     "CouplingBudget",
     "CascadePlan",
@@ -41,11 +43,6 @@ __all__ = [
     "plan_cascade",
     "feasible_N",
 ]
-
-
-class ChainKind(Enum):
-    LINE = "line"
-    DOME = "dome"
 
 
 class TransferMode(Enum):
@@ -61,6 +58,8 @@ class CouplingBudget:
     j_min: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.j_max):  # a finite j_max > j_min bounds j_min
+            raise ValueError(f"j_max must be finite, got {self.j_max!r}")
         if not self.j_max > self.j_min > 0:
             raise ValueError("budget requires j_max > j_min > 0")
 
@@ -78,22 +77,14 @@ class CascadeInfeasibleError(RuntimeError):
         )
 
 
-def _kind_m(kind: ChainKind, m: int) -> int:
-    if kind is ChainKind.LINE:
-        return 0
-    if m < 1:
-        raise ValueError("dome planning needs m >= 1; use ChainKind.LINE for m = 0")
-    return int(m)
-
-
-def max_coupling(kind: ChainKind, N: int, m: int = 0, J: float = 1.0) -> float:
-    """Largest coupling of a length-N chain at rate J.
+def max_coupling(N: int, m: int = 0, J: float = 1.0) -> float:
+    """Largest coupling of a length-N dome chain of shape m at rate J.
 
     The maximum of the closed-form coupling array; planning divides the
-    ceiling by it.  Its large-N envelopes (N J / 4 for lines, m N^2 J / 8
-    for domes) give the plan's asymptotic total.
+    ceiling by it.  Its large-N envelopes (N J / 4 for the m = 0 line,
+    m N^2 J / 8 for domes) give the plan's asymptotic total.  `DomeParams`
+    checks N and m.
     """
-    m = _kind_m(kind, m)
     couplings = dome_hamiltonian(DomeParams(N=N, m=m, J=1.0)).couplings
     return float(np.max(couplings)) * J
 
@@ -112,10 +103,8 @@ def _segment_lengths(N: int, k: int) -> tuple[int, ...]:
     return tuple(q + 2 if i < r else q + 1 for i in range(k))
 
 
-def _asymptotic_total(
-    kind: ChainKind, N: int, m: int, k: int, j_max: float, mode: TransferMode
-) -> float:
-    if kind is ChainKind.LINE:
+def _asymptotic_total(N: int, m: int, k: int, j_max: float, mode: TransferMode) -> float:
+    if m == 0:
         total = np.pi * N / (4.0 * j_max)
     else:
         total = np.pi * m * N**2 / (8.0 * k * j_max)
@@ -128,7 +117,6 @@ def _asymptotic_total(
 class CascadePlan:
     """Feasible segmentation with per-segment rates and durations."""
 
-    kind: ChainKind
     mode: TransferMode
     n_sites: int
     m: int
@@ -142,25 +130,20 @@ class CascadePlan:
 
 
 def plan_cascade(
-    N: int,
-    k: int,
-    budget: CouplingBudget,
-    kind: ChainKind,
-    m: int = 0,
-    *,
-    mode: TransferMode,
+    N: int, k: int, budget: CouplingBudget, m: int = 0, *, mode: TransferMode
 ) -> CascadePlan:
     """Size k segments and push each rate to the coupling ceiling.
 
     Each segment's rate is j_max divided by its unit-rate maximum
     coupling, so its largest coupling lands exactly on the ceiling.  A
     fractional-transfer plan runs its first segment for a quarter period
-    instead of half.  A line ignores m.  Raises CascadeInfeasibleError
-    (naming the limiting segment) if any rate falls below j_min.
+    instead of half.  Every segment is a dome of shape m, the line at
+    m = 0; `max_coupling` refuses an m that is negative or not integral.
+    Raises CascadeInfeasibleError (naming the limiting segment) if any rate
+    falls below j_min.
     """
-    m = _kind_m(kind, m)
     lengths = _segment_lengths(N, k)
-    peaks = {L: max_coupling(kind, L, m) for L in set(lengths)}
+    peaks = {L: max_coupling(L, m) for L in set(lengths)}
     rates = []
     for i, L in enumerate(lengths):
         rate = budget.j_max / peaks[L]
@@ -171,29 +154,30 @@ def plan_cascade(
     if mode is TransferMode.FST:
         durations[0] /= 2.0
     return CascadePlan(
-        kind=kind,
         mode=mode,
         n_sites=N,
-        m=m if kind is ChainKind.DOME else 0,
+        m=int(m),
         k=k,
         budget=budget,
         lengths=lengths,
         rates=tuple(rates),
         durations=tuple(durations),
         total_duration=float(sum(durations)),
-        asymptotic_duration=_asymptotic_total(kind, N, m, k, budget.j_max, mode),
+        asymptotic_duration=_asymptotic_total(N, m, k, budget.j_max, mode),
     )
 
 
-def feasible_N(budget: CouplingBudget, kind: ChainKind, m: int = 0) -> int:
+def feasible_N(budget: CouplingBudget, m: int = 0) -> int:
     """Largest single-segment N whose peak coupling fits the budget.
 
     Uses the asymptotic envelopes at rate j_min: N = 4 j_max / j_min for
-    lines and N = sqrt(8 j_max / (m j_min)) for domes, rounded to the
-    nearest integer.
+    the m = 0 line and N = sqrt(8 j_max / (m j_min)) for domes, rounded to
+    the nearest integer.  It builds no chain, so it checks m itself, as
+    `DomeParams` does.
     """
+    if not (math.isfinite(m) and m == int(m) >= 0):
+        raise ValueError(f"m must be an integer >= 0, got {m!r}")
     ratio = budget.j_max / budget.j_min
-    if kind is ChainKind.LINE:
+    if m == 0:
         return int(round(4.0 * ratio))
-    m = _kind_m(kind, m)
     return int(round(np.sqrt(8.0 * ratio / m)))

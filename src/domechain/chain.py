@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class TridiagonalHamiltonian:
             raise ValueError("omegas must be a non-empty 1-D array")
         if cp.size != om.size - 1:
             raise ValueError("couplings must have length N - 1")
-        if not self.rate_J > 0:
-            raise ValueError("rate_J must be positive")
+        if not (math.isfinite(self.rate_J) and self.rate_J > 0):
+            raise ValueError(f"rate_J must be finite and positive, got {self.rate_J!r}")
 
     @property
     def n(self) -> int:

@@ -7,6 +7,8 @@ few variants (synth: dome or spectrum; evolve: chain or grid; sweep:
 coherent chain, coherent corner or decoherence; cascade: line or dome).
 `_variant` picks one from the config, and that variant's strict schema
 then requires every key it needs and refuses every key it does not read.
+The library planner takes the dome shape m alone, with m = 0 as the line:
+a line cascade plans m = 0 and a dome cascade needs m >= 1.
 The schemas are the one table of defaults (JSON Schema `default`
 annotations); `resolve` fills them in once, after validation, and every
 command runs from that resolved config, which the sweep sidecar records.
@@ -64,7 +66,6 @@ import numpy as np
 
 from .cascade import (
     CascadeInfeasibleError,
-    ChainKind,
     CouplingBudget,
     TransferMode,
     plan_cascade,
@@ -297,6 +298,8 @@ def resolve(command: str, cfg: dict) -> dict:
     cfg = _filled(schema, cfg)
     if cfg.get("decoherence") == {}:  # no channel: that is the closed evolve
         raise ConfigError("decoherence needs t1_us or tphi_us")
+    if cfg.get("kind") == "dome" and cfg["m"] == 0:  # the planner reads m = 0 as the line
+        raise ConfigError("cascade kind=dome needs m >= 1; use kind=line for m = 0")
     if "decoherence" in cfg and "rate_MHz" not in cfg:
         # Natural units (J = 1 rad/s) are meaningless against microsecond T1/Tphi.
         raise ConfigError("decoherence needs rate_MHz")
@@ -687,14 +690,13 @@ def cmd_cascade(cfg: dict) -> Path:
         j_max=2 * np.pi * cfg["j_max_MHz"] * 1e6,
         j_min=2 * np.pi * cfg["j_min_MHz"] * 1e6,
     )
-    kind = ChainKind(cfg["kind"])
-    plan = plan_cascade(N=cfg["N"], k=cfg["k"], budget=budget, kind=kind,
-                        m=cfg["m"] if kind is ChainKind.DOME else 0, mode=TransferMode(cfg["mode"]))
+    plan = plan_cascade(N=cfg["N"], k=cfg["k"], budget=budget, m=cfg.get("m", 0),
+                        mode=TransferMode(cfg["mode"]))
     path = _output_path(cfg)
     _write_json(
         path,
         {
-            "kind": plan.kind.value,
+            "kind": cfg["kind"],
             "mode": plan.mode.value,
             "n_sites": plan.n_sites,
             "m": plan.m,

@@ -315,7 +315,7 @@ def _coordinates(D: int, split: bool) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _generator_terms(D: int, split: bool, support: bytes) -> tuple[np.ndarray, ...]:
+def _generator_terms(D: int, split: bool, support: bytes) -> tuple:
     """The commutator part of the real generator, as a linear function of H.
 
     `support` marks the nonzero entries of H.  On row-major vecs the
@@ -323,9 +323,10 @@ def _generator_terms(D: int, split: bool, support: bytes) -> tuple[np.ndarray, .
     ((i, j), (k, j)) and -H_lj at ((i, j), (i, l)).  With W = W_r + i W_i
     the entry maps of `_coordinates`, the block generator W^H (-i C) W is
     real and equals S - S^T with S = W_r^T C W_i; the terms between mirror
-    blocks vanish and are not formed.  Returns (flat index b n^2 + p n + q
-    into the (B, n, n) blocks, row-major index into H, coefficient), with
-    repeated (block entry, H entry) pairs merged.
+    blocks vanish and are not formed.  Returns (index p n + q into its
+    (n, n) block, row-major index into H, coefficient), with repeated (block
+    entry, H entry) pairs merged, sorted by block, and each block's (start,
+    stop) in them.
     """
     dephase, index, weight = _coordinates(D, split)
     B, n = dephase.shape
@@ -344,7 +345,10 @@ def _generator_terms(D: int, split: bool, support: bytes) -> tuple[np.ndarray, .
         np.r_[blk * n * n + p * n + q, blk * n * n + q * n + p] * (D * D) + np.r_[h, h],
         return_inverse=True,
     )
-    return _frozen(key // (D * D), key % (D * D), np.bincount(inverse, np.r_[coef, -coef]))
+    flat = key // (D * D)
+    bounds = flat.searchsorted(np.arange(B + 1) * (n * n)).tolist()
+    terms = _frozen(flat % (n * n), key % (D * D), np.bincount(inverse, np.r_[coef, -coef]))
+    return *terms, tuple(zip(bounds, bounds[1:]))
 
 
 # Pade degrees m below 13, each with the 1-norm up to which it is accurate
@@ -462,7 +466,7 @@ def _site_blocks(
     M, D = H.shape[:2]
     split = bool((H == H[:, ::-1, ::-1]).all())
     dephase, index, weight = _coordinates(D, split)
-    flat, h, coef = _generator_terms(D, split, (H != 0).any(axis=0).tobytes())
+    entry, h, coef, cuts = _generator_terms(D, split, (H != 0).any(axis=0).tobytes())
     (B, n), F, T = dephase.shape, gamma_phi.size, steps.size
     values = H.reshape(M, -1)[:, h] * coef
     start = np.bincount(index.ravel(), (weight * sites0.view(float).reshape(-1, 2)).ravel(),
@@ -472,15 +476,19 @@ def _site_blocks(
         per_call, filler = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n)), _dense_runs
     else:
         per_call, filler = 1, _sparse_runs
-    blk, entry = np.divmod(flat, n * n)
+    # The terms are sorted by block, so each block's entries and values are one slice.
+    entries = [entry[i:j] for i, j in cuts]
+    rows = [[values[k, i:j] for i, j in cuts] for k in range(M)]
     coords = np.empty((M, F, T, B, n))
     for first in range(0, M * B * F, per_call):
         ks, bs, fs = np.unravel_index(np.arange(first, min(first + per_call, M * B * F)), (M, B, F))
-        # Each unit's commutator entries, at flat indices of a (P, n, n)
-        # stack, and its dephasing, subtracted on the diagonal.
-        own = bs[:, None] == blk
-        at = (np.arange(len(ks))[:, None] * (n * n) + entry)[own]
-        fill = filler(at, values[ks][own], -gamma_phi[fs, None] * dephase[bs], lengths)
+        # Each unit's block slice of the commutator entries, at flat indices of
+        # a (P, n, n) stack, and its dephasing, subtracted on the diagonal.
+        units = bs.tolist()
+        at = np.concatenate([entries[b] for b in units])
+        at += (np.arange(len(units)) * (n * n)).repeat([entries[b].size for b in units])
+        fill = filler(at, np.concatenate([rows[k][b] for k, b in zip(ks.tolist(), units)]),
+                      -gamma_phi[fs, None] * dephase[bs], lengths)
         traj, prev = np.empty((len(ks), T, n)), start[bs]
         for i, stop, g in runs:
             if g < 0:

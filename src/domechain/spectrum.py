@@ -57,8 +57,8 @@ class Spectrum:
             raise ValueError(f"spectrum span {vals[-1]:g} - ({vals[0]:g}) overflows a float")
         if not np.all(np.diff(vals) > 0):
             raise ValueError("spectrum values must be strictly increasing")
-        if not self.rate_J > 0:
-            raise ValueError("rate_J must be positive")
+        if not (math.isfinite(self.rate_J) and self.rate_J > 0):
+            raise ValueError(f"rate_J must be finite and positive, got {self.rate_J!r}")
 
     @property
     def n(self) -> int:

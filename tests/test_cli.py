@@ -722,16 +722,25 @@ def test_seed_is_a_sweep_option_only(outdir, capsys):
 @pytest.mark.parametrize(
     "argv, detail",
     [
-        (_CASCADE + ["--set", "kind=dome", "--set", "m=0", "--set", "k=2"], "needs m >= 1"),
+        (_CASCADE + ["--set", "kind=dome", "--set", "m=0", "--set", "k=2"],
+         "kind=dome needs m >= 1; use kind=line"),
         (_CASCADE + ["--set", "kind=line", "--set", "k=10"], "k <= N - 1"),
         (_CASCADE + ["--set", "kind=line", "--set", "j_min_MHz=50"], "j_max > j_min"),
         (["synth", "--set", "spectrum=[0.5,-0.5]"], "strictly increasing"),
         (["sweep", "--set", "kind=decoherence", "--set", "metric=w_at_quarter_t",
           "--set", "N=5"], "defined for chain metrics"),
         (_COHERENT + ["--set", "sigma=0.1", "--set", "sigmas=[0.2]"], "not both"),
+        # Finite MHz that overflow once converted to rad/s.
+        (["synth", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=1e308"],
+         "rate_J must be finite and positive, got inf"),
+        (_CASCADE + ["--set", "kind=line", "--set", "k=1", "--set", "j_max_MHz=1e308",
+                     "--set", "j_min_MHz=1"], "j_max must be finite, got inf"),
+        (_CASCADE + ["--set", "kind=line", "--set", "k=1", "--set", "j_max_MHz=1e308",
+                     "--set", "j_min_MHz=1e307"], "must be finite, got inf"),
     ],
     ids=["dome_m0", "k_above_N_minus_1", "j_max_not_above_j_min",
-         "decreasing_spectrum", "decoherence_w_metric", "sigma_with_sigmas"],
+         "decreasing_spectrum", "decoherence_w_metric", "sigma_with_sigmas",
+         "synth_infinite_rate", "cascade_infinite_j_max", "cascade_infinite_j_min"],
 )
 def test_domain_input_errors_exit_2(outdir, capsys, argv, detail):
     # Schema-valid configs that a domain check rejects with ValueError.
