@@ -33,15 +33,17 @@ H_col kron 1 + 1 kron H_row, runs on its column and row chains, whose outer
 products give its populations and corners (`_closed_columns`).  An open
 grid builds the (rows cols)^2 matrix, as dephasing does not factor.
 
-Artifacts are written atomically (temp file then rename) from bytes.  CSV
-is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
+Artifacts are written atomically (temp file then rename) from byte chunks.
+CSV is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
 them: an `evolve` table of 500 cells or more goes straight to bytes, one
-24-byte slot per cell (see `_table_bytes`).  JSON artifacts are 2-space
-indented with sorted keys and a final newline, byte for byte what
+24-byte slot per cell, in row blocks of about 8k cells that drop their NUL
+padding and are written as they are made (see `_table_bytes`), so no writer
+buffer grows with the table.  JSON artifacts are 2-space indented with
+sorted keys and a final newline, byte for byte what
 `json.dumps(payload, indent=2, sort_keys=True)` gives (`_json_text` gets
-there through json's C encoder; an `evolve` table's through its CSV body),
-and every command is deterministic given (config, seed): reruns produce
-byte-identical primary outputs.  Exit
+there through json's C encoder; an `evolve` table's through its CSV
+blocks), and every command is deterministic given (config, seed): reruns
+produce byte-identical primary outputs.  Exit
 codes: 0 success, 1 internal error (a bug: the error JSON carries the
 traceback), 2 config rejected by the schema or by a domain check that
 raises ValueError, 3 numerical breakdown (numpy's LinAlgError included)
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -338,12 +341,14 @@ def _output_path(cfg: dict) -> Path:
     return path
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the byte chunks of an iterable to a temp file beside path, then
+    rename it over path; on any error the temp file goes and path is untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -407,7 +412,7 @@ def _json_text(value, indent: str = "") -> str:
 
 def _write_json(path: Path, payload) -> None:
     """Write payload as json.dumps(payload, indent=2, sort_keys=True) + newline."""
-    _write_atomic(path, (_json_text(payload) + "\n").encode())
+    _write_atomic(path, [(_json_text(payload) + "\n").encode()])
 
 
 def cmd_synth(cfg: dict) -> Path:
@@ -440,7 +445,7 @@ def cmd_synth(cfg: dict) -> Path:
             lines += [f"{quantity},%d,,%.12g\n" % row for row in enumerate(values.tolist(), 1)]
         for s, row in enumerate(W.tolist(), 1):
             lines += [f"eigenvector,{s},%d,%.12g\n" % cell for cell in enumerate(row, 1)]
-        _write_atomic(path, "".join(lines).encode())
+        _write_atomic(path, ["".join(lines).encode()])
     return path
 
 
@@ -514,23 +519,28 @@ def _cell_tables():
     return form, scale, lead, expo, digits
 
 
-def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
+def _table_bytes(table: np.ndarray, tails: dict):
     """Each row of `table` as _fmt cells, each followed by a comma, then _fmt
-    of tails[row] if given, and a newline; no cell needs CSV quoting.
+    of tails[row] if given, and a newline, yielded as one chunk per row
+    block; no cell needs CSV quoting.
 
-    Numpy fills a 24-byte slot per cell and row end, about 8k at a time: the
-    comma, sign, lead and first digit of M = rint(y), y = |x| 10^(11-X) exact
-    to 2.5e-4, then 11 digits but trailing zeros, then the exponent.  Cells
-    with M within 1e-3 of a tie or outside [1e11, 1e12), or x 0, inf, nan,
-    under 1e-297 or in [10, 1e12), and tails, are _fmt text in their slots.
+    Numpy fills a 24-byte slot per cell and row end, one block of about 8k
+    cells at a time: the comma, sign, lead and first digit of M = rint(y),
+    y = |x| 10^(11-X) exact to 2.5e-4, then 11 digits but trailing zeros,
+    then the exponent.  Cells with M within 1e-3 of a tie or outside
+    [1e11, 1e12), or x 0, inf, nan, under 1e-297 or in [10, 1e12), and the
+    block's tails, are _fmt text in their slots.  Each block drops its NUL
+    padding once, so no buffer grows with the table.
     """
     form, scale, lead, expo, digits = _cell_tables()
     rows, cols = table.shape
-    slots = np.empty((rows, cols + 1, 3), np.uint64)
     step = max(1, 8192 // cols)  # a block's temporaries stay in cache
-    hard = []
+    slots = np.empty((min(step, rows), cols + 1, 3), np.uint64)  # one block's, reused by each
     for i in range(0, rows, step):
-        x, out = table[i:i + step], slots[i:i + step, :cols]
+        x = table[i:i + step]
+        block = slots[:len(x)]
+        out = block[:, :cols]
+        block[:, cols] = [ord(",") | ord("\n") << 8, 0, 0]  # also over the last block's tails
         with np.errstate(all="ignore"):
             # Truncation floors the log; 0, inf and nan give clipped garbage.
             e = (np.log10(np.abs(x)) + 330).astype(np.intp)
@@ -538,7 +548,6 @@ def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
             m = np.rint(y)
             M = m.astype(np.int64)
             ok = (np.abs(y - m) <= 0.499) & ((M - 10**11).view(np.uint64) < 9 * 10**11)
-        hard.append(i * cols + np.flatnonzero(~ok))
         d1 = M // 10**11
         r = (M - d1 * 10**11) * 10  # the other 11 digits and a 0, in three groups of 4
         hi = r // 10000
@@ -552,13 +561,13 @@ def _table_bytes(table: np.ndarray, tails: dict) -> bytes:
         out[..., 0] = lead.take(k, mode="clip")
         out[..., 1] = digits.take(g0 + s0, mode="clip") | digits.take(g1 + s1, mode="clip") << 32
         out[..., 2] = digits.take(g2 + 10000, mode="clip") | expo.take(e, mode="clip")
-    hard = np.concatenate(hard)
-    slots[:, cols] = [ord(",") | ord("\n") << 8, 0, 0]
-    texts = [("," if i % cols else "") + _fmt(table.flat[i]) for i in hard.tolist()]
-    texts += [f",{_fmt(x)}\n" for x in tails.values()]
-    at = [*(hard + hard // cols).tolist(), *(i * (cols + 1) + cols for i in tails)]
-    slots.reshape(-1, 3)[at] = np.array(texts, "S24").view(np.uint64).reshape(-1, 3)
-    return slots.tobytes().translate(None, b"\0")
+        hard = np.flatnonzero(~ok)
+        placed = [(row - i, value) for row, value in tails.items() if i <= row < i + step]
+        texts = [("," if j % cols else "") + _fmt(x.flat[j]) for j in hard.tolist()]
+        texts += [f",{_fmt(value)}\n" for _, value in placed]
+        at = [*(hard + hard // cols).tolist(), *(row * (cols + 1) + cols for row, _ in placed)]
+        block.reshape(-1, 3)[at] = np.array(texts, "S24").view(np.uint64).reshape(-1, 3)
+        yield block.tobytes().translate(None, b"\0")
 
 
 def cmd_evolve(cfg: dict) -> Path:
@@ -611,18 +620,33 @@ def cmd_evolve(cfg: dict) -> Path:
     header = ["t_over_T", *(f"P_{n}" for n in range(1, n_sites + 1)), fidelity_name, "qpt_fidelity"]
     if table.size < 500:  # twice the measured crossover of the two paths
         template = "%.12g," * table.shape[1]
-        body = "".join([template % tuple(row) + (_fmt(qpt[i]) if i in qpt else "") + "\n"
-                        for i, row in enumerate(table.tolist())]).encode()
+        blocks = ["".join([template % tuple(row) + (_fmt(qpt[i]) if i in qpt else "") + "\n"
+                           for i, row in enumerate(table.tolist())]).encode()]
     else:
-        body = _table_bytes(table, qpt)
+        blocks = _table_bytes(table, qpt)
     if cfg["format"] == "csv":
-        _write_atomic(path, f"{','.join(header)}\n".encode() + body)
+        _write_atomic(path, itertools.chain([f"{','.join(header)}\n".encode()], blocks))
     else:
-        # json.dumps's layout; no cell needs escaping ("]" holds the newlines meanwhile).
-        head, end = (_json_text({"columns": header, "rows": [[""]]}) + "\n").encode().split(b'""')
-        rows = body[:-1].replace(b"\n", b"]").replace(b",", b'",\n      "')
-        _write_atomic(path, b'"'.join([head, rows.replace(b"]", b'"\n    ],\n    [\n      "'), end]))
+        _write_atomic(path, _json_table(header, blocks))
     return path
+
+
+def _json_table(header: list, blocks):
+    """The chunks of json.dumps({"columns": header, "rows": rows}, indent=2,
+    sort_keys=True) + newline, where `blocks` yields the rows as CSV lines.
+
+    No cell needs escaping; "]" holds each block's newlines meanwhile.
+    """
+    head, end = (_json_text({"columns": header, "rows": [[""]]}) + "\n").encode().split(b'""')
+    row_break = b'"\n    ],\n    [\n      "'
+    yield head
+    sep = b'"'
+    for block in blocks:
+        rows = block[:-1].replace(b"\n", b"]").replace(b",", b'",\n      "')
+        yield sep
+        yield rows.replace(b"]", row_break)
+        sep = row_break
+    yield b'"' + end
 
 
 def _sweep_coherent(cfg: dict):
@@ -677,7 +701,7 @@ def cmd_sweep(cfg: dict) -> Path:
     if cfg["format"] == "csv":
         # No sweep field needs CSV quoting: the lines equal csv.writer's.
         lines = [",".join(map(str, row)) for row in [SWEEP_HEADER, *rows]]
-        _write_atomic(path, "".join(f"{line}\n" for line in lines).encode())
+        _write_atomic(path, ["".join(f"{line}\n" for line in lines).encode()])
     else:
         _write_json(path, {"columns": SWEEP_HEADER, "rows": rows})
     _write_json(Path(str(path) + ".config.json"), {"command": "sweep", "config": cfg})

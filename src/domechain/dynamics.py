@@ -169,12 +169,20 @@ def _amplitudes(H: np.ndarray, source: np.ndarray, times: np.ndarray) -> np.ndar
     source holds D complex site amplitudes.  One stacked `eigh` gives
     H = V diag(w) V^T with V real, so V^T source is one real GEMM on the
     (re, im) pairs of source, and V (e^{-i w t} V^T source) one real GEMM on
-    those of the phases.  Each matrix of a stack gets the bits it gets alone.
+    those of the phases.  The phases are cos(w t) - i sin(w t) of the real
+    angles, cheaper than the complex exp and bit-equal to it with numpy 2.4
+    on AVX-512; sin goes in place into the angle buffer.  Each matrix of a
+    stack gets the bits it gets alone.
     """
     w, V = np.linalg.eigh(H)
     pairs = np.ascontiguousarray(source, dtype=complex).view(float).reshape(-1, 2)
     coeffs = (V.swapaxes(-1, -2) @ pairs).view(complex)
-    phases = np.exp(-1j * (w[..., None] * times)) * coeffs
+    angles = w[..., None] * times
+    phases = np.empty(angles.shape, complex)
+    np.cos(angles, out=phases.real)
+    np.negative(np.sin(angles, out=angles), out=phases.imag)
+    del angles  # lowers the peak: the GEMM allocates its output next
+    phases *= coeffs
     return (V @ phases.view(float)).view(complex)
 
 

@@ -93,12 +93,13 @@ def dome_spectrum(N: int, m: int, J: float = 1.0) -> Spectrum:
 
     Adjacent gaps are 1 + (s - 1) m in units of J, so the spectrum is
     strictly increasing for every m >= 0 and the evolution period is
-    T = 2 pi / J.
+    T = 2 pi / J.  N and m must be finite and integral, N >= 1 and m >= 0;
+    integral floats are read as ints.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
+    for name, value, low in (("N", N, 1), ("m", m, 0)):
+        if not (math.isfinite(value) and value == int(value) >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    N, m = int(N), int(m)
     s = np.arange(1, N + 1, dtype=float)
     vals = s - (N + 1) / 2.0 + (s - 2.0) * (s - 1.0) * m / 2.0
     return Spectrum(values=vals, rate_J=J)

@@ -965,7 +965,7 @@ def test_table_lines_equal_csv_writer_with_fmt(outdir):
     header = ["a", "b", "c", "d", "e"]
     rows = [[_fmt(x) for x in row] + [_fmt(tails[i]) if i in tails else ""]
             for i, row in enumerate(table)]
-    got = f"{','.join(header)}\n" + _table_bytes(table, tails).decode()
+    got = f"{','.join(header)}\n" + b"".join(_table_bytes(table, tails)).decode()
     assert got == _csv_writer_text(header, rows)
     assert got.splitlines()[1] == "-0,1e-300,3,0.1,nan"
     # Above the gate, in row blocks of 8192 // 3 = 2730 rows: the 3000 rows
@@ -979,7 +979,7 @@ def test_table_lines_equal_csv_writer_with_fmt(outdir):
     assert {2729, 2731} <= tails.keys()
     rows = [[_fmt(x) for x in row] + [_fmt(tails[i]) if i in tails else ""]
             for i, row in enumerate(big)]
-    got = f"{','.join(header[1:])}\n" + _table_bytes(big, tails).decode()
+    got = f"{','.join(header[1:])}\n" + b"".join(_table_bytes(big, tails)).decode()
     assert got == _csv_writer_text(header[1:], rows)
     # Sweep CSVs are joined the same way: csv.writer on the JSON table's rows.
     for name in ("chain", "decoherence"):
@@ -997,14 +997,55 @@ def test_block_formatter_equals_percent_g_on_random_bits_and_decades():
     cells = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
     for block in [*bits, np.concatenate([cells, -cells]).reshape(6, -1)]:
         want = "".join("".join("%.12g," % x for x in row) + "\n" for row in block.tolist())
-        assert _table_bytes(block, {}) == want.encode()
+        assert b"".join(_table_bytes(block, {})) == want.encode()
+
+
+def test_table_chunks_are_row_blocks(outdir):
+    # One chunk per block of 8192 // 7 = 1170 rows, each ending a row; the
+    # tails land in their own blocks, on either side of a boundary.
+    table = np.arange(3000 * 7, dtype=float).reshape(3000, 7) / 7
+    tails = {0: 0.5, 1169: 1.5, 1170: 2.5, 2999: 3.5}
+    chunks = list(_table_bytes(table, tails))
+    assert [chunk.count(b"\n") for chunk in chunks] == [1170, 1170, 660]
+    assert b"".join(chunks) == _per_row_table_bytes(table, tails)[0]
+
+
+def test_failed_stream_leaves_the_artifact_and_no_temp_file(outdir):
+    path = outdir / "evolve.csv"
+    path.write_bytes(b"old artifact\n")
+
+    def chunks():
+        yield b"first block\n"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        cli._write_atomic(path, chunks())
+    assert path.read_bytes() == b"old artifact\n"
+    assert list(outdir.glob("*.tmp")) == []
+
+
+def test_table_writer_memory_does_not_grow_with_the_table(outdir):
+    # 200 000 x 7 random floats are 21 MB of CSV; writing them whole took a
+    # 111 MB peak.  Streamed, the writer holds one row block and its temporaries.
+    import tracemalloc
+
+    table = np.random.default_rng(3).random((200_000, 7))
+    cli._cell_tables()  # the lookup tables are built once per process, not per table
+    tracemalloc.start()
+    try:
+        cli._write_atomic(outdir / "big.csv", _table_bytes(table, {1: 0.25, 199_999: 0.75}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (outdir / "big.csv").stat().st_size > 10**7
 
 
 def _per_row_table_bytes(table, tails):
-    """_table_bytes as one %-template per row."""
+    """_table_bytes as one %-template per row, in one chunk."""
     template = "%.12g," * table.shape[1]
-    return "".join(template % tuple(row) + (_fmt(tails[i]) if i in tails else "") + "\n"
-                   for i, row in enumerate(table.tolist())).encode()
+    return ["".join(template % tuple(row) + (_fmt(tails[i]) if i in tails else "") + "\n"
+                    for i, row in enumerate(table.tolist())).encode()]
 
 
 _TABLE_EVOLVES = {  # cells of the evolve table, then its --set arguments

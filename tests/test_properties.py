@@ -278,4 +278,4 @@ def test_block_formatter_equals_fmt_on_every_float(row):
     rows = [row, row[::-1]]
     tails = ["", _fmt(row[0])]
     want = "".join("".join(f"{_fmt(x)}," for x in r) + tail + "\n" for r, tail in zip(rows, tails))
-    assert _table_bytes(np.array(rows), {1: row[0]}) == want.encode()
+    assert b"".join(_table_bytes(np.array(rows), {1: row[0]})) == want.encode()

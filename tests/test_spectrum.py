@@ -63,6 +63,12 @@ def test_dome_spectrum_rejects_bad_arguments():
         dome_spectrum(0, 2)
     with pytest.raises(ValueError):
         dome_spectrum(5, -1)
+    with pytest.raises(ValueError, match="N must be an integer >= 1, got 5.5"):
+        dome_spectrum(5.5, 2)
+    with pytest.raises(ValueError, match="m must be an integer >= 0, got inf"):
+        dome_spectrum(5, math.inf)
+    with pytest.raises(ValueError, match="m must be an integer >= 0, got nan"):
+        dome_spectrum(5, math.nan)
 
 
 def test_pst_spacing_even_m_half_period():
