@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .models import DomeParams, dome_hamiltonian
+from .spectrum import _integer
 
 __all__ = [
     "TransferMode",
@@ -77,16 +78,15 @@ class CascadeInfeasibleError(RuntimeError):
         )
 
 
-def max_coupling(N: int, m: int = 0, J: float = 1.0) -> float:
-    """Largest coupling of a length-N dome chain of shape m at rate J.
+def max_coupling(N: int, m: int = 0) -> float:
+    """Largest coupling of a length-N dome chain of shape m, in units of J.
 
     The maximum of the closed-form coupling array; planning divides the
-    ceiling by it.  Its large-N envelopes (N J / 4 for the m = 0 line,
-    m N^2 J / 8 for domes) give the plan's asymptotic total.  `DomeParams`
+    ceiling by it.  Its large-N envelopes (N / 4 for the m = 0 line,
+    m N^2 / 8 for domes) give the plan's asymptotic total.  `DomeParams`
     checks N and m.
     """
-    couplings = dome_hamiltonian(DomeParams(N=N, m=m, J=1.0)).couplings
-    return float(np.max(couplings)) * J
+    return float(np.max(dome_hamiltonian(DomeParams(N=N, m=m)).couplings))
 
 
 def _segment_lengths(N: int, k: int) -> tuple[int, ...]:
@@ -172,11 +172,10 @@ def feasible_N(budget: CouplingBudget, m: int = 0) -> int:
 
     Uses the asymptotic envelopes at rate j_min: N = 4 j_max / j_min for
     the m = 0 line and N = sqrt(8 j_max / (m j_min)) for domes, rounded to
-    the nearest integer.  It builds no chain, so it checks m itself, as
-    `DomeParams` does.
+    the nearest integer.  It builds no chain, so it checks m itself, by
+    the rule `DomeParams` applies.
     """
-    if not (math.isfinite(m) and m == int(m) >= 0):
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    m = _integer("m", m, 0)
     ratio = budget.j_max / budget.j_min
     if m == 0:
         return int(round(4.0 * ratio))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,16 +13,17 @@ __all__ = ["TridiagonalHamiltonian"]
 class TridiagonalHamiltonian:
     """Site frequencies and couplings of an XY chain, in units of J.
 
-    omegas has length N, couplings length N - 1.  rate_J (rad/s) carries
-    the physical scale.  Instances produced by spectrum reconstruction or
-    the dome closed forms are mirror symmetric with positive couplings;
-    disorder-perturbed instances may violate both, so neither property is
-    enforced at construction.
+    omegas has length N, couplings length N - 1.  The physical scale J
+    belongs to the system the chain is built for (`models.DomeParams`),
+    whose `single_excitation_matrix(..., physical=True)` is in rad/s.
+    Instances produced by spectrum reconstruction or the dome closed forms
+    are mirror symmetric with positive couplings; disorder-perturbed
+    instances may violate both, so neither property is enforced at
+    construction.
     """
 
     omegas: np.ndarray
     couplings: np.ndarray
-    rate_J: float = 1.0
 
     def __post_init__(self) -> None:
         om = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -34,21 +34,14 @@ class TridiagonalHamiltonian:
             raise ValueError("omegas must be a non-empty 1-D array")
         if cp.size != om.size - 1:
             raise ValueError("couplings must have length N - 1")
-        if not (math.isfinite(self.rate_J) and self.rate_J > 0):
-            raise ValueError(f"rate_J must be finite and positive, got {self.rate_J!r}")
 
     @property
     def n(self) -> int:
         return int(self.omegas.size)
 
-    def matrix(self, physical: bool = False) -> np.ndarray:
-        """Dense N x N matrix; physical=True multiplies by rate_J (rad/s)."""
+    def matrix(self) -> np.ndarray:
+        """Dense N x N matrix in units of J."""
         H = np.diag(self.omegas).astype(float)
         if self.couplings.size:
             H += np.diag(self.couplings, 1) + np.diag(self.couplings, -1)
-        return H * self.rate_J if physical else H
-
-    @property
-    def period(self) -> float:
-        """Evolution period 2 pi / J in seconds (rate_J in rad/s)."""
-        return 2.0 * np.pi / self.rate_J
+        return H

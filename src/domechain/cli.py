@@ -13,8 +13,9 @@ The schemas are the one table of defaults (JSON Schema `default`
 annotations); `resolve` fills them in once, after validation, and every
 command runs from that resolved config, which the sweep sidecar records.
 All physical inputs carry units in their field names (rate_MHz is J/2pi;
-t1_us, tphi_us are microseconds) and are converted to angular frequency
-internally.  Integral floats in integer fields (`N=5.0`) are accepted, as
+t1_us, tphi_us are microseconds).  `_rad_per_s` alone turns MHz into rad/s;
+the rate goes into the systems only, as spectra and synthesized chains are
+in units of J.  Integral floats in integer fields (`N=5.0`) are accepted, as
 JSON Schema does, and read as ints.  NaN, Infinity and numbers that
 overflow a float are refused while parsing, before any schema check.
 
@@ -327,11 +328,15 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _rate_rad_per_s(cfg: dict) -> float:
-    """Angular frequency J from rate_MHz; 1 rad/s when unspecified."""
-    if "rate_MHz" in cfg:
-        return 2.0 * np.pi * cfg["rate_MHz"] * 1e6
-    return 1.0
+def _rad_per_s(cfg: dict, key: str = "rate_MHz") -> float:
+    """2 pi 10^6 cfg[key] in rad/s of a field in MHz, 1 if absent; ConfigError if not finite."""
+    if key not in cfg:
+        return 1.0
+    value = 2.0 * np.pi * cfg[key] * 1e6
+    if not math.isfinite(value):
+        raise ConfigError(f"{key.removesuffix('_MHz')} must be finite, got {value!r} rad/s "
+                          f"from {key} = {cfg[key]!r}")
+    return value
 
 
 def _output_path(cfg: dict) -> Path:
@@ -416,12 +421,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_synth(cfg: dict) -> Path:
-    """Reconstruct a chain from its spectrum and write all artifacts."""
-    rate = _rate_rad_per_s(cfg)
+    """Reconstruct a chain (in units of J) from its spectrum and write all artifacts."""
+    rate = _rad_per_s(cfg)
     if "spectrum" in cfg:
-        spec = Spectrum(values=np.asarray(cfg["spectrum"], dtype=float), rate_J=rate)
+        spec = Spectrum(values=np.asarray(cfg["spectrum"], dtype=float))
     else:
-        spec = dome_spectrum(cfg["N"], cfg["m"], rate)
+        spec = dome_spectrum(cfg["N"], cfg["m"])
     ham, weights, W = synthesize(spec)
     path = _output_path(cfg)
     if cfg["format"] == "json":
@@ -452,7 +457,7 @@ def cmd_synth(cfg: dict) -> Path:
 def _systems(cfg: dict) -> list:
     """The config's dome chains or grids at its rate, one per m of
     `m_values`, or the one of an `evolve`."""
-    rate = _rate_rad_per_s(cfg)
+    rate = _rad_per_s(cfg)
     if "N" in cfg:
         return [DomeParams(cfg["N"], m, rate) for m in cfg.get("m_values") or [cfg["m"]]]
     shapes = [(m, m) for m in cfg["m_values"]] if "m_values" in cfg else [(cfg["m_x"], cfg["m_y"])]
@@ -710,10 +715,7 @@ def cmd_sweep(cfg: dict) -> Path:
 
 def cmd_cascade(cfg: dict) -> Path:
     """Plan a cascaded transfer and write the plan JSON."""
-    budget = CouplingBudget(
-        j_max=2 * np.pi * cfg["j_max_MHz"] * 1e6,
-        j_min=2 * np.pi * cfg["j_min_MHz"] * 1e6,
-    )
+    budget = CouplingBudget(j_max=_rad_per_s(cfg, "j_max_MHz"), j_min=_rad_per_s(cfg, "j_min_MHz"))
     plan = plan_cascade(N=cfg["N"], k=cfg["k"], budget=budget, m=cfg.get("m", 0),
                         mode=TransferMode(cfg["mode"]))
     path = _output_path(cfg)

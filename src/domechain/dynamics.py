@@ -153,11 +153,14 @@ class DecoherenceConfig:
 
 
 def _check_symmetric(H: np.ndarray) -> np.ndarray:
-    """H as floats: one symmetric D x D site block or an (M, D, D) stack, checked at once."""
+    """H as floats: one finite symmetric D x D site block or an (M, D, D) stack, checked at once."""
     H = np.asarray(H, dtype=float)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ValueError("H must be a square matrix or a stack of them")
-    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1), initial=0.0))
+    peak = np.abs(H).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(peak).all():  # NaN or inf fails every comparison below
+        raise ValueError("H must be finite")
+    scale = np.maximum(1.0, peak)
     if (np.abs(H - H.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) > 1e-10 * scale).any():
         raise ValueError("H must be symmetric")
     return H

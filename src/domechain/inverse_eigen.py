@@ -129,9 +129,7 @@ def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
     """
     N = spec.n
     if N == 1:
-        return TridiagonalHamiltonian(
-            omegas=spec.values.copy(), couplings=np.zeros(0), rate_J=spec.rate_J
-        )
+        return TridiagonalHamiltonian(omegas=spec.values.copy(), couplings=np.zeros(0))
     half, half_c = (N + 1) // 2, N // 2
     e = _exponent(spec.values)
     omegas_half, couplings_half = (
@@ -143,7 +141,7 @@ def _chain(spec: Spectrum, weights: np.ndarray) -> TridiagonalHamiltonian:
     couplings = np.zeros(N - 1)
     couplings[:half_c] = couplings_half
     couplings[half_c:] = couplings[: (N - 1) - half_c][::-1]
-    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=spec.rate_J)
+    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings)
 
 
 def _check_spectrum(ev: np.ndarray, spec: Spectrum) -> None:
@@ -166,11 +164,12 @@ def _check_spectrum(ev: np.ndarray, spec: Spectrum) -> None:
 def synthesize(spec: Spectrum) -> tuple[TridiagonalHamiltonian, np.ndarray, np.ndarray]:
     """(chain, weights, eigenvector rows) of the spectrum: what `synth` writes.
 
-    Only ceil(N/2) recurrence steps are taken; the remaining coefficients
-    follow by reflection (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  One
-    `eigh` of the chain gives both the eigenvalues that verify it and the
-    rows W, one per ascending eigenvalue, each signed so that its first
-    component is non-negative: W[s, 0] = sqrt(alpha_s).  Where
+    The chain is in the spectrum's units of J.  Only ceil(N/2) recurrence
+    steps are taken; the remaining coefficients follow by reflection
+    (omega_n = omega_{N+1-n}, J_n = J_{N-n}).  One `eigh` of the chain
+    gives both the eigenvalues that verify it and the rows W, one per
+    ascending eigenvalue, each signed so that its first component is
+    non-negative: W[s, 0] = sqrt(alpha_s).  Where
     sqrt(alpha_s) is below eigh's absolute accuracy (about 1e-15, from
     about N = 48 on dome chains), that row's sign is deterministic but not
     physically pinned.  For a unit eigenvector, ||H w_s - lambda_s w_s||

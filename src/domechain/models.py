@@ -17,11 +17,13 @@ For large m the middle sites are far detuned from the ends and the chain
 reduces to an effective two-site system with J_eff -> (-1)^N J / 2 and
 end frequencies shifted by -(N - 2) J / 2.
 
-`_SiteModel` is the package's one system model.  Every study starts from
-it: it checks that chains or grids form one layout, and it alone turns
-their parameters into site entries and site matrices (`matrices`), which
-`single_excitation_matrix`, the sweeps in `noise` and the CLI's `evolve`
-all read.
+`DomeParams` and `Grid2D` alone carry the rate J (rad/s), checked once by
+`_check_system`; spectra and chains are in units of J.  `_SiteModel` is the
+package's one system model.  Every study starts from it: it checks that
+chains or grids form one layout that J scales without overflow, and it
+alone turns their parameters into site entries and site matrices
+(`matrices`), which `single_excitation_matrix`, the sweeps in `noise` and
+the CLI's `evolve` all read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
+from .spectrum import _integer
 
 __all__ = [
     "DomeParams",
@@ -47,18 +50,16 @@ __all__ = [
 def _check_system(system, sizes: tuple[str, ...], shapes: tuple[str, ...]) -> None:
     """The one check of chain and grid parameters, which it reads as ints.
 
-    Sizes must be integral and at least 2, shapes (m) integral, finite and
-    at least 0, and J finite and positive; integral floats and numpy
-    integers are accepted.  Each failure is a ValueError.
+    Sizes (at least 2) and shapes m (at least 0) follow `spectrum._integer`;
+    J must be finite and positive, with a finite period 2 pi / J.  Each
+    failure is a ValueError.
     """
     for names, low in ((sizes, 2), (shapes, 0)):
         for name in names:
-            value = getattr(system, name)
-            if not (math.isfinite(value) and value == int(value) >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(system, name, int(value))
-    if not (math.isfinite(system.J) and system.J > 0):
-        raise ValueError(f"J must be finite and positive, got {system.J!r}")
+            object.__setattr__(system, name, _integer(name, getattr(system, name), low))
+    J = float(system.J)
+    if not (0 < J < math.inf and math.isfinite(2.0 * math.pi / J)):
+        raise ValueError(f"J must be finite and positive with a finite 2 pi / J, got {system.J!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def dome_hamiltonian(params: DomeParams) -> TridiagonalHamiltonian:
     couplings = 0.5 * np.sqrt(k * (N - k - 1.0) * m + k) * np.sqrt(
         (k - 1.0) * (N - k) * m + N - k
     )
-    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings, rate_J=params.J)
+    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,9 @@ class _SiteModel:
     def of(cls, system) -> _SiteModel:
         """The model of one DomeParams or Grid2D, or of a sequence of them
         that differ only in m (TypeError for anything else, ValueError for
-        a sequence that is empty or mixes kinds, sizes or rates)."""
+        a sequence that is empty or mixes kinds, sizes or rates, or for a J
+        that scales the largest absolute row sum, which bounds every entry
+        and eigenvalue, past a float)."""
         one = isinstance(system, (DomeParams, Grid2D))
         systems = [system] if one else list(system)
         if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
@@ -181,7 +184,12 @@ class _SiteModel:
                                                 np.repeat(col.couplings, grid.cols)])))
             edges = first.corner_indices()
         freqs, couplings = (np.array(e) for e in zip(*entries))
-        return cls(freqs, couplings, _bond_pairs(*shape), np.array(edges), first.J,
+        bonds = _bond_pairs(*shape)
+        row_sums = np.abs(freqs)
+        np.add.at(row_sums, (slice(None), bonds), np.abs(couplings)[..., None])
+        if math.isinf(float(row_sums.max()) * float(first.J)):
+            raise ValueError(f"J = {first.J!r} rad/s scales the site matrix past a float")
+        return cls(freqs, couplings, bonds, np.array(edges), first.J,
                    () if one else (len(systems),))
 
     def matrices(self, physical: bool = True, freqs=None, couplings=None) -> np.ndarray:
@@ -199,9 +207,10 @@ class _SiteModel:
         return H * self.rate if physical else H
 
 
-def single_excitation_matrix(grid: Grid2D, physical: bool = False) -> np.ndarray:
-    """Dense single-excitation matrix of a grid, row-major site order."""
-    return _SiteModel.of(grid).matrices(physical)[0]
+def single_excitation_matrix(system: DomeParams | Grid2D, physical: bool = False) -> np.ndarray:
+    """The one physical-matrix builder: the dense single-excitation matrix of a
+    chain or grid (row-major sites) in units of J, or in rad/s if `physical`."""
+    return _SiteModel.of(system).matrices(physical)[0]
 
 
 class PerturbativeBreakdownError(RuntimeError):

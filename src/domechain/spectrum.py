@@ -11,7 +11,9 @@ The dome spectrum is the one-parameter family
 
     lambda_s = s - (N + 1)/2 + (s - 2)(s - 1) m / 2,   s = 1..N,
 
-in units of the overall rate J.  m = 0 recovers the linear spectrum of
+in units of the overall rate J.  A spectrum, its times and the chains
+synthesized from it stay in these units: J sets the physical scale only
+on the systems of `models`.  m = 0 recovers the linear spectrum of
 the standard engineered-coupling chain; even m preserves PST at half
 period, and m = 2 (mod 4) additionally yields FST with theta = pi/4 at
 quarter period.
@@ -20,7 +22,7 @@ quarter period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +41,9 @@ PHASE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenvalue list in units of the rate J.
-
-    values must be strictly increasing; rate_J carries the physical scale
-    in rad/s (1.0 means natural units).
-    """
+    """Strictly increasing eigenvalue list in units of the rate J."""
 
     values: np.ndarray
-    rate_J: float = 1.0
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -57,16 +54,10 @@ class Spectrum:
             raise ValueError(f"spectrum span {vals[-1]:g} - ({vals[0]:g}) overflows a float")
         if not np.all(np.diff(vals) > 0):
             raise ValueError("spectrum values must be strictly increasing")
-        if not (math.isfinite(self.rate_J) and self.rate_J > 0):
-            raise ValueError(f"rate_J must be finite and positive, got {self.rate_J!r}")
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    def physical_values(self) -> np.ndarray:
-        """Eigenvalues in rad/s."""
-        return self.values * self.rate_J
 
 
 @dataclass(frozen=True)
@@ -88,31 +79,32 @@ class FstPhase:
             raise ValueError("theta outside [0, pi/2]")
 
 
-def dome_spectrum(N: int, m: int, J: float = 1.0) -> Spectrum:
-    """Dome spectrum for an N-site chain with shape parameter m.
+def _integer(name: str, value, low: int) -> int:
+    """value as an int, the package's one rule for sizes and shapes: finite,
+    integral (integral floats and numpy integers too) and at least `low`."""
+    if not (math.isfinite(value) and value == int(value) >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
-    Adjacent gaps are 1 + (s - 1) m in units of J, so the spectrum is
-    strictly increasing for every m >= 0 and the evolution period is
-    T = 2 pi / J.  N and m must be finite and integral, N >= 1 and m >= 0;
-    integral floats are read as ints.
+
+def dome_spectrum(N: int, m: int) -> Spectrum:
+    """Dome spectrum for an N-site chain with shape parameter m, in units of J.
+
+    Adjacent gaps are 1 + (s - 1) m, so the spectrum is strictly increasing
+    for every m >= 0 and the evolution period is 2 pi in units of 1/J.
+    N >= 1 and m >= 0 follow `_integer`'s rule.
     """
-    for name, value, low in (("N", N, 1), ("m", m, 0)):
-        if not (math.isfinite(value) and value == int(value) >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    N, m = int(N), int(m)
+    N, m = _integer("N", N, 1), _integer("m", m, 0)
     s = np.arange(1, N + 1, dtype=float)
     vals = s - (N + 1) / 2.0 + (s - 2.0) * (s - 1.0) * m / 2.0
-    return Spectrum(values=vals, rate_J=J)
+    return Spectrum(values=vals)
 
 
 def check_pst_spacing(spec: Spectrum, tau: float) -> bool:
-    """True when every adjacent gap times tau is an odd multiple of pi.
-
-    tau is physical time; gaps are scaled by spec.rate_J before the check.
-    """
+    """True when every adjacent gap times tau (in units of 1/J) is an odd multiple of pi."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    gaps = np.diff(spec.physical_values())
+    gaps = np.diff(spec.values)
     if gaps.size == 0:
         return True
     ratio = gaps * tau / math.pi
@@ -132,11 +124,12 @@ def solve_fst_phase(spec: Spectrum, tau: float) -> FstPhase | None:
     c_s = (-1)^(N+s) is the mirror end-site sign pattern.  The two residue
     classes of c_s each pin one complex number; the pair is solved as a
     2x2 linear system and the solution is verified against all N
-    constraints.  Returns None when no (theta, psi, phi) satisfies them.
+    constraints; tau is in units of 1/J.  Returns None when no
+    (theta, psi, phi) satisfies them.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    lam = spec.physical_values()
+    lam = spec.values
     N = lam.size
     z = np.exp(-1j * lam * tau)
     signs = _class_signs(N)

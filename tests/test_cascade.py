@@ -25,7 +25,7 @@ from domechain.cascade import (
     plan_cascade,
     _segment_lengths,
 )
-from domechain.models import DomeParams, dome_hamiltonian
+from domechain.models import DomeParams, single_excitation_matrix
 
 PST = TransferMode.PST
 
@@ -61,7 +61,7 @@ def test_segment_lengths_validation():
 
 def test_max_coupling_line():
     assert abs(max_coupling(400) - 100.0) < 1e-12  # midpoint of an even line
-    assert abs(max_coupling(64, J=2.0) - 32.0) < 1e-12
+    assert abs(max_coupling(64) - 16.0) < 1e-12
 
 
 def test_max_coupling_dome():
@@ -166,7 +166,7 @@ def run_cascade(plan) -> np.ndarray:
     psi[1] = 1.0
     start = 1
     for L, rate, tau in zip(plan.lengths, plan.rates, plan.durations):
-        H = dome_hamiltonian(DomeParams(N=L, m=plan.m, J=rate)).matrix(physical=True)
+        H = single_excitation_matrix(DomeParams(N=L, m=plan.m, J=rate), physical=True)
         psi[start : start + L] = scipy.linalg.expm(-1j * H * tau) @ psi[start : start + L]
         start += L - 1
     return psi

@@ -129,9 +129,9 @@ def test_synth_artifacts_equal_the_earlier_writers(outdir, sets):
     cfg = dict(s.split("=", 1) for s in sets)
     rate = 2 * np.pi * float(cfg["rate_MHz"]) * 1e6 if "rate_MHz" in cfg else 1.0
     if "spectrum" in cfg:
-        spec = Spectrum(values=np.array(json.loads(cfg["spectrum"]), dtype=float), rate_J=rate)
+        spec = Spectrum(values=np.array(json.loads(cfg["spectrum"]), dtype=float))
     else:
-        spec = dome_spectrum(int(cfg["N"]), int(cfg["m"]), rate)
+        spec = dome_spectrum(int(cfg["N"]), int(cfg["m"]))
     ham, weights, W = synthesize(spec)
     payload = {
         "rate_J_rad_per_s": rate,
@@ -335,9 +335,9 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     from domechain.models import DomeParams, dome_hamiltonian
 
     cfg = {"N": n_sites, "m": m, "points": 21}
-    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m))
-    times, marked = cli._evolve_times(cli.resolve("evolve", cfg), ham.period)
-    frames = _dense_frames(ham.matrix(), times)
+    params = DomeParams(N=n_sites, m=m)
+    times, marked = cli._evolve_times(cli.resolve("evolve", cfg), params.period)
+    frames = _dense_frames(dome_hamiltonian(params).matrix(), times)
     bell = state_fidelity(reduce_to_sites(frames, (1, n_sites)), chain_bell_target(n_sites))
     end = frames[:, n_sites]
     qpt = np.where(np.isin(times, marked), transfer_fidelity(np.abs(end) ** 2, end), np.nan)
@@ -732,7 +732,7 @@ def test_seed_is_a_sweep_option_only(outdir, capsys):
         (_COHERENT + ["--set", "sigma=0.1", "--set", "sigmas=[0.2]"], "not both"),
         # Finite MHz that overflow once converted to rad/s.
         (["synth", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=1e308"],
-         "rate_J must be finite and positive, got inf"),
+         "rate must be finite, got inf rad/s from rate_MHz = 1e+308"),
         (_CASCADE + ["--set", "kind=line", "--set", "k=1", "--set", "j_max_MHz=1e308",
                      "--set", "j_min_MHz=1"], "j_max must be finite, got inf"),
         (_CASCADE + ["--set", "kind=line", "--set", "k=1", "--set", "j_max_MHz=1e308",
@@ -915,6 +915,48 @@ def test_overflowing_spectrum_span_exits_2_and_writes_nothing(outdir):
             "error": "validation", "detail": f"spectrum span {text} overflows a float",
         }
         assert list(outdir.iterdir()) == []
+
+
+_SWEEP_AT = ["sweep", "--set", "kind=coherent", "--set", "target=all", "--set", "sigma=0.1",
+             "--set", "samples=3", "--set", "seed=1"]
+# Finite rates whose period 2 pi / J (1e-320 MHz) or scaled site matrices
+# (1e300 and 1e301 MHz) overflow a float.
+_OVERFLOWING_RATES = {
+    "evolve-1e301": ["evolve", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=1e301",
+                     "--set", "points=3"],
+    "evolve-m102-1e300": ["evolve", "--set", "N=5", "--set", "m=102", "--set", "rate_MHz=1e300"],
+    "bell-sweep-1e300": [*_SWEEP_AT, "--set", "metric=bell_at_quarter_t", "--set", "N=5",
+                         "--set", "rate_MHz=1e300"],
+    "evolve-1e-320": ["evolve", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=1e-320",
+                      "--set", "points=3"],
+    "qpt-sweep-1e-320": [*_SWEEP_AT, "--set", "metric=qpt_at_half_t", "--set", "N=3",
+                         "--set", "rate_MHz=1e-320"],
+    "open-evolve-1e-320": ["evolve", "--set", "N=3", "--set", "m=2", "--set", "rate_MHz=1e-320",
+                           "--set", "points=3", "--set", "decoherence.t1_us=30"],
+    "scan-1e-320": ["sweep", "--set", "kind=decoherence", "--set", "metric=bell_at_quarter_t",
+                    "--set", "N=3", "--set", "rate_MHz=1e-320"],
+}
+
+
+def test_overflowing_rates_exit_2_without_warnings(outdir):
+    # These once wrote NaN tables, counted every sample failed, or warned
+    # before exiting 2 or 3.  The systems refuse them: one error line, and
+    # no artifact.
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, argv in _OVERFLOWING_RATES.items():
+        done = subprocess.run([sys.executable, "-m", "domechain.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 2, (name, done.stderr)
+        [line] = done.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "validation", name
+        if name.endswith("1e-320"):
+            assert error["detail"] == ("J must be finite and positive with a finite 2 pi / J, "
+                                       "got 6.283032818e-314"), name
+        else:
+            assert error["detail"].endswith("rad/s scales the site matrix past a float"), name
+        assert list(outdir.iterdir()) == [], name
 
 
 def test_output_path_is_printed(outdir, capsys):
@@ -1271,13 +1313,14 @@ def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
     _, rows = read_csv(outdir / "qpt.csv")
     cells = {r[0]: float(r[-1]) for r in rows if r[-1]}
     if extra:
-        ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6))
+        params = DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6)
         deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     else:
-        ham, deco = dome_hamiltonian(DomeParams(N=n_sites, m=m)), None
+        params, deco = DomeParams(N=n_sites, m=m), None
     assert sorted(cells) == ["0.25", "0.5"]
     for key, frac in (("0.25", 0.25), ("0.5", 0.5)):
-        _, fid = simulate_qpt(ham, deco, t_end=frac * ham.period)
+        _, fid = simulate_qpt(dome_hamiltonian(params), deco, t_end=frac * params.period,
+                              J=params.J)
         assert cells[key] == pytest.approx(fid, abs=1e-11)
 
 
@@ -1331,7 +1374,7 @@ def test_evolve_ends_at_n_periods_on_any_time_scale(outdir, rate, n_periods, mar
     _, rows = read_csv(outdir / "evolve.csv")
     assert rows[-1][0] == _fmt(n_periods)
     assert [r[0] for r in rows if r[-1]] == [_fmt(x) for x in marked]
-    period = 2 * np.pi / cli._rate_rad_per_s(rate)
+    period = 2 * np.pi / cli._rad_per_s(rate)
     times, got = cli._evolve_times(cli.resolve("evolve", cfg), period)
     assert got == [period * x for x in marked] and np.isin(got, times).all()
     assert times[-1] == period * n_periods

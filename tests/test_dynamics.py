@@ -88,9 +88,9 @@ def test_lindblad_matches_superoperator_exponential(monkeypatch):
     rate = 2 * np.pi * 5e6
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     for m in (2, 102):
-        ham = dome_hamiltonian(DomeParams(N=5, m=m, J=rate))
-        times = np.array([0.0, ham.period / 4, ham.period / 2])
-        cases.append((ham.matrix(physical=True), deco, times))
+        params = DomeParams(N=5, m=m, J=rate)
+        times = np.array([0.0, params.period / 4, params.period / 2])
+        cases.append((single_excitation_matrix(params, physical=True), deco, times))
     grid = Grid2D(3, 7, 2, 2, J=rate)
     assert grid.rows * grid.cols > dynamics.DENSE_GENERATOR_MAX_SITES
     times = np.array([0.0, grid.period / 4, grid.period / 2])
@@ -116,7 +116,7 @@ def random_density(n_sites, rng):
 
 def shifted_chain(n_sites, m, rate):
     """A dome chain whose first site is detuned by J/10: no longer mirror-symmetric."""
-    H = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate)).matrix(physical=True)
+    H = single_excitation_matrix(DomeParams(N=n_sites, m=m, J=rate), physical=True)
     H[0, 0] += 0.1 * rate
     return H
 
@@ -125,8 +125,8 @@ def _oracle_systems():
     rate = 2 * np.pi * 5e6
     for N in range(2, 10):
         for m in (0, 2, 102):
-            ham = dome_hamiltonian(DomeParams(N=N, m=m, J=rate))
-            yield f"chain-{N}-{m}", ham.matrix(physical=True)
+            params = DomeParams(N=N, m=m, J=rate)
+            yield f"chain-{N}-{m}", single_excitation_matrix(params, physical=True)
     for rows, cols in ((2, 2), (2, 3), (3, 4), (3, 7)):
         grid = Grid2D(rows, cols, 2, 2, J=rate)
         yield f"grid-{rows}x{cols}", single_excitation_matrix(grid, physical=True)
@@ -167,7 +167,7 @@ def test_mirror_symmetric_stacks_exponentiate_half_blocks(monkeypatch, n_sites):
     expm = dynamics._expm
     monkeypatch.setattr(dynamics, "_expm", lambda A: calls.append(A) or expm(A))
     rate = 2 * np.pi * 5e6
-    chains = [dome_hamiltonian(DomeParams(N=n_sites, m=m, J=rate)).matrix(physical=True)
+    chains = [single_excitation_matrix(DomeParams(N=n_sites, m=m, J=rate), physical=True)
               for m in (0, 2, 102)]
     times = np.array([0.0, 1e-8, 2e-8, 5e-8])  # two step lengths
     decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t_phi=2e-6)]
@@ -224,13 +224,14 @@ def test_stiff_open_step_matches_extended_precision(N, bound):
     # Liouvillian sits 3.0e-14, 1.5e-13, 1.1e-13 and 1.1e-13 from it.  The
     # oracle takes about 3 s at N = 15.
     assert np.finfo(np.longdouble).eps < 1e-18
-    ham = dome_hamiltonian(DomeParams(N=N, m=102, J=2 * np.pi * 5e6))
+    params = DomeParams(N=N, m=102, J=2 * np.pi * 5e6)
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
-    t = ham.period / 4
+    t = params.period / 4
     rho0 = np.zeros((N + 1, N + 1), dtype=complex)
     rho0[1, 1] = 1.0
-    block = evolve_lindblad(ham.matrix(physical=True), rho0, [0.0, t], deco)[1, 1:, 1:]
-    ref = longdouble_site_block(ham.matrix(physical=True), deco, t, rho0[1:, 1:].reshape(-1))
+    H = single_excitation_matrix(params, physical=True)
+    block = evolve_lindblad(H, rho0, [0.0, t], deco)[1, 1:, 1:]
+    ref = longdouble_site_block(H, deco, t, rho0[1:, 1:].reshape(-1))
     assert np.max(np.abs(block - ref.reshape(N, N))) <= bound
 
 
@@ -257,13 +258,13 @@ def test_expm_forms_overflowed_powers_from_the_scaled_matrix():
 def test_lindblad_zeno_limit_holds_the_excitation():
     # At Tphi = 1e-150 s the generator's 1-norm is far past the overflow of
     # its sixth power; dephasing that fast freezes the excitation on site 1.
-    ham = dome_hamiltonian(DomeParams(N=3, m=2, J=2 * np.pi * 5e6))
+    params = DomeParams(N=3, m=2, J=2 * np.pi * 5e6)
     psi0 = site_state(3, 1)
-    times = np.linspace(0.0, ham.period, 5)
+    times = np.linspace(0.0, params.period, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rhos = evolve_lindblad(ham.matrix(physical=True), np.outer(psi0, psi0.conj()), times,
-                               DecoherenceConfig(t_phi=1e-150))
+        rhos = evolve_lindblad(single_excitation_matrix(params, physical=True),
+                               np.outer(psi0, psi0.conj()), times, DecoherenceConfig(t_phi=1e-150))
     populations = np.real(np.einsum("tii->ti", rhos))[:, 1:]
     np.testing.assert_allclose(populations, np.tile([1.0, 0.0, 0.0], (5, 1)), rtol=0, atol=1e-12)
 
@@ -357,25 +358,26 @@ def test_pst_identity_across_sizes():
     # |<N|U(T/2)|1>| = 1 for every PST-capable m.
     for N in range(2, 11):
         for m in (0, 2, 4, 6, 10):
-            ham = dome_hamiltonian(DomeParams(N=N, m=m))
-            psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 2)
+            params = DomeParams(N=N, m=m)
+            H = single_excitation_matrix(params, physical=True)
+            psi = evolve_closed(H, site_state(N, 1), params.period / 2)
             assert abs(abs(psi[0, N]) - 1.0) < 1e-8
 
 
 def test_mirror_transfer_from_interior_sites():
     N = 7
-    ham = dome_hamiltonian(DomeParams(N=N, m=2))
-    H = ham.matrix(physical=True)
+    params = DomeParams(N=N, m=2)
+    H = single_excitation_matrix(params, physical=True)
     for n in range(1, N + 1):
-        psi = evolve_closed(H, site_state(N, n), ham.period / 2)[0]
+        psi = evolve_closed(H, site_state(N, n), params.period / 2)[0]
         assert abs(abs(psi[N + 1 - n]) - 1.0) < 1e-8
 
 
 def test_full_period_revival():
     for m in (0, 1, 2, 3):
-        ham = dome_hamiltonian(DomeParams(N=5, m=m))
+        params = DomeParams(N=5, m=m)
         psi0 = site_state(5, 1)
-        psi = evolve_closed(ham.matrix(physical=True), psi0, ham.period)[0]
+        psi = evolve_closed(single_excitation_matrix(params, physical=True), psi0, params.period)[0]
         assert abs(abs(np.vdot(psi0, psi)) - 1.0) < 1e-9
 
 
@@ -415,6 +417,25 @@ def test_closed_and_open_evolve_reject_asymmetric_blocks():
             evolve_closed(np.zeros(shape), psi0, [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_closed_and_open_evolve_reject_non_finite_blocks(bad):
+    # NaN and inf fail every comparison of the symmetry check, so they are
+    # refused first: once they ran on to NaN states with only a warning.
+    H = dome_hamiltonian(DomeParams(N=3, m=2)).matrix()
+    psi0 = site_state(3, 1)
+    rho0 = np.outer(psi0, psi0.conj())
+    for i, j in ((0, 1), (1, 1)):
+        bad_block = H.copy()
+        bad_block[i, j] = bad_block[j, i] = bad
+        for stack in (bad_block, np.array([H, bad_block])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^H must be finite$"):
+                    evolve_closed(stack, psi0, [0.0, 1.0])
+                with pytest.raises(ValueError, match="^H must be finite$"):
+                    evolve_lindblad(stack, rho0, [0.0, 1.0], DecoherenceConfig(t1=1.0))
+
+
 @pytest.mark.parametrize("M", [1, 3])
 def test_stacked_closed_evolve_equals_single_calls(M):
     # An (M, D, D) stack gives each block's single-call states bit for bit,
@@ -422,7 +443,7 @@ def test_stacked_closed_evolve_equals_single_calls(M):
     # matrices, from a site state and from a random one with a vacuum part.
     rate = 2 * np.pi * 5e6
     rng = np.random.default_rng(M)
-    chains = [dome_hamiltonian(DomeParams(N=6, m=m, J=rate)).matrix(physical=True)
+    chains = [single_excitation_matrix(DomeParams(N=6, m=m, J=rate), physical=True)
               for m in (2, 102)] + [shifted_chain(6, 2, rate)]
     grids = [single_excitation_matrix(Grid2D(3, 4, 2, m_y, J=rate), physical=True)
              for m_y in (2, 1, 0)]
@@ -462,9 +483,9 @@ def test_evolve_closed_matches_per_time_propagator():
     cases = [
         (dome_hamiltonian(DomeParams(N=9, m=2)).matrix(), 2 * np.pi),
         (single_excitation_matrix(Grid2D(3, 4, 2, 2)), 2 * np.pi),
-        (dome_hamiltonian(DomeParams(N=5, m=102, J=rate)).matrix(physical=True),
+        (single_excitation_matrix(DomeParams(N=5, m=102, J=rate), physical=True),
          2 * np.pi / rate),
-        (dome_hamiltonian(DomeParams(N=128, m=2, J=rate)).matrix(physical=True),
+        (single_excitation_matrix(DomeParams(N=128, m=2, J=rate), physical=True),
          2 * np.pi / rate),
         (single_excitation_matrix(Grid2D(10, 10, 2, 2, J=rate), physical=True),
          2 * np.pi / rate),
@@ -491,9 +512,9 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     calls = []
     expm = dynamics._expm
     monkeypatch.setattr(dynamics, "_expm", lambda A: calls.append(A) or expm(A))
-    ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
-    H = ham.matrix(physical=True)
-    times, marked = _evolve_times(_resolved_evolve({}), ham.period)
+    params = DomeParams(N=5, m=2, J=2 * np.pi * 5e6)
+    H = single_excitation_matrix(params, physical=True)
+    times, marked = _evolve_times(_resolved_evolve({}), params.period)
     assert np.unique(np.diff(times)).size > 5
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
@@ -547,10 +568,11 @@ def test_healthy_default_grid_skips_eigvalsh(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    ham = dome_hamiltonian(DomeParams(N=5, m=2, J=2 * np.pi * 5e6))
-    times = _evolve_times_of({}, ham.period)
+    params = DomeParams(N=5, m=2, J=2 * np.pi * 5e6)
+    times = _evolve_times_of({}, params.period)
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
-    evolve_lindblad(ham.matrix(physical=True), rho0, times, DecoherenceConfig(t1=30e-6, t_phi=5e-6))
+    H = single_excitation_matrix(params, physical=True)
+    evolve_lindblad(H, rho0, times, DecoherenceConfig(t1=30e-6, t_phi=5e-6))
     assert calls == []
 
 
@@ -600,14 +622,14 @@ def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
     maps = []
     expm = dynamics._expm
     monkeypatch.setattr(dynamics, "_expm", lambda A: maps.append(expm(A)) or maps[-1])
-    ham = dome_hamiltonian(DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6))
-    times = _GRIDS[grid](ham.period)
+    params = DomeParams(N=n_sites, m=m, J=2 * np.pi * 5e6)
+    times = _GRIDS[grid](params.period)
     steps = np.diff(times, prepend=0.0)
     rng = np.random.default_rng(7)
     c = rng.normal(size=(n_sites, n_sites)) + 1j * rng.normal(size=(n_sites, n_sites))
     sites0 = (c + c.conj().T).reshape(-1)
     sites0 /= np.linalg.norm(sites0)
-    H = ham.matrix(physical=True)[None]
+    H = single_excitation_matrix(params, physical=True)[None]
     block = dynamics._site_blocks(H, np.array([0.1e6]), sites0, steps, times[-1])[0, 0]
     lengths, _ = dynamics._step_runs(steps, times[-1])
     dephase, index, weight = dynamics._coordinates(n_sites, True)
@@ -669,8 +691,8 @@ def test_stacked_lindblad_equals_single_calls(monkeypatch):
 
     rng = np.random.default_rng(5)
     rate = 2 * np.pi * 5e6
-    hams = [dome_hamiltonian(DomeParams(N=5, m=m, J=rate)) for m in (0, 2, 102, 2)]
-    H = np.array([ham.matrix(physical=True) for ham in hams])
+    chains = [DomeParams(N=5, m=m, J=rate) for m in (0, 2, 102, 2)]
+    H = np.array([single_excitation_matrix(chain, physical=True) for chain in chains])
     decos = [
         DecoherenceConfig(t1=30e-6, t_phi=5e-6),
         DecoherenceConfig(t1=3e-6, t_phi=5e-6),
@@ -679,7 +701,7 @@ def test_stacked_lindblad_equals_single_calls(monkeypatch):
         DecoherenceConfig(),
         DecoherenceConfig(t1=300e-6, t_phi=0.5e-6),
     ]
-    period = hams[0].period
+    period = chains[0].period
     times = np.array([0.0, period / 8, period / 4, period / 4, period / 2])
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     rho0 = np.outer(c, c.conj()) / np.vdot(c, c).real
@@ -709,9 +731,9 @@ def test_sparse_branch_stack_equals_per_unit_calls_and_dense_branch(monkeypatch)
     import domechain.dynamics as dynamics
 
     rate = 2 * np.pi * 5e6
-    hams = [dome_hamiltonian(DomeParams(N=22, m=m, J=rate)) for m in (2, 102)]
-    H = np.stack([ham.matrix(physical=True) for ham in hams])
-    dt = hams[0].period / 120
+    chains = [DomeParams(N=22, m=m, J=rate) for m in (2, 102)]
+    H = np.stack([single_excitation_matrix(chain, physical=True) for chain in chains])
+    dt = chains[0].period / 120
     times = np.sort(np.r_[np.linspace(0.0, 6 * dt, 7), 2 * dt, 2.3 * dt])
     rho0 = random_density(22, np.random.default_rng(22))
     decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t1=10e-6, t_phi=0.5e-6)]
@@ -743,9 +765,9 @@ def test_sparse_branch_is_reproducible_and_leaves_global_rng_alone(monkeypatch):
     monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 20)
     rate = 2 * np.pi * 5e6
     N = dynamics.DENSE_GENERATOR_MAX_SITES + 2
-    ham = dome_hamiltonian(DomeParams(N=N, m=102, J=rate))
-    H = ham.matrix(physical=True)
-    times = np.r_[np.linspace(0.0, ham.period / 13, 4), ham.period / 13 + ham.period / 50]
+    params = DomeParams(N=N, m=102, J=rate)
+    H = single_excitation_matrix(params, physical=True)
+    times = np.r_[np.linspace(0.0, params.period / 13, 4), params.period / 13 + params.period / 50]
     rho0 = np.outer(site_state(N, 1), site_state(N, 1))
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     runs = []

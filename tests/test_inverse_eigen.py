@@ -85,11 +85,6 @@ def test_reconstruct_is_mirror_symmetric():
         assert np.all(ham.couplings > 0)
 
 
-def test_reconstruct_carries_rate():
-    ham = synthesize(dome_spectrum(5, 2, J=3.0e6))[0]
-    assert ham.rate_J == 3.0e6
-
-
 def test_reconstruct_single_eigenvalue():
     ham = synthesize(Spectrum(values=np.array([2.5])))[0]
     np.testing.assert_allclose(ham.omegas, [2.5])
@@ -156,7 +151,7 @@ def test_eigenvectors_of_long_chains_match_mrrr_oracle(N, m):
 
 
 @pytest.mark.parametrize("spec", [dome_spectrum(2, 0), dome_spectrum(5, 2), dome_spectrum(64, 10),
-                                  Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]), rate_J=2.0)])
+                                  Spectrum(values=np.array([-4.0, -1.5, 0.0, 2.0, 3.0]))])
 def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
     # One pass gives what the separate steps give: _weights' weights
     # and one signed eigh of the chain, bit for bit, with the chain carrying
@@ -166,7 +161,6 @@ def test_synthesize_equals_reconstruct_weights_and_eigenvectors(spec):
     _, V = np.linalg.eigh(H)
     V *= np.where(V[0] < 0, -1.0, 1.0)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
-    assert ham.rate_J == spec.rate_J
     np.testing.assert_array_equal(weights, _weights(spec))
     np.testing.assert_array_equal(W, V.T)
     assert np.max(np.abs(np.linalg.eigvalsh(H) - spec.values)) / scale <= 1e-8

@@ -133,13 +133,14 @@ def process_matrix(output_rhos) -> ProcessMatrix:
     )
 
 
-def simulate_qpt(ham, deco=None, t_end=None, source=1, target=None):
+def simulate_qpt(ham, deco=None, t_end=None, source=1, target=None, *, J=1.0):
     """Tomograph the source-to-target transfer channel of a chain.
 
     Prepares {|down>, |up>, |+>, |+i>} on the source qubit as vacuum
-    superpositions, evolves each to t_end (default: half the chain period)
-    with a dense propagator, reduces to the target qubit and inverts for
-    chi.  Returns (ProcessMatrix, fidelity against the identity process).
+    superpositions, evolves each to t_end (default: half the chain period
+    2 pi / J) under J times the chain's matrix with a dense propagator,
+    reduces to the target qubit and inverts for chi.  Returns
+    (ProcessMatrix, fidelity against the identity process).
     """
     N = ham.n
     if target is None:
@@ -147,8 +148,8 @@ def simulate_qpt(ham, deco=None, t_end=None, source=1, target=None):
     if not (1 <= source <= N and 1 <= target <= N):
         raise ValueError("source/target out of range")
     if t_end is None:
-        t_end = ham.period / 2
-    H = ham.matrix(physical=True)
+        t_end = 2.0 * np.pi / J / 2
+    H = ham.matrix() * J
     fiducials = [a * vacuum_state(N) + b * site_state(N, source) for a, b in qpt_fiducials()]
     if deco is None:
         U = np.eye(N + 1, dtype=complex)
@@ -288,8 +289,9 @@ def test_bell_targets_are_reached_by_the_dynamics():
     # The end-pair state at T/4 carries phase +i (odd N) or -i (even N)
     # on the transferred component; the targets must match exactly.
     for N in (3, 4, 5, 6):
-        ham = dome_hamiltonian(DomeParams(N=N, m=2))
-        psi = evolve_closed(ham.matrix(physical=True), site_state(N, 1), ham.period / 4)
+        params = DomeParams(N=N, m=2)
+        H = single_excitation_matrix(params, physical=True)
+        psi = evolve_closed(H, site_state(N, 1), params.period / 4)
         rho = reduce_to_sites(psi, (1, N))
         assert abs(state_fidelity(rho, chain_bell_target(N))[0] - 1.0) < 1e-9
         # The opposite parity phase is orthogonal, not merely off by phase.
@@ -368,10 +370,11 @@ def test_qpt_transfer_channel_parity():
 
 
 def test_qpt_open_system_matches_closed_at_long_coherence():
-    ham = dome_hamiltonian(DomeParams(N=3, m=2, J=2 * np.pi * 5e6))
+    rate = 2 * np.pi * 5e6
+    ham = dome_hamiltonian(DomeParams(N=3, m=2, J=rate))
     deco = DecoherenceConfig(t1=1.0, t_phi=1.0)  # effectively noise free
-    _, fid_open = simulate_qpt(ham, deco)
-    _, fid_closed = simulate_qpt(ham)
+    _, fid_open = simulate_qpt(ham, deco, J=rate)
+    _, fid_closed = simulate_qpt(ham, J=rate)
     assert abs(fid_open - fid_closed) < 1e-6
 
 
@@ -382,14 +385,14 @@ def test_qpt_open_system_matches_dense_oracle():
     rate = 2 * np.pi * 5e6
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     for m in (2, 102):
-        ham = dome_hamiltonian(DomeParams(N=5, m=m, J=rate))
-        H = ham.matrix(physical=True)
-        t = ham.period / 2
+        params = DomeParams(N=5, m=m, J=rate)
+        H = single_excitation_matrix(params, physical=True)
+        t = params.period / 2
         one = site_state(5, 1)
         plus = (vacuum_state(5) + one) / np.sqrt(2)
         P = expm_evolve(H, np.outer(one, one.conj()), t, deco)[5, 5].real
         c = 2 * expm_evolve(H, np.outer(plus, plus.conj()), t, deco)[5, 0]
-        _, fid = simulate_qpt(ham, deco)
+        _, fid = simulate_qpt(dome_hamiltonian(params), deco, J=rate)
         assert abs(fid - transfer_fidelity(P, c)) < 1e-12
 
 
@@ -459,15 +462,15 @@ def test_transfer_fidelity_matches_tomography_oracle():
     chains = [dome_hamiltonian(DomeParams(N=N, m=m, J=rate))
               for N in (2, 3, 5, 8) for m in (0, 2, 102)]
     for N in (2, 4, 7):
-        chains.append(TridiagonalHamiltonian(rng.normal(size=N) * 3, rng.uniform(0.2, 2.0, N - 1), rate))
+        chains.append(TridiagonalHamiltonian(rng.normal(size=N) * 3, rng.uniform(0.2, 2.0, N - 1)))
     worst = 0.0
     for ham in chains:
-        T = ham.period
+        T = 2.0 * np.pi / rate
         times = np.array([0.0, T / 4, T / 2, T / 2 + rng.uniform(0, T)])
         for deco in decos:
-            got = closed_form_transfer(ham.matrix(physical=True), times, deco)
+            got = closed_form_transfer(ham.matrix() * rate, times, deco)
             for t, fid in zip(times[1:], got[1:]):
-                worst = max(worst, abs(fid - simulate_qpt(ham, deco, t_end=t)[1]))
+                worst = max(worst, abs(fid - simulate_qpt(ham, deco, t_end=t, J=rate)[1]))
     assert worst < 1e-12
 
 

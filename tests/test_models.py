@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from domechain.cascade import CouplingBudget, feasible_N
 from domechain.models import (
     DomeParams,
     Grid2D,
@@ -79,6 +80,7 @@ _BAD_CHAINS = {
     "J-negative": dict(N=5, m=2, J=-1.0),
     "J-inf": dict(N=5, m=2, J=np.inf),
     "J-nan": dict(N=5, m=2, J=np.nan),
+    "J-no-period": dict(N=5, m=2, J=1e-320),  # 2 pi / J overflows
 }
 _BAD_GRIDS = {
     "rows-fraction": (2.5, 3, 2, 2),
@@ -91,6 +93,7 @@ _BAD_GRIDS = {
     "J-inf": (3, 4, 2, 2, np.inf),
     "J-nan": (3, 4, 2, 2, np.nan),
     "J-zero": (3, 4, 2, 2, 0.0),
+    "J-no-period": (3, 4, 2, 2, 1e-320),
 }
 
 
@@ -119,7 +122,7 @@ def test_integral_floats_and_numpy_integers_are_read_as_ints():
                                   single_excitation_matrix(Grid2D(3, 4, 2, 1)))
 
 
-_RATES = (1.0, 0.37, 3.0, 2 * np.pi * 5e6)
+_RATES = (1.0, 0.37, 3.0, 2 * np.pi * 5e6, 1e300)
 
 
 def test_site_model_matrices_equal_the_closed_form_chains():
@@ -135,7 +138,7 @@ def test_site_model_matrices_equal_the_closed_form_chains():
             H = stack.matrices()
             for chain, h in zip(chains, H):
                 ref = dome_hamiltonian(chain)
-                np.testing.assert_array_equal(h, ref.matrix(physical=True))
+                np.testing.assert_array_equal(h, ref.matrix() * J)
                 one = _SiteModel.of(chain)
                 assert one.stack == ()
                 np.testing.assert_array_equal(one.matrices(physical=False)[0], ref.matrix())
@@ -168,8 +171,40 @@ def test_site_model_takes_only_chains_and_grids():
 
 
 def test_matrix_physical_scaling():
-    ham = dome_hamiltonian(DomeParams(N=4, m=2, J=5.0))
-    np.testing.assert_allclose(ham.matrix(physical=True), ham.matrix() * 5.0)
+    # single_excitation_matrix is the one physical-matrix builder: on chains
+    # it is J times the closed-form matrix in units of J, bit for bit.
+    for N in range(2, 40):
+        for m in (0, 1, 2, 3, 10, 102):
+            for J in _RATES:
+                params = DomeParams(N, m, J)
+                np.testing.assert_array_equal(single_excitation_matrix(params, physical=True),
+                                              J * dome_hamiltonian(params).matrix())
+
+
+def test_one_integer_rule_for_sizes_and_shapes():
+    # Systems, dome spectra and feasible_N share one check and its message.
+    for build in (lambda m: DomeParams(5, m), lambda m: Grid2D(3, 3, m, 2),
+                  lambda m: dome_spectrum(5, m), lambda m: feasible_N(CouplingBudget(2.0, 1.0), m)):
+        for m in (2.5, -1, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^m(_x)? must be an integer >= 0, got {m!r}$"):
+                build(m)
+
+
+_OVERFLOWING = {
+    "chain": DomeParams(3, 2, 1e308),
+    "stiff-chain": DomeParams(5, 102, 6.3e306),
+    "grid": Grid2D(3, 3, 0, 0, 1e308),
+    "stack": [DomeParams(5, 2, 1e306), DomeParams(5, 102, 1e306)],
+}
+
+
+@pytest.mark.parametrize("system", list(_OVERFLOWING.values()), ids=list(_OVERFLOWING))
+def test_rates_that_scale_the_matrix_past_a_float_are_refused(system):
+    # Finite rates whose site matrices overflow once scaled: the largest
+    # absolute row sum bounds every entry and eigenvalue, so it is checked.
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="scales the site matrix past a float"):
+            _SiteModel.of(system)
 
 
 def test_grid_requires_two_by_two():

@@ -326,8 +326,8 @@ def per_sample_fidelities(system, c, metric):
         for k in range(c.samples):
             sample = perturbed(system, point, k)
             if metric is SweepMetric.QPT_AT_HALF_T:
-                ham = TridiagonalHamiltonian(np.diag(sample), np.diag(sample, 1), system.J)
-                out[i, k] = simulate_qpt(ham, t_end=period / 2)[1]
+                ham = TridiagonalHamiltonian(np.diag(sample), np.diag(sample, 1))
+                out[i, k] = simulate_qpt(ham, t_end=period / 2, J=system.J)[1]
             else:
                 out[i, k] = state_fidelity(final(sample), ideal)
     return out
@@ -637,13 +637,13 @@ def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
     for row, chain in zip(fids, chains):
         ham = dome_hamiltonian(chain)
         for got, deco in zip(row, decos, strict=True):
-            assert abs(got - simulate_qpt(ham, deco)[1]) < 1e-12
+            assert abs(got - simulate_qpt(ham, deco, J=chain.J)[1]) < 1e-12
 
 
-def dense_bell_point(ham, deco) -> float:
+def dense_bell_point(chain, deco) -> float:
     """End-pair overlap at T/4 from the dense Liouvillian and expm(-iHt)."""
-    N, t = ham.n, ham.period / 4
-    H = ham.matrix(physical=True)
+    N, t = chain.N, chain.period / 4
+    H = single_excitation_matrix(chain, physical=True)
     psi = np.zeros(N + 1, dtype=complex)
     psi[1:] = scipy.linalg.expm(-1j * H * t)[:, 0]
     rho = expm_evolve(H, np.outer(site_state(N, 1), site_state(N, 1)), t, deco)
@@ -671,9 +671,9 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
         ham = dome_hamiltonian(chain)
         for got, deco in zip(row, decos, strict=True):
             if metric is SweepMetric.QPT_AT_HALF_T:
-                ref = simulate_qpt(ham, deco)[1]
+                ref = simulate_qpt(ham, deco, J=chain.J)[1]
             else:
-                ref = dense_bell_point(ham, deco)
+                ref = dense_bell_point(chain, deco)
             assert abs(got - ref) <= 1e-12
 
 

@@ -46,11 +46,6 @@ def test_trace_identity_matches_frequency_sum():
             assert abs(lam_sum - om_sum) / scale < 1e-12
 
 
-def test_physical_values_scale_with_rate():
-    spec = dome_spectrum(4, 2, J=2.0e6)
-    np.testing.assert_allclose(spec.physical_values(), spec.values * 2.0e6)
-
-
 def test_spectrum_requires_increasing_values():
     with pytest.raises(ValueError):
         Spectrum(values=np.array([0.0, 0.0, 1.0]))
@@ -85,8 +80,9 @@ def test_pst_spacing_fails_at_full_period():
     assert not check_pst_spacing(dome_spectrum(5, 2), 2 * math.pi)
 
 
-def test_pst_spacing_respects_rate():
-    spec = dome_spectrum(5, 2, J=4.0)
+def test_pst_spacing_scales_with_the_gaps():
+    # Gaps four times the dome's move PST from tau = pi to pi/4 (units of 1/J).
+    spec = Spectrum(values=dome_spectrum(5, 2).values * 4.0)
     assert check_pst_spacing(spec, math.pi / 4.0)
     assert not check_pst_spacing(spec, math.pi)
 
