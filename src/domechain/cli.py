@@ -17,7 +17,9 @@ t1_us, tphi_us are microseconds).  `_rad_per_s` alone turns MHz into rad/s;
 the rate goes into the systems only, as spectra and synthesized chains are
 in units of J.  Integral floats in integer fields (`N=5.0`) are accepted, as
 JSON Schema does, and read as ints.  NaN, Infinity and numbers that
-overflow a float are refused while parsing, before any schema check.
+overflow a float are refused while parsing, before any schema check, and
+an `evolve` whose end, the period times n_periods, overflows is refused
+before its time grid is built.
 
 The schemas use a small subset of JSON Schema, checked by `_schema_error`.
 Its exit-2 messages are the ones jsonschema's `best_match` reports for
@@ -34,7 +36,9 @@ H_col kron 1 + 1 kron H_row, runs on its column and row chains, whose outer
 products give its populations and corners (`_closed_columns`).  An open
 grid builds the (rows cols)^2 matrix, as dephasing does not factor.
 
-Artifacts are written atomically (temp file then rename) from byte chunks.
+Artifacts are written atomically (temp file then rename) from byte chunks;
+the temp file is one `os.open` beside the target with mkstemp's flags and
+mode, and the output directory is made only when that open finds it missing.
 CSV is RFC 4180 with LF line endings and numbers as `_fmt` (%.12g) prints
 them: an `evolve` table of 500 cells or more goes straight to bytes, one
 24-byte slot per cell, in row blocks of about 8k cells that drop their NUL
@@ -55,6 +59,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -346,11 +351,35 @@ def _output_path(cfg: dict) -> Path:
     return path
 
 
+# tempfile.mkstemp's flags for a new temp file, without its read access.
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+               | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
+
+
+def _open_temp(folder: Path) -> tuple[int, str]:
+    """A new mode-0600 temp file in folder, named tmp<random>.tmp, as mkstemp
+    makes it: a name that exists already is drawn again."""
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(folder, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no usable temporary file name found", str(folder))
+
+
 def _write_atomic(path: Path, chunks) -> None:
     """Write the byte chunks of an iterable to a temp file beside path, then
-    rename it over path; on any error the temp file goes and path is untouched."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    rename it over path; on any error the temp file goes and path is untouched.
+
+    The temp file costs one `os.open`; the output directory is made only
+    when that open finds it missing.
+    """
+    try:
+        fd, tmp = _open_temp(path.parent)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = _open_temp(path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
@@ -494,8 +523,11 @@ def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
     point never moves, so a marked time nearest to it, or past the end by
     more than a few ulps, is left out; T/2 takes over a point it shares with T/4.
     """
-    times = np.linspace(0.0, period * cfg["n_periods"], cfg["points"])
-    end = times[-1]
+    end = period * cfg["n_periods"]  # linspace ends on it exactly
+    if not math.isfinite(end):
+        raise ConfigError(f"the evolve's end, period {period!r} s times n_periods = "
+                          f"{cfg['n_periods']!r}, overflows a float")
+    times = np.linspace(0.0, end, cfg["points"])
     placed = {}
     for t in (period / 4, period / 2):
         i = int(np.argmin(np.abs(times - t)))

@@ -6,8 +6,10 @@ import io
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -959,6 +961,28 @@ def test_overflowing_rates_exit_2_without_warnings(outdir):
         assert list(outdir.iterdir()) == [], name
 
 
+@pytest.mark.parametrize("extra", [[], ["--set", "decoherence.t1_us=30"]], ids=["closed", "open"])
+def test_evolve_end_past_a_float_exits_2_without_warnings(outdir, extra):
+    # The period 2 pi / J of 1e-312 MHz is finite, 1e306 s, but 2000 periods
+    # are not: the closed evolve wrote inf and NaN times and the open one
+    # warned before exiting 2.  Now both stop before the time grid.
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "domechain.cli", "evolve", "--set", "N=3", "--set", "m=2",
+         "--set", "rate_MHz=1e-312", "--set", "n_periods=2000", "--set", "points=3", *extra],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "validation",
+        "detail": "the evolve's end, period 1.0000000000012069e+306 s times n_periods = 2000, "
+                  "overflows a float",
+    }
+    assert list(outdir.iterdir()) == []
+
+
 def test_output_path_is_printed(outdir, capsys):
     assert run(["synth", "--set", "N=3", "--set", "m=1"]) == 0
     out = capsys.readouterr().out.strip()
@@ -1064,6 +1088,19 @@ def test_failed_stream_leaves_the_artifact_and_no_temp_file(outdir):
         cli._write_atomic(path, chunks())
     assert path.read_bytes() == b"old artifact\n"
     assert list(outdir.glob("*.tmp")) == []
+
+
+def test_atomic_write_makes_missing_directories_and_a_private_file(outdir):
+    # One os.open makes the temp file; a missing output directory, nested
+    # two deep here, is made when that open fails, and the artifact gets
+    # the mode mkstemp gives (0600 under the umask).
+    path = outdir / "new" / "nested" / "sweep.csv"
+    cli._write_atomic(path, [b"a,b\n", b"1,2\n"])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert list(outdir.rglob("*.tmp")) == []
+    fd, reference = tempfile.mkstemp(dir=outdir)
+    os.close(fd)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(os.stat(reference).st_mode) == 0o600
 
 
 def test_table_writer_memory_does_not_grow_with_the_table(outdir):

@@ -279,3 +279,35 @@ def test_block_formatter_equals_fmt_on_every_float(row):
     tails = ["", _fmt(row[0])]
     want = "".join("".join(f"{_fmt(x)}," for x in r) + tail + "\n" for r, tail in zip(rows, tails))
     assert b"".join(_table_bytes(np.array(rows), {1: row[0]})) == want.encode()
+
+
+_ROW_KINDS = st.sampled_from(["random", "failed", "constant", "one_kept", "all_failed"])
+
+
+@settings(max_examples=200, deadline=None)
+@example(kinds=["random", "constant"], samples=1, seed=0)
+@example(kinds=["one_kept", "failed", "all_failed"], samples=2, seed=1)
+@given(kinds=st.lists(_ROW_KINDS, min_size=1, max_size=12), samples=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_point_statistics_equal_per_row_numpy(kinds, samples, seed):
+    # The one-pass statistics of sweep_coherent against np.mean and
+    # np.std(ddof=1) of each row's kept samples, bit for bit; std is 0 for
+    # rows of equal values or fewer than two kept.
+    rng = np.random.default_rng(seed)
+    fids = 1.0 - rng.random((len(kinds), samples)) * 10.0 ** rng.uniform(-12, 0, (len(kinds), 1))
+    for row, kind in zip(fids, kinds):
+        if kind == "failed":
+            row[rng.random(samples) < rng.random()] = np.nan
+        elif kind == "constant":
+            row[:] = row[0]
+        elif kind == "one_kept":
+            row[np.arange(samples) != rng.integers(samples)] = np.nan
+        elif kind == "all_failed":
+            row[:] = np.nan
+    ok = ~np.isnan(fids)
+    mean, std = noise._statistics(fids, ok)
+    for i, x in enumerate(f[o] for f, o in zip(fids, ok)):
+        want_mean = np.mean(x) if x.size else np.nan
+        want_std = np.std(x, ddof=1) if x.size > 1 and x.min() < x.max() else 0.0
+        np.testing.assert_array_equal(mean[i], want_mean)
+        np.testing.assert_array_equal(std[i], want_std)
