@@ -93,10 +93,10 @@ def _segment_lengths(N: int, k: int) -> tuple[int, ...]:
     """Segment site counts; consecutive segments share one boundary site.
 
     The N - 1 bonds are split as evenly as possible with the remainder
-    given to the earliest segments, so site counts sum to N + k - 1.
+    given to the earliest segments, so site counts sum to N + k - 1.  N
+    (at least 2) and k (at least 1) follow `spectrum._integer`.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    N, k = _integer("N", N, 2), _integer("k", k, 1)
     if N - 1 < k:
         raise ValueError("each segment needs at least one bond (k <= N - 1)")
     q, r = divmod(N - 1, k)
@@ -155,9 +155,9 @@ def plan_cascade(
         durations[0] /= 2.0
     return CascadePlan(
         mode=mode,
-        n_sites=N,
+        n_sites=int(N),
         m=int(m),
-        k=k,
+        k=int(k),
         budget=budget,
         lengths=lengths,
         rates=tuple(rates),

@@ -195,9 +195,12 @@ def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndar
 
     H is in physical units (rad/s when times are in seconds); psi0 has
     D + 1 entries with index 0 the vacuum amplitude, which no H changes.
+    Times must be finite; no times give T = 0 states.
     """
     H = _check_symmetric(H)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite values")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.shape[-1] + 1,):
         raise ValueError("psi0 must have length D + 1 (vacuum slot first)")

@@ -1,4 +1,4 @@
-"""Reduced end-qubit states, entanglement targets, and transfer fidelity.
+"""Readout-site fidelities, entanglement targets, and transfer fidelity.
 
 Every figure of merit is read off its readout sites only.  A state reached
 from one site excitation has no vacuum coherence, so its reduction to the
@@ -7,11 +7,9 @@ single-excitation bitstrings: a a^dagger for a closed ket with readout
 amplitudes a, the readout block B of rho for an open state, with p its
 trace.  `_readout_fidelity` scores either form against a target of vacuum
 weight w and readout amplitudes t as w (1 - p) + <t|.|t>, and
-`transfer_fidelity` scores the transfer channel.  `reduce_to_sites` and
-`state_fidelity` build and score the full 2^k x 2^k reduction of any
-frame; they are the independent route the tests check the scorer with.
-Subset basis order is {down, up}^k with the first listed site as the
-leftmost (most significant) tensor factor.
+`transfer_fidelity` scores the transfer channel.  Targets are k-qubit kets
+in the basis {down, up}^k with the first readout site as the leftmost
+(most significant) tensor factor.
 
 Phase conventions.  Starting from an excitation on site 1, a transfer
 chain of length L reaches (|1> + p(L)|L>)/sqrt(2) at t = T/4, where
@@ -35,47 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "reduce_to_sites",
     "chain_bell_target",
     "corner_w_target",
-    "state_fidelity",
     "transfer_fidelity",
 ]
-
-
-def reduce_to_sites(frames, sites) -> np.ndarray:
-    """Exact partial trace of every frame onto a subset of sites.
-
-    `frames` is a (T, D+1) stack of state vectors or a (T, D+1, D+1) stack
-    of density matrices, with the vacuum at index 0; `sites` are distinct
-    1-based site indices.  Returns (T, 2^k, 2^k).  A reduction is nonzero
-    only on the all-down bitstring and the k single-excitation bitstrings:
-    it is the (k+1) x (k+1) block of the frame on (vacuum, sites), with the
-    vacuum entry replaced by the trace minus the subset populations.
-    Coherences between the subset and excitations elsewhere trace to zero.
-    """
-    frames = np.asarray(frames, dtype=complex)
-    sites = [int(s) for s in sites]
-    k = len(sites)
-    if len(set(sites)) != k:
-        raise ValueError("subset sites must be distinct")
-    if sites and not (1 <= min(sites) and max(sites) < frames.shape[-1]):
-        raise ValueError("site index out of range")
-    idx = [0, *sites]
-    if frames.ndim == 2:
-        amp = frames[:, idx]
-        block = amp[:, :, None] * amp[:, None, :].conj()
-        total = np.einsum("ti,ti->t", frames.conj(), frames)
-    elif frames.ndim == 3 and frames.shape[1] == frames.shape[2]:
-        block = frames[:, idx][:, :, idx]
-        total = np.einsum("tii->t", frames)
-    else:
-        raise ValueError("expected a stack of state vectors or square density matrices")
-    block[:, 0, 0] = total - np.einsum("tii->t", block[:, 1:, 1:])
-    pos = np.array([0] + [1 << (k - 1 - i) for i in range(k)])
-    out = np.zeros((frames.shape[0], 2**k, 2**k), dtype=complex)
-    out[:, pos[:, None], pos] = block
-    return out
 
 
 def _quarter_period_ket(*lengths: int) -> np.ndarray:
@@ -108,22 +69,6 @@ def corner_w_target(rows: int, cols: int) -> np.ndarray:
     for a 3x4 grid the phases are (1, -i, +i, 1).
     """
     return _quarter_period_ket(rows, cols)
-
-
-def state_fidelity(rhos, target) -> np.ndarray:
-    """Tr(rho |t><t|) for a ket target, or Tr(rho sigma) for a mixed one.
-
-    `rhos` is a (..., d, d) stack of density matrices; the result has its
-    leading shape.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    d = target.shape[0]
-    if rhos.shape[-2:] != (d, d) or target.shape not in ((d,), (d, d)):
-        raise ValueError("expected (..., d, d) density matrices and a d-dim target")
-    if target.ndim == 1:
-        return np.real(np.einsum("a,...ab,b->...", target.conj(), rhos, target))
-    return np.real(np.einsum("...ab,ba->...", rhos, target))
 
 
 def transfer_fidelity(p, c):

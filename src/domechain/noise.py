@@ -46,6 +46,7 @@ import numpy as np
 from .dynamics import MAX_CHUNK_ENTRIES, _amplitudes, evolve_lindblad, site_state
 from .metrics import _readout_fidelity, transfer_fidelity
 from .models import _SiteModel
+from .spectrum import _integer
 
 __all__ = [
     "DisorderTarget",
@@ -84,7 +85,8 @@ class SweepMetric(Enum):
 @dataclass(frozen=True)
 class DisorderConfig:
     """Gaussian disorder specification: the sigmas swept, in units of J, and
-    the samples drawn per sigma."""
+    the samples drawn per sigma.  The seed (below 2^64) and the sample count
+    (at least 1) follow `spectrum._integer` and are stored as ints."""
 
     target: DisorderTarget
     sigmas: tuple[float, ...]
@@ -97,10 +99,10 @@ class DisorderConfig:
             raise ValueError("sigmas must not be empty")
         if not all(0 <= s < np.inf for s in self.sigmas):  # NaN fails too
             raise ValueError("every sigma must be finite and non-negative")
-        if not 0 <= int(self.seed) < 2**64:
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        object.__setattr__(self, "samples", _integer("samples", self.samples, 1))
 
 
 def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:

@@ -27,18 +27,26 @@ from domechain import (
     evolve_lindblad,
     feasible_N,
     plan_cascade,
-    reduce_to_sites,
     single_excitation_matrix,
     site_state,
     solve_fst_phase,
-    state_fidelity,
     sweep_coherent,
     sweep_decoherence,
     synthesize,
 )
 from domechain.cli import resolve
-from test_dynamics import expm_evolve
-from test_metrics import brute_force_reduce, random_sector_state, simulate_qpt
+from domechain.metrics import _readout_fidelity
+from dense_oracles import (
+    brute_force_reduce,
+    entrywise_reduce,
+    expm_evolve,
+    random_excited_state,
+    random_sector_state,
+    random_sector_target,
+    readout_target,
+    simulate_qpt,
+    target_overlap,
+)
 from test_noise import scan_chains, scan_configs
 
 SYNTH_SIZES = range(2, 17)
@@ -82,10 +90,10 @@ def test_criterion_2_transfer_certificates_at_n5():
         params = DomeParams(N=5, m=m)
         ham = dome_hamiltonian(params)
         psi = evolve_closed(ham.matrix(), site_state(5, 1), params.period / 4)[0]
-        bell = state_fidelity(reduce_to_sites(psi[None], (1, 5))[0], chain_bell_target(5))
+        bell = target_overlap(brute_force_reduce(psi, 5, (1, 5)), chain_bell_target(5))
         if abs(bell - 1.0) >= 1e-8:
             failures.append(f"m={m} bell {bell:.3e}")
-        _, qpt = simulate_qpt(ham, None, t_end=params.period / 2)
+        _, qpt = simulate_qpt(ham.matrix(), params.period / 2)
         if abs(qpt - 1.0) >= 1e-6:
             failures.append(f"m={m} qpt {qpt:.3e}")
 
@@ -94,7 +102,7 @@ def test_criterion_2_transfer_certificates_at_n5():
     half = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 2)
     pst_pop = abs(half[0, 5]) ** 2
     quarter = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 4)
-    bell0 = state_fidelity(reduce_to_sites(quarter, (1, 5))[0], chain_bell_target(5))
+    bell0 = target_overlap(brute_force_reduce(quarter[0], 5, (1, 5)), chain_bell_target(5))
     if abs(pst_pop - 1.0) >= 1e-8:
         failures.append(f"m=0 pst {pst_pop:.3e}")
     if not bell0 < 0.99:
@@ -225,7 +233,7 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     H = single_excitation_matrix(grid)
     psi = evolve_closed(H, site_state(12, 1), grid.period / 4)[0]
     corners = tuple(i + 1 for i in grid.corner_indices())
-    w = state_fidelity(reduce_to_sites(psi[None], corners)[0], corner_w_target(3, 4))
+    w = target_overlap(entrywise_reduce(np.outer(psi, psi.conj()), corners), corner_w_target(3, 4))
     if abs(w - 1.0) >= 1e-6:
         failures.append(f"W fidelity {w:.8f}")
 
@@ -297,11 +305,12 @@ def test_criterion_8_oracle_agreement():
 
     worst_pt = 0.0
     for N in (2, 3, 4, 5):
-        psi = random_sector_state(rng, N)
+        psi = random_excited_state(rng, N)
         for sites in ((1,), (1, N), tuple(range(1, N + 1))):
-            got = reduce_to_sites(psi[None], sites)[0]
-            ref = brute_force_reduce(psi, N, sites)
-            worst_pt = max(worst_pt, float(np.max(np.abs(got - ref))))
+            target = random_sector_target(rng, len(sites))
+            got = _readout_fidelity(psi[list(sites)], *readout_target(target))
+            ref = target_overlap(brute_force_reduce(psi, N, sites), target)
+            worst_pt = max(worst_pt, float(abs(got - ref)))
     if worst_pt >= 1e-10:
         failures.append(f"partial trace vs brute force {worst_pt:.2e}")
 

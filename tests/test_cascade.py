@@ -59,6 +59,21 @@ def test_segment_lengths_validation():
         _segment_lengths(5, 5)
 
 
+@pytest.mark.parametrize("N, k", [(10.5, 2), (10, 2.5), (np.nan, 2), (10, np.inf)],
+                         ids=["fractional-N", "fractional-k", "nan-N", "inf-k"])
+def test_plan_refuses_non_integer_or_small_sizes(N, k):
+    # Before the sizes were read as integers, N = 10.5 planned segments of
+    # 6.0 sites and k = 2.5 died with a TypeError.
+    with pytest.raises(ValueError):
+        plan_cascade(N, k, CouplingBudget(1e9, 1), 2, mode=PST)
+
+
+def test_plan_stores_integral_float_sizes_as_ints():
+    plan = plan_cascade(10.0, np.int64(2), CouplingBudget(1e9, 1), 2, mode=PST)
+    assert (plan.n_sites, plan.k, plan.lengths) == (10, 2, (6, 5))
+    assert all(type(v) is int for v in (plan.n_sites, plan.k, *plan.lengths))
+
+
 def test_max_coupling_line():
     assert abs(max_coupling(400) - 100.0) < 1e-12  # midpoint of an even line
     assert abs(max_coupling(64) - 16.0) < 1e-12

@@ -306,8 +306,9 @@ def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y)
     # The populations and corner amplitudes of the two chains' product, and
     # the P_n and w_fidelity columns the CLI prints from them, against
     # expm(-i H t)|1, 1> of the dense grid matrix, reduced to the corners.
-    from domechain.metrics import corner_w_target, reduce_to_sites, state_fidelity
+    from domechain.metrics import corner_w_target
     from domechain.models import Grid2D, single_excitation_matrix
+    from dense_oracles import entrywise_reduce, target_overlap
 
     cfg = {"rows": rows, "cols": cols, "m_x": m_x, "m_y": m_y, "points": 21}
     grid = Grid2D(rows, cols, m_x, m_y)
@@ -321,7 +322,8 @@ def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y)
 
     got = _evolve_columns(outdir, cfg)
     assert np.all(np.isnan(got[:, -1]))  # no process tomography on grids
-    w = state_fidelity(reduce_to_sites(frames, corners), corner_w_target(rows, cols))
+    w = [target_overlap(entrywise_reduce(np.outer(f, f.conj()), corners),
+                        corner_w_target(rows, cols)) for f in frames]
     # 1e-12 from the propagation, 5e-13 from printing 12 significant digits.
     np.testing.assert_allclose(got[:, 1:-1], np.column_stack([np.abs(frames[:, 1:]) ** 2, w]),
                                rtol=0, atol=1.5e-12)
@@ -332,15 +334,16 @@ def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y)
 def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     # The P_n, bell_fidelity and qpt_fidelity columns against expm(-i H t)|1>
     # of the dense chain matrix, reduced to the end pair.
-    from domechain.metrics import (chain_bell_target, reduce_to_sites, state_fidelity,
-                                   transfer_fidelity)
+    from domechain.metrics import chain_bell_target, transfer_fidelity
     from domechain.models import DomeParams, dome_hamiltonian
+    from dense_oracles import brute_force_reduce, target_overlap
 
     cfg = {"N": n_sites, "m": m, "points": 21}
     params = DomeParams(N=n_sites, m=m)
     times, marked = cli._evolve_times(cli.resolve("evolve", cfg), params.period)
     frames = _dense_frames(dome_hamiltonian(params).matrix(), times)
-    bell = state_fidelity(reduce_to_sites(frames, (1, n_sites)), chain_bell_target(n_sites))
+    bell = [target_overlap(brute_force_reduce(f, n_sites, (1, n_sites)),
+                           chain_bell_target(n_sites)) for f in frames]
     end = frames[:, n_sites]
     qpt = np.where(np.isin(times, marked), transfer_fidelity(np.abs(end) ** 2, end), np.nan)
     expected = np.column_stack([np.abs(frames[:, 1:]) ** 2, bell, qpt])
@@ -350,34 +353,16 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     np.testing.assert_allclose(got[:, 1:], expected, rtol=0, atol=1.5e-12)
 
 
-@pytest.mark.parametrize("argv", [["--set", "N=5", "--set", "m=2"],
-                                  ["--set", "rows=3", "--set", "cols=4", "--set", "m_x=2",
-                                   "--set", "m_y=1"]], ids=["chain", "grid"])
-def test_no_evolve_reduces_to_sites(outdir, monkeypatch, argv):
-    # Closed and open evolves read their fidelity off the readout sites
-    # (`metrics._readout_fidelity`): no 2^k x 2^k reduction is built.
-    from domechain import metrics, noise
-
-    calls = []
-    for name in ("reduce_to_sites", "state_fidelity"):
-        assert not hasattr(cli, name) and not hasattr(noise, name)
-        fn = getattr(metrics, name)
-        monkeypatch.setattr(metrics, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    assert run(["evolve", *argv, "--set", "points=21"]) == 0
-    assert run(["evolve", *argv, "--set", "points=21", *_OPEN]) == 0
-    assert calls == []
-
-
 @pytest.mark.parametrize("shape", [dict(N=n, m=m) for n in (2, 3, 5, 8) for m in (0, 2, 102)]
                          + [dict(rows=2, cols=3, m_x=2, m_y=1)],
                          ids=lambda shape: "-".join(map(str, shape.values())))
 def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, shape):
     # The open Bell or W column, read off the readout block of rho, against
-    # the 2^k x 2^k reduction of the same states scored by state_fidelity.
+    # <t|.|t> of the entrywise 2^k x 2^k reduction of the same states.
     from domechain.dynamics import DecoherenceConfig, evolve_lindblad, site_state
-    from domechain.metrics import (chain_bell_target, corner_w_target, reduce_to_sites,
-                                   state_fidelity)
+    from domechain.metrics import chain_bell_target, corner_w_target
     from domechain.models import _SiteModel
+    from dense_oracles import entrywise_reduce, target_overlap
 
     tables = []
     table_bytes = cli._table_bytes
@@ -399,8 +384,9 @@ def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, sh
     rhos = evolve_lindblad(H, np.outer(psi0, psi0), times, DecoherenceConfig(30 * 1e-6, 5 * 1e-6))
     (table,) = tables
     np.testing.assert_array_equal(table[:, 1:-1], np.real(np.einsum("tii->ti", rhos))[:, 1:])
-    np.testing.assert_allclose(table[:, -1], state_fidelity(reduce_to_sites(rhos, sites), target),
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        table[:, -1], [target_overlap(entrywise_reduce(rho, sites), target) for rho in rhos],
+        rtol=0, atol=1e-14)
 
 
 def test_evolve_with_decoherence_matches_known_fidelity(outdir):
@@ -1343,7 +1329,7 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
 def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
     from domechain.dynamics import DecoherenceConfig
     from domechain.models import DomeParams, dome_hamiltonian
-    from test_metrics import simulate_qpt
+    from dense_oracles import simulate_qpt
 
     assert run(["evolve", "--set", f"N={n_sites}", "--set", f"m={m}", "--set", "points=21",
                 *extra, "--output", "qpt.csv"]) == 0
@@ -1356,8 +1342,8 @@ def test_closed_evolve_qpt_column_matches_tomography(outdir, n_sites, m, extra):
         params, deco = DomeParams(N=n_sites, m=m), None
     assert sorted(cells) == ["0.25", "0.5"]
     for key, frac in (("0.25", 0.25), ("0.5", 0.5)):
-        _, fid = simulate_qpt(dome_hamiltonian(params), deco, t_end=frac * params.period,
-                              J=params.J)
+        _, fid = simulate_qpt(dome_hamiltonian(params).matrix() * params.J, frac * params.period,
+                              deco)
         assert cells[key] == pytest.approx(fid, abs=1e-11)
 
 

@@ -1,10 +1,10 @@
 """Closed/open evolution against independent propagator oracles.
 
-The open-system oracle builds the vectorized Liouvillian (row-major vec
-convention: vec(A X B) = (A kron B^T) vec(X)) and exponentiates it with
-scipy.linalg.expm.  It shares no code with the block-split propagator in
-dynamics, which works in real, mirror-split coordinates with its own
-Pade exponential.
+The open-system oracles are `dense_oracles.expm_evolve`, the exponential
+of the dense vectorized Liouvillian, and `longdouble_site_block`, the
+site-block exponential in extended precision.  They share no code with
+the block-split propagator in dynamics, which works in real, mirror-split
+coordinates with its own Pade exponential.
 """
 
 import contextlib
@@ -21,46 +21,7 @@ from domechain.dynamics import (
     site_state,
 )
 from domechain.models import DomeParams, Grid2D, dome_hamiltonian, single_excitation_matrix
-
-
-def vacuum_state(n_sites: int) -> np.ndarray:
-    """The no-excitation state |0> on the (n_sites + 1)-dim space."""
-    psi = np.zeros(n_sites + 1, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
-def lindblad_superoperator(H_site: np.ndarray, deco: DecoherenceConfig) -> np.ndarray:
-    """Dense Liouvillian on the (D+1)-dim vacuum-plus-sites space."""
-    D = H_site.shape[0]
-    dim = D + 1
-    H = np.zeros((dim, dim), dtype=complex)
-    H[1:, 1:] = H_site
-    eye = np.eye(dim)
-    M = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    ops = []
-    if deco.t1 is not None:
-        for n in range(1, dim):
-            L = np.zeros((dim, dim), dtype=complex)
-            L[0, n] = 1.0
-            ops.append((1.0 / deco.t1, L))
-    if deco.t_phi is not None:
-        for n in range(1, dim):
-            z = -np.ones(dim)
-            z[n] = 1.0
-            ops.append((0.5 / deco.t_phi, np.diag(z).astype(complex)))
-    for g, L in ops:
-        LdL = L.conj().T @ L
-        M += g * (
-            np.kron(L, L.conj())
-            - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-        )
-    return M
-
-
-def expm_evolve(H_site, rho0, t, deco):
-    M = lindblad_superoperator(H_site, deco)
-    return (scipy.linalg.expm(M * t) @ rho0.reshape(-1)).reshape(rho0.shape)
+from dense_oracles import expm_evolve, longdouble_site_block, random_density, vacuum_state
 
 
 def exponentiated(calls) -> int:
@@ -106,14 +67,6 @@ def test_lindblad_matches_superoperator_exponential(monkeypatch):
             assert np.max(np.abs(traj[k] - ref)) < 1e-12
 
 
-def random_density(n_sites, rng):
-    """A full-rank Hermitian unit-trace state on vacuum plus sites, with vacuum coherences."""
-    shape = (n_sites + 1, n_sites + 1)
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def shifted_chain(n_sites, m, rate):
     """A dome chain whose first site is detuned by J/10: no longer mirror-symmetric."""
     H = single_excitation_matrix(DomeParams(N=n_sites, m=m, J=rate), physical=True)
@@ -145,7 +98,7 @@ def test_real_propagator_matches_liouvillian(monkeypatch, H):
     period = 1 / 5e6
     times = np.array([0.0, period / 8, period / 4, period / 2])
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
-    rho0 = random_density(H.shape[0], np.random.default_rng(H.shape[0]))
+    rho0 = random_density(np.random.default_rng(H.shape[0]), H.shape[0])
     refs = [expm_evolve(H, rho0, t, deco) for t in times]
     thresholds = [dynamics.DENSE_GENERATOR_MAX_SITES] + ([20] if H.shape[0] > 20 else [])
     for threshold in thresholds:
@@ -171,7 +124,7 @@ def test_mirror_symmetric_stacks_exponentiate_half_blocks(monkeypatch, n_sites):
               for m in (0, 2, 102)]
     times = np.array([0.0, 1e-8, 2e-8, 5e-8])  # two step lengths
     decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t_phi=2e-6)]
-    rho0 = random_density(n_sites, np.random.default_rng(0))
+    rho0 = random_density(np.random.default_rng(0), n_sites)
     detuned = np.array([*chains, shifted_chain(n_sites, 2, rate)])
     stacks = [(np.array(chains), True), (detuned, False)]
     if n_sites == 6:
@@ -183,36 +136,6 @@ def test_mirror_symmetric_stacks_exponentiate_half_blocks(monkeypatch, n_sites):
         n = (n_sites**2 + 1) // 2 if split else n_sites**2
         assert {(A.dtype, A.shape[-1]) for A in calls} == {(np.dtype(float), n)}
         assert exponentiated(calls) == len(H) * len(decos) * 2 * (2 if split else 1)
-
-
-def longdouble_site_block(H_site, deco, t, sites0):
-    """exp(G t) vec(rho_S) in complex longdouble, by Taylor scaling and squaring.
-
-    G is the site-block generator -i [H, .] - gamma1 - 4 gamma_phi on the
-    coherences between sites, on row-major vecs.  A = G t is halved until
-    ||A||_1 <= 1/4, its Taylor series summed until a term is below 1e-24,
-    and the sum squared back.  In 80-bit arithmetic (eps 1.1e-19) its error
-    is about eps ||G t||, far below the double-precision propagator's.
-    """
-    D = H_site.shape[0]
-    n = D * D
-    H = H_site.astype(np.longdouble)
-    eye = np.eye(D, dtype=np.longdouble)
-    gamma1, gamma_phi = 1 / np.longdouble(deco.t1), 1 / (2 * np.longdouble(deco.t_phi))
-    A = -1j * (np.kron(H, eye) - np.kron(eye, H))
-    A.reshape(-1)[:: n + 1] -= gamma1 + 4 * gamma_phi * (1 - eye).reshape(n)
-    A *= np.longdouble(t)
-    squarings = max(0, int(np.ceil(np.log2(float(np.abs(A).sum(axis=0).max()) * 4))))
-    A /= np.longdouble(2) ** squarings
-    E = term = np.eye(n, dtype=A.dtype)
-    k = 0
-    while np.max(np.abs(term)) >= 1e-24:
-        k += 1
-        term = term @ A / k
-        E = E + term
-    for _ in range(squarings):
-        E = E @ E
-    return E @ sites0.astype(A.dtype)
 
 
 @pytest.mark.parametrize("N, bound", [(5, 5e-14), (9, 1.5e-13), (12, 2e-13), (15, 7e-13)])
@@ -472,6 +395,20 @@ def test_lindblad_refuses_empty_or_non_finite_times(times):
     # or a trace drift after overflowing steps.
     with pytest.raises(ValueError, match="non-empty sequence of finite values"):
         evolve_lindblad(np.eye(2), np.diag([0.0, 1.0, 0.0]), times, DecoherenceConfig(t1=1.0))
+
+
+@pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan], [0.0, 1.0, np.inf], [-np.inf]],
+                         ids=["nan", "then-nan", "inf", "minus-inf"])
+def test_evolve_closed_refuses_non_finite_times(times):
+    # Refused before any propagation, not returned as NaN states.
+    with pytest.raises(ValueError, match="finite values"):
+        evolve_closed(np.eye(2), site_state(2, 1), times)
+
+
+def test_evolve_closed_accepts_no_times():
+    # An open evolve shorter than T/4 marks no times and asks for none.
+    assert evolve_closed(np.eye(2), site_state(2, 1), []).shape == (0, 3)
+    assert evolve_closed(np.eye(2)[None], site_state(2, 1), []).shape == (1, 0, 3)
 
 
 def test_evolve_closed_matches_per_time_propagator():
@@ -735,7 +672,7 @@ def test_sparse_branch_stack_equals_per_unit_calls_and_dense_branch(monkeypatch)
     H = np.stack([single_excitation_matrix(chain, physical=True) for chain in chains])
     dt = chains[0].period / 120
     times = np.sort(np.r_[np.linspace(0.0, 6 * dt, 7), 2 * dt, 2.3 * dt])
-    rho0 = random_density(22, np.random.default_rng(22))
+    rho0 = random_density(np.random.default_rng(22), 22)
     decos = [DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t1=10e-6, t_phi=0.5e-6)]
     monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", 20)
     units, sparse_runs = [], dynamics._sparse_runs

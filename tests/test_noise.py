@@ -3,10 +3,13 @@
 The batched sweep is checked against a per-sample path that shares no
 code with it: `perturbed` (one Philox generator per sample, its draws
 added entry by entry to `dome_hamiltonian` or `single_excitation_matrix`)
--> `evolve_closed` -> `reduce_to_sites` -> `state_fidelity`.  The draw
-and targeting tests run on `models._SiteModel`, the pipeline sweeps run.
-The transfer metric, coherent and under T1/Tphi, is checked against the
-emulated process tomography `test_metrics.simulate_qpt`.
+-> `evolve_closed` -> the partial trace onto the readout sites
+(`dense_oracles.brute_force_reduce` for the chain's end pair,
+`entrywise_reduce` for the 12-site grid's corners) -> the overlap with the
+noise-free reduction.  The draw and targeting tests run on
+`models._SiteModel`, the pipeline sweeps run.  The transfer metric,
+coherent and under T1/Tphi, is checked against the emulated process
+tomography `dense_oracles.simulate_qpt`.
 """
 
 import threading
@@ -17,9 +20,7 @@ import pytest
 import scipy.linalg
 
 from domechain import cli, noise
-from domechain.chain import TridiagonalHamiltonian
 from domechain.dynamics import DecoherenceConfig, evolve_closed, site_state
-from domechain.metrics import reduce_to_sites, state_fidelity
 from domechain.models import (
     DomeParams,
     Grid2D,
@@ -34,8 +35,8 @@ from domechain.noise import (
     sweep_coherent,
     sweep_decoherence,
 )
-from test_dynamics import expm_evolve, exponentiated
-from test_metrics import entrywise_reduce, simulate_qpt
+from dense_oracles import brute_force_reduce, entrywise_reduce, expm_evolve, simulate_qpt
+from test_dynamics import exponentiated
 
 RATE_5MHZ = 2 * np.pi * 5e6
 
@@ -219,6 +220,23 @@ def test_every_sigma_is_validated(sigmas):
         DisorderConfig(DisorderTarget.ALL, sigmas, 1, 5)
 
 
+@pytest.mark.parametrize("seed, samples", [(1.5, 5), (-0.5, 5), (np.nan, 5), (1, 2.5),
+                                           (1, np.inf)],
+                         ids=["fractional-seed", "negative-fractional-seed", "nan-seed",
+                              "fractional-samples", "inf-samples"])
+def test_seed_and_samples_must_be_integers(seed, samples):
+    # A fractional seed once ran as its truncation, and fractional samples
+    # were accepted only for the sweep to die with a TypeError.
+    with pytest.raises(ValueError):
+        DisorderConfig(DisorderTarget.ALL, (0.5,), seed, samples)
+
+
+def test_seed_and_samples_are_stored_as_ints():
+    c = DisorderConfig(DisorderTarget.ALL, (0.5,), np.uint64(2**64 - 1), 3.0)
+    assert (c.seed, c.samples) == (2**64 - 1, 3)
+    assert type(c.seed) is int and type(c.samples) is int
+
+
 def test_sigmas_are_read_as_a_tuple_of_floats():
     c = DisorderConfig(DisorderTarget.ALL, [0, 0.5, -0.0], 1, 5)
     assert c.sigmas == (0.0, 0.5, 0.0) and all(type(s) is float for s in c.sigmas)
@@ -316,8 +334,10 @@ def per_sample_fidelities(system, c, metric):
     period = system.period
 
     def final(matrix):
-        psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)
-        return reduce_to_sites(psi, sites)[0]
+        psi = evolve_closed(matrix * system.J, site_state(n_sites, 1), period / 4)[0]
+        if n_sites > 8:  # 2^12 amplitudes would need a 268 MB outer product
+            return entrywise_reduce(np.outer(psi, psi.conj()), sites)
+        return brute_force_reduce(psi, n_sites, sites)
 
     ideal = final(ideal_matrix)
     out = np.empty((len(c.sigmas), c.samples))
@@ -326,10 +346,9 @@ def per_sample_fidelities(system, c, metric):
         for k in range(c.samples):
             sample = perturbed(system, point, k)
             if metric is SweepMetric.QPT_AT_HALF_T:
-                ham = TridiagonalHamiltonian(np.diag(sample), np.diag(sample, 1))
-                out[i, k] = simulate_qpt(ham, t_end=period / 2, J=system.J)[1]
+                out[i, k] = simulate_qpt(sample * system.J, period / 2)[1]
             else:
-                out[i, k] = state_fidelity(final(sample), ideal)
+                out[i, k] = np.trace(final(sample) @ ideal).real
     return out
 
 
@@ -635,9 +654,9 @@ def test_qpt_decoherence_scan_matches_tomography_oracle(n_sites):
     decos = scan_configs(t1_us_values=(3.0, 300.0), tphi_us_values=(0.5, 50.0))
     fids = sweep_decoherence(chains, SweepMetric.QPT_AT_HALF_T, decos)
     for row, chain in zip(fids, chains):
-        ham = dome_hamiltonian(chain)
+        H = dome_hamiltonian(chain).matrix() * chain.J
         for got, deco in zip(row, decos, strict=True):
-            assert abs(got - simulate_qpt(ham, deco, J=chain.J)[1]) < 1e-12
+            assert abs(got - simulate_qpt(H, chain.period / 2, deco)[1]) < 1e-12
 
 
 def dense_bell_point(chain, deco) -> float:
@@ -668,10 +687,10 @@ def test_default_scan_matches_dense_liouvillian(n_sites, metric):
     chains = scan_chains(n_sites, m_values=(0, 2, 102))
     fids = sweep_decoherence(chains, metric, decos)
     for row, chain in zip(fids, chains, strict=True):
-        ham = dome_hamiltonian(chain)
+        H = dome_hamiltonian(chain).matrix() * chain.J
         for got, deco in zip(row, decos, strict=True):
             if metric is SweepMetric.QPT_AT_HALF_T:
-                ref = simulate_qpt(ham, deco, J=chain.J)[1]
+                ref = simulate_qpt(H, chain.period / 2, deco)[1]
             else:
                 ref = dense_bell_point(chain, deco)
             assert abs(got - ref) <= 1e-12

@@ -18,15 +18,15 @@ from domechain import (
     check_pst_spacing,
     dome_hamiltonian,
     dome_spectrum,
-    reduce_to_sites,
     solve_fst_phase,
-    state_fidelity,
     synthesize,
 )
 from domechain import noise
 from domechain.cascade import _segment_lengths
 from domechain.cli import _fmt, _json_text, _table_bytes, main
+from domechain.metrics import _readout_fidelity
 from domechain.models import _SiteModel
+from dense_oracles import brute_force_reduce, entrywise_reduce, target_overlap
 from test_noise import unit_rows
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -102,11 +102,14 @@ def test_capability_class_matches_phase_solver(N, m):
     keep=st.integers(min_value=1, max_value=3),
 )
 def test_reduced_states_are_physical(N, seed, keep):
+    # The two partial-trace oracles give one physical state.
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
     psi /= np.linalg.norm(psi)
     sites = list(range(1, min(keep, N) + 1))
-    rho = reduce_to_sites(psi[None], sites)[0]
+    rho = brute_force_reduce(psi, N, sites)
+    np.testing.assert_allclose(entrywise_reduce(np.outer(psi, psi.conj()), sites), rho,
+                               rtol=0, atol=1e-12)
     assert rho.shape == (2 ** len(sites),) * 2
     assert abs(np.trace(rho) - 1.0) < 1e-12
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -146,15 +149,32 @@ def test_perturbation_is_deterministic_and_targeted(seed, index, sigma, target):
     dim=st.integers(min_value=2, max_value=6),
 )
 def test_state_fidelity_is_bounded_and_symmetric_on_pure_states(seed, dim):
+    # The readout scorer reads a state as (1 - p)|vac><vac| + |a><a|, its
+    # readout amplitudes a without vacuum coherence, and a target b by its
+    # readout amplitudes and vacuum weight: it is <b|rho_a|b> with rho_a the
+    # state's vacuum coherences removed, bounded, symmetric in the two
+    # states, and 1 on a state without vacuum amplitude against itself.
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a = rng.normal(size=dim + 1) + 1j * rng.normal(size=dim + 1)
+    b = rng.normal(size=dim + 1) + 1j * rng.normal(size=dim + 1)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    f = state_fidelity(np.outer(a, a.conj()), b)
+
+    def fidelity(state, target):
+        return _readout_fidelity(state[1:], target[1:], abs(target[0]) ** 2)
+
+    def mixed(state):  # the state's vacuum coherences removed
+        rho = np.outer(state, state.conj())
+        rho[0, 1:] = rho[1:, 0] = 0.0
+        return rho
+
+    f = fidelity(a, b)
     assert -1e-12 <= f <= 1 + 1e-12
-    assert abs(f - state_fidelity(np.outer(b, b.conj()), a)) < 1e-12
-    assert abs(state_fidelity(np.outer(a, a.conj()), a) - 1.0) < 1e-12
+    assert abs(f - fidelity(b, a)) < 1e-12
+    assert abs(f - target_overlap(mixed(a), b)) < 1e-12
+    a[0] = 0.0
+    a /= np.linalg.norm(a)
+    assert abs(fidelity(a, a) - 1.0) < 1e-12
 
 
 @SETTINGS
