@@ -81,8 +81,9 @@ from .cascade import (
 )
 from .dynamics import (
     DecoherenceConfig,
+    _amplitudes,
+    _open_parts,
     evolve_closed,
-    evolve_lindblad,
     site_state,
 )
 from .inverse_eigen import ReconstructionError, synthesize
@@ -516,8 +517,8 @@ def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.nd
     return (ends_col[:, :, None] * ends_row[:, None, :]).reshape(times.size, 4)
 
 
-def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
-    """Output grid with T/4 and T/2 placed exactly, and the times placed.
+def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[int]]:
+    """Output grid with T/4 and T/2 placed exactly, and the rows they hold.
 
     Each marked time replaces its nearest grid point, T/4 first.  The t=0
     point never moves, so a marked time nearest to it, or past the end by
@@ -533,7 +534,7 @@ def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[float]]:
         i = int(np.argmin(np.abs(times - t)))
         if t <= end * (1 + 1e-15) and i > 0:
             times[i] = placed[i] = t
-    return times, list(placed.values())
+    return times, sorted(placed)
 
 
 @functools.cache
@@ -613,7 +614,7 @@ def cmd_evolve(cfg: dict) -> Path:
     grid = system if isinstance(system, Grid2D) else None
     n_sites = system.N if grid is None else grid.rows * grid.cols
     period = system.period
-    times, marked = _evolve_times(cfg, period)
+    times, rows = _evolve_times(cfg, period)
 
     d = cfg.get("decoherence")  # never empty: `resolve` refuses {}
     deco = None if d is None else _decoherence(d.get("t1_us"), d.get("tphi_us"))
@@ -633,25 +634,25 @@ def cmd_evolve(cfg: dict) -> Path:
         psi0 = site_state(n_sites, 1)
         # Dephasing does not factor over the grid's chains: grids take the dense matrix.
         H = _SiteModel.of(system).matrices()[0]
-        rhos = evolve_lindblad(H, np.outer(psi0, psi0.conj()), times, deco)
-        table[:, 1:-1] = np.real(np.einsum("tii->ti", rhos))[:, 1:]
-        readout = rhos[:, np.array(sites)[:, None], sites]
+        rho_s = _open_parts(H, np.outer(psi0, psi0.conj()), times, (deco,))[0][0, 0]  # (T, D, D)
+        table[:, 1:-1] = np.real(np.einsum("tii->ti", rho_s))
+        at = np.array(sites) - 1  # site n is row n - 1 of the site block
+        readout = rho_s[:, at[:, None], at]
     # The target's entries on the single-excitation bitstrings, first site leftmost.
     ket = target[1 << np.arange(len(sites))[::-1]]
     table[:, -1] = _readout_fidelity(readout, ket, abs(target[0]) ** 2, block=deco is not None)
 
     qpt = {}
     if grid is None:
-        # The transfer channel from the trajectory: p is the P_N column, c the
+        # The transfer channel at the marked rows: p is the P_N column, c the
         # closed amplitude psi_N(t) times the decay of vacuum coherences.
-        rows = np.flatnonzero(np.isin(times, marked))
         if deco is None:
             c = readout[rows, -1]
         else:
             t = times[rows]
-            u = evolve_closed(H, psi0, t)[:, n_sites]
+            u = _amplitudes(H[None], psi0[1:], t)[0, -1]
             c = np.exp(-deco.vacuum_coherence_rate * t) * u
-        qpt = dict(zip(rows.tolist(), transfer_fidelity(table[rows, n_sites], c).tolist()))
+        qpt = dict(zip(rows, transfer_fidelity(table[rows, n_sites], c).tolist()))
 
     path = _output_path(cfg)
     header = ["t_over_T", *(f"P_{n}" for n in range(1, n_sites + 1)), fidelity_name, "qpt_fidelity"]

@@ -53,17 +53,24 @@ from one stacked Pade scaling-and-squaring call (`_expm`), and a run is
 filled by doubling: with k states known, the next k are those times the
 k-th power of the step map, squared once per round, where squaring is
 cheaper than stepping.  Larger systems apply each unit's sparse generator
-with scipy's expm_multiply, one seeded call per run.  Positivity of every output state is checked by one stacked
-Cholesky factorization of rho + 1e-6 I; eigvalsh decides only when that
-fails.
+with scipy's expm_multiply, one seeded call per run.
+
+Open results stay in parts: the site block, the vacuum column (None when
+rho0 has none) and the vacuum population.  `_open_parts` checks every
+state on them: the T1-free site-block trace against its start and the
+whole trace, each to 1e-6, and positivity by one stacked Cholesky
+factorization of the D x D Schur complement of the vacuum entry of
+rho + 1e-6 I; eigvalsh of the whole state decides only when that fails.
+The CLI and the decoherence scans read the site block; `evolve_lindblad`
+alone assembles the (D+1) x (D+1) density matrices.
 Both propagators take one site block or an (M, D, D) stack, check its
 symmetry at once and return plain arrays led by an M axis for a stack:
 `evolve_closed` the (T, D+1) states, `evolve_lindblad` the density
 matrices.  The one closed propagator, `_amplitudes` (one stacked `eigh`,
 the phases e^{-i w t} V^T psi, one real GEMM), serves `evolve_closed`, the
-sweeps in `noise` and the vacuum coherences above.  A closed grid is the
-product of two closed calls, one per chain, so its D x D matrix is never
-built.
+sweeps in `noise`, the QPT column of an open `evolve` and the vacuum
+coherences above.  A closed grid is the product of two closed calls, one
+per chain, so its D x D matrix is never built.
 
 scipy is imported only by the sparse branch of the open propagator, on its
 first call, so closed evolution and open evolution up to
@@ -560,19 +567,24 @@ def _sparse_runs(at: np.ndarray, values: np.ndarray, diagonal: np.ndarray, lengt
     return fill
 
 
+_TRACE_DRIFT = "open evolution drifted in trace beyond 1e-6"
+
+
 def _evolve_open(
     H: np.ndarray,
     rho0: np.ndarray,
     times: np.ndarray,
     decos: tuple[DecoherenceConfig, ...],
-) -> np.ndarray:
-    """Exact open evolution of a Hermitian (D+1) x (D+1) density matrix.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Exact open evolution of a Hermitian (D+1) x (D+1) density matrix, in parts.
 
-    H is an (M, D, D) stack of site blocks.  Returns shape
-    (M, P, T, D+1, D+1), one trajectory per site block and config.  The
-    site block is propagated once per (H, distinct gamma_phi) and scaled by
-    e^{-gamma1 t} per config; the vacuum coherences and the vacuum
-    population are then evaluated at all times at once.
+    H is an (M, D, D) stack of site blocks.  Returns, per site block, config
+    and time, the (M, P, T, D, D) site block rho_S, the (M, P, T, D) vacuum
+    column rho[1:, 0] or None when rho0 has none, and the (M, P, T) vacuum
+    population tr rho0 - tr rho_S.  The site block is propagated once per
+    (H, distinct gamma_phi), checked to keep its trace, and scaled by
+    e^{-gamma1 t} per config; the vacuum column is evaluated at all times at
+    once.
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
@@ -586,19 +598,82 @@ def _evolve_open(
     sites0 = rho0[1:, 1:].reshape(D * D)
     blocks = _site_blocks(H, np.array(list(dephasing)), sites0, steps, times[-1])
     blocks = blocks.reshape(M, len(dephasing), times.size, D, D)
-    out = np.empty((M, len(decos), times.size, D + 1, D + 1), dtype=complex)
+    # The commutator and dephasing conserve the trace of the site block, so
+    # without T1 it stays at its start; this is the check that can fail.
+    drift = np.einsum("...ii->...", blocks).real - np.einsum("ii->", rho0[1:, 1:]).real
+    if not (np.abs(drift) <= 1e-6).all():
+        raise RuntimeError(_TRACE_DRIFT)
+    sites = np.empty((M, len(decos), times.size, D, D), dtype=complex)
     rates = np.array([(d.gamma1, d.vacuum_coherence_rate) for d in decos]).T
     relax, decay = np.exp(-rates[..., None] * times)
     for p, f in enumerate(phi_of):
-        np.multiply(relax[p, :, None, None], blocks[:, f], out=out[:, p, :, 1:, 1:])
+        np.multiply(relax[p, :, None, None], blocks[:, f], out=sites[:, p])
     # Vacuum coherences that start at zero stay zero: no H is diagonalized.
-    out[..., 1:, 0] = 0.0
+    col = None
     if rho0[1:, 0].any():
         cols = _amplitudes(H, rho0[1:, 0], times).swapaxes(1, 2)  # (M, T, D)
-        np.multiply(decay[..., None], cols[:, None], out=out[..., 1:, 0])
+        col = decay[..., None] * cols[:, None]
+    return sites, col, np.einsum("ii->", rho0) - np.einsum("...ii->...", sites)
+
+
+def _states(sites: np.ndarray, col: np.ndarray | None, rho00: np.ndarray) -> np.ndarray:
+    """The (..., D+1, D+1) density matrices of `_evolve_open`'s parts."""
+    D = sites.shape[-1]
+    out = np.empty((*sites.shape[:-2], D + 1, D + 1), dtype=complex)
+    out[..., 1:, 1:] = sites
+    out[..., 1:, 0] = 0.0 if col is None else col
     np.conjugate(out[..., 1:, 0], out=out[..., 0, 1:])
-    out[..., 0, 0] = np.einsum("ii->", rho0) - np.einsum("...ii->...", out[..., 1:, 1:])
+    out[..., 0, 0] = rho00
     return out
+
+
+def _open_parts(
+    H: np.ndarray,
+    rho0: np.ndarray,
+    times: np.ndarray,
+    decos: Sequence[DecoherenceConfig],
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """`_evolve_open`'s parts for one site block or an (M, D, D) stack (M = 1
+    for one block) and P configs, with the inputs and every state checked.
+
+    Each state must keep unit trace within 1e-6 and have no eigenvalue below
+    -1e-6.  rho + 1e-6 I = [[a, c^H], [c, S]] with a = rho_00 + 1e-6, c the
+    vacuum column and S = rho_S + 1e-6 I is positive definite exactly when
+    a > 0 and the D x D Schur complement S - c c^H / a is (just S when c =
+    0): the first step of its Cholesky factorization, which succeeds only
+    when no eigenvalue of rho is below -1e-6 (up to rounding).  When it
+    fails, eigvalsh of the whole state decides.
+    """
+    H = _check_symmetric(H)
+    stack = H if H.ndim == 3 else H[None]
+    decos = tuple(decos)
+    if not (stack.size and decos):
+        raise ValueError("need at least one site block and one DecoherenceConfig")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not (times.size and np.isfinite(times).all()):
+        raise ValueError("times must be a non-empty sequence of finite values")
+    rho0 = np.asarray(rho0, dtype=complex)
+    dim = stack.shape[1] + 1
+    if rho0.shape != (dim, dim):
+        raise ValueError("rho0 must be (D+1) x (D+1)")
+    if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
+        raise ValueError("rho0 must be Hermitian with unit trace")
+    sites, col, rho00 = _evolve_open(stack, rho0, times, decos)
+    if not (np.abs((rho00 + np.einsum("...ii->...", sites)).real - 1.0) <= 1e-6).all():
+        raise RuntimeError(_TRACE_DRIFT)
+    pivot = rho00.real + 1e-6
+    positive = bool((pivot > 0).all())
+    if positive:
+        schur = sites + 1e-6 * np.eye(dim - 1)
+        if col is not None:
+            schur -= col[..., :, None] * col[..., None, :].conj() / pivot[..., None, None]
+        try:
+            np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            positive = False
+    if not (positive or np.linalg.eigvalsh(_states(sites, col, rho00)).min() >= -1e-6):
+        raise RuntimeError("open evolution lost positivity beyond 1e-6")
+    return sites, col, rho00
 
 
 def evolve_lindblad(
@@ -616,35 +691,13 @@ def evolve_lindblad(
     of them: the result has shape (T, D+1, D+1), led by an M axis for a
     stack and then a P axis for a sequence, so (M, P, T, D+1, D+1) when
     both are given.  Trace and positivity of every state are validated to
-    1e-6.
+    1e-6 on its parts (see `_open_parts`), which only this function
+    assembles into (D+1) x (D+1) matrices.
     """
-    H = _check_symmetric(H)
-    stack = H if H.ndim == 3 else H[None]
-    decos = (deco,) if isinstance(deco, DecoherenceConfig) else tuple(deco)
-    if not (stack.size and decos):
-        raise ValueError("need at least one site block and one DecoherenceConfig")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not (times.size and np.isfinite(times).all()):
-        raise ValueError("times must be a non-empty sequence of finite values")
-    rho0 = np.asarray(rho0, dtype=complex)
-    dim = stack.shape[1] + 1
-    if rho0.shape != (dim, dim):
-        raise ValueError("rho0 must be (D+1) x (D+1)")
-    if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
-        raise ValueError("rho0 must be Hermitian with unit trace")
-    rhos = _evolve_open(stack, rho0, times, decos)
-    traces = np.real(np.einsum("...ii->...", rhos))
-    if not (np.abs(traces - 1.0) <= 1e-6).all():
-        raise RuntimeError("open evolution drifted in trace beyond 1e-6")
-    # Cholesky of rho + 1e-6 I succeeds only when no eigenvalue of rho is
-    # below -1e-6 (up to rounding); when it fails, eigvalsh decides.
-    try:
-        np.linalg.cholesky(rhos + 1e-6 * np.eye(dim))
-    except np.linalg.LinAlgError:
-        if not np.linalg.eigvalsh(rhos).min() >= -1e-6:
-            raise RuntimeError("open evolution lost positivity beyond 1e-6") from None
-    if H.ndim == 2:
+    single = isinstance(deco, DecoherenceConfig)
+    rhos = _states(*_open_parts(H, rho0, times, (deco,) if single else deco))
+    if np.ndim(H) == 2:
         rhos = rhos[0]
-    if isinstance(deco, DecoherenceConfig):
+    if single:
         rhos = rhos[..., 0, :, :, :]
     return rhos

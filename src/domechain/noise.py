@@ -19,9 +19,10 @@ of all (m, sigma, sample) rows off the closed propagator
 `dynamics._amplitudes`, in one chunked stream of stacked calls, split over
 the usable CPUs from SPLIT_MIN_ENTRIES entries on.  A decoherence scan
 evolves |1><1| for every chain and every DecoherenceConfig of its list in
-one stacked `evolve_lindblad` call, which propagates the site block once
-per (m, distinct Tphi) and scales it by e^{-t/T1} per config, and keeps
-the readout block of the final states.  Both take their readout sites,
+one stacked call of `dynamics._open_parts`, the checked open propagator
+behind `evolve_lindblad`, which propagates the site block once per (m,
+distinct Tphi) and scales it by e^{-t/T1} per config.  The scan reads the
+readout block off the final site blocks; no (D+1) x (D+1) state is built.  Both take their readout sites,
 evaluation time and noise-free amplitudes a0 from `_reference`, one
 propagator call on the noise-free matrices of all m.  Both score through
 `metrics`: the entanglement metrics by `_readout_fidelity` against the
@@ -43,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MAX_CHUNK_ENTRIES, _amplitudes, evolve_lindblad, site_state
+from .dynamics import MAX_CHUNK_ENTRIES, _amplitudes, _open_parts, site_state
 from .metrics import _readout_fidelity, transfer_fidelity
 from .models import _SiteModel
 from .spectrum import _integer
@@ -296,9 +297,10 @@ def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
     a sequence of M of them that differ only in m (repeated m included):
     the (P,) fidelities then gain a leading M axis.  Any list is a scan;
     the CLI lays out its T1 cut at fixed Tphi and Tphi cut at fixed T1 as
-    one.  One `evolve_lindblad` call evolves |1><1| to the metric's time
-    under every chain and config, and the end pair's readout block is
-    scored against the noise-free amplitudes a0 of `_reference`: the
+    one.  One checked open propagation (`dynamics._open_parts`) evolves
+    |1><1| to the metric's time under every chain and config, and the end
+    pair's readout block, read off the final site blocks, is scored
+    against the noise-free amplitudes a0 of `_reference`: the
     entanglement metric is its overlap with the noise-free T/4 reduction,
     the transfer metric the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u = a0 the noise-free end
@@ -311,9 +313,8 @@ def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
     hams = model.matrices()
     psi0 = site_state(hams.shape[-1], 1)
     decos = tuple(decos)
-    finals = evolve_lindblad(hams, np.outer(psi0, psi0.conj()), np.array([0.0, duration]), decos)
-    sites = readout + 1  # the vacuum is index 0
-    block = finals[:, :, -1][..., sites[:, None], sites]  # (M, P, k, k)
+    finals = _open_parts(hams, np.outer(psi0, psi0.conj()), np.array([0.0, duration]), decos)[0]
+    block = finals[:, :, -1][..., readout[:, None], readout]  # (M, P, k, k)
     if metric is SweepMetric.QPT_AT_HALF_T:
         decay = np.exp(-np.array([d.vacuum_coherence_rate for d in decos]) * duration)
         fids = transfer_fidelity(block[..., 0, 0], np.outer(a0[:, 0], decay))

@@ -81,8 +81,13 @@ class FstPhase:
 
 def _integer(name: str, value, low: int) -> int:
     """value as an int, the package's one rule for sizes and shapes: finite,
-    integral (integral floats and numpy integers too) and at least `low`."""
-    if not (math.isfinite(value) and value == int(value) >= low):
+    integral (integral floats and numpy integers too) and at least `low`.
+    An int of 2^1024 or more, which has no float, is refused too."""
+    try:
+        ok = math.isfinite(value) and value == int(value) >= low
+    except OverflowError:
+        raise ValueError(f"{name} must be an integer >= {low} of magnitude below 2^1024") from None
+    if not ok:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

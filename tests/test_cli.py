@@ -345,7 +345,8 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     bell = [target_overlap(brute_force_reduce(f, n_sites, (1, n_sites)),
                            chain_bell_target(n_sites)) for f in frames]
     end = frames[:, n_sites]
-    qpt = np.where(np.isin(times, marked), transfer_fidelity(np.abs(end) ** 2, end), np.nan)
+    qpt = np.full(times.size, np.nan)
+    qpt[marked] = transfer_fidelity(np.abs(end[marked]) ** 2, end[marked])
     expected = np.column_stack([np.abs(frames[:, 1:]) ** 2, bell, qpt])
 
     got = _evolve_columns(outdir, cfg)
@@ -595,9 +596,11 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
     evolve_open = dynamics._evolve_open
 
     def corrupted(H, rho0, times, decos):
-        out = evolve_open(H, rho0, times, decos)
-        out[1, 2, -1] = np.diag(np.r_[1.5, -0.5, np.zeros(out.shape[-1] - 2)])
-        return out
+        # The state diag(1.5, -0.5, 0, ...) in the parts layout: site block, vacuum column, rho_00.
+        sites, col, rho00 = evolve_open(H, rho0, times, decos)
+        sites[1, 2, -1] = np.diag(np.r_[-0.5, np.zeros(sites.shape[-1] - 1)])
+        rho00[1, 2, -1] = 1.5
+        return sites, col, rho00
 
     monkeypatch.setattr(dynamics, "_evolve_open", corrupted)
     with pytest.raises(RuntimeError, match="positivity"):
@@ -903,6 +906,22 @@ def test_overflowing_spectrum_span_exits_2_and_writes_nothing(outdir):
             "error": "validation", "detail": f"spectrum span {text} overflows a float",
         }
         assert list(outdir.iterdir()) == []
+
+
+def test_size_past_float_range_exits_2_and_writes_nothing(outdir):
+    # A 400-digit N once escaped as OverflowError: exit 1 with a traceback.
+    src = str(Path(domechain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "domechain.cli", "synth", "--set", f"N={10**399}", "--set", "m=2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "validation", "detail": "N must be an integer >= 1 of magnitude below 2^1024",
+    }
+    assert list(outdir.iterdir()) == []
 
 
 _SWEEP_AT = ["sweep", "--set", "kind=coherent", "--set", "target=all", "--set", "sigma=0.1",
@@ -1363,7 +1382,7 @@ def test_default_evolve_grid_spans_one_period():
     assert times.size == 402
     assert times[0] == 0.0
     assert abs(times[-1] - 2 * np.pi) < 1e-15
-    assert marked == [np.pi / 2, np.pi]
+    assert times[marked].tolist() == [np.pi / 2, np.pi]
 
 
 @pytest.mark.parametrize(
@@ -1380,10 +1399,10 @@ def test_default_evolve_grid_spans_one_period():
 def test_evolve_times_keep_t0_and_mark_each_row_once(cfg, marked):
     times, got = cli._evolve_times(cli.resolve("evolve", {"N": 2, "m": 0, **cfg}), 1.0)
     grid = np.linspace(0.0, cfg["n_periods"], cfg["points"])
-    assert times[0] == 0.0 and got == marked
+    assert times[0] == 0.0 and times[got].tolist() == marked
     assert np.all(np.diff(times) > 0)
     rows = np.isin(times, marked)
-    assert rows.sum() == len(marked)
+    assert rows.sum() == len(marked) and np.flatnonzero(rows).tolist() == got
     np.testing.assert_array_equal(times[~rows], grid[~rows])
 
 
@@ -1399,7 +1418,7 @@ def test_evolve_ends_at_n_periods_on_any_time_scale(outdir, rate, n_periods, mar
     assert [r[0] for r in rows if r[-1]] == [_fmt(x) for x in marked]
     period = 2 * np.pi / cli._rad_per_s(rate)
     times, got = cli._evolve_times(cli.resolve("evolve", cfg), period)
-    assert got == [period * x for x in marked] and np.isin(got, times).all()
+    assert times[got].tolist() == [period * x for x in marked]
     assert times[-1] == period * n_periods
 
 

@@ -457,9 +457,16 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
     traj = evolve_lindblad(H, rho0, times, deco)
     assert exponentiated(calls) == 2 * 5
-    for t in [*marked, times[-1]]:
-        k = int(np.flatnonzero(times == t)[0])
-        assert np.max(np.abs(traj[k] - expm_evolve(H, rho0, t, deco))) < 1e-12
+    for k in [*marked, times.size - 1]:
+        assert np.max(np.abs(traj[k] - expm_evolve(H, rho0, times[k], deco))) < 1e-12
+
+
+def _parts(states):
+    """`_evolve_open`'s (site block, vacuum column, vacuum population) of a
+    list of (D+1) x (D+1) states, as one site block and config."""
+    rhos = np.array(states)[None, None]
+    col = rhos[..., 1:, 0]
+    return rhos[..., 1:, 1:], (col if col.any() else None), rhos[..., 0, 0]
 
 
 def test_lindblad_positivity_failure_raises(monkeypatch):
@@ -468,10 +475,8 @@ def test_lindblad_positivity_failure_raises(monkeypatch):
 
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     good = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    monkeypatch.setattr(
-        dynamics, "_evolve_open",
-        lambda H, rho0, times, decos: np.array([good, bad, good])[None, None],
-    )
+    monkeypatch.setattr(dynamics, "_evolve_open",
+                        lambda H, rho0, times, decos: _parts([good, bad, good]))
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError, match="positivity"):
         evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))
@@ -487,10 +492,8 @@ def test_positivity_check_at_its_bound(monkeypatch, low, fails):
     U = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)) + 0j)[0]
     good = np.diag([1.0, 0.0, 0.0]).astype(complex)
     edge = U @ np.diag([0.6 - low, 0.4, low]) @ U.conj().T
-    monkeypatch.setattr(
-        dynamics, "_evolve_open",
-        lambda H, rho0, times, decos: np.array([good, edge, good])[None, None],
-    )
+    monkeypatch.setattr(dynamics, "_evolve_open",
+                        lambda H, rho0, times, decos: _parts([good, edge, good]))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
@@ -499,6 +502,61 @@ def test_positivity_check_at_its_bound(monkeypatch, low, fails):
     with pytest.raises(RuntimeError, match=message) if fails else contextlib.nullcontext():
         evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))
     assert len(calls) == int(fails)
+
+
+def test_schur_check_decides_as_eigvalsh_near_its_bound(monkeypatch):
+    # States with vacuum coherences whose smallest eigenvalue lies within
+    # +-(0.9-1.1)e-6: the pivot and the Cholesky factorization of the D x D
+    # Schur complement pass exactly when eigvalsh of the whole state finds
+    # nothing below -1e-6, so eigvalsh runs only on the states that fail.
+    import domechain.dynamics as dynamics
+
+    rng = np.random.default_rng(34)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    decided = []
+    for _ in range(300):
+        dim = int(rng.integers(3, 9))
+        low = rng.choice([-1.0, 1.0]) * rng.uniform(0.9e-6, 1.1e-6)
+        rest = rng.uniform(0.05, 1.0, dim - 1)
+        U = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        state = U @ np.diag(np.r_[low, rest * (1.0 - low) / rest.sum()]) @ U.conj().T
+        state = (state + state.conj().T) / 2
+        assert np.abs(state[1:, 0]).min() > 0
+        monkeypatch.setattr(dynamics, "_evolve_open", lambda H, rho0, times, decos: _parts([state]))
+        del calls[:]
+        try:
+            dynamics._open_parts(np.zeros((dim - 1, dim - 1)), state, [0.0], [DecoherenceConfig(t1=1.0)])
+            passed = True
+        except RuntimeError as exc:
+            assert str(exc) == "open evolution lost positivity beyond 1e-6"
+            passed = False
+        assert passed == (eigvalsh(state).min() >= -1e-6) == (low >= -1e-6)
+        assert len(calls) == int(not passed)
+        decided.append(passed)
+    assert 40 < decided.count(False) < 110  # about a quarter fail
+
+
+@pytest.mark.parametrize("drift, fails", [(2e-6, True), (0.5e-6, False)])
+def test_site_block_trace_drift_is_caught_before_relaxation(monkeypatch, drift, fails):
+    # The T1-free site block keeps tr rho_S(0); rho_00 = tr rho0 - tr rho_S
+    # hides any drift from the whole trace, so _evolve_open checks it there.
+    import domechain.dynamics as dynamics
+
+    site_blocks = dynamics._site_blocks
+
+    def drifting(*args):
+        out = site_blocks(*args)
+        out[..., -1, 0] += drift  # site 1's population at the last time
+        return out
+
+    monkeypatch.setattr(dynamics, "_site_blocks", drifting)
+    H = single_excitation_matrix(DomeParams(N=3, m=2, J=2 * np.pi * 5e6), physical=True)
+    rho0 = np.outer(site_state(3, 1), site_state(3, 1))
+    message = "^open evolution drifted in trace beyond 1e-6$"
+    with pytest.raises(RuntimeError, match=message) if fails else contextlib.nullcontext():
+        evolve_lindblad(H, rho0, [0.0, 1e-7, 2e-7], DecoherenceConfig(t1=30e-6, t_phi=5e-6))
 
 
 def test_healthy_default_grid_skips_eigvalsh(monkeypatch):

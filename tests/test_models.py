@@ -190,6 +190,17 @@ def test_one_integer_rule_for_sizes_and_shapes():
                 build(m)
 
 
+def test_ints_past_float_range_are_refused_with_value_error():
+    # math.isfinite converts to float, which overflows from 2^1024 on; such
+    # ints are refused as input like any other bad size, not an OverflowError.
+    for N in (10**400, -(10**400), 2**1024):
+        with pytest.raises(ValueError, match="^N must be an integer >= 2 of magnitude below 2\\^1024$"):
+            DomeParams(N=N, m=2)
+    with pytest.raises(ValueError, match="^m must be an integer >= 0 of magnitude below 2\\^1024$"):
+        DomeParams(N=5, m=10**400)
+    assert DomeParams(N=5, m=2**1023).m == 2**1023  # the largest power of 2 a float holds
+
+
 _OVERFLOWING = {
     "chain": DomeParams(3, 2, 1e308),
     "stiff-chain": DomeParams(5, 102, 6.3e306),

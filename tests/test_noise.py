@@ -231,6 +231,14 @@ def test_seed_and_samples_must_be_integers(seed, samples):
         DisorderConfig(DisorderTarget.ALL, (0.5,), seed, samples)
 
 
+def test_seed_past_float_range_is_refused_with_value_error():
+    # 2^1100 has no float: the check says so, not OverflowError from math.isfinite.
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0 of magnitude below 2\\^1024$"):
+        DisorderConfig(DisorderTarget.ALL, (0.5,), 2**1100, 5)
+    with pytest.raises(ValueError, match="^samples must be an integer >= 1 of magnitude below"):
+        DisorderConfig(DisorderTarget.ALL, (0.5,), 1, 10**400)
+
+
 def test_seed_and_samples_are_stored_as_ints():
     c = DisorderConfig(DisorderTarget.ALL, (0.5,), np.uint64(2**64 - 1), 3.0)
     assert (c.seed, c.samples) == (2**64 - 1, 3)

@@ -1,0 +1,133 @@
+"""Byte-compare the open-system outputs of this checkout and another one.
+
+    python tools/compare_open_outputs.py OTHER_CHECKOUT
+
+Runs the same commands against this checkout's `src/` and OTHER_CHECKOUT's
+`src/`, one fresh interpreter each, and compares every file they write byte
+for byte:
+
+- open `domechain evolve` CSV and JSON tables: chains N = 2..9 with
+  m in {0, 2, 102}, open 2x3 and 3x4 grids and one 6x7 grid (above the
+  dense-generator bound, so the sparse branch), each with T1 only, Tphi only
+  and both;
+- decoherence scans (`sweep kind=decoherence`) with the Bell and QPT
+  metrics, CSVs and config sidecars;
+- `evolve_lindblad`'s full (D+1) x (D+1) states from a rho0 with vacuum
+  coherences, for one site block and for a stack with a config list, saved
+  with `np.save`.
+
+Exit status 0 when every file is identical and both trees wrote the same
+files, 1 otherwise.  The commands run with BLAS on one thread.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DECOHERENCE = {"t1": ["decoherence.t1_us=30"], "tphi": ["decoherence.tphi_us=5"],
+               "both": ["decoherence.t1_us=30", "decoherence.tphi_us=5"]}
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    """(output name, argv without --output) of every CLI command compared."""
+    systems = [(f"N{n}_m{m}", [f"N={n}", f"m={m}"]) for n in range(2, 10) for m in (0, 2, 102)]
+    systems += [(f"grid{r}x{c}", [f"rows={r}", f"cols={c}", "m_x=2", "m_y=1"])
+                for r, c in ((2, 3), (3, 4))]
+    out = []
+    for name, sets in systems:
+        for deco, extra in DECOHERENCE.items():
+            for fmt in ("csv", "json"):
+                argv = ["evolve", "--format", fmt]
+                for s in [*sets, "rate_MHz=5", *extra]:
+                    argv += ["--set", s]
+                out.append((f"evolve_{name}_{deco}.{fmt}", argv))
+    for deco, extra in DECOHERENCE.items():  # 42 sites: the sparse branch
+        argv = ["evolve"]
+        for s in ["rows=6", "cols=7", "m_x=2", "m_y=2", "points=3", "n_periods=0.01",
+                  "rate_MHz=5", *extra]:
+            argv += ["--set", s]
+        out.append((f"evolve_grid6x7_{deco}.csv", argv))
+    for metric in ("bell_at_quarter_t", "qpt_at_half_t"):
+        for n in (3, 5, 9):
+            argv = ["sweep"]
+            for s in ["kind=decoherence", f"metric={metric}", f"N={n}", "m_values=[2,102]",
+                      "t1_us_values=[3,30,300]", "tphi_us_values=[0.5,5,50]", "rate_MHz=5"]:
+                argv += ["--set", s]
+            out.append((f"scan_{metric}_N{n}.csv", argv))
+    return out
+
+
+def _lindblad_states(outdir: Path) -> None:
+    """Full states of `evolve_lindblad` from seeded rho0 with vacuum coherences."""
+    import numpy as np
+
+    from domechain.dynamics import DecoherenceConfig, evolve_lindblad
+    from domechain.models import DomeParams, single_excitation_matrix
+
+    rng = np.random.default_rng(20260)
+    decos = [DecoherenceConfig(t1=30e-6), DecoherenceConfig(t_phi=5e-6),
+             DecoherenceConfig(t1=30e-6, t_phi=5e-6), DecoherenceConfig(t1=3e-6, t_phi=0.5e-6)]
+    for n in (2, 3, 5, 9):
+        g = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        rho0 = g @ g.conj().T
+        rho0 /= np.trace(rho0).real
+        params = [DomeParams(N=n, m=m, J=2 * np.pi * 5e6) for m in (0, 2, 102)]
+        H = np.stack([single_excitation_matrix(p, physical=True) for p in params])
+        times = np.linspace(0.0, params[0].period, 41)
+        np.save(outdir / f"lindblad_N{n}_one.npy", evolve_lindblad(H[1], rho0, times, decos[2]))
+        np.save(outdir / f"lindblad_N{n}_stack.npy", evolve_lindblad(H, rho0, times, decos))
+
+
+def _run(outdir: Path) -> None:
+    """Write every compared file into outdir with the domechain on sys.path."""
+    from domechain import cli
+
+    if Path(cli.__file__).resolve().parents[1] != Path(sys.path[0]).resolve():
+        raise SystemExit(f"domechain imported from {cli.__file__}, not {sys.path[0]}")
+    os.environ[cli.OUTDIR_ENV] = str(outdir)
+    for name, argv in _commands():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([*argv, "--output", name])
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}: {err.getvalue()}")
+    _lindblad_states(outdir)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--run":  # worker: --run SRC OUTDIR
+        sys.path.insert(0, argv[1])
+        _run(Path(argv[2]))
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = {"this": Path(__file__).resolve().parents[1], "other": Path(argv[0]).resolve()}
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {}
+        for side, root in trees.items():
+            dirs[side] = Path(tmp) / side
+            dirs[side].mkdir()
+            subprocess.run([sys.executable, __file__, "--run", str(root / "src"), str(dirs[side])],
+                           env=env, check=True)
+        names = {side: sorted(p.name for p in d.iterdir()) for side, d in dirs.items()}
+        differ = [n for n in names["this"]
+                  if (dirs["other"] / n).is_file()
+                  and (dirs["this"] / n).read_bytes() != (dirs["other"] / n).read_bytes()]
+        for n in differ:
+            print(f"differs: {n}")
+        if names["this"] != names["other"]:
+            print(f"file lists differ: {sorted(set(names['this']) ^ set(names['other']))}")
+        print(f"compared {len(names['this'])} files, {len(differ)} differ")
+        return int(bool(differ) or names["this"] != names["other"])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
