@@ -2,7 +2,18 @@
 
 Configs are JSON documents; `--set path.key=value` applies dotted
 overrides before validation and `--format/--output` (and, for `sweep`,
-`--seed`) override the corresponding config fields.  Each command has a
+`--seed`) override the corresponding config fields.
+
+`_parse` reads argv in one loop over its tokens, without argparse (whose
+import and parser build cost a fresh process about 5 ms): the command
+first, then options from a fixed table, each as `--opt value` or
+`--opt=value`, the last one winning but for `--set`, which collects.  A
+value is any token that argparse would not take for an option, and no
+option may be abbreviated.  A command line outside this grammar exits 2
+with an error JSON of kind "usage" and argparse's wording; -h/--help, at
+top level or after a command, prints the usage text and exits 0.
+
+Each command has a
 few variants (synth: dome or spectrum; evolve: chain or grid; sweep:
 coherent chain, coherent corner or decoherence; cascade: line or dome).
 `_variant` picks one from the config, and that variant's strict schema
@@ -58,13 +69,13 @@ on stderr.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -372,6 +383,7 @@ def _open_temp(folder: Path) -> tuple[int, str]:
 def _write_atomic(path: Path, chunks) -> None:
     """Write the byte chunks of an iterable to a temp file beside path, then
     rename it over path; on any error the temp file goes and path is untouched.
+    A path that is a directory is refused with ConfigError.
 
     The temp file costs one `os.open`; the output directory is made only
     when that open finds it missing.
@@ -385,9 +397,11 @@ def _write_atomic(path: Path, chunks) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and path.is_dir():  # `--output ""` names the directory "."
+            raise ConfigError(f"output {str(path)!r} is a directory") from exc
         raise
 
 
@@ -817,49 +831,119 @@ def _error(kind: str, detail: str, **extra) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by later calls.
+# The options of every command; `sweep` also takes --seed.  Each takes one
+# value, as `--opt value` or `--opt=value`.
+_OPTIONS = ("--config", "--set", "--format", "--output")
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative-number test
 
-    Parsing leaves it unchanged: `append` copies its default list.
+_USAGE = """\
+usage: domechain {command} [--config PATH] [--set KEY=VALUE ...]
+           [--format {{csv,json}}] [--output PATH] [--seed INT]
+
+Synthesize, evolve, sweep, and plan transfer chains.  Each option takes
+one value, as --opt VALUE or --opt=VALUE, and the last one given wins but
+for --set, which applies each KEY=VALUE in order after --config.  Only
+sweep takes --seed, and no option may be abbreviated."""
+
+
+class _UsageError(Exception):
+    """Command line outside the grammar (exit code 2)."""
+
+
+def _is_option(token: str, known: tuple) -> bool:
+    """Whether token is an option rather than a value, by argparse's rule:
+    it starts with "-" and is a known option (or one with "=value"), or is
+    none of "-", a negative number and a text with a space."""
+    if token[:1] != "-" or token == "-":
+        return False
+    if token.partition("=")[0] in known:
+        return True
+    return not (_NEGATIVE.match(token) or " " in token)
+
+
+def _parse(argv: list) -> tuple[str | None, dict | None]:
+    """The command of argv and its options; no options when argv asks for
+    help, and then the command is None unless help follows one.
+
+    The options map each option given to its last value, --seed's as an
+    int, and --set to the list of its values in order.  A usage error
+    raises _UsageError with argparse's wording, as soon as argparse would:
+    a missing value or a bad --format or --seed at once, and unknown or
+    abbreviated options and stray values once argv is read.
     """
-    parser = argparse.ArgumentParser(
-        prog="domechain",
-        description="Synthesize, evolve, sweep, and plan transfer chains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--output", type=Path)
-        if name == "sweep":
-            p.add_argument("--seed", type=int)
-    return parser
+    command, takes, known, extras = None, (), _HELP, []
+    options: dict = {"--set": []}
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token in _HELP:
+            return command, None
+        if not _is_option(token, known):
+            if command is not None:
+                extras.append(token)
+            elif token in COMMANDS:
+                command = token
+                takes = (*_OPTIONS, "--seed") if token == "sweep" else _OPTIONS
+                known = (*_HELP, *takes)
+            else:
+                choices = ", ".join(map(repr, COMMANDS))
+                raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            continue
+        name, eq, value = token.partition("=")
+        if name not in takes:
+            extras.append(token)
+            continue
+        if not eq:
+            if i == len(argv) or _is_option(argv[i], known):
+                raise _UsageError(f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        if name == "--set":
+            options[name].append(value)
+            continue
+        if name == "--format" and value not in ("csv", "json"):
+            raise _UsageError(f"argument --format: invalid choice: {value!r} (choose from 'csv', 'json')")
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument --seed: invalid int value: {value!r}") from None
+        options[name] = value
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, options
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
     try:
+        command, options = _parse(sys.argv[1:] if argv is None else argv)
+        if options is None:
+            print(_USAGE.format(command=command or "{" + ",".join(COMMANDS) + "}"))
+            return 0
         cfg: dict = {}
-        if args.config is not None:
+        if "--config" in options:
             try:
-                cfg = _JSON.decode(args.config.read_text())
+                cfg = _JSON.decode(Path(options["--config"]).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             if not isinstance(cfg, dict):
                 raise ConfigError("config root must be a JSON object")
-        for assignment in args.set:
+        for assignment in options["--set"]:
             _apply_set(cfg, assignment)
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if args.format is not None:
-            cfg["format"] = args.format
-        if args.output is not None:
-            cfg["output"] = str(args.output)
-        path = COMMANDS[args.command](resolve(args.command, cfg))
+        if "--seed" in options:
+            cfg["seed"] = options["--seed"]
+        if "--format" in options:
+            cfg["format"] = options["--format"]
+        if "--output" in options:
+            cfg["output"] = str(Path(options["--output"]))  # normalized: "./a//b" is "a/b"
+        path = COMMANDS[command](resolve(command, cfg))
+    except _UsageError as exc:
+        _error("usage", str(exc))
+        return 2
     except CascadeInfeasibleError as exc:
         _error(
             "infeasible",

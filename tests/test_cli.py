@@ -1,5 +1,6 @@
 """End-to-end CLI checks: configs, outputs, exit codes, determinism."""
 
+import contextlib
 import csv
 import functools
 import io
@@ -15,6 +16,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import domechain
 from domechain import cli
@@ -684,9 +686,9 @@ def test_threads_key_is_refused(outdir, capsys):
         "error": "validation",
         "detail": "Additional properties are not allowed ('threads' was unexpected)",
     }
-    with pytest.raises(SystemExit) as exc:
-        run(["sweep", *cfg, "--threads", "2"])
-    assert exc.value.code == 2
+    assert run(["sweep", *cfg, "--threads", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "usage", "detail": "unrecognized arguments: --threads 2"}
 
 
 _CASCADE = ["cascade", "--set", "N=10", "--set", "j_max_MHz=50", "--set", "j_min_MHz=0.0001"]
@@ -701,13 +703,165 @@ def test_seed_is_a_sweep_option_only(outdir, capsys):
     for argv in (["synth", "--set", "N=5", "--set", "m=2"],
                  ["evolve", "--set", "N=3", "--set", "m=2"],
                  [*_CASCADE, "--set", "kind=line"]):
-        with pytest.raises(SystemExit) as exc:
-            run([*argv, "--seed", "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert run([*argv, "--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "usage", "detail": "unrecognized arguments: --seed 1"}
         assert run(argv) == 0
     assert run([*_COHERENT, "--set", "sigma=0.1", "--output", "sw.csv"]) == 0
     assert json.loads((outdir / "sw.csv.config.json").read_text())["config"]["seed"] == 1
+
+
+_SYNTH = ["synth", "--set", "N=5", "--set", "m=2"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+                    "(choose from 'synth', 'evolve', 'sweep', 'cascade')"),
+        ([*_SYNTH, "--bogus"], "unrecognized arguments: --bogus"),
+        ([*_SYNTH, "stray"], "unrecognized arguments: stray"),
+        ([*_SYNTH, "--set"], "argument --set: expected one argument"),
+        ([*_SYNTH, "--output", "--format", "json"], "argument --output: expected one argument"),
+        ([*_COHERENT, "--set", "sigma=0.1", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        ([*_COHERENT, "--set", "sigma=0.1", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        ([*_SYNTH, "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["evolve", "--set", "N=3", "--set", "m=2", "--seed=1"], "unrecognized arguments: --seed=1"),
+        ([*_CASCADE, "--set", "kind=line", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        # argparse took a prefix of an option for the option; nothing does now.
+        ([*_SYNTH, "--out", "x.json"], "unrecognized arguments: --out x.json"),
+        (["--set", "N=5", "synth"], "argument command: invalid choice: 'N=5' "
+                                    "(choose from 'synth', 'evolve', 'sweep', 'cascade')"),
+    ],
+    ids=["no_command", "unknown_command", "unknown_option", "stray_positional", "set_without_value",
+         "option_as_value", "format_xml", "seed_abc", "seed_on_synth", "seed_on_evolve",
+         "seed_on_cascade", "prefix_abbreviation", "option_before_command"],
+)
+def test_usage_errors_exit_2(outdir, capsys, argv, detail):
+    # One JSON line on stderr, nothing on stdout and no file, as for any refusal.
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "usage", "detail": detail}
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", ["", "sub"], ids=["empty", "directory"])
+def test_output_naming_a_directory_exits_2(outdir, capsys, output):
+    # `--output ""` is the directory "."; the rename onto it fails, and is refused.
+    (outdir / "sub").mkdir()
+    assert run([*_SYNTH, "--output", output]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and err["detail"].endswith("is a directory")
+    assert [p.name for p in outdir.iterdir()] == ["sub"] and list((outdir / "sub").iterdir()) == []
+
+
+def test_option_value_forms_write_the_same_bytes(outdir):
+    spaced = [*_COHERENT, "--set", "sigma=0.1", "--format", "json", "--seed", "7"]
+    joined = [f"{o}={v}" for o, v in zip(spaced[1::2], spaced[2::2])]
+    assert run([*spaced, "--output", "spaced.json"]) == 0
+    assert run(["sweep", *joined, "--output=joined.json"]) == 0
+    for suffix in ("", ".config.json"):
+        spaced_bytes = (outdir / f"spaced.json{suffix}").read_bytes()
+        assert (outdir / f"joined.json{suffix}").read_bytes() == spaced_bytes.replace(b"spaced", b"joined")
+    # The last value given wins, and --set collects every assignment in order.
+    assert run([*_SYNTH, "--format", "csv", "--set", "m=0", "--format=json", "--output", "a",
+                "--output", "last.json"]) == 0
+    assert run(["synth", "--set", "N=5", "--set", "m=0", "--output", "m0.json"]) == 0
+    assert (outdir / "last.json").read_bytes() == (outdir / "m0.json").read_bytes()
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "joined.json", "joined.json.config.json", "last.json", "m0.json", "spaced.json",
+        "spaced.json.config.json"]
+
+
+@pytest.mark.parametrize("before", [[], *([c] for c in cli.COMMANDS)], ids=["top", *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_0(outdir, capsys, before, flag):
+    assert run([*before, flag, "--bogus"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: domechain {before[0] if before else '{synth'}")
+    for option in ("--config PATH", "--set KEY=VALUE", "--format {csv,json}", "--output PATH",
+                   "--seed INT"):
+        assert option in out
+    assert list(outdir.iterdir()) == []
+
+
+# Tokens for drawn command lines: every option in both forms, values that
+# are valid, invalid or look like options, and a few config keys whose
+# commands run in milliseconds (no decoherence scan is reachable).
+_OPTION_TOKENS = ["--config", "--set", "--format", "--output", "--seed"]
+_ARGV_TOKENS = [*cli.COMMANDS, "bogus", *_OPTION_TOKENS, "-h", "--help", "--set=N=3", "--set=m=2",
+                "--format=json", "--format=xml", "--seed=7", "--output=o.csv", "N=3", "m=2",
+                "points=3", "kind=line", "j_max_MHz=50", "j_min_MHz=1", "kind=coherent",
+                "metric=bell_at_quarter_t", "target=all", "sigma=0.1", "samples=1", "csv", "json",
+                "xml", "7", "-5", "-0.5", "abc", "o.json", "missing.json", "a b", "-a b", "-",
+                "--bogus", "-x", ""]
+
+
+_TOKEN = st.sampled_from(_ARGV_TOKENS)
+# Command lines of those tokens; most start with a command and pair options with values.
+_ARGVS = st.tuples(
+    st.sampled_from([[], *([c] for c in cli.COMMANDS for _ in range(2))]),
+    st.lists(st.one_of(st.tuples(_TOKEN), st.tuples(st.sampled_from(_OPTION_TOKENS), _TOKEN)),
+             max_size=6),
+).map(lambda drawn: drawn[0] + [t for group in drawn[1] for t in group])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGVS)
+def test_drawn_command_lines_fail_only_with_one_json_line(outdir, capsys, argv):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] in (
+            "usage", "validation", "numerical", "infeasible")
+    else:
+        assert err == "" and out
+
+
+def _argparse_oracle(argv):
+    """What the argparse parser that `_parse` replaced made of argv:
+    ("help",), ("error", message) or ("ok", command, options), options as
+    `_parse` reports them but with --config and --output as paths."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="domechain")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli.COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", type=Path)
+        p.add_argument("--set", action="append", default=[])
+        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--output", type=Path)
+        if name == "sweep":
+            p.add_argument("--seed", type=int)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        return ("help",) if exc.code == 0 else ("error", err.getvalue().splitlines()[-1].split(": error: ", 1)[1])
+    options = {f"--{k}": str(v) if isinstance(v, Path) else v
+               for k, v in vars(ns).items() if k != "command" and v is not None}
+    return "ok", ns.command, options
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGVS)
+def test_parse_reads_argv_as_argparse_did(argv):
+    # The same grammar, less prefix abbreviations (which no drawn token is)
+    # and -h/--help with "=value" (which neither draws).
+    try:
+        command, options = cli._parse(argv)
+    except cli._UsageError as exc:
+        got = ("error", str(exc))
+    else:
+        paths = {k: str(Path(v)) for k, v in (options or {}).items() if k in ("--config", "--output")}
+        got = ("help",) if options is None else ("ok", command, {**options, **paths})
+    assert got == _argparse_oracle(argv)
 
 
 @pytest.mark.parametrize(
@@ -1015,8 +1169,8 @@ def test_open_system_reruns_are_byte_identical(outdir):
 
 
 def test_successive_calls_do_not_share_parser_state(outdir, tmp_path):
-    # The parser is built once; an earlier --set list must not leak into a
-    # later call, with or without --set of its own.
+    # An earlier --set list must not leak into a later call, with or without
+    # --set of its own.
     assert run(["synth", "--set", "N=5", "--set", "m=2", "--output", "a.json"]) == 0
     assert run(["synth", "--set", "N=3", "--output", "b.json", "--set", "m=0"]) == 0
     cfg = tmp_path / "cfg.json"
@@ -1242,10 +1396,15 @@ def _modules_after(argv, tables=None):
     return set(modules)
 
 
+# Modules a closed command never imports: scipy and jsonschema are heavy, and
+# argparse and gettext cost a fresh process about 2 ms that `cli._parse` saves.
+_NOT_IMPORTED = {"scipy", "jsonschema", "argparse", "gettext"}
+
+
 @pytest.mark.parametrize("case", ["synth", "evolve_closed", "sweep_coherent", "cascade"])
 def test_closed_commands_import_neither_scipy_nor_jsonschema(case):
     loaded = {name.split(".")[0] for name in _modules_after(_LAZY_CASES[case])}
-    assert not loaded & {"scipy", "jsonschema"}
+    assert not loaded & _NOT_IMPORTED
 
 
 def test_cli_import_builds_no_formatter_tables():
@@ -1253,7 +1412,7 @@ def test_cli_import_builds_no_formatter_tables():
     # above the gate, and the import loads no more than a closed command does.
     imported = _modules_after(None, tables=0)
     assert imported <= _modules_after(_LAZY_CASES["evolve_closed"], tables=0)
-    assert not {name.split(".")[0] for name in imported} & {"scipy", "jsonschema"}
+    assert not {name.split(".")[0] for name in imported} & _NOT_IMPORTED
     assert "concurrent.futures" not in imported  # its import costs about 6 ms of set-up
     _modules_after(["evolve", "--set", "N=5", "--set", "m=2", "--set", "points=200"], tables=1)
 

@@ -1,4 +1,4 @@
-"""Byte-compare the open-system outputs of this checkout and another one.
+"""Byte-compare the outputs of this checkout and another one.
 
     python tools/compare_open_outputs.py OTHER_CHECKOUT
 
@@ -14,7 +14,10 @@ for byte:
   metrics, CSVs and config sidecars;
 - `evolve_lindblad`'s full (D+1) x (D+1) states from a rho0 with vacuum
   coherences, for one site block and for a stack with a config list, saved
-  with `np.save`.
+  with `np.save`;
+- every `domechain` command of README's "Command line" block, and every
+  job of the three perfbench workloads at seed 1 (their full job lists),
+  sweep sidecars included.
 
 Exit status 0 when every file is identical and both trees wrote the same
 files, 1 otherwise.  The commands run with BLAS on one thread.
@@ -25,11 +28,13 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 DECOHERENCE = {"t1": ["decoherence.t1_us=30"], "tphi": ["decoherence.tphi_us=5"],
                "both": ["decoherence.t1_us=30", "decoherence.tphi_us=5"]}
 
@@ -60,6 +65,17 @@ def _commands() -> list[tuple[str, list[str]]]:
                       "t1_us_values=[3,30,300]", "tphi_us_values=[0.5,5,50]", "rate_MHz=5"]:
                 argv += ["--set", s]
             out.append((f"scan_{metric}_N{n}.csv", argv))
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```bash", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    readme = [shlex.split(line, comments=True) for line in block.splitlines()]
+    out += [(f"readme_{i}.out", argv[1:])
+            for i, argv in enumerate(a for a in readme if a and a[0] == "domechain")]
+    sys.path.append(str(ROOT / "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for i, job in enumerate(workloads.jobs_for(workload, 1, "full")):
+            out.append((f"perfbench_{workload}_{i}_{job.output}", list(job.argv)))
     return out
 
 
@@ -107,7 +123,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    trees = {"this": Path(__file__).resolve().parents[1], "other": Path(argv[0]).resolve()}
+    trees = {"this": ROOT, "other": Path(argv[0]).resolve()}
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory() as tmp:
