@@ -531,24 +531,25 @@ def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.nd
     return (ends_col[:, :, None] * ends_row[:, None, :]).reshape(times.size, 4)
 
 
-def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, list[int]]:
-    """Output grid with T/4 and T/2 placed exactly, and the rows they hold.
+def _evolve_times(cfg: dict, period: float) -> tuple[np.ndarray, dict[int, float]]:
+    """Output grid and the {row: time} marks that place T/4 and T/2 exactly.
 
-    Each marked time replaces its nearest grid point, T/4 first.  The t=0
-    point never moves, so a marked time nearest to it, or past the end by
-    more than a few ulps, is left out; T/2 takes over a point it shares with T/4.
+    Each marked time takes the row of its nearest grid point, T/4 first.
+    The t=0 row is never marked, so a marked time nearest to it, or past the
+    end by more than a few ulps, is left out; T/2 takes over a row it
+    shares with T/4.  Marks are in row order, as T/2's row is never before T/4's.
     """
     end = period * cfg["n_periods"]  # linspace ends on it exactly
     if not math.isfinite(end):
         raise ConfigError(f"the evolve's end, period {period!r} s times n_periods = "
                           f"{cfg['n_periods']!r}, overflows a float")
-    times = np.linspace(0.0, end, cfg["points"])
-    placed = {}
+    grid = np.linspace(0.0, end, cfg["points"])
+    marks = {}
     for t in (period / 4, period / 2):
-        i = int(np.argmin(np.abs(times - t)))
+        i = int(np.argmin(np.abs(grid - t)))
         if t <= end * (1 + 1e-15) and i > 0:
-            times[i] = placed[i] = t
-    return times, sorted(placed)
+            marks[i] = t
+    return grid, marks
 
 
 @functools.cache
@@ -628,7 +629,10 @@ def cmd_evolve(cfg: dict) -> Path:
     grid = system if isinstance(system, Grid2D) else None
     n_sites = system.N if grid is None else grid.rows * grid.cols
     period = system.period
-    times, rows = _evolve_times(cfg, period)
+    uniform, marks = _evolve_times(cfg, period)
+    rows = list(marks)
+    times = uniform.copy()
+    times[rows] = list(marks.values())
 
     d = cfg.get("decoherence")  # never empty: `resolve` refuses {}
     deco = None if d is None else _decoherence(d.get("t1_us"), d.get("tphi_us"))
@@ -648,7 +652,8 @@ def cmd_evolve(cfg: dict) -> Path:
         psi0 = site_state(n_sites, 1)
         # Dephasing does not factor over the grid's chains: grids take the dense matrix.
         H = _SiteModel.of(system).matrices()[0]
-        rho_s = _open_parts(H, np.outer(psi0, psi0.conj()), times, (deco,))[0][0, 0]  # (T, D, D)
+        # T/4 and T/2 branch off the uniform run into their rows; rho_s is (T, D, D).
+        rho_s = _open_parts(H, np.outer(psi0, psi0.conj()), uniform, (deco,), marks)[0][0, 0]
         table[:, 1:-1] = np.real(np.einsum("tii->ti", rho_s))
         at = np.array(sites) - 1  # site n is row n - 1 of the site block
         readout = rho_s[:, at[:, None], at]

@@ -45,24 +45,35 @@ entries of H, with no D^2 x D^2 basis.
 `evolve_lindblad` takes a stack of site blocks and a sequence of configs,
 so a whole decoherence scan is one call.  Steps within a few ulps of the
 end time count as one length, and consecutive steps of one length form a
-run.  One work loop, `_site_blocks`, walks every (site block, mirror
-block, Tphi) unit and every run and subtracts the dephasing for both
-branches; a branch only builds the filler of a run.  Up to
-DENSE_GENERATOR_MAX_SITES sites the step maps of a chunk of units come
-from one stacked Pade scaling-and-squaring call (`_expm`), and a run is
-filled by doubling: with k states known, the next k are those times the
-k-th power of the step map, squared once per round, where squaring is
-cheaper than stepping.  Larger systems apply each unit's sparse generator
-with scipy's expm_multiply, one seeded call per run.
+run.  Marked times do not split a run: `_open_parts` takes a sorted grid
+and {row: time} marks, propagates the grid as if unmarked, and branches
+each marked state off it from the last grid time at or before its own,
+with one step map of that offset, into its row.  The `domechain evolve`
+grid, a linspace with T/4 and T/2 marked, is so one uniform run and two
+branches: 3 step maps per mirror block, where placing the marks in the
+grid splits it into 5 step lengths.  One work loop, `_site_blocks`, walks
+every (site block, mirror block, Tphi) unit, every run and every marked
+branch, and subtracts the dephasing for both the dense and the sparse
+path; a path only builds the filler of a run.  Up to
+DENSE_GENERATOR_MAX_SITES sites the step maps of a chunk of units, branch
+offsets included, come from one stacked Pade scaling-and-squaring call
+(`_expm`), and a run is filled by doubling: with k states known, the next
+k are those times the k-th power of the step map, squared once per round,
+where squaring is cheaper than stepping.  Larger systems apply each
+unit's sparse generator with scipy's expm_multiply, one seeded call per
+run and per branch.
 
 Open results stay in parts: the site block, the vacuum column (None when
-rho0 has none) and the vacuum population.  `_open_parts` checks every
-state on them: the T1-free site-block trace against its start and the
-whole trace, each to 1e-6, and positivity by one stacked Cholesky
-factorization of the D x D Schur complement of the vacuum entry of
-rho + 1e-6 I; eigvalsh of the whole state decides only when that fails.
-The CLI and the decoherence scans read the site block; `evolve_lindblad`
-alone assembles the (D+1) x (D+1) density matrices.
+rho0 has none) and the vacuum population.  The site block comes off the
+real coordinates in one product with a cached entry matrix (CSR past
+DENSE_GENERATOR_MAX_SITES), e^{-gamma1 t} scaling the coordinates on the
+way, and its T1-free trace is the coordinates times a cached vector.
+`_open_parts` checks every state on the parts: that trace against its
+start and the whole trace, each to 1e-6, and positivity by one stacked
+Cholesky factorization of the D x D Schur complement of the vacuum entry
+of rho + 1e-6 I; eigvalsh of the whole state decides only when that
+fails.  The CLI and the decoherence scans read the site block;
+`evolve_lindblad` alone assembles the (D+1) x (D+1) density matrices.
 Both propagators take one site block or an (M, D, D) stack, check its
 symmetry at once and return plain arrays led by an M axis for a stack:
 `evolve_closed` the (T, D+1) states, `evolve_lindblad` the density
@@ -97,12 +108,14 @@ __all__ = [
 # The dense cost grows as D^6 but only logarithmically with the coupling
 # scale; expm_multiply grows as D^2 times the coupling scale.  Timed on the
 # `domechain evolve` default grid (402 points, 5 MHz, T1 = 30 us, Tphi = 5 us,
-# one BLAS thread), which costs 5 dense exponentials per mirror block: for
-# the m = 2 chain dense was 8x faster than sparse at D = 24, 1.8x at 32 and
-# 1.1x at 36, and 1.3x slower at 40; for grids 2.6x faster at 5x6 and 1.3x
-# at 6x6, and 1.1x slower at 6x7.  The stiff m = 102 chain ran 250-700x
-# faster dense at D = 16-24.  Peak memory at D = 36 was 130-160 MB dense
-# against 90 MB sparse; the sparse path is what lets large grids run at all.
+# one BLAS thread) when it cost 5 dense exponentials per mirror block; with
+# T/4 and T/2 branched off one uniform run it costs 3, and the crossovers
+# were not timed again.  With 5, for the m = 2 chain dense was 8x faster
+# than sparse at D = 24, 1.8x at 32 and 1.1x at 36, and 1.3x slower at 40;
+# for grids 2.6x faster at 5x6 and 1.3x at 6x6, and 1.1x slower at 6x7.
+# The stiff m = 102 chain ran 250-700x faster dense at D = 16-24.  Peak
+# memory at D = 36 was 130-160 MB dense against 90 MB sparse; the sparse
+# path is what lets large grids run at all.
 DENSE_GENERATOR_MAX_SITES = 36
 
 # Matrix entries per stacked LAPACK call: site matrices per `eigh` in the
@@ -243,7 +256,12 @@ def _step_runs(steps: np.ndarray, t_end: float) -> tuple[np.ndarray, list[tuple[
     grid differ in their last bits; steps within a few ulps of the end time
     share one length (see _merge_steps).
     """
-    group, lengths = _merge_steps(steps, 4.0 * np.spacing(t_end))
+    tol = 4.0 * np.spacing(t_end)
+    body = steps[1:]
+    if steps[0] == 0.0 and body.size and body.min() > tol and body.max() - body.min() <= tol:
+        # A uniform grid: one group, its mean summed in index order as bincount sums it.
+        return np.cumsum(body)[-1:] / body.size, [(0, 1, -1), (1, steps.size, 0)]
+    group, lengths = _merge_steps(steps, tol)
     # Group 0 holds the zero steps (steps[0] is one); it needs no length
     # unless steps within the tolerance of 0 joined it.
     skip = int(lengths[0] == 0.0)
@@ -467,25 +485,30 @@ def _onenorm(A: np.ndarray) -> np.ndarray:
 
 def _site_blocks(
     H: np.ndarray,
+    split: bool,
     gamma_phi: np.ndarray,
     sites0: np.ndarray,
     steps: np.ndarray,
     t_end: float,
+    branches: list[tuple[int, int, float]],
 ) -> np.ndarray:
-    """(M, F, T, D^2) row-major vecs of the site block without relaxation.
+    """(M, F, T, B n) real coordinates of the site block without relaxation.
 
     sites0 is the Hermitian site block of rho0, flattened.  Unit (m, b, f)
     evolves mirror block b of it under -i [H_m, .] minus 4 gamma_phi[f] on
     the coherences between sites, in the real coordinates of
-    `_coordinates`, split by mirror parity when every H_m equals
-    H_m[::-1, ::-1].  This is the one loop over units and runs of equal
-    steps.  Each chunk of units gets its generator entries here and a run
-    filler from its branch: `_dense_runs` for as many units as keep the
-    step maps within MAX_CHUNK_ENTRIES, or above DENSE_GENERATOR_MAX_SITES
-    sites `_sparse_runs` for one.
+    `_coordinates`, split by mirror parity when `split` (every H_m equals
+    H_m[::-1, ::-1]).  This is the one loop over units and runs of equal
+    steps.  Each branch (row, source, offset) gives `row`, once the runs
+    are filled, the state of row `source` advanced by `offset`, with one
+    step map of that length per distinct offset; every branch leaves the
+    filled run, so none starts from a row another one replaced.  Each
+    chunk of units gets its generator entries here and a run filler from
+    its path: `_dense_runs` for as many units as keep the step maps within
+    MAX_CHUNK_ENTRIES, or above DENSE_GENERATOR_MAX_SITES sites
+    `_sparse_runs` for one; a branch is filled as a run of one step.
     """
     M, D = H.shape[:2]
-    split = bool((H == H[:, ::-1, ::-1]).all())
     dephase, index, weight = _coordinates(D, split)
     entry, h, coef, cuts = _generator_terms(D, split, (H != 0).any(axis=0).tobytes())
     (B, n), F, T = dephase.shape, gamma_phi.size, steps.size
@@ -493,13 +516,16 @@ def _site_blocks(
     start = np.bincount(index.ravel(), (weight * sites0.view(float).reshape(-1, 2)).ravel(),
                         minlength=B * n).reshape(B, n)
     lengths, runs = _step_runs(steps, t_end)
+    offsets = sorted({dt for _, _, dt in branches if dt > 0.0})
+    slot = {dt: lengths.size + k for k, dt in enumerate(offsets)}
+    lengths = np.concatenate((lengths, offsets))
     if D <= DENSE_GENERATOR_MAX_SITES:
         per_call, filler = max(1, MAX_CHUNK_ENTRIES // (max(1, lengths.size) * n * n)), _dense_runs
     else:
         per_call, filler = 1, _sparse_runs
     # The terms are sorted by block, so each block's entries and values are one slice.
     entries = [entry[i:j] for i, j in cuts]
-    rows = [[values[k, i:j] for i, j in cuts] for k in range(M)]
+    vals = [[values[k, i:j] for i, j in cuts] for k in range(M)]
     coords = np.empty((M, F, T, B, n))
     for first in range(0, M * B * F, per_call):
         ks, bs, fs = np.unravel_index(np.arange(first, min(first + per_call, M * B * F)), (M, B, F))
@@ -508,7 +534,7 @@ def _site_blocks(
         units = bs.tolist()
         at = np.concatenate([entries[b] for b in units])
         at += (np.arange(len(units)) * (n * n)).repeat([entries[b].size for b in units])
-        fill = filler(at, np.concatenate([rows[k][b] for k, b in zip(ks.tolist(), units)]),
+        fill = filler(at, np.concatenate([vals[k][b] for k, b in zip(ks.tolist(), units)]),
                       -gamma_phi[fs, None] * dephase[bs], lengths)
         traj, prev = np.empty((len(ks), T, n)), start[bs]
         for i, stop, g in runs:
@@ -517,14 +543,43 @@ def _site_blocks(
             else:
                 fill(traj[:, i:stop], g, prev)
             prev = traj[:, stop - 1]
+        branched = np.empty((len(ks), len(branches), n))
+        for k, (_, j, dt) in enumerate(branches):
+            if dt > 0.0:
+                fill(branched[:, k : k + 1], slot[dt], traj[:, j])
+            else:  # a zero offset copies its source row
+                branched[:, k] = traj[:, j]
+        traj[:, [row for row, _, _ in branches]] = branched
         coords[ks, fs, :, bs] = traj
-    coords = coords.reshape(M, F, T, B * n)
-    out = np.empty((M, F, T, D * D), dtype=complex)
-    parts = out.view(float).reshape(M, F, T, D * D, 2)  # (Re, Im) of each entry
-    np.multiply(np.take(coords, index[0], axis=-1), weight[0], out=parts)
-    for b in range(1, B):
-        parts += np.take(coords, index[b], axis=-1) * weight[b]
-    return out
+    return coords.reshape(M, F, T, B * n)
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_maps(D: int, split: bool, sparse: bool) -> tuple:
+    """The (B n, 2 D^2) matrix that takes the coordinates of `_coordinates`
+    to the (Re, Im) pairs of the row-major site block, and the (B n,) vector
+    that takes them to its trace.
+
+    Each column has at most B nonzeros, so the dense product does about
+    D^2 / 2 times the work that matters; when `sparse` (past
+    DENSE_GENERATOR_MAX_SITES, where the sparse path has loaded scipy) the
+    matrix is CSR instead.
+    """
+    dephase, index, weight = _coordinates(D, split)
+    rows, vals = index.ravel(), weight.ravel()
+    cols = np.tile(np.arange(2 * D * D), dephase.shape[0])
+    # Re rho_ii is column 2 (D + 1) i.
+    trace = np.bincount(rows, vals * (cols % (2 * D + 2) == 0), minlength=dephase.size)
+    if sparse:
+        import scipy.sparse
+
+        entries = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dephase.size, 2 * D * D))
+        _frozen(entries.data, entries.indices, entries.indptr)
+    else:  # a (row, column) pair repeats only with weight 0, so summing is exact
+        flat = np.bincount(rows * (2 * D * D) + cols, vals, minlength=dephase.size * 2 * D * D)
+        entries = flat.reshape(dephase.size, 2 * D * D)
+        _frozen(entries)
+    return entries, *_frozen(trace)
 
 
 def _dense_runs(at: np.ndarray, values: np.ndarray, diagonal: np.ndarray, lengths: np.ndarray):
@@ -575,16 +630,20 @@ def _evolve_open(
     rho0: np.ndarray,
     times: np.ndarray,
     decos: tuple[DecoherenceConfig, ...],
+    marks: dict[int, float],
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Exact open evolution of a Hermitian (D+1) x (D+1) density matrix, in parts.
 
     H is an (M, D, D) stack of site blocks.  Returns, per site block, config
     and time, the (M, P, T, D, D) site block rho_S, the (M, P, T, D) vacuum
     column rho[1:, 0] or None when rho0 has none, and the (M, P, T) vacuum
-    population tr rho0 - tr rho_S.  The site block is propagated once per
-    (H, distinct gamma_phi), checked to keep its trace, and scaled by
-    e^{-gamma1 t} per config; the vacuum column is evaluated at all times at
-    once.
+    population tr rho0 - tr rho_S.  Each {row: time} of `marks` places that
+    time in that row: the run over `times` is propagated as if unmarked, and
+    the marked state branches off it from the last time at or before its
+    own.  The site block is propagated once per (H, distinct gamma_phi),
+    checked to keep its trace, and scaled by e^{-gamma1 t} per config on the
+    way from its coordinates; the vacuum column is evaluated at all times
+    at once.
     """
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
@@ -592,28 +651,38 @@ def _evolve_open(
     np.subtract(times[1:], times[:-1], out=steps[1:])
     if (steps < 0).any():
         raise ValueError("times must be non-decreasing")
+    if not all(0.0 <= t < np.inf for t in marks.values()):
+        raise ValueError("marked times must be finite and not before 0")
+    source = [int(times.searchsorted(t, "right")) - 1 for t in marks.values()]
+    branches = [(row, j, t - times[j]) for (row, t), j in zip(marks.items(), source)]
     M, D = H.shape[:2]
     dephasing: dict[float, int] = {}  # distinct gamma_phi -> its block index
     phi_of = [dephasing.setdefault(d.gamma_phi, len(dephasing)) for d in decos]
-    sites0 = rho0[1:, 1:].reshape(D * D)
-    blocks = _site_blocks(H, np.array(list(dephasing)), sites0, steps, times[-1])
-    blocks = blocks.reshape(M, len(dephasing), times.size, D, D)
+    split = bool((H == H[:, ::-1, ::-1]).all())
+    coords = _site_blocks(H, split, np.array(list(dephasing)), rho0[1:, 1:].reshape(D * D),
+                          steps, times[-1], branches)
+    entries, trace = _entry_maps(D, split, D > DENSE_GENERATOR_MAX_SITES)
     # The commutator and dephasing conserve the trace of the site block, so
     # without T1 it stays at its start; this is the check that can fail.
-    drift = np.einsum("...ii->...", blocks).real - np.einsum("ii->", rho0[1:, 1:]).real
-    if not (np.abs(drift) <= 1e-6).all():
+    free = coords @ trace
+    if not (np.abs(free - np.einsum("ii->", rho0[1:, 1:]).real) <= 1e-6).all():
         raise RuntimeError(_TRACE_DRIFT)
-    sites = np.empty((M, len(decos), times.size, D, D), dtype=complex)
+    if marks:  # relaxation and the vacuum column take the marked times
+        times = times.copy()
+        times[list(marks)] = list(marks.values())
     rates = np.array([(d.gamma1, d.vacuum_coherence_rate) for d in decos]).T
     relax, decay = np.exp(-rates[..., None] * times)
+    sites = np.empty((M, len(decos), times.size, D, D), dtype=complex)
+    parts = sites.view(float).reshape(M, len(decos), times.size, 2 * D * D)
     for p, f in enumerate(phi_of):
-        np.multiply(relax[p, :, None, None], blocks[:, f], out=sites[:, p])
+        scaled = (coords[:, f] * relax[p, :, None]).reshape(-1, coords.shape[-1])
+        parts[:, p] = (scaled @ entries).reshape(M, times.size, -1)
     # Vacuum coherences that start at zero stay zero: no H is diagonalized.
     col = None
     if rho0[1:, 0].any():
         cols = _amplitudes(H, rho0[1:, 0], times).swapaxes(1, 2)  # (M, T, D)
         col = decay[..., None] * cols[:, None]
-    return sites, col, np.einsum("ii->", rho0) - np.einsum("...ii->...", sites)
+    return sites, col, np.einsum("ii->", rho0) - free[:, phi_of] * relax
 
 
 def _states(sites: np.ndarray, col: np.ndarray | None, rho00: np.ndarray) -> np.ndarray:
@@ -632,9 +701,11 @@ def _open_parts(
     rho0: np.ndarray,
     times: np.ndarray,
     decos: Sequence[DecoherenceConfig],
+    marks: dict[int, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """`_evolve_open`'s parts for one site block or an (M, D, D) stack (M = 1
     for one block) and P configs, with the inputs and every state checked.
+    `marks` places {row: time} on the sorted `times` (see `_evolve_open`).
 
     Each state must keep unit trace within 1e-6 and have no eigenvalue below
     -1e-6.  rho + 1e-6 I = [[a, c^H], [c, S]] with a = rho_00 + 1e-6, c the
@@ -658,7 +729,7 @@ def _open_parts(
         raise ValueError("rho0 must be (D+1) x (D+1)")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
         raise ValueError("rho0 must be Hermitian with unit trace")
-    sites, col, rho00 = _evolve_open(stack, rho0, times, decos)
+    sites, col, rho00 = _evolve_open(stack, rho0, times, decos, marks or {})
     if not (np.abs((rho00 + np.einsum("...ii->...", sites)).real - 1.0) <= 1e-6).all():
         raise RuntimeError(_TRACE_DRIFT)
     pivot = rho00.real + 1e-6

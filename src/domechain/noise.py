@@ -22,11 +22,12 @@ evolves |1><1| for every chain and every DecoherenceConfig of its list in
 one stacked call of `dynamics._open_parts`, the checked open propagator
 behind `evolve_lindblad`, which propagates the site block once per (m,
 distinct Tphi) and scales it by e^{-t/T1} per config.  The scan reads the
-readout block off the final site blocks; no (D+1) x (D+1) state is built.  Both take their readout sites,
-evaluation time and noise-free amplitudes a0 from `_reference`, one
-propagator call on the noise-free matrices of all m.  Both score through
-`metrics`: the entanglement metrics by `_readout_fidelity` against the
-noise-free reduction, and the transfer channel at T/2 by
+readout block off the final site blocks; no (D+1) x (D+1) state is built.  Both take their readout sites
+and evaluation time from `_reference`, and the noise-free amplitudes a0
+from `_noise_free`, one propagator call on the noise-free matrices of all
+m, which a coherent transfer-channel sweep does not need.  Both score
+through `metrics`: the entanglement metrics by `_readout_fidelity` against
+the noise-free reduction, and the transfer channel at T/2 by
 `transfer_fidelity`, from |a|^2 and a when closed, or from the end
 population and the decayed a0 when open.
 The sigmas, sample counts and DecoherenceConfigs are all arguments here,
@@ -175,18 +176,22 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
         return np.concatenate([_readout_amplitudes(h[None], t, readout) for h in H])
 
 
-def _reference(model: _SiteModel, metric: SweepMetric):
-    """The metric's readout sites (0-based), evaluation time, and the (M, k)
-    noise-free readout amplitudes a0 of every system with their (M,) vacuum
-    weights 1 - |a0|^2: the far end at T/2 for the transfer channel, the
-    ends or corners at T/4 for the entanglement metrics."""
+def _reference(model: _SiteModel, metric: SweepMetric) -> tuple[np.ndarray, float]:
+    """The metric's readout sites (0-based) and evaluation time: the far end
+    at T/2 for the transfer channel, the ends or corners at T/4 for the
+    entanglement metrics."""
     _check_pairing(model, metric)
     qpt = metric is SweepMetric.QPT_AT_HALF_T
     readout = model.edges[-1:] if qpt else model.edges
-    duration = 2.0 * np.pi / model.rate / (2 if qpt else 4)
+    return readout, 2.0 * np.pi / model.rate / (2 if qpt else 4)
+
+
+def _noise_free(model: _SiteModel, readout: np.ndarray, duration: float):
+    """The (M, k) noise-free readout amplitudes a0 of every system at
+    `duration`, with their (M,) vacuum weights 1 - |a0|^2."""
     a0 = _readout_amplitudes(model.matrices(), duration, readout)
     weight0 = 1.0 - np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
-    return readout, duration, a0, weight0
+    return a0, weight0
 
 
 def _statistics(fids: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,8 +243,10 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     Failed and non-finite samples are counted and left out of the statistics, not raised.
     """
     model = _SiteModel.of(system)
-    readout, duration, a0, weight0 = _reference(model, metric)
+    readout, duration = _reference(model, metric)
     qpt = metric is SweepMetric.QPT_AT_HALF_T
+    # The transfer channel scores each sample on its own amplitude.
+    a0, weight0 = (None, None) if qpt else _noise_free(model, readout, duration)
 
     n_samples, axis = cfg.samples, np.array(cfg.sigmas)
     targeted = _targeted(model, cfg.target)
@@ -300,7 +307,7 @@ def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
     one.  One checked open propagation (`dynamics._open_parts`) evolves
     |1><1| to the metric's time under every chain and config, and the end
     pair's readout block, read off the final site blocks, is scored
-    against the noise-free amplitudes a0 of `_reference`: the
+    against the noise-free amplitudes a0 of `_noise_free`: the
     entanglement metric is its overlap with the noise-free T/4 reduction,
     the transfer metric the T/2 process fidelity
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u = a0 the noise-free end
@@ -309,7 +316,8 @@ def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
     if metric is SweepMetric.W_AT_QUARTER_T:
         raise ValueError("decoherence scans are defined for chain metrics")
     model = _SiteModel.of(system)
-    readout, duration, a0, weight0 = _reference(model, metric)
+    readout, duration = _reference(model, metric)
+    a0, weight0 = _noise_free(model, readout, duration)
     hams = model.matrices()
     psi0 = site_state(hams.shape[-1], 1)
     decos = tuple(decos)

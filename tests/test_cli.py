@@ -300,6 +300,14 @@ def _dense_frames(H, times):
     return np.array([np.r_[0.0, scipy.linalg.expm(-1j * H * t)[:, 0]] for t in times])
 
 
+def _placed_times(cfg, period):
+    """`cmd_evolve`'s output times and marked rows: its grid with each
+    marked time placed in its row."""
+    grid, marks = cli._evolve_times(cfg, period)
+    grid[list(marks)] = list(marks.values())
+    return grid, list(marks)
+
+
 @pytest.mark.parametrize("rows, cols, m_x, m_y", [
     pytest.param(*g, id="{}x{}-{}-{}".format(*g))
     for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102), (4, 4, 2, 2)]
@@ -314,7 +322,7 @@ def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y)
 
     cfg = {"rows": rows, "cols": cols, "m_x": m_x, "m_y": m_y, "points": 21}
     grid = Grid2D(rows, cols, m_x, m_y)
-    times, _ = cli._evolve_times(cli.resolve("evolve", cfg), grid.period)
+    times, _ = _placed_times(cli.resolve("evolve", cfg), grid.period)
     frames = _dense_frames(single_excitation_matrix(grid), times)
     corners = [i + 1 for i in grid.corner_indices()]
     populations = np.full((times.size, rows * cols), np.nan)
@@ -342,7 +350,7 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
 
     cfg = {"N": n_sites, "m": m, "points": 21}
     params = DomeParams(N=n_sites, m=m)
-    times, marked = cli._evolve_times(cli.resolve("evolve", cfg), params.period)
+    times, marked = _placed_times(cli.resolve("evolve", cfg), params.period)
     frames = _dense_frames(dome_hamiltonian(params).matrix(), times)
     bell = [target_overlap(brute_force_reduce(f, n_sites, (1, n_sites)),
                            chain_bell_target(n_sites)) for f in frames]
@@ -356,16 +364,19 @@ def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     np.testing.assert_allclose(got[:, 1:], expected, rtol=0, atol=1.5e-12)
 
 
-@pytest.mark.parametrize("shape", [dict(N=n, m=m) for n in (2, 3, 5, 8) for m in (0, 2, 102)]
+@pytest.mark.parametrize("shape", [dict(N=n, m=m) for n in (2, 3, 5, 8, 9) for m in (0, 2, 102)]
                          + [dict(rows=2, cols=3, m_x=2, m_y=1)],
                          ids=lambda shape: "-".join(map(str, shape.values())))
 def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, shape):
-    # The open Bell or W column, read off the readout block of rho, against
-    # <t|.|t> of the entrywise 2^k x 2^k reduction of the same states.
+    # The open populations and Bell or W column against two oracles: on
+    # unmarked rows, the states evolve_lindblad reaches on the uniform grid,
+    # bit for bit (the fidelity against the entrywise 2^k x 2^k reduction,
+    # <t|.|t>, within 1e-14); on the T/4 and T/2 rows, which branch off that
+    # run, the dense (D+1)^2 Liouvillian within 1e-12.
     from domechain.dynamics import DecoherenceConfig, evolve_lindblad, site_state
     from domechain.metrics import chain_bell_target, corner_w_target
     from domechain.models import _SiteModel
-    from dense_oracles import entrywise_reduce, target_overlap
+    from dense_oracles import entrywise_reduce, expm_evolve, target_overlap
 
     tables = []
     table_bytes = cli._table_bytes
@@ -376,7 +387,8 @@ def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, sh
     cfg = cli.resolve("evolve", {**shape, "rate_MHz": 5,
                                  "decoherence": {"t1_us": 30, "tphi_us": 5}})
     (system,) = cli._systems(cfg)
-    times, _ = cli._evolve_times(cfg, system.period)
+    grid, marks = cli._evolve_times(cfg, system.period)
+    assert len(marks) == 2
     if "N" in shape:
         sites, target = (1, system.N), chain_bell_target(system.N)
     else:
@@ -384,12 +396,19 @@ def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, sh
         target = corner_w_target(system.rows, system.cols)
     H = _SiteModel.of(system).matrices()[0]
     psi0 = site_state(H.shape[0], 1)
-    rhos = evolve_lindblad(H, np.outer(psi0, psi0), times, DecoherenceConfig(30 * 1e-6, 5 * 1e-6))
+    deco = DecoherenceConfig(30 * 1e-6, 5 * 1e-6)
+    rhos = evolve_lindblad(H, np.outer(psi0, psi0), grid, deco)
     (table,) = tables
-    np.testing.assert_array_equal(table[:, 1:-1], np.real(np.einsum("tii->ti", rhos))[:, 1:])
+    unmarked = np.setdiff1d(np.arange(grid.size), list(marks))
+    np.testing.assert_array_equal(table[unmarked, 1:-1], np.real(np.einsum("tii->ti", rhos))[unmarked, 1:])
     np.testing.assert_allclose(
-        table[:, -1], [target_overlap(entrywise_reduce(rho, sites), target) for rho in rhos],
+        table[unmarked, -1], [target_overlap(entrywise_reduce(rhos[k], sites), target) for k in unmarked],
         rtol=0, atol=1e-14)
+    for row, t in marks.items():
+        rho = expm_evolve(H, np.outer(psi0, psi0), t, deco)
+        np.testing.assert_allclose(table[row, 1:-1], np.real(np.diag(rho))[1:], rtol=0, atol=1e-12)
+        assert table[row, -1] == pytest.approx(target_overlap(entrywise_reduce(rho, sites), target),
+                                               abs=1e-12)
 
 
 def test_evolve_with_decoherence_matches_known_fidelity(outdir):
@@ -597,9 +616,9 @@ def test_scan_point_positivity_failure_exits_3(outdir, monkeypatch, capsys):
 
     evolve_open = dynamics._evolve_open
 
-    def corrupted(H, rho0, times, decos):
+    def corrupted(H, rho0, times, decos, marks):
         # The state diag(1.5, -0.5, 0, ...) in the parts layout: site block, vacuum column, rho_00.
-        sites, col, rho00 = evolve_open(H, rho0, times, decos)
+        sites, col, rho00 = evolve_open(H, rho0, times, decos, marks)
         sites[1, 2, -1] = np.diag(np.r_[-0.5, np.zeros(sites.shape[-1] - 1)])
         rho00[1, 2, -1] = 1.5
         return sites, col, rho00
@@ -1485,8 +1504,9 @@ def test_synth_diagonalizes_once_with_one_weights_pass(outdir, monkeypatch):
 
 
 def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
-    # The default grid needs 5 step exponentials for each of the chain's two
-    # mirror blocks; |1><1| has no vacuum coherences to propagate, so the one
+    # The default grid is one uniform run with T/4 and T/2 branched off it:
+    # 3 step exponentials (the grid step and the two offsets) for each of the
+    # chain's two mirror blocks; |1><1| has no vacuum coherences to propagate, so the one
     # diagonalization is the QPT column's closed amplitudes.
     # One stacked expm call carries several maps, so matrices are counted.
     from domechain import dynamics
@@ -1496,7 +1516,7 @@ def test_open_evolve_makes_no_extra_propagation(outdir, monkeypatch):
     monkeypatch.setattr(dynamics, "_expm", lambda A: expms.append(A) or expm(A))
     assert run(["evolve", "--set", "N=5", "--set", "m=2", "--set", "rate_MHz=5",
                 "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
-    assert (exponentiated(expms), len(eighs)) == (2 * 5, 1)
+    assert (exponentiated(expms), len(eighs)) == (2 * 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -1537,11 +1557,12 @@ def test_resolved_points_are_401_per_period(n_periods, points):
 
 
 def test_default_evolve_grid_spans_one_period():
-    times, marked = cli._evolve_times(cli.resolve("evolve", {"N": 5, "m": 2}), 2 * np.pi)
-    assert times.size == 402
-    assert times[0] == 0.0
-    assert abs(times[-1] - 2 * np.pi) < 1e-15
-    assert times[marked].tolist() == [np.pi / 2, np.pi]
+    grid, marks = cli._evolve_times(cli.resolve("evolve", {"N": 5, "m": 2}), 2 * np.pi)
+    assert grid.size == 402
+    assert grid[0] == 0.0
+    assert abs(grid[-1] - 2 * np.pi) < 1e-15
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 2 * np.pi, 402))
+    assert list(marks.values()) == [np.pi / 2, np.pi]
 
 
 @pytest.mark.parametrize(
@@ -1556,7 +1577,7 @@ def test_default_evolve_grid_spans_one_period():
     ],
 )
 def test_evolve_times_keep_t0_and_mark_each_row_once(cfg, marked):
-    times, got = cli._evolve_times(cli.resolve("evolve", {"N": 2, "m": 0, **cfg}), 1.0)
+    times, got = _placed_times(cli.resolve("evolve", {"N": 2, "m": 0, **cfg}), 1.0)
     grid = np.linspace(0.0, cfg["n_periods"], cfg["points"])
     assert times[0] == 0.0 and times[got].tolist() == marked
     assert np.all(np.diff(times) > 0)
@@ -1576,7 +1597,7 @@ def test_evolve_ends_at_n_periods_on_any_time_scale(outdir, rate, n_periods, mar
     assert rows[-1][0] == _fmt(n_periods)
     assert [r[0] for r in rows if r[-1]] == [_fmt(x) for x in marked]
     period = 2 * np.pi / cli._rad_per_s(rate)
-    times, got = cli._evolve_times(cli.resolve("evolve", cfg), period)
+    times, got = _placed_times(cli.resolve("evolve", cfg), period)
     assert times[got].tolist() == [period * x for x in marked]
     assert times[-1] == period * n_periods
 

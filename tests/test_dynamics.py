@@ -439,10 +439,10 @@ def test_evolve_closed_matches_per_time_propagator():
 
 
 def test_default_grid_shares_step_exponentials(monkeypatch):
-    # The `domechain evolve` default grid has 5 true step lengths once T/4
-    # and T/2 are marked; last-bit differences must not add exponentials.
-    # One stacked expm call carries several maps, so matrices are counted:
-    # 5 for each of the chain's two mirror blocks.
+    # The `domechain evolve` default grid, with T/4 and T/2 placed in it as
+    # sorted times, has 5 true step lengths; last-bit differences must not
+    # add exponentials.  One stacked expm call carries several maps, so
+    # matrices are counted: 5 for each of the chain's two mirror blocks.
     import domechain.dynamics as dynamics
     from domechain.cli import _evolve_times
 
@@ -451,14 +451,42 @@ def test_default_grid_shares_step_exponentials(monkeypatch):
     monkeypatch.setattr(dynamics, "_expm", lambda A: calls.append(A) or expm(A))
     params = DomeParams(N=5, m=2, J=2 * np.pi * 5e6)
     H = single_excitation_matrix(params, physical=True)
-    times, marked = _evolve_times(_resolved_evolve({}), params.period)
+    times = _evolve_times_of({}, params.period)
     assert np.unique(np.diff(times)).size > 5
     deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
     rho0 = np.outer(site_state(5, 1), site_state(5, 1))
     traj = evolve_lindblad(H, rho0, times, deco)
     assert exponentiated(calls) == 2 * 5
+    marked = list(_evolve_times(_resolved_evolve({}), params.period)[1])
     for k in [*marked, times.size - 1]:
         assert np.max(np.abs(traj[k] - expm_evolve(H, rho0, times[k], deco))) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [5, 8])
+def test_marked_rows_agree_between_branches(monkeypatch, n_sites):
+    # The default open evolve's uniform run with T/4 and T/2 branched off
+    # it, through the expm_multiply branch (the dense threshold held below
+    # the chain) and through the dense one: unmarked and marked rows agree
+    # within 1e-12, and the unmarked ones equal evolve_lindblad on the
+    # uniform grid bit for bit in the dense branch.
+    import domechain.dynamics as dynamics
+    from domechain.cli import _evolve_times
+
+    params = DomeParams(N=n_sites, m=2, J=2 * np.pi * 5e6)
+    H = single_excitation_matrix(params, physical=True)
+    grid, marks = _evolve_times(_resolved_evolve({}), params.period)
+    assert len(marks) == 2
+    rho0 = np.outer(site_state(n_sites, 1), site_state(n_sites, 1))
+    deco = DecoherenceConfig(t1=30e-6, t_phi=5e-6)
+    dense = dynamics._open_parts(H, rho0, grid, [deco], marks)[0][0, 0]
+    unmarked = np.setdiff1d(np.arange(grid.size), list(marks))
+    np.testing.assert_array_equal(dense[unmarked], evolve_lindblad(H, rho0, grid, deco)[unmarked, 1:, 1:])
+    units, sparse_runs = [], dynamics._sparse_runs
+    monkeypatch.setattr(dynamics, "_sparse_runs", lambda *a: units.append(a) or sparse_runs(*a))
+    monkeypatch.setattr(dynamics, "DENSE_GENERATOR_MAX_SITES", n_sites - 1)
+    sparse = dynamics._open_parts(H, rho0, grid, [deco], marks)[0][0, 0]
+    assert len(units) == 2  # one per mirror block
+    assert np.max(np.abs(sparse - dense)) <= 1e-12
 
 
 def _parts(states):
@@ -476,7 +504,7 @@ def test_lindblad_positivity_failure_raises(monkeypatch):
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     good = np.diag([1.0, 0.0, 0.0]).astype(complex)
     monkeypatch.setattr(dynamics, "_evolve_open",
-                        lambda H, rho0, times, decos: _parts([good, bad, good]))
+                        lambda H, rho0, times, decos, marks: _parts([good, bad, good]))
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(RuntimeError, match="positivity"):
         evolve_lindblad(H, good, np.array([0.0, 1.0, 2.0]), DecoherenceConfig(t1=1.0))
@@ -493,7 +521,7 @@ def test_positivity_check_at_its_bound(monkeypatch, low, fails):
     good = np.diag([1.0, 0.0, 0.0]).astype(complex)
     edge = U @ np.diag([0.6 - low, 0.4, low]) @ U.conj().T
     monkeypatch.setattr(dynamics, "_evolve_open",
-                        lambda H, rho0, times, decos: _parts([good, edge, good]))
+                        lambda H, rho0, times, decos, marks: _parts([good, edge, good]))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
@@ -524,7 +552,7 @@ def test_schur_check_decides_as_eigvalsh_near_its_bound(monkeypatch):
         state = U @ np.diag(np.r_[low, rest * (1.0 - low) / rest.sum()]) @ U.conj().T
         state = (state + state.conj().T) / 2
         assert np.abs(state[1:, 0]).min() > 0
-        monkeypatch.setattr(dynamics, "_evolve_open", lambda H, rho0, times, decos: _parts([state]))
+        monkeypatch.setattr(dynamics, "_evolve_open", lambda H, rho0, times, decos, marks: _parts([state]))
         del calls[:]
         try:
             dynamics._open_parts(np.zeros((dim - 1, dim - 1)), state, [0.0], [DecoherenceConfig(t1=1.0)])
@@ -545,10 +573,11 @@ def test_site_block_trace_drift_is_caught_before_relaxation(monkeypatch, drift, 
     import domechain.dynamics as dynamics
 
     site_blocks = dynamics._site_blocks
+    trace = dynamics._entry_maps(3, True, False)[1]
 
     def drifting(*args):
         out = site_blocks(*args)
-        out[..., -1, 0] += drift  # site 1's population at the last time
+        out[..., -1, :] += drift * trace / (trace @ trace)  # the trace at the last time
         return out
 
     monkeypatch.setattr(dynamics, "_site_blocks", drifting)
@@ -579,10 +608,13 @@ def _resolved_evolve(cfg):
 
 
 def _evolve_times_of(cfg, period):
-    """The `domechain evolve` output grid for the given grid keys."""
+    """The `domechain evolve` output times for the given grid keys: the
+    grid with T/4 and T/2 placed in their marked rows."""
     from domechain.cli import _evolve_times
 
-    return _evolve_times(_resolved_evolve(cfg), period)[0]
+    grid, marks = _evolve_times(_resolved_evolve(cfg), period)
+    grid[list(marks)] = list(marks.values())
+    return grid
 
 
 def _repeated_times(period):
@@ -625,7 +657,7 @@ def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
     sites0 = (c + c.conj().T).reshape(-1)
     sites0 /= np.linalg.norm(sites0)
     H = single_excitation_matrix(params, physical=True)[None]
-    block = dynamics._site_blocks(H, np.array([0.1e6]), sites0, steps, times[-1])[0, 0]
+    got = dynamics._site_blocks(H, True, np.array([0.1e6]), sites0, steps, times[-1], [])[0, 0]
     lengths, _ = dynamics._step_runs(steps, times[-1])
     dephase, index, weight = dynamics._coordinates(n_sites, True)
     step_maps = maps[0].reshape(len(dephase), lengths.size, *maps[0].shape[1:])
@@ -637,8 +669,8 @@ def test_runs_match_sequential_steps(monkeypatch, n_sites, m, grid):
             g = np.argmin(np.abs(lengths - dt))
             blocks = coords.reshape(dephase.shape)
             coords = np.concatenate([A[g] @ r for A, r in zip(step_maps, blocks)])
-        ref.append((coords[index] * weight).sum(axis=0) @ [1.0, 1j])
-    assert np.max(np.abs(block - ref)) <= 1e-13
+        ref.append(coords)
+    assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def merge_steps_by_unique(steps, tol):
@@ -675,6 +707,22 @@ def test_merge_steps_matches_unique_grouping():
         want_group, want_lengths = merge_steps_by_unique(steps, tol)
         np.testing.assert_array_equal(group, want_group)
         assert lengths.tobytes() == want_lengths.tobytes()
+
+
+def test_step_runs_match_unique_grouping():
+    # _step_runs, by its uniform-grid shortcut (the linspaces) or by
+    # merging: the nonzero lengths of grouping by np.unique, bitwise, and
+    # runs that give each step its group's slot (-1 for zero steps).
+    import domechain.dynamics as dynamics
+
+    for times in _merge_grids():
+        steps = np.diff(times, prepend=0.0)
+        group, want = merge_steps_by_unique(steps, 4.0 * np.spacing(times[-1]))
+        skip = int(want[0] == 0.0)
+        lengths, runs = dynamics._step_runs(steps, times[-1])
+        assert lengths.tobytes() == want[skip:].tobytes()
+        slots = np.concatenate([np.full(stop - start, g) for start, stop, g in runs])
+        np.testing.assert_array_equal(slots, np.where(steps > 0.0, group - skip, -1))
 
 
 def test_stacked_lindblad_equals_single_calls(monkeypatch):

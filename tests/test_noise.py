@@ -768,7 +768,7 @@ def test_coherent_qpt_is_the_amplitude_damping_formula(m, monkeypatch):
                         lambda *a: amps.append(readout_amplitudes(*a)) or amps[-1])
     res = sweep_coherent(DomeParams(5, m), cfg(DisorderTarget.ALL, sigmas=(0.0, 0.1, 0.5), samples=20),
                          SweepMetric.QPT_AT_HALF_T)
-    u = np.concatenate(amps[1:])[:, 0]  # amps[0] holds the noise-free reference
+    u = np.concatenate(amps)[:, 0]  # no noise-free reference: the score needs none
     assert u.size == res.fidelities.size == 60
     np.testing.assert_allclose(res.fidelities.ravel(), np.abs(1.0 + u) ** 2 / 4.0, rtol=0, atol=1e-15)
 
@@ -782,14 +782,15 @@ def test_sweep_amplitudes_are_closed_evolves_of_the_perturbed_matrices(system, m
     # The sweep reads each sample's readout amplitudes off the one closed
     # propagator: they are evolve_closed's state of the sample's perturbed
     # matrix at the metric's time, at the readout sites, bit for bit.
-    readout, duration = noise._reference(_SiteModel.of(system), metric)[:2]
+    readout, duration = noise._reference(_SiteModel.of(system), metric)
     amps = []
     readout_amplitudes = noise._readout_amplitudes
     monkeypatch.setattr(noise, "_readout_amplitudes",
                         lambda *a: amps.append(readout_amplitudes(*a)) or amps[-1])
     c = cfg(DisorderTarget.ALL, sigmas=(0.5,), samples=6)
     sweep_coherent(system, c, metric)
-    got = np.concatenate(amps[1:])  # amps[0] holds the noise-free reference
+    # amps[0] holds the noise-free reference of the entanglement metrics.
+    got = np.concatenate(amps[int(metric is not SweepMetric.QPT_AT_HALF_T):])
     assert got.shape == (c.samples, readout.size)
     for k in range(c.samples):
         H = sampled(system, c, k)

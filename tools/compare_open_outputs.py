@@ -19,8 +19,11 @@ for byte:
   job of the three perfbench workloads at seed 1 (their full job lists),
   sweep sidecars included.
 
-Exit status 0 when every file is identical and both trees wrote the same
-files, 1 otherwise.  The commands run with BLAS on one thread.
+Each differing file is printed with the largest absolute change of a
+number in it (`.npy` entries, or the numeric cells of a text file whose
+other tokens agree).  Exit status 0 when every file is identical and both
+trees wrote the same files, 1 otherwise.  The commands run with BLAS on
+one thread.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -115,6 +119,27 @@ def _run(outdir: Path) -> None:
     _lindblad_states(outdir)
 
 
+def _largest_change(a: Path, b: Path) -> str:
+    """The largest absolute change between the numbers of two files, or why there is none."""
+    import numpy as np
+
+    if a.suffix == ".npy":
+        x, y = np.load(a), np.load(b)
+        return f"{np.max(np.abs(x - y)):.3g}" if x.shape == y.shape else "shapes differ"
+    split = lambda p: re.split(r"[\s,\[\]{}:\"]+", p.read_text())
+    x, y = split(a), split(b)
+    if len(x) != len(y):
+        return "layouts differ"
+    change = 0.0
+    for s, t in zip(x, y):
+        if s != t:
+            try:
+                change = max(change, abs(float(s) - float(t)))
+            except ValueError:
+                return f"text differs: {s!r} / {t!r}"
+    return f"{change:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--run":  # worker: --run SRC OUTDIR
         sys.path.insert(0, argv[1])
@@ -138,7 +163,7 @@ def main(argv: list[str]) -> int:
                   if (dirs["other"] / n).is_file()
                   and (dirs["this"] / n).read_bytes() != (dirs["other"] / n).read_bytes()]
         for n in differ:
-            print(f"differs: {n}")
+            print(f"differs: {n} (largest change {_largest_change(dirs['this'] / n, dirs['other'] / n)})")
         if names["this"] != names["other"]:
             print(f"file lists differ: {sorted(set(names['this']) ^ set(names['other']))}")
         print(f"compared {len(names['this'])} files, {len(differ)} differ")
