@@ -669,7 +669,7 @@ def cmd_evolve(cfg: dict) -> Path:
             c = readout[rows, -1]
         else:
             t = times[rows]
-            u = _amplitudes(H[None], psi0[1:], t)[0, -1]
+            u = _amplitudes(H[None], psi0[1:], t, [n_sites - 1])[0, 0]
             c = np.exp(-deco.vacuum_coherence_rate * t) * u
         qpt = dict(zip(rows, transfer_fidelity(table[rows, n_sites], c).tolist()))
 

@@ -186,16 +186,18 @@ def _check_symmetric(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _amplitudes(H: np.ndarray, source: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(M, D, T) site amplitudes exp(-i H_m t) source of an (M, D, D) stack.
+def _amplitudes(H: np.ndarray, source: np.ndarray, times: np.ndarray, rows=None) -> np.ndarray:
+    """(M, D, T) site amplitudes exp(-i H_m t) source of an (M, D, D) stack,
+    or (M, r, T) at the r 0-based sites `rows` only.
 
     source holds D complex site amplitudes.  One stacked `eigh` gives
     H = V diag(w) V^T with V real, so V^T source is one real GEMM on the
     (re, im) pairs of source, and V (e^{-i w t} V^T source) one real GEMM on
-    those of the phases.  The phases are cos(w t) - i sin(w t) of the real
-    angles, cheaper than the complex exp and bit-equal to it with numpy 2.4
-    on AVX-512; sin goes in place into the angle buffer.  Each matrix of a
-    stack gets the bits it gets alone.
+    those of the phases, on V's `rows` alone when given.  The phases are
+    cos(w t) - i sin(w t) of the real angles, cheaper than the complex exp
+    and bit-equal to it with numpy 2.4 on AVX-512; sin goes in place into
+    the angle buffer.  Each matrix of a stack gets the bits it gets alone,
+    and each named row the bits of the full product.
     """
     w, V = np.linalg.eigh(H)
     pairs = np.ascontiguousarray(source, dtype=complex).view(float).reshape(-1, 2)
@@ -206,7 +208,10 @@ def _amplitudes(H: np.ndarray, source: np.ndarray, times: np.ndarray) -> np.ndar
     np.negative(np.sin(angles, out=angles), out=phases.imag)
     del angles  # lowers the peak: the GEMM allocates its output next
     phases *= coeffs
-    return (V @ phases.view(float)).view(complex)
+    n = V.shape[-1] if rows is None else len(rows)
+    if rows is not None:  # one row twice: numpy hands a one-row product to GEMV, with other bits
+        V = np.take(V, [*rows, *rows][: max(2, n)], axis=-2)
+    return (V @ phases.view(float)).view(complex)[..., :n, :]
 
 
 def evolve_closed(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -196,15 +196,16 @@ class _SiteModel:
         """(..., D, D) site matrices of on-site values (..., D) and bond values
         (..., B) in units of J, the model's own (M, D, D) by default; scaled
         to rad/s if `physical`."""
-        freqs = self.freqs if freqs is None else freqs
-        couplings = self.couplings if couplings is None else couplings
+        rate = self.rate if physical else 1.0  # scales the entries, not the (..., D, D) zeros
+        freqs = (self.freqs if freqs is None else freqs) * rate
+        couplings = (self.couplings if couplings is None else couplings) * rate
         D = freqs.shape[-1]
         H = np.zeros(freqs.shape + (D,))
         sites = np.arange(D)
         H[..., sites, sites] = freqs
         H[..., self.bonds[:, 0], self.bonds[:, 1]] = couplings
         H[..., self.bonds[:, 1], self.bonds[:, 0]] = couplings
-        return H * self.rate if physical else H
+        return H
 
 
 def single_excitation_matrix(system: DomeParams | Grid2D, physical: bool = False) -> np.ndarray:

@@ -61,6 +61,7 @@ __all__ = [
 
 # Coherent sweeps of at least this many stacked site-matrix entries split over the usable
 # CPUs: on a 2-core x86-64 VM two threads lost below 7k entries and won 13-30% from 22k.
+# A later 2-core VM did not reproduce that crossover: Bell (37.5k) and W (64.8k) ran no faster split.
 SPLIT_MIN_ENTRIES = 20_000
 
 
@@ -107,27 +108,30 @@ class DisorderConfig:
         object.__setattr__(self, "samples", _integer("samples", self.samples, 1))
 
 
-def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
-    """(S, n) standard normals; row s comes from Philox keyed by `seed` at
-    counter [0, 0, 0, draw_indices[s]].
+_PHILOX = threading.local()  # each thread's one Philox generator, re-pointed per sample
 
-    One bit generator is set to each counter block with an empty buffer,
-    the state Philox(key=seed, counter=...) starts in, and fills its row of
-    one preallocated array in place.  Of the bit-identical public routes
-    there, this is the cheapest: reading the state and calling `advance`,
-    or building a new Philox per sample, cost more.  Setting the state
-    dominates: a median 4.5-4.8 us a sample inside disorder_mc's Bell
-    sweep (5.2-5.5 us with a new array per sample), 2.3 us in a bare loop
-    (2-core x86-64 VM, one BLAS thread).
+
+def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
+    """(S, n) standard normals; row s comes from Philox keyed by `seed`
+    (below 2^64) at counter [0, 0, 0, draw_indices[s]].
+
+    The thread's one bit generator is set to each counter block with an
+    empty buffer, the state Philox(key=seed, counter=...) starts in, and
+    fills its row of one preallocated array in place: the cheapest
+    bit-identical public route (`advance`, or a Philox per call or per
+    sample, cost more).  The setter reads the state dict's Python ints in
+    0.5 us against 1.1 us for uint64 arrays; 9 normals cost 1.4 us a sample
+    in a bare loop, 2.9-3.0 us in disorder_mc's Bell sweep (2-core VM).
     """
-    bitgen = np.random.Philox(key=int(seed))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    if not hasattr(_PHILOX, "gen"):
+        _PHILOX.gen = np.random.Generator(np.random.Philox(0))
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     draws = np.empty((len(draw_indices), n))
     for k, row in zip(draw_indices, draws):
         state["state"]["counter"][3] = k
-        bitgen.state = state
-        gen.standard_normal(out=row)
+        _PHILOX.gen.bit_generator.state = state
+        _PHILOX.gen.standard_normal(out=row)
     return draws
 
 
@@ -135,7 +139,7 @@ def _targeted(model: _SiteModel, target: DisorderTarget) -> tuple[np.ndarray, np
     """Indices of the perturbed frequencies and couplings, in draw order."""
     sites, bonds = np.arange(model.freqs.shape[1]), np.arange(model.couplings.shape[1])
     if target is DisorderTarget.MIDDLE_FREQUENCIES:
-        return np.setdiff1d(sites, model.edges), bonds[:0]
+        return sites[np.bincount(model.edges, minlength=sites.size) == 0], bonds[:0]  # no edge
     if target is DisorderTarget.EDGE_FREQUENCIES:
         return model.edges, bonds[:0]
     if target is DisorderTarget.COUPLINGS:
@@ -169,7 +173,7 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
     and only the matrices that fail on their own get NaN amplitudes.
     """
     try:
-        return _amplitudes(H, site_state(H.shape[-1], 1)[1:], np.array([t]))[:, readout, 0]
+        return _amplitudes(H, site_state(H.shape[-1], 1)[1:], np.array([t]), readout)[..., 0]
     except np.linalg.LinAlgError:
         if H.shape[0] == 1:
             return np.full((1, readout.size), np.nan, dtype=complex)

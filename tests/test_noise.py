@@ -12,6 +12,7 @@ coherent and under T1/Tphi, is checked against the emulated process
 tomography `dense_oracles.simulate_qpt`.
 """
 
+import sys
 import threading
 import warnings
 
@@ -810,3 +811,51 @@ def test_unit_normals_match_per_sample_philox(seed):
             for k in indices
         ]
         np.testing.assert_array_equal(got, ref)
+
+
+def test_unit_normals_from_concurrent_threads_match_their_seeds():
+    # Each thread re-points a Philox of its own: draws from 8 threads at
+    # once, switching every microsecond, equal each seed's draws alone.
+    seeds = range(8)
+    want = {seed: noise._unit_normals(seed, range(200), 5) for seed in seeds}
+    got = {seed: [] for seed in seeds}
+
+    def draw(seed):
+        for _ in range(20):
+            got[seed].append(noise._unit_normals(seed, range(200), 5))
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert len(got[seed]) == 20
+        for draws in got[seed]:
+            np.testing.assert_array_equal(draws, want[seed])
+
+
+@pytest.mark.parametrize("target", list(DisorderTarget), ids=lambda t: t.value)
+def test_targeted_indices_equal_a_setdiff_oracle(target):
+    # The draw order of every target on chains N = 2..9 and grids up to 4x5,
+    # against np.setdiff1d for the middle sites: same values, dtype and order.
+    systems = [DomeParams(n, 2) for n in range(2, 10)]
+    systems += [Grid2D(r, c, 2, 1) for r in range(2, 5) for c in range(2, 6)]
+    for system in systems:
+        model = _SiteModel.of(system)
+        sites, bonds = np.arange(model.freqs.shape[1]), np.arange(model.couplings.shape[1])
+        want = {
+            DisorderTarget.MIDDLE_FREQUENCIES: (np.setdiff1d(sites, model.edges), bonds[:0]),
+            DisorderTarget.EDGE_FREQUENCIES: (model.edges, bonds[:0]),
+            DisorderTarget.COUPLINGS: (sites[:0], bonds),
+            DisorderTarget.ALL: (sites, bonds),
+        }[target]
+        for got, ref in zip(noise._targeted(model, target), want):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)

@@ -24,6 +24,7 @@ from domechain import (
 from domechain import noise
 from domechain.cascade import _segment_lengths
 from domechain.cli import _fmt, _json_text, _table_bytes, main
+from domechain.dynamics import _amplitudes
 from domechain.metrics import _readout_fidelity
 from domechain.models import _SiteModel
 from dense_oracles import brute_force_reduce, entrywise_reduce, target_overlap
@@ -331,3 +332,27 @@ def test_point_statistics_equal_per_row_numpy(kinds, samples, seed):
         want_std = np.std(x, ddof=1) if x.size > 1 and x.min() < x.max() else 0.0
         np.testing.assert_array_equal(mean[i], want_mean)
         np.testing.assert_array_equal(std[i], want_std)
+
+
+@settings(max_examples=200, deadline=None)
+@example(D=1, stack=1, n_times=1, unit=True, seed=0)
+@example(D=5, stack=90, n_times=1, unit=True, seed=1)
+@given(D=st.integers(1, 12), stack=st.integers(1, 40), n_times=st.integers(1, 3), unit=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_amplitude_rows_equal_the_full_product_rows(D, stack, n_times, unit, seed):
+    # The closed propagator at named site rows, one row included, holds the
+    # bits of those rows of its full output.
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(stack, D, D)) * 10.0 ** rng.uniform(-3, 9)
+    H += H.swapaxes(-1, -2)
+    if unit:
+        source = np.zeros(D, complex)
+        source[rng.integers(D)] = 1.0
+    else:
+        source = rng.normal(size=D) + 1j * rng.normal(size=D)
+    times = rng.uniform(-1e-6, 1e-6, n_times)
+    full = _amplitudes(H, source, times)
+    for rows in ([0], [D - 1], rng.permutation(D)[: rng.integers(1, D + 1)], rng.integers(0, D, 3)):
+        got = _amplitudes(H, source, times, rows)
+        assert got.shape == (stack, len(rows), n_times)
+        np.testing.assert_array_equal(got.view(np.uint64), full[:, rows].view(np.uint64))

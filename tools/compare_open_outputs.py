@@ -12,6 +12,12 @@ for byte:
   and both;
 - decoherence scans (`sweep kind=decoherence`) with the Bell and QPT
   metrics, CSVs and config sidecars;
+- coherent sweeps (`sweep kind=coherent`) of every disorder target with
+  every metric a system takes: chains N = 2, 5, 9 with the Bell and QPT
+  metrics, 2x3 and 3x4 grids with the corner metric, m in {2, 102}, at 20
+  samples (one thread) and 250 (split over the CPUs from N = 5 on), two
+  seeds, CSV and JSON tables with their config sidecars.  N = 2 has no
+  middle site, so its middle-frequency sweeps draw nothing;
 - `evolve_lindblad`'s full (D+1) x (D+1) states from a rho0 with vacuum
   coherences, for one site block and for a stack with a config list, saved
   with `np.save`;
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import shlex
@@ -41,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DECOHERENCE = {"t1": ["decoherence.t1_us=30"], "tphi": ["decoherence.tphi_us=5"],
                "both": ["decoherence.t1_us=30", "decoherence.tphi_us=5"]}
+TARGETS = ("middle_frequencies", "edge_frequencies", "couplings", "all")
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -69,6 +77,17 @@ def _commands() -> list[tuple[str, list[str]]]:
                       "t1_us_values=[3,30,300]", "tphi_us_values=[0.5,5,50]", "rate_MHz=5"]:
                 argv += ["--set", s]
             out.append((f"scan_{metric}_N{n}.csv", argv))
+    coherent = [(f"N{n}", [f"N={n}"], metric) for n in (2, 5, 9)
+                for metric in ("bell_at_quarter_t", "qpt_at_half_t")]
+    coherent += [(f"grid{r}x{c}", [f"rows={r}", f"cols={c}"], "w_at_quarter_t")
+                 for r, c in ((2, 3), (3, 4))]
+    for (name, sets, metric), target, samples, seed, fmt in itertools.product(
+            coherent, TARGETS, (20, 250), (7, 2**64 - 1), ("csv", "json")):
+        argv = ["sweep", "--seed", str(seed), "--format", fmt]
+        for s in [*sets, "kind=coherent", f"metric={metric}", f"target={target}",
+                  "m_values=[2,102]", "sigmas=[0.25,0.5,1.0]", f"samples={samples}", "rate_MHz=5"]:
+            argv += ["--set", s]
+        out.append((f"coherent_{name}_{metric}_{target}_{samples}_{seed}.{fmt}", argv))
     block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
     block = block.split("```bash", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     readme = [shlex.split(line, comments=True) for line in block.splitlines()]
