@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import DomeParams, dome_hamiltonian
+from .models import DomeParams, _dome_entries
 from .spectrum import _integer
 
 __all__ = [
@@ -86,7 +86,8 @@ def max_coupling(N: int, m: int = 0) -> float:
     m N^2 / 8 for domes) give the plan's asymptotic total.  `DomeParams`
     checks N and m.
     """
-    return float(np.max(dome_hamiltonian(DomeParams(N=N, m=m)).couplings))
+    chain = DomeParams(N=N, m=m)
+    return float(np.max(_dome_entries(chain.N, chain.m)[1]))
 
 
 def _segment_lengths(N: int, k: int) -> tuple[int, ...]:

@@ -38,14 +38,15 @@ the same config (the test suite compares the two on random configs), but
 the package itself does not depend on jsonschema.
 
 Every command that simulates resolves its chains or grids with one
-`_systems(cfg)`, one per m, and reads their matrices from the one system
-model, `models._SiteModel`; the sweeps in `noise` take the same systems.
-An `evolve` reads its fidelity off its readout sites (chain ends or grid
-corners) with one scorer, `metrics._readout_fidelity`: the readout
-amplitudes when closed, the readout block of rho when open.  A closed grid,
-H_col kron 1 + 1 kron H_row, runs on its column and row chains, whose outer
-products give its populations and corners (`_closed_columns`).  An open
-grid builds the (rows cols)^2 matrix, as dephasing does not factor.
+`_systems(cfg)`, one per m; the sweeps in `noise` take the same systems.
+An `evolve` builds the one system model, `models._SiteModel`, once and
+reads off it the matrix, the readout sites (chain ends or grid corners),
+the T/4 target and whether a transfer column exists.  One scorer,
+`metrics._readout_fidelity`, reads the readout amplitudes when closed,
+the readout block of rho when open.  A closed grid, H_col kron 1 + 1 kron
+H_row, runs on its column and row chains, whose outer products give its
+populations and corners (`_closed_columns`).  An open grid builds the
+(rows cols)^2 matrix, as dephasing does not factor.
 
 Artifacts are written atomically (temp file then rename) from byte chunks;
 the temp file is one `os.open` beside the target with mkstemp's flags and
@@ -98,7 +99,7 @@ from .dynamics import (
     site_state,
 )
 from .inverse_eigen import ReconstructionError, synthesize
-from .metrics import _readout_fidelity, chain_bell_target, corner_w_target, transfer_fidelity
+from .metrics import _quarter_period_ket, _readout_fidelity, transfer_fidelity
 from .models import DomeParams, Grid2D, _SiteModel
 from .noise import DisorderConfig, DisorderTarget, SweepMetric, sweep_coherent, sweep_decoherence
 from .spectrum import Spectrum, dome_spectrum
@@ -508,9 +509,9 @@ def _systems(cfg: dict) -> list:
     return [Grid2D(cfg["rows"], cfg["cols"], m_x, m_y, rate) for m_x, m_y in shapes]
 
 
-def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """Closed evolution from site 1: fill the (T, D) `populations` and return
-    the (T, k) readout amplitudes, the chain's ends or the grid's corners.
+def _closed_columns(grid: Grid2D, times: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Closed evolution of a grid from site 1 on its column and row chains:
+    fill the (T, D) `populations` and return the (T, 4) corner amplitudes.
 
     Grid site r * cols + c holds psi_col(t)[r] psi_row(t)[c], so its
     populations and corners are outer products of the two chains' own.
@@ -520,14 +521,11 @@ def _closed_columns(system, times: np.ndarray, populations: np.ndarray) -> np.nd
         states = evolve_closed(H, site_state(chain.N, 1), times)
         return np.abs(states[:, 1:]) ** 2, states[:, [1, -1]]
 
-    if not isinstance(system, Grid2D):
-        populations[:], ends = evolve(system)
-        return ends
-    col, ends_col = evolve(system.column_chain())
-    square = (system.rows, system.m_y) == (system.cols, system.m_x)  # one chain for both axes
-    row, ends_row = (col, ends_col) if square else evolve(system.row_chain())
+    col, ends_col = evolve(grid.column_chain())
+    square = (grid.rows, grid.m_y) == (grid.cols, grid.m_x)  # one chain for both axes
+    row, ends_row = (col, ends_col) if square else evolve(grid.row_chain())
     # Splitting the contiguous site axis is always a view, so this writes into populations.
-    np.einsum("tr,tc->trc", col, row, out=populations.reshape(times.size, system.rows, system.cols))
+    np.einsum("tr,tc->trc", col, row, out=populations.reshape(times.size, grid.rows, grid.cols))
     return (ends_col[:, :, None] * ends_row[:, None, :]).reshape(times.size, 4)
 
 
@@ -626,8 +624,9 @@ def _table_bytes(table: np.ndarray, tails: dict):
 def cmd_evolve(cfg: dict) -> Path:
     """Propagate |site 1> and write the population/fidelity trajectory."""
     (system,) = _systems(cfg)
-    grid = system if isinstance(system, Grid2D) else None
-    n_sites = system.N if grid is None else grid.rows * grid.cols
+    model = _SiteModel.of(system)
+    chain = len(model.lengths) == 1  # chains add the transfer channel's column
+    n_sites = model.freqs.shape[1]
     period = system.period
     uniform, marks = _evolve_times(cfg, period)
     rows = list(marks)
@@ -637,32 +636,29 @@ def cmd_evolve(cfg: dict) -> Path:
     d = cfg.get("decoherence")  # never empty: `resolve` refuses {}
     deco = None if d is None else _decoherence(d.get("t1_us"), d.get("tphi_us"))
 
-    if grid is None:
-        sites, target = (1, n_sites), chain_bell_target(n_sites)
-        fidelity_name = "bell_fidelity"
-    else:
-        sites = tuple(i + 1 for i in grid.corner_indices())
-        target = corner_w_target(grid.rows, grid.cols)
-        fidelity_name = "w_fidelity"
     table = np.empty((times.size, n_sites + 2))
     table[:, 0] = times / period
-    if deco is None:
+    psi0 = site_state(n_sites, 1)
+    if deco is None and chain:
+        states = evolve_closed(model.matrices()[0], psi0, times)
+        table[:, 1:-1] = np.abs(states[:, 1:]) ** 2
+        readout = states[:, model.edges + 1]
+    elif deco is None:  # a closed grid, H_col kron 1 + 1 kron H_row, runs on its two chains
         readout = _closed_columns(system, times, table[:, 1:-1])
     else:
-        psi0 = site_state(n_sites, 1)
         # Dephasing does not factor over the grid's chains: grids take the dense matrix.
-        H = _SiteModel.of(system).matrices()[0]
+        H = model.matrices()[0]
         # T/4 and T/2 branch off the uniform run into their rows; rho_s is (T, D, D).
         rho_s = _open_parts(H, np.outer(psi0, psi0.conj()), uniform, (deco,), marks)[0][0, 0]
         table[:, 1:-1] = np.real(np.einsum("tii->ti", rho_s))
-        at = np.array(sites) - 1  # site n is row n - 1 of the site block
-        readout = rho_s[:, at[:, None], at]
-    # The target's entries on the single-excitation bitstrings, first site leftmost.
-    ket = target[1 << np.arange(len(sites))[::-1]]
+        readout = rho_s[:, model.edges[:, None], model.edges]
+    # The T/4 target's entries on the single-excitation bitstrings, first readout site leftmost.
+    target = _quarter_period_ket(*model.lengths)
+    ket = target[1 << np.arange(model.edges.size)[::-1]]
     table[:, -1] = _readout_fidelity(readout, ket, abs(target[0]) ** 2, block=deco is not None)
 
     qpt = {}
-    if grid is None:
+    if chain:
         # The transfer channel at the marked rows: p is the P_N column, c the
         # closed amplitude psi_N(t) times the decay of vacuum coherences.
         if deco is None:
@@ -674,7 +670,8 @@ def cmd_evolve(cfg: dict) -> Path:
         qpt = dict(zip(rows, transfer_fidelity(table[rows, n_sites], c).tolist()))
 
     path = _output_path(cfg)
-    header = ["t_over_T", *(f"P_{n}" for n in range(1, n_sites + 1)), fidelity_name, "qpt_fidelity"]
+    header = ["t_over_T", *(f"P_{n}" for n in range(1, n_sites + 1)),
+              "bell_fidelity" if chain else "w_fidelity", "qpt_fidelity"]
     if table.size < 500:  # twice the measured crossover of the two paths
         template = "%.12g," * table.shape[1]
         blocks = ["".join([template % tuple(row) + (_fmt(qpt[i]) if i in qpt else "") + "\n"

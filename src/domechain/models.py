@@ -19,11 +19,11 @@ end frequencies shifted by -(N - 2) J / 2.
 
 `DomeParams` and `Grid2D` alone carry the rate J (rad/s), checked once by
 `_check_system`; spectra and chains are in units of J.  `_SiteModel` is the
-package's one system model.  Every study starts from it: it checks that
-chains or grids form one layout that J scales without overflow, and it
-alone turns their parameters into site entries and site matrices
-(`matrices`), which `single_excitation_matrix`, the sweeps in `noise` and
-the CLI's `evolve` all read.
+package's one system model and alone knows the layout: it checks that
+chains or grids form one layout that J scales without overflow, builds all
+their dome axes in one closed-form pass (`_dome_entries`) and records the
+axis lengths, which fix the bonds, readout sites, T/4 target and metric
+pairing.  `single_excitation_matrix`, `noise`'s sweeps and `evolve` read it.
 """
 
 from __future__ import annotations
@@ -78,20 +78,23 @@ class DomeParams:
         return 2.0 * np.pi / self.J
 
 
+def _dome_entries(N: int, m) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form frequencies (..., N) and couplings (..., N - 1), in units of
+    J, of length-N dome chains, one per shape in `m`: a scalar or (M,).  The
+    couplings reuse the frequencies' exact integer products, bit for bit (N
+    below 2^53): J_n / J = sqrt(omega_{n+1} + n) sqrt(omega_n + N - n) / 2."""
+    n = np.arange(1, N + 1, dtype=float)
+    omegas = (n - 1.0) * (N - n) * np.asarray(m, dtype=float)[..., None]
+    return omegas, 0.5 * np.sqrt(omegas[..., 1:] + n[:-1]) * np.sqrt(omegas[..., :-1] + N - n[:-1])
+
+
 def dome_hamiltonian(params: DomeParams) -> TridiagonalHamiltonian:
     """Dome chain from the closed forms (no spectral synthesis involved).
 
     Mirror symmetry and positive couplings hold exactly by construction
     (the suite pins both bitwise), so they are not re-checked here.
     """
-    N, m = params.N, params.m
-    n = np.arange(1, N + 1, dtype=float)
-    omegas = (n - 1.0) * (N - n) * m
-    k = np.arange(1, N, dtype=float)
-    couplings = 0.5 * np.sqrt(k * (N - k - 1.0) * m + k) * np.sqrt(
-        (k - 1.0) * (N - k) * m + N - k
-    )
-    return TridiagonalHamiltonian(omegas=omegas, couplings=couplings)
+    return TridiagonalHamiltonian(*_dome_entries(params.N, params.m))
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,8 @@ class Grid2D:
 
 
 def _bond_pairs(rows: int, cols: int) -> np.ndarray:
-    """(B, 2) flat site indices of a grid's bonds: x bonds, then y bonds, row major.
-
-    A chain is the 1 x N grid.  Disorder draws follow the same order.
-    """
+    """(B, 2) flat site indices of a grid's bonds (a chain is the 1 x N grid):
+    x bonds, then y bonds, row major, the order disorder draws follow."""
     idx = np.arange(rows * cols).reshape(rows, cols)
     x = np.stack([idx[:, :-1].reshape(-1), idx[:, 1:].reshape(-1)], axis=-1)
     y = np.stack([idx[:-1].reshape(-1), idx[1:].reshape(-1)], axis=-1)
@@ -144,13 +145,16 @@ def _bond_pairs(rows: int, cols: int) -> np.ndarray:
 class _SiteModel:
     """Chains or grids of one layout: noise-free site-matrix entries `freqs`
     (M, D) and `couplings` (M, B) in units of J, one row per system, the
-    (B, 2) `bonds` in draw order, the chain ends or grid corners `edges`,
-    J in rad/s, and the leading shape `stack` of per-system results: () for
-    one system, (M,) for a sequence of M.
+    axis `lengths`, (N,) for chains and (rows, cols) for grids, the (B, 2)
+    `bonds` in draw order, the chain ends or grid corners `edges`, J in
+    rad/s, and the leading shape `stack` of per-system results: () for one
+    system, (M,) for a sequence of M.  The lengths fix the readout pairing:
+    chains take the chain metrics, grids the corner metric.
     """
 
     freqs: np.ndarray
     couplings: np.ndarray
+    lengths: tuple[int, ...]
     bonds: np.ndarray
     edges: np.ndarray
     rate: float
@@ -162,34 +166,36 @@ class _SiteModel:
         that differ only in m (TypeError for anything else, ValueError for
         a sequence that is empty or mixes kinds, sizes or rates, or for a J
         that scales the largest absolute row sum, which bounds every entry
-        and eigenvalue, past a float)."""
+        and eigenvalue, past a float).  Each axis, a grid's column chain then
+        its row chain, takes the closed forms of every system in one pass."""
         one = isinstance(system, (DomeParams, Grid2D))
         systems = [system] if one else list(system)
         if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
             raise TypeError("system must be DomeParams or Grid2D")
-        layouts = {(type(s), s.J, (1, s.N) if isinstance(s, DomeParams) else (s.rows, s.cols))
-                   for s in systems}
+        axes = [((s.N, s.m),) if type(s) is DomeParams else ((s.rows, s.m_y), (s.cols, s.m_x))
+                for s in systems]
+        layouts = {(s.J, tuple(length for length, _ in a)) for s, a in zip(systems, axes)}
         if len(layouts) != 1:
             raise ValueError("stacked systems must share kind, size and rate")
-        ((_, _, shape),), first = layouts, systems[0]
-        if isinstance(first, DomeParams):
-            entries = [(c.omegas, c.couplings) for c in map(dome_hamiltonian, systems)]
-            edges = [0, first.N - 1]
+        ((rate, lengths),) = layouts
+        shapes = np.array([[m for _, m in a] for a in axes], dtype=float)
+        entries = [_dome_entries(length, shapes[:, i]) for i, length in enumerate(lengths)]
+        if len(lengths) == 1:
+            ((freqs, couplings),) = entries
         else:  # row-major frequencies; x couplings on every row, then y across every column
-            entries = []
-            for grid in systems:
-                row, col = dome_hamiltonian(grid.row_chain()), dome_hamiltonian(grid.column_chain())
-                entries.append(((col.omegas[:, None] + row.omegas[None, :]).reshape(-1),
-                                np.concatenate([np.tile(row.couplings, grid.rows),
-                                                np.repeat(col.couplings, grid.cols)])))
-            edges = first.corner_indices()
-        freqs, couplings = (np.array(e) for e in zip(*entries))
-        bonds = _bond_pairs(*shape)
+            (col_freqs, col_couplings), (row_freqs, row_couplings) = entries
+            freqs = (col_freqs[:, :, None] + row_freqs[:, None, :]).reshape(len(systems), -1)
+            couplings = np.concatenate([np.tile(row_couplings, lengths[0]),
+                                        np.repeat(col_couplings, lengths[1], axis=1)], axis=1)
+        bonds = _bond_pairs(*(1, *lengths)[-2:])
+        edges = [0]
+        for length in lengths:  # the ends of every axis: chain ends, grid corners row major
+            edges = [e * length + end for e in edges for end in (0, length - 1)]
         row_sums = np.abs(freqs)
         np.add.at(row_sums, (slice(None), bonds), np.abs(couplings)[..., None])
-        if math.isinf(float(row_sums.max()) * float(first.J)):
-            raise ValueError(f"J = {first.J!r} rad/s scales the site matrix past a float")
-        return cls(freqs, couplings, bonds, np.array(edges), first.J,
+        if math.isinf(float(row_sums.max()) * float(rate)):
+            raise ValueError(f"J = {rate!r} rad/s scales the site matrix past a float")
+        return cls(freqs, couplings, lengths, bonds, np.array(edges), rate,
                    () if one else (len(systems),))
 
     def matrices(self, physical: bool = True, freqs=None, couplings=None) -> np.ndarray:

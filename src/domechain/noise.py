@@ -1,9 +1,9 @@
 """Seeded parameter disorder and Monte Carlo fidelity sweeps.
 
-Both sweeps take what the rest of the package takes for a system: one
-DomeParams or Grid2D, or a sequence of them that differ only in m, read
-through the one system model `models._SiteModel`.  A sequence adds a
-leading m axis to every result array.
+Both sweeps take one DomeParams or Grid2D, or a sequence of them that
+differ only in m, read through the one system model `models._SiteModel`,
+whose axis lengths give the readout sites and the metric pairing
+(`_reference`).  A sequence adds a leading m axis to every result array.
 
 Sample k draws its unit normals once from a Philox generator keyed by
 (seed) with counter block k, in a fixed order: targeted site frequencies
@@ -157,15 +157,6 @@ def _perturbed(model: _SiteModel, targeted, noise: np.ndarray, members) -> np.nd
     return model.matrices(freqs=freqs, couplings=couplings)
 
 
-def _check_pairing(model: _SiteModel, metric: SweepMetric) -> None:
-    """Grids, with their four corners, take the corner metric; chains take the others."""
-    corner = metric is SweepMetric.W_AT_QUARTER_T
-    if model.edges.size == 4 and not corner:
-        raise ValueError("grids support only the corner metric")
-    if model.edges.size == 2 and corner:
-        raise ValueError("the corner metric requires a Grid2D")
-
-
 def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndarray:
     """(S, r) amplitudes <readout|exp(-iHt)|site 1> of a (S, D, D) stack.
 
@@ -183,8 +174,12 @@ def _readout_amplitudes(H: np.ndarray, t: float, readout: np.ndarray) -> np.ndar
 def _reference(model: _SiteModel, metric: SweepMetric) -> tuple[np.ndarray, float]:
     """The metric's readout sites (0-based) and evaluation time: the far end
     at T/2 for the transfer channel, the ends or corners at T/4 for the
-    entanglement metrics."""
-    _check_pairing(model, metric)
+    entanglement metrics.  Grids, with their two axes, take the corner
+    metric; chains take the others."""
+    corner = metric is SweepMetric.W_AT_QUARTER_T
+    if corner != (len(model.lengths) == 2):
+        raise ValueError("the corner metric requires a Grid2D" if corner
+                         else "grids support only the corner metric")
     qpt = metric is SweepMetric.QPT_AT_HALF_T
     readout = model.edges[-1:] if qpt else model.edges
     return readout, 2.0 * np.pi / model.rate / (2 if qpt else 4)
@@ -194,8 +189,7 @@ def _noise_free(model: _SiteModel, readout: np.ndarray, duration: float):
     """The (M, k) noise-free readout amplitudes a0 of every system at
     `duration`, with their (M,) vacuum weights 1 - |a0|^2."""
     a0 = _readout_amplitudes(model.matrices(), duration, readout)
-    weight0 = 1.0 - np.array([np.sum(np.abs(x) ** 2) for x in a0])  # summed as for one system
-    return a0, weight0
+    return a0, 1.0 - np.sum(np.abs(a0) ** 2, axis=1)
 
 
 def _statistics(fids: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,9 +311,10 @@ def sweep_decoherence(system, metric: SweepMetric, decos) -> np.ndarray:
     `transfer_fidelity(rho_NN, e^{-rt} u)` with u = a0 the noise-free end
     amplitude and r the vacuum-coherence decay rate.
     """
-    if metric is SweepMetric.W_AT_QUARTER_T:
-        raise ValueError("decoherence scans are defined for chain metrics")
     model = _SiteModel.of(system)
+    if len(model.lengths) != 1 or metric is SweepMetric.W_AT_QUARTER_T:
+        raise ValueError("decoherence scans are defined for chain metrics on chains (DomeParams), "
+                         "not grids")
     readout, duration = _reference(model, metric)
     a0, weight0 = _noise_free(model, readout, duration)
     hams = model.matrices()

@@ -1,5 +1,7 @@
 """Closed-form chains, 2D grids, and the large-m two-site reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,41 +125,64 @@ def test_integral_floats_and_numpy_integers_are_read_as_ints():
 
 
 _RATES = (1.0, 0.37, 3.0, 2 * np.pi * 5e6, 1e300)
+# Large shapes that are not powers of 2 round in the closed forms' products.
+_SHAPES = (0, 1, 2, 3, 10, 102, 12345, 3**37, 2**60, 2**64)
+
+
+def _shapes_at(J: float) -> list[int]:
+    """The shapes whose matrices (entries below m N^2 / 4 here) J scales without overflow."""
+    return [m for m in _SHAPES if m * J < 1e305]
+
+
+def closed_form_chain(N: int, m: int) -> tuple[list[float], list[float]]:
+    """omega_n and J_n of the dome closed forms, one Python float at a time."""
+    omegas = [(n - 1.0) * (N - n) * m for n in range(1, N + 1)]
+    couplings = [0.5 * math.sqrt(k * (N - k - 1.0) * m + k) * math.sqrt((k - 1.0) * (N - k) * m + N - k)
+                 for k in range(1, N)]
+    return omegas, couplings
+
+
+def closed_form_grid(R: int, C: int, m_x: int, m_y: int) -> np.ndarray:
+    """Site matrix in units of J of the R x C grid of closed-form chains, filled
+    site by site; R = 1 gives the chain of length C and shape m_x."""
+    wx, jx = closed_form_chain(C, m_x)
+    wy, jy = closed_form_chain(R, m_y)  # R = 1: one site at 0.0, no bonds
+    return loop_grid_matrix(np.add.outer(wy, wx), np.tile(jx, (R, 1)),
+                            np.repeat(np.reshape(jy, (-1, 1)), C, axis=1))
 
 
 def test_site_model_matrices_equal_the_closed_form_chains():
     # The model's matrices are the closed forms' own, bit for bit, one
     # system or a stack over m, in rad/s or in units of J.
-    ms = (0, 1, 2, 3, 10, 102)
     for N in range(2, 40):
         for J in _RATES:
-            chains = [DomeParams(N, m, J) for m in ms]
+            chains = [DomeParams(N, m, J) for m in _shapes_at(J)]
             stack = _SiteModel.of(chains)
-            assert stack.stack == (len(ms),) and stack.rate == J
+            assert stack.stack == (len(chains),) and stack.rate == J and stack.lengths == (N,)
             np.testing.assert_array_equal(stack.edges, [0, N - 1])
             H = stack.matrices()
             for chain, h in zip(chains, H):
-                ref = dome_hamiltonian(chain)
-                np.testing.assert_array_equal(h, ref.matrix() * J)
+                ref = closed_form_grid(1, N, chain.m, 0)
+                np.testing.assert_array_equal(h, ref * J)
                 one = _SiteModel.of(chain)
                 assert one.stack == ()
-                np.testing.assert_array_equal(one.matrices(physical=False)[0], ref.matrix())
+                np.testing.assert_array_equal(one.matrices(physical=False)[0], ref)
 
 
 def test_site_model_matrices_equal_the_grid_matrices():
-    ms = (0, 1, 2, 3, 10, 102)
+    # Stacks mix (m_x, m_y) both ways round, up to 2^64 either way.
     for R in range(2, 7):
         for C in range(2, 7):
             for J in _RATES:
-                grids = [Grid2D(R, C, m, (m + 2) % 5, J) for m in ms]
-                H = _SiteModel.of(grids).matrices()
-                for grid, h in zip(grids, H):
+                ms = _shapes_at(J)
+                grids = [Grid2D(R, C, m_x, m_y, J)
+                         for m_x, m_y in [*zip(ms, ms[3:] + ms[:3]), *zip(ms, ms[::-1])]]
+                model = _SiteModel.of(grids)
+                assert model.lengths == (R, C)
+                np.testing.assert_array_equal(model.edges, [0, C - 1, (R - 1) * C, R * C - 1])
+                for grid, h in zip(grids, model.matrices()):
                     np.testing.assert_array_equal(h, single_excitation_matrix(grid, physical=True))
-                    row = dome_hamiltonian(grid.row_chain())
-                    col = dome_hamiltonian(grid.column_chain())
-                    ref = loop_grid_matrix(row.omegas[None, :] + col.omegas[:, None],
-                                           np.tile(row.couplings, (R, 1)),
-                                           np.repeat(col.couplings[:, None], C, axis=1))
+                    ref = closed_form_grid(R, C, grid.m_x, grid.m_y)
                     np.testing.assert_array_equal(h, ref * J)
 
 

@@ -6,10 +6,11 @@ Runs the same commands against this checkout's `src/` and OTHER_CHECKOUT's
 `src/`, one fresh interpreter each, and compares every file they write byte
 for byte:
 
-- open `domechain evolve` CSV and JSON tables: chains N = 2..9 with
-  m in {0, 2, 102}, open 2x3 and 3x4 grids and one 6x7 grid (above the
-  dense-generator bound, so the sparse branch), each with T1 only, Tphi only
-  and both;
+- `domechain evolve` CSV and JSON tables, closed and open with T1 only,
+  Tphi only and both: chains N = 2..9 with m in {0, 2, 102}, 2x3 and 3x4
+  grids, a square 3x3 grid (whose closed evolve runs one chain for both
+  axes), a 5x3 grid with m_x != m_y, and one 6x7 grid, whose open evolves
+  are above the dense-generator bound, so the sparse branch;
 - decoherence scans (`sweep kind=decoherence`) with the Bell and QPT
   metrics, CSVs and config sidecars;
 - coherent sweeps (`sweep kind=coherent`) of every disorder target with
@@ -46,7 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DECOHERENCE = {"t1": ["decoherence.t1_us=30"], "tphi": ["decoherence.tphi_us=5"],
+DECOHERENCE = {"closed": [], "t1": ["decoherence.t1_us=30"], "tphi": ["decoherence.tphi_us=5"],
                "both": ["decoherence.t1_us=30", "decoherence.tphi_us=5"]}
 TARGETS = ("middle_frequencies", "edge_frequencies", "couplings", "all")
 
@@ -54,8 +55,8 @@ TARGETS = ("middle_frequencies", "edge_frequencies", "couplings", "all")
 def _commands() -> list[tuple[str, list[str]]]:
     """(output name, argv without --output) of every CLI command compared."""
     systems = [(f"N{n}_m{m}", [f"N={n}", f"m={m}"]) for n in range(2, 10) for m in (0, 2, 102)]
-    systems += [(f"grid{r}x{c}", [f"rows={r}", f"cols={c}", "m_x=2", "m_y=1"])
-                for r, c in ((2, 3), (3, 4))]
+    systems += [(f"grid{r}x{c}", [f"rows={r}", f"cols={c}", f"m_x={mx}", f"m_y={my}"])
+                for r, c, mx, my in ((2, 3, 2, 1), (3, 4, 2, 1), (3, 3, 2, 2), (5, 3, 102, 2))]
     out = []
     for name, sets in systems:
         for deco, extra in DECOHERENCE.items():
@@ -64,7 +65,7 @@ def _commands() -> list[tuple[str, list[str]]]:
                 for s in [*sets, "rate_MHz=5", *extra]:
                     argv += ["--set", s]
                 out.append((f"evolve_{name}_{deco}.{fmt}", argv))
-    for deco, extra in DECOHERENCE.items():  # 42 sites: the sparse branch
+    for deco, extra in DECOHERENCE.items():  # 42 sites: open, the sparse branch
         argv = ["evolve"]
         for s in ["rows=6", "cols=7", "m_x=2", "m_y=2", "points=3", "n_periods=0.01",
                   "rate_MHz=5", *extra]:
