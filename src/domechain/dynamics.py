@@ -68,8 +68,9 @@ rho0 has none) and the vacuum population.  The site block comes off the
 real coordinates in one product with a cached entry matrix (CSR past
 DENSE_GENERATOR_MAX_SITES), e^{-gamma1 t} scaling the coordinates on the
 way, and its T1-free trace is the coordinates times a cached vector.
-`_open_parts` checks every state on the parts: that trace against its
-start and the whole trace, each to 1e-6, and positivity by one stacked
+`_open_parts` checks every state on the parts, and raises
+NumericalBreakdownError when one fails: that trace against its start and
+the whole trace, each to 1e-6, and positivity by one stacked
 Cholesky factorization of the D x D Schur complement of the vacuum entry
 of rho + 1e-6 I; eigvalsh of the whole state decides only when that
 fails.  The CLI and the decoherence scans read the site block;
@@ -80,8 +81,8 @@ symmetry at once and return plain arrays led by an M axis for a stack:
 matrices.  The one closed propagator, `_amplitudes` (one stacked `eigh`,
 the phases e^{-i w t} V^T psi, one real GEMM), serves `evolve_closed`, the
 sweeps in `noise`, the QPT column of an open `evolve` and the vacuum
-coherences above.  A closed grid is the product of two closed calls, one
-per chain, so its D x D matrix is never built.
+coherences above.  A closed `evolve` makes one call per distinct axis of
+its chain or grid, so a grid's D x D matrix is never built.
 
 scipy is imported only by the sparse branch of the open propagator, on its
 first call, so closed evolution and open evolution up to
@@ -99,6 +100,7 @@ import numpy as np
 
 __all__ = [
     "DecoherenceConfig",
+    "NumericalBreakdownError",
     "site_state",
     "evolve_closed",
     "evolve_lindblad",
@@ -132,6 +134,10 @@ MAX_CHUNK_ENTRIES = 1 << 20
 # D = 20 and 0.9x at D = 24 on 397.  This bound doubles up to D = 15 on 99
 # steps and up to D = 18 on 397.
 DOUBLING_MACS_PER_STEP = 1 << 17
+
+
+class NumericalBreakdownError(RuntimeError):
+    """An open evolution failed its trace, drift or positivity check."""
 
 
 def site_state(n_sites: int, site: int) -> np.ndarray:
@@ -671,7 +677,7 @@ def _evolve_open(
     # without T1 it stays at its start; this is the check that can fail.
     free = coords @ trace
     if not (np.abs(free - np.einsum("ii->", rho0[1:, 1:]).real) <= 1e-6).all():
-        raise RuntimeError(_TRACE_DRIFT)
+        raise NumericalBreakdownError(_TRACE_DRIFT)
     if marks:  # relaxation and the vacuum column take the marked times
         times = times.copy()
         times[list(marks)] = list(marks.values())
@@ -713,12 +719,13 @@ def _open_parts(
     `marks` places {row: time} on the sorted `times` (see `_evolve_open`).
 
     Each state must keep unit trace within 1e-6 and have no eigenvalue below
-    -1e-6.  rho + 1e-6 I = [[a, c^H], [c, S]] with a = rho_00 + 1e-6, c the
-    vacuum column and S = rho_S + 1e-6 I is positive definite exactly when
-    a > 0 and the D x D Schur complement S - c c^H / a is (just S when c =
-    0): the first step of its Cholesky factorization, which succeeds only
-    when no eigenvalue of rho is below -1e-6 (up to rounding).  When it
-    fails, eigvalsh of the whole state decides.
+    -1e-6, or NumericalBreakdownError is raised.  rho + 1e-6 I = [[a, c^H],
+    [c, S]] with a = rho_00 + 1e-6, c the vacuum column and S = rho_S +
+    1e-6 I is positive definite exactly when a > 0 and the D x D Schur
+    complement S - c c^H / a is (just S when c = 0): the first step of its
+    Cholesky factorization, which succeeds only when no eigenvalue of rho
+    is below -1e-6 (up to rounding).  When it fails, eigvalsh of the whole
+    state decides.
     """
     H = _check_symmetric(H)
     stack = H if H.ndim == 3 else H[None]
@@ -736,7 +743,7 @@ def _open_parts(
         raise ValueError("rho0 must be Hermitian with unit trace")
     sites, col, rho00 = _evolve_open(stack, rho0, times, decos, marks or {})
     if not (np.abs((rho00 + np.einsum("...ii->...", sites)).real - 1.0) <= 1e-6).all():
-        raise RuntimeError(_TRACE_DRIFT)
+        raise NumericalBreakdownError(_TRACE_DRIFT)
     pivot = rho00.real + 1e-6
     positive = bool((pivot > 0).all())
     if positive:
@@ -748,7 +755,7 @@ def _open_parts(
         except np.linalg.LinAlgError:
             positive = False
     if not (positive or np.linalg.eigvalsh(_states(sites, col, rho00)).min() >= -1e-6):
-        raise RuntimeError("open evolution lost positivity beyond 1e-6")
+        raise NumericalBreakdownError("open evolution lost positivity beyond 1e-6")
     return sites, col, rho00
 
 

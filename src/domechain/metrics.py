@@ -15,10 +15,11 @@ Phase conventions.  Starting from an excitation on site 1, a transfer
 chain of length L reaches (|1> + p(L)|L>)/sqrt(2) at t = T/4, where
 p(L) = +i for odd L and -i for even L; the sign alternation comes from
 the e^{-i pi/2 (L-1)} mirror phase of the quarter-period propagator.
-`chain_bell_target` and `corner_w_target` build exactly these reachable
-states (the 2D corner state factorizes into a row transfer times a
-column transfer, so its relative phases are products of the 1D ones).
-Fidelities are insensitive to the remaining global phase.
+`_quarter_period_ket` gives the readout amplitudes of exactly these
+reachable states, with no vacuum weight (the 2D corner state factorizes
+into a row transfer times a column transfer, so its relative phases are
+products of the 1D ones).  Fidelities are insensitive to the remaining
+global phase.
 
 Transfer channel.  Under uniform site-local T1/Tphi an excitation-conserving
 chain keeps the vacuum, so the source-to-target map of one qubit is
@@ -32,43 +33,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "chain_bell_target",
-    "corner_w_target",
-    "transfer_fidelity",
-]
+__all__ = ["transfer_fidelity"]
 
 
 def _quarter_period_ket(*lengths: int) -> np.ndarray:
-    """Readout state reached at T/4 from the first site: the two ends of a
-    chain of length L (lengths = (L,)) or the four corners of a grid (rows,
+    """Readout amplitudes, first readout site first, of the state reached at
+    T/4 from the first site: the two ends of a chain of length L (lengths =
+    (L,)) or the four corners (1,1), (1,C), (R,1), (R,C) of a grid (rows,
     cols).  A transfer over L sites gives its far end the relative phase +i
-    for odd L and -i for even L; grid corners take products of these.
+    for odd L and -i for even L; grid corners take products of these, so a
+    3x4 grid's are (1, -i, +i, 1)/2.
     """
     if min(lengths) < 2:
         raise ValueError("transfer needs at least two sites")
     amps = np.ones(1, dtype=complex)
     for length in lengths:
         amps = np.outer(amps, (1.0, 1j if length % 2 else -1j)).ravel()
-    vec = np.zeros(2**amps.size, dtype=complex)
-    vec[1 << np.arange(amps.size)[::-1]] = amps / np.sqrt(amps.size)
-    return vec / np.linalg.norm(vec)
-
-
-def chain_bell_target(n_sites: int) -> np.ndarray:
-    """End-pair state (|up.down> + p|down.up>)/sqrt(2) reached at T/4 from an
-    excitation on site 1, with p = +i for odd and -i for even chains."""
-    return _quarter_period_ket(n_sites)
-
-
-def corner_w_target(rows: int, cols: int) -> np.ndarray:
-    """Four-corner state reached at T/4 from an excitation at (1,1).
-
-    (|e1> + p(C)|e2> + p(R)|e3> + p(R)p(C)|e4>)/2 in corner order (1,1),
-    (1,C), (R,1), (R,C), with p(L) the chain phase of `chain_bell_target`;
-    for a 3x4 grid the phases are (1, -i, +i, 1).
-    """
-    return _quarter_period_ket(rows, cols)
+    amps /= np.sqrt(amps.size)
+    return amps / np.linalg.norm(amps)
 
 
 def transfer_fidelity(p, c):

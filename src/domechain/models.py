@@ -20,10 +20,12 @@ end frequencies shifted by -(N - 2) J / 2.
 `DomeParams` and `Grid2D` alone carry the rate J (rad/s), checked once by
 `_check_system`; spectra and chains are in units of J.  `_SiteModel` is the
 package's one system model and alone knows the layout: it checks that
-chains or grids form one layout that J scales without overflow, builds all
-their dome axes in one closed-form pass (`_dome_entries`) and records the
-axis lengths, which fix the bonds, readout sites, T/4 target and metric
-pairing.  `single_excitation_matrix`, `noise`'s sweeps and `evolve` read it.
+chains or grids form one layout that J scales without overflow, builds
+each distinct dome axis in one closed-form pass (`_dome_entries`) and keeps
+it, and records the axis lengths, which fix the bonds, readout sites (chain
+ends, grid corners), T/4 target and metric pairing.
+`single_excitation_matrix`, `noise`'s sweeps and `evolve` read it; a closed
+`evolve` runs on its axes.
 """
 
 from __future__ import annotations
@@ -120,17 +122,6 @@ class Grid2D:
     def period(self) -> float:
         return 2.0 * np.pi / self.J
 
-    def row_chain(self) -> DomeParams:
-        return DomeParams(N=self.cols, m=self.m_x, J=self.J)
-
-    def column_chain(self) -> DomeParams:
-        return DomeParams(N=self.rows, m=self.m_y, J=self.J)
-
-    def corner_indices(self) -> list[int]:
-        """Flat indices of corners in the order (1,1), (1,C), (R,1), (R,C)."""
-        R, C = self.rows, self.cols
-        return [0, C - 1, (R - 1) * C, R * C - 1]
-
 
 def _bond_pairs(rows: int, cols: int) -> np.ndarray:
     """(B, 2) flat site indices of a grid's bonds (a chain is the 1 x N grid):
@@ -145,16 +136,19 @@ def _bond_pairs(rows: int, cols: int) -> np.ndarray:
 class _SiteModel:
     """Chains or grids of one layout: noise-free site-matrix entries `freqs`
     (M, D) and `couplings` (M, B) in units of J, one row per system, the
-    axis `lengths`, (N,) for chains and (rows, cols) for grids, the (B, 2)
-    `bonds` in draw order, the chain ends or grid corners `edges`, J in
-    rad/s, and the leading shape `stack` of per-system results: () for one
-    system, (M,) for a sequence of M.  The lengths fix the readout pairing:
-    chains take the chain metrics, grids the corner metric.
+    axis `lengths`, (N,) for chains and (rows, cols) for grids, the
+    closed-form (freqs (M, L), couplings (M, L - 1)) of each axis in `axes`,
+    one pair shared by equal axes, the (B, 2) `bonds` in draw order, the
+    chain ends or grid corners `edges`, J in rad/s, and the leading shape
+    `stack` of per-system results: () for one system, (M,) for a sequence
+    of M.  The lengths fix the readout pairing: chains take the chain
+    metrics, grids the corner metric.
     """
 
     freqs: np.ndarray
     couplings: np.ndarray
     lengths: tuple[int, ...]
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...]
     bonds: np.ndarray
     edges: np.ndarray
     rate: float
@@ -167,7 +161,8 @@ class _SiteModel:
         a sequence that is empty or mixes kinds, sizes or rates, or for a J
         that scales the largest absolute row sum, which bounds every entry
         and eigenvalue, past a float).  Each axis, a grid's column chain then
-        its row chain, takes the closed forms of every system in one pass."""
+        its row chain, takes the closed forms of every system in one pass,
+        and a row axis equal in length and m to the column axis takes none."""
         one = isinstance(system, (DomeParams, Grid2D))
         systems = [system] if one else list(system)
         if not {type(s) for s in systems} <= {DomeParams, Grid2D}:
@@ -179,7 +174,10 @@ class _SiteModel:
             raise ValueError("stacked systems must share kind, size and rate")
         ((rate, lengths),) = layouts
         shapes = np.array([[m for _, m in a] for a in axes], dtype=float)
-        entries = [_dome_entries(length, shapes[:, i]) for i, length in enumerate(lengths)]
+        entries = []
+        for i, length in enumerate(lengths):
+            equal = i and length == lengths[0] and (shapes[:, i] == shapes[:, 0]).all()
+            entries.append(entries[0] if equal else _dome_entries(length, shapes[:, i]))
         if len(lengths) == 1:
             ((freqs, couplings),) = entries
         else:  # row-major frequencies; x couplings on every row, then y across every column
@@ -195,7 +193,7 @@ class _SiteModel:
         np.add.at(row_sums, (slice(None), bonds), np.abs(couplings)[..., None])
         if math.isinf(float(row_sums.max()) * float(rate)):
             raise ValueError(f"J = {rate!r} rad/s scales the site matrix past a float")
-        return cls(freqs, couplings, lengths, bonds, np.array(edges), rate,
+        return cls(freqs, couplings, lengths, tuple(entries), bonds, np.array(edges), rate,
                    () if one else (len(systems),))
 
     def matrices(self, physical: bool = True, freqs=None, couplings=None) -> np.ndarray:

@@ -12,6 +12,9 @@ and `perfbench/` on sys.path, and perfbench has its own `oracles`.
   entry by entry.  Use the first for kets up to N = 8 and the second for
   density matrices and for kets too large to embed.  `target_overlap`
   scores a reduction against a ket target, <t|rho|t>.
+- T/4 targets: `quarter_period_ket` is the k-qubit state a transfer from
+  the first site reaches at T/4 on the chain ends or the grid corners,
+  which `corner_indices` lists row major.
 - Open evolution: `lindblad_superoperator` is the vectorized Liouvillian
   (row-major vec: vec(A X B) = (A kron B^T) vec(X)), which `expm_evolve`
   exponentiates with scipy.linalg.expm; `longdouble_site_block` is the
@@ -123,6 +126,24 @@ def entrywise_reduce(rho: np.ndarray, sites) -> np.ndarray:
 def target_overlap(rhos, target) -> np.ndarray:
     """<t|rho|t> of a (..., d, d) stack of density matrices and a d-dim ket t."""
     return np.real(np.einsum("a,...ab,b->...", np.conj(target), rhos, target))
+
+
+def corner_indices(rows: int, cols: int) -> list[int]:
+    """0-based row-major site indices of a grid's corners (1,1), (1,C), (R,1), (R,C)."""
+    return [0, cols - 1, (rows - 1) * cols, rows * cols - 1]
+
+
+def quarter_period_ket(*lengths: int) -> np.ndarray:
+    """The state reached at T/4 from the first site, as a k-qubit ket (first
+    readout site leftmost): (|10> + p(L)|01>)/sqrt(2) on the ends of a chain
+    of length L, (|1000> + p(C)|0100> + p(R)|0010> + p(R)p(C)|0001>)/2 on the
+    corners of an R x C grid, with p(L) = +i for odd L and -i for even L."""
+    p = [1j if length % 2 else -1j for length in lengths]
+    amps = [1, p[0]] if len(lengths) == 1 else [1, p[1], p[0], p[0] * p[1]]
+    ket = np.zeros(2 ** len(amps), dtype=complex)
+    for i, amp in enumerate(amps):
+        ket[1 << (len(amps) - 1 - i)] = amp
+    return ket / np.linalg.norm(ket)
 
 
 def lindblad_superoperator(H_site: np.ndarray, deco) -> np.ndarray:

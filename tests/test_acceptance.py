@@ -18,9 +18,7 @@ from domechain import (
     Grid2D,
     SweepMetric,
     TransferMode,
-    chain_bell_target,
     check_pst_spacing,
-    corner_w_target,
     dome_hamiltonian,
     dome_spectrum,
     evolve_closed,
@@ -38,8 +36,10 @@ from domechain.cli import resolve
 from domechain.metrics import _readout_fidelity
 from dense_oracles import (
     brute_force_reduce,
+    corner_indices,
     entrywise_reduce,
     expm_evolve,
+    quarter_period_ket,
     random_excited_state,
     random_sector_state,
     random_sector_target,
@@ -62,6 +62,23 @@ def pooled_gain(res_low, res_high, i: int = 0):
     gain = res_high.mean[i] - res_low.mean[i]
     se = float(np.sqrt(res_low.stderr[i] ** 2 + res_high.stderr[i] ** 2))
     return gain, se
+
+
+def edge_resolution(systems, sigma, seed, samples, metric, high) -> str:
+    """What an edge clause can resolve, printed beside it and gating nothing:
+    the m gain (second system minus first) from `high` paired samples at the
+    clause's seed, with the std error of the paired differences, and the
+    share of seeds 0-99 on which the clause, |gain| < 2 SE from `samples`
+    samples, holds."""
+    def sweep(seed, samples):
+        cfg = DisorderConfig(DisorderTarget.EDGE_FREQUENCIES, (sigma,), seed, samples)
+        return sweep_coherent(systems, cfg, metric)
+
+    diff = np.subtract(*sweep(seed, high).fidelities[::-1, 0])
+    holds = [abs(r.mean[1, 0] - r.mean[0, 0]) < 2.0 * np.hypot(*r.stderr[:, 0])
+             for r in (sweep(s, samples) for s in range(100))]
+    return (f"; edge gain {diff.mean():+.4f} +- {diff.std(ddof=1) / np.sqrt(high):.4f} "
+            f"from {high} paired samples, clause holds for {sum(holds)}% of seeds 0-99")
 
 
 def test_criterion_1_synthesis_matches_closed_forms():
@@ -90,7 +107,7 @@ def test_criterion_2_transfer_certificates_at_n5():
         params = DomeParams(N=5, m=m)
         ham = dome_hamiltonian(params)
         psi = evolve_closed(ham.matrix(), site_state(5, 1), params.period / 4)[0]
-        bell = target_overlap(brute_force_reduce(psi, 5, (1, 5)), chain_bell_target(5))
+        bell = target_overlap(brute_force_reduce(psi, 5, (1, 5)), quarter_period_ket(5))
         if abs(bell - 1.0) >= 1e-8:
             failures.append(f"m={m} bell {bell:.3e}")
         _, qpt = simulate_qpt(ham.matrix(), params.period / 2)
@@ -102,7 +119,7 @@ def test_criterion_2_transfer_certificates_at_n5():
     half = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 2)
     pst_pop = abs(half[0, 5]) ** 2
     quarter = evolve_closed(ham0.matrix(), site_state(5, 1), line.period / 4)
-    bell0 = target_overlap(brute_force_reduce(quarter[0], 5, (1, 5)), chain_bell_target(5))
+    bell0 = target_overlap(brute_force_reduce(quarter[0], 5, (1, 5)), quarter_period_ket(5))
     if abs(pst_pop - 1.0) >= 1e-8:
         failures.append(f"m=0 pst {pst_pop:.3e}")
     if not bell0 < 0.99:
@@ -223,7 +240,9 @@ def test_criterion_5_disorder_separation_by_target():
         + ", ".join(f"{t.value}={r:.1f}" for t, r in ratios.items())
         + f" in {elapsed:.0f}s"
     )
-    report(5, ok, detail)
+    chains = [DomeParams(N=5, m=m) for m in table["m_values"]]
+    report(5, ok, detail + edge_resolution(chains, table["sigmas"][0], table["seed"],
+                                           table["samples"], SweepMetric.BELL_AT_QUARTER_T, 40000))
 
 
 def test_criterion_6_grid_corner_state_and_edge_noise():
@@ -232,8 +251,8 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     grid = Grid2D(rows=3, cols=4, m_x=2, m_y=2)
     H = single_excitation_matrix(grid)
     psi = evolve_closed(H, site_state(12, 1), grid.period / 4)[0]
-    corners = tuple(i + 1 for i in grid.corner_indices())
-    w = target_overlap(entrywise_reduce(np.outer(psi, psi.conj()), corners), corner_w_target(3, 4))
+    corners = tuple(i + 1 for i in corner_indices(3, 4))
+    w = target_overlap(entrywise_reduce(np.outer(psi, psi.conj()), corners), quarter_period_ket(3, 4))
     if abs(w - 1.0) >= 1e-6:
         failures.append(f"W fidelity {w:.8f}")
 
@@ -253,7 +272,8 @@ def test_criterion_6_grid_corner_state_and_edge_noise():
     detail = "; ".join(failures) or (
         f"W within 1e-6, edge-noise m gain {gain / se:+.2f} SE in {elapsed:.0f}s"
     )
-    report(6, ok, detail)
+    grids = [Grid2D(rows=3, cols=4, m_x=m, m_y=m) for m in (2, 102)]
+    report(6, ok, detail + edge_resolution(grids, 2.0, 777, 50, SweepMetric.W_AT_QUARTER_T, 20000))
 
 
 def test_criterion_7_budget_planning():

@@ -310,30 +310,35 @@ def _placed_times(cfg, period):
 
 @pytest.mark.parametrize("rows, cols, m_x, m_y", [
     pytest.param(*g, id="{}x{}-{}-{}".format(*g))
-    for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102), (4, 4, 2, 2)]
+    for g in [(2, 2, 0, 0), (3, 4, 2, 1), (5, 3, 102, 2), (2, 7, 0, 102), (4, 4, 2, 2),
+              (3, 3, 2, 102), (3, 3, 102, 2)]
 ])
 def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y):
-    # The populations and corner amplitudes of the two chains' product, and
-    # the P_n and w_fidelity columns the CLI prints from them, against
+    # The populations and corner amplitudes of the axes' product, and the
+    # P_n and w_fidelity columns the CLI prints from them, against
     # expm(-i H t)|1, 1> of the dense grid matrix, reduced to the corners.
-    from domechain.metrics import corner_w_target
-    from domechain.models import Grid2D, single_excitation_matrix
-    from dense_oracles import entrywise_reduce, target_overlap
+    # H is the Kronecker sum of the closed-form chains, row major, built
+    # without the system model; square grids whose axes differ in m must not
+    # share one axis.
+    from domechain.models import DomeParams, Grid2D, _SiteModel, dome_hamiltonian
+    from dense_oracles import corner_indices, entrywise_reduce, quarter_period_ket, target_overlap
 
     cfg = {"rows": rows, "cols": cols, "m_x": m_x, "m_y": m_y, "points": 21}
     grid = Grid2D(rows, cols, m_x, m_y)
     times, _ = _placed_times(cli.resolve("evolve", cfg), grid.period)
-    frames = _dense_frames(single_excitation_matrix(grid), times)
-    corners = [i + 1 for i in grid.corner_indices()]
+    H_col = dome_hamiltonian(DomeParams(rows, m_y)).matrix()
+    H_row = dome_hamiltonian(DomeParams(cols, m_x)).matrix()
+    frames = _dense_frames(np.kron(H_col, np.eye(cols)) + np.kron(np.eye(rows), H_row), times)
+    corners = [i + 1 for i in corner_indices(rows, cols)]
     populations = np.full((times.size, rows * cols), np.nan)
-    readout = cli._closed_columns(grid, times, populations)
+    readout = cli._closed_readout(_SiteModel.of(grid), times, populations)
     assert np.max(np.abs(readout - frames[:, corners])) <= 1e-12
     assert np.max(np.abs(populations - np.abs(frames[:, 1:]) ** 2)) <= 1e-12
 
     got = _evolve_columns(outdir, cfg)
     assert np.all(np.isnan(got[:, -1]))  # no process tomography on grids
     w = [target_overlap(entrywise_reduce(np.outer(f, f.conj()), corners),
-                        corner_w_target(rows, cols)) for f in frames]
+                        quarter_period_ket(rows, cols)) for f in frames]
     # 1e-12 from the propagation, 5e-13 from printing 12 significant digits.
     np.testing.assert_allclose(got[:, 1:-1], np.column_stack([np.abs(frames[:, 1:]) ** 2, w]),
                                rtol=0, atol=1.5e-12)
@@ -344,16 +349,16 @@ def test_closed_grid_matches_the_dense_exponential(outdir, rows, cols, m_x, m_y)
 def test_closed_chain_matches_the_dense_exponential(outdir, n_sites, m):
     # The P_n, bell_fidelity and qpt_fidelity columns against expm(-i H t)|1>
     # of the dense chain matrix, reduced to the end pair.
-    from domechain.metrics import chain_bell_target, transfer_fidelity
+    from domechain.metrics import transfer_fidelity
     from domechain.models import DomeParams, dome_hamiltonian
-    from dense_oracles import brute_force_reduce, target_overlap
+    from dense_oracles import brute_force_reduce, quarter_period_ket, target_overlap
 
     cfg = {"N": n_sites, "m": m, "points": 21}
     params = DomeParams(N=n_sites, m=m)
     times, marked = _placed_times(cli.resolve("evolve", cfg), params.period)
     frames = _dense_frames(dome_hamiltonian(params).matrix(), times)
     bell = [target_overlap(brute_force_reduce(f, n_sites, (1, n_sites)),
-                           chain_bell_target(n_sites)) for f in frames]
+                           quarter_period_ket(n_sites)) for f in frames]
     end = frames[:, n_sites]
     qpt = np.full(times.size, np.nan)
     qpt[marked] = transfer_fidelity(np.abs(end[marked]) ** 2, end[marked])
@@ -374,9 +379,9 @@ def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, sh
     # <t|.|t>, within 1e-14); on the T/4 and T/2 rows, which branch off that
     # run, the dense (D+1)^2 Liouvillian within 1e-12.
     from domechain.dynamics import DecoherenceConfig, evolve_lindblad, site_state
-    from domechain.metrics import chain_bell_target, corner_w_target
     from domechain.models import _SiteModel
-    from dense_oracles import entrywise_reduce, expm_evolve, target_overlap
+    from dense_oracles import (corner_indices, entrywise_reduce, expm_evolve,
+                               quarter_period_ket, target_overlap)
 
     tables = []
     table_bytes = cli._table_bytes
@@ -390,10 +395,10 @@ def test_open_evolve_fidelity_matches_the_full_reduction(outdir, monkeypatch, sh
     grid, marks = cli._evolve_times(cfg, system.period)
     assert len(marks) == 2
     if "N" in shape:
-        sites, target = (1, system.N), chain_bell_target(system.N)
+        sites, target = (1, system.N), quarter_period_ket(system.N)
     else:
-        sites = tuple(i + 1 for i in system.corner_indices())
-        target = corner_w_target(system.rows, system.cols)
+        sites = tuple(i + 1 for i in corner_indices(system.rows, system.cols))
+        target = quarter_period_ket(system.rows, system.cols)
     H = _SiteModel.of(system).matrices()[0]
     psi0 = site_state(H.shape[0], 1)
     deco = DecoherenceConfig(30 * 1e-6, 5 * 1e-6)
@@ -1017,6 +1022,21 @@ def test_linalg_error_exits_3(outdir, capsys, monkeypatch):
     assert list(outdir.iterdir()) == []
 
 
+def test_bare_runtime_error_exits_1_with_traceback(outdir, capsys, monkeypatch):
+    # Only NumericalBreakdownError, ReconstructionError and LinAlgError read
+    # as numerical (exit 3); a library call that raises a bare RuntimeError
+    # is a bug, reported as internal.
+    def broken(H):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    assert run(["evolve", "--set", "N=3", "--set", "m=2", "--set", "points=5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["detail"]) == ("internal", "RuntimeError: planted")
+    assert "broken" in err["traceback"]
+    assert list(outdir.iterdir()) == []
+
+
 def test_wide_and_narrow_spectra_synthesize_without_warnings(outdir):
     # The recurrence runs on the spectrum scaled by a power of two, so spectra
     # whose unscaled recurrence overflows or collapses synthesize cleanly:
@@ -1460,24 +1480,27 @@ def test_closed_evolve_diagonalizes_once(outdir, monkeypatch):
 
 
 def test_closed_grid_evolve_diagonalizes_its_two_chains(outdir, monkeypatch):
-    # A closed grid is the product of its column and row chains: two small
-    # diagonalizations and no dense grid matrix.  An open grid still needs
-    # the dense matrix, because dephasing does not factor over the chains.
-    from domechain.models import _SiteModel
+    # A closed grid is the product of its column and row chains: one system
+    # model, then one closed-form pass and one small diagonalization per
+    # distinct axis, and no site matrix from the model.  A square grid shares
+    # one axis only when m_x = m_y.  An open grid still needs the dense
+    # matrix, because dephasing does not factor over the chains.
+    from domechain import models
 
-    eighs, built, matrices = counted_eighs(monkeypatch), [], _SiteModel.matrices
-    monkeypatch.setattr(_SiteModel, "matrices",
+    eighs, built, matrices = counted_eighs(monkeypatch), [], models._SiteModel.matrices
+    monkeypatch.setattr(models._SiteModel, "matrices",
                         lambda *a, **k: built.append(matrices(*a, **k).shape) or matrices(*a, **k))
+    passes, of, entries = [], models._SiteModel.of, models._dome_entries
+    monkeypatch.setattr(models._SiteModel, "of", lambda system: passes.append("of") or of(system))
+    monkeypatch.setattr(models, "_dome_entries", lambda N, m: passes.append(N) or entries(N, m))
     grid = ["evolve", "--set", "rows=3", "--set", "cols=5", "--set", "m_x=2", "--set", "m_y=1",
             "--set", "rate_MHz=5", "--set", "points=21"]
-    assert run(grid) == 0
-    assert (eighs, built) == ([(3, 3), (5, 5)], [(1, 3, 3), (1, 5, 5)])
-    # A square grid with m_x = m_y has the same chain along both axes.
-    eighs.clear()
-    built.clear()
-    assert run([*grid, "--set", "rows=5", "--set", "m_y=2"]) == 0
-    assert (eighs, built) == ([(5, 5)], [(1, 5, 5)])
-    built.clear()
+    for extra, axes in (([], [3, 5]), (["--set", "rows=5", "--set", "m_y=2"], [5]),
+                        (["--set", "rows=5"], [5, 5])):
+        eighs.clear()
+        passes.clear()
+        assert run([*grid, *extra]) == 0
+        assert (eighs, built, passes) == ([(n, n) for n in axes], [], ["of", *axes])
     assert run([*grid, "--set", "decoherence.t1_us=30", "--set", "decoherence.tphi_us=5"]) == 0
     assert built == [(1, 15, 15)]
 

@@ -24,8 +24,6 @@ from domechain.dynamics import (
 from domechain.metrics import (
     _quarter_period_ket,
     _readout_fidelity,
-    chain_bell_target,
-    corner_w_target,
     transfer_fidelity,
 )
 from domechain.models import (
@@ -38,10 +36,12 @@ from dense_oracles import (
     PAULI_X,
     ProcessMatrix,
     brute_force_reduce,
+    corner_indices,
     entrywise_reduce,
     expm_evolve,
     process_matrix,
     qpt_fiducials,
+    quarter_period_ket,
     random_density,
     random_excited_state,
     random_sector_state,
@@ -138,11 +138,21 @@ def test_reduced_states_are_physical():
 def test_quarter_period_phase_parity():
     # The far end's phase relative to the source: +i for odd, -i for even lengths.
     for length, phase in ((3, 1j), (5, 1j), (4, -1j)):
-        ket = _quarter_period_ket(length)
-        assert ket[1] == phase * ket[2]
+        amps = _quarter_period_ket(length)
+        assert amps[1] == phase * amps[0]
     for lengths in ((1,), (1, 4), (4, 1)):
         with pytest.raises(ValueError):
             _quarter_period_ket(*lengths)
+
+
+def test_quarter_period_amplitudes_match_the_oracle_kets():
+    # The readout amplitudes production scores against are the oracle ket's
+    # single-excitation entries, and the oracle ket has no vacuum weight.
+    for lengths in [(L,) for L in range(2, 10)] + [(R, C) for R in range(2, 6) for C in range(2, 6)]:
+        ket = quarter_period_ket(*lengths)
+        amps, weight = readout_target(ket)
+        assert weight == 0.0
+        np.testing.assert_allclose(_quarter_period_ket(*lengths), amps, rtol=0, atol=1e-15)
 
 
 def test_bell_targets_are_reached_by_the_dynamics():
@@ -153,33 +163,32 @@ def test_bell_targets_are_reached_by_the_dynamics():
         H = single_excitation_matrix(params, physical=True)
         psi = evolve_closed(H, site_state(N, 1), params.period / 4)[0]
         rho = brute_force_reduce(psi, N, (1, N))
-        assert abs(target_overlap(rho, chain_bell_target(N)) - 1.0) < 1e-9
+        assert abs(target_overlap(rho, quarter_period_ket(N)) - 1.0) < 1e-9
         # The opposite parity phase is orthogonal, not merely off by phase.
-        wrong = _quarter_period_ket(N + 1)
+        wrong = quarter_period_ket(N + 1)
         assert target_overlap(rho, wrong) < 1e-9
 
 
 def test_bell_state_structure():
-    vec = _quarter_period_ket(3)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    assert vec[0] == 0 and vec[3] == 0
-    assert abs(vec[2] - 1 / np.sqrt(2)) < 1e-12
-    assert abs(vec[1] - 1j / np.sqrt(2)) < 1e-12
+    amps = _quarter_period_ket(3)
+    assert amps.shape == (2,)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+    assert abs(amps[0] - 1 / np.sqrt(2)) < 1e-12
+    assert abs(amps[1] - 1j / np.sqrt(2)) < 1e-12
 
 
 def test_corner_w_target_3x4_phases():
-    vec = corner_w_target(3, 4)
-    amps = [vec[8], vec[4], vec[2], vec[1]]
+    amps = _quarter_period_ket(3, 4)
     np.testing.assert_allclose(amps, [0.5, -0.5j, 0.5j, 0.5], atol=1e-12)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_w_target_reached_on_grid():
     grid = Grid2D(3, 4, 2, 2)
     H = single_excitation_matrix(grid, physical=True)
     psi = evolve_closed(H, site_state(12, 1), grid.period / 4)[0]
-    rho = entrywise_reduce(np.outer(psi, psi.conj()), tuple(i + 1 for i in grid.corner_indices()))
-    assert abs(target_overlap(rho, corner_w_target(3, 4)) - 1.0) < 1e-6
+    rho = entrywise_reduce(np.outer(psi, psi.conj()), tuple(i + 1 for i in corner_indices(3, 4)))
+    assert abs(target_overlap(rho, quarter_period_ket(3, 4)) - 1.0) < 1e-6
 
 
 def test_maximally_mixed_pair_fidelity():
@@ -188,7 +197,7 @@ def test_maximally_mixed_pair_fidelity():
     for N in (3, 5):
         rho = np.eye(N + 1) / (N + 1)
         idx = np.array([1, N])
-        target = chain_bell_target(N)
+        target = quarter_period_ket(N)
         got = _readout_fidelity(rho[idx[:, None], idx], *readout_target(target), block=True)
         assert abs(got - 1 / (N + 1)) < 1e-12
         assert abs(target_overlap(entrywise_reduce(rho, (1, N)), target) - 1 / (N + 1)) < 1e-12
@@ -337,12 +346,12 @@ def test_state_fidelity_matches_per_frame_trace():
     deco = DecoherenceConfig(t1=3.0, t_phi=2.0)
     chain = dome_hamiltonian(DomeParams(N=5, m=2)).matrix()
     grid = Grid2D(3, 4, 2, 2)
-    corners = tuple(i + 1 for i in grid.corner_indices())
+    corners = tuple(i + 1 for i in corner_indices(3, 4))
     grid_H = single_excitation_matrix(grid)
     cases = [
-        (chain, (1, 5), chain_bell_target(5)),
+        (chain, (1, 5), quarter_period_ket(5)),
         (chain, (5, 2), random_sector_target(rng, 2)),
-        (grid_H, corners, corner_w_target(3, 4)),
+        (grid_H, corners, quarter_period_ket(3, 4)),
     ]
     times = np.linspace(0.0, 2.0, 9)
     for H, sites, target in cases:

@@ -260,11 +260,6 @@ def test_grid_frequency_table_adds_row_and_column_profiles():
             assert abs(table[r, c] - (wx[c] + wy[r])) < 1e-12
 
 
-def test_grid_corner_indices_row_major():
-    grid = Grid2D(3, 4, 2, 2)
-    assert grid.corner_indices() == [0, 3, 8, 11]
-
-
 def test_grid_matrix_is_symmetric_with_correct_bonds():
     grid = Grid2D(3, 4, 2, 1)
     H = single_excitation_matrix(grid)

@@ -36,7 +36,13 @@ from domechain.noise import (
     sweep_coherent,
     sweep_decoherence,
 )
-from dense_oracles import brute_force_reduce, entrywise_reduce, expm_evolve, simulate_qpt
+from dense_oracles import (
+    brute_force_reduce,
+    corner_indices,
+    entrywise_reduce,
+    expm_evolve,
+    simulate_qpt,
+)
 from test_dynamics import exponentiated
 
 RATE_5MHZ = 2 * np.pi * 5e6
@@ -86,7 +92,7 @@ def perturbed(system, c, k: int) -> np.ndarray:
     """
     (sigma,) = c.sigmas
     if isinstance(system, Grid2D):
-        rows, cols, ends = system.rows, system.cols, system.corner_indices()
+        rows, cols, ends = system.rows, system.cols, corner_indices(system.rows, system.cols)
         H = single_excitation_matrix(system)
     else:
         rows, cols, ends = 1, system.N, [0, system.N - 1]
@@ -172,7 +178,7 @@ def test_perturb_preserves_rate():
 def test_perturb_grid_targets_corners_vs_interior():
     grid = Grid2D(3, 4, 2, 2)
     base = single_excitation_matrix(grid)
-    corners = grid.corner_indices()
+    corners = corner_indices(3, 4)
     mid = sampled(grid, cfg(DisorderTarget.MIDDLE_FREQUENCIES), 0)
     for i in corners:
         assert mid[i, i] == base[i, i]
@@ -335,7 +341,8 @@ def test_sweep_grid_w_metric_sigma_zero():
 def per_sample_fidelities(system, c, metric):
     """(len(c.sigmas), samples) fidelities, one `perturbed` sample at a time."""
     if isinstance(system, Grid2D):
-        n_sites, sites = system.rows * system.cols, tuple(i + 1 for i in system.corner_indices())
+        n_sites = system.rows * system.cols
+        sites = tuple(i + 1 for i in corner_indices(system.rows, system.cols))
         ideal_matrix = single_excitation_matrix(system)
     else:
         n_sites, sites = system.N, (1, system.N)

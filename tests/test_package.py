@@ -19,6 +19,14 @@ def test_package_all_resolves():
     assert len(set(domechain.__all__)) == len(domechain.__all__)
 
 
+def test_package_all_is_pinned():
+    # 34 names: the T/4 targets are test oracles (`dense_oracles`), and
+    # numerical breakdown has a class of its own.
+    assert len(domechain.__all__) == 34
+    assert "NumericalBreakdownError" in domechain.__all__
+    assert not {"chain_bell_target", "corner_w_target"} & set(domechain.__all__)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_all_lists_only_existing_names(module):
     # Each module lists existing names, all of them re-exported by the package.

@@ -8,9 +8,10 @@ for byte:
 
 - `domechain evolve` CSV and JSON tables, closed and open with T1 only,
   Tphi only and both: chains N = 2..9 with m in {0, 2, 102}, 2x3 and 3x4
-  grids, a square 3x3 grid (whose closed evolve runs one chain for both
-  axes), a 5x3 grid with m_x != m_y, and one 6x7 grid, whose open evolves
-  are above the dense-generator bound, so the sparse branch;
+  grids, square 3x3 grids with (m_x, m_y) = (2, 2) (whose closed evolve
+  runs one chain for both axes), (2, 102) and (102, 2), a 5x3 grid with
+  m_x != m_y, and one 6x7 grid, whose open evolves are above the
+  dense-generator bound, so the sparse branch;
 - decoherence scans (`sweep kind=decoherence`) with the Bell and QPT
   metrics, CSVs and config sidecars;
 - coherent sweeps (`sweep kind=coherent`) of every disorder target with
@@ -55,8 +56,9 @@ TARGETS = ("middle_frequencies", "edge_frequencies", "couplings", "all")
 def _commands() -> list[tuple[str, list[str]]]:
     """(output name, argv without --output) of every CLI command compared."""
     systems = [(f"N{n}_m{m}", [f"N={n}", f"m={m}"]) for n in range(2, 10) for m in (0, 2, 102)]
-    systems += [(f"grid{r}x{c}", [f"rows={r}", f"cols={c}", f"m_x={mx}", f"m_y={my}"])
-                for r, c, mx, my in ((2, 3, 2, 1), (3, 4, 2, 1), (3, 3, 2, 2), (5, 3, 102, 2))]
+    systems += [(f"grid{r}x{c}_m{mx}_{my}", [f"rows={r}", f"cols={c}", f"m_x={mx}", f"m_y={my}"])
+                for r, c, mx, my in ((2, 3, 2, 1), (3, 4, 2, 1), (3, 3, 2, 2), (3, 3, 2, 102),
+                                     (3, 3, 102, 2), (5, 3, 102, 2))]
     out = []
     for name, sets in systems:
         for deco, extra in DECOHERENCE.items():
