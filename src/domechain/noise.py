@@ -16,8 +16,8 @@ with only points that hold failed samples redone one at a time.
 
 Coherent sweeps read a = <r|U(t)|site 1> of the perturbed site matrices
 of all (m, sigma, sample) rows off the closed propagator
-`dynamics._amplitudes`, in one chunked stream of stacked calls, split over
-the usable CPUs from SPLIT_MIN_ENTRIES entries on.  A decoherence scan
+`dynamics._amplitudes`, in one chunked stream of stacked calls on the
+calling thread.  A decoherence scan
 evolves |1><1| for every chain and every DecoherenceConfig of its list in
 one stacked call of `dynamics._open_parts`, the checked open propagator
 behind `evolve_lindblad`, which propagates the site block once per (m,
@@ -38,7 +38,6 @@ Tphi cuts, in microseconds, as one config list.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -58,12 +57,6 @@ __all__ = [
     "sweep_coherent",
     "sweep_decoherence",
 ]
-
-# Coherent sweeps of at least this many stacked site-matrix entries split over the usable
-# CPUs: on a 2-core x86-64 VM two threads lost below 7k entries and won 13-30% from 22k.
-# A later 2-core VM did not reproduce that crossover: Bell (37.5k) and W (64.8k) ran no faster split.
-SPLIT_MIN_ENTRIES = 20_000
-
 
 class DisorderTarget(Enum):
     MIDDLE_FREQUENCIES = "middle_frequencies"
@@ -108,7 +101,9 @@ class DisorderConfig:
         object.__setattr__(self, "samples", _integer("samples", self.samples, 1))
 
 
-_PHILOX = threading.local()  # each thread's one Philox generator, re-pointed per sample
+# Each thread's one Philox generator, re-pointed per sample: callers may run sweeps from
+# threads of their own.
+_PHILOX = threading.local()
 
 
 def _unit_normals(seed: int, draw_indices, n: int) -> np.ndarray:
@@ -236,8 +231,8 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     result array gains a leading M axis.  Evolution time is T/4 for the
     entanglement metrics and T/2 for the transfer channel, once per value
     of cfg.sigmas.  One draw of unit normals serves every system and sigma,
-    so all points share their noise field, and one chunked `eigh` stream, split over
-    the usable CPUs for large stacks, runs over the flattened (m, sigma, sample) rows.
+    so all points share their noise field, and one chunked `eigh` stream runs
+    over the flattened (m, sigma, sample) rows in order on the calling thread.
     Failed and non-finite samples are counted and left out of the statistics, not raised.
     """
     model = _SiteModel.of(system)
@@ -250,40 +245,17 @@ def sweep_coherent(system, cfg: DisorderConfig, metric: SweepMetric) -> SweepRes
     targeted = _targeted(model, cfg.target)
     unit = _unit_normals(cfg.seed, range(n_samples), sum(idx.size for idx in targeted))
     fids = np.empty(model.freqs.shape[0] * axis.size * n_samples)
-    entries = model.freqs.shape[1] ** 2
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    workers = len(cpus) if fids.size * entries >= SPLIT_MIN_ENTRIES else 1
-    share = -(-fids.size // workers)
-    chunk = max(1, MAX_CHUNK_ENTRIES // (workers * entries))  # bounds the entries in flight
-    errors = {}
-
-    def fill(first: int) -> None:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples fail
-                for start in range(first, min(first + share, fids.size), chunk):
-                    rows = np.arange(start, min(start + chunk, first + share, fids.size))
-                    members, point = np.divmod(rows, axis.size * n_samples)
-                    noise = axis[point // n_samples, None] * unit[point % n_samples]
-                    a = _readout_amplitudes(_perturbed(model, targeted, noise, members),
-                                            duration, readout)
-                    if qpt:
-                        fids[rows] = transfer_fidelity(np.abs(a[:, 0]) ** 2, a[:, 0])
-                    else:
-                        fids[rows] = _readout_fidelity(a, a0[members], weight0[members])
-        except BaseException as exc:  # re-raised by the calling thread
-            errors[first] = exc
-    threads = []
-    try:  # the calling thread fills the first share; no thread outlives the call
-        for first in range(share, fids.size, share):
-            thread = threading.Thread(target=fill, args=(first,))
-            thread.start()
-            threads.append(thread)
-        fill(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+    chunk = max(1, MAX_CHUNK_ENTRIES // model.freqs.shape[1] ** 2)  # bounds the entries in flight
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples fail
+        for start in range(0, fids.size, chunk):
+            rows = np.arange(start, min(start + chunk, fids.size))
+            members, point = np.divmod(rows, axis.size * n_samples)
+            noise = axis[point // n_samples, None] * unit[point % n_samples]
+            a = _readout_amplitudes(_perturbed(model, targeted, noise, members), duration, readout)
+            if qpt:
+                fids[rows] = transfer_fidelity(np.abs(a[:, 0]) ** 2, a[:, 0])
+            else:
+                fids[rows] = _readout_fidelity(a, a0[members], weight0[members])
     fids = fids.reshape(-1, n_samples)
     ok = ~np.isnan(fids)
     mean, std = _statistics(fids, ok)

@@ -1064,8 +1064,7 @@ def test_wide_and_narrow_spectra_synthesize_without_warnings(outdir):
 def test_overflowing_disorder_fails_samples_without_warnings(outdir):
     # Noise of 1e308 J overflows the site matrices of all 3 samples of seed 1
     # and of 1981 in 2000: each is a counted failure, with nothing on stderr,
-    # on one thread and on the split path (2000 samples, 100000 matrix
-    # entries, on a multi-CPU host).
+    # in a small sweep and in a large one (2000 samples, 100000 matrix entries).
     src = str(Path(domechain.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for samples in (3, 2000):

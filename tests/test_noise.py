@@ -52,11 +52,11 @@ def cfg(target, sigmas=(1.0,), seed=99, samples=1):
     return DisorderConfig(target=target, sigmas=sigmas, seed=seed, samples=samples)
 
 
-def force_split(monkeypatch, workers):
-    """Split every coherent sweep, however small, over `workers` threads."""
-    monkeypatch.setattr(noise, "SPLIT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(noise.os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
+def chunk_rows(monkeypatch, rows, n_sites):
+    """Run coherent sweeps of `n_sites`-site matrices in chunks of `rows`
+    rows, or of the default entry bound for None."""
+    if rows is not None:
+        monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows * n_sites**2)
 
 
 def scan_configs(t1_us_values=None, tphi_us_values=None) -> list:
@@ -415,19 +415,16 @@ def test_perturb_equals_batched_rows(system, target):
     ids=["bell", "qpt", "w"],
 )
 def test_chunked_sweep_is_bit_identical(system, metric, monkeypatch):
-    # 21 rows: 2 and 3 threads take unequal shares of 11/10 and 7/7/7 rows.
+    # 21 rows: chunks of 4 rows leave a last chunk of 1.
     c = cfg(DisorderTarget.ALL, sigmas=(0.25, 0.5, 1.0), samples=7)
     whole = sweep_coherent(system, c, metric)
-    n_sites, default = 12 if isinstance(system, Grid2D) else system.N, noise.MAX_CHUNK_ENTRIES
-    for workers in (1, 2, 3):
-        force_split(monkeypatch, workers)
-        for rows_per_chunk in (1, 4, None):
-            chunk_entries = rows_per_chunk * n_sites**2 if rows_per_chunk else default
-            monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", chunk_entries)
-            split = sweep_coherent(system, c, metric)
-            np.testing.assert_array_equal(split.fidelities, whole.fidelities)
-            np.testing.assert_array_equal(split.mean, whole.mean)
-            np.testing.assert_array_equal(split.std, whole.std)
+    n_sites = 12 if isinstance(system, Grid2D) else system.N
+    for rows_per_chunk in (1, 4):
+        chunk_rows(monkeypatch, rows_per_chunk, n_sites)
+        chunked = sweep_coherent(system, c, metric)
+        np.testing.assert_array_equal(chunked.fidelities, whole.fidelities)
+        np.testing.assert_array_equal(chunked.mean, whole.mean)
+        np.testing.assert_array_equal(chunked.std, whole.std)
 
 
 def stack_of(kind, shape, m_values, J=1.0):
@@ -452,18 +449,38 @@ def test_stacked_sweep_equals_per_m_calls(case, rows_per_chunk, monkeypatch):
     systems = stack_of(kind, shape, [0, 2, 102, 2], J=RATE_5MHZ)
     c = cfg(DisorderTarget.ALL, sigmas=(0.25, 0.5, 1.0), samples=7)
     per_m = [sweep_coherent(s, c, metric) for s in systems]
-    if rows_per_chunk is not None:
-        n_sites = shape["N"] if kind is DomeParams else 12
-        monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", rows_per_chunk * n_sites**2)
-    for workers in (None, 2, 3):
-        if workers:
-            force_split(monkeypatch, workers)
-        stacked = sweep_coherent(systems, c, metric)
-        for field in ("mean", "std", "samples", "failures", "fidelities"):
-            want = np.array([getattr(r, field) for r in per_m])
-            np.testing.assert_array_equal(getattr(stacked, field), want,
-                                          err_msg=f"{field}, {workers} workers")
-            assert getattr(stacked, field).shape == want.shape
+    chunk_rows(monkeypatch, rows_per_chunk, shape["N"] if kind is DomeParams else 12)
+    stacked = sweep_coherent(systems, c, metric)
+    for field in ("mean", "std", "samples", "failures", "fidelities"):
+        want = np.array([getattr(r, field) for r in per_m])
+        np.testing.assert_array_equal(getattr(stacked, field), want, err_msg=field)
+        assert getattr(stacked, field).shape == want.shape
+
+
+@pytest.mark.parametrize(
+    "systems, metric, samples",
+    [
+        (stack_of(DomeParams, dict(N=5), [2, 102]), SweepMetric.BELL_AT_QUARTER_T, 250),
+        (stack_of(Grid2D, dict(rows=3, cols=4), [2, 102]), SweepMetric.W_AT_QUARTER_T, 75),
+    ],
+    ids=["bell", "w"],
+)
+def test_benchmark_size_sweeps_start_no_thread(systems, metric, samples, monkeypatch):
+    # disorder_mc's Bell sweep (2 m x 3 sigmas x 250 samples of N = 5: 37500
+    # matrix entries) and W sweep (2 m x 3 sigmas x 75 samples of 12 sites:
+    # 64800 entries) run on the calling thread, with the bits of one row per
+    # chunk.
+    c = cfg(DisorderTarget.ALL, sigmas=(0.05, 0.1, 0.2), samples=samples)
+
+    def no_thread(self):
+        raise AssertionError("a coherent sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    whole = sweep_coherent(systems, c, metric)
+    chunk_rows(monkeypatch, 1, 12 if metric is SweepMetric.W_AT_QUARTER_T else 5)
+    one_row = sweep_coherent(systems, c, metric)
+    for field in ("mean", "std", "samples", "failures", "fidelities"):
+        np.testing.assert_array_equal(getattr(whole, field), getattr(one_row, field), err_msg=field)
 
 
 def test_single_system_result_has_no_stack_axis():
@@ -522,10 +539,9 @@ def test_failed_diagonalization_in_a_stack_drops_only_that_point(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    # Split over 2 or 3 threads, the failing row 33 of 40 is in a worker's share.
-    for workers in (None, 2, 3):
-        if workers:
-            force_split(monkeypatch, workers)
+    # In chunks of 1 or 4 rows, or all 40 rows in one, the failing row is 33.
+    for rows_per_chunk in (1, 4, None):
+        chunk_rows(monkeypatch, rows_per_chunk, 5)
         res = sweep_coherent(systems, c, metric)
         np.testing.assert_array_equal(res.failures, [[0, 0], [0, 1]])
         np.testing.assert_array_equal(res.samples, [[10, 10], [10, 9]])
@@ -550,10 +566,9 @@ def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
         return eigh(H, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    # Split over 2 or 3 threads, the failing row 13 of 20 is in a worker's share.
-    for workers in (None, 2, 3):
-        if workers:
-            force_split(monkeypatch, workers)
+    # In chunks of 1 or 4 rows, or all 20 rows in one, the failing row is 13.
+    for rows_per_chunk in (1, 4, None):
+        chunk_rows(monkeypatch, rows_per_chunk, 5)
         res = sweep_coherent(system, c, SweepMetric.BELL_AT_QUARTER_T)
         np.testing.assert_array_equal(res.failures, [0, 1])
         np.testing.assert_array_equal(res.samples, [10, 9])
@@ -569,7 +584,11 @@ def test_failed_diagonalization_drops_only_that_sample(monkeypatch):
 @pytest.mark.parametrize("bad_rows, first", [([9, 15], 9), ([3, 15], 3), ([15, 18], 15)],
                          ids=["two-workers", "caller-and-worker", "one-worker"])
 def test_worker_errors_reach_the_caller_in_chunk_order(bad_rows, first, monkeypatch):
-    # 20 rows over 3 threads: shares 0-6 (the calling thread), 7-13 and 14-19.
+    # 20 rows, one per chunk.  The case names place the two planted rows in
+    # thirds of the rows (0-6, 7-13, 14-19) as a calling thread and two
+    # workers would share them: whichever thirds they lie in, the error of the
+    # earlier row reaches the caller, not a failed-sample count, and no
+    # thread is left running.
     system = DomeParams(N=5, m=2)
     c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1.0), samples=10)
     bad = {row: perturbed(system, cfg(DisorderTarget.ALL, sigmas=(c.sigmas[row // 10],),
@@ -582,8 +601,7 @@ def test_worker_errors_reach_the_caller_in_chunk_order(bad_rows, first, monkeypa
                 raise RuntimeError(f"planted failure in row {row}")
         return eigh(H, *args, **kwargs)
 
-    force_split(monkeypatch, 3)
-    monkeypatch.setattr(noise, "MAX_CHUNK_ENTRIES", 25)  # one row per chunk and thread
+    chunk_rows(monkeypatch, 1, 5)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"planted failure in row {first}$"):
@@ -591,38 +609,13 @@ def test_worker_errors_reach_the_caller_in_chunk_order(bad_rows, first, monkeypa
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize(
-    "cpus, samples, threads",
-    [(4, 15, 0), (1, 250, 0), (2, 250, 1), (3, 250, 2)],
-    ids=["below-threshold", "one-cpu", "two-cpus", "three-cpus"],
-)
-def test_only_large_sweeps_on_several_cpus_start_threads(cpus, samples, threads, monkeypatch):
-    # disorder_mc's QPT sweep (2 m x 3 sigmas x 15 samples of N = 5: 2250
-    # entries) stays serial; its Bell sweep (37500 entries) splits.
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(noise.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(noise.threading, "Thread", Recorded)
-    systems = stack_of(DomeParams, dict(N=5), [2, 102])
-    c = cfg(DisorderTarget.ALL, sigmas=(0.05, 0.1, 0.2), samples=samples)
-    assert (len(systems) * 3 * samples * 25 >= noise.SPLIT_MIN_ENTRIES) == (samples == 250)
-    sweep_coherent(systems, c, SweepMetric.BELL_AT_QUARTER_T)
-    assert len(started) == threads
-
-
-@pytest.mark.parametrize("workers", [None, 2, 3])
-def test_overflowing_disorder_fails_samples_silently(workers, monkeypatch):
+@pytest.mark.parametrize("rows_per_chunk", [None, 2, 3])
+def test_overflowing_disorder_fails_samples_silently(rows_per_chunk, monkeypatch):
     # Noise of 1e308 J overflows the site matrices: those samples are counted
     # failures, with no RuntimeWarning (an error under this suite's filters)
-    # on the calling thread or any worker, whatever errstate the caller set.
-    if workers:
-        force_split(monkeypatch, workers)
+    # in any chunk, whatever errstate the caller set.  Chunks of 2 or 3 rows
+    # mix finite and overflowing rows; None runs all 12 rows in one chunk.
+    chunk_rows(monkeypatch, rows_per_chunk, 5)
     systems = stack_of(DomeParams, dict(N=5), [2, 102])
     c = cfg(DisorderTarget.ALL, sigmas=(0.5, 1e308), seed=1, samples=3)
     with warnings.catch_warnings():

@@ -17,9 +17,9 @@ for byte:
 - coherent sweeps (`sweep kind=coherent`) of every disorder target with
   every metric a system takes: chains N = 2, 5, 9 with the Bell and QPT
   metrics, 2x3 and 3x4 grids with the corner metric, m in {2, 102}, at 20
-  samples (one thread) and 250 (split over the CPUs from N = 5 on), two
-  seeds, CSV and JSON tables with their config sidecars.  N = 2 has no
-  middle site, so its middle-frequency sweeps draw nothing;
+  and 250 samples, two seeds, CSV and JSON tables with their config
+  sidecars.  N = 2 has no middle site, so its middle-frequency sweeps draw
+  nothing;
 - `evolve_lindblad`'s full (D+1) x (D+1) states from a rho0 with vacuum
   coherences, for one site block and for a stack with a config list, saved
   with `np.save`;
